@@ -28,18 +28,62 @@ class Point:
     z: complex
 
 
+class PointBundle:
+    """Everything computed for one field at one physical-slice point.
+
+    Values are stored under a name: the u-jets under their exact order (an
+    int), other layers' quantities under a string (the invariants layer
+    keeps its ``JetCalculus`` and ``InvariantSet`` here).  A value is stored
+    only after it was built; a build that raises stores nothing, so the
+    next call raises again.
+    """
+
+    __slots__ = ("key", "_values")
+
+    def __init__(self, key: str):
+        self.key = key
+        self._values: dict = {}
+
+    def get(self, name, build):
+        """The value stored under name, built by build() on first use."""
+        values = self._values
+        if name not in values:
+            values[name] = build()
+        return values[name]
+
+
 @dataclass(frozen=True)
 class SolutionField:
-    """Evaluator for one solution family (or a conformal transform of one)."""
+    """Evaluator for one solution family (or a conformal transform of one).
+
+    The field keeps one derivative bundle (``PointBundle``) for the most
+    recent point it was evaluated at on the physical slice, so a run of
+    calls at one point builds each u-jet, the invariant jets and the
+    invariants once.  Moving to another point replaces the whole bundle, key
+    and values together; memory is one point per field.  Bundled values are
+    shared between calls and must be treated as immutable (jets are).
+    """
 
     family: str
     kappa: int
     params: dict = dc_field(default_factory=dict)
     _builder: object = None  # (z0, zb0, t0, order) -> Jet
+    _bundle: PointBundle | None = dc_field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def jet_at(self, z0: complex, zb0: complex, t0: float, order: int) -> Jet:
-        """u-jet at a possibly off-slice point (zbar independent of z)."""
+        """u-jet at a possibly off-slice point (zbar independent of z); never bundled."""
         return self._builder(z0, zb0, t0, order)
+
+    def bundle_at(self, p: Point) -> PointBundle:
+        """The derivative bundle of point p, replacing the previous point's."""
+        # repr tells apart the values that == merges (0.0 and -0.0, 1 and 1.0)
+        key = repr((p.t, p.z))
+        bundle = self._bundle
+        if bundle is None or bundle.key != key:
+            bundle = PointBundle(key)
+            object.__setattr__(self, "_bundle", bundle)
+        return bundle
 
     def value_at(self, z0: complex, zb0: complex, t0: float) -> complex:
         return self._builder(z0, zb0, t0, 0).value
@@ -211,10 +255,17 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
 
 def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
-    """Jet of u at a physical-slice point (zbar = conj z)."""
+    """Jet of u at a physical-slice point (zbar = conj z).
+
+    Read from the field's bundle for p: each order is built once per point
+    and returned, shared, to every later call at the same point.  A lower
+    order is built directly, never truncated from a higher one, because a
+    truncated jet can differ from it in the last bit.
+    """
     if order not in (0, 1, 2, 3, 4):
         raise FamilyParamMismatch(f"jet order must be <= 4, got {order}")
-    return field.jet_at(p.z, p.z.conjugate(), p.t, order)
+    return field.bundle_at(p).get(
+        order, lambda: field.jet_at(p.z, p.z.conjugate(), p.t, order))
 
 
 def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:

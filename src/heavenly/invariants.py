@@ -19,10 +19,6 @@ from .jet import Jet
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
 
-INVARIANT_NAMES = ("T", "Ut", "Utt", "Rho", "Eta", "Sigma", "SigmaBar",
-                   "Tau", "Lambda", "LambdaBar")
-OPERATORS = ("delta", "Delta", "DeltaBar", "Y", "Ybar")
-
 
 @dataclass(frozen=True)
 class InvariantSet:
@@ -55,7 +51,12 @@ def _realify(w: complex) -> float | complex:
 
 
 class JetCalculus:
-    """Invariant jets and operator applications derived from one u-jet."""
+    """Invariant jets and operator applications derived from one u-jet.
+
+    Invariant jets, the operators' coefficient jets and the reciprocals of
+    the eta jet are built on first use and kept, so repeated applications
+    reuse them; every kept jet is computed exactly as a fresh one would be.
+    """
 
     def __init__(self, field: SolutionField, p: Point, order: int = 4):
         self.u = eval_u(field, p, order)
@@ -66,11 +67,20 @@ class JetCalculus:
         self.exp_mu = (-self.u.truncated(k - 2)).exp() if k >= 2 else None
         self.u_zt = self.u.derivative(0).derivative(2) if k >= 2 else None
         self.u_zbt = self.u.derivative(1).derivative(2) if k >= 2 else None
+        self._kept: dict = {}
+
+    def _keep(self, key, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     # -- invariant jets ----------------------------------------------------
 
     def invariant_jet(self, name: str) -> Jet:
         """Jet of the named invariant at the maximal available order."""
+        return self._keep(name, lambda: self._invariant_jet(name))
+
+    def _invariant_jet(self, name: str) -> Jet:
         u, k = self.u, self.order
         if name == "T":
             return Jet.variable(2, self.p.t, 3, k, u.base)
@@ -99,16 +109,32 @@ class JetCalculus:
         if op == "delta":
             return g.derivative(2)
         if op == "Delta":
-            return self.exp_mu.truncated(m) * self.u_zbt.truncated(m) * g.derivative(0)
+            coef = self._keep((op, m), lambda: self.exp_mu.truncated(m)
+                              * self.u_zbt.truncated(m))
+            return coef * g.derivative(0)
         if op == "DeltaBar":
-            return self.exp_mu.truncated(m) * self.u_zt.truncated(m) * g.derivative(1)
+            coef = self._keep((op, m), lambda: self.exp_mu.truncated(m)
+                              * self.u_zt.truncated(m))
+            return coef * g.derivative(1)
         if op in ("Y", "Ybar"):
-            eta = self.invariant_jet("Eta").truncated(m)
-            if abs(eta.value) < 1e-14:
-                raise EtaVanishes("eta = 0: Y and Ybar are undefined")
-            inner = self.apply("Delta" if op == "Y" else "DeltaBar", g)
-            return inner / eta
+            inv_eta = self._keep(("1/Eta", m), lambda: self._eta_reciprocal(m))
+            return self.apply("Delta" if op == "Y" else "DeltaBar", g) * inv_eta
         raise ValueError(f"unknown operator {op!r}")
+
+    def _eta_reciprocal(self, m: int) -> Jet:
+        eta = self.invariant_jet("Eta").truncated(m)
+        if abs(eta.value) < 1e-14:
+            raise EtaVanishes("eta = 0: Y and Ybar are undefined")
+        return eta.reciprocal()
+
+    def applied(self, op: str, name: str) -> Jet:
+        """One operator applied to the named invariant's jet, kept for reuse."""
+        return self._keep((op, name), lambda: self.apply(op, self.invariant_jet(name)))
+
+
+def _calculus(field: SolutionField, p: Point) -> JetCalculus:
+    """The order-4 JetCalculus of the field's bundle at p."""
+    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p, order=4))
 
 
 def pde_residual(field: SolutionField, p: Point) -> complex:
@@ -127,16 +153,24 @@ def liouville_residual(field: SolutionField, p: Point) -> complex:
 
 
 def invariants_at(field: SolutionField, p: Point, kappa: int | None = None) -> InvariantSet:
-    """Compute {t, u_t, u_tt, rho, eta, sigma, sigma_bar, tau, lambda, lambda_bar}."""
-    calc = JetCalculus(field, p, order=4)
+    """Compute {t, u_t, u_tt, rho, eta, sigma, sigma_bar, tau, lambda, lambda_bar}.
+
+    The result and the order-4 JetCalculus it comes from live in the field's
+    bundle for p (see ``SolutionField``): repeated calls at one point, and
+    the commutator and operator functions at that point, share them.  The
+    InvariantSet is frozen; one instance is returned to every such call.
+    """
+    return field.bundle_at(p).get("invariants", lambda: _invariant_set(_calculus(field, p), p))
+
+
+def _invariant_set(calc: JetCalculus, p: Point) -> InvariantSet:
     u_t = _realify(calc.value("Ut"))
     u_tt = _realify(calc.value("Utt"))
-    rho_jet = calc.invariant_jet("Rho")
-    rho = _realify(rho_jet.value)
+    rho = _realify(calc.value("Rho"))
     eta = _realify(calc.value("Eta"))
-    sigma = calc.apply("Delta", rho_jet).value
-    sigma_bar = calc.apply("DeltaBar", rho_jet).value
-    tau = _realify(calc.apply("delta", rho_jet).value)
+    sigma = calc.applied("Delta", "Rho").value
+    sigma_bar = calc.applied("DeltaBar", "Rho").value
+    tau = _realify(calc.applied("delta", "Rho").value)
     if abs(eta) < 1e-14:
         lam = lam_bar = None
     else:
@@ -154,8 +188,7 @@ def invariant_pde_residual(s: InvariantSet, kappa: int) -> float:
 
 def apply_inv_op(op: str, target: str, field: SolutionField, p: Point) -> complex:
     """Value of one operator of invariant differentiation on a named invariant."""
-    calc = JetCalculus(field, p, order=4)
-    return calc.apply(op, calc.invariant_jet(target)).value
+    return _calculus(field, p).applied(op, target).value
 
 
 #: commutator pairs with their structure-coefficient right-hand sides
@@ -170,30 +203,29 @@ def commutator_residual(pair: tuple[str, str], target: str,
     Vanishes on solutions of the heavenly equation; requires order-4 jets.
     """
     kappa = field.kappa if kappa is None else kappa
-    calc = JetCalculus(field, p, order=4)
+    calc = _calculus(field, p)
     a, b = pair
-    g = calc.invariant_jet(target)
-    lhs = (calc.apply(a, calc.apply(b, g)) - calc.apply(b, calc.apply(a, g))).value
+    lhs = (calc.apply(a, calc.applied(b, target))
+           - calc.apply(b, calc.applied(a, target))).value
 
     inv = invariants_at(field, p, kappa)
     eta, rho, tau, u_t = inv.eta, inv.rho, inv.tau, inv.u_t
     sigma, sigma_bar = inv.sigma, inv.sigma_bar
-    eta_jet = calc.invariant_jet("Eta")
-    A_of = {name: calc.apply(name, g).value for name in set(pair)}
+    A_of = {name: calc.applied(name, target).value for name in set(pair)}
     if pair == ("delta", "Delta"):
         rhs = (kappa * sigma_bar / eta - 3 * u_t) * A_of["Delta"]
     elif pair == ("delta", "DeltaBar"):
         rhs = (kappa * sigma / eta - 3 * u_t) * A_of["DeltaBar"]
     elif pair == ("Delta", "DeltaBar"):
-        d_eta = calc.apply("Delta", eta_jet).value
-        db_eta = calc.apply("DeltaBar", eta_jet).value
+        d_eta = calc.applied("Delta", "Eta").value
+        db_eta = calc.applied("DeltaBar", "Eta").value
         rhs = ((d_eta / eta - (u_t * rho + tau)) * A_of["DeltaBar"]
                - (db_eta / eta - (u_t * rho + tau)) * A_of["Delta"])
     elif pair == ("delta", "Y"):
-        dt_eta = calc.apply("delta", eta_jet).value
+        dt_eta = calc.applied("delta", "Eta").value
         rhs = (kappa * inv.lambda_bar - 3 * u_t - dt_eta / eta) * A_of["Y"]
     elif pair == ("delta", "Ybar"):
-        dt_eta = calc.apply("delta", eta_jet).value
+        dt_eta = calc.applied("delta", "Eta").value
         rhs = (kappa * inv.lambda_ - 3 * u_t - dt_eta / eta) * A_of["Ybar"]
     elif pair == ("Y", "Ybar"):
         rhs = ((u_t * rho + tau) / eta) * (A_of["Y"] - A_of["Ybar"])

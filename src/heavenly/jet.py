@@ -282,34 +282,6 @@ class Jet:
         return Jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base))
 
 
-def jet_arith(op: str, a: Jet, b: Jet) -> Jet:
-    """Named binary arithmetic, matching the operation table {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def jet_unary(fn: str, a: Jet, exponent: complex | None = None) -> Jet:
-    """Named unary composition {exp, ln, sqrt, pow}."""
-    if fn == "exp":
-        return a.exp()
-    if fn == "ln":
-        return a.log()
-    if fn == "sqrt":
-        return a.sqrt()
-    if fn == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return a.cpow(exponent)
-    raise ValueError(f"unknown fn {fn!r}")
-
-
 def compose_series(series: list[complex], inner: Jet) -> Jet:
     """Univariate Taylor coefficients composed with a jet of zero constant term."""
     if abs(inner.value) > 1e-9:

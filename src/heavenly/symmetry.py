@@ -12,8 +12,6 @@ from .errors import EtaVanishes
 from .fields import Point, SolutionField, eval_u
 from .invariants import invariants_at
 
-X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta", "Uz")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:

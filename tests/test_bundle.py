@@ -1,0 +1,173 @@
+"""The per-point derivative bundle: reuse must never change a result.
+
+Every suite function reads its jets and invariants from the field's bundle
+for the most recent point.  These tests compare each result, bit for bit,
+with the result of a freshly built field, count how often the field's
+builder runs, and check that failures are raised again, never remembered.
+"""
+
+from collections import Counter
+
+import pytest
+
+from heavenly import expr as ex
+from heavenly import invariants
+from heavenly.errors import DomainError
+from heavenly.fields import (Point, SolutionField, conformal_pushforward,
+                             eval_u, make_solution)
+from heavenly.invariants import (COMMUTATOR_PAIRS, apply_inv_op,
+                                 commutator_residual, invariants_at,
+                                 liouville_residual, pde_residual)
+from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
+
+X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
+A_GEN = ex.parse("(0.3 + 0.2*i)*z^2 + z - 0.5", ("z",))
+OPS = ("delta", "Delta", "DeltaBar", "Y", "Ybar")
+
+# (family, parameters for kappa=+1, parameters for kappa=-1); every family
+# is admissible at the points below for both signs of kappa
+FAMILIES = (
+    ("f0", {"C": 1.0}, {"C": 1.0}),
+    ("f0general", {"l": 1.0, "C1": 0.5, "C2": 1.0, "a": "z^2 + 1"},
+     {"l": 1.0, "C1": 0.5, "C2": 1.0, "a": "z^2 + 1"}),
+    ("noninv", {"b": "z^2 + i"}, {"b": "z^2 - i"}),
+    ("general_noninv", {"b": "z^2 + i", "c": "z^2"}, {"b": "z^2 - i", "c": "z^2"}),
+    ("confinv", {"f": "(t^2 + 1)/xi^2", "A": "ln(z)", "a": "z"},
+     {"f": "(4 - t^2)/xi^2", "A": "ln(z)", "a": "z"}),
+    ("liouville", {"c": "exp(z)"}, {"c": "exp(z)"}),
+    ("pushforward", {"b": "z^2 + i"}, {"b": "z^2 - i"}),
+)
+
+
+def build(family, kappa):
+    """A new field; the pushforward is noninv under z = z^2/2."""
+    params = dict(FAMILIES[[f[0] for f in FAMILIES].index(family)][1 if kappa == 1 else 2])
+    for key, val in params.items():
+        if isinstance(val, str):
+            params[key] = ex.parse(val, ("xi", "t") if key == "f" else ("z",))
+    if family == "pushforward":
+        return conformal_pushforward(make_solution("noninv", params, kappa),
+                                     ex.parse("z^2/2", ("z",)))
+    return make_solution(family, params, kappa)
+
+
+def points(kappa):
+    """Points of the box t in [0.5, 1.5], Re z in [1, 2], Im z kappa*[0.25, 0.75]:
+    A, B with A's z at another t, and C with A's t at another z."""
+    a = Point(0.8, complex(1.3, 0.4 * kappa))
+    return a, Point(1.2, a.z), Point(a.t, complex(1.7, 0.6 * kappa))
+
+
+def outcome(fn):
+    """A call's result in a form that == compares bit for bit."""
+    try:
+        value = fn()
+    except Exception as err:  # the same failure must come back every time
+        return ("raised", type(err).__name__, str(err))
+    if hasattr(value, "coeffs"):
+        return ("jet", value.coeffs.tobytes(), value.base)
+    return value
+
+
+def suite(field_for, p):
+    """Every bundle reader at p; field_for() gives the field for each call."""
+    calls = [lambda k=k: eval_u(field_for(), p, k) for k in range(5)]
+    calls += [lambda: pde_residual(field_for(), p),
+              lambda: liouville_residual(field_for(), p),
+              lambda: invariants_at(field_for(), p)]
+    calls += [lambda pair=pair, target=target: commutator_residual(pair, target, field_for(), p)
+              for pair in COMMUTATOR_PAIRS for target in ("Ut", "Rho")]
+    calls += [lambda op=op, target=target: apply_inv_op(op, target, field_for(), p)
+              for op in OPS for target in ("Ut", "Rho", "Eta")]
+    calls += [lambda target=target: x2_apply(A_GEN, target, field_for(), p)
+              for target in X2_TARGETS + ("Uz",)]
+    calls += [lambda: invariance_residual(field_for(), GeneratorSpec(0.5, 0.25, A_GEN), p)]
+    return [outcome(call) for call in calls]
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_revisited_point_matches_fresh_field(family, kappa):
+    a, b, c = points(kappa)
+    fresh = {p: suite(lambda: build(family, kappa), p) for p in (a, b, c)}
+    assert all(fresh[p][4][0] == "jet" for p in fresh)  # every point is admissible
+    shared = build(family, kappa)
+    for p in (a, b, c, a):
+        assert suite(lambda: shared, p) == fresh[p]
+
+
+def counting(fld, counts):
+    """The same field with a builder that counts its calls by order."""
+    def builder(z0, zb0, t0, order):
+        counts[order] += 1
+        return fld.jet_at(z0, zb0, t0, order)
+    return SolutionField(fld.family, fld.kappa, fld.params, _builder=builder)
+
+
+def test_excluded_point_raises_every_time_and_leaves_no_trace():
+    good = points(1)[0]
+    bad = Point(0.8, -1.3 + 0.4j)  # z + zbar < 0: outside the noninv domain
+    fresh = suite(lambda: build("noninv", 1), good)
+    fld = build("noninv", 1)
+    raised = []
+    for p in (bad, good, bad, bad):
+        if p is good:
+            assert suite(lambda: fld, good) == fresh
+            continue
+        for fn in (pde_residual, invariants_at):
+            with pytest.raises(DomainError) as err:
+                fn(fld, p)
+            raised.append(str(err.value))
+    assert len(set(raised)) == 1
+    assert suite(lambda: fld, good) == fresh
+
+
+def test_failed_build_is_not_remembered():
+    counts = Counter()
+    fld = counting(build("noninv", 1), counts)
+    bad = Point(0.8, -1.3 + 0.4j)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            pde_residual(fld, bad)
+    assert counts == {2: 3}
+
+
+def test_one_build_per_order_per_point(monkeypatch):
+    calculi = Counter()
+    init = invariants.JetCalculus.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calculi["JetCalculus"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(invariants.JetCalculus, "__init__", counting_init)
+    counts = Counter()
+    fld = counting(build("noninv", 1), counts)
+    a, b, _ = points(1)
+
+    def point_suite(p):
+        pde_residual(fld, p)
+        invariants_at(fld, p)
+        for pair in COMMUTATOR_PAIRS:
+            for target in ("Ut", "Rho"):
+                commutator_residual(pair, target, fld, p)
+        for target in X2_TARGETS:
+            x2_apply(A_GEN, target, fld, p)
+
+    point_suite(a)
+    point_suite(a)
+    assert counts == {2: 1, 3: 1, 4: 1}
+    assert calculi == {"JetCalculus": 1}
+    # one point per field: moving away and back builds everything again
+    point_suite(b)
+    point_suite(a)
+    assert counts == {2: 3, 3: 3, 4: 3}
+    assert calculi == {"JetCalculus": 3}
+
+
+def test_bundle_key_tells_signed_zeros_apart():
+    counts = Counter()
+    fld = counting(build("noninv", 1), counts)
+    for z in (complex(1.3, 0.0), complex(1.3, -0.0), complex(1.3, 0.0)):
+        pde_residual(fld, Point(0.8, z))
+    assert counts == {2: 3}

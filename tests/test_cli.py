@@ -138,3 +138,30 @@ def test_domain_points_are_excluded_not_fatal(capsys):
     report = json.loads(out)
     assert report["excluded"]["count"] == 1
     assert len(report["records"]) == 1
+
+
+def test_pole_on_grid_is_excluded_not_fatal(capsys):
+    # b has a pole at z = 1, which the default grid (GRID) holds at four t
+    code, out, _ = run(capsys, "verify", "--b", "1/(z-1) + i")
+    report = json.loads(out)
+    poles = [p for p in parse_grid(GRID) if p.z == 1]
+    assert len(poles) == 4
+    assert report["excluded"]["reasons"]["constant term 0j below 1e-12"] == len(poles)
+    assert len(report["records"]) + report["excluded"]["count"] == 48
+    assert all(rec["point"]["re"] != 1.0 or rec["point"]["im"] != 0.0
+               for rec in report["records"])
+    ok = report["summary"]["max_residuals"]["equation"] <= 1e-9
+    assert report["summary"]["pass"] is ok
+    assert code == (0 if ok else 1)
+
+
+def test_report_with_nothing_checked_fails(capsys):
+    # Re z < 0 puts every point outside the noninv domain for kappa = 1
+    code, out, _ = run(capsys, "verify", "--b", "z^2 + i",
+                       "--grid", "t=0.5:1:2,re=-1:-0.5:2,im=0:0:1")
+    report = json.loads(out)
+    assert report["excluded"]["count"] == 4
+    assert report["records"] == []
+    assert report["summary"]["max_residuals"] == {}
+    assert report["summary"]["pass"] is False
+    assert code == 1
