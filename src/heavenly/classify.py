@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import (ConstraintViolation, DomainError, SingularDenominator)
+from .errors import POINT_EXCLUSIONS, ConstraintViolation, SingularDenominator
 from .fields import Point, SolutionField, make_solution
 from .invariants import pde_residual
 from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residual
@@ -339,7 +339,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
     for p in grid:
         try:
             r = abs(pde_residual(field, p))
-        except DomainError:
+        except POINT_EXCLUSIONS:
             continue
         usable.append(p)
         worst = max(worst, r)

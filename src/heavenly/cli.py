@@ -15,9 +15,9 @@ from . import __version__
 from . import expr as ex
 from .classify import (ConformallyNonInvariant, Inconclusive,
                        InvariantCaseMatched, classify_b)
-from .errors import (DivisionBySingularJet, DomainError, EtaVanishes,
-                     FVanishes, HeavenlyError, NegativeDiscriminant,
-                     ParseError, SingularMap)
+from .errors import (POINT_EXCLUSIONS, DomainError, EtaVanishes, FVanishes,
+                     HeavenlyError, NegativeDiscriminant, ParseError,
+                     SingularMap)
 from .fields import Point, conformal_pushforward, make_solution
 from .invariants import (COMMUTATOR_PAIRS, commutator_residual, invariants_at,
                          liouville_residual, pde_residual)
@@ -28,9 +28,6 @@ from .symmetry import GeneratorSpec, algebra_commutator_check, \
 
 SCHEMA = "foliation-report/1"
 DEFAULT_TOL = 1e-9
-
-#: errors that exclude one grid point from a report instead of ending the run
-POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 

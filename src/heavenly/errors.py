@@ -64,3 +64,7 @@ class SingularDenominator(HeavenlyError):
 
 class ConstraintViolation(HeavenlyError):
     """Theorem-case constants violate the case's constraint set."""
+
+
+#: errors that exclude one grid point from a suite instead of ending the run
+POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet)

@@ -152,7 +152,7 @@ def liouville_residual(field: SolutionField, p: Point) -> complex:
     return J.partial((1, 1, 0)) - 2.0 * field.kappa * cmath.exp(J.value)
 
 
-def invariants_at(field: SolutionField, p: Point, kappa: int | None = None) -> InvariantSet:
+def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
     """Compute {t, u_t, u_tt, rho, eta, sigma, sigma_bar, tau, lambda, lambda_bar}.
 
     The result and the order-4 JetCalculus it comes from live in the field's
@@ -197,18 +197,18 @@ COMMUTATOR_PAIRS = (("delta", "Delta"), ("delta", "DeltaBar"), ("Delta", "DeltaB
 
 
 def commutator_residual(pair: tuple[str, str], target: str,
-                        field: SolutionField, p: Point, kappa: int | None = None) -> complex:
+                        field: SolutionField, p: Point) -> complex:
     """[A, B](target) minus the commutator algebra's right-hand side.
 
     Vanishes on solutions of the heavenly equation; requires order-4 jets.
     """
-    kappa = field.kappa if kappa is None else kappa
+    kappa = field.kappa
     calc = _calculus(field, p)
     a, b = pair
     lhs = (calc.apply(a, calc.applied(b, target))
            - calc.apply(b, calc.applied(a, target))).value
 
-    inv = invariants_at(field, p, kappa)
+    inv = invariants_at(field, p)
     eta, rho, tau, u_t = inv.eta, inv.rho, inv.tau, inv.u_t
     sigma, sigma_bar = inv.sigma, inv.sigma_bar
     A_of = {name: calc.applied(name, target).value for name in set(pair)}

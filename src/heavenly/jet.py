@@ -60,14 +60,43 @@ def _mul_table(nvars: int, order: int):
     return np.array(ia), np.array(ib), np.array(it)
 
 
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
-def _overflow_mask(nvars: int, order: int) -> np.ndarray:
-    """Boolean mask of array slots whose total degree exceeds the order."""
-    shape = (order + 1,) * nvars
-    mask = np.zeros(shape, dtype=bool)
-    grids = np.indices(shape)
-    mask[grids.sum(axis=0) > order] = True
-    return mask
+def _derivative_table(nvars: int, order: int, var: int):
+    """Gather for d/d(var) of an order-`order` jet.
+
+    Returns (target, source, weight): flat slots of the order-1 result, the
+    flat slots of the operand they read, and the integer factor
+    alpha[var] + 1 that turns a Taylor coefficient into one of the
+    derivative.  Slots not listed (total degree above order - 1) stay zero.
+    """
+    src_shape = (order + 1,) * nvars
+    dst_shape = (order,) * nvars
+    tgt, src, w = [], [], []
+    for a in valid_indices(nvars, order - 1):
+        up = tuple(x + 1 if i == var else x for i, x in enumerate(a))
+        tgt.append(np.ravel_multi_index(a, dst_shape))
+        src.append(np.ravel_multi_index(up, src_shape))
+        w.append(up[var])
+    return _read_only(np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp),
+                      np.array(w, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _truncation_table(nvars: int, order: int, new_order: int):
+    """Gather for truncating an order-`order` jet to `new_order`: flat slots of
+    the result and the flat slots of the operand they copy."""
+    src_shape = (order + 1,) * nvars
+    dst_shape = (new_order + 1,) * nvars
+    idxs = valid_indices(nvars, new_order)
+    tgt = [np.ravel_multi_index(a, dst_shape) for a in idxs]
+    src = [np.ravel_multi_index(a, src_shape) for a in idxs]
+    return _read_only(np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp))
 
 
 def _on_branch_cut(w: complex) -> bool:
@@ -255,27 +284,36 @@ class Jet:
         return self.coefficient(idx) * fact
 
     def derivative(self, var: int) -> "Jet":
-        """Jet of the partial derivative in one variable; order drops by one."""
+        """Jet of the partial derivative in one variable; order drops by one.
+
+        One gather from a cached table (`_derivative_table`, per nvars,
+        order and var): each coefficient of total degree <= order - 1 reads
+        the operand's coefficient one step up in `var` and multiplies it by
+        that step's int64 weight.  That is the complex-by-int64 multiply of
+        scaling the whole array by its weights, so the values, signed zeros
+        included, are those of the array-wide form.  Every other slot is +0.
+        """
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        n, k = self.nvars, self.order
-        src = np.moveaxis(self.coeffs, var, 0)
-        weights = np.arange(1, k + 1).reshape((k,) + (1,) * (n - 1))
-        out = np.moveaxis(src[1:, ...] * weights, 0, var)
-        # shrink every axis to the new order and drop overflowing degrees
-        slices = tuple(slice(0, k) for _ in range(n))
-        out = np.ascontiguousarray(out[slices])
-        out[_overflow_mask(n, k - 1)] = 0.0
-        return Jet(out, self.base)
+        k = self.order
+        tgt, src, w = _derivative_table(self.nvars, k, var)
+        out = np.zeros(k ** self.nvars, dtype=complex)
+        out[tgt] = self.coeffs.ravel()[src] * w
+        return Jet(out.reshape((k,) * self.nvars), self.base)
 
     def truncated(self, order: int) -> "Jet":
-        """Copy truncated to a lower total order."""
+        """Copy truncated to a lower total order.
+
+        One gather from a cached table (`_truncation_table`, per nvars and
+        both orders) copies the coefficients of total degree <= order; every
+        other slot of the result is +0.
+        """
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        slices = tuple(slice(0, order + 1) for _ in range(self.nvars))
-        out = self.coeffs[slices].copy()
-        out[_overflow_mask(self.nvars, order)] = 0.0
-        return Jet(out, self.base)
+        tgt, src = _truncation_table(self.nvars, self.order, order)
+        out = np.zeros((order + 1) ** self.nvars, dtype=complex)
+        out[tgt] = self.coeffs.ravel()[src]
+        return Jet(out.reshape((order + 1,) * self.nvars), self.base)
 
     def conjugated(self) -> "Jet":
         """Coefficient-wise conjugate (jet of the conjugate-partner function)."""

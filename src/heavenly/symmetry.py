@@ -121,7 +121,7 @@ def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> com
 
 
 def conf_inv_witness(field: SolutionField, grid: list[Point],
-                     kappa: int | None = None, tol: float = 1e-8) -> WitnessReport:
+                     tol: float = 1e-8) -> WitnessReport:
     """Max |sigma - sigma_bar| over the grid.
 
     sigma != sigma_bar is sufficient for conformal non-invariance; the

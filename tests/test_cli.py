@@ -155,6 +155,17 @@ def test_pole_on_grid_is_excluded_not_fatal(capsys):
     assert code == (0 if ok else 1)
 
 
+def test_pole_on_grid_does_not_abort_classify(capsys):
+    # classify_b's own grid loop skips the pole as the report's loop does
+    code, out, _ = run(capsys, "classify", "--b", "1/(z-1) + i")
+    assert code == 0
+    report = json.loads(out)
+    poles = [p for p in parse_grid(GRID) if p.z == 1]
+    assert report["excluded"]["reasons"]["constant term 0j below 1e-12"] == len(poles) == 4
+    assert len(report["records"]) + report["excluded"]["count"] == 48
+    assert report["summary"]["verdict"]["kind"] == "ConformallyNonInvariant"
+
+
 def test_report_with_nothing_checked_fails(capsys):
     # Re z < 0 puts every point outside the noninv domain for kappa = 1
     code, out, _ = run(capsys, "verify", "--b", "z^2 + i",

@@ -1,0 +1,179 @@
+"""The gather kernels of Jet and the word-sharing Jacobi residual against
+the array-reshaping and fully expanded versions they replace, kept here as
+references: results must agree bit for bit, signed zeros included."""
+
+import random
+
+import numpy as np
+import pytest
+
+from heavenly import expr as ex
+from heavenly import resolving
+from heavenly.errors import FVanishes, OrderExceeded
+from heavenly.jet import Jet
+from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
+                                jacobi_residual)
+
+PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
+
+
+# --- references -------------------------------------------------------------
+
+def _ref_overflow_mask(nvars, order):
+    shape = (order + 1,) * nvars
+    mask = np.zeros(shape, dtype=bool)
+    mask[np.indices(shape).sum(axis=0) > order] = True
+    return mask
+
+
+def ref_derivative(jet, var):
+    n, k = jet.nvars, jet.order
+    src = np.moveaxis(jet.coeffs, var, 0)
+    weights = np.arange(1, k + 1).reshape((k,) + (1,) * (n - 1))
+    out = np.moveaxis(src[1:, ...] * weights, 0, var)
+    slices = tuple(slice(0, k) for _ in range(n))
+    out = np.ascontiguousarray(out[slices])
+    out[_ref_overflow_mask(n, k - 1)] = 0.0
+    return Jet(out, jet.base)
+
+
+def ref_truncated(jet, order):
+    slices = tuple(slice(0, order + 1) for _ in range(jet.nvars))
+    out = jet.coeffs[slices].copy()
+    out[_ref_overflow_mask(jet.nvars, order)] = 0.0
+    return Jet(out, jet.base)
+
+
+def ref_apply(proj, op, g):
+    m = g.order - 1
+    if op == "delta":
+        return (ref_derivative(g, 0)
+                + ref_truncated(proj.heav_coeff, m) * ref_derivative(g, 1)
+                + ref_truncated(proj.tauj, m) * ref_derivative(g, 2))
+    coef = proj.lamj if op == "Y" else proj.lambj
+    return ref_derivative(g, 1) + ref_truncated(coef, m) * ref_derivative(g, 2)
+
+
+def ref_jacobi_residual(rf, p):
+    proj = _Proj(rf, p, order=4)
+    if abs(proj.Fj.value) < resolving.F_EPS:
+        raise FVanishes(f"F = {proj.Fj.value} at {p}")
+
+    def commutator(a, b, g):
+        return ref_apply(proj, a, ref_apply(proj, b, g)) - ref_apply(proj, b, ref_apply(proj, a, g))
+
+    def nested(a, b, c, g):
+        inner = lambda h: commutator(b, c, h)
+        return ref_apply(proj, a, inner(g)) - inner(ref_apply(proj, a, g))
+
+    out = []
+    for name in RVARS:
+        g = proj.seed[name]
+        total = (nested("delta", "Y", "Ybar", g)
+                 + nested("Y", "Ybar", "delta", g)
+                 + nested("Ybar", "delta", "Y", g))
+        out.append(total.value)
+    return tuple(out)
+
+
+# --- derivative and truncated -------------------------------------------------
+
+def random_jet(rng, nvars, order):
+    """Random complex coefficients, every slot filled (above the order too),
+    with +-0.0 planted in the real and imaginary parts."""
+    shape = (order + 1,) * nvars
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    for part in (re, im):
+        part[rng.random(shape) < 0.25] = -0.0
+        part[rng.random(shape) < 0.1] = 0.0
+    return Jet(re + 1j * im, (0.5 + 0.25j,) * nvars)
+
+
+def kernel_cases():
+    rng = np.random.default_rng(2024)
+    for nvars in (1, 2, 3):
+        for order in range(6):
+            for _ in range(40):
+                yield nvars, order, random_jet(rng, nvars, order)
+
+
+def test_gather_kernels_match_reference_bytes():
+    cases = 0
+    for nvars, order, jet in kernel_cases():
+        for var in range(nvars if order >= 1 else 0):
+            new, ref = jet.derivative(var), ref_derivative(jet, var)
+            assert new.coeffs.shape == ref.coeffs.shape
+            assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (nvars, order, var)
+            cases += 1
+        for lower in range(order + 1):
+            new, ref = jet.truncated(lower), ref_truncated(jet, lower)
+            assert new.coeffs.shape == ref.coeffs.shape
+            assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (nvars, order, lower)
+            cases += 1
+    assert cases == 3720
+
+
+def test_gather_kernels_ignore_memory_layout():
+    rng = np.random.default_rng(7)
+    jet = random_jet(rng, 3, 4)
+    fortran = Jet(np.asfortranarray(jet.coeffs), jet.base)
+    for var in range(3):
+        assert fortran.derivative(var).coeffs.tobytes() == ref_derivative(jet, var).coeffs.tobytes()
+    assert fortran.truncated(2).coeffs.tobytes() == ref_truncated(jet, 2).coeffs.tobytes()
+
+
+def test_kernel_errors_unchanged():
+    jet = Jet.constant(1.0, 3, 0)
+    with pytest.raises(OrderExceeded):
+        jet.derivative(0)
+    with pytest.raises(OrderExceeded):
+        jet.truncated(1)
+
+
+# --- Jacobi residual ------------------------------------------------------------
+
+def admissible_points(kappa, n, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p = ResolvingPoint(rng.uniform(-2, 2), rng.uniform(-1, 1),
+                           kappa * rng.uniform(0.55, 2.0), kappa)
+        if p.discriminant > 1e-6:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("text", PHI_TEXTS)
+@pytest.mark.parametrize("kappa", (1, -1))
+def test_jacobi_residual_matches_expanded_commutators(text, kappa):
+    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+    checked = 0
+    for p in admissible_points(kappa, 4, seed=31 + kappa):
+        try:
+            ref = ref_jacobi_residual(rf, p)
+        except FVanishes:
+            with pytest.raises(FVanishes):
+                jacobi_residual(rf, p)
+            continue
+        new = jacobi_residual(rf, p)
+        # hex equality is ==, with signed zeros told apart
+        assert [(v.real.hex(), v.imag.hex()) for v in new] == \
+            [(v.real.hex(), v.imag.hex()) for v in ref]
+        checked += 1
+    assert checked > 0
+
+
+def test_jacobi_residual_applies_54_operators(monkeypatch):
+    calls = []
+    apply = _Proj.apply
+
+    def counted(self, op, g):
+        calls.append(op)
+        return apply(self, op, g)
+
+    monkeypatch.setattr(_Proj, "apply", counted)
+    rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
+    jacobi_residual(rf, ResolvingPoint(1.0, 0.8, 0.4, 1))
+    assert len(calls) == 54
+    assert {op: calls.count(op) for op in set(calls)} == {"delta": 18, "Y": 18, "Ybar": 18}
