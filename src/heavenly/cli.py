@@ -15,7 +15,7 @@ from . import __version__
 from . import expr as ex
 from .classify import (ConformallyNonInvariant, Inconclusive,
                        InvariantCaseMatched, classify_b)
-from .errors import (POINT_EXCLUSIONS, DomainError, EtaVanishes, FVanishes,
+from .errors import (POINT_EXCLUSIONS, EtaVanishes, FVanishes,
                      HeavenlyError, NegativeDiscriminant, ParseError,
                      SingularMap)
 from .fields import Point, conformal_pushforward, make_solution
@@ -279,7 +279,7 @@ def cmd_resolving(args) -> int:
         try:
             res = resolving_residuals(rf, p)
             jac = jacobi_residual(rf, p)
-        except (FVanishes, NegativeDiscriminant, DomainError) as err:
+        except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
             _exclude(report, type(err).__name__)
             continue
         produced += 1

@@ -126,11 +126,11 @@ def _check_nonzero(value: complex, what: str):
         raise DomainError(f"{what} vanishes at the evaluation point")
 
 
-def _liouville_gamma(c: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> Jet:
+def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> Jet:
     cj = _expr_at(c, Z)
-    cbj = _expr_at(_bar(c), Zb)
+    cbj = _expr_at(cbar, Zb)
     cd = _expr_deriv_at(c, Z)
-    cbd = _expr_deriv_at(_bar(c), Zb)
+    cbd = _expr_deriv_at(cbar, Zb)
     if kappa == 1:
         denom = cj + cbj
         _check_nonzero(denom.value, "c(z) + cbar(zbar)")
@@ -144,7 +144,9 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     """Construct a solution-family evaluator.
 
     Families: f0 (C), f0general (l, C1, C2, a), noninv (b),
-    general_noninv (b, c), confinv (f, A, a), liouville (c).
+    general_noninv (b, c), confinv (f, A, a), liouville (c).  The
+    conjugate-partner expressions (abar, bbar, ...) are built here once,
+    not per point.
     """
     if kappa not in (1, -1):
         raise FamilyParamMismatch(f"kappa must be +1 or -1, got {kappa}")
@@ -174,6 +176,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         l = float(params["l"])
         C1, C2 = float(params["C1"]), float(params["C2"])
         a = params["a"]
+        abar = _bar(a)
         if l <= 0:
             raise FamilyParamMismatch("separation constant l must be positive")
 
@@ -181,9 +184,9 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             alpha = _ln(l * T * T + C1 * T + C2, "l*t^2 + C1*t + C2")
             aj = _expr_at(a, Z)
-            abj = _expr_at(_bar(a), Zb)
+            abj = _expr_at(abar, Zb)
             ad = _expr_deriv_at(a, Z)
-            abd = _expr_deriv_at(_bar(a), Zb)
+            abd = _expr_deriv_at(abar, Zb)
             if kappa == 1:
                 denom = aj + abj
             else:
@@ -196,11 +199,12 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     elif family == "noninv":
         need("b")
         b = params["b"]
+        bbar = _bar(b)
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             bj = _expr_at(b, Z)
-            bbj = _expr_at(_bar(b), Zb)
+            bbj = _expr_at(bbar, Zb)
             _check_nonzero(t0 + bj.value, "t + b(z)")
             _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
             core = _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
@@ -213,29 +217,31 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     elif family == "general_noninv":
         need("b", "c")
         b, c = params["b"], params["c"]
+        bbar, cbar = _bar(b), _bar(c)
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             bj = _expr_at(b, Z)
-            bbj = _expr_at(_bar(b), Zb)
+            bbj = _expr_at(bbar, Zb)
             _check_nonzero(t0 + bj.value, "t + b(z)")
             _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
             core = _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
-            return core + _liouville_gamma(c, kappa, Z, Zb)
+            return core + _liouville_gamma(c, cbar, kappa, Z, Zb)
 
     elif family == "confinv":
         # u = ln f(xi, t) - ln a(z) - ln abar(zbar), xi = i(A(z) - Abar(zbar))
         need("f", "A", "a")
         f, A, a = params["f"], params["A"], params["a"]
+        Abar, abar = _bar(A), _bar(a)
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             Aj = _expr_at(A, Z)
-            Abj = _expr_at(_bar(A), Zb)
+            Abj = _expr_at(Abar, Zb)
             xi = 1j * (Aj - Abj)
             fj = ex.evaluate(f, {"xi": xi, "t": T})
             aj = _expr_at(a, Z)
-            abj = _expr_at(_bar(a), Zb)
+            abj = _expr_at(abar, Zb)
             _check_nonzero(aj.value, "a(z)")
             _check_nonzero(abj.value, "abar(zbar)")
             return _ln(fj, "f(xi, t)") - _ln(aj, "a(z)") - _ln(abj, "abar(zbar)")
@@ -243,10 +249,11 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     elif family == "liouville":
         need("c")
         c = params["c"]
+        cbar = _bar(c)
 
         def build(z0, zb0, t0, order):
             Z, Zb, _T = _seeds(z0, zb0, t0, order)
-            return _liouville_gamma(c, kappa, Z, Zb)
+            return _liouville_gamma(c, cbar, kappa, Z, Zb)
 
     else:
         raise FamilyParamMismatch(f"unknown family {family!r}")

@@ -31,6 +31,8 @@ from .errors import (
 #: threshold below which a constant term counts as a genuine singularity
 SINGULAR_EPS = 1e-12
 
+_COMPLEX = np.dtype(complex)
+
 
 @lru_cache(maxsize=None)
 def valid_indices(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
@@ -66,6 +68,29 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _rows(slots: np.ndarray, depth: int, row_size: int = 0) -> np.ndarray:
+    """A table's column repeated once per stacked row, row r shifted by
+    r * row_size: flat slots of a stack when row_size is the size of one row,
+    the same slots (or weights) for every row when it is 0."""
+    return np.tile(slots, depth) + np.repeat(row_size * np.arange(depth), len(slots))
+
+
+@lru_cache(maxsize=None)
+def _stacked_mul_table(nvars: int, order: int, depth: int):
+    """`_mul_table` over `depth` stacked rows.
+
+    Returns (ia, ib, ia_rows, ib_rows, it_rows): the operand slots tiled per
+    row for an unstacked operand, then shifted by each row's offset for a
+    stacked one, and the shifted target slots.  One flat 1-D scatter over
+    all rows keeps `np.add.at` on its fast path; a 2-D index does not.
+    """
+    size = (order + 1) ** nvars
+    ia, ib, it = _mul_table(nvars, order)
+    return _read_only(_rows(ia, depth), _rows(ib, depth),
+                      _rows(ia, depth, size), _rows(ib, depth, size),
+                      _rows(it, depth, size))
+
+
 @lru_cache(maxsize=None)
 def _derivative_table(nvars: int, order: int, var: int):
     """Gather for d/d(var) of an order-`order` jet.
@@ -88,6 +113,14 @@ def _derivative_table(nvars: int, order: int, var: int):
 
 
 @lru_cache(maxsize=None)
+def _stacked_derivative_table(nvars: int, order: int, var: int, depth: int):
+    """`_derivative_table` over `depth` stacked rows, as flat slots."""
+    tgt, src, w = _derivative_table(nvars, order, var)
+    return _read_only(_rows(tgt, depth, order ** nvars),
+                      _rows(src, depth, (order + 1) ** nvars), _rows(w, depth))
+
+
+@lru_cache(maxsize=None)
 def _truncation_table(nvars: int, order: int, new_order: int):
     """Gather for truncating an order-`order` jet to `new_order`: flat slots of
     the result and the flat slots of the operand they copy."""
@@ -97,6 +130,14 @@ def _truncation_table(nvars: int, order: int, new_order: int):
     tgt = [np.ravel_multi_index(a, dst_shape) for a in idxs]
     src = [np.ravel_multi_index(a, src_shape) for a in idxs]
     return _read_only(np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp))
+
+
+@lru_cache(maxsize=None)
+def _stacked_truncation_table(nvars: int, order: int, new_order: int, depth: int):
+    """`_truncation_table` over `depth` stacked rows, as flat slots."""
+    tgt, src = _truncation_table(nvars, order, new_order)
+    return _read_only(_rows(tgt, depth, (new_order + 1) ** nvars),
+                      _rows(src, depth, (order + 1) ** nvars))
 
 
 def _on_branch_cut(w: complex) -> bool:
@@ -109,28 +150,45 @@ class Jet:
 
     coeffs[alpha] is the partial derivative of multi-index alpha divided by
     alpha!.  Entries with total degree above `order` are kept zero.
+
+    A stacked jet holds `depth` jets of one shape and base as rows of a
+    leading axis: coeffs has shape (depth,) + (order + 1,) * nvars.  Ring
+    operations, `derivative`, `truncated`, `conjugated` and `value` work row
+    by row through the same tables and ufuncs as on one jet, so each row is
+    bit for bit the unstacked result; `value` is then a tuple, one complex
+    per row.  A stacked jet combines with a stacked jet of equal depth or
+    with an unstacked one, which acts on every row (``coef * g``: every
+    row of g times coef).  The analytic functions, `reciprocal` and
+    coefficient access take unstacked jets only.  depth is 0 for an
+    unstacked jet.
     """
 
     coeffs: np.ndarray
     base: tuple[complex, ...] = field(default=())
+    depth: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", arr)
+        arr = self.coeffs
+        if type(arr) is not np.ndarray or arr.dtype is not _COMPLEX:
+            # the kernels pass fresh complex arrays; only other input is converted
+            arr = np.asarray(arr, dtype=complex)
+            object.__setattr__(self, "coeffs", arr)
         arr.setflags(write=False)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def nvars(self) -> int:
-        return self.coeffs.ndim
+        return self.coeffs.ndim - 1 if self.depth else self.coeffs.ndim
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
-    def value(self) -> complex:
+    def value(self) -> complex | tuple[complex, ...]:
+        if self.depth:
+            return tuple(self.coeffs[(slice(None),) + (0,) * self.nvars].tolist())
         return complex(self.coeffs[(0,) * self.nvars])
 
     @classmethod
@@ -151,13 +209,26 @@ class Jet:
             c[idx] = 1.0
         return cls(c, base)
 
+    @classmethod
+    def stack(cls, jets) -> "Jet":
+        """Unstacked jets of one shape and base as the rows of a stacked jet."""
+        first = jets[0]
+        for j in jets:
+            if j.depth:
+                raise BaseMismatch("cannot stack a stacked jet")
+            first._check(j)
+        return cls(np.stack([j.coeffs for j in jets]),
+                   next((j.base for j in jets if j.base), ()), len(jets))
+
     def _lift(self, other) -> "Jet":
         if isinstance(other, Jet):
             return other
         return Jet.constant(complex(other), self.nvars, self.order, self.base)
 
     def _check(self, other: "Jet") -> None:
-        if other.coeffs.shape != self.coeffs.shape:
+        if other.coeffs.shape != self.coeffs.shape and (
+                (self.depth and other.depth)
+                or self.coeffs.shape[-self.nvars:] != other.coeffs.shape[-other.nvars:]):
             raise BaseMismatch(
                 f"jet orders differ: {self.coeffs.shape} vs {other.coeffs.shape}")
         if self.base and other.base and self.base != other.base:
@@ -168,25 +239,39 @@ class Jet:
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
-        return Jet(self.coeffs + other.coeffs, self.base or other.base)
+        return Jet(self.coeffs + other.coeffs, self.base or other.base,
+                   self.depth or other.depth)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.base)
+        return Jet(-self.coeffs, self.base, self.depth)
 
     def __sub__(self, other):
         other = self._lift(other)
         self._check(other)
-        return Jet(self.coeffs - other.coeffs, self.base or other.base)
+        return Jet(self.coeffs - other.coeffs, self.base or other.base,
+                   self.depth or other.depth)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * complex(other), self.base)
+            return Jet(self.coeffs * complex(other), self.base, self.depth)
         self._check(other)
+        depth = self.depth or other.depth
+        if depth:
+            # every row through the one-jet table, as one flat scatter; an
+            # unstacked operand is gathered once per row (tiled, not
+            # broadcast, so the multiply runs the loop the one-jet form runs)
+            ia, ib, ia_rows, ib_rows, it = _stacked_mul_table(self.nvars, self.order, depth)
+            a = self.coeffs.ravel()[ia_rows if self.depth else ia]
+            b = other.coeffs.ravel()[ib_rows if other.depth else ib]
+            out = np.zeros(depth * (self.order + 1) ** self.nvars, dtype=complex)
+            np.add.at(out, it, a * b)
+            shape = (depth,) + (self.order + 1,) * self.nvars
+            return Jet(out.reshape(shape), self.base or other.base, depth)
         ia, ib, it = _mul_table(self.nvars, self.order)
         out = np.zeros(self.coeffs.size, dtype=complex)
         np.add.at(out, it, self.coeffs.ravel()[ia] * other.coeffs.ravel()[ib])
@@ -196,7 +281,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / complex(other), self.base)
+            return Jet(self.coeffs / complex(other), self.base, self.depth)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -295,11 +380,14 @@ class Jet:
         """
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        k = self.order
-        tgt, src, w = _derivative_table(self.nvars, k, var)
-        out = np.zeros(k ** self.nvars, dtype=complex)
+        k, n, depth = self.order, self.nvars, self.depth
+        if depth:
+            tgt, src, w = _stacked_derivative_table(n, k, var, depth)
+        else:
+            tgt, src, w = _derivative_table(n, k, var)
+        out = np.zeros((depth or 1) * k ** n, dtype=complex)
         out[tgt] = self.coeffs.ravel()[src] * w
-        return Jet(out.reshape((k,) * self.nvars), self.base)
+        return Jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), self.base, depth)
 
     def truncated(self, order: int) -> "Jet":
         """Copy truncated to a lower total order.
@@ -310,14 +398,19 @@ class Jet:
         """
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
-        tgt, src = _truncation_table(self.nvars, self.order, order)
-        out = np.zeros((order + 1) ** self.nvars, dtype=complex)
+        n, depth = self.nvars, self.depth
+        if depth:
+            tgt, src = _stacked_truncation_table(n, self.order, order, depth)
+        else:
+            tgt, src = _truncation_table(n, self.order, order)
+        out = np.zeros((depth or 1) * (order + 1) ** n, dtype=complex)
         out[tgt] = self.coeffs.ravel()[src]
-        return Jet(out.reshape((order + 1,) * self.nvars), self.base)
+        return Jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), self.base, depth)
 
     def conjugated(self) -> "Jet":
         """Coefficient-wise conjugate (jet of the conjugate-partner function)."""
-        return Jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base))
+        return Jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base),
+                   self.depth)
 
 
 def compose_series(series: list[complex], inner: Jet) -> Jet:

@@ -176,3 +176,37 @@ def test_report_with_nothing_checked_fails(capsys):
     assert report["summary"]["max_residuals"] == {}
     assert report["summary"]["pass"] is False
     assert code == 1
+
+
+def test_branch_cut_on_grid_is_excluded_not_fatal(capsys):
+    # ln(z - 1.5) has its cut on the real axis left of 1.5, where the grid
+    # puts z = 0.5 (t = 0.5 and 2) and t + b(z) on the cut at z = 2, t = 0.5
+    code, out, _ = run(capsys, "verify", "--kappa", "1", "--family", "noninv",
+                       "--b", "ln(z - 1.5)", "--grid", "t=0.5:2:2,re=0.5:2:2,im=0:0:1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["count"] == 3
+    assert all("negative real axis" in reason for reason in report["excluded"]["reasons"])
+    assert len(report["records"]) == 1
+    assert report["summary"]["pass"] is True
+
+
+def test_branch_cut_in_resolving_is_excluded_not_fatal(capsys):
+    # ln(theta) is on its cut wherever theta <= 0
+    code, out, _ = run(capsys, "resolving", "--kappa", "1", "--phi", "ln(theta)",
+                       "--samples", "20", "--seed", "7")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["reasons"] == {"BranchCutViolation": 58}
+    assert report["summary"]["samples"] == 20
+    assert report["summary"]["pass"] is True
+
+
+def test_resolving_with_every_sample_excluded_fails(capsys):
+    # F divides by xi - xi = 0 everywhere: every sample excluded, none checked
+    code, out, _ = run(capsys, "resolving", "--kappa", "1", "--phi", "1/(xi - xi)",
+                       "--samples", "5", "--seed", "7")
+    assert code == 1
+    report = json.loads(out)
+    assert report["records"] == []
+    assert report["excluded"]["reasons"] == {"DivisionBySingularJet": report["excluded"]["count"]}

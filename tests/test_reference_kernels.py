@@ -1,6 +1,7 @@
 """The gather kernels of Jet and the word-sharing Jacobi residual against
 the array-reshaping and fully expanded versions they replace, kept here as
-references: results must agree bit for bit, signed zeros included."""
+references, and stacked jets against the same kernels applied one row at a
+time: results must agree bit for bit, signed zeros included."""
 
 import random
 
@@ -9,10 +10,10 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly import resolving
-from heavenly.errors import FVanishes, OrderExceeded
+from heavenly.errors import BaseMismatch, FVanishes, OrderExceeded
 from heavenly.jet import Jet
 from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
-                                jacobi_residual)
+                                jacobi_residual, resolving_residuals)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
 
@@ -123,6 +124,77 @@ def test_gather_kernels_ignore_memory_layout():
     assert fortran.truncated(2).coeffs.tobytes() == ref_truncated(jet, 2).coeffs.tobytes()
 
 
+# --- stacked jets -------------------------------------------------------------
+
+def assert_rows(stacked, rows):
+    assert stacked.depth == len(rows)
+    assert stacked.coeffs.shape == (len(rows),) + rows[0].coeffs.shape
+    for r, row in enumerate(rows):
+        assert stacked.coeffs[r].tobytes() == row.coeffs.tobytes(), r
+    assert stacked.base == rows[0].base
+
+
+def test_stacked_kernels_match_rows():
+    rng = np.random.default_rng(11)
+    cases = 0
+    for nvars in (1, 2, 3):
+        for order in range(6):
+            for depth in (1, 2, 3, 4):
+                A = [random_jet(rng, nvars, order) for _ in range(depth)]
+                B = [random_jet(rng, nvars, order) for _ in range(depth)]
+                c = random_jet(rng, nvars, order)
+                SA, SB = Jet.stack(A), Jet.stack(B)
+                assert SA.nvars == nvars and SA.order == order
+                assert SA.value == tuple(a.value for a in A)
+                checks = [
+                    (SA * SB, [a * b for a, b in zip(A, B)]),
+                    (c * SB, [c * b for b in B]),  # unstacked coefficient first
+                    (SA * c, [a * c for a in A]),
+                    (SA + SB, [a + b for a, b in zip(A, B)]),
+                    (SA - SB, [a - b for a, b in zip(A, B)]),
+                    (c - SB, [c - b for b in B]),
+                    (SA + c, [a + c for a in A]),
+                    (SA + 2.5, [a + 2.5 for a in A]),
+                    (1 - SA, [1 - a for a in A]),
+                    (-SA, [-a for a in A]),
+                    (SA * (0.3 - 2j), [a * (0.3 - 2j) for a in A]),
+                    (-1.5 * SA, [-1.5 * a for a in A]),
+                    (SA / (0.3 - 2j), [a / (0.3 - 2j) for a in A]),
+                    (SA.conjugated(), [a.conjugated() for a in A]),
+                ]
+                checks += [(SA.derivative(v), [a.derivative(v) for a in A])
+                           for v in range(nvars if order >= 1 else 0)]
+                checks += [(SA.truncated(m), [a.truncated(m) for a in A])
+                           for m in range(order + 1)]
+                for stacked, rows in checks:
+                    assert_rows(stacked, rows)
+                    cases += 1
+    assert cases == 1380
+
+
+def test_stacked_shapes_must_agree():
+    rng = np.random.default_rng(5)
+    two = Jet.stack([random_jet(rng, 3, 2) for _ in range(2)])
+    three = Jet.stack([random_jet(rng, 3, 2) for _ in range(3)])
+    with pytest.raises(BaseMismatch):
+        two + three
+    with pytest.raises(BaseMismatch):
+        two * three
+    with pytest.raises(BaseMismatch):
+        two * random_jet(rng, 3, 3)
+    with pytest.raises(BaseMismatch):
+        Jet.stack([random_jet(rng, 3, 2), random_jet(rng, 2, 2)])
+    with pytest.raises(BaseMismatch):
+        Jet.stack([two])
+
+
+def test_unstacked_jets_keep_their_shape():
+    jet = Jet.variable(1, 0.5, 3, 4)
+    assert jet.depth == 0 and jet.coeffs.shape == (5, 5, 5)
+    for out in (jet * jet, jet + 1, jet.derivative(0), jet.truncated(2)):
+        assert out.depth == 0 and out.coeffs.ndim == 3
+
+
 def test_kernel_errors_unchanged():
     jet = Jet.constant(1.0, 3, 0)
     with pytest.raises(OrderExceeded):
@@ -164,16 +236,61 @@ def test_jacobi_residual_matches_expanded_commutators(text, kappa):
     assert checked > 0
 
 
-def test_jacobi_residual_applies_54_operators(monkeypatch):
+def count_applies(monkeypatch):
     calls = []
     apply = _Proj.apply
 
     def counted(self, op, g):
-        calls.append(op)
+        calls.append((op, g.depth))
         return apply(self, op, g)
 
     monkeypatch.setattr(_Proj, "apply", counted)
+    return calls
+
+
+def test_jacobi_residual_applies_18_operators(monkeypatch):
+    calls = count_applies(monkeypatch)
     rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
     jacobi_residual(rf, ResolvingPoint(1.0, 0.8, 0.4, 1))
-    assert len(calls) == 54
-    assert {op: calls.count(op) for op in set(calls)} == {"delta": 18, "Y": 18, "Ybar": 18}
+    # one word tree for the three coordinates, stacked as rows of one jet
+    assert len(calls) == 18
+    assert {depth for _, depth in calls} == {3}
+    ops = [op for op, _ in calls]
+    assert {op: ops.count(op) for op in set(ops)} == {"delta": 6, "Y": 6, "Ybar": 6}
+
+
+def test_resolving_residuals_apply_3_operators(monkeypatch):
+    calls = count_applies(monkeypatch)
+    rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
+    resolving_residuals(rf, ResolvingPoint(1.0, 0.8, 0.4, 1))
+    # delta on (F, lambda, lambda_bar, tau), Y on (tau, lambda_bar), Ybar on (tau, lambda)
+    assert sorted(calls) == [("Y", 2), ("Ybar", 2), ("delta", 4)]
+
+
+@pytest.mark.parametrize("text", PHI_TEXTS)
+@pytest.mark.parametrize("kappa", (1, -1))
+def test_f_constant_term_is_the_same_at_every_order(text, kappa):
+    # jacobi_residual reads F's constant term from an order-0 jet
+    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+    for p in admissible_points(kappa, 25, seed=53 + kappa):
+        at = [p.t, p.ut, p.rho]
+        low, high = ex.eval_jetN(rf.F, at, 0).value, ex.eval_jetN(rf.F, at, 4).value
+        assert (low.real.hex(), low.imag.hex()) == (high.real.hex(), high.imag.hex())
+
+
+@pytest.mark.parametrize("text, excluded", (("0", "all"), ("3e-13", "some"), ("1e-11", "none")))
+def test_f_vanishes_exclusion_unchanged(text, excluded):
+    # F = phi rho^3 with rho in [0.55, 2]: 3e-13 * rho^3 straddles the
+    # F = 0 threshold 1e-12
+    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), 1)
+    raised = 0
+    for p in admissible_points(1, 30, seed=17):
+        try:
+            ref = ref_jacobi_residual(rf, p)
+        except FVanishes:
+            raised += 1
+            with pytest.raises(FVanishes):
+                jacobi_residual(rf, p)
+            continue
+        assert jacobi_residual(rf, p) == ref
+    assert excluded == ("all" if raised == 30 else "some" if raised else "none")

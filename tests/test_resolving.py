@@ -3,6 +3,7 @@ import random
 import pytest
 
 from heavenly import expr as ex
+from heavenly.cli import _perturbed
 from heavenly.errors import FVanishes, NegativeDiscriminant
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
@@ -107,6 +108,16 @@ def test_perturbed_tau_breaks_the_system():
         requires_nonneg_discriminant=True)
     res = resolving_residuals(bumped, P_REF)
     assert res.max_abs() > 1e-3
+
+
+@pytest.mark.parametrize("spec", ("tau:+0.1", "lambda:+0.3", "F:+1"))
+def test_jacobi_residual_cannot_see_a_perturbation(spec):
+    # nested commutators of any three first-order operators satisfy the
+    # Jacobi identity, so only R1..R4 detect a system that is not solved
+    rf = _perturbed(ansatz_functions(phi_expr("xi*theta"), 1), spec)
+    p = ResolvingPoint(t=1.0, ut=0.3, rho=0.9, kappa=1)
+    assert resolving_residuals(rf, p).max_abs() > 0.2
+    assert max(abs(v) for v in jacobi_residual(rf, p)) < 1e-12
 
 
 def test_conjugate_partner_structure():
