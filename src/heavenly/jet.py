@@ -226,11 +226,17 @@ class Jet:
         return Jet.constant(complex(other), self.nvars, self.order, self.base)
 
     def _check(self, other: "Jet") -> None:
-        if other.coeffs.shape != self.coeffs.shape and (
-                (self.depth and other.depth)
-                or self.coeffs.shape[-self.nvars:] != other.coeffs.shape[-other.nvars:]):
+        if self.depth == other.depth:
+            # one depth: the shape is fixed by nvars and order
+            same = self.coeffs.shape == other.coeffs.shape
+        else:
+            # a stacked jet and an unstacked one: compare the shape of a row
+            same = not (self.depth and other.depth) and (
+                self.coeffs.shape[bool(self.depth):] == other.coeffs.shape[bool(other.depth):])
+        if not same:
             raise BaseMismatch(
-                f"jet orders differ: {self.coeffs.shape} vs {other.coeffs.shape}")
+                f"jet shapes differ: {self.coeffs.shape} (depth {self.depth}) "
+                f"vs {other.coeffs.shape} (depth {other.depth})")
         if self.base and other.base and self.base != other.base:
             raise BaseMismatch(f"base points differ: {self.base} vs {other.base}")
 
@@ -260,22 +266,16 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.coeffs * complex(other), self.base, self.depth)
         self._check(other)
+        # every row through the one-jet table, as one flat scatter; an
+        # unstacked operand is gathered once per row (tiled, not broadcast,
+        # so the multiply runs the loop the one-jet form runs)
         depth = self.depth or other.depth
-        if depth:
-            # every row through the one-jet table, as one flat scatter; an
-            # unstacked operand is gathered once per row (tiled, not
-            # broadcast, so the multiply runs the loop the one-jet form runs)
-            ia, ib, ia_rows, ib_rows, it = _stacked_mul_table(self.nvars, self.order, depth)
-            a = self.coeffs.ravel()[ia_rows if self.depth else ia]
-            b = other.coeffs.ravel()[ib_rows if other.depth else ib]
-            out = np.zeros(depth * (self.order + 1) ** self.nvars, dtype=complex)
-            np.add.at(out, it, a * b)
-            shape = (depth,) + (self.order + 1,) * self.nvars
-            return Jet(out.reshape(shape), self.base or other.base, depth)
-        ia, ib, it = _mul_table(self.nvars, self.order)
-        out = np.zeros(self.coeffs.size, dtype=complex)
-        np.add.at(out, it, self.coeffs.ravel()[ia] * other.coeffs.ravel()[ib])
-        return Jet(out.reshape(self.coeffs.shape), self.base or other.base)
+        shaped = other if other.depth else self  # the stacked operand, if any
+        ia, ib, ia_rows, ib_rows, it = _stacked_mul_table(self.nvars, self.order, depth or 1)
+        out = np.zeros(shaped.coeffs.size, dtype=complex)
+        np.add.at(out, it, self.coeffs.ravel()[ia_rows if self.depth else ia]
+                  * other.coeffs.ravel()[ib_rows if other.depth else ib])
+        return Jet(out.reshape(shaped.coeffs.shape), self.base or other.base, depth)
 
     __rmul__ = __mul__
 
@@ -372,19 +372,17 @@ class Jet:
         """Jet of the partial derivative in one variable; order drops by one.
 
         One gather from a cached table (`_derivative_table`, per nvars,
-        order and var): each coefficient of total degree <= order - 1 reads
-        the operand's coefficient one step up in `var` and multiplies it by
-        that step's int64 weight.  That is the complex-by-int64 multiply of
-        scaling the whole array by its weights, so the values, signed zeros
-        included, are those of the array-wide form.  Every other slot is +0.
+        order and var, laid out over the rows of a stack): each coefficient
+        of total degree <= order - 1 reads the operand's coefficient one
+        step up in `var` and multiplies it by that step's int64 weight.
+        That is the complex-by-int64 multiply of scaling the whole array by
+        its weights, so the values, signed zeros included, are those of the
+        array-wide form.  Every other slot is +0.
         """
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
         k, n, depth = self.order, self.nvars, self.depth
-        if depth:
-            tgt, src, w = _stacked_derivative_table(n, k, var, depth)
-        else:
-            tgt, src, w = _derivative_table(n, k, var)
+        tgt, src, w = _stacked_derivative_table(n, k, var, depth or 1)
         out = np.zeros((depth or 1) * k ** n, dtype=complex)
         out[tgt] = self.coeffs.ravel()[src] * w
         return Jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), self.base, depth)
@@ -393,16 +391,14 @@ class Jet:
         """Copy truncated to a lower total order.
 
         One gather from a cached table (`_truncation_table`, per nvars and
-        both orders) copies the coefficients of total degree <= order; every
-        other slot of the result is +0.
+        both orders, laid out over the rows of a stack) copies the
+        coefficients of total degree <= order; every other slot of the
+        result is +0.
         """
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
         n, depth = self.nvars, self.depth
-        if depth:
-            tgt, src = _stacked_truncation_table(n, self.order, order, depth)
-        else:
-            tgt, src = _truncation_table(n, self.order, order)
+        tgt, src = _stacked_truncation_table(n, self.order, order, depth or 1)
         out = np.zeros((depth or 1) * (order + 1) ** n, dtype=complex)
         out[tgt] = self.coeffs.ravel()[src]
         return Jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), self.base, depth)

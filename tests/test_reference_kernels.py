@@ -3,6 +3,7 @@ the array-reshaping and fully expanded versions they replace, kept here as
 references, and stacked jets against the same kernels applied one row at a
 time: results must agree bit for bit, signed zeros included."""
 
+import operator
 import random
 
 import numpy as np
@@ -186,6 +187,17 @@ def test_stacked_shapes_must_agree():
         Jet.stack([random_jet(rng, 3, 2), random_jet(rng, 2, 2)])
     with pytest.raises(BaseMismatch):
         Jet.stack([two])
+    # five order-4 rows in 2 variables have the shape (5, 5, 5) of one
+    # order-4 jet in 3 variables; the recorded depth tells them apart
+    # (no base points, so only the shapes can)
+    rows = Jet.stack([Jet(random_jet(rng, 2, 4).coeffs) for _ in range(5)])
+    solo = Jet(random_jet(rng, 3, 4).coeffs)
+    assert rows.coeffs.shape == solo.coeffs.shape
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(BaseMismatch):
+            op(rows, solo)
+        with pytest.raises(BaseMismatch):
+            op(solo, rows)
 
 
 def test_unstacked_jets_keep_their_shape():
