@@ -15,12 +15,10 @@ from . import __version__
 from . import expr as ex
 from .classify import (ConformallyNonInvariant, Inconclusive,
                        InvariantCaseMatched, classify_b)
-from .errors import (POINT_EXCLUSIONS, EtaVanishes, FVanishes,
-                     HeavenlyError, NegativeDiscriminant, ParseError,
-                     SingularMap)
-from .fields import Point, conformal_pushforward, make_solution
-from .invariants import (COMMUTATOR_PAIRS, commutator_residual, invariants_at,
-                         liouville_residual, pde_residual)
+from .errors import (POINT_EXCLUSIONS, FVanishes, HeavenlyError,
+                     NegativeDiscriminant, ParseError)
+from .fields import FAMILY_PARAMS, Point, conformal_pushforward, make_solution
+from .invariants import invariants_at, liouville_residual, pde_residual
 from .resolving import (ResolvingPoint, ansatz_functions, jacobi_residual,
                         resolving_residuals, ResolvingFunctions)
 from .symmetry import GeneratorSpec, algebra_commutator_check, \
@@ -41,6 +39,10 @@ def _num(v):
             return v.real
         return [v.real, v.imag]
     return float(v)
+
+
+def _where(p: Point) -> dict:
+    return {"t": p.t, "re": p.z.real, "im": p.z.imag}
 
 
 def _point_key(rec):
@@ -72,7 +74,7 @@ def _base_report(args, family=None, parameters=None) -> dict:
     return {
         "schema": SCHEMA,
         "version": __version__,
-        "command": sys.argv[1:],
+        "command": args.command,
         "kappa": getattr(args, "kappa", None),
         "family": family,
         "parameters": parameters or {},
@@ -88,6 +90,18 @@ def _exclude(report, reason):
     exc = report["excluded"]
     exc["count"] += 1
     exc["reasons"][reason] = exc["reasons"].get(reason, 0) + 1
+
+
+def _run(report, points, check) -> None:
+    """One record per point, {"point": ..., **check(p)}; a point where check
+    raises one of POINT_EXCLUSIONS is counted under the error's message."""
+    for p in points:
+        try:
+            rec = check(p)
+        except POINT_EXCLUSIONS as err:
+            _exclude(report, str(err))
+            continue
+        report["records"].append({"point": _where(p), **rec})
 
 
 def _finish(report, args) -> int:
@@ -142,41 +156,12 @@ def _family_from_args(args):
     fam = args.family
     params = {}
     echo = {}
-
-    def grab_expr(flag, variables=("z",)):
-        text = getattr(args, flag, None)
+    for name, variables in FAMILY_PARAMS[fam].items():
+        text = getattr(args, name)
         if text is None:
-            raise ValueError(f"family {fam!r} requires --{flag.replace('_', '-')}")
-        echo[flag] = text
-        return ex.parse(text, variables)
-
-    def grab_const(flag):
-        text = getattr(args, flag, None)
-        if text is None:
-            raise ValueError(f"family {fam!r} requires --{flag}")
-        echo[flag] = text
-        return _const_arg(text)
-
-    if fam == "f0":
-        params["C"] = grab_const("C").real
-    elif fam == "f0general":
-        params["l"] = grab_const("l").real
-        params["C1"] = grab_const("C1").real
-        params["C2"] = grab_const("C2").real
-        params["a"] = grab_expr("a")
-    elif fam == "noninv":
-        params["b"] = grab_expr("b")
-    elif fam == "general_noninv":
-        params["b"] = grab_expr("b")
-        params["c"] = grab_expr("c")
-    elif fam == "confinv":
-        params["f"] = grab_expr("f", ("xi", "t"))
-        params["A"] = grab_expr("A")
-        params["a"] = grab_expr("a")
-    elif fam == "liouville":
-        params["c"] = grab_expr("c")
-    else:
-        raise ValueError(f"unknown family {fam!r}")
+            raise ValueError(f"family {fam!r} requires --{name}")
+        echo[name] = text
+        params[name] = ex.parse(text, variables) if variables else _const_arg(text).real
     return make_solution(fam, params, args.kappa), fam, echo
 
 
@@ -186,23 +171,21 @@ def cmd_verify(args) -> int:
     field, fam, echo = _family_from_args(args)
     report = _base_report(args, fam, echo)
     residual_fn = liouville_residual if fam == "liouville" else pde_residual
-    for p in parse_grid(args.grid):
-        try:
-            r = residual_fn(field, p)
-            rec = {"point": {"t": p.t, "re": p.z.real, "im": p.z.imag},
-                   "residuals": {"equation": abs(r)},
-                   "invariants": {}}
-            if fam != "liouville":
-                s = invariants_at(field, p)
-                rec["invariants"] = {
-                    "u_t": _num(s.u_t), "u_tt": _num(s.u_tt),
-                    "rho": _num(s.rho), "eta": _num(s.eta),
-                    "sigma": _num(s.sigma), "sigma_bar": _num(s.sigma_bar),
-                    "tau": _num(s.tau),
-                }
-            report["records"].append(rec)
-        except POINT_EXCLUSIONS as err:
-            _exclude(report, str(err))
+
+    def check(p):
+        rec = {"residuals": {"equation": abs(residual_fn(field, p))},
+               "invariants": {}}
+        if fam != "liouville":
+            s = invariants_at(field, p)
+            rec["invariants"] = {
+                "u_t": _num(s.u_t), "u_tt": _num(s.u_tt),
+                "rho": _num(s.rho), "eta": _num(s.eta),
+                "sigma": _num(s.sigma), "sigma_bar": _num(s.sigma_bar),
+                "tau": _num(s.tau),
+            }
+        return rec
+
+    _run(report, parse_grid(args.grid), check)
     return _finish(report, args)
 
 
@@ -221,23 +204,14 @@ def cmd_classify(args) -> int:
     elif isinstance(verdict, ConformallyNonInvariant):
         report["summary"]["verdict"] = {
             "kind": "ConformallyNonInvariant",
-            "witness": {"t": verdict.witness.t, "re": verdict.witness.z.real,
-                        "im": verdict.witness.z.imag},
+            "witness": _where(verdict.witness),
             "asymmetry": verdict.asymmetry,
         }
     else:
         report["summary"]["verdict"] = {"kind": "Inconclusive",
                                         "reason": verdict.reason}
     field = make_solution("noninv", {"b": b}, args.kappa)
-    for p in grid:
-        try:
-            r = pde_residual(field, p)
-        except POINT_EXCLUSIONS as err:
-            _exclude(report, str(err))
-            continue
-        report["records"].append(
-            {"point": {"t": p.t, "re": p.z.real, "im": p.z.imag},
-             "residuals": {"equation": abs(r)}})
+    _run(report, grid, lambda p: {"residuals": {"equation": abs(pde_residual(field, p))}})
     report["summary"]["pass"] = not isinstance(verdict, Inconclusive)
     return _finish(report, args)
 
@@ -298,25 +272,20 @@ def cmd_symmetry(args) -> int:
         field, fam, echo = _family_from_args(args)
         report["family"] = fam
         report["parameters"] = dict(echo, a=args.a)
-        for p in parse_grid(args.grid):
-            try:
-                residuals = {f"x2_{name}": abs(x2_apply(a, name, field, p))
-                             for name in ("T", "Ut", "Utt", "Rho", "Eta")}
-            except POINT_EXCLUSIONS as err:
-                _exclude(report, str(err))
-                continue
-            report["records"].append(
-                {"point": {"t": p.t, "re": p.z.real, "im": p.z.imag},
-                 "residuals": residuals})
+        _run(report, parse_grid(args.grid), lambda p: {"residuals": {
+            f"x2_{name}": abs(x2_apply(a, name, field, p))
+            for name in ("T", "Ut", "Utt", "Rho", "Eta")}})
     elif args.check == "algebra":
         a = ex.parse(args.a, ("z",))
         b = ex.parse(args.b_gen, ("z",))
         report["parameters"] = {"a": args.a, "b_gen": args.b_gen}
-        for z in (0.7 + 0.2j, -0.4 + 0.9j, 1.1 - 0.5j):
-            rz, ru = algebra_commutator_check(a, b, (z, 0j))
-            report["records"].append(
-                {"point": {"t": 0.0, "re": z.real, "im": z.imag},
-                 "residuals": {"bracket_z": abs(rz), "bracket_u": abs(ru)}})
+
+        def check(p):
+            rz, ru = algebra_commutator_check(a, b, (p.z, 0j))
+            return {"residuals": {"bracket_z": abs(rz), "bracket_u": abs(ru)}}
+
+        _run(report, [Point(0.0, z) for z in (0.7 + 0.2j, -0.4 + 0.9j, 1.1 - 0.5j)],
+             check)
     elif args.check == "criterion":
         field, fam, echo = _family_from_args(args)
         gen = GeneratorSpec(args.alpha, args.beta,
@@ -324,15 +293,8 @@ def cmd_symmetry(args) -> int:
         report["family"] = fam
         report["parameters"] = dict(echo, a=args.a, alpha=args.alpha,
                                     beta=args.beta)
-        for p in parse_grid(args.grid):
-            try:
-                r = invariance_residual(field, gen, p)
-            except POINT_EXCLUSIONS as err:
-                _exclude(report, str(err))
-                continue
-            report["records"].append(
-                {"point": {"t": p.t, "re": p.z.real, "im": p.z.imag},
-                 "residuals": {"criterion": abs(r)}})
+        _run(report, parse_grid(args.grid), lambda p: {"residuals": {
+            "criterion": abs(invariance_residual(field, gen, p))}})
     else:
         raise ValueError(f"unknown symmetry check {args.check!r}")
     return _finish(report, args)
@@ -341,22 +303,21 @@ def cmd_symmetry(args) -> int:
 def cmd_orbit(args) -> int:
     field, fam, echo = _family_from_args(args)
     phi = ex.parse(args.phi, ("z",))
+    if not ex.mentions(phi, "z"):
+        raise ValueError(f"phi {args.phi!r} does not depend on z")
     report = _base_report(args, fam, dict(echo, phi=args.phi))
     pushed = conformal_pushforward(field, phi)
-    for p in parse_grid(args.grid):
-        try:
-            w = ex.eval_jet1(phi, p.z, 0).value
-            r = pde_residual(pushed, p)
-            s_new = invariants_at(pushed, p)
-            s_old = invariants_at(field, Point(p.t, w))
-        except POINT_EXCLUSIONS as err:
-            _exclude(report, str(err))
-            continue
-        report["records"].append(
-            {"point": {"t": p.t, "re": p.z.real, "im": p.z.imag},
-             "residuals": {"equation": abs(r),
-                           "rho_match": abs(s_new.rho - s_old.rho),
-                           "eta_match": abs(s_new.eta - s_old.eta)}})
+
+    def check(p):
+        w = ex.eval_jet1(phi, p.z, 0).value
+        r = pde_residual(pushed, p)
+        s_new = invariants_at(pushed, p)
+        s_old = invariants_at(field, Point(p.t, w))
+        return {"residuals": {"equation": abs(r),
+                              "rho_match": abs(s_new.rho - s_old.rho),
+                              "eta_match": abs(s_new.eta - s_old.eta)}}
+
+    _run(report, parse_grid(args.grid), check)
     return _finish(report, args)
 
 
@@ -379,10 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", default="t=0.5:2:4,re=0.5:2:4,im=-0.5:0.5:3")
 
     def family_flags(p):
-        p.add_argument("--family", default="noninv",
-                       choices=("f0", "f0general", "noninv", "general_noninv",
-                                "confinv", "liouville"))
-        for flag in ("b", "c", "C", "l", "C1", "C2", "a", "f", "A"):
+        p.add_argument("--family", default="noninv", choices=tuple(FAMILY_PARAMS))
+        for flag in dict.fromkeys(n for names in FAMILY_PARAMS.values() for n in names):
             p.add_argument(f"--{flag}", default=None)
 
     pv = sub.add_parser("verify", help="equation residuals for a family")
@@ -418,15 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.command = argv
     try:
         return args.fn(args)
     except ParseError as err:
         print(f"error: parse failure at position {err.position}: {err}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, SingularMap, EtaVanishes, HeavenlyError) as err:
+    except (ValueError, HeavenlyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -67,4 +67,4 @@ class ConstraintViolation(HeavenlyError):
 
 
 #: errors that exclude one grid point from a suite instead of ending the run
-POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation)
+POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation, SingularMap)

@@ -302,6 +302,17 @@ def map_constants(node: Node, fn) -> Node:
     raise TypeError(node)
 
 
+def mentions(e: Expr, name: str) -> bool:
+    """Whether the expression reads the variable `name`."""
+
+    def walk(node: Node) -> bool:
+        if isinstance(node, Var):
+            return node.name == name
+        return any(walk(child) for child in vars(node).values() if isinstance(child, Node))
+
+    return walk(e.root)
+
+
 def conjugate(e: Expr) -> Expr:
     """Conjugate-partner expression: all constants conjugated.
 

@@ -8,7 +8,6 @@ checked at evaluation time because they depend on the sampled point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -126,6 +125,25 @@ def _check_nonzero(value: complex, what: str):
         raise DomainError(f"{what} vanishes at the evaluation point")
 
 
+def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet, t0: float) -> Jet:
+    """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm families."""
+    bj = _expr_at(b, Z)
+    bbj = _expr_at(bbar, Zb)
+    _check_nonzero(t0 + bj.value, "t + b(z)")
+    _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
+    return _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
+
+
+def _conformal_log(kappa: int, Z: Jet, Zb: Jet, z0: complex, zb0: complex) -> Jet:
+    """ln(z + zbar) for kappa = 1, ln(z*zbar + 1) for kappa = -1; f0 and
+    noninv add -2 times it."""
+    if kappa == 1:
+        _check_nonzero(z0 + zb0, "z + zbar")
+        return _ln(Z + Zb, "z + zbar")
+    _check_nonzero(z0 * zb0 + 1, "z*zbar + 1")
+    return _ln(Z * Zb + 1.0, "z*zbar + 1")
+
+
 def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> Jet:
     cj = _expr_at(c, Z)
     cbj = _expr_at(cbar, Zb)
@@ -140,39 +158,43 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> 
     return _ln(cd, "c'") + _ln(cbd, "cbar'") - 2.0 * _ln(denom, "Liouville denominator")
 
 
+#: each family's parameters in the order they are asked for: an expression
+#: parameter maps to its variables, a real constant to ()
+FAMILY_PARAMS = {
+    "f0": {"C": ()},
+    "f0general": {"l": (), "C1": (), "C2": (), "a": ("z",)},
+    "noninv": {"b": ("z",)},
+    "general_noninv": {"b": ("z",), "c": ("z",)},
+    "confinv": {"f": ("xi", "t"), "A": ("z",), "a": ("z",)},
+    "liouville": {"c": ("z",)},
+}
+
+
 def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     """Construct a solution-family evaluator.
 
-    Families: f0 (C), f0general (l, C1, C2, a), noninv (b),
-    general_noninv (b, c), confinv (f, A, a), liouville (c).  The
+    `params` holds the family's parameters as listed in FAMILY_PARAMS.  The
     conjugate-partner expressions (abar, bbar, ...) are built here once,
     not per point.
     """
     if kappa not in (1, -1):
         raise FamilyParamMismatch(f"kappa must be +1 or -1, got {kappa}")
-
-    def need(*names):
-        for n in names:
-            if n not in params:
-                raise FamilyParamMismatch(f"family {family!r} requires parameter {n!r}")
+    if family not in FAMILY_PARAMS:
+        raise FamilyParamMismatch(f"unknown family {family!r}")
+    for n in FAMILY_PARAMS[family]:
+        if n not in params:
+            raise FamilyParamMismatch(f"family {family!r} requires parameter {n!r}")
 
     if family == "f0":
-        need("C")
         C = float(params["C"])
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             if t0 * t0 + C <= 0:
                 raise DomainError("t^2 + C must be positive")
-            core = _ln(T * T + C, "t^2 + C")
-            if kappa == 1:
-                _check_nonzero(z0 + zb0, "z + zbar")
-                return core - 2.0 * _ln(Z + Zb, "z + zbar")
-            _check_nonzero(z0 * zb0 + 1, "z*zbar + 1")
-            return core - 2.0 * _ln(Z * Zb + 1.0, "z*zbar + 1")
+            return _ln(T * T + C, "t^2 + C") - 2.0 * _conformal_log(kappa, Z, Zb, z0, zb0)
 
     elif family == "f0general":
-        need("l", "C1", "C2", "a")
         l = float(params["l"])
         C1, C2 = float(params["C1"]), float(params["C2"])
         a = params["a"]
@@ -197,40 +219,24 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
             return alpha + beta
 
     elif family == "noninv":
-        need("b")
         b = params["b"]
         bbar = _bar(b)
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            bj = _expr_at(b, Z)
-            bbj = _expr_at(bbar, Zb)
-            _check_nonzero(t0 + bj.value, "t + b(z)")
-            _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
-            core = _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
-            if kappa == 1:
-                _check_nonzero(z0 + zb0, "z + zbar")
-                return core - 2.0 * _ln(Z + Zb, "z + zbar")
-            _check_nonzero(z0 * zb0 + 1, "z*zbar + 1")
-            return core - 2.0 * _ln(Z * Zb + 1.0, "z*zbar + 1")
+            return (_two_logs(b, bbar, Z, Zb, T, t0)
+                    - 2.0 * _conformal_log(kappa, Z, Zb, z0, zb0))
 
     elif family == "general_noninv":
-        need("b", "c")
         b, c = params["b"], params["c"]
         bbar, cbar = _bar(b), _bar(c)
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            bj = _expr_at(b, Z)
-            bbj = _expr_at(bbar, Zb)
-            _check_nonzero(t0 + bj.value, "t + b(z)")
-            _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
-            core = _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
-            return core + _liouville_gamma(c, cbar, kappa, Z, Zb)
+            return _two_logs(b, bbar, Z, Zb, T, t0) + _liouville_gamma(c, cbar, kappa, Z, Zb)
 
     elif family == "confinv":
         # u = ln f(xi, t) - ln a(z) - ln abar(zbar), xi = i(A(z) - Abar(zbar))
-        need("f", "A", "a")
         f, A, a = params["f"], params["A"], params["a"]
         Abar, abar = _bar(A), _bar(a)
 
@@ -247,16 +253,12 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
             return _ln(fj, "f(xi, t)") - _ln(aj, "a(z)") - _ln(abj, "abar(zbar)")
 
     elif family == "liouville":
-        need("c")
         c = params["c"]
         cbar = _bar(c)
 
         def build(z0, zb0, t0, order):
             Z, Zb, _T = _seeds(z0, zb0, t0, order)
             return _liouville_gamma(c, cbar, kappa, Z, Zb)
-
-    else:
-        raise FamilyParamMismatch(f"unknown family {family!r}")
 
     return SolutionField(family=family, kappa=kappa, params=dict(params), _builder=build)
 

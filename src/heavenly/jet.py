@@ -144,7 +144,7 @@ def _on_branch_cut(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jet:
     """Dense truncated Taylor expansion at a base point.
 
@@ -160,7 +160,7 @@ class Jet:
     with an unstacked one, which acts on every row (``coef * g``: every
     row of g times coef).  The analytic functions, `reciprocal` and
     coefficient access take unstacked jets only.  depth is 0 for an
-    unstacked jet.
+    unstacked jet.  Jets compare and hash by identity.
     """
 
     coeffs: np.ndarray
@@ -293,28 +293,17 @@ class Jet:
             raise DivisionBySingularJet(f"constant term {b0} below {SINGULAR_EPS}")
         r = (self / b0) - 1.0  # nilpotent part
         acc = Jet.constant(1.0, self.nvars, self.order, self.base)
-        term = Jet.constant(1.0, self.nvars, self.order, self.base)
-        for _ in range(self.order):
-            term = term * r
-            acc = acc - term if _ % 2 == 0 else acc + term
+        for m in range(self.order):
+            term = r if m == 0 else term * r
+            acc = acc - term if m % 2 == 0 else acc + term
         return acc / b0
 
     # -- analytic functions ------------------------------------------------
 
-    def _compose_series(self, series: list[complex]) -> "Jet":
-        """Sum series[m] * h^m where h = self minus its constant term."""
-        h = self - self.value
-        acc = Jet.constant(series[0], self.nvars, self.order, self.base)
-        power = Jet.constant(1.0, self.nvars, self.order, self.base)
-        for m in range(1, min(len(series), self.order + 1)):
-            power = power * h
-            acc = acc + series[m] * power
-        return acc
-
     def exp(self) -> "Jet":
         e0 = cmath.exp(self.value)
         series = [e0 / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose_series(series)
+        return compose_series(series, self - self.value)
 
     def log(self) -> "Jet":
         a0 = self.value
@@ -325,7 +314,7 @@ class Jet:
         series = [cmath.log(a0)]
         for m in range(1, self.order + 1):
             series.append((-1) ** (m + 1) / (m * a0 ** m))
-        return self._compose_series(series)
+        return compose_series(series, self - self.value)
 
     def sqrt(self) -> "Jet":
         return self.cpow(0.5)
@@ -336,8 +325,8 @@ class Jet:
             p = p.real
         if isinstance(p, (int, float)) and float(p).is_integer() and abs(p) <= self.order + 4:
             n = int(p)
-            acc = Jet.constant(1.0, self.nvars, self.order, self.base)
-            for _ in range(abs(n)):
+            acc = self if n else Jet.constant(1.0, self.nvars, self.order, self.base)
+            for _ in range(abs(n) - 1):
                 acc = acc * self
             return acc.reciprocal() if n < 0 else acc
         a0 = self.value
@@ -352,7 +341,7 @@ class Jet:
         for m in range(1, self.order + 1):
             coef = coef * (p - (m - 1)) / m / a0
             series.append(coef)
-        return self._compose_series(series)
+        return compose_series(series, self - self.value)
 
     # -- coefficient access ------------------------------------------------
 
@@ -410,15 +399,13 @@ class Jet:
 
 
 def compose_series(series: list[complex], inner: Jet) -> Jet:
-    """Univariate Taylor coefficients composed with a jet of zero constant term."""
+    """Univariate Taylor coefficients composed with a jet of zero constant
+    term: the sum of series[m] * inner^m up to the jet's order."""
     if abs(inner.value) > 1e-9:
         raise DomainError("composition requires vanishing constant term")
     acc = Jet.constant(series[0], inner.nvars, inner.order, inner.base)
-    power = Jet.constant(1.0, inner.nvars, inner.order, inner.base)
-    for m in range(1, len(series)):
-        if m > inner.order:
-            break
-        power = power * inner
+    for m in range(1, min(len(series), inner.order + 1)):
+        power = inner if m == 1 else power * inner
         acc = acc + series[m] * power
     return acc
 

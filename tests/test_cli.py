@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 from heavenly.cli import main, parse_grid
+from heavenly.fields import FAMILY_PARAMS
 
 GRID = "t=0.5:2:4,re=0.5:2:4,im=-0.5:0.5:3"
 
@@ -210,3 +212,78 @@ def test_resolving_with_every_sample_excluded_fails(capsys):
     report = json.loads(out)
     assert report["records"] == []
     assert report["excluded"]["reasons"] == {"DivisionBySingularJet": report["excluded"]["count"]}
+
+
+def test_symmetry_invariants_exclusions(capsys):
+    # b has a pole at z = 1 (four t), t + b(z) hits the cut at one point
+    # and vanishes at another
+    code, out, _ = run(capsys, "symmetry", "--check", "invariants", "--a", "z",
+                       "--family", "noninv", "--b", "1/(z-1)+i")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["count"] == 6
+    reasons = report["excluded"]["reasons"]
+    assert reasons["constant term 0j below 1e-12"] == 4
+    assert reasons["t + b(z) vanishes at the evaluation point"] == 1
+    assert sum(n for r, n in reasons.items() if "negative real axis" in r) == 1
+    assert len(report["records"]) == 42
+
+
+def test_symmetry_criterion_exclusions(capsys):
+    code, out, _ = run(capsys, "symmetry", "--check", "criterion", "--family", "f0",
+                       "--C", "1", "--a", "i", "--grid", "t=1:1:1,re=0:1:2,im=0:0:1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["reasons"] == {"z + zbar vanishes at the evaluation point": 1}
+    assert [rec["point"] for rec in report["records"]] == [{"t": 1.0, "re": 1.0, "im": 0.0}]
+
+
+def test_orbit_exclusions(capsys):
+    # phi(z) = z + 0.5 maps the grid's z = 0.5 onto the pole of b at 1
+    code, out, _ = run(capsys, "orbit", "--family", "noninv", "--b", "1/(z-1)+i",
+                       "--phi", "z + 0.5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["reasons"] == {"constant term 0j below 1e-12": 4}
+    assert len(report["records"]) == 44
+    assert all(rec["point"]["re"] != 0.5 or rec["point"]["im"] != 0.0
+               for rec in report["records"])
+
+
+def test_orbit_critical_point_is_excluded_not_fatal(capsys):
+    # phi'(0) = 0 for phi = z^2 + 1: the grid point z = 0 is excluded
+    code, out, _ = run(capsys, "orbit", "--family", "f0", "--C", "1",
+                       "--phi", "z^2 + 1", "--grid", "t=1:1:1,re=0:1:2,im=0:0:1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"]["reasons"] == {"phi'(0j) = 0j within tolerance": 1}
+    assert [rec["point"] for rec in report["records"]] == [{"t": 1.0, "re": 1.0, "im": 0.0}]
+    assert report["summary"]["pass"] is True
+
+
+def test_orbit_rejects_a_constant_map(capsys):
+    code, out, err = run(capsys, "orbit", "--family", "f0", "--C", "1", "--phi", "2 + i")
+    assert code == 2
+    assert out == ""
+    assert "does not depend on z" in err
+
+
+def test_report_records_mains_own_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["foo", "--bar"])
+    argv = ["verify", "--family", "f0", "--C", "1", "--grid", "t=1:1:1,re=1:1:1,im=0:0:1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv
+
+
+@pytest.mark.parametrize("family, missing", [
+    (family, name) for family, names in FAMILY_PARAMS.items() for name in names])
+def test_each_missing_family_parameter_exits_2(capsys, family, missing):
+    argv = ["verify", "--family", family]
+    for name, variables in FAMILY_PARAMS[family].items():
+        if name != missing:
+            argv += [f"--{name}", variables[0] if variables else "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family {family!r} requires --{missing}\n"

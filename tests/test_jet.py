@@ -152,3 +152,11 @@ def test_compose3_shifts_expansion_point():
     assert out.partial((1, 0, 0)) == pytest.approx(4 * zb0)
     assert out.partial((0, 0, 1)) == pytest.approx(2 * t0)
     assert out.partial((0, 0, 2)) == pytest.approx(2.0)
+
+
+def test_jets_compare_by_identity():
+    a = Jet.variable(0, 1.0, 3, 2)
+    b = Jet.variable(0, 1.0, 3, 2)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

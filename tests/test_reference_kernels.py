@@ -12,7 +12,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly import resolving
 from heavenly.errors import BaseMismatch, FVanishes, OrderExceeded
-from heavenly.jet import Jet
+from heavenly.jet import Jet, compose_series
 from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
                                 jacobi_residual, resolving_residuals)
 
@@ -213,6 +213,78 @@ def test_kernel_errors_unchanged():
         jet.derivative(0)
     with pytest.raises(OrderExceeded):
         jet.truncated(1)
+
+
+# --- power series -------------------------------------------------------------
+# The series kernels start their powers from the operand; the references
+# start from a unit jet and spend one table multiply on 1 * h.  That
+# multiply turns a -0.0 coefficient into +0.0, so the two agree in value
+# (==), not in the sign of zeros.
+
+def ref_compose_series(series, inner):
+    acc = Jet.constant(series[0], inner.nvars, inner.order, inner.base)
+    power = Jet.constant(1.0, inner.nvars, inner.order, inner.base)
+    for m in range(1, min(len(series), inner.order + 1)):
+        power = power * inner
+        acc = acc + series[m] * power
+    return acc
+
+
+def ref_reciprocal(jet):
+    b0 = jet.value
+    r = (jet / b0) - 1.0
+    acc = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
+    term = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
+    for m in range(jet.order):
+        term = term * r
+        acc = acc - term if m % 2 == 0 else acc + term
+    return acc / b0
+
+
+def ref_integer_power(jet, n):
+    acc = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
+    for _ in range(abs(n)):
+        acc = acc * jet
+    return ref_reciprocal(acc) if n < 0 else acc
+
+
+def series_cases():
+    """Random jets with valid slots only (the kernels keep the others zero)
+    and a constant term off the branch cut."""
+    rng = np.random.default_rng(99)
+    for nvars, order, jet in kernel_cases():
+        c = jet.truncated(order).coeffs.copy()
+        c[(0,) * nvars] = 1.5 + 0.5j
+        yield Jet(c, jet.base), rng.standard_normal(order + 2) + 0j
+
+
+def test_series_kernels_match_unit_start_values():
+    for jet, series in series_cases():
+        h = jet - jet.value
+        pairs = [(compose_series(list(series), h), ref_compose_series(list(series), h)),
+                 (jet.reciprocal(), ref_reciprocal(jet))]
+        pairs += [(jet.cpow(n), ref_integer_power(jet, n)) for n in (-2, -1, 0, 1, 2, 3)]
+        for new, ref in pairs:
+            assert new.coeffs.shape == ref.coeffs.shape
+            assert np.array_equal(new.coeffs, ref.coeffs)
+
+
+def test_series_kernels_multiply_no_unit_jet(monkeypatch):
+    products = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    jet = Jet.variable(0, 1.5 + 0.5j, 3, 4)
+    # order 4: powers h^2, h^3 and h^4 cost one product each
+    for kernel in (Jet.exp, Jet.log, Jet.sqrt, Jet.reciprocal, lambda j: j.cpow(4)):
+        products.clear()
+        kernel(jet)
+        assert len(products) == 3, kernel
 
 
 # --- Jacobi residual ------------------------------------------------------------
