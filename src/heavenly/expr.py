@@ -16,9 +16,10 @@ so the same letter can mean different things in different contexts.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+import operator
+import struct
+from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, ParseError
 from .jet import Jet
@@ -83,13 +84,26 @@ class Call(Node):
 
 @dataclass(frozen=True)
 class Expr:
-    """Parsed expression plus its declared (ordered) variable set."""
+    """Parsed expression plus its declared (ordered) variable set.
+
+    An Expr remembers what it computed (see `evaluate`): the store is built
+    on the first evaluation and lives and dies with the Expr, like a
+    field's point bundle.  It takes no part in comparison or hashing.
+    """
 
     root: Node
     variables: tuple[str, ...]
+    _store: "_Store | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return pretty(self.root)
+
+    def _jets(self) -> "_Store":
+        store = self._store
+        if store is None:
+            store = _Store(_compiled(self.root))
+            object.__setattr__(self, "_store", store)
+        return store
 
 
 FUNCTIONS = ("exp", "ln", "sqrt")
@@ -358,40 +372,140 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 
 # --- evaluation -----------------------------------------------------------
+# An expression is compiled once into nested functions (env, template) -> Jet
+# that apply the same jet operations, in the same order, as a walk of the
+# tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
+# is evaluated once per (nvars, order) and its coefficient array kept.
 
-def _eval_node(node: Node, env: dict[str, Jet], template: Jet) -> Jet:
+#: one-variable seeds whose values an Expr keeps (the oldest goes first)
+SEED_MEMORY = 8
+
+_bits = struct.Struct("<dd").pack  # a complex's bits: 0.0 and -0.0 differ
+
+_BINARY = ((Add, operator.add), (Sub, operator.sub), (Mul, operator.mul),
+           (Div, operator.truediv))
+_CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"),
+          "sqrt": operator.methodcaller("sqrt")}
+
+
+class _Store:
+    """What one Expr remembers: its compiled evaluator, which holds the
+    arrays of its variable-free subtrees, and its values on the most recent
+    one-variable seeds, keyed by the seed's bits (never by ==)."""
+
+    __slots__ = ("run", "seeds")
+
+    def __init__(self, run):
+        self.run = run
+        self.seeds: dict = {}
+
+
+def _remembered(fn):
+    """fn, of a variable-free subtree, run once per (nvars, order); later
+    calls hand back its read-only coefficient array under the template's
+    base.  A run that raises keeps nothing."""
+    arrays: dict = {}
+
+    def lookup(env, t):
+        key = (t.nvars, t.order)
+        coeffs = arrays.get(key)
+        if coeffs is None:
+            jet = fn(env, t)
+            arrays[key] = jet.coeffs
+            return jet
+        return Jet(coeffs, t.base)
+
+    return lookup
+
+
+def _operands(*compiled):
+    """The functions of a node's operands and whether all are variable-free.
+
+    A node with only variable-free operands is variable-free itself and is
+    remembered whole, higher up; otherwise each variable-free operand is a
+    largest such subtree and is remembered here.
+    """
+    if all(const for _, const in compiled):
+        return [fn for fn, _ in compiled], True
+    return [_remembered(fn) if const else fn for fn, const in compiled], False
+
+
+def _compile(node: Node):
+    """(fn, const): fn(env, template) is node's jet; const says node reads
+    no variable.  Methods and operators are looked up on the jets at call
+    time, as a tree walk does."""
     if isinstance(node, Const):
-        return Jet.constant(node.value, template.nvars, template.order, template.base)
+        v = node.value
+        return (lambda env, t: Jet.constant(v, t.nvars, t.order, t.base)), True
     if isinstance(node, Var):
-        return env[node.name]
+        name = node.name
+        return (lambda env, t: env[name]), False
     if isinstance(node, Neg):
-        return -_eval_node(node.x, env, template)
-    if isinstance(node, Add):
-        return _eval_node(node.a, env, template) + _eval_node(node.b, env, template)
-    if isinstance(node, Sub):
-        return _eval_node(node.a, env, template) - _eval_node(node.b, env, template)
-    if isinstance(node, Mul):
-        return _eval_node(node.a, env, template) * _eval_node(node.b, env, template)
-    if isinstance(node, Div):
-        return _eval_node(node.a, env, template) / _eval_node(node.b, env, template)
+        fx, const = _compile(node.x)
+        return (lambda env, t: -fx(env, t)), const
+    for cls, op in _BINARY:
+        if isinstance(node, cls):
+            (fa, fb), const = _operands(_compile(node.a), _compile(node.b))
+            return (lambda env, t: op(fa(env, t), fb(env, t))), const
     if isinstance(node, Pow):
-        base = _eval_node(node.base, env, template)
-        if isinstance(node.exponent, Const):
-            return base.cpow(node.exponent.value)
-        if isinstance(node.exponent, Neg) and isinstance(node.exponent.x, Const):
-            return base.cpow(-node.exponent.x.value)
-        exponent = _eval_node(node.exponent, env, template)
-        return (exponent * base.log()).exp()
+        exponent = node.exponent
+        if isinstance(exponent, Const) or (isinstance(exponent, Neg)
+                                           and isinstance(exponent.x, Const)):
+            p = exponent.value if isinstance(exponent, Const) else -exponent.x.value
+            fb, const = _compile(node.base)
+            return (lambda env, t: fb(env, t).cpow(p)), const
+        (fb, fe), const = _operands(_compile(node.base), _compile(exponent))
+
+        def power(env, t):
+            base = fb(env, t)
+            return (fe(env, t) * base.log()).exp()
+
+        return power, const
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, env, template)
-        return {"exp": Jet.exp, "ln": Jet.log, "sqrt": Jet.sqrt}[node.fn](arg)
+        call = _CALLS[node.fn]
+        fa, const = _compile(node.arg)
+        return (lambda env, t: call(fa(env, t))), const
     raise TypeError(node)
 
 
+def _compiled(root: Node):
+    fn, const = _compile(root)
+    return _remembered(fn) if const else fn
+
+
 def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
-    """Evaluate with jet-valued variables; all env jets must share shape/base."""
+    """Evaluate with jet-valued variables; all env jets must share shape/base.
+
+    The result is bit for bit that of applying the jet operations node by
+    node, but each variable-free subtree is computed once per (nvars,
+    order) of the env jets and remembered by the Expr.
+    """
     template = next(iter(env.values()))
-    return _eval_node(e.root, env, template)
+    return e._jets().run(env, template)
+
+
+def eval_seed(e: Expr, var: int, at: complex, nvars: int, order: int,
+              base: tuple[complex, ...] = ()) -> Jet:
+    """Jet of a one-variable expression on the seed
+    ``Jet.variable(var, at, nvars, order, base)``, its first variable.
+
+    The Expr remembers its values on its last SEED_MEMORY seeds, keyed by
+    (var, nvars, order) and the bits of `at`.  A remembered value shares
+    its read-only coefficient array and carries the caller's base; an
+    evaluation that raises is not remembered, so it raises again.
+    """
+    store = e._jets()
+    w = complex(at)
+    key = (var, nvars, order, _bits(w.real, w.imag))
+    coeffs = store.seeds.get(key)
+    if coeffs is not None:
+        return Jet(coeffs, base)
+    jet = evaluate(e, {e.variables[0]: Jet.variable(var, at, nvars, order, base)})
+    seeds = store.seeds
+    if len(seeds) >= SEED_MEMORY:
+        del seeds[next(iter(seeds))]
+    seeds[key] = jet.coeffs
+    return jet
 
 
 def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
@@ -406,8 +520,7 @@ def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
     """Univariate jet of a single-variable expression at a point."""
     if len(e.variables) != 1:
         raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
-    v = e.variables[0]
-    return evaluate(e, {v: Jet.variable(0, at, 1, order, base=(at,))})
+    return eval_seed(e, 0, at, 1, order, (at,))
 
 
 def bar_eval(e: Expr, at_zbar: complex, order: int) -> Jet:

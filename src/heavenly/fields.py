@@ -96,9 +96,10 @@ def _seeds(z0: complex, zb0: complex, t0: float, order: int):
     return Z, Zb, T
 
 
-def _expr_at(e: ex.Expr, seed: Jet) -> Jet:
-    """Holomorphic expression of one variable evaluated on a seed jet."""
-    return ex.evaluate(e, {e.variables[0]: seed})
+def _expr_at(e: ex.Expr, seed: Jet, var: int) -> Jet:
+    """Holomorphic expression of one variable on the seed jet of variable
+    var (from `_seeds`), through the expression's store of seed values."""
+    return ex.eval_seed(e, var, seed.value, 3, seed.order, seed.base)
 
 
 def _expr_deriv_at(e: ex.Expr, seed: Jet) -> Jet:
@@ -127,8 +128,8 @@ def _check_nonzero(value: complex, what: str):
 
 def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet, t0: float) -> Jet:
     """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm families."""
-    bj = _expr_at(b, Z)
-    bbj = _expr_at(bbar, Zb)
+    bj = _expr_at(b, Z, VZ)
+    bbj = _expr_at(bbar, Zb, VZB)
     _check_nonzero(t0 + bj.value, "t + b(z)")
     _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
     return _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
@@ -145,8 +146,8 @@ def _conformal_log(kappa: int, Z: Jet, Zb: Jet, z0: complex, zb0: complex) -> Je
 
 
 def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> Jet:
-    cj = _expr_at(c, Z)
-    cbj = _expr_at(cbar, Zb)
+    cj = _expr_at(c, Z, VZ)
+    cbj = _expr_at(cbar, Zb, VZB)
     cd = _expr_deriv_at(c, Z)
     cbd = _expr_deriv_at(cbar, Zb)
     if kappa == 1:
@@ -205,8 +206,8 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             alpha = _ln(l * T * T + C1 * T + C2, "l*t^2 + C1*t + C2")
-            aj = _expr_at(a, Z)
-            abj = _expr_at(abar, Zb)
+            aj = _expr_at(a, Z, VZ)
+            abj = _expr_at(abar, Zb, VZB)
             ad = _expr_deriv_at(a, Z)
             abd = _expr_deriv_at(abar, Zb)
             if kappa == 1:
@@ -242,12 +243,12 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            Aj = _expr_at(A, Z)
-            Abj = _expr_at(Abar, Zb)
+            Aj = _expr_at(A, Z, VZ)
+            Abj = _expr_at(Abar, Zb, VZB)
             xi = 1j * (Aj - Abj)
             fj = ex.evaluate(f, {"xi": xi, "t": T})
-            aj = _expr_at(a, Z)
-            abj = _expr_at(abar, Zb)
+            aj = _expr_at(a, Z, VZ)
+            abj = _expr_at(abar, Zb, VZB)
             _check_nonzero(aj.value, "a(z)")
             _check_nonzero(abj.value, "abar(zbar)")
             return _ln(fj, "f(xi, t)") - _ln(aj, "a(z)") - _ln(abj, "abar(zbar)")
@@ -288,8 +289,8 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
 
     def build(z0, zb0, t0, order):
         Z, Zb, T = _seeds(z0, zb0, t0, order)
-        pj = _expr_at(phi, Z)
-        pbj = _expr_at(phibar, Zb)
+        pj = _expr_at(phi, Z, VZ)
+        pbj = _expr_at(phibar, Zb, VZB)
         pd = _expr_deriv_at(phi, Z)
         pbd = _expr_deriv_at(phibar, Zb)
         if abs(pd.value) < SINGULAR_TOL:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -144,7 +143,6 @@ def _on_branch_cut(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0
 
 
-@dataclass(frozen=True, eq=False)
 class Jet:
     """Dense truncated Taylor expansion at a base point.
 
@@ -160,30 +158,49 @@ class Jet:
     with an unstacked one, which acts on every row (``coef * g``: every
     row of g times coef).  The analytic functions, `reciprocal` and
     coefficient access take unstacked jets only.  depth is 0 for an
-    unstacked jet.  Jets compare and hash by identity.
+    unstacked jet.
+
+    A Jet is immutable: a slot class whose attributes cannot be assigned,
+    holding a read-only coeffs array, so jets (and their arrays) can be
+    shared freely.  nvars and order are stored at construction.  Jets
+    compare and hash by identity.  `__post_init__` runs once for every
+    constructed Jet, whichever constructor made it.
+
+    A scalar operand of ``+`` and ``-`` is not lifted to a constant jet:
+    the operation adds (or subtracts from) +0.0 in every slot and then sets
+    the constant term, which gives the lifted form's bits, signed zeros
+    included.
     """
 
-    coeffs: np.ndarray
-    base: tuple[complex, ...] = field(default=())
-    depth: int = 0
+    __slots__ = ("coeffs", "base", "depth", "nvars", "order")
+
+    def __init__(self, coeffs, base: tuple[complex, ...] = (), depth: int = 0):
+        if type(coeffs) is not np.ndarray or coeffs.dtype is not _COMPLEX:
+            # the kernels pass fresh complex arrays; only other input is converted
+            coeffs = np.asarray(coeffs, dtype=complex)
+        _set_coeffs(self, coeffs)
+        _set_base(self, base)
+        _set_depth(self, depth)
+        _set_nvars(self, coeffs.ndim - 1 if depth else coeffs.ndim)
+        _set_order(self, coeffs.shape[-1] - 1)
+        self.__post_init__()
 
     def __post_init__(self):
-        arr = self.coeffs
-        if type(arr) is not np.ndarray or arr.dtype is not _COMPLEX:
-            # the kernels pass fresh complex arrays; only other input is converted
-            arr = np.asarray(arr, dtype=complex)
-            object.__setattr__(self, "coeffs", arr)
-        arr.setflags(write=False)
+        self.coeffs.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Jet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Jet")
+
+    def __repr__(self) -> str:
+        return f"Jet(coeffs={self.coeffs!r}, base={self.base!r}, depth={self.depth!r})"
+
+    def __reduce__(self):
+        return (Jet, (self.coeffs, self.base, self.depth))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return self.coeffs.ndim - 1 if self.depth else self.coeffs.ndim
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[-1] - 1
 
     @property
     def value(self) -> complex | tuple[complex, ...]:
@@ -196,7 +213,7 @@ class Jet:
                  base: tuple[complex, ...] = ()) -> "Jet":
         c = np.zeros((order + 1,) * nvars, dtype=complex)
         c[(0,) * nvars] = value
-        return cls(c, base)
+        return _jet(c, base, 0, nvars, order)
 
     @classmethod
     def variable(cls, i: int, value: complex, nvars: int, order: int,
@@ -207,7 +224,7 @@ class Jet:
         if order >= 1:
             idx = tuple(1 if k == i else 0 for k in range(nvars))
             c[idx] = 1.0
-        return cls(c, base)
+        return _jet(c, base, 0, nvars, order)
 
     @classmethod
     def stack(cls, jets) -> "Jet":
@@ -217,54 +234,65 @@ class Jet:
             if j.depth:
                 raise BaseMismatch("cannot stack a stacked jet")
             first._check(j)
-        return cls(np.stack([j.coeffs for j in jets]),
-                   next((j.base for j in jets if j.base), ()), len(jets))
-
-    def _lift(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(complex(other), self.nvars, self.order, self.base)
+        return _jet(np.stack([j.coeffs for j in jets]),
+                    next((j.base for j in jets if j.base), ()), len(jets),
+                    first.nvars, first.order)
 
     def _check(self, other: "Jet") -> None:
-        if self.depth == other.depth:
-            # one depth: the shape is fixed by nvars and order
-            same = self.coeffs.shape == other.coeffs.shape
-        else:
-            # a stacked jet and an unstacked one: compare the shape of a row
-            same = not (self.depth and other.depth) and (
-                self.coeffs.shape[bool(self.depth):] == other.coeffs.shape[bool(other.depth):])
-        if not same:
+        # equal depths, or one unstacked operand acting on every row; then
+        # the shapes agree when nvars and order do
+        if (self.nvars != other.nvars or self.order != other.order
+                or (self.depth != other.depth and self.depth and other.depth)):
             raise BaseMismatch(
                 f"jet shapes differ: {self.coeffs.shape} (depth {self.depth}) "
                 f"vs {other.coeffs.shape} (depth {other.depth})")
         if self.base and other.base and self.base != other.base:
             raise BaseMismatch(f"base points differ: {self.base} vs {other.base}")
 
+    def _like(self, coeffs: np.ndarray) -> "Jet":
+        """A jet of this one's shape, base and depth holding fresh coeffs."""
+        return _jet(coeffs, self.base, self.depth, self.nvars, self.order)
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
+        if not isinstance(other, Jet):
+            # the lifted constant's zero slots add +0.0 (a -0.0 becomes +0.0)
+            a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+            out = a + 0.0
+            out[zero] = a[zero] + complex(other)
+            return self._like(out)
         self._check(other)
-        return Jet(self.coeffs + other.coeffs, self.base or other.base,
-                   self.depth or other.depth)
+        return _jet(self.coeffs + other.coeffs, self.base or other.base,
+                    self.depth or other.depth, self.nvars, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.base, self.depth)
+        return self._like(-self.coeffs)
 
     def __sub__(self, other):
-        other = self._lift(other)
+        if not isinstance(other, Jet):
+            # subtracting the lifted constant's +0.0 keeps every bit
+            a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+            out = a - 0.0
+            out[zero] = a[zero] - complex(other)
+            return self._like(out)
         self._check(other)
-        return Jet(self.coeffs - other.coeffs, self.base or other.base,
-                   self.depth or other.depth)
+        return _jet(self.coeffs - other.coeffs, self.base or other.base,
+                    self.depth or other.depth, self.nvars, self.order)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        # other - self, other a scalar: the lifted constant's zero slots
+        # give +0.0 - a
+        a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+        out = 0.0 - a
+        out[zero] = complex(other) - a[zero]
+        return self._like(out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * complex(other), self.base, self.depth)
+            return self._like(self.coeffs * complex(other))
         self._check(other)
         # every row through the one-jet table, as one flat scatter; an
         # unstacked operand is gathered once per row (tiled, not broadcast,
@@ -273,28 +301,33 @@ class Jet:
         shaped = other if other.depth else self  # the stacked operand, if any
         ia, ib, ia_rows, ib_rows, it = _stacked_mul_table(self.nvars, self.order, depth or 1)
         out = np.zeros(shaped.coeffs.size, dtype=complex)
-        np.add.at(out, it, self.coeffs.ravel()[ia_rows if self.depth else ia]
-                  * other.coeffs.ravel()[ib_rows if other.depth else ib])
-        return Jet(out.reshape(shaped.coeffs.shape), self.base or other.base, depth)
+        np.add.at(out, it, self.coeffs.take(ia_rows if self.depth else ia)
+                  * other.coeffs.take(ib_rows if other.depth else ib))
+        return _jet(out.reshape(shaped.coeffs.shape), self.base or other.base, depth,
+                    self.nvars, self.order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / complex(other), self.base, self.depth)
+            return self._like(self.coeffs / complex(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._lift(other) * self.reciprocal()
+        return Jet.constant(complex(other), self.nvars, self.order, self.base) * self.reciprocal()
 
     def reciprocal(self) -> "Jet":
+        """1/self as the alternating series 1 - r + r^2 - ... in the nilpotent
+        part r, started from the operand (1 - r), not from a unit jet."""
         b0 = self.value
         if abs(b0) < SINGULAR_EPS:
             raise DivisionBySingularJet(f"constant term {b0} below {SINGULAR_EPS}")
-        r = (self / b0) - 1.0  # nilpotent part
-        acc = Jet.constant(1.0, self.nvars, self.order, self.base)
-        for m in range(self.order):
-            term = r if m == 0 else term * r
+        if not self.order:
+            return Jet.constant(1.0, self.nvars, 0, self.base) / b0
+        term = r = (self / b0) - 1.0  # nilpotent part
+        acc = 1.0 - r
+        for m in range(1, self.order):
+            term = term * r
             acc = acc - term if m % 2 == 0 else acc + term
         return acc / b0
 
@@ -373,8 +406,8 @@ class Jet:
         k, n, depth = self.order, self.nvars, self.depth
         tgt, src, w = _stacked_derivative_table(n, k, var, depth or 1)
         out = np.zeros((depth or 1) * k ** n, dtype=complex)
-        out[tgt] = self.coeffs.ravel()[src] * w
-        return Jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), self.base, depth)
+        out[tgt] = self.coeffs.take(src) * w
+        return _jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), self.base, depth, n, k - 1)
 
     def truncated(self, order: int) -> "Jet":
         """Copy truncated to a lower total order.
@@ -389,23 +422,56 @@ class Jet:
         n, depth = self.nvars, self.depth
         tgt, src = _stacked_truncation_table(n, self.order, order, depth or 1)
         out = np.zeros((depth or 1) * (order + 1) ** n, dtype=complex)
-        out[tgt] = self.coeffs.ravel()[src]
-        return Jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), self.base, depth)
+        out[tgt] = self.coeffs.take(src)
+        return _jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), self.base, depth,
+                    n, order)
 
     def conjugated(self) -> "Jet":
         """Coefficient-wise conjugate (jet of the conjugate-partner function)."""
-        return Jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base),
-                   self.depth)
+        return _jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base),
+                    self.depth, self.nvars, self.order)
+
+
+#: the constant term of every row: coeffs[..., 0, ..., 0], per nvars
+_CONSTANT_SLOT = {n: (Ellipsis,) + (0,) * n for n in (1, 2, 3)}
+
+_set_coeffs = Jet.coeffs.__set__
+_set_base = Jet.base.__set__
+_set_depth = Jet.depth.__set__
+_set_nvars = Jet.nvars.__set__
+_set_order = Jet.order.__set__
+_new = object.__new__
+
+
+def _jet(coeffs: np.ndarray, base: tuple, depth: int, nvars: int, order: int) -> Jet:
+    """Jet from a fresh complex array whose nvars and order the caller knows:
+    `Jet(coeffs, base, depth)` without the dtype check and shape reads.  The
+    slots are set through their descriptors, which `Jet.__setattr__` does
+    not guard."""
+    jet = _new(Jet)
+    _set_coeffs(jet, coeffs)
+    _set_base(jet, base)
+    _set_depth(jet, depth)
+    _set_nvars(jet, nvars)
+    _set_order(jet, order)
+    jet.__post_init__()
+    return jet
+
 
 
 def compose_series(series: list[complex], inner: Jet) -> Jet:
     """Univariate Taylor coefficients composed with a jet of zero constant
-    term: the sum of series[m] * inner^m up to the jet's order."""
+    term: the sum of series[m] * inner^m up to the jet's order, with the
+    powers started from the operand, not from a unit jet."""
     if abs(inner.value) > 1e-9:
         raise DomainError("composition requires vanishing constant term")
-    acc = Jet.constant(series[0], inner.nvars, inner.order, inner.base)
-    for m in range(1, min(len(series), inner.order + 1)):
-        power = inner if m == 1 else power * inner
+    n = min(len(series), inner.order + 1)
+    if n <= 1:
+        return Jet.constant(series[0], inner.nvars, inner.order, inner.base)
+    power = inner
+    acc = series[1] * inner + series[0]
+    for m in range(2, n):
+        power = power * inner
         acc = acc + series[m] * power
     return acc
 
@@ -415,20 +481,22 @@ def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
 
     The inner jets must have vanishing constant terms and live in the target
     variables; the result is the outer function expanded at the new point.
+    The powers start from the operands, and each term multiplies only its
+    non-trivial powers, so no product has a unit operand.
     """
-    order = dx.order
-    base = dx.base
-    nv = dx.nvars
-    xp = [Jet.constant(1.0, nv, order, base)]
-    yp = [Jet.constant(1.0, nv, order, base)]
-    zp = [Jet.constant(1.0, nv, order, base)]
-    for _ in range(outer.order):
-        xp.append(xp[-1] * dx)
-        yp.append(yp[-1] * dy)
-        zp.append(zp[-1] * dz)
-    acc = Jet.constant(0.0, nv, order, base)
-    for (i, j, k) in valid_indices(3, outer.order):
-        c = outer.coeffs[i, j, k]
+    powers = []
+    for d in (dx, dy, dz):
+        p = [None, d]
+        for _ in range(2, outer.order + 1):
+            p.append(p[-1] * d)
+        powers.append(p)
+    acc = Jet.constant(outer.coeffs[0, 0, 0], dx.nvars, dx.order, dx.base)
+    for idx in valid_indices(3, outer.order)[1:]:
+        c = outer.coeffs[idx]
         if c != 0:
-            acc = acc + c * (xp[i] * yp[j] * zp[k])
+            term = None
+            for p, m in zip(powers, idx):
+                if m:
+                    term = p[m] if term is None else term * p[m]
+            acc = acc + c * term
     return acc

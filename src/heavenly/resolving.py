@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import FVanishes, NegativeDiscriminant
+from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
 from .jet import Jet
 
 RVARS = ("t", "ut", "rho")
@@ -54,17 +54,29 @@ class _Proj:
                 f"2*kappa*rho - ut^2 = {p.discriminant} < 0 at {p}")
         self.p = p
         self.order = order
-        base = (complex(p.t), complex(p.ut), complex(p.rho))
-        self.seed = {name: Jet.variable(i, base[i], 3, order, base)
-                     for i, name in enumerate(RVARS)}
-        at = [p.t, p.ut, p.rho]
-        self.Fj = ex.eval_jetN(rf.F, at, order if F_order is None else F_order)
-        self.lamj = ex.eval_jetN(rf.lambda_, at, order)
-        self.lambj = ex.eval_jetN(rf.lambda_bar, at, order)
-        self.tauj = ex.eval_jetN(rf.tau, at, order)
+        self.base = (complex(p.t), complex(p.ut), complex(p.rho))
+        self.seed = self._seeds(order)
+        self.Fj = self._at(rf.F, order if F_order is None else F_order)
+        self.lamj = self._at(rf.lambda_, order)
+        self.lambj = self._at(rf.lambda_bar, order)
+        self.tauj = self._at(rf.tau, order)
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
         self.heav_coeff = p.kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
         self._truncs: dict = {}
+
+    def _seeds(self, order: int) -> dict[str, Jet]:
+        """The seed jets of t, ut and rho at the point, one triple per order."""
+        return {name: Jet.variable(i, self.base[i], 3, order, self.base)
+                for i, name in enumerate(RVARS)}
+
+    def _at(self, e: ex.Expr, order: int) -> Jet:
+        """e's jet on the seeds (its variables, in order, are t, ut and rho):
+        what `expr.eval_jetN` gives, without seeds of its own."""
+        seeds = self.seed if order == self.order else self._seeds(order)
+        if len(e.variables) != len(RVARS):
+            raise ArityMismatch(f"{len(e.variables)} variables declared, "
+                                f"{len(RVARS)} points given")
+        return ex.evaluate(e, dict(zip(e.variables, seeds.values())))
 
     def _coeff(self, name: str, m: int) -> Jet:
         """A coefficient jet truncated to order m, truncated once per order."""

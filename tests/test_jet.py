@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 
 import numpy as np
@@ -160,3 +161,95 @@ def test_jets_compare_by_identity():
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+# --- the immutability and construction contract ------------------------------
+
+def kernel_results():
+    """One result of every jet kernel and constructor, with its name."""
+    z, zb, t = seeds(3)
+    f = z * zb + 2.0 - t
+    g = f + 0.5j
+    yield "Jet()", Jet(np.ones((2, 2, 2)), BASE)
+    yield "constant", Jet.constant(1.5, 3, 3, BASE)
+    yield "variable", z
+    yield "stack", Jet.stack([f, g])
+    yield "add", f + g
+    yield "add scalar", f + 1.0
+    yield "radd scalar", 1.0 + f
+    yield "sub", f - g
+    yield "sub scalar", f - 1.0
+    yield "rsub scalar", 1.0 - f
+    yield "neg", -f
+    yield "mul", f * g
+    yield "mul scalar", 2.0 * f
+    yield "div", f / g
+    yield "div scalar", f / 2.0
+    yield "rdiv scalar", 2.0 / g
+    yield "reciprocal", g.reciprocal()
+    yield "exp", f.exp()
+    yield "log", g.log()
+    yield "sqrt", g.sqrt()
+    yield "cpow int", g.cpow(-2)
+    yield "cpow fractional", g.cpow(0.3)
+    yield "derivative", f.derivative(1)
+    yield "truncated", f.truncated(1)
+    yield "conjugated", f.conjugated()
+    yield "stacked mul", Jet.stack([f, g]) * f
+    yield "compose_series", compose_series([1.0, 2.0, 3.0, 4.0], z - BASE[0])
+    yield "compose3", compose3(Jet.variable(0, 0.5, 3, 2) * Jet.variable(2, 1.0, 3, 2),
+                               z - BASE[0], zb - BASE[1], t - BASE[2])
+
+
+@pytest.mark.parametrize("name", ["coeffs", "base", "depth", "nvars", "order", "other"])
+def test_jet_attributes_cannot_be_assigned(name):
+    jet = Jet.variable(0, 1.0, 3, 2)
+    with pytest.raises(AttributeError):
+        setattr(jet, name, 0)
+    if name != "other":
+        with pytest.raises(AttributeError):
+            delattr(jet, name)
+
+
+def test_every_kernel_result_is_read_only():
+    checked = 0
+    for name, jet in kernel_results():
+        assert isinstance(jet, Jet), name
+        assert not jet.coeffs.flags.writeable, name
+        with pytest.raises(ValueError):
+            jet.coeffs[(0,) * jet.coeffs.ndim] = 7.0
+        checked += 1
+    assert checked == 28
+
+
+def test_post_init_runs_once_per_jet(monkeypatch):
+    # every Jet, whichever constructor made it, must pass __post_init__
+    # exactly once: the benchmark's tracer counts Jet allocations there.
+    # A Jet that dies without having passed it, or passes it twice, is a
+    # fault; Jets alive before the test are left out
+    gc.collect()
+    earlier = {id(o) for o in gc.get_objects() if type(o) is Jet}
+    alive, faults, calls = set(), [], []
+    post_init = Jet.__post_init__
+
+    def counted(self):
+        if id(self) in alive:
+            faults.append("twice")
+        alive.add(id(self))
+        calls.append(1)
+        post_init(self)
+
+    def finalised(self):
+        if id(self) in earlier:
+            earlier.discard(id(self))
+        elif id(self) not in alive:
+            faults.append("never")
+        alive.discard(id(self))
+
+    monkeypatch.setattr(Jet, "__post_init__", counted)
+    monkeypatch.setattr(Jet, "__del__", finalised, raising=False)
+    results = list(kernel_results())
+    assert len(calls) > len(results)  # the analytic functions make intermediates
+    del results
+    gc.collect()
+    assert faults == [] and alive == set()

@@ -1,10 +1,12 @@
-"""The gather kernels of Jet and the word-sharing Jacobi residual against
-the array-reshaping and fully expanded versions they replace, kept here as
+"""The gather kernels of Jet, its scalar operands, expression evaluation and
+the word-sharing Jacobi residual against the array-reshaping, lifted-constant,
+tree-walking and fully expanded versions they replace, kept here as
 references, and stacked jets against the same kernels applied one row at a
 time: results must agree bit for bit, signed zeros included."""
 
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly import resolving
 from heavenly.errors import BaseMismatch, FVanishes, OrderExceeded
-from heavenly.jet import Jet, compose_series
+from heavenly.jet import Jet, compose3, compose_series, valid_indices
 from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
                                 jacobi_residual, resolving_residuals)
 
@@ -258,6 +260,38 @@ def series_cases():
         yield Jet(c, jet.base), rng.standard_normal(order + 2) + 0j
 
 
+def ref_compose3(outer, dx, dy, dz):
+    nv, order, base = dx.nvars, dx.order, dx.base
+    xp = [Jet.constant(1.0, nv, order, base)]
+    yp = [Jet.constant(1.0, nv, order, base)]
+    zp = [Jet.constant(1.0, nv, order, base)]
+    for _ in range(outer.order):
+        xp.append(xp[-1] * dx)
+        yp.append(yp[-1] * dy)
+        zp.append(zp[-1] * dz)
+    acc = Jet.constant(0.0, nv, order, base)
+    for (i, j, k) in valid_indices(3, outer.order):
+        c = outer.coeffs[i, j, k]
+        if c != 0:
+            acc = acc + c * (xp[i] * yp[j] * zp[k])
+    return acc
+
+
+def compose3_cases():
+    """An outer jet in 3 variables with valid slots only, some of them zero,
+    and three inner jets of the case's shape with zero constant terms."""
+    rng = np.random.default_rng(123)
+    for jet, _series in series_cases():
+        outer = random_jet(rng, 3, jet.order).truncated(jet.order).coeffs.copy()
+        outer[rng.random(outer.shape) < 0.2] = 0.0
+        inner = [jet - jet.value]
+        for _ in range(2):
+            c = random_jet(rng, jet.nvars, jet.order).truncated(jet.order).coeffs.copy()
+            c[(0,) * jet.nvars] = 0.0
+            inner.append(Jet(c, jet.base))
+        yield Jet(outer), inner
+
+
 def test_series_kernels_match_unit_start_values():
     for jet, series in series_cases():
         h = jet - jet.value
@@ -267,15 +301,24 @@ def test_series_kernels_match_unit_start_values():
         for new, ref in pairs:
             assert new.coeffs.shape == ref.coeffs.shape
             assert np.array_equal(new.coeffs, ref.coeffs)
+    cases = 0
+    for outer, (dx, dy, dz) in compose3_cases():
+        new, ref = compose3(outer, dx, dy, dz), ref_compose3(outer, dx, dy, dz)
+        assert new.coeffs.shape == ref.coeffs.shape and new.base == ref.base
+        assert np.array_equal(new.coeffs, ref.coeffs)
+        cases += 1
+    assert cases == 720
 
 
 def test_series_kernels_multiply_no_unit_jet(monkeypatch):
-    products = []
+    unit = Jet.constant(1.0, 3, 4).coeffs
+    products = []  # per jet-by-jet product: whether an operand is a unit jet
     mul = Jet.__mul__
 
     def counted(self, other):
         if isinstance(other, Jet):
-            products.append(1)
+            products.append(np.array_equal(self.coeffs, unit)
+                            or np.array_equal(other.coeffs, unit))
         return mul(self, other)
 
     monkeypatch.setattr(Jet, "__mul__", counted)
@@ -284,7 +327,215 @@ def test_series_kernels_multiply_no_unit_jet(monkeypatch):
     for kernel in (Jet.exp, Jet.log, Jet.sqrt, Jet.reciprocal, lambda j: j.cpow(4)):
         products.clear()
         kernel(jet)
-        assert len(products) == 3, kernel
+        assert len(products) == 3 and not any(products), kernel
+    inner = [s - s.value for s in (Jet.variable(i, 0.5 + 0.1j * i, 3, 4) for i in range(3))]
+    outer = Jet(np.where(_ref_overflow_mask(3, 4), 0.0, 1.0 + 0.5j))  # all 35 slots
+    products.clear()
+    compose3(outer, *inner)
+    # powers 2..4 of each inner jet: 9 products; a term with two non-unit
+    # powers costs one product (18 terms), with three, two (4 terms): 35,
+    # against 82 when every power and term starts from a unit jet
+    assert len(products) == 35 and not any(products)
+
+
+# --- scalar operands -----------------------------------------------------------
+# jet + c, c + jet, jet - c and c - jet no longer lift c to a constant jet;
+# the lifted forms are the references.
+
+def lifted(c, jet):
+    return Jet.constant(complex(c), jet.nvars, jet.order, jet.base)
+
+
+SCALARS = (2.5, -0.0, 0.0, complex(-0.0, -0.0), complex(1.5, -0.0), -3,
+           np.float64(-0.0), np.complex128(0.25 - 1j))
+
+
+def test_scalar_operands_match_lifted_constants():
+    rng = np.random.default_rng(3)
+    cases = 0
+    for nvars in (1, 2, 3):
+        for order in range(6):
+            for depth in (0, 1, 3):
+                for _ in range(3):
+                    rows = [random_jet(rng, nvars, order) for _ in range(depth or 1)]
+                    jet = Jet.stack(rows) if depth else rows[0]
+                    for c in SCALARS:
+                        pairs = [(jet + c, jet + lifted(c, jet)), (c + jet, lifted(c, jet) + jet),
+                                 (jet - c, jet - lifted(c, jet)), (c - jet, lifted(c, jet) - jet)]
+                        for new, ref in pairs:
+                            assert (new.depth, new.nvars, new.order, new.base) == \
+                                (ref.depth, ref.nvars, ref.order, ref.base)
+                            assert new.coeffs.shape == ref.coeffs.shape
+                            assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (nvars, order, depth, c)
+                            cases += 1
+    assert cases == 5184
+
+
+# --- expression evaluation --------------------------------------------------------
+# `evaluate` runs a compiled expression whose variable-free subtrees, and
+# whose values on recent one-variable seeds, the Expr remembers; the tree
+# walk it replaced is the reference.
+
+def ref_eval_node(node, env, template):
+    if isinstance(node, ex.Const):
+        return Jet.constant(node.value, template.nvars, template.order, template.base)
+    if isinstance(node, ex.Var):
+        return env[node.name]
+    if isinstance(node, ex.Neg):
+        return -ref_eval_node(node.x, env, template)
+    if isinstance(node, ex.Add):
+        return ref_eval_node(node.a, env, template) + ref_eval_node(node.b, env, template)
+    if isinstance(node, ex.Sub):
+        return ref_eval_node(node.a, env, template) - ref_eval_node(node.b, env, template)
+    if isinstance(node, ex.Mul):
+        return ref_eval_node(node.a, env, template) * ref_eval_node(node.b, env, template)
+    if isinstance(node, ex.Div):
+        return ref_eval_node(node.a, env, template) / ref_eval_node(node.b, env, template)
+    if isinstance(node, ex.Pow):
+        base = ref_eval_node(node.base, env, template)
+        if isinstance(node.exponent, ex.Const):
+            return base.cpow(node.exponent.value)
+        if isinstance(node.exponent, ex.Neg) and isinstance(node.exponent.x, ex.Const):
+            return base.cpow(-node.exponent.x.value)
+        exponent = ref_eval_node(node.exponent, env, template)
+        return (exponent * base.log()).exp()
+    if isinstance(node, ex.Call):
+        arg = ref_eval_node(node.arg, env, template)
+        return {"exp": Jet.exp, "ln": Jet.log, "sqrt": Jet.sqrt}[node.fn](arg)
+    raise TypeError(node)
+
+
+def ref_evaluate(e, env):
+    return ref_eval_node(e.root, env, next(iter(env.values())))
+
+
+def random_text(rng, names, depth=3):
+    """Random expression text over `names`: numbers (zeros included),
+    i, pi, the four operations, negation, constant and variable powers and
+    the three functions."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(list(names) * 3 + ["2", "0", "0.5", "1.5e-1", "i", "pi"])
+    a = random_text(rng, names, depth - 1)
+    kind = rng.randrange(7)
+    if kind < 4:
+        b = random_text(rng, names, depth - 1)
+        return f"({a} {'+-*/'[kind]} {b})"
+    if kind == 4:
+        return f"-({a})"
+    if kind == 5:
+        exponent = rng.choice(["2", "3", "-1", "-2", "0.5", "(1 + i)", "(2 * " + names[0] + ")"])
+        return f"({a})^{exponent}"
+    return f"{rng.choice(['exp', 'ln', 'sqrt'])}({a} + 2)"
+
+
+def outcome(fn):
+    """A result's base and bytes, or the exception it raised."""
+    try:
+        jet = fn()
+    except Exception as err:  # both sides must raise the same error
+        return type(err), str(err)
+    return jet.base, jet.depth, jet.coeffs.shape, jet.coeffs.tobytes()
+
+
+# repeated seed values, == pairs among them that differ in a zero's sign
+SEED_POOL = (complex(1.2, 0.0), complex(1.2, -0.0), complex(-0.0, 0.7), complex(0.0, 0.7),
+             0.3 + 0.4j, -1.1 - 0.2j)
+
+
+def test_expression_evaluation_matches_tree_walk():
+    rng = random.Random(8)
+
+    def draw():
+        nvars = rng.randrange(1, 4)
+        return rng.choice(SEED_POOL), nvars, rng.randrange(nvars), rng.randrange(5)
+
+    cases = hits = 0
+    for _ in range(60):
+        e = ex.parse(random_text(rng, ("z",)), ("z",))
+        pool = [draw() for _ in range(4)]  # repeated seeds; every third one is fresh
+        for k in range(30):
+            at, nvars, var, order = rng.choice(pool) if k % 3 else draw()
+            base = (at,) * nvars
+            key = (var, nvars, order, ex._bits(at.real, at.imag))
+            hits += e._store is not None and key in e._store.seeds
+            new = outcome(lambda: ex.eval_seed(e, var, at, nvars, order, base))
+            ref = outcome(lambda: ref_evaluate(
+                e, {"z": Jet.variable(var, at, nvars, order, base)}))
+            assert new == ref, (str(e), at, nvars, var, order)
+            cases += 1
+    assert cases == 1800 and hits > 600
+
+
+def test_multivariable_evaluation_matches_tree_walk():
+    rng = random.Random(9)
+    cases = 0
+    for _ in range(60):
+        e = ex.parse(random_text(rng, ("z", "w")), ("z", "w"))
+        for k in range(10):
+            at = [rng.choice(SEED_POOL) for _ in range(2)]
+            order = rng.randrange(5)
+            base = tuple(at)
+            env = {name: Jet.variable(i, at[i], 2, order, base) for i, name in enumerate("zw")}
+            if k % 2:  # stacked seeds: constant subtrees stay unstacked jets
+                env = {name: Jet.stack([jet, jet]) for name, jet in env.items()}
+            assert outcome(lambda: ex.evaluate(e, env)) == outcome(lambda: ref_evaluate(e, env))
+            cases += 1
+    assert cases == 600
+
+
+def test_remembered_value_carries_the_callers_base():
+    e = ex.parse("(0.5 + -0.3*i)*z^2 + z", ("z",))
+    first = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2, (0.5 + 0.5j, 0.5 - 0.5j, 1 + 0j))
+    again = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2, (0.5 + 0.5j, 0.5 - 0.5j, 2 + 0j))
+    assert again is not first and again.coeffs is first.coeffs  # the remembered array
+    assert again.base == (0.5 + 0.5j, 0.5 - 0.5j, 2 + 0j)
+    assert not again.coeffs.flags.writeable
+    constant = ex.parse("exp(1 + i)", ("z",))
+    for base in ((1 + 0j,), (2 + 0j,)):
+        jet = ex.evaluate(constant, {"z": Jet.variable(0, base[0], 1, 3, base)})
+        assert jet.base == base and not jet.coeffs.flags.writeable
+
+
+def test_raising_evaluation_raises_again():
+    # a pole, a branch point and a variable-free subtree that raises
+    for text, at in (("1/(z - 2)", 2.0 + 0j), ("ln(z - 1)", 1.0 + 0j),
+                     ("z + ln(1 - 1)", 0.5 + 0j)):
+        e = ex.parse(text, ("z",))
+        with pytest.raises(Exception) as expected:
+            ref_evaluate(e, {"z": Jet.variable(0, at, 1, 2)})
+        for _ in range(3):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                ex.eval_seed(e, 0, at, 1, 2)
+        assert e._store.seeds == {}
+
+
+def test_constants_equal_under_eq_never_share_an_entry():
+    # 2+0j == 2-0j, so Exprs built on them are == and hash alike; with
+    # seeds at -0.0 imaginary parts the sign shows in the result's bits
+    z = ex.Var("z")
+    plus, minus = complex(2.0, 0.0), complex(2.0, -0.0)
+    exprs = [ex.Expr(ex.Add(z, ex.Const(c)), ("z",)) for c in (plus, minus)]
+    exprs += [ex.Expr(ex.Const(c), ("z",)) for c in (plus, minus)]
+    assert exprs[0] == exprs[1] and exprs[2] == exprs[3]
+    seen = set()
+    for _ in range(2):
+        for e in exprs:
+            for at in (complex(1.0, -0.0), complex(1.0, 0.0)):
+                new = ex.eval_seed(e, 0, at, 1, 2)
+                ref = ref_evaluate(e, {"z": Jet.variable(0, at, 1, 2)})
+                assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (e, at)
+                seen.add(new.coeffs.tobytes())
+    assert len(seen) == 4
+
+
+def test_seed_store_stays_at_its_bound():
+    e = ex.parse("z^2 + 1", ("z",))
+    for k in range(1000):
+        ex.eval_seed(e, 0, complex(k, 1), 1, 2)
+    assert len(e._store.seeds) == ex.SEED_MEMORY
+    # the most recent seeds are the ones kept
+    last = ex.eval_seed(e, 0, complex(999, 1), 1, 2)
+    assert ex.eval_seed(e, 0, complex(999, 1), 1, 2).coeffs is last.coeffs
 
 
 # --- Jacobi residual ------------------------------------------------------------
