@@ -98,6 +98,11 @@ class Expr:
     def __str__(self) -> str:
         return pretty(self.root)
 
+    def __getstate__(self):
+        # the store holds compiled functions, which do not pickle; an
+        # unpickled Expr builds its own on first use
+        return {"root": self.root, "variables": self.variables}
+
     def _jets(self) -> "_Store":
         store = self._store
         if store is None:

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -117,3 +119,16 @@ def test_pretty_round_trip_random_values(x, y):
     again = ex.parse(ex.pretty(e.root), ("x", "y"))
     assert ex.evaluate_value(again, {"x": x, "y": y}) == pytest.approx(
         ex.evaluate_value(e, {"x": x, "y": y}))
+
+
+def test_evaluated_expressions_and_jets_copy_and_pickle():
+    e = ex.parse("(0.5 + -0.3*i)*z^2 + exp(z)", ("z",))
+    first = ex.eval_jet1(e, 0.3 + 0.1j, 2)
+    for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert copied == e
+        again = ex.eval_jet1(copied, 0.3 + 0.1j, 2)
+        assert again.coeffs.tobytes() == first.coeffs.tobytes()
+    for jet in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+        assert (jet.base, jet.depth, jet.nvars, jet.order) == (first.base, 0, 1, 2)
+        assert jet.coeffs.tobytes() == first.coeffs.tobytes()
+        assert not jet.coeffs.flags.writeable
