@@ -499,14 +499,13 @@ def eval_seed(e: Expr, var: int, at: complex, nvars: int, order: int,
     its read-only coefficient array and carries the caller's base; an
     evaluation that raises is not remembered, so it raises again.
     """
-    store = e._jets()
+    seeds = e._jets().seeds
     w = complex(at)
     key = (var, nvars, order, _bits(w.real, w.imag))
-    coeffs = store.seeds.get(key)
+    coeffs = seeds.get(key)
     if coeffs is not None:
         return Jet(coeffs, base)
     jet = evaluate(e, {e.variables[0]: Jet.variable(var, at, nvars, order, base)})
-    seeds = store.seeds
     if len(seeds) >= SEED_MEMORY:
         del seeds[next(iter(seeds))]
     seeds[key] = jet.coeffs

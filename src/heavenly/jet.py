@@ -176,7 +176,7 @@ class Jet:
 
     def __init__(self, coeffs, base: tuple[complex, ...] = (), depth: int = 0):
         if type(coeffs) is not np.ndarray or coeffs.dtype is not _COMPLEX:
-            # the kernels pass fresh complex arrays; only other input is converted
+            # the kernels build their results through _jet; this converts outside input
             coeffs = np.asarray(coeffs, dtype=complex)
         _set_coeffs(self, coeffs)
         _set_base(self, base)
@@ -456,7 +456,6 @@ def _jet(coeffs: np.ndarray, base: tuple, depth: int, nvars: int, order: int) ->
     _set_order(jet, order)
     jet.__post_init__()
     return jet
-
 
 
 def compose_series(series: list[complex], inner: Jet) -> Jet:
