@@ -5,8 +5,9 @@ class HeavenlyError(Exception):
     """Base class for all library errors."""
 
 
-class BaseMismatch(HeavenlyError):
-    """Jet operands have different base points or orders."""
+class ShapeMismatch(HeavenlyError):
+    """Jet operands differ in variable count, order or stack depth, or a
+    stacked jet was stacked again."""
 
 
 class DivisionBySingularJet(HeavenlyError):

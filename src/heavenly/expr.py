@@ -380,7 +380,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # An expression is compiled once into nested functions (env, template) -> Jet
 # that apply the same jet operations, in the same order, as a walk of the
 # tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
-# is evaluated once per (nvars, order) and its coefficient array kept.
+# is evaluated once per (nvars, order) and its jet kept.
 
 #: one-variable seeds whose values an Expr keeps (the oldest goes first)
 SEED_MEMORY = 8
@@ -395,7 +395,7 @@ _CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"
 
 class _Store:
     """What one Expr remembers: its compiled evaluator, which holds the
-    arrays of its variable-free subtrees, and its values on the most recent
+    jets of its variable-free subtrees, and its jets on the most recent
     one-variable seeds, keyed by the seed's bits (never by ==)."""
 
     __slots__ = ("run", "seeds")
@@ -407,18 +407,16 @@ class _Store:
 
 def _remembered(fn):
     """fn, of a variable-free subtree, run once per (nvars, order); later
-    calls hand back its read-only coefficient array under the template's
-    base.  A run that raises keeps nothing."""
-    arrays: dict = {}
+    calls hand back the same immutable jet.  A run that raises keeps
+    nothing."""
+    jets: dict = {}
 
     def lookup(env, t):
         key = (t.nvars, t.order)
-        coeffs = arrays.get(key)
-        if coeffs is None:
-            jet = fn(env, t)
-            arrays[key] = jet.coeffs
-            return jet
-        return Jet(coeffs, t.base)
+        jet = jets.get(key)
+        if jet is None:
+            jet = jets[key] = fn(env, t)
+        return jet
 
     return lookup
 
@@ -441,7 +439,7 @@ def _compile(node: Node):
     time, as a tree walk does."""
     if isinstance(node, Const):
         v = node.value
-        return (lambda env, t: Jet.constant(v, t.nvars, t.order, t.base)), True
+        return (lambda env, t: Jet.constant(v, t.nvars, t.order)), True
     if isinstance(node, Var):
         name = node.name
         return (lambda env, t: env[name]), False
@@ -462,8 +460,8 @@ def _compile(node: Node):
         (fb, fe), const = _operands(_compile(node.base), _compile(exponent))
 
         def power(env, t):
-            base = fb(env, t)
-            return (fe(env, t) * base.log()).exp()
+            radix = fb(env, t)
+            return (fe(env, t) * radix.log()).exp()
 
         return power, const
     if isinstance(node, Call):
@@ -479,7 +477,8 @@ def _compiled(root: Node):
 
 
 def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
-    """Evaluate with jet-valued variables; all env jets must share shape/base.
+    """Evaluate with jet-valued variables; all env jets must share nvars and
+    order, and stacked ones their depth.
 
     The result is bit for bit that of applying the jet operations node by
     node, but each variable-free subtree is computed once per (nvars,
@@ -489,26 +488,25 @@ def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
     return e._jets().run(env, template)
 
 
-def eval_seed(e: Expr, var: int, at: complex, nvars: int, order: int,
-              base: tuple[complex, ...] = ()) -> Jet:
+def eval_seed(e: Expr, var: int, at: complex, nvars: int, order: int) -> Jet:
     """Jet of a one-variable expression on the seed
-    ``Jet.variable(var, at, nvars, order, base)``, its first variable.
+    ``Jet.variable(var, at, nvars, order)``, its first variable.
 
-    The Expr remembers its values on its last SEED_MEMORY seeds, keyed by
-    (var, nvars, order) and the bits of `at`.  A remembered value shares
-    its read-only coefficient array and carries the caller's base; an
-    evaluation that raises is not remembered, so it raises again.
+    The Expr remembers its jets on its last SEED_MEMORY seeds, keyed by
+    (var, nvars, order) and the bits of `at`, and hands back the same
+    immutable jet; an evaluation that raises is not remembered, so it
+    raises again.
     """
     seeds = e._jets().seeds
     w = complex(at)
     key = (var, nvars, order, _bits(w.real, w.imag))
-    coeffs = seeds.get(key)
-    if coeffs is not None:
-        return Jet(coeffs, base)
-    jet = evaluate(e, {e.variables[0]: Jet.variable(var, at, nvars, order, base)})
+    jet = seeds.get(key)
+    if jet is not None:
+        return jet
+    jet = evaluate(e, {e.variables[0]: Jet.variable(var, at, nvars, order)})
     if len(seeds) >= SEED_MEMORY:
         del seeds[next(iter(seeds))]
-    seeds[key] = jet.coeffs
+    seeds[key] = jet
     return jet
 
 
@@ -524,13 +522,7 @@ def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
     """Univariate jet of a single-variable expression at a point."""
     if len(e.variables) != 1:
         raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
-    return eval_seed(e, 0, at, 1, order, (at,))
-
-
-def bar_eval(e: Expr, at_zbar: complex, order: int) -> Jet:
-    """Jet of the conjugate-analytic partner at zbar: conj(e(conj(zbar)))."""
-    inner = eval_jet1(e, at_zbar.conjugate(), order)
-    return inner.conjugated()
+    return eval_seed(e, 0, at, 1, order)
 
 
 def eval_jetN(e: Expr, at: list[complex], order: int) -> Jet:
@@ -539,7 +531,5 @@ def eval_jetN(e: Expr, at: list[complex], order: int) -> Jet:
         raise ArityMismatch(
             f"{len(e.variables)} variables declared, {len(at)} points given")
     n = len(at)
-    base = tuple(complex(w) for w in at)
-    env = {name: Jet.variable(i, at[i], n, order, base=base)
-           for i, name in enumerate(e.variables)}
+    env = {name: Jet.variable(i, at[i], n, order) for i, name in enumerate(e.variables)}
     return evaluate(e, env)

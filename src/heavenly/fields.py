@@ -89,17 +89,14 @@ class SolutionField:
 
 
 def _seeds(z0: complex, zb0: complex, t0: float, order: int):
-    base = (complex(z0), complex(zb0), complex(t0))
-    Z = Jet.variable(VZ, z0, 3, order, base)
-    Zb = Jet.variable(VZB, zb0, 3, order, base)
-    T = Jet.variable(VT, t0, 3, order, base)
-    return Z, Zb, T
+    return (Jet.variable(VZ, z0, 3, order), Jet.variable(VZB, zb0, 3, order),
+            Jet.variable(VT, t0, 3, order))
 
 
 def _expr_at(e: ex.Expr, seed: Jet, var: int) -> Jet:
     """Holomorphic expression of one variable on the seed jet of variable
     var (from `_seeds`), through the expression's store of seed values."""
-    return ex.eval_seed(e, var, seed.value, 3, seed.order, seed.base)
+    return ex.eval_seed(e, var, seed.value, 3, seed.order)
 
 
 def _expr_deriv_at(e: ex.Expr, seed: Jet) -> Jet:

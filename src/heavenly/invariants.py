@@ -83,7 +83,7 @@ class JetCalculus:
     def _invariant_jet(self, name: str) -> Jet:
         u, k = self.u, self.order
         if name == "T":
-            return Jet.variable(2, self.p.t, 3, k, u.base)
+            return Jet.variable(2, self.p.t, 3, k)
         if name == "Ut":
             return u.derivative(2)
         if name == "Utt":

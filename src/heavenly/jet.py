@@ -2,9 +2,10 @@
 
 A Jet stores the Taylor coefficients (partial derivatives divided by
 multi-index factorials) of a complex-valued function of up to three
-variables at a base point.  All operations are pure and truncate at the
-jet's total order, so arithmetic on jets of exact functions yields exact
-derivatives up to roundoff.
+variables at a point.  The point itself is the caller's: a jet holds only
+the coefficients.  All operations are pure and truncate at the jet's total
+order, so arithmetic on jets of exact functions yields exact derivatives up
+to roundoff.
 
 The three-variable specialisation used by the solution fields orders the
 variables as (z, zbar, t); z and zbar are treated as formally independent
@@ -20,11 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BaseMismatch,
     BranchCutViolation,
     DivisionBySingularJet,
     DomainError,
     OrderExceeded,
+    ShapeMismatch,
 )
 
 #: threshold below which a constant term counts as a genuine singularity
@@ -144,13 +145,13 @@ def _on_branch_cut(w: complex) -> bool:
 
 
 class Jet:
-    """Dense truncated Taylor expansion at a base point.
+    """Dense truncated Taylor expansion at a point the caller keeps.
 
     coeffs[alpha] is the partial derivative of multi-index alpha divided by
     alpha!.  Entries with total degree above `order` are kept zero.
 
-    A stacked jet holds `depth` jets of one shape and base as rows of a
-    leading axis: coeffs has shape (depth,) + (order + 1,) * nvars.  Ring
+    A stacked jet holds `depth` jets of one shape as rows of a leading
+    axis: coeffs has shape (depth,) + (order + 1,) * nvars.  Ring
     operations, `derivative`, `truncated`, `conjugated` and `value` work row
     by row through the same tables and ufuncs as on one jet, so each row is
     bit for bit the unstacked result; `value` is then a tuple, one complex
@@ -172,14 +173,13 @@ class Jet:
     included.
     """
 
-    __slots__ = ("coeffs", "base", "depth", "nvars", "order")
+    __slots__ = ("coeffs", "depth", "nvars", "order")
 
-    def __init__(self, coeffs, base: tuple[complex, ...] = (), depth: int = 0):
+    def __init__(self, coeffs, *, depth: int = 0):
         if type(coeffs) is not np.ndarray or coeffs.dtype is not _COMPLEX:
             # the kernels build their results through _jet; this converts outside input
             coeffs = np.asarray(coeffs, dtype=complex)
         _set_coeffs(self, coeffs)
-        _set_base(self, base)
         _set_depth(self, depth)
         _set_nvars(self, coeffs.ndim - 1 if depth else coeffs.ndim)
         _set_order(self, coeffs.shape[-1] - 1)
@@ -195,10 +195,10 @@ class Jet:
         raise AttributeError(f"cannot delete field {name!r} of an immutable Jet")
 
     def __repr__(self) -> str:
-        return f"Jet(coeffs={self.coeffs!r}, base={self.base!r}, depth={self.depth!r})"
+        return f"Jet(coeffs={self.coeffs!r}, depth={self.depth!r})"
 
     def __reduce__(self):
-        return (Jet, (self.coeffs, self.base, self.depth))
+        return (_jet, (self.coeffs, self.depth, self.nvars, self.order))
 
     # -- structure ---------------------------------------------------------
 
@@ -209,49 +209,43 @@ class Jet:
         return complex(self.coeffs[(0,) * self.nvars])
 
     @classmethod
-    def constant(cls, value: complex, nvars: int, order: int,
-                 base: tuple[complex, ...] = ()) -> "Jet":
+    def constant(cls, value: complex, nvars: int, order: int) -> "Jet":
         c = np.zeros((order + 1,) * nvars, dtype=complex)
         c[(0,) * nvars] = value
-        return _jet(c, base, 0, nvars, order)
+        return _jet(c, 0, nvars, order)
 
     @classmethod
-    def variable(cls, i: int, value: complex, nvars: int, order: int,
-                 base: tuple[complex, ...] = ()) -> "Jet":
+    def variable(cls, i: int, value: complex, nvars: int, order: int) -> "Jet":
         """Seed jet of the i-th variable: value + one unit of its own direction."""
         c = np.zeros((order + 1,) * nvars, dtype=complex)
         c[(0,) * nvars] = value
         if order >= 1:
             idx = tuple(1 if k == i else 0 for k in range(nvars))
             c[idx] = 1.0
-        return _jet(c, base, 0, nvars, order)
+        return _jet(c, 0, nvars, order)
 
     @classmethod
     def stack(cls, jets) -> "Jet":
-        """Unstacked jets of one shape and base as the rows of a stacked jet."""
+        """Unstacked jets of one shape as the rows of a stacked jet."""
         first = jets[0]
         for j in jets:
             if j.depth:
-                raise BaseMismatch("cannot stack a stacked jet")
+                raise ShapeMismatch("cannot stack a stacked jet")
             first._check(j)
-        return _jet(np.stack([j.coeffs for j in jets]),
-                    next((j.base for j in jets if j.base), ()), len(jets),
-                    first.nvars, first.order)
+        return _jet(np.stack([j.coeffs for j in jets]), len(jets), first.nvars, first.order)
 
     def _check(self, other: "Jet") -> None:
         # equal depths, or one unstacked operand acting on every row; then
         # the shapes agree when nvars and order do
         if (self.nvars != other.nvars or self.order != other.order
                 or (self.depth != other.depth and self.depth and other.depth)):
-            raise BaseMismatch(
+            raise ShapeMismatch(
                 f"jet shapes differ: {self.coeffs.shape} (depth {self.depth}) "
                 f"vs {other.coeffs.shape} (depth {other.depth})")
-        if self.base and other.base and self.base != other.base:
-            raise BaseMismatch(f"base points differ: {self.base} vs {other.base}")
 
     def _like(self, coeffs: np.ndarray) -> "Jet":
-        """A jet of this one's shape, base and depth holding fresh coeffs."""
-        return _jet(coeffs, self.base, self.depth, self.nvars, self.order)
+        """A jet of this one's shape and depth holding fresh coeffs."""
+        return _jet(coeffs, self.depth, self.nvars, self.order)
 
     # -- ring operations ---------------------------------------------------
 
@@ -263,8 +257,8 @@ class Jet:
             out[zero] = a[zero] + complex(other)
             return self._like(out)
         self._check(other)
-        return _jet(self.coeffs + other.coeffs, self.base or other.base,
-                    self.depth or other.depth, self.nvars, self.order)
+        return _jet(self.coeffs + other.coeffs, self.depth or other.depth,
+                    self.nvars, self.order)
 
     __radd__ = __add__
 
@@ -279,8 +273,8 @@ class Jet:
             out[zero] = a[zero] - complex(other)
             return self._like(out)
         self._check(other)
-        return _jet(self.coeffs - other.coeffs, self.base or other.base,
-                    self.depth or other.depth, self.nvars, self.order)
+        return _jet(self.coeffs - other.coeffs, self.depth or other.depth,
+                    self.nvars, self.order)
 
     def __rsub__(self, other):
         # other - self, other a scalar: the lifted constant's zero slots
@@ -303,8 +297,7 @@ class Jet:
         out = np.zeros(shaped.coeffs.size, dtype=complex)
         np.add.at(out, it, self.coeffs.take(ia_rows if self.depth else ia)
                   * other.coeffs.take(ib_rows if other.depth else ib))
-        return _jet(out.reshape(shaped.coeffs.shape), self.base or other.base, depth,
-                    self.nvars, self.order)
+        return _jet(out.reshape(shaped.coeffs.shape), depth, self.nvars, self.order)
 
     __rmul__ = __mul__
 
@@ -314,7 +307,7 @@ class Jet:
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return Jet.constant(complex(other), self.nvars, self.order, self.base) * self.reciprocal()
+        return Jet.constant(complex(other), self.nvars, self.order) * self.reciprocal()
 
     def reciprocal(self) -> "Jet":
         """1/self as the alternating series 1 - r + r^2 - ... in the nilpotent
@@ -323,7 +316,7 @@ class Jet:
         if abs(b0) < SINGULAR_EPS:
             raise DivisionBySingularJet(f"constant term {b0} below {SINGULAR_EPS}")
         if not self.order:
-            return Jet.constant(1.0, self.nvars, 0, self.base) / b0
+            return Jet.constant(1.0, self.nvars, 0) / b0
         term = r = (self / b0) - 1.0  # nilpotent part
         acc = 1.0 - r
         for m in range(1, self.order):
@@ -358,7 +351,7 @@ class Jet:
             p = p.real
         if isinstance(p, (int, float)) and float(p).is_integer() and abs(p) <= self.order + 4:
             n = int(p)
-            acc = self if n else Jet.constant(1.0, self.nvars, self.order, self.base)
+            acc = self if n else Jet.constant(1.0, self.nvars, self.order)
             for _ in range(abs(n) - 1):
                 acc = acc * self
             return acc.reciprocal() if n < 0 else acc
@@ -407,7 +400,7 @@ class Jet:
         tgt, src, w = _stacked_derivative_table(n, k, var, depth or 1)
         out = np.zeros((depth or 1) * k ** n, dtype=complex)
         out[tgt] = self.coeffs.take(src) * w
-        return _jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), self.base, depth, n, k - 1)
+        return _jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), depth, n, k - 1)
 
     def truncated(self, order: int) -> "Jet":
         """Copy truncated to a lower total order.
@@ -423,34 +416,30 @@ class Jet:
         tgt, src = _stacked_truncation_table(n, self.order, order, depth or 1)
         out = np.zeros((depth or 1) * (order + 1) ** n, dtype=complex)
         out[tgt] = self.coeffs.take(src)
-        return _jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), self.base, depth,
-                    n, order)
+        return _jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), depth, n, order)
 
     def conjugated(self) -> "Jet":
         """Coefficient-wise conjugate (jet of the conjugate-partner function)."""
-        return _jet(np.conj(self.coeffs), tuple(w.conjugate() for w in self.base),
-                    self.depth, self.nvars, self.order)
+        return self._like(np.conj(self.coeffs))
 
 
 #: the constant term of every row: coeffs[..., 0, ..., 0], per nvars
 _CONSTANT_SLOT = {n: (Ellipsis,) + (0,) * n for n in (1, 2, 3)}
 
 _set_coeffs = Jet.coeffs.__set__
-_set_base = Jet.base.__set__
 _set_depth = Jet.depth.__set__
 _set_nvars = Jet.nvars.__set__
 _set_order = Jet.order.__set__
 _new = object.__new__
 
 
-def _jet(coeffs: np.ndarray, base: tuple, depth: int, nvars: int, order: int) -> Jet:
+def _jet(coeffs: np.ndarray, depth: int, nvars: int, order: int) -> Jet:
     """Jet from a fresh complex array whose nvars and order the caller knows:
-    `Jet(coeffs, base, depth)` without the dtype check and shape reads.  The
+    `Jet(coeffs, depth=depth)` without the dtype check and shape reads.  The
     slots are set through their descriptors, which `Jet.__setattr__` does
     not guard."""
     jet = _new(Jet)
     _set_coeffs(jet, coeffs)
-    _set_base(jet, base)
     _set_depth(jet, depth)
     _set_nvars(jet, nvars)
     _set_order(jet, order)
@@ -466,7 +455,7 @@ def compose_series(series: list[complex], inner: Jet) -> Jet:
         raise DomainError("composition requires vanishing constant term")
     n = min(len(series), inner.order + 1)
     if n <= 1:
-        return Jet.constant(series[0], inner.nvars, inner.order, inner.base)
+        return Jet.constant(series[0], inner.nvars, inner.order)
     power = inner
     acc = series[1] * inner + series[0]
     for m in range(2, n):
@@ -489,7 +478,7 @@ def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
         for _ in range(2, outer.order + 1):
             p.append(p[-1] * d)
         powers.append(p)
-    acc = Jet.constant(outer.coeffs[0, 0, 0], dx.nvars, dx.order, dx.base)
+    acc = Jet.constant(outer.coeffs[0, 0, 0], dx.nvars, dx.order)
     for idx in valid_indices(3, outer.order)[1:]:
         c = outer.coeffs[idx]
         if c != 0:

@@ -54,7 +54,7 @@ class _Proj:
                 f"2*kappa*rho - ut^2 = {p.discriminant} < 0 at {p}")
         self.p = p
         self.order = order
-        self.base = (complex(p.t), complex(p.ut), complex(p.rho))
+        self.seed_values = (complex(p.t), complex(p.ut), complex(p.rho))
         self.seed = self._seeds(order)
         self.Fj = self._at(rf.F, order if F_order is None else F_order)
         self.lamj = self._at(rf.lambda_, order)
@@ -66,7 +66,7 @@ class _Proj:
 
     def _seeds(self, order: int) -> dict[str, Jet]:
         """The seed jets of t, ut and rho at the point, one triple per order."""
-        return {name: Jet.variable(i, self.base[i], 3, order, self.base)
+        return {name: Jet.variable(i, self.seed_values[i], 3, order)
                 for i, name in enumerate(RVARS)}
 
     def _at(self, e: ex.Expr, order: int) -> Jet:

@@ -65,7 +65,7 @@ def outcome(fn):
     except Exception as err:  # the same failure must come back every time
         return ("raised", type(err).__name__, str(err))
     if hasattr(value, "coeffs"):
-        return ("jet", value.coeffs.tobytes(), value.base)
+        return ("jet", value.coeffs.tobytes(), value.depth)
     return value
 
 

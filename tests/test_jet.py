@@ -1,25 +1,28 @@
 import cmath
+import copy
 import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
                              DomainError, OrderExceeded)
 from heavenly.jet import Jet, compose3, compose_series
 
-BASE = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
+POINT = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
 
 
 def seeds(order=4):
-    return tuple(Jet.variable(i, BASE[i], 3, order, BASE) for i in range(3))
+    return tuple(Jet.variable(i, POINT[i], 3, order) for i in range(3))
 
 
 def test_polynomial_partials_are_exact():
     z, zb, t = seeds()
     p = z * z * zb + 3.0 * t - z * t * t
-    z0, zb0, t0 = BASE
+    z0, zb0, t0 = POINT
     assert p.value == pytest.approx(z0 * z0 * zb0 + 3 * t0 - z0 * t0 * t0)
     assert p.partial((1, 0, 0)) == pytest.approx(2 * z0 * zb0 - t0 * t0)
     assert p.partial((1, 1, 0)) == pytest.approx(2 * z0)
@@ -46,11 +49,11 @@ def test_exp_log_roundtrip():
 def test_exp_matches_analytic_value():
     z, _, _ = seeds()
     e = z.exp()
-    assert e.value == pytest.approx(cmath.exp(BASE[0]))
+    assert e.value == pytest.approx(cmath.exp(POINT[0]))
     # coefficient of z^k is exp(z0)/k!
     for k in range(5):
         assert e.coefficient((k, 0, 0)) == pytest.approx(
-            cmath.exp(BASE[0]) / math.factorial(k))
+            cmath.exp(POINT[0]) / math.factorial(k))
 
 
 def test_sqrt_squares_back():
@@ -64,7 +67,7 @@ def test_reciprocal_and_division():
     z, zb, t = seeds()
     f = 1.0 + z + zb * t
     one = f * f.reciprocal()
-    ident = Jet.constant(1.0, 3, 4, BASE)
+    ident = Jet.constant(1.0, 3, 4)
     np.testing.assert_allclose(one.coeffs, ident.coeffs, atol=1e-13)
     g = (z + t) / f
     np.testing.assert_allclose((g * f).coeffs, (z + t).coeffs, atol=1e-13)
@@ -72,7 +75,7 @@ def test_reciprocal_and_division():
 
 def test_division_by_singular_jet_raises():
     z, _, _ = seeds()
-    zero = z - BASE[0]
+    zero = z - POINT[0]
     with pytest.raises(DivisionBySingularJet):
         (z * z).__truediv__(zero)
 
@@ -86,7 +89,7 @@ def test_cpow_integer_exponents():
                                (f * f).reciprocal().coeffs, atol=1e-12)
     # complex-typed but integral exponent takes the same path, even for a
     # negative real constant term
-    neg = Jet.constant(-0.4, 3, 4, BASE) + (z - BASE[0])
+    neg = Jet.constant(-0.4, 3, 4) + (z - POINT[0])
     np.testing.assert_allclose(neg.cpow(complex(3)).coeffs,
                                (neg * neg * neg).coeffs, atol=1e-14)
 
@@ -100,12 +103,12 @@ def test_cpow_fractional_matches_exp_log():
 
 
 def test_branch_cut_and_domain_errors():
-    neg = Jet.constant(-1.0, 3, 4, BASE)
+    neg = Jet.constant(-1.0, 3, 4)
     with pytest.raises(BranchCutViolation):
         neg.log()
     with pytest.raises(BranchCutViolation):
         neg.cpow(0.5)
-    tiny = Jet.constant(0.0, 3, 4, BASE)
+    tiny = Jet.constant(0.0, 3, 4)
     with pytest.raises(DomainError):
         tiny.log()
 
@@ -115,7 +118,7 @@ def test_derivative_drops_order():
     f = z * zb * t
     d = f.derivative(2)
     assert d.order == 3
-    assert d.value == pytest.approx(BASE[0] * BASE[1])
+    assert d.value == pytest.approx(POINT[0] * POINT[1])
     with pytest.raises(OrderExceeded):
         f.partial((0, 0, 5))
 
@@ -131,24 +134,24 @@ def test_conjugated_swaps_slice():
 
 def test_compose_series_geometric():
     z, _, _ = seeds()
-    h = z - BASE[0]
+    h = z - POINT[0]
     # 1/(1-h) = sum h^k
     geo = compose_series([1.0] * 5, h)
-    direct = (Jet.constant(1.0, 3, 4, BASE) - h).reciprocal()
+    direct = (Jet.constant(1.0, 3, 4) - h).reciprocal()
     np.testing.assert_allclose(geo.coeffs, direct.coeffs, atol=1e-14)
 
 
 def test_compose3_shifts_expansion_point():
     z, zb, t = seeds()
-    inner_base = (0.6 + 0.2j, 0.6 - 0.2j, 1.44 + 0j)
-    iz = Jet.variable(0, inner_base[0], 3, 4, inner_base)
-    izb = Jet.variable(1, inner_base[1], 3, 4, inner_base)
-    it = Jet.variable(2, inner_base[2], 3, 4, inner_base)
+    inner_point = (0.6 + 0.2j, 0.6 - 0.2j, 1.44 + 0j)
+    iz = Jet.variable(0, inner_point[0], 3, 4)
+    izb = Jet.variable(1, inner_point[1], 3, 4)
+    it = Jet.variable(2, inner_point[2], 3, 4)
     inner = iz * izb + it
-    # substitute z -> 2z, zbar -> 2zbar, t -> t^2 around the outer base
-    out = compose3(inner, 2.0 * z - inner_base[0], 2.0 * zb - inner_base[1],
-                   t * t - inner_base[2])
-    z0, zb0, t0 = BASE
+    # substitute z -> 2z, zbar -> 2zbar, t -> t^2 around the outer point
+    out = compose3(inner, 2.0 * z - inner_point[0], 2.0 * zb - inner_point[1],
+                   t * t - inner_point[2])
+    z0, zb0, t0 = POINT
     assert out.value == pytest.approx(4 * z0 * zb0 + t0 * t0)
     assert out.partial((1, 0, 0)) == pytest.approx(4 * zb0)
     assert out.partial((0, 0, 1)) == pytest.approx(2 * t0)
@@ -170,8 +173,8 @@ def kernel_results():
     z, zb, t = seeds(3)
     f = z * zb + 2.0 - t
     g = f + 0.5j
-    yield "Jet()", Jet(np.ones((2, 2, 2)), BASE)
-    yield "constant", Jet.constant(1.5, 3, 3, BASE)
+    yield "Jet()", Jet(np.ones((2, 2, 2)))
+    yield "constant", Jet.constant(1.5, 3, 3)
     yield "variable", z
     yield "stack", Jet.stack([f, g])
     yield "add", f + g
@@ -196,12 +199,12 @@ def kernel_results():
     yield "truncated", f.truncated(1)
     yield "conjugated", f.conjugated()
     yield "stacked mul", Jet.stack([f, g]) * f
-    yield "compose_series", compose_series([1.0, 2.0, 3.0, 4.0], z - BASE[0])
+    yield "compose_series", compose_series([1.0, 2.0, 3.0, 4.0], z - POINT[0])
     yield "compose3", compose3(Jet.variable(0, 0.5, 3, 2) * Jet.variable(2, 1.0, 3, 2),
-                               z - BASE[0], zb - BASE[1], t - BASE[2])
+                               z - POINT[0], zb - POINT[1], t - POINT[2])
 
 
-@pytest.mark.parametrize("name", ["coeffs", "base", "depth", "nvars", "order", "other"])
+@pytest.mark.parametrize("name", ["coeffs", "depth", "nvars", "order", "other"])
 def test_jet_attributes_cannot_be_assigned(name):
     jet = Jet.variable(0, 1.0, 3, 2)
     with pytest.raises(AttributeError):
@@ -209,6 +212,32 @@ def test_jet_attributes_cannot_be_assigned(name):
     if name != "other":
         with pytest.raises(AttributeError):
             delattr(jet, name)
+
+
+def test_a_point_argument_fails_loudly():
+    # a jet holds no point; one passed by position must raise, not be read
+    # as a depth or an order
+    c = np.zeros(3, dtype=complex)
+    with pytest.raises(TypeError):
+        Jet(c, (1 + 0j,))
+    with pytest.raises(TypeError):
+        Jet.constant(1.0, 1, 2, (1 + 0j,))
+    with pytest.raises(TypeError):
+        Jet.variable(0, 1.0, 1, 2, (1 + 0j,))
+    with pytest.raises(TypeError):
+        ex.eval_seed(ex.parse("z", ("z",)), 0, 1.0, 1, 2, (1 + 0j,))
+
+
+def test_copies_and_pickles_keep_depth():
+    z, zb, t = seeds(2)
+    for jet in (z * zb, Jet.stack([z, zb, t]), Jet.stack([z * zb]) * t):
+        for copied in (copy.copy(jet), copy.deepcopy(jet), pickle.loads(pickle.dumps(jet))):
+            assert type(copied) is Jet
+            assert (copied.depth, copied.nvars, copied.order) == (jet.depth, 3, 2)
+            assert copied.coeffs.shape == jet.coeffs.shape
+            assert copied.coeffs.tobytes() == jet.coeffs.tobytes()
+            assert not copied.coeffs.flags.writeable
+            assert (copied * t).coeffs.tobytes() == (jet * t).coeffs.tobytes()
 
 
 def test_every_kernel_result_is_read_only():

@@ -13,7 +13,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly import resolving
-from heavenly.errors import BaseMismatch, FVanishes, OrderExceeded
+from heavenly.errors import DivisionBySingularJet, FVanishes, OrderExceeded, ShapeMismatch
 from heavenly.jet import Jet, compose3, compose_series, valid_indices
 from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
                                 jacobi_residual, resolving_residuals)
@@ -38,14 +38,14 @@ def ref_derivative(jet, var):
     slices = tuple(slice(0, k) for _ in range(n))
     out = np.ascontiguousarray(out[slices])
     out[_ref_overflow_mask(n, k - 1)] = 0.0
-    return Jet(out, jet.base)
+    return Jet(out)
 
 
 def ref_truncated(jet, order):
     slices = tuple(slice(0, order + 1) for _ in range(jet.nvars))
     out = jet.coeffs[slices].copy()
     out[_ref_overflow_mask(jet.nvars, order)] = 0.0
-    return Jet(out, jet.base)
+    return Jet(out)
 
 
 def ref_apply(proj, op, g):
@@ -91,7 +91,7 @@ def random_jet(rng, nvars, order):
     for part in (re, im):
         part[rng.random(shape) < 0.25] = -0.0
         part[rng.random(shape) < 0.1] = 0.0
-    return Jet(re + 1j * im, (0.5 + 0.25j,) * nvars)
+    return Jet(re + 1j * im)
 
 
 def kernel_cases():
@@ -121,7 +121,7 @@ def test_gather_kernels_match_reference_bytes():
 def test_gather_kernels_ignore_memory_layout():
     rng = np.random.default_rng(7)
     jet = random_jet(rng, 3, 4)
-    fortran = Jet(np.asfortranarray(jet.coeffs), jet.base)
+    fortran = Jet(np.asfortranarray(jet.coeffs))
     for var in range(3):
         assert fortran.derivative(var).coeffs.tobytes() == ref_derivative(jet, var).coeffs.tobytes()
     assert fortran.truncated(2).coeffs.tobytes() == ref_truncated(jet, 2).coeffs.tobytes()
@@ -134,7 +134,6 @@ def assert_rows(stacked, rows):
     assert stacked.coeffs.shape == (len(rows),) + rows[0].coeffs.shape
     for r, row in enumerate(rows):
         assert stacked.coeffs[r].tobytes() == row.coeffs.tobytes(), r
-    assert stacked.base == rows[0].base
 
 
 def test_stacked_kernels_match_rows():
@@ -175,30 +174,56 @@ def test_stacked_kernels_match_rows():
     assert cases == 1380
 
 
+def test_stacks_across_points_match_rows():
+    # a jet holds no point, so rows seeded at different points share a stack
+    rng = random.Random(4)
+    cases = 0
+    for nvars in (1, 2, 3):
+        for order in range(1, 5):
+            for npoints in (2, 3):
+                points = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(nvars)]
+                          for _ in range(npoints)]
+                rows = [[Jet.variable(i, at[i], nvars, order) for i in range(nvars)]
+                        for at in points]
+                x, y = [r[0] for r in rows], [r[-1] for r in rows]
+                X, Y = Jet.stack(x), Jet.stack(y)
+                f = [a * b - a + 0.5 for a, b in zip(x, y)]
+                F = X * Y - X + 0.5
+                checks = [(X * Y, [a * b for a, b in zip(x, y)]),
+                          (X + Y, [a + b for a, b in zip(x, y)]),
+                          (X - Y, [a - b for a, b in zip(x, y)]),
+                          (F, f)]
+                checks += [(F.derivative(v), [g.derivative(v) for g in f]) for v in range(nvars)]
+                checks += [(F.truncated(m), [g.truncated(m) for g in f]) for m in range(order + 1)]
+                for stacked, unstacked in checks:
+                    assert_rows(stacked, unstacked)
+                    cases += 1
+    assert cases == 228
+
+
 def test_stacked_shapes_must_agree():
     rng = np.random.default_rng(5)
     two = Jet.stack([random_jet(rng, 3, 2) for _ in range(2)])
     three = Jet.stack([random_jet(rng, 3, 2) for _ in range(3)])
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         two + three
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         two * three
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         two * random_jet(rng, 3, 3)
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         Jet.stack([random_jet(rng, 3, 2), random_jet(rng, 2, 2)])
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         Jet.stack([two])
     # five order-4 rows in 2 variables have the shape (5, 5, 5) of one
     # order-4 jet in 3 variables; the recorded depth tells them apart
-    # (no base points, so only the shapes can)
     rows = Jet.stack([Jet(random_jet(rng, 2, 4).coeffs) for _ in range(5)])
     solo = Jet(random_jet(rng, 3, 4).coeffs)
     assert rows.coeffs.shape == solo.coeffs.shape
     for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(BaseMismatch):
+        with pytest.raises(ShapeMismatch):
             op(rows, solo)
-        with pytest.raises(BaseMismatch):
+        with pytest.raises(ShapeMismatch):
             op(solo, rows)
 
 
@@ -224,8 +249,8 @@ def test_kernel_errors_unchanged():
 # (==), not in the sign of zeros.
 
 def ref_compose_series(series, inner):
-    acc = Jet.constant(series[0], inner.nvars, inner.order, inner.base)
-    power = Jet.constant(1.0, inner.nvars, inner.order, inner.base)
+    acc = Jet.constant(series[0], inner.nvars, inner.order)
+    power = Jet.constant(1.0, inner.nvars, inner.order)
     for m in range(1, min(len(series), inner.order + 1)):
         power = power * inner
         acc = acc + series[m] * power
@@ -235,8 +260,8 @@ def ref_compose_series(series, inner):
 def ref_reciprocal(jet):
     b0 = jet.value
     r = (jet / b0) - 1.0
-    acc = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
-    term = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
+    acc = Jet.constant(1.0, jet.nvars, jet.order)
+    term = Jet.constant(1.0, jet.nvars, jet.order)
     for m in range(jet.order):
         term = term * r
         acc = acc - term if m % 2 == 0 else acc + term
@@ -244,7 +269,7 @@ def ref_reciprocal(jet):
 
 
 def ref_integer_power(jet, n):
-    acc = Jet.constant(1.0, jet.nvars, jet.order, jet.base)
+    acc = Jet.constant(1.0, jet.nvars, jet.order)
     for _ in range(abs(n)):
         acc = acc * jet
     return ref_reciprocal(acc) if n < 0 else acc
@@ -257,19 +282,19 @@ def series_cases():
     for nvars, order, jet in kernel_cases():
         c = jet.truncated(order).coeffs.copy()
         c[(0,) * nvars] = 1.5 + 0.5j
-        yield Jet(c, jet.base), rng.standard_normal(order + 2) + 0j
+        yield Jet(c), rng.standard_normal(order + 2) + 0j
 
 
 def ref_compose3(outer, dx, dy, dz):
-    nv, order, base = dx.nvars, dx.order, dx.base
-    xp = [Jet.constant(1.0, nv, order, base)]
-    yp = [Jet.constant(1.0, nv, order, base)]
-    zp = [Jet.constant(1.0, nv, order, base)]
+    nv, order = dx.nvars, dx.order
+    xp = [Jet.constant(1.0, nv, order)]
+    yp = [Jet.constant(1.0, nv, order)]
+    zp = [Jet.constant(1.0, nv, order)]
     for _ in range(outer.order):
         xp.append(xp[-1] * dx)
         yp.append(yp[-1] * dy)
         zp.append(zp[-1] * dz)
-    acc = Jet.constant(0.0, nv, order, base)
+    acc = Jet.constant(0.0, nv, order)
     for (i, j, k) in valid_indices(3, outer.order):
         c = outer.coeffs[i, j, k]
         if c != 0:
@@ -288,7 +313,7 @@ def compose3_cases():
         for _ in range(2):
             c = random_jet(rng, jet.nvars, jet.order).truncated(jet.order).coeffs.copy()
             c[(0,) * jet.nvars] = 0.0
-            inner.append(Jet(c, jet.base))
+            inner.append(Jet(c))
         yield Jet(outer), inner
 
 
@@ -304,7 +329,7 @@ def test_series_kernels_match_unit_start_values():
     cases = 0
     for outer, (dx, dy, dz) in compose3_cases():
         new, ref = compose3(outer, dx, dy, dz), ref_compose3(outer, dx, dy, dz)
-        assert new.coeffs.shape == ref.coeffs.shape and new.base == ref.base
+        assert new.coeffs.shape == ref.coeffs.shape
         assert np.array_equal(new.coeffs, ref.coeffs)
         cases += 1
     assert cases == 720
@@ -343,7 +368,7 @@ def test_series_kernels_multiply_no_unit_jet(monkeypatch):
 # the lifted forms are the references.
 
 def lifted(c, jet):
-    return Jet.constant(complex(c), jet.nvars, jet.order, jet.base)
+    return Jet.constant(complex(c), jet.nvars, jet.order)
 
 
 SCALARS = (2.5, -0.0, 0.0, complex(-0.0, -0.0), complex(1.5, -0.0), -3,
@@ -363,8 +388,8 @@ def test_scalar_operands_match_lifted_constants():
                         pairs = [(jet + c, jet + lifted(c, jet)), (c + jet, lifted(c, jet) + jet),
                                  (jet - c, jet - lifted(c, jet)), (c - jet, lifted(c, jet) - jet)]
                         for new, ref in pairs:
-                            assert (new.depth, new.nvars, new.order, new.base) == \
-                                (ref.depth, ref.nvars, ref.order, ref.base)
+                            assert (new.depth, new.nvars, new.order) == \
+                                (ref.depth, ref.nvars, ref.order)
                             assert new.coeffs.shape == ref.coeffs.shape
                             assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (nvars, order, depth, c)
                             cases += 1
@@ -378,7 +403,7 @@ def test_scalar_operands_match_lifted_constants():
 
 def ref_eval_node(node, env, template):
     if isinstance(node, ex.Const):
-        return Jet.constant(node.value, template.nvars, template.order, template.base)
+        return Jet.constant(node.value, template.nvars, template.order)
     if isinstance(node, ex.Var):
         return env[node.name]
     if isinstance(node, ex.Neg):
@@ -429,12 +454,12 @@ def random_text(rng, names, depth=3):
 
 
 def outcome(fn):
-    """A result's base and bytes, or the exception it raised."""
+    """A result's depth, shape and bytes, or the exception it raised."""
     try:
         jet = fn()
     except Exception as err:  # both sides must raise the same error
         return type(err), str(err)
-    return jet.base, jet.depth, jet.coeffs.shape, jet.coeffs.tobytes()
+    return jet.depth, jet.coeffs.shape, jet.coeffs.tobytes()
 
 
 # repeated seed values, == pairs among them that differ in a zero's sign
@@ -455,12 +480,11 @@ def test_expression_evaluation_matches_tree_walk():
         pool = [draw() for _ in range(4)]  # repeated seeds; every third one is fresh
         for k in range(30):
             at, nvars, var, order = rng.choice(pool) if k % 3 else draw()
-            base = (at,) * nvars
             key = (var, nvars, order, ex._bits(at.real, at.imag))
             hits += e._store is not None and key in e._store.seeds
-            new = outcome(lambda: ex.eval_seed(e, var, at, nvars, order, base))
+            new = outcome(lambda: ex.eval_seed(e, var, at, nvars, order))
             ref = outcome(lambda: ref_evaluate(
-                e, {"z": Jet.variable(var, at, nvars, order, base)}))
+                e, {"z": Jet.variable(var, at, nvars, order)}))
             assert new == ref, (str(e), at, nvars, var, order)
             cases += 1
     assert cases == 1800 and hits > 600
@@ -474,8 +498,7 @@ def test_multivariable_evaluation_matches_tree_walk():
         for k in range(10):
             at = [rng.choice(SEED_POOL) for _ in range(2)]
             order = rng.randrange(5)
-            base = tuple(at)
-            env = {name: Jet.variable(i, at[i], 2, order, base) for i, name in enumerate("zw")}
+            env = {name: Jet.variable(i, at[i], 2, order) for i, name in enumerate("zw")}
             if k % 2:  # stacked seeds: constant subtrees stay unstacked jets
                 env = {name: Jet.stack([jet, jet]) for name, jet in env.items()}
             assert outcome(lambda: ex.evaluate(e, env)) == outcome(lambda: ref_evaluate(e, env))
@@ -483,17 +506,31 @@ def test_multivariable_evaluation_matches_tree_walk():
     assert cases == 600
 
 
-def test_remembered_value_carries_the_callers_base():
+def test_remembered_jets_come_back_whole(monkeypatch):
+    # a seed-store hit hands back the jet it stored, itself
     e = ex.parse("(0.5 + -0.3*i)*z^2 + z", ("z",))
-    first = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2, (0.5 + 0.5j, 0.5 - 0.5j, 1 + 0j))
-    again = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2, (0.5 + 0.5j, 0.5 - 0.5j, 2 + 0j))
-    assert again is not first and again.coeffs is first.coeffs  # the remembered array
-    assert again.base == (0.5 + 0.5j, 0.5 - 0.5j, 2 + 0j)
-    assert not again.coeffs.flags.writeable
+    first = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2)
+    assert ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2) is first
+    assert ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 3) is not first
+    assert not first.coeffs.flags.writeable
+    # so does a variable-free subtree, whole or inside a product, on any
+    # seed of the same (nvars, order)
     constant = ex.parse("exp(1 + i)", ("z",))
-    for base in ((1 + 0j,), (2 + 0j,)):
-        jet = ex.evaluate(constant, {"z": Jet.variable(0, base[0], 1, 3, base)})
-        assert jet.base == base and not jet.coeffs.flags.writeable
+    jets = [ex.evaluate(constant, {"z": Jet.variable(0, at, 1, 3)}) for at in (1 + 0j, 2 + 0j)]
+    assert jets[0] is jets[1] and not jets[0].coeffs.flags.writeable
+    assert ex.evaluate(constant, {"z": Jet.variable(0, 1 + 0j, 1, 2)}) is not jets[0]
+    factors = []
+    mul = Jet.__mul__
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b: factors.append(a) or mul(a, b))
+    for at in (0.1 + 0j, 0.2 + 0j):
+        ex.eval_seed(e, 0, at, 3, 2)
+    c1, c2 = [a for a in factors if a.value == 0.5 - 0.3j]  # (0.5 + -0.3*i)
+    assert c2 is c1 and not c1.coeffs.flags.writeable
+    # an evaluation that raises is not remembered and raises again
+    pole = ex.parse("z + 1/(1 - 1)", ("z",))
+    for _ in range(2):
+        with pytest.raises(DivisionBySingularJet):
+            ex.evaluate(pole, {"z": Jet.variable(0, 1 + 0j, 1, 3)})
 
 
 def test_raising_evaluation_raises_again():
