@@ -11,7 +11,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, ConstraintViolation, SingularDenominator
-from .fields import Point, SolutionField, make_solution
+from .fields import Point, SolutionField, make_solution, u_jets
 from .invariants import pde_residual
 from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residual
 
@@ -226,7 +226,8 @@ def verify_case(case: TheoremCase, grid: list[Point]) -> float:
     """Max invariance residual of the normal form's (b, generator) pair."""
     b, gen = theorem_case(case)
     field = make_solution("noninv", {"b": b}, case.kappa)
-    return max(abs(invariance_residual(field, gen, p)) for p in grid)
+    with field.sweep(grid, u_jets(1)):
+        return max(abs(invariance_residual(field, gen, p)) for p in grid)
 
 
 # --- classification -------------------------------------------------------
@@ -334,15 +335,17 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
     conformally non-invariant, or neither can be established."""
     field = make_solution("noninv", {"b": b}, kappa)
 
+    # each grid sweep builds its u-jets in one stacked pass (SolutionField.sweep)
     usable: list[Point] = []
     worst = 0.0
-    for p in grid:
-        try:
-            r = abs(pde_residual(field, p))
-        except POINT_EXCLUSIONS:
-            continue
-        usable.append(p)
-        worst = max(worst, r)
+    with field.sweep(grid, u_jets(2)):
+        for p in grid:
+            try:
+                r = abs(pde_residual(field, p))
+            except POINT_EXCLUSIONS:
+                continue
+            usable.append(p)
+            worst = max(worst, r)
     if not usable:
         return Inconclusive("no grid point lies in the solution's domain")
     if worst > PDE_SANITY_TOL:
@@ -365,13 +368,15 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
     if max(abs(v) for v in b1) < tol * scale:
         a = _c(1j) if kappa == 1 else _poly(0, -1j)
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
-        res = max(abs(invariance_residual(field, gen, p)) for p in usable)
+        with field.sweep(usable, u_jets(1)):
+            res = max(abs(invariance_residual(field, gen, p)) for p in usable)
         return InvariantCaseMatched(8, gen, res)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < tol:
         gen, cid = _generator_from_vector(v, kappa)
-        res = max(abs(invariance_residual(field, gen, p)) for p in usable)
+        with field.sweep(usable, u_jets(1)):
+            res = max(abs(invariance_residual(field, gen, p)) for p in usable)
         if res < tol:
             note = ""
             if kappa == 1 and max(abs(v) for v in b2) < tol * scale:

@@ -4,21 +4,32 @@ Each family builds the jet of u at a point by composing expression jets
 with the truncated-Taylor engine.  Jets live in the variables (z, zbar, t)
 with zbar = conj(z) fixed on the physical slice; domain conditions are
 checked at evaluation time because they depend on the sampled point.
+
+A builder takes the point's coordinates as scalars, or as tuples of one
+coordinate per point for a stacked pass (`SolutionField.jets_at`): the
+same code then builds every point's jet as one row of stacked jets, and
+checks each row's domain conditions with the scalar formulas.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from . import expr as ex
-from .errors import DomainError, FamilyParamMismatch, SingularMap
-from .jet import Jet, compose3, compose_series
+from .errors import DomainError, FamilyParamMismatch, HeavenlyError, SingularMap
+from .jet import Jet, compose3, compose_series, row_series, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
 
 SINGULAR_TOL = 1e-8
+
+#: what building a u-jet at some point can raise; a stacked pass that raises
+#: one of these leaves its sweep to run point by point
+SWEEP_FALLBACK = (HeavenlyError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,8 @@ class SolutionField:
     recent point it was evaluated at on the physical slice, so a run of
     calls at one point builds each u-jet, the invariant jets and the
     invariants once.  Moving to another point replaces the whole bundle, key
-    and values together; memory is one point per field.  Bundled values are
+    and values together; memory is one point per field, plus, inside a
+    `sweep` block, one bundle per point of the sweep.  Bundled values are
     shared between calls and must be treated as immutable (jets are).
     """
 
@@ -69,23 +81,91 @@ class SolutionField:
     _builder: object = None  # (z0, zb0, t0, order) -> Jet
     _bundle: PointBundle | None = dc_field(default=None, init=False, repr=False,
                                            compare=False)
+    _swept: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def jet_at(self, z0: complex, zb0: complex, t0: float, order: int) -> Jet:
         """u-jet at a possibly off-slice point (zbar independent of z); never bundled."""
         return self._builder(z0, zb0, t0, order)
 
+    def jets_at(self, points: list[Point], order: int) -> Jet:
+        """u-jets of physical-slice points in one stacked pass: row r is
+        bit for bit ``eval_u(self, points[r], order)``.  Raises if building
+        the jet at any of the points raises; never bundled."""
+        _check_order(order)
+        zs = tuple(p.z for p in points)
+        return self._builder(zs, tuple(z.conjugate() for z in zs),
+                             tuple(p.t for p in points), order)
+
     def bundle_at(self, p: Point) -> PointBundle:
-        """The derivative bundle of point p, replacing the previous point's."""
-        # repr tells apart the values that == merges (0.0 and -0.0, 1 and 1.0)
-        key = repr((p.t, p.z))
+        """The derivative bundle of point p: a sweep's bundle for p inside a
+        `sweep` block, else the field's one bundle, replacing the previous
+        point's."""
+        key = _bundle_key(p)
+        if self._swept is not None and key in self._swept:
+            return self._swept[key]
         bundle = self._bundle
         if bundle is None or bundle.key != key:
             bundle = PointBundle(key)
             object.__setattr__(self, "_bundle", bundle)
         return bundle
 
-    def value_at(self, z0: complex, zb0: complex, t0: float) -> complex:
-        return self._builder(z0, zb0, t0, 0).value
+    @contextmanager
+    def sweep(self, points: list[Point], build):
+        """Compute what a loop over points needs in one stacked pass.
+
+        build(field, points) returns one dict per point of bundle values
+        (name -> value, as `PointBundle.get` stores them), all computed
+        together.  Inside the block each of those points has its own bundle
+        holding them, so the loop's per-point calls read them instead of
+        building each point alone; everything else they need is built per
+        point as usual.  If build raises (`SWEEP_FALLBACK`), the block runs
+        with no sweep bundles, point by point, and so raises or excludes
+        exactly what the per-point path does.  The bundles go when the
+        block ends.
+        """
+        swept = None
+        if points:
+            try:
+                values = build(self, points)
+            except SWEEP_FALLBACK:
+                pass
+            else:
+                swept = {}
+                for p, named in zip(points, values):
+                    key = _bundle_key(p)
+                    bundle = swept.setdefault(key, PointBundle(key))
+                    for name, value in named.items():
+                        bundle.get(name, lambda: value)
+        outer = self._swept
+        if swept is not None:
+            object.__setattr__(self, "_swept", swept)
+        try:
+            yield
+        finally:
+            object.__setattr__(self, "_swept", outer)
+
+
+def _bundle_key(p: Point) -> str:
+    # repr tells apart the values that == merges (0.0 and -0.0, 1 and 1.0)
+    return repr((p.t, p.z))
+
+
+def u_jets(order: int):
+    """A `SolutionField.sweep` build: each point's u-jet of this order, as
+    one row of `jets_at`."""
+    return lambda field, points: [{order: row} for row in field.jets_at(points, order).rows()]
+
+
+def _each(f, *values):
+    """f of one point's scalars, or, when some of the values are tuples of
+    one scalar per row (a stacked pass), the tuple of f at each row."""
+    for v in values:
+        if type(v) is tuple:
+            depth = len(v)
+            break
+    else:
+        return f(*values)
+    return tuple(f(*(v[r] if type(v) is tuple else v for v in values)) for r in range(depth))
 
 
 def _seeds(z0: complex, zb0: complex, t0: float, order: int):
@@ -95,16 +175,24 @@ def _seeds(z0: complex, zb0: complex, t0: float, order: int):
 
 def _expr_at(e: ex.Expr, seed: Jet, var: int) -> Jet:
     """Holomorphic expression of one variable on the seed jet of variable
-    var (from `_seeds`), through the expression's store of seed values."""
+    var (from `_seeds`), through the expression's store of seed values; on
+    a stacked seed, evaluated on the stack."""
+    if seed.depth:
+        return ex.evaluate(e, {e.variables[0]: seed})
     return ex.eval_seed(e, var, seed.value, 3, seed.order)
 
 
+def _derivative_series(z0: complex, order: int, e: ex.Expr) -> list[complex]:
+    """Taylor coefficients of e' at z0, from a one-order-higher univariate
+    expansion of e."""
+    uni = ex.eval_jet1(e, z0, order + 1)
+    return [(k + 1) * uni.coefficient((k + 1,)) for k in range(order + 1)]
+
+
 def _expr_deriv_at(e: ex.Expr, seed: Jet) -> Jet:
-    """Jet of e' on a seed jet, via a one-order-higher univariate expansion."""
+    """Jet of e' on a seed jet (each row's series at its own point)."""
     z0 = seed.value
-    uni = ex.eval_jet1(e, z0, seed.order + 1)
-    dcoeffs = [(k + 1) * uni.coefficient((k + 1,)) for k in range(seed.order + 1)]
-    return compose_series(dcoeffs, seed - z0)
+    return compose_series(row_series(_derivative_series, z0, seed.order, e), seed - z0)
 
 
 def _bar(e: ex.Expr) -> ex.Expr:
@@ -118,27 +206,28 @@ def _ln(j: Jet, what: str) -> Jet:
         raise DomainError(f"log argument singular in {what}: {err}") from err
 
 
-def _check_nonzero(value: complex, what: str):
-    if abs(value) < SINGULAR_TOL:
-        raise DomainError(f"{what} vanishes at the evaluation point")
+def _check_nonzero(value, what: str):
+    for v in row_values(value):
+        if abs(v) < SINGULAR_TOL:
+            raise DomainError(f"{what} vanishes at the evaluation point")
 
 
-def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet, t0: float) -> Jet:
+def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet, t0) -> Jet:
     """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm families."""
     bj = _expr_at(b, Z, VZ)
     bbj = _expr_at(bbar, Zb, VZB)
-    _check_nonzero(t0 + bj.value, "t + b(z)")
-    _check_nonzero(t0 + bbj.value, "t + bbar(zbar)")
+    _check_nonzero(_each(operator.add, t0, bj.value), "t + b(z)")
+    _check_nonzero(_each(operator.add, t0, bbj.value), "t + bbar(zbar)")
     return _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
 
 
-def _conformal_log(kappa: int, Z: Jet, Zb: Jet, z0: complex, zb0: complex) -> Jet:
+def _conformal_log(kappa: int, Z: Jet, Zb: Jet, z0, zb0) -> Jet:
     """ln(z + zbar) for kappa = 1, ln(z*zbar + 1) for kappa = -1; f0 and
     noninv add -2 times it."""
     if kappa == 1:
-        _check_nonzero(z0 + zb0, "z + zbar")
+        _check_nonzero(_each(operator.add, z0, zb0), "z + zbar")
         return _ln(Z + Zb, "z + zbar")
-    _check_nonzero(z0 * zb0 + 1, "z*zbar + 1")
+    _check_nonzero(_each(lambda z, zb: z * zb + 1, z0, zb0), "z*zbar + 1")
     return _ln(Z * Zb + 1.0, "z*zbar + 1")
 
 
@@ -188,8 +277,9 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            if t0 * t0 + C <= 0:
-                raise DomainError("t^2 + C must be positive")
+            for t in row_values(t0):
+                if t * t + C <= 0:
+                    raise DomainError("t^2 + C must be positive")
             return _ln(T * T + C, "t^2 + C") - 2.0 * _conformal_log(kappa, Z, Zb, z0, zb0)
 
     elif family == "f0general":
@@ -269,10 +359,19 @@ def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     order is built directly, never truncated from a higher one, because a
     truncated jet can differ from it in the last bit.
     """
-    if order not in (0, 1, 2, 3, 4):
-        raise FamilyParamMismatch(f"jet order must be <= 4, got {order}")
+    _check_order(order)
     return field.bundle_at(p).get(
         order, lambda: field.jet_at(p.z, p.z.conjugate(), p.t, order))
+
+
+def _check_order(order: int) -> None:
+    if order not in (0, 1, 2, 3, 4):
+        raise FamilyParamMismatch(f"jet order must be <= 4, got {order}")
+
+
+def _check_map(z0: complex, d: complex) -> None:
+    if abs(d) < SINGULAR_TOL:
+        raise SingularMap(f"phi'({z0}) = {d} within tolerance")
 
 
 def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
@@ -290,11 +389,10 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
         pbj = _expr_at(phibar, Zb, VZB)
         pd = _expr_deriv_at(phi, Z)
         pbd = _expr_deriv_at(phibar, Zb)
-        if abs(pd.value) < SINGULAR_TOL:
-            raise SingularMap(f"phi'({z0}) = {pd.value} within tolerance")
+        _each(_check_map, z0, pd.value)
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)
-        composed = compose3(inner, pj - w0, pbj - wb0, T - complex(t0))
+        composed = compose3(inner, pj - w0, pbj - wb0, T - _each(complex, t0))
         return composed + _ln(pd, "phi'") + _ln(pbd, "phibar'")
 
     return SolutionField(family="pushforward", kappa=fld.kappa,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import EtaVanishes, OrderExceeded
 from .fields import Point, SolutionField, eval_u
-from .jet import Jet
+from .jet import Jet, row_values
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
@@ -56,12 +56,18 @@ class JetCalculus:
     Invariant jets, the operators' coefficient jets and the reciprocals of
     the eta jet are built on first use and kept, so repeated applications
     reuse them; every kept jet is computed exactly as a fresh one would be.
+
+    p is one Point, or a list of points for one calculus on their stacked
+    u-jets (`SolutionField.jets_at`): every jet is then stacked, row r
+    bit for bit the jet of the calculus at p[r], and values are tuples.
     """
 
-    def __init__(self, field: SolutionField, p: Point, order: int = 4):
-        self.u = eval_u(field, p, order)
+    def __init__(self, field: SolutionField, p: Point | list[Point], order: int = 4):
+        if isinstance(p, Point):
+            self.u, self.t = eval_u(field, p, order), p.t
+        else:
+            self.u, self.t = field.jets_at(p, order), tuple(q.t for q in p)
         self.order = order
-        self.p = p
         self.kappa = field.kappa
         k = order
         self.exp_mu = (-self.u.truncated(k - 2)).exp() if k >= 2 else None
@@ -83,7 +89,7 @@ class JetCalculus:
     def _invariant_jet(self, name: str) -> Jet:
         u, k = self.u, self.order
         if name == "T":
-            return Jet.variable(2, self.p.t, 3, k)
+            return Jet.variable(2, self.t, 3, k)
         if name == "Ut":
             return u.derivative(2)
         if name == "Utt":
@@ -123,7 +129,7 @@ class JetCalculus:
 
     def _eta_reciprocal(self, m: int) -> Jet:
         eta = self.invariant_jet("Eta").truncated(m)
-        if abs(eta.value) < 1e-14:
+        if any(abs(v) < 1e-14 for v in row_values(eta.value)):
             raise EtaVanishes("eta = 0: Y and Ybar are undefined")
         return eta.reciprocal()
 
@@ -160,17 +166,33 @@ def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
     the commutator and operator functions at that point, share them.  The
     InvariantSet is frozen; one instance is returned to every such call.
     """
-    return field.bundle_at(p).get("invariants", lambda: _invariant_set(_calculus(field, p), p))
+    return field.bundle_at(p).get(
+        "invariants", lambda: _invariant_sets(_calculus(field, p), [p])[0])
 
 
-def _invariant_set(calc: JetCalculus, p: Point) -> InvariantSet:
-    u_t = _realify(calc.value("Ut"))
-    u_tt = _realify(calc.value("Utt"))
-    rho = _realify(calc.value("Rho"))
-    eta = _realify(calc.value("Eta"))
-    sigma = calc.applied("Delta", "Rho").value
-    sigma_bar = calc.applied("DeltaBar", "Rho").value
-    tau = _realify(calc.applied("delta", "Rho").value)
+def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
+    """A `SolutionField.sweep` build: each point's InvariantSet, as
+    `invariants_at` stores it, from one JetCalculus on the points' stacked
+    order-4 u-jets."""
+    return [{"invariants": s} for s in _invariant_sets(JetCalculus(field, points), points)]
+
+
+def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:
+    """The InvariantSet at each point of calc (one, or one per row), each
+    from its own values."""
+    values = (calc.value("Ut"), calc.value("Utt"), calc.value("Rho"), calc.value("Eta"),
+              calc.applied("Delta", "Rho").value, calc.applied("DeltaBar", "Rho").value,
+              calc.applied("delta", "Rho").value)
+    rows = zip(*values) if calc.u.depth else [values]
+    return [_invariant_set(p, *row) for p, row in zip(points, rows)]
+
+
+def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> InvariantSet:
+    u_t = _realify(u_t)
+    u_tt = _realify(u_tt)
+    rho = _realify(rho)
+    eta = _realify(eta)
+    tau = _realify(tau)
     if abs(eta) < 1e-14:
         lam = lam_bar = None
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -144,6 +145,54 @@ def _on_branch_cut(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0
 
 
+def row_values(value) -> tuple:
+    """A jet's `value` as a tuple over its rows (one entry when unstacked);
+    also a point coordinate of a stacked pass or of one point."""
+    return value if type(value) is tuple else (value,)
+
+
+def row_series(formula, value, order: int, *args) -> list:
+    """formula(a0, order, *args), a list of univariate series coefficients
+    at the constant term a0: for one constant term that list, for a tuple of
+    one per row the list of per-row tuples, term by term, that
+    `compose_series` takes.  Each row runs the scalar formula on its own
+    value, and a formula that raises raises for the first such row."""
+    if type(value) is not tuple:
+        return formula(value, order, *args)
+    return list(zip(*(formula(a0, order, *args) for a0 in value)))
+
+
+def _exp_series(a0: complex, order: int) -> list:
+    e0 = cmath.exp(a0)
+    return [e0 / math.factorial(m) for m in range(order + 1)]
+
+
+def _log_series(a0: complex, order: int) -> list:
+    if abs(a0) < SINGULAR_EPS:
+        raise DomainError(f"ln of jet with constant term {a0}")
+    if _on_branch_cut(a0):
+        raise BranchCutViolation(f"ln constant term {a0} on the negative real axis")
+    series = [cmath.log(a0)]
+    for m in range(1, order + 1):
+        series.append((-1) ** (m + 1) / (m * a0 ** m))
+    return series
+
+
+def _pow_series(a0: complex, order: int, p: complex) -> list:
+    if abs(a0) < SINGULAR_EPS:
+        raise DomainError(f"power of jet with constant term {a0}")
+    if _on_branch_cut(a0):
+        raise BranchCutViolation(f"pow constant term {a0} on the negative real axis")
+    # binomial series: a0^p * prod_{j<m}(p-j)/m! * h^m / a0^m
+    lead = cmath.exp(p * cmath.log(a0))
+    series = [lead]
+    coef = lead
+    for m in range(1, order + 1):
+        coef = coef * (p - (m - 1)) / m / a0
+        series.append(coef)
+    return series
+
+
 class Jet:
     """Dense truncated Taylor expansion at a point the caller keeps.
 
@@ -151,21 +200,27 @@ class Jet:
     alpha!.  Entries with total degree above `order` are kept zero.
 
     A stacked jet holds `depth` jets of one shape as rows of a leading
-    axis: coeffs has shape (depth,) + (order + 1,) * nvars.  Ring
-    operations, `derivative`, `truncated`, `conjugated` and `value` work row
-    by row through the same tables and ufuncs as on one jet, so each row is
-    bit for bit the unstacked result; `value` is then a tuple, one complex
-    per row.  A stacked jet combines with a stacked jet of equal depth or
-    with an unstacked one, which acts on every row (``coef * g``: every
-    row of g times coef).  The analytic functions, `reciprocal` and
-    coefficient access take unstacked jets only.  depth is 0 for an
-    unstacked jet.
+    axis: coeffs has shape (depth,) + (order + 1,) * nvars.  Every operation
+    works row by row through the same tables, ufuncs and scalar formulas as
+    on one jet, so each row is bit for bit the unstacked result; `value` is
+    then a tuple, one complex per row.  A stacked jet combines with a
+    stacked jet of equal depth or with an unstacked one, which acts on every
+    row (``coef * g``: every row of g times coef).  A tuple of scalars, one
+    per row, is a scalar operand of ``+ - * /`` (``g - g.value``), and
+    `constant` and `variable` build a stack from one such tuple.  The
+    analytic functions, `reciprocal` and `compose_series` build each row's
+    series from that row's constant term and raise for the first row that
+    the unstacked function raises for.  `rows` hands the rows back as
+    unstacked jets; `coefficient` and `partial` take unstacked jets only.
+    depth is 0 for an unstacked jet.
 
     A Jet is immutable: a slot class whose attributes cannot be assigned,
     holding a read-only coeffs array, so jets (and their arrays) can be
-    shared freely.  nvars and order are stored at construction.  Jets
-    compare and hash by identity.  `__post_init__` runs once for every
-    constructed Jet, whichever constructor made it.
+    shared freely.  nvars and order are stored at construction, which
+    checks the shape: 1 to 3 variables, one length for every variable axis,
+    and a leading axis of length depth for a stacked jet.  Jets compare and
+    hash by identity.  `__post_init__` runs once for every constructed Jet,
+    whichever constructor made it.
 
     A scalar operand of ``+`` and ``-`` is not lifted to a constant jet:
     the operation adds (or subtracts from) +0.0 in every slot and then sets
@@ -179,10 +234,19 @@ class Jet:
         if type(coeffs) is not np.ndarray or coeffs.dtype is not _COMPLEX:
             # the kernels build their results through _jet; this converts outside input
             coeffs = np.asarray(coeffs, dtype=complex)
+        depth = operator.index(depth)  # an int: 2.0 raises TypeError
+        shape = coeffs.shape
+        axes = shape[1:] if depth else shape
+        if (not 1 <= len(axes) <= 3 or len(set(axes)) != 1 or axes[0] < 1
+                or (depth and shape[0] != depth)):
+            raise ShapeMismatch(
+                f"coeffs of shape {shape} are not "
+                + (f"{depth} stacked jets" if depth else "one jet")
+                + " in 1 to 3 variables with one length per variable axis")
         _set_coeffs(self, coeffs)
         _set_depth(self, depth)
-        _set_nvars(self, coeffs.ndim - 1 if depth else coeffs.ndim)
-        _set_order(self, coeffs.shape[-1] - 1)
+        _set_nvars(self, len(axes))
+        _set_order(self, axes[0] - 1)
         self.__post_init__()
 
     def __post_init__(self):
@@ -209,19 +273,25 @@ class Jet:
         return complex(self.coeffs[(0,) * self.nvars])
 
     @classmethod
-    def constant(cls, value: complex, nvars: int, order: int) -> "Jet":
+    def constant(cls, value, nvars: int, order: int) -> "Jet":
+        """Constant jet of one value, or a stack of them from a tuple of one
+        value per row."""
+        if type(value) is tuple:
+            return _stacked_seed(value, None, nvars, order)
         c = np.zeros((order + 1,) * nvars, dtype=complex)
         c[(0,) * nvars] = value
         return _jet(c, 0, nvars, order)
 
     @classmethod
-    def variable(cls, i: int, value: complex, nvars: int, order: int) -> "Jet":
-        """Seed jet of the i-th variable: value + one unit of its own direction."""
+    def variable(cls, i: int, value, nvars: int, order: int) -> "Jet":
+        """Seed jet of the i-th variable: value + one unit of its own direction
+        (a stack of seeds from a tuple of one value per row)."""
+        if type(value) is tuple:
+            return _stacked_seed(value, i, nvars, order)
         c = np.zeros((order + 1,) * nvars, dtype=complex)
         c[(0,) * nvars] = value
         if order >= 1:
-            idx = tuple(1 if k == i else 0 for k in range(nvars))
-            c[idx] = 1.0
+            c[_UNIT_SLOT[nvars][i]] = 1.0
         return _jet(c, 0, nvars, order)
 
     @classmethod
@@ -233,6 +303,12 @@ class Jet:
                 raise ShapeMismatch("cannot stack a stacked jet")
             first._check(j)
         return _jet(np.stack([j.coeffs for j in jets]), len(jets), first.nvars, first.order)
+
+    def rows(self) -> list["Jet"]:
+        """The rows of a stacked jet as unstacked jets, `stack`'s inverse."""
+        if not self.depth:
+            raise ShapeMismatch("an unstacked jet has no rows")
+        return [_jet(c, 0, self.nvars, self.order) for c in self.coeffs]
 
     def _check(self, other: "Jet") -> None:
         # equal depths, or one unstacked operand acting on every row; then
@@ -247,15 +323,39 @@ class Jet:
         """A jet of this one's shape and depth holding fresh coeffs."""
         return _jet(coeffs, self.depth, self.nvars, self.order)
 
+    def _operand(self, other):
+        """A scalar operand: the coeffs it acts on, the scalar as a complex,
+        and the result's depth.  For a tuple of scalars, one per row, the
+        scalar is an array over the rows and an unstacked jet's coeffs are
+        broadcast to every row."""
+        if type(other) is not tuple:
+            return self.coeffs, complex(other), self.depth
+        depth = len(other)
+        if not depth or (self.depth and self.depth != depth):
+            raise ShapeMismatch(f"{depth} row scalars for a jet of depth {self.depth}")
+        a = self.coeffs
+        if not self.depth:
+            a = np.broadcast_to(a, (depth,) + a.shape)
+        return a, np.array(other, dtype=complex), depth
+
+    def _scaled(self, values: tuple, ufunc) -> "Jet":
+        """Every row's coefficients times (or divided by) that row's scalar;
+        the scalar's axes broadcast over the row, so each row runs the loop
+        of ``coeffs * c`` on one jet."""
+        a, c, depth = self._operand(values)
+        out = ufunc(a, c.reshape((depth,) + (1,) * self.nvars))
+        return _jet(out, depth, self.nvars, self.order)
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             # the lifted constant's zero slots add +0.0 (a -0.0 becomes +0.0)
-            a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+            zero = _CONSTANT_SLOT[self.nvars]
+            a, c, depth = self._operand(other)
             out = a + 0.0
-            out[zero] = a[zero] + complex(other)
-            return self._like(out)
+            out[zero] = a[zero] + c
+            return _jet(out, depth, self.nvars, self.order)
         self._check(other)
         return _jet(self.coeffs + other.coeffs, self.depth or other.depth,
                     self.nvars, self.order)
@@ -268,10 +368,11 @@ class Jet:
     def __sub__(self, other):
         if not isinstance(other, Jet):
             # subtracting the lifted constant's +0.0 keeps every bit
-            a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+            zero = _CONSTANT_SLOT[self.nvars]
+            a, c, depth = self._operand(other)
             out = a - 0.0
-            out[zero] = a[zero] - complex(other)
-            return self._like(out)
+            out[zero] = a[zero] - c
+            return _jet(out, depth, self.nvars, self.order)
         self._check(other)
         return _jet(self.coeffs - other.coeffs, self.depth or other.depth,
                     self.nvars, self.order)
@@ -279,13 +380,16 @@ class Jet:
     def __rsub__(self, other):
         # other - self, other a scalar: the lifted constant's zero slots
         # give +0.0 - a
-        a, zero = self.coeffs, _CONSTANT_SLOT[self.nvars]
+        zero = _CONSTANT_SLOT[self.nvars]
+        a, c, depth = self._operand(other)
         out = 0.0 - a
-        out[zero] = complex(other) - a[zero]
-        return self._like(out)
+        out[zero] = c - a[zero]
+        return _jet(out, depth, self.nvars, self.order)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            if type(other) is tuple:
+                return self._scaled(other, np.multiply)
             return self._like(self.coeffs * complex(other))
         self._check(other)
         # every row through the one-jet table, as one flat scatter; an
@@ -303,18 +407,23 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
+            if type(other) is tuple:
+                return self._scaled(other, np.true_divide)
             return self._like(self.coeffs / complex(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return Jet.constant(complex(other), self.nvars, self.order) * self.reciprocal()
+        if type(other) is not tuple:
+            other = complex(other)
+        return Jet.constant(other, self.nvars, self.order) * self.reciprocal()
 
     def reciprocal(self) -> "Jet":
         """1/self as the alternating series 1 - r + r^2 - ... in the nilpotent
         part r, started from the operand (1 - r), not from a unit jet."""
         b0 = self.value
-        if abs(b0) < SINGULAR_EPS:
-            raise DivisionBySingularJet(f"constant term {b0} below {SINGULAR_EPS}")
+        for b in row_values(b0):
+            if abs(b) < SINGULAR_EPS:
+                raise DivisionBySingularJet(f"constant term {b} below {SINGULAR_EPS}")
         if not self.order:
             return Jet.constant(1.0, self.nvars, 0) / b0
         term = r = (self / b0) - 1.0  # nilpotent part
@@ -327,20 +436,12 @@ class Jet:
     # -- analytic functions ------------------------------------------------
 
     def exp(self) -> "Jet":
-        e0 = cmath.exp(self.value)
-        series = [e0 / math.factorial(m) for m in range(self.order + 1)]
-        return compose_series(series, self - self.value)
+        return compose_series(row_series(_exp_series, self.value, self.order),
+                              self - self.value)
 
     def log(self) -> "Jet":
-        a0 = self.value
-        if abs(a0) < SINGULAR_EPS:
-            raise DomainError(f"ln of jet with constant term {a0}")
-        if _on_branch_cut(a0):
-            raise BranchCutViolation(f"ln constant term {a0} on the negative real axis")
-        series = [cmath.log(a0)]
-        for m in range(1, self.order + 1):
-            series.append((-1) ** (m + 1) / (m * a0 ** m))
-        return compose_series(series, self - self.value)
+        return compose_series(row_series(_log_series, self.value, self.order),
+                              self - self.value)
 
     def sqrt(self) -> "Jet":
         return self.cpow(0.5)
@@ -355,19 +456,8 @@ class Jet:
             for _ in range(abs(n) - 1):
                 acc = acc * self
             return acc.reciprocal() if n < 0 else acc
-        a0 = self.value
-        if abs(a0) < SINGULAR_EPS:
-            raise DomainError(f"power of jet with constant term {a0}")
-        if _on_branch_cut(a0):
-            raise BranchCutViolation(f"pow constant term {a0} on the negative real axis")
-        # binomial series: a0^p * prod_{j<m}(p-j)/m! * h^m / a0^m
-        lead = cmath.exp(p * cmath.log(a0))
-        series = [lead]
-        coef = lead
-        for m in range(1, self.order + 1):
-            coef = coef * (p - (m - 1)) / m / a0
-            series.append(coef)
-        return compose_series(series, self - self.value)
+        return compose_series(row_series(_pow_series, self.value, self.order, p),
+                              self - self.value)
 
     # -- coefficient access ------------------------------------------------
 
@@ -425,12 +515,26 @@ class Jet:
 
 #: the constant term of every row: coeffs[..., 0, ..., 0], per nvars
 _CONSTANT_SLOT = {n: (Ellipsis,) + (0,) * n for n in (1, 2, 3)}
+#: the first-order coefficient of variable i of one jet, per nvars and i
+_UNIT_SLOT = {n: tuple(tuple(int(k == i) for k in range(n)) for i in range(n)) for n in (1, 2, 3)}
 
 _set_coeffs = Jet.coeffs.__set__
 _set_depth = Jet.depth.__set__
 _set_nvars = Jet.nvars.__set__
 _set_order = Jet.order.__set__
 _new = object.__new__
+
+
+def _stacked_seed(values: tuple, var: int | None, nvars: int, order: int) -> Jet:
+    """`Jet.constant` (var None) or `Jet.variable` of each of values, as the
+    rows of one stack."""
+    if not values:
+        raise ShapeMismatch("a stack needs at least one row")
+    c = np.zeros((len(values),) + (order + 1,) * nvars, dtype=complex)
+    c[_CONSTANT_SLOT[nvars]] = values
+    if var is not None and order >= 1:
+        c[(slice(None),) + _UNIT_SLOT[nvars][var]] = 1.0
+    return _jet(c, len(values), nvars, order)
 
 
 def _jet(coeffs: np.ndarray, depth: int, nvars: int, order: int) -> Jet:
@@ -447,12 +551,15 @@ def _jet(coeffs: np.ndarray, depth: int, nvars: int, order: int) -> Jet:
     return jet
 
 
-def compose_series(series: list[complex], inner: Jet) -> Jet:
+def compose_series(series: list, inner: Jet) -> Jet:
     """Univariate Taylor coefficients composed with a jet of zero constant
     term: the sum of series[m] * inner^m up to the jet's order, with the
-    powers started from the operand, not from a unit jet."""
-    if abs(inner.value) > 1e-9:
-        raise DomainError("composition requires vanishing constant term")
+    powers started from the operand, not from a unit jet.  For a stacked
+    inner jet each series[m] may be a tuple of one coefficient per row
+    (see `row_series`)."""
+    for h0 in row_values(inner.value):
+        if abs(h0) > 1e-9:
+            raise DomainError("composition requires vanishing constant term")
     n = min(len(series), inner.order + 1)
     if n <= 1:
         return Jet.constant(series[0], inner.nvars, inner.order)
@@ -470,7 +577,9 @@ def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
     The inner jets must have vanishing constant terms and live in the target
     variables; the result is the outer function expanded at the new point.
     The powers start from the operands, and each term multiplies only its
-    non-trivial powers, so no product has a unit operand.
+    non-trivial powers, so no product has a unit operand.  A stacked outer
+    jet composes row by row: a row whose coefficient is zero skips that
+    term, as the unstacked composition does.
     """
     powers = []
     for d in (dx, dy, dz):
@@ -478,13 +587,23 @@ def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
         for _ in range(2, outer.order + 1):
             p.append(p[-1] * d)
         powers.append(p)
-    acc = Jet.constant(outer.coeffs[0, 0, 0], dx.nvars, dx.order)
+    acc = Jet.constant(outer.value, dx.nvars, dx.order)
+    rows = (slice(None),) if outer.depth else ()
     for idx in valid_indices(3, outer.order)[1:]:
-        c = outer.coeffs[idx]
-        if c != 0:
+        c = outer.coeffs[rows + idx]
+        live = c != 0
+        if live.any() if outer.depth else live:
             term = None
             for p, m in zip(powers, idx):
                 if m:
                     term = p[m] if term is None else term * p[m]
-            acc = acc + c * term
+            if not outer.depth:
+                acc = acc + c * term
+                continue
+            new = acc + term * tuple(c.tolist())
+            if not live.all():
+                # rows with a zero coefficient keep their sum untouched
+                new = acc._like(np.where(live.reshape((-1,) + (1,) * acc.nvars),
+                                         new.coeffs, acc.coeffs))
+            acc = new
     return acc

@@ -118,9 +118,6 @@ class ResolvingResiduals:
         return {"R1": self.r1, "R2": self.r2, "R2bar": self.r2_bar,
                 "R3": self.r3, "R4": self.r4}
 
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.as_dict().values())
-
 
 def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingResiduals:
     """The five residuals of the resolving system at one invariant point."""

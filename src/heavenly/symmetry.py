@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import expr as ex
 from .errors import EtaVanishes
 from .fields import Point, SolutionField, eval_u
-from .invariants import invariants_at
+from .invariants import invariants_at, swept_invariants
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> com
 
 def conf_inv_witness(field: SolutionField, grid: list[Point],
                      tol: float = 1e-8) -> WitnessReport:
-    """Max |sigma - sigma_bar| over the grid.
+    """Max |sigma - sigma_bar| over the grid, whose invariants come from
+    one stacked calculus (`SolutionField.sweep`).
 
     sigma != sigma_bar is sufficient for conformal non-invariance; the
     converse does not hold, so equality yields "inconclusive", never an
@@ -131,16 +132,17 @@ def conf_inv_witness(field: SolutionField, grid: list[Point],
     best = 0.0
     witness = None
     eta_seen = False
-    for p in grid:
-        try:
-            s = invariants_at(field, p)
-        except EtaVanishes:
-            continue
-        if not s.eta_vanishes:
-            eta_seen = True
-        gap = abs(s.sigma - s.sigma_bar)
-        if gap > best:
-            best, witness = gap, p
+    with field.sweep(grid, swept_invariants):
+        for p in grid:
+            try:
+                s = invariants_at(field, p)
+            except EtaVanishes:
+                continue
+            if not s.eta_vanishes:
+                eta_seen = True
+            gap = abs(s.sigma - s.sigma_bar)
+            if gap > best:
+                best, witness = gap, p
     if not eta_seen:
         return WitnessReport("inconclusive", best, witness,
                              note="eta vanishes on the whole grid")

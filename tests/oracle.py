@@ -27,18 +27,18 @@ def mixed(f, x, y, h=H):
 
 def fd_first_partials(field, z0, zb0, t0):
     """(u_z, u_zbar, u_t) by off-slice finite differences."""
-    u_z = richardson(lambda z: field.value_at(z, zb0, t0), z0)
-    u_zb = richardson(lambda zb: field.value_at(z0, zb, t0), zb0)
-    u_t = richardson(lambda t: field.value_at(z0, zb0, t), t0)
+    u_z = richardson(lambda z: field.jet_at(z, zb0, t0, 0).value, z0)
+    u_zb = richardson(lambda zb: field.jet_at(z0, zb, t0, 0).value, zb0)
+    u_t = richardson(lambda t: field.jet_at(z0, zb0, t, 0).value, t0)
     return u_z, u_zb, u_t
 
 
 def fd_second_partials(field, z0, zb0, t0):
     """(u_zz, u_zbzb, u_tt, u_zzb, u_zt, u_zbt) by finite differences."""
-    u_zz = second(lambda z: field.value_at(z, zb0, t0), z0)
-    u_zbzb = second(lambda zb: field.value_at(z0, zb, t0), zb0)
-    u_tt = second(lambda t: field.value_at(z0, zb0, t), t0)
-    u_zzb = mixed(lambda z, zb: field.value_at(z, zb, t0), z0, zb0)
-    u_zt = mixed(lambda z, t: field.value_at(z, zb0, t), z0, t0)
-    u_zbt = mixed(lambda zb, t: field.value_at(z0, zb, t), zb0, t0)
+    u_zz = second(lambda z: field.jet_at(z, zb0, t0, 0).value, z0)
+    u_zbzb = second(lambda zb: field.jet_at(z0, zb, t0, 0).value, zb0)
+    u_tt = second(lambda t: field.jet_at(z0, zb0, t, 0).value, t0)
+    u_zzb = mixed(lambda z, zb: field.jet_at(z, zb, t0, 0).value, z0, zb0)
+    u_zt = mixed(lambda z, t: field.jet_at(z, zb0, t, 0).value, z0, t0)
+    u_zbt = mixed(lambda zb, t: field.jet_at(z0, zb, t, 0).value, zb0, t0)
     return u_zz, u_zbzb, u_tt, u_zzb, u_zt, u_zbt

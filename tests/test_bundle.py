@@ -1,9 +1,11 @@
 """The per-point derivative bundle: reuse must never change a result.
 
 Every suite function reads its jets and invariants from the field's bundle
-for the most recent point.  These tests compare each result, bit for bit,
-with the result of a freshly built field, count how often the field's
-builder runs, and check that failures are raised again, never remembered.
+for the most recent point, or, inside a sweep, from the bundles one stacked
+pass filled for every point of a grid.  These tests compare each result,
+bit for bit, with the result of a freshly built field, count how often the
+field's builder runs, and check that failures are raised again, never
+remembered.
 """
 
 from collections import Counter
@@ -12,9 +14,9 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly import invariants
-from heavenly.errors import DomainError
+from heavenly.errors import POINT_EXCLUSIONS, DomainError
 from heavenly.fields import (Point, SolutionField, conformal_pushforward,
-                             eval_u, make_solution)
+                             eval_u, make_solution, u_jets)
 from heavenly.invariants import (COMMUTATOR_PAIRS, apply_inv_op,
                                  commutator_residual, invariants_at,
                                  liouville_residual, pde_residual)
@@ -171,3 +173,80 @@ def test_bundle_key_tells_signed_zeros_apart():
     for z in (complex(1.3, 0.0), complex(1.3, -0.0), complex(1.3, 0.0)):
         pde_residual(fld, Point(0.8, z))
     assert counts == {2: 3}
+
+
+# --- sweeps -------------------------------------------------------------------
+
+def grid(kappa, family="noninv"):
+    """Admissible points of the box of `points`, one of them repeated, and
+    two equal but for the sign of a zero (on the real axis, where confinv's
+    xi vanishes, so not for confinv)."""
+    out = [Point(t, complex(x, kappa * y)) for t in (0.6, 1.4)
+           for x in (1.1, 1.9) for y in (0.3, 0.7)]
+    if family != "confinv":
+        out += [Point(1.0, complex(1.5, 0.0)), Point(1.0, complex(1.5, -0.0))]
+    return out + [out[0]]
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_stacked_rows_match_eval_u(family, kappa):
+    pts = grid(kappa, family)
+    for order in range(5):
+        rows = build(family, kappa).jets_at(pts, order).rows()
+        for p, row in zip(pts, rows):
+            want = eval_u(build(family, kappa), p, order)
+            assert (row.depth, row.nvars, row.order) == (0, 3, order)
+            assert row.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
+
+
+def excluding(fld, pts):
+    """The loop of classify_b's equation check: each point's residual, or
+    its exclusion's class and message."""
+    out = []
+    for p in pts:
+        try:
+            out.append(("ok", pde_residual(fld, p)))
+        except POINT_EXCLUSIONS as err:
+            out.append((type(err).__name__, str(err)))
+    return out
+
+
+def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
+    b = ex.parse("1/(z - 2) + 0.5", ("z",))
+    pts = [Point(1.0, 1.2 + 0.3j),
+           Point(1.0, 2.0 + 0j),  # pole of b
+           Point(1.1, 1.5 + 0j),  # t + b(z) = -0.4: on the branch cut of ln
+           Point(0.9, 1.7 - 0.2j),
+           Point(1.0, -0.5 + 0.3j),  # z + zbar < 0: outside the domain
+           Point(1.2, 1.3 - 0.4j)]
+    fld = make_solution("noninv", {"b": b}, 1)
+    with pytest.raises(POINT_EXCLUSIONS):
+        fld.jets_at(pts, 2)  # so the sweep runs point by point
+    with fld.sweep(pts, u_jets(2)):
+        swept = excluding(fld, pts)
+    assert swept == excluding(make_solution("noninv", {"b": b}, 1), pts)
+    assert [kind for kind, _ in swept] == ["ok", "DivisionBySingularJet", "DomainError", "ok",
+                                           "DomainError", "ok"]
+    assert "negative real axis" in swept[2][1] and "negative real axis" in swept[4][1]
+    # the good points alone go through one stacked pass
+    good = [p for p, (kind, _) in zip(pts, swept) if kind == "ok"]
+    counts = Counter()
+    stacked = counting(make_solution("noninv", {"b": b}, 1), counts)
+    with stacked.sweep(good, u_jets(2)):
+        assert excluding(stacked, good) == [r for r in swept if r[0] == "ok"]
+    assert counts == {2: 1}
+
+
+def test_sweep_bundles_last_for_the_block_only():
+    counts = Counter()
+    fld = counting(build("noninv", 1), counts)
+    pts = grid(1)
+    with fld.sweep(pts, u_jets(1)):
+        for p in pts:
+            eval_u(fld, p, 1)
+            eval_u(fld, p, 2)  # not swept: built for this point alone
+    assert counts == {1: 1, 2: len(pts) - 1}  # one point repeats
+    for p in pts[:2]:
+        eval_u(fld, p, 1)
+    assert counts == {1: 3, 2: len(pts) - 1}

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -9,7 +10,8 @@ from heavenly.classify import (ConformallyNonInvariant, Inconclusive,
                                automorphic_consistency, automorphic_residual,
                                classify_b, theorem_case, verify_case)
 from heavenly.errors import ConstraintViolation, SingularDenominator
-from heavenly.fields import Point
+from heavenly.fields import Point, SolutionField, make_solution
+from heavenly.symmetry import conf_inv_witness
 
 GRID = [Point(t, complex(x, y)) for t in (0.8, 1.1, 1.4)
         for x in (0.8, 1.2) for y in (-0.2, 0.25)]
@@ -139,3 +141,80 @@ def test_automorphic_consistency_identity(kappa, b_text):
     b = ex.parse(b_text, ("z",))
     for p in (Point(1.0, 1.0 + 0j), Point(0.7, 0.6 + 0.3j)):
         assert abs(automorphic_consistency(b, kappa, p)) < 1e-8
+
+
+# --- grid sweeps against the per-point path -------------------------------------
+# verify_case, classify_b and conf_inv_witness fill each grid point's bundle
+# from one stacked pass (SolutionField.sweep).  With sweep replaced by a block
+# that fills nothing, the same loops build every point alone: that per-point
+# path is the reference, and results must be == to it.
+
+@contextmanager
+def _per_point_sweep(self, points, build):
+    yield
+
+
+def _result(fn):
+    try:
+        return fn()
+    except Exception as err:  # both paths must raise the same error
+        return ("raised", type(err).__name__, str(err))
+
+
+def _both(monkeypatch, fn):
+    """fn's result with sweeps and on the per-point path, and how many
+    single-point u-jet builds each made."""
+    calls = []
+    jet_at = SolutionField.jet_at
+    monkeypatch.setattr(SolutionField, "jet_at",
+                        lambda self, *args: calls.append(args) or jet_at(self, *args))
+    swept, swept_builds = _result(fn), len(calls)
+    with monkeypatch.context() as m:
+        m.setattr(SolutionField, "sweep", _per_point_sweep)
+        reference = _result(fn)
+    return swept, reference, swept_builds, len(calls) - swept_builds
+
+
+BAD_GRID = GRID + [Point(1.0, 1.0 + 0j),  # pole of 1/(z - 1)
+                   Point(1.0, -0.4 + 0.2j),  # z + zbar < 0
+                   Point(0.5, 1.5 + 0j)]  # t + b(z) on the negative real axis for 1/(z - 1) - 2.5
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+def test_sweeps_match_the_per_point_path(monkeypatch, kappa):
+    rng = random.Random(61 + kappa)
+    checked = 0
+    for case_id in range(1, 9):
+        case = draw_case(case_id, kappa, rng)
+        if case is None:
+            continue
+        b, _ = theorem_case(case)
+        for fn in (lambda: verify_case(case, GRID), lambda: classify_b(b, kappa, GRID)):
+            swept, reference, swept_builds, reference_builds = _both(monkeypatch, fn)
+            assert swept == reference
+            assert isinstance(swept, (float, InvariantCaseMatched))
+            assert swept_builds == 0 < reference_builds
+            checked += 1
+    grid = GRID + [Point(1.0, 1.0 + 0j)]
+    for text in ("z^2 + i", "(0.3 - 1.2*i)*z^2 + (0.7 + 0.1*i)*z - 0.4", "exp(z) + 2*i"):
+        b = ex.parse(text, ("z",))
+        field = make_solution("noninv", {"b": b}, kappa)
+        for fn in (lambda: classify_b(b, kappa, grid), lambda: conf_inv_witness(field, grid)):
+            swept, reference, swept_builds, _ = _both(monkeypatch, fn)
+            assert swept == reference and swept_builds == 0
+            checked += 1
+    assert checked == 2 * (8 if kappa == 1 else 6) + 6
+
+
+@pytest.mark.parametrize("text", ("1/(z - 1) + i", "1/(z - 1) - 2.5"))
+def test_sweeps_over_bad_points_match_the_per_point_path(monkeypatch, text):
+    b = ex.parse(text, ("z",))
+    field = make_solution("noninv", {"b": b}, 1)
+    verdicts = []
+    for fn in (lambda: classify_b(b, 1, BAD_GRID), lambda: conf_inv_witness(field, BAD_GRID),
+               lambda: verify_case(TheoremCase(8, 1, C=1.0, C2=1j), BAD_GRID)):
+        swept, reference, _, _ = _both(monkeypatch, fn)
+        assert swept == reference
+        verdicts.append(swept)
+    assert not isinstance(verdicts[0], tuple)  # classify_b excludes the bad points
+    assert verdicts[1][0] == "raised"  # conf_inv_witness excludes none of them

@@ -17,14 +17,14 @@ def test_f0_plus_matches_closed_form():
     fld = make_solution("f0", {"C": 1.0}, 1)
     z, zb = Z0, Z0.conjugate()
     want = math.log(T0 * T0 + 1.0) - 2 * cmath.log(z + zb)
-    assert fld.value_at(z, zb, T0) == pytest.approx(want)
+    assert fld.jet_at(z, zb, T0, 0).value == pytest.approx(want)
 
 
 def test_f0_minus_matches_closed_form():
     fld = make_solution("f0", {"C": 0.5}, -1)
     z, zb = Z0, Z0.conjugate()
     want = math.log(T0 * T0 + 0.5) - 2 * cmath.log(z * zb + 1)
-    assert fld.value_at(z, zb, T0) == pytest.approx(want)
+    assert fld.jet_at(z, zb, T0, 0).value == pytest.approx(want)
 
 
 def test_noninv_matches_closed_form():
@@ -34,7 +34,7 @@ def test_noninv_matches_closed_form():
     bz = z * z + 1j
     bbz = bz.conjugate()  # bbar(zbar) = conj(b(z)) on the physical slice
     want = cmath.log(T0 + bz) + cmath.log(T0 + bbz) - 2 * cmath.log(z + zb)
-    assert fld.value_at(z, zb, T0) == pytest.approx(want)
+    assert fld.jet_at(z, zb, T0, 0).value == pytest.approx(want)
 
 
 def test_general_noninv_reduces_to_noninv_for_c_equals_z():
@@ -43,7 +43,7 @@ def test_general_noninv_reduces_to_noninv_for_c_equals_z():
     gen = make_solution("general_noninv", {"b": b, "c": c}, 1)
     plain = make_solution("noninv", {"b": b}, 1)
     z, zb = Z0, Z0.conjugate()
-    assert gen.value_at(z, zb, T0) == pytest.approx(plain.value_at(z, zb, T0))
+    assert gen.jet_at(z, zb, T0, 0).value == pytest.approx(plain.jet_at(z, zb, T0, 0).value)
 
 
 def test_f0general_reduces_to_f0():
@@ -52,7 +52,7 @@ def test_f0general_reduces_to_f0():
     gen = make_solution("f0general", {"l": 1.0, "C1": 0.0, "C2": 1.0, "a": a}, 1)
     plain = make_solution("f0", {"C": 1.0}, 1)
     z, zb = Z0, Z0.conjugate()
-    assert gen.value_at(z, zb, T0) == pytest.approx(plain.value_at(z, zb, T0))
+    assert gen.jet_at(z, zb, T0, 0).value == pytest.approx(plain.jet_at(z, zb, T0, 0).value)
 
 
 def test_f0general_requires_positive_l():
@@ -93,20 +93,20 @@ def test_liouville_family_value():
     z, zb = Z0, Z0.conjugate()
     want = (cmath.log(2 * z) + cmath.log(2 * zb)
             - 2 * cmath.log(z * z + zb * zb))
-    assert fld.value_at(z, zb, T0) == pytest.approx(want)
+    assert fld.jet_at(z, zb, T0, 0).value == pytest.approx(want)
 
 
 def test_domain_errors():
     fld = make_solution("f0", {"C": -4.0}, 1)
     with pytest.raises(DomainError):
-        fld.value_at(Z0, Z0.conjugate(), 1.0)  # t^2 + C < 0
+        fld.jet_at(Z0, Z0.conjugate(), 1.0, 0).value  # t^2 + C < 0
     with pytest.raises(DomainError):
         fld2 = make_solution("f0", {"C": 1.0}, 1)
-        fld2.value_at(0.5j, -0.5j, 1.0)  # z + zbar = 0
+        fld2.jet_at(0.5j, -0.5j, 1.0, 0).value  # z + zbar = 0
     b = ex.parse("0 - z", ("z",))
     noninv = make_solution("noninv", {"b": b}, 1)
     with pytest.raises(DomainError):
-        noninv.value_at(1.0 + 0j, 1.0 + 0j, 1.0)  # t + b(z) = 0
+        noninv.jet_at(1.0 + 0j, 1.0 + 0j, 1.0, 0).value  # t + b(z) = 0
 
 
 def test_unknown_family_and_missing_params():
@@ -129,19 +129,19 @@ def test_pushforward_identity_map():
     fld = make_solution("noninv", {"b": b}, 1)
     pushed = conformal_pushforward(fld, ex.parse("z", ("z",)))
     z, zb = Z0, Z0.conjugate()
-    assert pushed.value_at(z, zb, T0) == pytest.approx(fld.value_at(z, zb, T0))
+    assert pushed.jet_at(z, zb, T0, 0).value == pytest.approx(fld.jet_at(z, zb, T0, 0).value)
 
 
 def test_pushforward_scaling_map():
     fld = make_solution("f0", {"C": 1.0}, 1)
     pushed = conformal_pushforward(fld, ex.parse("2*z", ("z",)))
     z, zb = Z0, Z0.conjugate()
-    want = fld.value_at(2 * z, 2 * zb, T0) + math.log(4.0)
-    assert pushed.value_at(z, zb, T0) == pytest.approx(want)
+    want = fld.jet_at(2 * z, 2 * zb, T0, 0).value + math.log(4.0)
+    assert pushed.jet_at(z, zb, T0, 0).value == pytest.approx(want)
 
 
 def test_pushforward_singular_map_rejected():
     fld = make_solution("f0", {"C": 1.0}, 1)
     pushed = conformal_pushforward(fld, ex.parse("1", ("z",)))
     with pytest.raises(SingularMap):
-        pushed.value_at(Z0, Z0.conjugate(), T0)
+        pushed.jet_at(Z0, Z0.conjugate(), T0, 0).value

@@ -9,7 +9,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
-                             DomainError, OrderExceeded)
+                             DomainError, OrderExceeded, ShapeMismatch)
 from heavenly.jet import Jet, compose3, compose_series
 
 POINT = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
@@ -226,6 +226,35 @@ def test_a_point_argument_fails_loudly():
         Jet.variable(0, 1.0, 1, 2, (1 + 0j,))
     with pytest.raises(TypeError):
         ex.eval_seed(ex.parse("z", ("z",)), 0, 1.0, 1, 2, (1 + 0j,))
+
+
+@pytest.mark.parametrize("shape, depth", [
+    ((2, 3), 0),  # variable axes of two lengths
+    ((2, 3), 5),  # a leading axis of 2 rows recorded as depth 5
+    ((3, 3), 2),
+    ((2, 2, 2, 2), 0),  # four variables
+    ((3, 2, 2, 2, 2), 3),  # four variables per row
+    ((), 0),  # no variable
+    ((3,), 3),
+    ((0,), 0),  # no coefficient
+])
+def test_constructor_rejects_a_shape_that_is_no_jet(shape, depth):
+    with pytest.raises(ShapeMismatch):
+        Jet(np.ones(shape), depth=depth)
+
+
+def test_constructor_takes_an_integer_depth():
+    with pytest.raises(TypeError):
+        Jet(np.ones((2, 3)), depth=2.0)
+    assert Jet(np.ones((2, 3)), depth=np.int64(2)).depth == 2
+
+
+def test_constructor_reads_nvars_and_order_from_the_shape():
+    for shape, depth, nvars, order in (((2, 3), 2, 1, 2), ((4, 4), 0, 2, 3),
+                                       ((5, 2, 2, 2), 5, 3, 1), ((1, 1, 1), 0, 3, 0)):
+        jet = Jet(np.ones(shape), depth=depth)
+        assert (jet.depth, jet.nvars, jet.order) == (depth, nvars, order)
+        assert (jet * jet).coeffs.shape == shape
 
 
 def test_copies_and_pickles_keep_depth():

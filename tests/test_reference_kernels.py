@@ -14,7 +14,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly import resolving
 from heavenly.errors import DivisionBySingularJet, FVanishes, OrderExceeded, ShapeMismatch
-from heavenly.jet import Jet, compose3, compose_series, valid_indices
+from heavenly.jet import Jet, compose3, compose_series, row_series, valid_indices
 from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
                                 jacobi_residual, resolving_residuals)
 
@@ -240,6 +240,180 @@ def test_kernel_errors_unchanged():
         jet.derivative(0)
     with pytest.raises(OrderExceeded):
         jet.truncated(1)
+
+
+# --- stacked analytic functions --------------------------------------------------
+# The analytic functions, reciprocal and compose_series take per-row constant
+# terms and series, and a tuple of one scalar per row is an operand of
+# + - * /; the unstacked kernel applied to each row is the reference.
+
+def valid_jet(rng, nvars, order, value):
+    """Random valid-slot coefficients with +-0.0 planted, and the given
+    constant term."""
+    c = random_jet(rng, nvars, order).truncated(order).coeffs.copy()
+    c[(0,) * nvars] = value
+    return Jet(c)
+
+
+def row_value(rng):
+    """A constant term off the branch cut, now and then with a signed zero part."""
+    v = complex(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0))
+    return rng.choice([v, complex(v.real, -0.0), complex(v.real, 0.0),
+                       complex(-0.0, abs(v.imag) + 0.1)])
+
+
+def row_scalar(rng):
+    return rng.choice([complex(rng.standard_normal(), rng.standard_normal()),
+                       complex(-0.0, rng.standard_normal()), complex(rng.standard_normal(), -0.0),
+                       complex(-0.0, -0.0), 0j, 2.5])
+
+
+ROW_KERNELS = {
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "sqrt": Jet.sqrt,
+    "reciprocal": Jet.reciprocal,
+    "cpow fractional": lambda j: j.cpow(0.37 + 0.2j),
+    "cpow -2": lambda j: j.cpow(-2),
+    "cpow 3": lambda j: j.cpow(3),
+    "scalar / jet": lambda j: (1.5 - 0.5j) / j,
+}
+
+DEPTHS = (1, 2, 5, 13)
+
+
+def stacked_cases(seed):
+    rng = np.random.default_rng(seed)
+    for nvars in (1, 2, 3):
+        for order in range(5):
+            for depth in DEPTHS:
+                yield rng, nvars, order, [valid_jet(rng, nvars, order, row_value(rng))
+                                          for _ in range(depth)]
+
+
+def test_stacked_analytic_functions_match_rows():
+    cases = 0
+    for _rng, _nvars, _order, rows in stacked_cases(41):
+        stack = Jet.stack(rows)
+        for name, kernel in ROW_KERNELS.items():
+            assert_rows(kernel(stack), [kernel(row) for row in rows])
+            cases += 1
+    assert cases == 3 * 5 * len(DEPTHS) * len(ROW_KERNELS)
+
+
+def test_compose_series_with_per_row_series_matches_rows():
+    cases = 0
+    for rng, _nvars, order, rows in stacked_cases(42):
+        stack = Jet.stack(rows)
+        series = [[row_scalar(rng) for _ in range(order + 2)] for _ in rows]
+        per_row = [tuple(col) for col in zip(*series)]
+        assert_rows(compose_series(per_row, stack - stack.value),
+                    [compose_series(s, row - row.value) for s, row in zip(series, rows)])
+        # row_series runs a scalar formula per row and transposes it
+        formula = lambda a0, order: [a0 ** m / (m + 1) for m in range(order + 1)]
+        assert row_series(formula, stack.value, order) == \
+            [tuple(col) for col in zip(*(formula(row.value, order) for row in rows))]
+        cases += 1
+    assert cases == 3 * 5 * len(DEPTHS)
+
+
+def test_per_row_scalars_match_rows():
+    cases = 0
+    for rng, nvars, order, rows in stacked_cases(43):
+        stack = Jet.stack(rows)
+        c = tuple(row_scalar(rng) for _ in rows)
+        nonzero = tuple(row_value(rng) for _ in rows)
+        solo = valid_jet(rng, nvars, order, row_value(rng))
+        checks = [
+            (stack + c, [row + v for row, v in zip(rows, c)]),
+            (c + stack, [v + row for row, v in zip(rows, c)]),
+            (stack - c, [row - v for row, v in zip(rows, c)]),
+            (c - stack, [v - row for row, v in zip(rows, c)]),
+            (stack * c, [row * v for row, v in zip(rows, c)]),
+            (c * stack, [v * row for row, v in zip(rows, c)]),
+            (stack / nonzero, [row / v for row, v in zip(rows, nonzero)]),
+            (nonzero / stack, [v / row for row, v in zip(rows, nonzero)]),
+            # an unstacked jet acts on every row of the tuple
+            (solo + c, [solo + v for v in c]),
+            (c - solo, [v - solo for v in c]),
+            (solo * c, [solo * v for v in c]),
+            (solo / nonzero, [solo / v for v in nonzero]),
+            (Jet.constant(c, nvars, order), [Jet.constant(v, nvars, order) for v in c]),
+            (Jet.variable(nvars - 1, c, nvars, order),
+             [Jet.variable(nvars - 1, v, nvars, order) for v in c]),
+        ]
+        for stacked, unstacked in checks:
+            assert_rows(stacked, unstacked)
+            cases += 1
+    assert cases == 3 * 5 * len(DEPTHS) * 14
+
+
+def test_stacked_compose3_matches_rows():
+    # each row of the outer jet has its own zero coefficients, whose terms
+    # that row skips: adding a zero term would turn a -0.0 constant term
+    # into +0.0
+    rng = np.random.default_rng(46)
+    cases = 0
+    for nvars in (1, 2, 3):
+        for order in range(5):
+            for depth in DEPTHS:
+                outers = []
+                for _ in range(depth):
+                    c = random_jet(rng, 3, order).truncated(order).coeffs.copy()
+                    c[rng.random(c.shape) < 0.4] = 0.0
+                    c[0, 0, 0] = rng.choice([complex(-0.0, -0.0), complex(-0.0, 1.5), 0.5 + 0j])
+                    outers.append(Jet(c))
+                inner = [[valid_jet(rng, nvars, order, rng.choice([0j, -0j])) for _ in outers]
+                         for _ in range(3)]
+                outer = Jet.stack(outers)
+                assert_rows(compose3(outer, *(Jet.stack(rows) for rows in inner)),
+                            [compose3(o, *(rows[r] for rows in inner))
+                             for r, o in enumerate(outers)])
+                # unstacked inner jets act on every row
+                assert_rows(compose3(outer, *(rows[0] for rows in inner)),
+                            [compose3(o, *(rows[0] for rows in inner)) for o in outers])
+                cases += 1
+    assert cases == 3 * 5 * len(DEPTHS)
+
+
+# constant terms that make an unstacked kernel raise: a zero, a point of the
+# branch cut, a tiny value and an overflowing exponential
+BAD_VALUES = (0j, complex(-1.5, 0.0), complex(-0.0, 0.0), 1e-13 + 0j, 800 + 0j)
+
+
+def test_a_bad_row_raises_what_the_row_raises():
+    rng = random.Random(44)
+    raised = set()
+    for _rng, _nvars, _order, rows in stacked_cases(45):
+        at = rng.randrange(len(rows))
+        bad = rng.choice(BAD_VALUES)
+        c = rows[at].coeffs.copy()
+        c[(0,) * rows[at].nvars] = bad
+        rows = rows[:at] + [Jet(c)] + rows[at + 1:]
+        stack = Jet.stack(rows)
+        for kernel in ROW_KERNELS.values():
+            assert outcome(lambda: kernel(stack)) == outcome(
+                lambda: Jet.stack([kernel(row) for row in rows]))
+            raised.add(outcome(lambda: kernel(stack))[0])
+        h = stack - stack.value
+        assert outcome(lambda: compose_series([1.0, 2.0], h + 0.5)) == \
+            outcome(lambda: compose_series([1.0, 2.0], rows[0] - rows[0].value + 0.5))
+    assert {cls.__name__ for cls in raised if isinstance(cls, type)} >= {
+        "DomainError", "BranchCutViolation", "DivisionBySingularJet", "OverflowError"}
+
+
+def test_per_row_operands_must_fit_the_stack():
+    stack = Jet.stack([Jet.variable(0, v, 1, 2) for v in (1.0, 2.0, 3.0)])
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ShapeMismatch):
+            op(stack, (1.0, 2.0))
+        with pytest.raises(ShapeMismatch):
+            op(stack, ())
+    with pytest.raises(ShapeMismatch):
+        Jet.constant((), 1, 2)
+    with pytest.raises(ShapeMismatch):
+        Jet.variable(0, 1.0, 1, 2).rows()
+    assert [row.value for row in stack.rows()] == [1.0, 2.0, 3.0]
 
 
 # --- power series -------------------------------------------------------------
