@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import POINT_EXCLUSIONS, ConstraintViolation, SingularDenominator
+from .errors import POINT_EXCLUSIONS, ConstraintViolation
 from .fields import Point, SolutionField, make_solution, u_jets
 from .invariants import pde_residual
 from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residual
@@ -329,8 +329,7 @@ def _generator_from_vector(v, kappa) -> tuple[GeneratorSpec, int]:
     return gen, cid
 
 
-def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
-               tol: float = FIT_TOL) -> ClassificationVerdict:
+def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdict:
     """Decide whether b(z) matches an invariant normal form, is witnessed
     conformally non-invariant, or neither can be established."""
     field = make_solution("noninv", {"b": b}, kappa)
@@ -365,7 +364,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
         b2.append(j.partial((2,)))
     scale = 1.0 + max(abs(v) for v in b0)
 
-    if max(abs(v) for v in b1) < tol * scale:
+    if max(abs(v) for v in b1) < FIT_TOL * scale:
         a = _c(1j) if kappa == 1 else _poly(0, -1j)
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
         with field.sweep(usable, u_jets(1)):
@@ -373,13 +372,13 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
         return InvariantCaseMatched(8, gen, res)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
-    if rel < tol:
+    if rel < FIT_TOL:
         gen, cid = _generator_from_vector(v, kappa)
         with field.sweep(usable, u_jets(1)):
             res = max(abs(invariance_residual(field, gen, p)) for p in usable)
-        if res < tol:
+        if res < FIT_TOL:
             note = ""
-            if kappa == 1 and max(abs(v) for v in b2) < tol * scale:
+            if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:
                 note = "linear b reported under the affine case label"
                 cid = 7
             return InvariantCaseMatched(cid, gen, res, note=note)
@@ -387,7 +386,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point],
     if len(zs) < 5:
         return Inconclusive("fewer than 5 distinct z samples for case matching")
 
-    report = conf_inv_witness(field, usable, tol=tol)
+    report = conf_inv_witness(field, usable)
     if report.verdict == "conformally non-invariant":
         return ConformallyNonInvariant(report.witness, report.max_asymmetry)
     return Inconclusive(
@@ -411,16 +410,3 @@ def automorphic_consistency(b: ex.Expr, kappa: int, p: Point) -> complex:
     else:
         phi = -(z * zb + 1) ** 2 * bd * bbd / 8.0
     return s.eta - s.rho ** 3 * phi
-
-
-def automorphic_residual(b: ex.Expr, f: ex.Expr, w: ex.Expr,
-                         p_z: complex) -> complex:
-    """Residual b'(z) - w(z)^2 / f'(b(z)); vanishes when f inverts b and
-    the weight w is 1."""
-    bj = ex.eval_jet1(b, p_z, 1)
-    fd = ex.eval_jet1(f, bj.value, 1).partial((1,))
-    if abs(fd) < 1e-12:
-        raise SingularDenominator(f"f'({bj.value}) = {fd} within tolerance")
-    wv = ex.eval_jet1(w, p_z, 0).value if w.variables else \
-        ex.evaluate_value(w, {})
-    return bj.partial((1,)) - wv * wv / fd

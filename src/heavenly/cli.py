@@ -8,6 +8,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 
@@ -123,16 +124,24 @@ def _finish(report, args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 def parse_grid(spec: str) -> list[Point]:
-    """Grid spec "t=a:b:n,re=a:b:n,im=a:b:n" -> inclusive product grid."""
+    """Grid spec "t=a:b:n,re=a:b:n,im=a:b:n" -> inclusive product grid.
+
+    Each of t, re and im is given once, with finite bounds."""
     ranges = {}
     for part in spec.split(","):
         if "=" not in part:
             raise ValueError(f"malformed grid component {part!r}")
         key, _, rng = part.partition("=")
+        if key not in ("t", "re", "im"):
+            raise ValueError(f"unknown grid component {key!r}")
+        if key in ranges:
+            raise ValueError(f"grid component {key!r} given twice")
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise ValueError(f"range {rng!r} is not start:stop:count")
         start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"bounds must be finite in {part!r}")
         if count < 1:
             raise ValueError(f"count must be >= 1 in {part!r}")
         if count == 1:

@@ -59,10 +59,6 @@ class SingularMap(HeavenlyError):
     """Conformal map has vanishing derivative at the requested point."""
 
 
-class SingularDenominator(HeavenlyError):
-    """f'(b(z)) vanishes in the automorphic-consistency check."""
-
-
 class ConstraintViolation(HeavenlyError):
     """Theorem-case constants violate the case's constraint set."""
 

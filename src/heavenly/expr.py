@@ -333,7 +333,7 @@ def mentions(e: Expr, name: str) -> bool:
 
 
 def conjugate(e: Expr) -> Expr:
-    """Conjugate-partner expression: all constants conjugated.
+    """Conjugate-partner expression: every constant replaced by its conjugate.
 
     Evaluating the result at conj(w) gives conj(e(w)) for the principal
     branches, which is the conjugate-analytic partner used for bar-fields.
@@ -382,7 +382,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
 # is evaluated once per (nvars, order) and its jet kept.
 
-#: one-variable seeds whose values an Expr keeps (the oldest goes first)
+#: points whose `eval_jet1` jets an Expr keeps (the oldest goes first)
 SEED_MEMORY = 8
 
 _bits = struct.Struct("<dd").pack  # a complex's bits: 0.0 and -0.0 differ
@@ -395,8 +395,8 @@ _CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"
 
 class _Store:
     """What one Expr remembers: its compiled evaluator, which holds the
-    jets of its variable-free subtrees, and its jets on the most recent
-    one-variable seeds, keyed by the seed's bits (never by ==)."""
+    jets of its variable-free subtrees, and its `eval_jet1` jets at the
+    most recent points, keyed by the point's bits (never by ==)."""
 
     __slots__ = ("run", "seeds")
 
@@ -488,28 +488,6 @@ def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
     return e._jets().run(env, template)
 
 
-def eval_seed(e: Expr, var: int, at: complex, nvars: int, order: int) -> Jet:
-    """Jet of a one-variable expression on the seed
-    ``Jet.variable(var, at, nvars, order)``, its first variable.
-
-    The Expr remembers its jets on its last SEED_MEMORY seeds, keyed by
-    (var, nvars, order) and the bits of `at`, and hands back the same
-    immutable jet; an evaluation that raises is not remembered, so it
-    raises again.
-    """
-    seeds = e._jets().seeds
-    w = complex(at)
-    key = (var, nvars, order, _bits(w.real, w.imag))
-    jet = seeds.get(key)
-    if jet is not None:
-        return jet
-    jet = evaluate(e, {e.variables[0]: Jet.variable(var, at, nvars, order)})
-    if len(seeds) >= SEED_MEMORY:
-        del seeds[next(iter(seeds))]
-    seeds[key] = jet
-    return jet
-
-
 def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
     """Plain complex evaluation (cmath); used for spot values and oracles."""
     jenv = {k: Jet.constant(v, 1, 0) for k, v in env.items()}
@@ -519,17 +497,22 @@ def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
 
 
 def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
-    """Univariate jet of a single-variable expression at a point."""
+    """Univariate jet of a single-variable expression at a point.
+
+    The Expr remembers its jets at its last SEED_MEMORY points, keyed by
+    the order and the bits of `at`, and hands back the same immutable jet;
+    an evaluation that raises is not remembered, so it raises again.
+    """
     if len(e.variables) != 1:
         raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
-    return eval_seed(e, 0, at, 1, order)
-
-
-def eval_jetN(e: Expr, at: list[complex], order: int) -> Jet:
-    """Multivariate jet over all declared variables (arity up to 3)."""
-    if len(at) != len(e.variables):
-        raise ArityMismatch(
-            f"{len(e.variables)} variables declared, {len(at)} points given")
-    n = len(at)
-    env = {name: Jet.variable(i, at[i], n, order) for i, name in enumerate(e.variables)}
-    return evaluate(e, env)
+    seeds = e._jets().seeds
+    w = complex(at)
+    key = (order, _bits(w.real, w.imag))
+    jet = seeds.get(key)
+    if jet is not None:
+        return jet
+    jet = evaluate(e, {e.variables[0]: Jet.variable(0, at, 1, order)})
+    if len(seeds) >= SEED_MEMORY:
+        del seeds[next(iter(seeds))]
+    seeds[key] = jet
+    return jet

@@ -6,15 +6,15 @@ with zbar = conj(z) fixed on the physical slice; domain conditions are
 checked at evaluation time because they depend on the sampled point.
 
 A builder takes the point's coordinates as scalars, or as tuples of one
-coordinate per point for a stacked pass (`SolutionField.jets_at`): the
-same code then builds every point's jet as one row of stacked jets, and
-checks each row's domain conditions with the scalar formulas.
+coordinate per point for a stacked pass (`SolutionField.jets_at`).  It
+never asks which: the same code builds one jet or every point's jet as one
+row of stacked jets, and each domain check reads the constant term of the
+jet it guards, row by row, before that jet goes to a logarithm.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
@@ -156,30 +156,14 @@ def u_jets(order: int):
     return lambda field, points: [{order: row} for row in field.jets_at(points, order).rows()]
 
 
-def _each(f, *values):
-    """f of one point's scalars, or, when some of the values are tuples of
-    one scalar per row (a stacked pass), the tuple of f at each row."""
-    for v in values:
-        if type(v) is tuple:
-            depth = len(v)
-            break
-    else:
-        return f(*values)
-    return tuple(f(*(v[r] if type(v) is tuple else v for v in values)) for r in range(depth))
-
-
 def _seeds(z0: complex, zb0: complex, t0: float, order: int):
     return (Jet.variable(VZ, z0, 3, order), Jet.variable(VZB, zb0, 3, order),
             Jet.variable(VT, t0, 3, order))
 
 
-def _expr_at(e: ex.Expr, seed: Jet, var: int) -> Jet:
-    """Holomorphic expression of one variable on the seed jet of variable
-    var (from `_seeds`), through the expression's store of seed values; on
-    a stacked seed, evaluated on the stack."""
-    if seed.depth:
-        return ex.evaluate(e, {e.variables[0]: seed})
-    return ex.eval_seed(e, var, seed.value, 3, seed.order)
+def _expr_at(e: ex.Expr, seed: Jet) -> Jet:
+    """Holomorphic expression of one variable on a seed jet from `_seeds`."""
+    return ex.evaluate(e, {e.variables[0]: seed})
 
 
 def _derivative_series(z0: complex, order: int, e: ex.Expr) -> list[complex]:
@@ -206,43 +190,50 @@ def _ln(j: Jet, what: str) -> Jet:
         raise DomainError(f"log argument singular in {what}: {err}") from err
 
 
-def _check_nonzero(value, what: str):
-    for v in row_values(value):
+def _check_nonzero(j: Jet, what: str):
+    """DomainError where the constant term of j (of any row) vanishes."""
+    for v in row_values(j.value):
         if abs(v) < SINGULAR_TOL:
             raise DomainError(f"{what} vanishes at the evaluation point")
 
 
-def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet, t0) -> Jet:
+def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet) -> Jet:
     """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm families."""
-    bj = _expr_at(b, Z, VZ)
-    bbj = _expr_at(bbar, Zb, VZB)
-    _check_nonzero(_each(operator.add, t0, bj.value), "t + b(z)")
-    _check_nonzero(_each(operator.add, t0, bbj.value), "t + bbar(zbar)")
-    return _ln(T + bj, "t + b(z)") + _ln(T + bbj, "t + bbar(zbar)")
+    tb = T + _expr_at(b, Z)
+    tbb = T + _expr_at(bbar, Zb)
+    _check_nonzero(tb, "t + b(z)")
+    _check_nonzero(tbb, "t + bbar(zbar)")
+    return _ln(tb, "t + b(z)") + _ln(tbb, "t + bbar(zbar)")
 
 
-def _conformal_log(kappa: int, Z: Jet, Zb: Jet, z0, zb0) -> Jet:
+def _conformal_log(kappa: int, Z: Jet, Zb: Jet) -> Jet:
     """ln(z + zbar) for kappa = 1, ln(z*zbar + 1) for kappa = -1; f0 and
     noninv add -2 times it."""
     if kappa == 1:
-        _check_nonzero(_each(operator.add, z0, zb0), "z + zbar")
-        return _ln(Z + Zb, "z + zbar")
-    _check_nonzero(_each(lambda z, zb: z * zb + 1, z0, zb0), "z*zbar + 1")
-    return _ln(Z * Zb + 1.0, "z*zbar + 1")
+        arg, what = Z + Zb, "z + zbar"
+    else:
+        arg, what = Z * Zb + 1.0, "z*zbar + 1"
+    _check_nonzero(arg, what)
+    return _ln(arg, what)
 
 
-def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet) -> Jet:
-    cj = _expr_at(c, Z, VZ)
-    cbj = _expr_at(cbar, Zb, VZB)
+def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
+                     name: str) -> Jet:
+    """ln c' + ln cbar' - 2 ln(c + cbar) for kappa = 1, with c*cbar + 1 in
+    the last logarithm for kappa = -1; name is c's parameter name, which
+    the exclusion messages use."""
+    cj = _expr_at(c, Z)
+    cbj = _expr_at(cbar, Zb)
     cd = _expr_deriv_at(c, Z)
     cbd = _expr_deriv_at(cbar, Zb)
     if kappa == 1:
         denom = cj + cbj
-        _check_nonzero(denom.value, "c(z) + cbar(zbar)")
+        _check_nonzero(denom, f"{name}(z) + {name}bar(zbar)")
     else:
         denom = cj * cbj + 1.0
-        _check_nonzero(denom.value, "c(z)*cbar(zbar) + 1")
-    return _ln(cd, "c'") + _ln(cbd, "cbar'") - 2.0 * _ln(denom, "Liouville denominator")
+        _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
+    return (_ln(cd, f"{name}'") + _ln(cbd, f"{name}bar'")
+            - 2.0 * _ln(denom, "Liouville denominator"))
 
 
 #: each family's parameters in the order they are asked for: an expression
@@ -277,10 +268,11 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            for t in row_values(t0):
-                if t * t + C <= 0:
+            arg = T * T + C
+            for v in row_values(arg.value):
+                if v.real <= 0:
                     raise DomainError("t^2 + C must be positive")
-            return _ln(T * T + C, "t^2 + C") - 2.0 * _conformal_log(kappa, Z, Zb, z0, zb0)
+            return _ln(arg, "t^2 + C") - 2.0 * _conformal_log(kappa, Z, Zb)
 
     elif family == "f0general":
         l = float(params["l"])
@@ -293,18 +285,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
             alpha = _ln(l * T * T + C1 * T + C2, "l*t^2 + C1*t + C2")
-            aj = _expr_at(a, Z, VZ)
-            abj = _expr_at(abar, Zb, VZB)
-            ad = _expr_deriv_at(a, Z)
-            abd = _expr_deriv_at(abar, Zb)
-            if kappa == 1:
-                denom = aj + abj
-            else:
-                denom = aj * abj + 1.0
-            _check_nonzero(denom.value, "Liouville denominator")
-            beta = (_ln(ad, "a'") + _ln(abd, "abar'")
-                    - 2.0 * _ln(denom, "Liouville denominator") - math.log(l))
-            return alpha + beta
+            return alpha + (_liouville_gamma(a, abar, kappa, Z, Zb, "a") - math.log(l))
 
     elif family == "noninv":
         b = params["b"]
@@ -312,8 +293,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            return (_two_logs(b, bbar, Z, Zb, T, t0)
-                    - 2.0 * _conformal_log(kappa, Z, Zb, z0, zb0))
+            return _two_logs(b, bbar, Z, Zb, T) - 2.0 * _conformal_log(kappa, Z, Zb)
 
     elif family == "general_noninv":
         b, c = params["b"], params["c"]
@@ -321,7 +301,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            return _two_logs(b, bbar, Z, Zb, T, t0) + _liouville_gamma(c, cbar, kappa, Z, Zb)
+            return _two_logs(b, bbar, Z, Zb, T) + _liouville_gamma(c, cbar, kappa, Z, Zb, "c")
 
     elif family == "confinv":
         # u = ln f(xi, t) - ln a(z) - ln abar(zbar), xi = i(A(z) - Abar(zbar))
@@ -330,14 +310,14 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, T = _seeds(z0, zb0, t0, order)
-            Aj = _expr_at(A, Z, VZ)
-            Abj = _expr_at(Abar, Zb, VZB)
+            Aj = _expr_at(A, Z)
+            Abj = _expr_at(Abar, Zb)
             xi = 1j * (Aj - Abj)
             fj = ex.evaluate(f, {"xi": xi, "t": T})
-            aj = _expr_at(a, Z, VZ)
-            abj = _expr_at(abar, Zb, VZB)
-            _check_nonzero(aj.value, "a(z)")
-            _check_nonzero(abj.value, "abar(zbar)")
+            aj = _expr_at(a, Z)
+            abj = _expr_at(abar, Zb)
+            _check_nonzero(aj, "a(z)")
+            _check_nonzero(abj, "abar(zbar)")
             return _ln(fj, "f(xi, t)") - _ln(aj, "a(z)") - _ln(abj, "abar(zbar)")
 
     elif family == "liouville":
@@ -346,7 +326,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 
         def build(z0, zb0, t0, order):
             Z, Zb, _T = _seeds(z0, zb0, t0, order)
-            return _liouville_gamma(c, cbar, kappa, Z, Zb)
+            return _liouville_gamma(c, cbar, kappa, Z, Zb, "c")
 
     return SolutionField(family=family, kappa=kappa, params=dict(params), _builder=build)
 
@@ -369,9 +349,11 @@ def _check_order(order: int) -> None:
         raise FamilyParamMismatch(f"jet order must be <= 4, got {order}")
 
 
-def _check_map(z0: complex, d: complex) -> None:
-    if abs(d) < SINGULAR_TOL:
-        raise SingularMap(f"phi'({z0}) = {d} within tolerance")
+def _check_map(Z: Jet, pd: Jet) -> None:
+    """SingularMap where phi' (the jet pd on the seed Z) vanishes, in any row."""
+    for z0, d in zip(row_values(Z.value), row_values(pd.value)):
+        if abs(d) < SINGULAR_TOL:
+            raise SingularMap(f"phi'({z0}) = {d} within tolerance")
 
 
 def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
@@ -385,14 +367,14 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
 
     def build(z0, zb0, t0, order):
         Z, Zb, T = _seeds(z0, zb0, t0, order)
-        pj = _expr_at(phi, Z, VZ)
-        pbj = _expr_at(phibar, Zb, VZB)
+        pj = _expr_at(phi, Z)
+        pbj = _expr_at(phibar, Zb)
         pd = _expr_deriv_at(phi, Z)
         pbd = _expr_deriv_at(phibar, Zb)
-        _each(_check_map, z0, pd.value)
+        _check_map(Z, pd)
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)
-        composed = compose3(inner, pj - w0, pbj - wb0, T - _each(complex, t0))
+        composed = compose3(inner, pj - w0, pbj - wb0, T - T.value)
         return composed + _ln(pd, "phi'") + _ln(pbd, "phibar'")
 
     return SolutionField(family="pushforward", kappa=fld.kappa,

@@ -18,6 +18,12 @@ from .jet import Jet, row_values
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
+#: |eta| below this counts as eta = 0, where lambda, lambda_bar and Y, Ybar
+#: are undefined
+ETA_TOL = 1e-14
+#: the order of every calculus's u-jet: the engine's ceiling, which the
+#: commutators on rho need
+ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -62,17 +68,14 @@ class JetCalculus:
     bit for bit the jet of the calculus at p[r], and values are tuples.
     """
 
-    def __init__(self, field: SolutionField, p: Point | list[Point], order: int = 4):
+    def __init__(self, field: SolutionField, p: Point | list[Point]):
         if isinstance(p, Point):
-            self.u, self.t = eval_u(field, p, order), p.t
+            self.u, self.t = eval_u(field, p, ORDER), p.t
         else:
-            self.u, self.t = field.jets_at(p, order), tuple(q.t for q in p)
-        self.order = order
-        self.kappa = field.kappa
-        k = order
-        self.exp_mu = (-self.u.truncated(k - 2)).exp() if k >= 2 else None
-        self.u_zt = self.u.derivative(0).derivative(2) if k >= 2 else None
-        self.u_zbt = self.u.derivative(1).derivative(2) if k >= 2 else None
+            self.u, self.t = field.jets_at(p, ORDER), tuple(q.t for q in p)
+        self.exp_mu = (-self.u.truncated(ORDER - 2)).exp()
+        self.u_zt = self.u.derivative(0).derivative(2)
+        self.u_zbt = self.u.derivative(1).derivative(2)
         self._kept: dict = {}
 
     def _keep(self, key, build):
@@ -87,9 +90,9 @@ class JetCalculus:
         return self._keep(name, lambda: self._invariant_jet(name))
 
     def _invariant_jet(self, name: str) -> Jet:
-        u, k = self.u, self.order
+        u = self.u
         if name == "T":
-            return Jet.variable(2, self.t, 3, k)
+            return Jet.variable(2, self.t, 3, ORDER)
         if name == "Ut":
             return u.derivative(2)
         if name == "Utt":
@@ -129,7 +132,7 @@ class JetCalculus:
 
     def _eta_reciprocal(self, m: int) -> Jet:
         eta = self.invariant_jet("Eta").truncated(m)
-        if any(abs(v) < 1e-14 for v in row_values(eta.value)):
+        if any(abs(v) < ETA_TOL for v in row_values(eta.value)):
             raise EtaVanishes("eta = 0: Y and Ybar are undefined")
         return eta.reciprocal()
 
@@ -139,8 +142,8 @@ class JetCalculus:
 
 
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
-    """The order-4 JetCalculus of the field's bundle at p."""
-    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p, order=4))
+    """The JetCalculus of the field's bundle at p."""
+    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p))
 
 
 def pde_residual(field: SolutionField, p: Point) -> complex:
@@ -193,7 +196,7 @@ def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> Inva
     rho = _realify(rho)
     eta = _realify(eta)
     tau = _realify(tau)
-    if abs(eta) < 1e-14:
+    if abs(eta) < ETA_TOL:
         lam = lam_bar = None
     else:
         lam = sigma / eta
@@ -201,16 +204,6 @@ def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> Inva
     return InvariantSet(t=p.t, u_t=u_t, u_tt=u_tt, rho=rho, eta=eta,
                         sigma=sigma, sigma_bar=sigma_bar, tau=tau,
                         lambda_=lam, lambda_bar=lam_bar)
-
-
-def invariant_pde_residual(s: InvariantSet, kappa: int) -> float:
-    """Residual of u_tt = kappa rho - u_t^2."""
-    return s.u_tt - (kappa * s.rho - s.u_t ** 2)
-
-
-def apply_inv_op(op: str, target: str, field: SolutionField, p: Point) -> complex:
-    """Value of one operator of invariant differentiation on a named invariant."""
-    return _calculus(field, p).applied(op, target).value
 
 
 #: commutator pairs with their structure-coefficient right-hand sides
@@ -223,14 +216,18 @@ def commutator_residual(pair: tuple[str, str], target: str,
     """[A, B](target) minus the commutator algebra's right-hand side.
 
     Vanishes on solutions of the heavenly equation; requires order-4 jets.
+    Every right-hand side divides by eta, so every pair raises EtaVanishes
+    where eta vanishes.
     """
+    inv = invariants_at(field, p)
+    if inv.eta_vanishes:
+        raise EtaVanishes("eta = 0: the commutator right-hand sides are undefined")
     kappa = field.kappa
     calc = _calculus(field, p)
     a, b = pair
     lhs = (calc.apply(a, calc.applied(b, target))
            - calc.apply(b, calc.applied(a, target))).value
 
-    inv = invariants_at(field, p)
     eta, rho, tau, u_t = inv.eta, inv.rho, inv.tau, inv.u_t
     sigma, sigma_bar = inv.sigma, inv.sigma_bar
     A_of = {name: calc.applied(name, target).value for name in set(pair)}

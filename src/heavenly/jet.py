@@ -508,10 +508,6 @@ class Jet:
         out[tgt] = self.coeffs.take(src)
         return _jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), depth, n, order)
 
-    def conjugated(self) -> "Jet":
-        """Coefficient-wise conjugate (jet of the conjugate-partner function)."""
-        return self._like(np.conj(self.coeffs))
-
 
 #: the constant term of every row: coeffs[..., 0, ..., 0], per nvars
 _CONSTANT_SLOT = {n: (Ellipsis,) + (0,) * n for n in (1, 2, 3)}

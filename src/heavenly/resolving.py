@@ -70,8 +70,8 @@ class _Proj:
                 for i, name in enumerate(RVARS)}
 
     def _at(self, e: ex.Expr, order: int) -> Jet:
-        """e's jet on the seeds (its variables, in order, are t, ut and rho):
-        what `expr.eval_jetN` gives, without seeds of its own."""
+        """e's jet on the seeds of this order (its variables, in order, are
+        t, ut and rho)."""
         seeds = self.seed if order == self.order else self._seeds(order)
         if len(e.variables) != len(RVARS):
             raise ArityMismatch(f"{len(e.variables)} variables declared, "
@@ -96,14 +96,6 @@ class _Proj:
         if op == "Ybar":
             return g.derivative(1) + self._coeff("lambj", m) * g.derivative(2)
         raise ValueError(f"unknown projected operator {op!r}")
-
-
-def projected_apply(op: str, target: ex.Expr, rf: ResolvingFunctions,
-                    p: ResolvingPoint) -> complex:
-    """Directional derivative of a target expression under delta, Y or Ybar."""
-    proj = _Proj(rf, p, order=2)
-    g = ex.eval_jetN(target, [p.t, p.ut, p.rho], 2)
-    return proj.apply(op, g).value
 
 
 @dataclass(frozen=True)

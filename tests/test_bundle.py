@@ -17,9 +17,8 @@ from heavenly import invariants
 from heavenly.errors import POINT_EXCLUSIONS, DomainError
 from heavenly.fields import (Point, SolutionField, conformal_pushforward,
                              eval_u, make_solution, u_jets)
-from heavenly.invariants import (COMMUTATOR_PAIRS, apply_inv_op,
-                                 commutator_residual, invariants_at,
-                                 liouville_residual, pde_residual)
+from heavenly.invariants import (COMMUTATOR_PAIRS, commutator_residual,
+                                 invariants_at, liouville_residual, pde_residual)
 from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
 
 X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
@@ -79,7 +78,8 @@ def suite(field_for, p):
               lambda: invariants_at(field_for(), p)]
     calls += [lambda pair=pair, target=target: commutator_residual(pair, target, field_for(), p)
               for pair in COMMUTATOR_PAIRS for target in ("Ut", "Rho")]
-    calls += [lambda op=op, target=target: apply_inv_op(op, target, field_for(), p)
+    calls += [lambda op=op, target=target:
+              invariants._calculus(field_for(), p).applied(op, target).value
               for op in OPS for target in ("Ut", "Rho", "Eta")]
     calls += [lambda target=target: x2_apply(A_GEN, target, field_for(), p)
               for target in X2_TARGETS + ("Uz",)]

@@ -7,9 +7,9 @@ from case_draws import EMPTY_CASES, draw_case
 from heavenly import expr as ex
 from heavenly.classify import (ConformallyNonInvariant, Inconclusive,
                                InvariantCaseMatched, TheoremCase,
-                               automorphic_consistency, automorphic_residual,
-                               classify_b, theorem_case, verify_case)
-from heavenly.errors import ConstraintViolation, SingularDenominator
+                               automorphic_consistency, classify_b, theorem_case,
+                               verify_case)
+from heavenly.errors import ConstraintViolation
 from heavenly.fields import Point, SolutionField, make_solution
 from heavenly.symmetry import conf_inv_witness
 
@@ -104,35 +104,6 @@ def test_classify_never_matches_and_witnesses_together():
     # exclusivity is structural: one verdict object per call
     verdict = classify_b(ex.parse("exp(z) + 2*i", ("z",)), 1, GRID)
     assert isinstance(verdict, (ConformallyNonInvariant, Inconclusive))
-
-
-def test_automorphic_residual_identity_inverse():
-    b = ex.parse("z", ("z",))
-    f = ex.parse("b", ("b",))
-    w = ex.parse("1", ("z",))
-    assert automorphic_residual(b, f, w, 0.7 + 0.1j) == pytest.approx(0.0)
-
-
-def test_automorphic_residual_square_root_inverse():
-    b = ex.parse("z^2", ("z",))
-    f = ex.parse("sqrt(b)", ("b",))
-    w = ex.parse("1", ("z",))
-    assert abs(automorphic_residual(b, f, w, 1 + 0.2j)) < 1e-10
-
-
-def test_automorphic_residual_detects_wrong_inverse():
-    b = ex.parse("z^2", ("z",))
-    f = ex.parse("b", ("b",))
-    w = ex.parse("1", ("z",))
-    assert automorphic_residual(b, f, w, 2 + 0j) == pytest.approx(3.0)
-
-
-def test_automorphic_residual_singular_denominator():
-    b = ex.parse("z", ("z",))
-    f = ex.parse("1", ("b",))
-    w = ex.parse("1", ("z",))
-    with pytest.raises(SingularDenominator):
-        automorphic_residual(b, f, w, 1.0 + 0j)
 
 
 @pytest.mark.parametrize("kappa,b_text", [(1, "z^2 + i"), (1, "exp(z) + 2*i"),

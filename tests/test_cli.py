@@ -28,6 +28,19 @@ def test_grid_parsing():
         parse_grid("t=1:2,re=0:1:2,im=0:1:2")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("t=0:1:2,re=1:2:2,im=0:1:2,foo=1:2:3", "unknown grid component 'foo'"),
+    ("t=0:1:2,t=5:5:1,re=1:2:2,im=0:1:2", "grid component 't' given twice"),
+    ("t=nan:1:2,re=1:2:2,im=0:1:2", "bounds must be finite"),
+    ("t=0:1:2,re=1:inf:2,im=0:1:2", "bounds must be finite"),
+])
+def test_bad_grid_exits_2(capsys, grid, message):
+    code, out, err = run(capsys, "verify", "--family", "noninv", "--b", "z^2 + i",
+                         "--grid", grid)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_passes_on_solution(capsys):
     code, out, _ = run(capsys, "verify", "--kappa", "1", "--family", "noninv",
                        "--b", "z^2 + i", "--grid", GRID, "--tol", "1e-9")

@@ -3,10 +3,8 @@ import pytest
 from heavenly import expr as ex
 from heavenly.errors import EtaVanishes
 from heavenly.fields import Point, make_solution
-from heavenly.invariants import (COMMUTATOR_PAIRS, JetCalculus, apply_inv_op,
-                                 commutator_residual, invariant_pde_residual,
-                                 invariants_at, liouville_residual,
-                                 pde_residual)
+from heavenly.invariants import (COMMUTATOR_PAIRS, JetCalculus, commutator_residual,
+                                 invariants_at, liouville_residual, pde_residual)
 
 P_REF = Point(1.0, 1.0 + 0j)
 
@@ -53,8 +51,9 @@ def test_liouville_residual_vanishes():
 
 
 def test_invariant_equation_on_invariants(noninv_plus):
+    # u_tt = kappa rho - u_t^2
     s = invariants_at(noninv_plus, P_REF)
-    assert invariant_pde_residual(s, 1) == pytest.approx(0.0, abs=1e-12)
+    assert s.u_tt - (1 * s.rho - s.u_t ** 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eta_vanishes_on_separable_family():
@@ -69,16 +68,15 @@ def test_eta_vanishes_on_separable_family():
 
 def test_delta_of_rho_is_tau(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    assert apply_inv_op("delta", "Rho", noninv_plus, P_REF) == pytest.approx(
-        s.tau, abs=1e-12)
+    calc = JetCalculus(noninv_plus, P_REF)
+    assert calc.applied("delta", "Rho").value == pytest.approx(s.tau, abs=1e-12)
 
 
 def test_sigma_is_delta_of_rho(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    assert apply_inv_op("Delta", "Rho", noninv_plus, P_REF) == pytest.approx(
-        s.sigma, abs=1e-12)
-    assert apply_inv_op("DeltaBar", "Rho", noninv_plus, P_REF) == pytest.approx(
-        s.sigma_bar, abs=1e-12)
+    calc = JetCalculus(noninv_plus, P_REF)
+    assert calc.applied("Delta", "Rho").value == pytest.approx(s.sigma, abs=1e-12)
+    assert calc.applied("DeltaBar", "Rho").value == pytest.approx(s.sigma_bar, abs=1e-12)
 
 
 @pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
@@ -93,3 +91,20 @@ def test_commutator_algebra_kappa_minus(pair):
     fld = make_solution("noninv", {"b": ex.parse("z^2 - i", ("z",))}, -1)
     p = Point(1.2, 0.9 + 0.2j)
     assert abs(commutator_residual(pair, "Ut", fld, p)) < 1e-7
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family,params", [
+    ("f0", {"C": 1.0}),
+    ("f0general", {"l": 1.0, "C1": 0.5, "C2": 1.0, "a": ex.parse("z^2 + 1", ("z",))}),
+])
+@pytest.mark.parametrize("target", ("Ut", "Rho"))
+@pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
+def test_every_commutator_raises_where_eta_vanishes(pair, target, family, params, kappa):
+    # eta = 0 exactly on the separable families; every right-hand side
+    # divides by eta
+    fld = make_solution(family, params, kappa)
+    p = Point(1.0, 1 + 0.5j)
+    assert invariants_at(fld, p).eta_vanishes
+    with pytest.raises(EtaVanishes):
+        commutator_residual(pair, target, fld, p)

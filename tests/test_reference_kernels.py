@@ -162,7 +162,6 @@ def test_stacked_kernels_match_rows():
                     (SA * (0.3 - 2j), [a * (0.3 - 2j) for a in A]),
                     (-1.5 * SA, [-1.5 * a for a in A]),
                     (SA / (0.3 - 2j), [a / (0.3 - 2j) for a in A]),
-                    (SA.conjugated(), [a.conjugated() for a in A]),
                 ]
                 checks += [(SA.derivative(v), [a.derivative(v) for a in A])
                            for v in range(nvars if order >= 1 else 0)]
@@ -171,7 +170,7 @@ def test_stacked_kernels_match_rows():
                 for stacked, rows in checks:
                     assert_rows(stacked, rows)
                     cases += 1
-    assert cases == 1380
+    assert cases == 1308
 
 
 def test_stacks_across_points_match_rows():
@@ -648,20 +647,24 @@ def test_expression_evaluation_matches_tree_walk():
         nvars = rng.randrange(1, 4)
         return rng.choice(SEED_POOL), nvars, rng.randrange(nvars), rng.randrange(5)
 
-    cases = hits = 0
+    cases = hits = univariate = 0
     for _ in range(60):
         e = ex.parse(random_text(rng, ("z",)), ("z",))
         pool = [draw() for _ in range(4)]  # repeated seeds; every third one is fresh
         for k in range(30):
             at, nvars, var, order = rng.choice(pool) if k % 3 else draw()
-            key = (var, nvars, order, ex._bits(at.real, at.imag))
-            hits += e._store is not None and key in e._store.seeds
-            new = outcome(lambda: ex.eval_seed(e, var, at, nvars, order))
-            ref = outcome(lambda: ref_evaluate(
-                e, {"z": Jet.variable(var, at, nvars, order)}))
+            seed = Jet.variable(var, at, nvars, order)
+            if nvars == 1:  # eval_jet1 and its store of points
+                key = (order, ex._bits(at.real, at.imag))
+                hits += e._store is not None and key in e._store.seeds
+                new = outcome(lambda: ex.eval_jet1(e, at, order))
+                univariate += 1
+            else:  # one variable of a field's seeds (fields._expr_at)
+                new = outcome(lambda: ex.evaluate(e, {"z": seed}))
+            ref = outcome(lambda: ref_evaluate(e, {"z": seed}))
             assert new == ref, (str(e), at, nvars, var, order)
             cases += 1
-    assert cases == 1800 and hits > 600
+    assert cases == 1800 and hits > univariate // 3
 
 
 def test_multivariable_evaluation_matches_tree_walk():
@@ -683,9 +686,9 @@ def test_multivariable_evaluation_matches_tree_walk():
 def test_remembered_jets_come_back_whole(monkeypatch):
     # a seed-store hit hands back the jet it stored, itself
     e = ex.parse("(0.5 + -0.3*i)*z^2 + z", ("z",))
-    first = ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2)
-    assert ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 2) is first
-    assert ex.eval_seed(e, 0, 0.5 + 0.5j, 3, 3) is not first
+    first = ex.eval_jet1(e, 0.5 + 0.5j, 2)
+    assert ex.eval_jet1(e, 0.5 + 0.5j, 2) is first
+    assert ex.eval_jet1(e, 0.5 + 0.5j, 3) is not first
     assert not first.coeffs.flags.writeable
     # so does a variable-free subtree, whole or inside a product, on any
     # seed of the same (nvars, order)
@@ -697,7 +700,7 @@ def test_remembered_jets_come_back_whole(monkeypatch):
     mul = Jet.__mul__
     monkeypatch.setattr(Jet, "__mul__", lambda a, b: factors.append(a) or mul(a, b))
     for at in (0.1 + 0j, 0.2 + 0j):
-        ex.eval_seed(e, 0, at, 3, 2)
+        ex.eval_jet1(e, at, 2)
     c1, c2 = [a for a in factors if a.value == 0.5 - 0.3j]  # (0.5 + -0.3*i)
     assert c2 is c1 and not c1.coeffs.flags.writeable
     # an evaluation that raises is not remembered and raises again
@@ -716,7 +719,7 @@ def test_raising_evaluation_raises_again():
             ref_evaluate(e, {"z": Jet.variable(0, at, 1, 2)})
         for _ in range(3):
             with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-                ex.eval_seed(e, 0, at, 1, 2)
+                ex.eval_jet1(e, at, 2)
         assert e._store.seeds == {}
 
 
@@ -732,7 +735,7 @@ def test_constants_equal_under_eq_never_share_an_entry():
     for _ in range(2):
         for e in exprs:
             for at in (complex(1.0, -0.0), complex(1.0, 0.0)):
-                new = ex.eval_seed(e, 0, at, 1, 2)
+                new = ex.eval_jet1(e, at, 2)
                 ref = ref_evaluate(e, {"z": Jet.variable(0, at, 1, 2)})
                 assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (e, at)
                 seen.add(new.coeffs.tobytes())
@@ -742,11 +745,11 @@ def test_constants_equal_under_eq_never_share_an_entry():
 def test_seed_store_stays_at_its_bound():
     e = ex.parse("z^2 + 1", ("z",))
     for k in range(1000):
-        ex.eval_seed(e, 0, complex(k, 1), 1, 2)
+        ex.eval_jet1(e, complex(k, 1), 2)
     assert len(e._store.seeds) == ex.SEED_MEMORY
-    # the most recent seeds are the ones kept
-    last = ex.eval_seed(e, 0, complex(999, 1), 1, 2)
-    assert ex.eval_seed(e, 0, complex(999, 1), 1, 2).coeffs is last.coeffs
+    # the most recent points are the ones kept
+    last = ex.eval_jet1(e, complex(999, 1), 2)
+    assert ex.eval_jet1(e, complex(999, 1), 2).coeffs is last.coeffs
 
 
 # --- Jacobi residual ------------------------------------------------------------
@@ -819,8 +822,7 @@ def test_f_constant_term_is_the_same_at_every_order(text, kappa):
     # jacobi_residual reads F's constant term from an order-0 jet
     rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
     for p in admissible_points(kappa, 25, seed=53 + kappa):
-        at = [p.t, p.ut, p.rho]
-        low, high = ex.eval_jetN(rf.F, at, 0).value, ex.eval_jetN(rf.F, at, 4).value
+        low, high = _Proj(rf, p, F_order=0).Fj.value, _Proj(rf, p).Fj.value
         assert (low.real.hex(), low.imag.hex()) == (high.real.hex(), high.imag.hex())
 
 

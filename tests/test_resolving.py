@@ -7,8 +7,7 @@ from heavenly.cli import _perturbed
 from heavenly.errors import FVanishes, NegativeDiscriminant
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
-                                jacobi_residual, projected_apply,
-                                resolving_residuals)
+                                _Proj, jacobi_residual, resolving_residuals)
 
 P_REF = ResolvingPoint(t=1.0, ut=0.8, rho=0.4, kappa=1)
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
@@ -72,19 +71,19 @@ def test_jacobi_identity_vanishes(text, kappa):
 
 
 def test_projected_operators_on_coordinates():
-    rf = ansatz_functions(phi_expr("2"), 1)
-    t = ex.parse("t", ("t", "ut", "rho"))
-    ut = ex.parse("ut", ("t", "ut", "rho"))
-    rho = ex.parse("rho", ("t", "ut", "rho"))
+    proj = _Proj(ansatz_functions(phi_expr("2"), 1), P_REF, order=2)
+
+    def applied(op, name):
+        return proj.apply(op, proj.seed[name]).value
+
     # delta moves t with unit speed and u_t by the evolution equation
-    assert projected_apply("delta", t, rf, P_REF) == pytest.approx(1.0)
-    assert projected_apply("delta", ut, rf, P_REF) == pytest.approx(
-        1 * 0.4 - 0.8 ** 2)
-    assert projected_apply("delta", rho, rf, P_REF) == pytest.approx(-0.32)
+    assert applied("delta", "t") == pytest.approx(1.0)
+    assert applied("delta", "ut") == pytest.approx(1 * 0.4 - 0.8 ** 2)
+    assert applied("delta", "rho") == pytest.approx(-0.32)
     # Y and Ybar move u_t with unit speed and rho by lambda
-    assert projected_apply("Y", ut, rf, P_REF) == pytest.approx(1.0)
-    assert projected_apply("Y", rho, rf, P_REF) == pytest.approx(0.8 + 0.4j)
-    assert projected_apply("Ybar", rho, rf, P_REF) == pytest.approx(0.8 - 0.4j)
+    assert applied("Y", "ut") == pytest.approx(1.0)
+    assert applied("Y", "rho") == pytest.approx(0.8 + 0.4j)
+    assert applied("Ybar", "rho") == pytest.approx(0.8 - 0.4j)
 
 
 def test_negative_discriminant_rejected():
