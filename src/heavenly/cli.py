@@ -332,6 +332,23 @@ def cmd_orbit(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """--tol: a residual bound, finite and positive (a NaN or infinite one
+    would pass every residual, and NaN is not strict JSON)."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, not {text!r}")
+    return tol
+
+
+def _sample_count(text: str) -> int:
+    """--samples: at least one sample, or the report would check nothing."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="heavenly",
@@ -341,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, grid=True):
         p.add_argument("--kappa", type=int, choices=(1, -1), default=1)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
@@ -365,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("resolving", help="resolving-system residual suite")
     common(pr, grid=False)
     pr.add_argument("--phi", required=True)
-    pr.add_argument("--samples", type=int, default=100)
+    pr.add_argument("--samples", type=_sample_count, default=100)
     pr.add_argument("--perturb", default=None)
     pr.set_defaults(fn=cmd_resolving)
 

@@ -4,7 +4,7 @@ the commuting-operators ansatz."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import expr as ex
 from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
@@ -12,6 +12,11 @@ from .jet import Jet
 
 RVARS = ("t", "ut", "rho")
 F_EPS = 1e-12
+#: order of the projection both checks read at a point: each operator
+#: application lowers a jet's order by one, and the Jacobi word tree nests
+#: three applications, so an order-3 seed leaves an order-0 jet holding the
+#: value; `resolving_residuals` applies one operator and reads order 2
+PROJ_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -30,53 +35,55 @@ class ResolvingPoint:
 class ResolvingFunctions:
     """The four unknowns of the resolving system, as expressions in
     (t, ut, rho).  lambda_bar must be the coefficient-conjugate partner of
-    lambda_; use ansatz_functions or conjugate() to build it."""
+    lambda_; use ansatz_functions or conjugate() to build it.
+
+    The functions keep their projection (`_Proj`) at the most recent point
+    they were checked at, so `resolving_residuals` and `jacobi_residual`
+    at one point evaluate F, lambda, lambda_bar and tau once.  Moving to
+    another point replaces it; a build that raises keeps nothing, so the
+    next call raises again.
+    """
 
     F: ex.Expr
     lambda_: ex.Expr
     lambda_bar: ex.Expr
     tau: ex.Expr
     requires_nonneg_discriminant: bool = False
+    _proj: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 class _Proj:
     """Projected operators delta, Y, Ybar acting on jets in (t, ut, rho).
 
+    F, lambda, lambda_bar and tau are jets of the given order at the point.
     The operators act on a stacked jet row by row, so one application
-    serves several jets.  F's jet is built at F_order (default: order); no
-    operator reads it.
+    serves several jets.  A coefficient of degree k of a jet operation
+    depends only on its operands' coefficients of degree <= k, so a value
+    read after n applications is the same for every seed order >= n;
+    production reads one projection of order PROJ_ORDER, and the tests
+    build their reference projections at other orders.
     """
 
-    def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint, order: int = 4,
-                 F_order: int | None = None):
+    def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint, order: int):
         if rf.requires_nonneg_discriminant and p.discriminant < 0:
             raise NegativeDiscriminant(
                 f"2*kappa*rho - ut^2 = {p.discriminant} < 0 at {p}")
-        self.p = p
-        self.order = order
-        self.seed_values = (complex(p.t), complex(p.ut), complex(p.rho))
-        self.seed = self._seeds(order)
-        self.Fj = self._at(rf.F, order if F_order is None else F_order)
-        self.lamj = self._at(rf.lambda_, order)
-        self.lambj = self._at(rf.lambda_bar, order)
-        self.tauj = self._at(rf.tau, order)
+        self.seed = {name: Jet.variable(i, complex(v), 3, order)
+                     for i, (name, v) in enumerate(zip(RVARS, (p.t, p.ut, p.rho)))}
+        self.Fj = self._at(rf.F)
+        self.lamj = self._at(rf.lambda_)
+        self.lambj = self._at(rf.lambda_bar)
+        self.tauj = self._at(rf.tau)
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
         self.heav_coeff = p.kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
         self._truncs: dict = {}
 
-    def _seeds(self, order: int) -> dict[str, Jet]:
-        """The seed jets of t, ut and rho at the point, one triple per order."""
-        return {name: Jet.variable(i, self.seed_values[i], 3, order)
-                for i, name in enumerate(RVARS)}
-
-    def _at(self, e: ex.Expr, order: int) -> Jet:
-        """e's jet on the seeds of this order (its variables, in order, are
-        t, ut and rho)."""
-        seeds = self.seed if order == self.order else self._seeds(order)
+    def _at(self, e: ex.Expr) -> Jet:
+        """e's jet on the seeds (its variables, in order, are t, ut and rho)."""
         if len(e.variables) != len(RVARS):
             raise ArityMismatch(f"{len(e.variables)} variables declared, "
                                 f"{len(RVARS)} points given")
-        return ex.evaluate(e, dict(zip(e.variables, seeds.values())))
+        return ex.evaluate(e, dict(zip(e.variables, self.seed.values())))
 
     def _coeff(self, name: str, m: int) -> Jet:
         """A coefficient jet truncated to order m, truncated once per order."""
@@ -98,6 +105,21 @@ class _Proj:
         raise ValueError(f"unknown projected operator {op!r}")
 
 
+def _projection(rf: ResolvingFunctions, p: ResolvingPoint) -> _Proj:
+    """rf's order-PROJ_ORDER projection at p, built once per point; raises
+    FVanishes where F's value is below F_EPS."""
+    key = repr(p)  # repr tells apart the values that == merges (0.0 and -0.0)
+    kept = rf._proj
+    if kept is None or kept[0] != key:
+        kept = (key, _Proj(rf, p, PROJ_ORDER))
+        object.__setattr__(rf, "_proj", kept)
+    proj = kept[1]
+    F = proj.Fj.value
+    if abs(F) < F_EPS:
+        raise FVanishes(f"F = {F} at {p}")
+    return proj
+
+
 @dataclass(frozen=True)
 class ResolvingResiduals:
     r1: complex
@@ -113,10 +135,8 @@ class ResolvingResiduals:
 
 def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingResiduals:
     """The five residuals of the resolving system at one invariant point."""
-    proj = _Proj(rf, p, order=2)
+    proj = _projection(rf, p)
     F = proj.Fj.value
-    if abs(F) < F_EPS:
-        raise FVanishes(f"F = {F} at {p}")
     lam, lamb, tau = proj.lamj.value, proj.lambj.value, proj.tauj.value
     ut, rho, kappa = p.ut, p.rho, p.kappa
 
@@ -158,17 +178,14 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     operator arithmetic, not the resolving system.  `resolving_residuals`
     is the check a perturbation fails.
 
-    Only F's constant term is read, for the F = 0 exclusion, so F is
-    built as an order-0 jet.  Each jet operation computes a constant term
-    from its operands' constant terms alone; only a reciprocal's series can
-    move it by a last bit at higher order, which matters only within an
-    ulp of F_EPS.  On the ansatz's real denominators the values are equal.
+    Order 3 suffices: each application lowers a jet's order by one, the
+    word tree nests three applications, and a coefficient of degree k of
+    a jet operation depends only on its operands' coefficients of degree
+    <= k.  So the order-3 seeds of the projection that
+    `resolving_residuals` reads at the same point leave an order-0 jet
+    holding the value, the same bits an order-4 seed gives.
     """
-    proj = _Proj(rf, p, order=4, F_order=0)
-    F = proj.Fj.value
-    if abs(F) < F_EPS:
-        raise FVanishes(f"F = {F} at {p}")
-
+    proj = _projection(rf, p)
     words: dict[tuple[str, ...], Jet] = {(): Jet.stack([proj.seed[n] for n in RVARS])}
 
     def w(*ops):
@@ -196,13 +213,18 @@ def _c(v) -> ex.Node:
     return ex.Const(complex(v))
 
 
+def _signed(kappa: int, node: ex.Node) -> ex.Node:
+    """kappa * node without a product by a unit constant."""
+    return node if kappa == 1 else ex.Neg(node)
+
+
 def ansatz_xi_theta(kappa: int) -> tuple[ex.Expr, ex.Expr]:
     """Characteristic variables xi = (2k rho - ut^2)/rho^2 and
     theta = t - (k/rho)(ut + sqrt(2k rho - ut^2)) as expressions."""
     t, ut, rho = (ex.Var("t"), ex.Var("ut"), ex.Var("rho"))
     disc = ex.Sub(ex.Mul(_c(2 * kappa), rho), ex.Pow(ut, _c(2)))
     xi = ex.Div(disc, ex.Pow(rho, _c(2)))
-    theta = ex.Sub(t, ex.Mul(ex.Div(_c(kappa), rho),
+    theta = ex.Sub(t, ex.Mul(_signed(kappa, ex.Pow(rho, _c(-1))),
                              ex.Add(ut, ex.Call("sqrt", disc))))
     return (ex.Expr(xi, RVARS), ex.Expr(theta, RVARS))
 
@@ -222,7 +244,7 @@ def ansatz_functions(phi: ex.Expr, kappa: int) -> ResolvingFunctions:
     F = ex.Expr(ex.Mul(ex.Pow(rho, _c(3)), phi_sub.root), RVARS)
     tau = ex.Expr(ex.Neg(ex.Mul(ut, rho)), RVARS)
     disc = ex.Sub(ex.Mul(_c(2 * kappa), rho), ex.Pow(ut, _c(2)))
-    lam = ex.Expr(ex.Add(ex.Mul(_c(kappa), ut),
+    lam = ex.Expr(ex.Add(_signed(kappa, ut),
                          ex.Mul(_c(1j), ex.Call("sqrt", disc))), RVARS)
     lam_bar = ex.conjugate(lam)
     return ResolvingFunctions(F=F, lambda_=lam, lambda_bar=lam_bar, tau=tau,

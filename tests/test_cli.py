@@ -300,3 +300,30 @@ def test_each_missing_family_parameter_exits_2(capsys, family, missing):
     assert code == 2
     assert out == ""
     assert err == f"error: family {family!r} requires --{missing}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolving", "--kappa", "1", "--phi", "2", "--samples", "5"],
+    ["verify", "--family", "f0", "--C", "1"],
+    ["classify", "--b", "-2*z + 1"],
+    ["symmetry", "--check", "algebra", "--a", "z", "--b-gen", "z^2"],
+    ["orbit", "--family", "f0", "--C", "1", "--phi", "2*z"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("tol", ("inf", "-inf", "nan", "0", "-1e-9", "abc"))
+def test_bad_tolerance_exits_2(capsys, argv, tol):
+    # an infinite or NaN bound would pass any residual, tau:+0.1 included
+    with pytest.raises(SystemExit) as exit_:
+        # --tol=VALUE: argparse would read a separate "-inf" as an option
+        main(argv + ["--perturb", "tau:+0.1"] * (argv[0] == "resolving") + [f"--tol={tol}"])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "argument --tol: " in out.err and "expected one argument" not in out.err
+
+
+@pytest.mark.parametrize("samples", ("0", "-3", "2.5"))
+def test_bad_sample_count_exits_2(capsys, samples):
+    with pytest.raises(SystemExit) as exit_:
+        main(["resolving", "--kappa", "1", "--phi", "2", f"--samples={samples}"])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "argument --samples: " in out.err

@@ -1,8 +1,10 @@
 """The gather kernels of Jet, its scalar operands, expression evaluation and
 the word-sharing Jacobi residual against the array-reshaping, lifted-constant,
 tree-walking and fully expanded versions they replace, kept here as
-references, and stacked jets against the same kernels applied one row at a
-time: results must agree bit for bit, signed zeros included."""
+references, the resolving residuals on the shared order-3 projection against
+a fresh order-2 one applied to one jet at a time, and stacked jets against
+the same kernels applied one row at a time: results must agree bit for bit,
+signed zeros included."""
 
 import operator
 import random
@@ -15,8 +17,8 @@ from heavenly import expr as ex
 from heavenly import resolving
 from heavenly.errors import DivisionBySingularJet, FVanishes, OrderExceeded, ShapeMismatch
 from heavenly.jet import Jet, compose3, compose_series, row_series, valid_indices
-from heavenly.resolving import (RVARS, ResolvingPoint, _Proj, ansatz_functions,
-                                jacobi_residual, resolving_residuals)
+from heavenly.resolving import (RVARS, ResolvingPoint, ResolvingResiduals, _Proj,
+                                ansatz_functions, jacobi_residual, resolving_residuals)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
 
@@ -56,6 +58,28 @@ def ref_apply(proj, op, g):
                 + ref_truncated(proj.tauj, m) * ref_derivative(g, 2))
     coef = proj.lamj if op == "Y" else proj.lambj
     return ref_derivative(g, 1) + ref_truncated(coef, m) * ref_derivative(g, 2)
+
+
+def ref_resolving_residuals(rf, p):
+    # a fresh order-2 projection, every operator applied to one jet at a time
+    proj = _Proj(rf, p, order=2)
+    F = proj.Fj.value
+    if abs(F) < resolving.F_EPS:
+        raise FVanishes(f"F = {F} at {p}")
+    lam, lamb, tau = proj.lamj.value, proj.lambj.value, proj.tauj.value
+    ut, rho, kappa = p.ut, p.rho, p.kappa
+    dF, dlam, dlamb, dtau = (ref_apply(proj, "delta", g).value
+                             for g in (proj.Fj, proj.lamj, proj.lambj, proj.tauj))
+    Ytau, Ylamb = (ref_apply(proj, "Y", g).value for g in (proj.tauj, proj.lambj))
+    Ybtau, Yblam = (ref_apply(proj, "Ybar", g).value for g in (proj.tauj, proj.lamj))
+    r1 = dF - (kappa * (lam + lamb) - 5 * ut) * F
+    r2 = dlam - Ytau - 2 * ut * lam + kappa * lam * lam
+    r2b = dlamb - Ybtau - 2 * ut * lamb + kappa * lamb * lamb
+    r3 = F * (Ylamb - Yblam) - (ut * rho + tau) * (lam - lamb)
+    r4 = (F * (Ylamb + Yblam) + (ut * rho + tau) * (lam + lamb)
+          - 2 * kappa * (dtau + 2 * F + 4 * ut * tau
+                         + kappa * rho * rho + 2 * ut * ut * rho))
+    return ResolvingResiduals(r1=r1, r2=r2, r2_bar=r2b, r3=r3, r4=r4)
 
 
 def ref_jacobi_residual(rf, p):
@@ -818,12 +842,32 @@ def test_resolving_residuals_apply_3_operators(monkeypatch):
 
 @pytest.mark.parametrize("text", PHI_TEXTS)
 @pytest.mark.parametrize("kappa", (1, -1))
+def test_resolving_residuals_match_order_2_reference(text, kappa):
+    # the residuals read one application of the shared order-3 projection
+    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+    checked = 0
+    for p in admissible_points(kappa, 4, seed=37 + kappa):
+        try:
+            ref = ref_resolving_residuals(rf, p)
+        except FVanishes:
+            with pytest.raises(FVanishes):
+                resolving_residuals(rf, p)
+            continue
+        new = resolving_residuals(rf, p)
+        assert [(v.real.hex(), v.imag.hex()) for v in new.as_dict().values()] == \
+            [(v.real.hex(), v.imag.hex()) for v in ref.as_dict().values()]
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("text", PHI_TEXTS)
+@pytest.mark.parametrize("kappa", (1, -1))
 def test_f_constant_term_is_the_same_at_every_order(text, kappa):
-    # jacobi_residual reads F's constant term from an order-0 jet
+    # both checks read F's constant term from one order-3 projection
     rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
     for p in admissible_points(kappa, 25, seed=53 + kappa):
-        low, high = _Proj(rf, p, F_order=0).Fj.value, _Proj(rf, p).Fj.value
-        assert (low.real.hex(), low.imag.hex()) == (high.real.hex(), high.imag.hex())
+        values = [_Proj(rf, p, order).Fj.value for order in range(5)]
+        assert len({(v.real.hex(), v.imag.hex()) for v in values}) == 1
 
 
 @pytest.mark.parametrize("text, excluded", (("0", "all"), ("3e-13", "some"), ("1e-11", "none")))
@@ -839,6 +883,9 @@ def test_f_vanishes_exclusion_unchanged(text, excluded):
             raised += 1
             with pytest.raises(FVanishes):
                 jacobi_residual(rf, p)
+            with pytest.raises(FVanishes):
+                resolving_residuals(rf, p)
             continue
         assert jacobi_residual(rf, p) == ref
+        assert resolving_residuals(rf, p) == ref_resolving_residuals(rf, p)
     assert excluded == ("all" if raised == 30 else "some" if raised else "none")

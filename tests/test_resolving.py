@@ -1,13 +1,18 @@
+import contextlib
+import io
 import random
 
+import numpy as np
 import pytest
 
 from heavenly import expr as ex
-from heavenly.cli import _perturbed
+from heavenly.cli import _perturbed, main
 from heavenly.errors import FVanishes, NegativeDiscriminant
+from heavenly.jet import Jet
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
                                 _Proj, jacobi_residual, resolving_residuals)
+from test_readme_examples import README_EXAMPLES
 
 P_REF = ResolvingPoint(t=1.0, ut=0.8, rho=0.4, kappa=1)
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
@@ -127,3 +132,79 @@ def test_conjugate_partner_structure():
         lam = ex.evaluate_value(rf.lambda_, env)
         lamb = ex.evaluate_value(rf.lambda_bar, env)
         assert lamb == pytest.approx(lam.conjugate())
+
+
+# --- one projection per point ---------------------------------------------------
+
+def count_builds(monkeypatch):
+    builds = []
+    init = _Proj.__init__
+
+    def counted(self, rf, p, order):
+        builds.append(repr(p))
+        init(self, rf, p, order)
+
+    monkeypatch.setattr(_Proj, "__init__", counted)
+    return builds
+
+
+def both_checks(rf, p, jacobi_first=False):
+    checks = (resolving_residuals, jacobi_residual)
+    return [check(rf, p) for check in (checks[::-1] if jacobi_first else checks)]
+
+
+@pytest.mark.parametrize("jacobi_first", (False, True))
+def test_both_checks_share_one_projection(monkeypatch, jacobi_first):
+    rf = ansatz_functions(phi_expr("xi*theta"), 1)
+    fresh = both_checks(ansatz_functions(phi_expr("xi*theta"), 1), P_REF)
+    builds = count_builds(monkeypatch)
+    shared = both_checks(rf, P_REF, jacobi_first)
+    assert builds == [repr(P_REF)]
+    assert shared == (fresh[::-1] if jacobi_first else fresh)
+
+
+def test_a_new_point_rebuilds_the_projection(monkeypatch):
+    rf = ansatz_functions(phi_expr("xi*theta"), 1)
+    fresh = ansatz_functions(phi_expr("xi*theta"), 1)
+    other = ResolvingPoint(t=0.5, ut=-0.3, rho=0.9, kappa=1)
+    # 0.0 == -0.0, but they are two points: repr tells them apart
+    zero, signed = (ResolvingPoint(t=z, ut=0.3, rho=0.9, kappa=1) for z in (0.0, -0.0))
+    expected = {repr(p): both_checks(fresh, p) for p in (P_REF, other, zero, signed)}
+    builds = count_builds(monkeypatch)
+    for p in (P_REF, other, P_REF, zero, signed):
+        assert both_checks(rf, p) == expected[repr(p)]
+    assert builds == [repr(p) for p in (P_REF, other, P_REF, zero, signed)]
+
+
+def test_a_failed_projection_is_not_kept(monkeypatch):
+    rf = ansatz_functions(phi_expr("2"), 1)
+    bad = ResolvingPoint(1.0, 2.0, 0.4, 1)
+    resolving_residuals(rf, P_REF)
+    kept = rf._proj
+    builds = count_builds(monkeypatch)
+    for check in (resolving_residuals, jacobi_residual, resolving_residuals):
+        with pytest.raises(NegativeDiscriminant):
+            check(rf, bad)
+    assert builds == [repr(bad)] * 3
+    assert rf._proj is kept
+
+
+def is_unit(jet):
+    rows = jet.coeffs.reshape(jet.depth or 1, -1)
+    return bool(np.all(rows[:, 0] == 1) and not rows[:, 1:].any())
+
+
+def test_readme_resolving_run_multiplies_no_unit_jet(monkeypatch):
+    products = []  # per jet-by-jet product: whether an operand is a unit constant
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            products.append(is_unit(self) or is_unit(other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    argv = next(argv for argv in README_EXAMPLES if argv[0] == "resolving")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert products and not any(products)
