@@ -1,6 +1,11 @@
 """Command-line front end: build solution families from user expressions,
 run verification and classification suites over grids, and emit
-deterministic JSON or CSV reports."""
+deterministic JSON or CSV reports.
+
+Each subcommand imports the modules it runs when it runs, so a
+`heavenly resolving` process never loads the field, invariant, symmetry or
+classification modules.
+"""
 
 from __future__ import annotations
 
@@ -11,22 +16,20 @@ import json
 import math
 import random
 import sys
+from contextlib import ExitStack
 
 from . import __version__
 from . import expr as ex
-from .classify import (ConformallyNonInvariant, Inconclusive,
-                       InvariantCaseMatched, classify_b)
-from .errors import (POINT_EXCLUSIONS, FVanishes, HeavenlyError,
+from .errors import (POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError,
                      NegativeDiscriminant, ParseError)
-from .fields import FAMILY_PARAMS, Point, conformal_pushforward, make_solution
-from .invariants import invariants_at, liouville_residual, pde_residual
-from .resolving import (ResolvingPoint, ansatz_functions, jacobi_residual,
-                        resolving_residuals, ResolvingFunctions)
-from .symmetry import GeneratorSpec, algebra_commutator_check, \
-    invariance_residual, x2_apply
+from .families import FAMILY_PARAMS
 
 SCHEMA = "foliation-report/1"
 DEFAULT_TOL = 1e-9
+#: the most points one stacked pass holds, in every subcommand: a grid is
+#: checked in chunks of this many points, and `resolving` evaluates its
+#: samples in groups of at most this many
+PASS_POINTS = 16
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -42,7 +45,7 @@ def _num(v):
     return float(v)
 
 
-def _where(p: Point) -> dict:
+def _where(p) -> dict:
     return {"t": p.t, "re": p.z.real, "im": p.z.imag}
 
 
@@ -93,16 +96,36 @@ def _exclude(report, reason):
     exc["reasons"][reason] = exc["reasons"].get(reason, 0) + 1
 
 
-def _run(report, points, check) -> None:
+def _run(report, points, check, passes=None) -> None:
     """One record per point, {"point": ..., **check(p)}; a point where check
-    raises one of POINT_EXCLUSIONS is counted under the error's message."""
-    for p in points:
-        try:
-            rec = check(p)
-        except POINT_EXCLUSIONS as err:
-            _exclude(report, str(err))
-            continue
-        report["records"].append({"point": _where(p), **rec})
+    raises one of POINT_EXCLUSIONS is counted under the error's message.
+
+    The points go in chunks of at most PASS_POINTS.  passes(chunk) lists
+    what the chunk's checks read as (field, points, build) triples, each
+    run as one stacked `SolutionField.sweep` pass around the chunk's
+    checks, which read its bundles instead of building each point alone.
+    A pass that raises leaves its chunk's checks to build point by point,
+    so the records and exclusions are those of the per-point loop.
+    """
+    for start in range(0, len(points), PASS_POINTS):
+        chunk = points[start:start + PASS_POINTS]
+        with ExitStack() as sweeps:
+            for field, swept, build in passes(chunk) if passes else ():
+                sweeps.enter_context(field.sweep(swept, build))
+            for p in chunk:
+                try:
+                    rec = check(p)
+                except POINT_EXCLUSIONS as err:
+                    _exclude(report, str(err))
+                    continue
+                report["records"].append({"point": _where(p), **rec})
+
+
+def _merged(*builds):
+    """One `SolutionField.sweep` build holding every build's values."""
+    return lambda field, points: [
+        {name: value for named in row for name, value in named.items()}
+        for row in zip(*(build(field, points) for build in builds))]
 
 
 def _finish(report, args) -> int:
@@ -123,10 +146,12 @@ def _finish(report, args) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
-def parse_grid(spec: str) -> list[Point]:
-    """Grid spec "t=a:b:n,re=a:b:n,im=a:b:n" -> inclusive product grid.
+def parse_grid(spec: str) -> list:
+    """Grid spec "t=a:b:n,re=a:b:n,im=a:b:n" -> inclusive product grid of
+    `fields.Point`s.
 
     Each of t, re and im is given once, with finite bounds."""
+    from .fields import Point
     ranges = {}
     for part in spec.split(","):
         if "=" not in part:
@@ -162,6 +187,7 @@ def _const_arg(text: str) -> complex:
 
 def _family_from_args(args):
     """(field, family name, parameter echo) from the family flags."""
+    from .fields import make_solution
     fam = args.family
     params = {}
     echo = {}
@@ -177,6 +203,9 @@ def _family_from_args(args):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .fields import u_jets
+    from .invariants import (invariants_at, liouville_residual, pde_residual,
+                             swept_invariants)
     field, fam, echo = _family_from_args(args)
     report = _base_report(args, fam, echo)
     residual_fn = liouville_residual if fam == "liouville" else pde_residual
@@ -194,11 +223,16 @@ def cmd_verify(args) -> int:
             }
         return rec
 
-    _run(report, parse_grid(args.grid), check)
+    build = u_jets(2) if fam == "liouville" else _merged(u_jets(2), swept_invariants)
+    _run(report, parse_grid(args.grid), check, lambda chunk: [(field, chunk, build)])
     return _finish(report, args)
 
 
 def cmd_classify(args) -> int:
+    from .classify import (ConformallyNonInvariant, Inconclusive,
+                           InvariantCaseMatched, classify_b)
+    from .fields import make_solution
+    from .invariants import pde_residual
     b = ex.parse(args.b, ("z",))
     report = _base_report(args, "noninv", {"b": args.b})
     grid = parse_grid(args.grid)
@@ -225,7 +259,9 @@ def cmd_classify(args) -> int:
     return _finish(report, args)
 
 
-def _perturbed(rf: ResolvingFunctions, spec: str) -> ResolvingFunctions:
+def _perturbed(rf, spec: str):
+    """rf with one of its functions shifted by a constant, from --perturb."""
+    from .resolving import ResolvingFunctions
     name, _, amount = spec.partition(":")
     shift = _const_arg(amount.lstrip("+"))
     keys = {"F": "F", "lambda": "lambda_", "lambda_bar": "lambda_bar",
@@ -241,6 +277,18 @@ def _perturbed(rf: ResolvingFunctions, spec: str) -> ResolvingFunctions:
 
 
 def cmd_resolving(args) -> int:
+    """R1-R4 and the Jacobi residual at seeded random points (t, u_t, rho).
+
+    Points are drawn one at a time, as a point-by-point loop draws them:
+    the same order, the same rejection of a discriminant at or below 1e-6,
+    at most 50 * samples attempts, and no more admissible draws than
+    samples still missing.  Each group of at most PASS_POINTS admissible
+    draws is then checked as the rows of one stacked projection
+    (`resolving.resolving_pass`); a group whose pass raises is checked
+    point by point.  Either way every point gets its per-point result and
+    exclusion, so the report is that loop's, byte for byte.
+    """
+    from .resolving import ResolvingPoint, ansatz_functions
     phi = ex.parse(args.phi, ("xi", "theta"))
     rf = ansatz_functions(phi, args.kappa)
     if args.perturb:
@@ -251,30 +299,56 @@ def cmd_resolving(args) -> int:
     produced = 0
     attempts = 0
     while produced < args.samples and attempts < 50 * args.samples:
-        attempts += 1
-        t = rng.uniform(-2.0, 2.0)
-        ut = rng.uniform(-1.0, 1.0)
-        rho = args.kappa * rng.uniform(0.55, 2.0)
-        p = ResolvingPoint(t=t, ut=ut, rho=rho, kappa=args.kappa)
-        if p.discriminant <= 1e-6:
-            _exclude(report, "discriminant outside the admissible region")
-            continue
-        try:
-            res = resolving_residuals(rf, p)
-            jac = jacobi_residual(rf, p)
-        except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
-            _exclude(report, type(err).__name__)
-            continue
-        produced += 1
-        residuals = {k: abs(v) for k, v in res.as_dict().items()}
-        residuals["jacobi"] = max(abs(v) for v in jac)
-        report["records"].append(
-            {"point": {"t": t, "re": ut, "im": rho}, "residuals": residuals})
+        group = []
+        while (len(group) < min(PASS_POINTS, args.samples - produced)
+               and attempts < 50 * args.samples):
+            attempts += 1
+            t = rng.uniform(-2.0, 2.0)
+            ut = rng.uniform(-1.0, 1.0)
+            rho = args.kappa * rng.uniform(0.55, 2.0)
+            p = ResolvingPoint(t=t, ut=ut, rho=rho, kappa=args.kappa)
+            if p.discriminant <= 1e-6:
+                _exclude(report, "discriminant outside the admissible region")
+                continue
+            group.append(p)
+        for p, checked in zip(group, _resolving_checks(rf, group)):
+            if isinstance(checked, HeavenlyError):
+                _exclude(report, type(checked).__name__)
+                continue
+            produced += 1
+            res, jac = checked
+            residuals = {k: abs(v) for k, v in res.as_dict().items()}
+            residuals["jacobi"] = max(abs(v) for v in jac)
+            report["records"].append(
+                {"point": {"t": p.t, "re": p.ut, "im": p.rho}, "residuals": residuals})
     report["summary"]["samples"] = produced
     return _finish(report, args)
 
 
+def _resolving_checks(rf, group) -> list:
+    """Per point of group, its (residuals, Jacobi residual) pair or the
+    error that excludes it: from one stacked pass, or point by point where
+    the pass raises."""
+    from .resolving import jacobi_residual, resolving_pass, resolving_residuals
+    if not group:
+        return []
+    try:
+        return resolving_pass(rf, group)
+    except SWEEP_FALLBACK:
+        pass
+    checks = []
+    for p in group:
+        try:
+            checks.append((resolving_residuals(rf, p), jacobi_residual(rf, p)))
+        except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
+            checks.append(err)
+    return checks
+
+
 def cmd_symmetry(args) -> int:
+    from .fields import Point, u_jets
+    from .symmetry import (GeneratorSpec, algebra_commutator_check,
+                           invariance_residual, x2_apply)
     report = _base_report(args)
     if args.check == "invariants":
         a = ex.parse(args.a, ("z",))
@@ -283,7 +357,8 @@ def cmd_symmetry(args) -> int:
         report["parameters"] = dict(echo, a=args.a)
         _run(report, parse_grid(args.grid), lambda p: {"residuals": {
             f"x2_{name}": abs(x2_apply(a, name, field, p))
-            for name in ("T", "Ut", "Utt", "Rho", "Eta")}})
+            for name in ("T", "Ut", "Utt", "Rho", "Eta")}},
+            lambda chunk: [(field, chunk, u_jets(3))])
     elif args.check == "algebra":
         a = ex.parse(args.a, ("z",))
         b = ex.parse(args.b_gen, ("z",))
@@ -303,13 +378,17 @@ def cmd_symmetry(args) -> int:
         report["parameters"] = dict(echo, a=args.a, alpha=args.alpha,
                                     beta=args.beta)
         _run(report, parse_grid(args.grid), lambda p: {"residuals": {
-            "criterion": abs(invariance_residual(field, gen, p))}})
+            "criterion": abs(invariance_residual(field, gen, p))}},
+            lambda chunk: [(field, chunk, u_jets(1))])
     else:
         raise ValueError(f"unknown symmetry check {args.check!r}")
     return _finish(report, args)
 
 
 def cmd_orbit(args) -> int:
+    from .fields import Point, conformal_pushforward, u_jets
+    from .invariants import invariants_at, pde_residual, swept_invariants
+    from .jet import Jet
     field, fam, echo = _family_from_args(args)
     phi = ex.parse(args.phi, ("z",))
     if not ex.mentions(phi, "z"):
@@ -326,7 +405,18 @@ def cmd_orbit(args) -> int:
                               "rho_match": abs(s_new.rho - s_old.rho),
                               "eta_match": abs(s_new.eta - s_old.eta)}}
 
-    _run(report, parse_grid(args.grid), check)
+    def passes(chunk):
+        # w = phi(z) of every point as the rows of one order-0 jet: row by
+        # row the bits of the check's own eval_jet1
+        seed = Jet.variable(0, tuple(p.z for p in chunk), 1, 0)
+        try:
+            ws = ex.evaluate(phi, {"z": seed}).value
+        except SWEEP_FALLBACK:
+            ws = ()  # no source pass: the checks exclude or raise per point
+        return [(pushed, chunk, _merged(u_jets(2), swept_invariants)),
+                (field, [Point(p.t, w) for p, w in zip(chunk, ws)], swept_invariants)]
+
+    _run(report, parse_grid(args.grid), check, passes)
     return _finish(report, args)
 
 

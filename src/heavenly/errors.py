@@ -65,3 +65,7 @@ class ConstraintViolation(HeavenlyError):
 
 #: errors that exclude one grid point from a suite instead of ending the run
 POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation, SingularMap)
+
+#: what a stacked pass over several points can raise where one of them is
+#: bad; a pass that raises one of these leaves its points to run one by one
+SWEEP_FALLBACK = (HeavenlyError, ArithmeticError, ValueError)

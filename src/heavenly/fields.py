@@ -19,17 +19,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from . import expr as ex
-from .errors import DomainError, FamilyParamMismatch, HeavenlyError, SingularMap
+from .errors import SWEEP_FALLBACK, DomainError, FamilyParamMismatch, SingularMap
+from .families import FAMILY_PARAMS
 from .jet import Jet, compose3, compose_series, row_series, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
 
 SINGULAR_TOL = 1e-8
-
-#: what building a u-jet at some point can raise; a stacked pass that raises
-#: one of these leaves its sweep to run point by point
-SWEEP_FALLBACK = (HeavenlyError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,17 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
                      name: str) -> Jet:
     """ln c' + ln cbar' - 2 ln(c + cbar) for kappa = 1, with c*cbar + 1 in
     the last logarithm for kappa = -1; name is c's parameter name, which
-    the exclusion messages use."""
+    the exclusion messages use.
+
+    gamma = ln(c' cbar' / (c + cbar)^2) is real and finite where c' and
+    cbar' are both negative real, or the denominator is: there the
+    logarithms take the real branch, row by row (Kahan, "Branch cuts for
+    complex elementary functions", 1987).  ln(-c') + ln(-cbar') is the
+    principal sum less its two i*pi, which cancel, and ln(-denominator)
+    drops an i*pi whose -2 i*pi leaves e^u and every derivative unchanged.
+    Every other row keeps the principal logarithms' bits: they are tried
+    first, and the real branch is taken only where they meet the cut.
+    """
     cj = _expr_at(c, Z)
     cbj = _expr_at(cbar, Zb)
     cd = _expr_deriv_at(c, Z)
@@ -232,20 +239,32 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
     else:
         denom = cj * cbj + 1.0
         _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
-    return (_ln(cd, f"{name}'") + _ln(cbd, f"{name}bar'")
-            - 2.0 * _ln(denom, "Liouville denominator"))
+    try:
+        return (_ln(cd, f"{name}'") + _ln(cbd, f"{name}bar'")
+                - 2.0 * _ln(denom, "Liouville denominator"))
+    except DomainError:
+        # a logarithm met the branch cut; the rows where that was a
+        # negative real pair or denominator take the real branch
+        both = [_negative_real(v) and _negative_real(vb)
+                for v, vb in zip(row_values(cd.value), row_values(cbd.value))]
+        below = [_negative_real(v) for v in row_values(denom.value)]
+        if not (any(both) or any(below)):
+            raise
+    return (_ln(_negated(cd, both), f"{name}'") + _ln(_negated(cbd, both), f"{name}bar'")
+            - 2.0 * _ln(_negated(denom, below), "Liouville denominator"))
 
 
-#: each family's parameters in the order they are asked for: an expression
-#: parameter maps to its variables, a real constant to ()
-FAMILY_PARAMS = {
-    "f0": {"C": ()},
-    "f0general": {"l": (), "C1": (), "C2": (), "a": ("z",)},
-    "noninv": {"b": ("z",)},
-    "general_noninv": {"b": ("z",), "c": ("z",)},
-    "confinv": {"f": ("xi", "t"), "A": ("z",), "a": ("z",)},
-    "liouville": {"c": ("z",)},
-}
+def _negative_real(w: complex) -> bool:
+    return w.imag == 0.0 and w.real < 0.0
+
+
+def _negated(j: Jet, rows: list[bool]) -> Jet:
+    """j with the rows flagged in rows negated, every other row as it is."""
+    if not any(rows):
+        return j
+    if not j.depth:
+        return -j
+    return Jet.stack([-r if flip else r for r, flip in zip(j.rows(), rows)])
 
 
 def make_solution(family: str, params: dict, kappa: int) -> SolutionField:

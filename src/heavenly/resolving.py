@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import expr as ex
 from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
 from .jet import Jet
@@ -62,20 +64,35 @@ class _Proj:
     read after n applications is the same for every seed order >= n;
     production reads one projection of order PROJ_ORDER, and the tests
     build their reference projections at other orders.
+
+    p is one point, or a list of points of one kappa for one projection
+    whose jets hold one row per point (`resolving_pass`); an operand then
+    holds one or more rows per point, a point's rows next to each other
+    (`_per_point`), and each coefficient acts on all of its point's rows.
     """
 
-    def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint, order: int):
-        if rf.requires_nonneg_discriminant and p.discriminant < 0:
-            raise NegativeDiscriminant(
-                f"2*kappa*rho - ut^2 = {p.discriminant} < 0 at {p}")
-        self.seed = {name: Jet.variable(i, complex(v), 3, order)
-                     for i, (name, v) in enumerate(zip(RVARS, (p.t, p.ut, p.rho)))}
+    def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint | list[ResolvingPoint],
+                 order: int):
+        points = p if isinstance(p, list) else [p]
+        if rf.requires_nonneg_discriminant:
+            for q in points:
+                if q.discriminant < 0:
+                    raise NegativeDiscriminant(
+                        f"2*kappa*rho - ut^2 = {q.discriminant} < 0 at {q}")
+        if isinstance(p, list):
+            self.depth, kappa = len(p), p[0].kappa
+            coords = [tuple(complex(getattr(q, n)) for q in p) for n in RVARS]
+        else:
+            self.depth, kappa = 0, p.kappa
+            coords = [complex(p.t), complex(p.ut), complex(p.rho)]
+        self.seed = {name: Jet.variable(i, v, 3, order)
+                     for i, (name, v) in enumerate(zip(RVARS, coords))}
         self.Fj = self._at(rf.F)
         self.lamj = self._at(rf.lambda_)
         self.lambj = self._at(rf.lambda_bar)
         self.tauj = self._at(rf.tau)
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
-        self.heav_coeff = p.kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
+        self.heav_coeff = kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
         self._truncs: dict = {}
 
     def _at(self, e: ex.Expr) -> Jet:
@@ -85,24 +102,41 @@ class _Proj:
                                 f"{len(RVARS)} points given")
         return ex.evaluate(e, dict(zip(e.variables, self.seed.values())))
 
-    def _coeff(self, name: str, m: int) -> Jet:
-        """A coefficient jet truncated to order m, truncated once per order."""
-        key = (name, m)
+    def _coeff(self, name: str, m: int, depth: int) -> Jet:
+        """A coefficient jet truncated to order m, made once per order and,
+        for a stacked projection, per rows of the operand: each point's row
+        repeated once for each of that point's operand rows."""
+        reps = depth // self.depth if self.depth else 1
+        key = (name, m, reps)
         if key not in self._truncs:
-            self._truncs[key] = getattr(self, name).truncated(m)
+            coef = getattr(self, name).truncated(m)
+            if reps > 1:
+                coef = Jet(np.repeat(coef.coeffs, reps, axis=0), depth=depth)
+            self._truncs[key] = coef
         return self._truncs[key]
 
     def apply(self, op: str, g: Jet) -> Jet:
-        m = g.order - 1
+        m, d = g.order - 1, g.depth
         if op == "delta":
             return (g.derivative(0)
-                    + self._coeff("heav_coeff", m) * g.derivative(1)
-                    + self._coeff("tauj", m) * g.derivative(2))
+                    + self._coeff("heav_coeff", m, d) * g.derivative(1)
+                    + self._coeff("tauj", m, d) * g.derivative(2))
         if op == "Y":
-            return g.derivative(1) + self._coeff("lamj", m) * g.derivative(2)
+            return g.derivative(1) + self._coeff("lamj", m, d) * g.derivative(2)
         if op == "Ybar":
-            return g.derivative(1) + self._coeff("lambj", m) * g.derivative(2)
+            return g.derivative(1) + self._coeff("lambj", m, d) * g.derivative(2)
         raise ValueError(f"unknown projected operator {op!r}")
+
+
+def _per_point(jets: list[Jet]) -> Jet:
+    """Jets of a projection as one operand: their stack, or for stacked
+    jets (one row per point) the stack holding each point's rows next to
+    each other, jets[i] at point k in row k * len(jets) + i."""
+    first = jets[0]
+    if not first.depth:
+        return Jet.stack(jets)
+    coeffs = np.stack([j.coeffs for j in jets], axis=1)
+    return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=len(jets) * first.depth)
 
 
 def _projection(rf: ResolvingFunctions, p: ResolvingPoint) -> _Proj:
@@ -135,17 +169,26 @@ class ResolvingResiduals:
 
 def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingResiduals:
     """The five residuals of the resolving system at one invariant point."""
-    proj = _projection(rf, p)
-    F = proj.Fj.value
-    lam, lamb, tau = proj.lamj.value, proj.lambj.value, proj.tauj.value
-    ut, rho, kappa = p.ut, p.rho, p.kappa
+    return _residual_rows(_projection(rf, p), [p])[0]
 
+
+def _residual_rows(proj: _Proj, points: list[ResolvingPoint]) -> list[ResolvingResiduals]:
+    """The residuals at each point of proj, from its own row of each jet."""
     # three applications on stacked jets instead of eight on single ones
-    dF, dlam, dlamb, dtau = proj.apply(
-        "delta", Jet.stack([proj.Fj, proj.lamj, proj.lambj, proj.tauj])).value
-    Ytau, Ylamb = proj.apply("Y", Jet.stack([proj.tauj, proj.lambj])).value
-    Ybtau, Yblam = proj.apply("Ybar", Jet.stack([proj.tauj, proj.lamj])).value
+    g = _per_point([proj.Fj, proj.lamj, proj.lambj, proj.tauj])
+    v, d = g.value, proj.apply("delta", g).value
+    y = proj.apply("Y", _per_point([proj.tauj, proj.lambj])).value
+    yb = proj.apply("Ybar", _per_point([proj.tauj, proj.lamj])).value
+    return [_residuals(p, *v[4 * k:4 * k + 4], *d[4 * k:4 * k + 4],
+                       *y[2 * k:2 * k + 2], *yb[2 * k:2 * k + 2])
+            for k, p in enumerate(points)]
 
+
+def _residuals(p: ResolvingPoint, F, lam, lamb, tau, dF, dlam, dlamb, dtau,
+               Ytau, Ylamb, Ybtau, Yblam) -> ResolvingResiduals:
+    """R1-R4 at p from the values there of F, lambda, lambda_bar, tau and
+    of the operators applied to them."""
+    ut, rho, kappa = p.ut, p.rho, p.kappa
     r1 = dF - (kappa * (lam + lamb) - 5 * ut) * F
     r2 = dlam - Ytau - 2 * ut * lam + kappa * lam * lam
     r2b = dlamb - Ybtau - 2 * ut * lamb + kappa * lamb * lamb
@@ -185,8 +228,13 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     `resolving_residuals` reads at the same point leave an order-0 jet
     holding the value, the same bits an order-4 seed gives.
     """
-    proj = _projection(rf, p)
-    words: dict[tuple[str, ...], Jet] = {(): Jet.stack([proj.seed[n] for n in RVARS])}
+    return _jacobi_rows(_projection(rf, p))[0]
+
+
+def _jacobi_rows(proj: _Proj) -> list[tuple[complex, complex, complex]]:
+    """The Jacobi residual at each point of proj: the word tree on one
+    operand holding three rows per point, one per coordinate."""
+    words: dict[tuple[str, ...], Jet] = {(): _per_point([proj.seed[n] for n in RVARS])}
 
     def w(*ops):
         # innermost operator first, keeping every inner chain; a loop, not
@@ -201,10 +249,26 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
         # [a, [b, c]](g)
         return proj.apply(a, w(b, c) - w(c, b)) - (w(b, c, a) - w(c, b, a))
 
-    total = (nested("delta", "Y", "Ybar")
-             + nested("Y", "Ybar", "delta")
-             + nested("Ybar", "delta", "Y"))
-    return total.value
+    v = (nested("delta", "Y", "Ybar")
+         + nested("Y", "Ybar", "delta")
+         + nested("Ybar", "delta", "Y")).value
+    return [v[k:k + 3] for k in range(0, len(v), 3)]
+
+
+def resolving_pass(rf: ResolvingFunctions,
+                   points: list[ResolvingPoint]) -> list[tuple | FVanishes]:
+    """`resolving_residuals` and `jacobi_residual` at each of points, of
+    one kappa, from one stacked order-PROJ_ORDER projection: per point the
+    pair of their results, or the FVanishes error where F's value is below
+    F_EPS.  Every row is bit for bit the point's own result, because every
+    jet operation acts row by row and each row goes through the per-point
+    formulas.  Raises what building the projection raises at any of the
+    points; the projection is not kept.
+    """
+    proj = _Proj(rf, points, PROJ_ORDER)
+    return [FVanishes(f"F = {F} at {p}") if abs(F) < F_EPS else checked
+            for p, F, checked in zip(points, proj.Fj.value,
+                                     zip(_residual_rows(proj, points), _jacobi_rows(proj)))]
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------

@@ -327,3 +327,22 @@ def test_bad_sample_count_exits_2(capsys, samples):
     out = capsys.readouterr()
     assert exit_.value.code == 2 and out.out == ""
     assert "argument --samples: " in out.err
+
+
+def test_liouville_logs_on_their_branch_cut_are_not_excluded(capsys):
+    # a(z) + abar(zbar) = -6 and a' = 2z < 0 on real z < 0: gamma is real
+    # there, so only the critical points a'(0) = 0 are excluded
+    code, out, _ = run(capsys, "orbit", "--family", "f0general", "--l", "1", "--C1", "0.5",
+                       "--C2", "1", "--a", "z^2 + 1", "--phi", "2*z",
+                       "--grid", "t=-1:2:4,re=-1:2:4,im=-1:1:3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["excluded"] == {
+        "count": 4, "reasons": {"log argument singular in a': ln of jet with constant term 0j": 4}}
+    assert len(report["records"]) == 44
+    assert report["summary"]["pass"] is True
+    # c(z) + cbar(zbar) = -0.625 at the images of some README grid points
+    code, out, _ = run(capsys, "orbit", "--family", "general_noninv", "--b", "z^2",
+                       "--c", "z^2", "--phi", "z^2/2 + z")
+    report = json.loads(out)
+    assert code == 0 and report["excluded"]["count"] == 0 and len(report["records"]) == 48

@@ -7,6 +7,7 @@ from heavenly import expr as ex
 from heavenly.errors import DomainError, FamilyParamMismatch, SingularMap
 from heavenly.fields import (Point, conformal_pushforward, eval_u,
                              make_solution)
+from heavenly.invariants import liouville_residual
 from oracle import fd_first_partials, fd_second_partials
 
 Z0 = 0.9 + 0.3j
@@ -145,3 +146,24 @@ def test_pushforward_singular_map_rejected():
     pushed = conformal_pushforward(fld, ex.parse("1", ("z",)))
     with pytest.raises(SingularMap):
         pushed.jet_at(Z0, Z0.conjugate(), T0, 0).value
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+def test_liouville_logs_take_the_real_branch_row_by_row(kappa):
+    # c = z^2: c' = 2z and cbar' are negative real for real z < 0, and for
+    # kappa = 1 the denominator c + cbar = 2 Re z^2 is negative where
+    # |Im z| > |Re z|; gamma = ln(|c'|^2 / denominator^2) is real there
+    fld = make_solution("liouville", {"c": ex.parse("z^2", ("z",))}, kappa)
+    pts = [Point(1.0, -1.5 + 0j), Point(1.0, 0.3 + 1.2j), Point(1.0, 0.9 + 0.3j),
+           Point(1.0, -0.4 - 1.1j), Point(1.0, -0.7 - 0.0j)]
+    for order in range(5):
+        for p, row in zip(pts, fld.jets_at(pts, order).rows()):
+            alone = fld.jet_at(p.z, p.z.conjugate(), p.t, order)
+            assert row.coeffs.tobytes() == alone.coeffs.tobytes()
+    for p in pts:
+        z = p.z
+        denom = 2 * (z * z).real if kappa == 1 else abs(z * z) ** 2 + 1
+        gamma = fld.jet_at(z, z.conjugate(), p.t, 0).value
+        assert abs(gamma.imag) < 1e-15  # no i*pi left from a logarithm
+        assert gamma.real == pytest.approx(math.log(abs(2 * z) ** 2 / denom ** 2), rel=1e-14)
+        assert abs(liouville_residual(fld, p)) < 1e-12
