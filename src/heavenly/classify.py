@@ -5,7 +5,7 @@ pipeline for generic b(z)."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -232,23 +232,29 @@ def verify_case(case: TheoremCase, grid: list[Point]) -> float:
 
 # --- classification -------------------------------------------------------
 
+# every verdict of `classify_b` carries its equation check: each grid
+# point's |equation residual|, or the message of the exclusion it raised (a
+# str), in grid order
 @dataclass(frozen=True)
 class InvariantCaseMatched:
     case_id: int
     generator: GeneratorSpec
     max_residual: float
     note: str = ""
+    equation: tuple = dc_field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
 class ConformallyNonInvariant:
     witness: Point
     asymmetry: float
+    equation: tuple = dc_field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
 class Inconclusive:
     reason: str
+    equation: tuple = dc_field(default=(), repr=False)
 
 
 ClassificationVerdict = InvariantCaseMatched | ConformallyNonInvariant | Inconclusive
@@ -331,25 +337,33 @@ def _generator_from_vector(v, kappa) -> tuple[GeneratorSpec, int]:
 
 def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdict:
     """Decide whether b(z) matches an invariant normal form, is witnessed
-    conformally non-invariant, or neither can be established."""
+    conformally non-invariant, or neither can be established.
+
+    The verdict's `equation` holds the equation check at every grid point,
+    which the `classify` report lists.
+    """
     field = make_solution("noninv", {"b": b}, kappa)
 
     # each grid sweep builds its u-jets in one stacked pass (SolutionField.sweep)
+    equation = []
     usable: list[Point] = []
     worst = 0.0
     with field.sweep(grid, u_jets(2)):
         for p in grid:
             try:
                 r = abs(pde_residual(field, p))
-            except POINT_EXCLUSIONS:
+            except POINT_EXCLUSIONS as err:
+                equation.append(str(err))
                 continue
+            equation.append(r)
             usable.append(p)
             worst = max(worst, r)
+    equation = tuple(equation)
     if not usable:
-        return Inconclusive("no grid point lies in the solution's domain")
+        return Inconclusive("no grid point lies in the solution's domain", equation)
     if worst > PDE_SANITY_TOL:
         return Inconclusive(
-            f"field fails the equation sanity check (residual {worst:.3e})")
+            f"field fails the equation sanity check (residual {worst:.3e})", equation)
 
     # normal-form matching runs before the asymmetry witness: the matched
     # solutions are invariant under mixed generators yet still fail the
@@ -369,7 +383,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
         with field.sweep(usable, u_jets(1)):
             res = max(abs(invariance_residual(field, gen, p)) for p in usable)
-        return InvariantCaseMatched(8, gen, res)
+        return InvariantCaseMatched(8, gen, res, equation=equation)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < FIT_TOL:
@@ -381,17 +395,17 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
             if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:
                 note = "linear b reported under the affine case label"
                 cid = 7
-            return InvariantCaseMatched(cid, gen, res, note=note)
+            return InvariantCaseMatched(cid, gen, res, note=note, equation=equation)
 
     if len(zs) < 5:
-        return Inconclusive("fewer than 5 distinct z samples for case matching")
+        return Inconclusive("fewer than 5 distinct z samples for case matching", equation)
 
     report = conf_inv_witness(field, usable)
     if report.verdict == "conformally non-invariant":
-        return ConformallyNonInvariant(report.witness, report.max_asymmetry)
+        return ConformallyNonInvariant(report.witness, report.max_asymmetry, equation)
     return Inconclusive(
         "no invariant normal form matched and the asymmetry witness "
-        f"stayed below tolerance (max {report.max_asymmetry:.3e})")
+        f"stayed below tolerance (max {report.max_asymmetry:.3e})", equation)
 
 
 def automorphic_consistency(b: ex.Expr, kappa: int, p: Point) -> complex:

@@ -121,13 +121,6 @@ def _run(report, points, check, passes=None) -> None:
                 report["records"].append({"point": _where(p), **rec})
 
 
-def _merged(*builds):
-    """One `SolutionField.sweep` build holding every build's values."""
-    return lambda field, points: [
-        {name: value for named in row for name, value in named.items()}
-        for row in zip(*(build(field, points) for build in builds))]
-
-
 def _finish(report, args) -> int:
     report["records"].sort(key=_point_key)
     maxima = {}
@@ -223,7 +216,9 @@ def cmd_verify(args) -> int:
             }
         return rec
 
-    build = u_jets(2) if fam == "liouville" else _merged(u_jets(2), swept_invariants)
+    # swept_invariants also stores each point's order-4 u-jet, whose
+    # truncation the equation reads
+    build = u_jets(2) if fam == "liouville" else swept_invariants
     _run(report, parse_grid(args.grid), check, lambda chunk: [(field, chunk, build)])
     return _finish(report, args)
 
@@ -231,8 +226,6 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import (ConformallyNonInvariant, Inconclusive,
                            InvariantCaseMatched, classify_b)
-    from .fields import make_solution
-    from .invariants import pde_residual
     b = ex.parse(args.b, ("z",))
     report = _base_report(args, "noninv", {"b": args.b})
     grid = parse_grid(args.grid)
@@ -253,8 +246,12 @@ def cmd_classify(args) -> int:
     else:
         report["summary"]["verdict"] = {"kind": "Inconclusive",
                                         "reason": verdict.reason}
-    field = make_solution("noninv", {"b": b}, args.kappa)
-    _run(report, grid, lambda p: {"residuals": {"equation": abs(pde_residual(field, p))}})
+    # the records are classify_b's own equation check
+    for p, r in zip(grid, verdict.equation):
+        if isinstance(r, str):
+            _exclude(report, r)
+        else:
+            report["records"].append({"point": _where(p), "residuals": {"equation": r}})
     report["summary"]["pass"] = not isinstance(verdict, Inconclusive)
     return _finish(report, args)
 
@@ -386,8 +383,9 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from .fields import Point, conformal_pushforward, u_jets
-    from .invariants import invariants_at, pde_residual, swept_invariants
+    from .fields import Point, conformal_pushforward
+    from .invariants import (invariants_at, liouville_residual, pde_residual,
+                             swept_invariants)
     from .jet import Jet
     field, fam, echo = _family_from_args(args)
     phi = ex.parse(args.phi, ("z",))
@@ -395,10 +393,12 @@ def cmd_orbit(args) -> int:
         raise ValueError(f"phi {args.phi!r} does not depend on z")
     report = _base_report(args, fam, dict(echo, phi=args.phi))
     pushed = conformal_pushforward(field, phi)
+    # the pushforward solves the equation its source solves
+    residual_fn = liouville_residual if fam == "liouville" else pde_residual
 
     def check(p):
         w = ex.eval_jet1(phi, p.z, 0).value
-        r = pde_residual(pushed, p)
+        r = residual_fn(pushed, p)
         s_new = invariants_at(pushed, p)
         s_old = invariants_at(field, Point(p.t, w))
         return {"residuals": {"equation": abs(r),
@@ -413,7 +413,7 @@ def cmd_orbit(args) -> int:
             ws = ex.evaluate(phi, {"z": seed}).value
         except SWEEP_FALLBACK:
             ws = ()  # no source pass: the checks exclude or raise per point
-        return [(pushed, chunk, _merged(u_jets(2), swept_invariants)),
+        return [(pushed, chunk, swept_invariants),
                 (field, [Point(p.t, w) for p, w in zip(chunk, ws)], swept_invariants)]
 
     _run(report, parse_grid(args.grid), check, passes)

@@ -10,6 +10,11 @@ coordinate per point for a stacked pass (`SolutionField.jets_at`).  It
 never asks which: the same code builds one jet or every point's jet as one
 row of stacked jets, and each domain check reads the constant term of the
 jet it guards, row by row, before that jet goes to a logarithm.
+
+A point's u-jet is built once, at the engine's ceiling MAX_ORDER, and
+every lower order is served as its truncation (`eval_u`): in a truncated
+Taylor algebra the lower-order jet is the higher one with its top
+coefficients dropped, and the engine computes it with the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .jet import Jet, compose3, compose_series, row_series, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
+#: the highest order of a u-jet: the engine's ceiling, which the
+#: commutators on rho need; `eval_u` builds this order and truncates it
+MAX_ORDER = 4
 
 SINGULAR_TOL = 1e-8
 
@@ -38,8 +46,8 @@ class Point:
 class PointBundle:
     """Everything computed for one field at one physical-slice point.
 
-    Values are stored under a name: the u-jets under their exact order (an
-    int), other layers' quantities under a string (the invariants layer
+    Values are stored under a name: the u-jets under their order (an int),
+    other layers' quantities under a string (the invariants layer
     keeps its ``JetCalculus`` and ``InvariantSet`` here).  A value is stored
     only after it was built; a build that raises stores nothing, so the
     next call raises again.
@@ -65,10 +73,11 @@ class SolutionField:
 
     The field keeps one derivative bundle (``PointBundle``) for the most
     recent point it was evaluated at on the physical slice, so a run of
-    calls at one point builds each u-jet, the invariant jets and the
-    invariants once.  Moving to another point replaces the whole bundle, key
-    and values together; memory is one point per field, plus, inside a
-    `sweep` block, one bundle per point of the sweep.  Bundled values are
+    calls at one point builds the u-jet (at MAX_ORDER, every lower order
+    its truncation), the invariant jets and the invariants once.  Moving
+    to another point replaces the whole bundle, key and values together;
+    memory is one point per field, plus, inside a `sweep` block, one bundle
+    per point of the sweep.  Bundled values are
     shared between calls and must be treated as immutable (jets are).
     """
 
@@ -353,19 +362,25 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     """Jet of u at a physical-slice point (zbar = conj z).
 
-    Read from the field's bundle for p: each order is built once per point
-    and returned, shared, to every later call at the same point.  A lower
-    order is built directly, never truncated from a higher one, because a
-    truncated jet can differ from it in the last bit.
+    Read from the field's bundle for p, where a jet is returned, shared, to
+    every later call at the same point.  The first request at any order
+    builds the order-MAX_ORDER jet; a lower order is its truncation, kept
+    under that order.  Every jet operation computes each coefficient from
+    the coefficients of no higher degree, in the same sequence at every
+    order, so the truncation is bit for bit the jet built at that order.
+    A jet a sweep stored under its exact order is read first.
     """
     _check_order(order)
+    if order < MAX_ORDER:
+        return field.bundle_at(p).get(
+            order, lambda: eval_u(field, p, MAX_ORDER).truncated(order))
     return field.bundle_at(p).get(
         order, lambda: field.jet_at(p.z, p.z.conjugate(), p.t, order))
 
 
 def _check_order(order: int) -> None:
-    if order not in (0, 1, 2, 3, 4):
-        raise FamilyParamMismatch(f"jet order must be <= 4, got {order}")
+    if order not in range(MAX_ORDER + 1):
+        raise FamilyParamMismatch(f"jet order must be <= {MAX_ORDER}, got {order}")
 
 
 def _check_map(Z: Jet, pd: Jet) -> None:

@@ -13,7 +13,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import EtaVanishes, OrderExceeded
-from .fields import Point, SolutionField, eval_u
+from .fields import MAX_ORDER, Point, SolutionField, eval_u
 from .jet import Jet, row_values
 
 #: imaginary parts of physically real invariants below this are truncated to 0
@@ -21,9 +21,6 @@ REALITY_TOL = 1e-10
 #: |eta| below this counts as eta = 0, where lambda, lambda_bar and Y, Ybar
 #: are undefined
 ETA_TOL = 1e-14
-#: the order of every calculus's u-jet: the engine's ceiling, which the
-#: commutators on rho need
-ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,10 @@ class JetCalculus:
 
     def __init__(self, field: SolutionField, p: Point | list[Point]):
         if isinstance(p, Point):
-            self.u, self.t = eval_u(field, p, ORDER), p.t
+            self.u, self.t = eval_u(field, p, MAX_ORDER), p.t
         else:
-            self.u, self.t = field.jets_at(p, ORDER), tuple(q.t for q in p)
-        self.exp_mu = (-self.u.truncated(ORDER - 2)).exp()
+            self.u, self.t = field.jets_at(p, MAX_ORDER), tuple(q.t for q in p)
+        self.exp_mu = (-self.u.truncated(MAX_ORDER - 2)).exp()
         self.u_zt = self.u.derivative(0).derivative(2)
         self.u_zbt = self.u.derivative(1).derivative(2)
         self._kept: dict = {}
@@ -92,7 +89,7 @@ class JetCalculus:
     def _invariant_jet(self, name: str) -> Jet:
         u = self.u
         if name == "T":
-            return Jet.variable(2, self.t, 3, ORDER)
+            return Jet.variable(2, self.t, 3, MAX_ORDER)
         if name == "Ut":
             return u.derivative(2)
         if name == "Utt":
@@ -176,8 +173,11 @@ def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
 def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
     """A `SolutionField.sweep` build: each point's InvariantSet, as
     `invariants_at` stores it, from one JetCalculus on the points' stacked
-    order-4 u-jets."""
-    return [{"invariants": s} for s in _invariant_sets(JetCalculus(field, points), points)]
+    order-4 u-jets, and each point's row of those u-jets, from which
+    `eval_u` truncates every lower order."""
+    calc = JetCalculus(field, points)
+    return [{"invariants": s, MAX_ORDER: u}
+            for s, u in zip(_invariant_sets(calc, points), calc.u.rows())]
 
 
 def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:

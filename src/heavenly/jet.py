@@ -5,7 +5,10 @@ multi-index factorials) of a complex-valued function of up to three
 variables at a point.  The point itself is the caller's: a jet holds only
 the coefficients.  All operations are pure and truncate at the jet's total
 order, so arithmetic on jets of exact functions yields exact derivatives up
-to roundoff.
+to roundoff.  Each coefficient of a result is computed from the operands'
+coefficients of no higher total degree, in the same sequence at every
+order, so truncation commutes with every operation: a result truncated to
+a lower order equals the result of the truncated operands.
 
 The three-variable specialisation used by the solution fields orders the
 variables as (z, zbar, t); z and zbar are treated as formally independent
@@ -31,6 +34,8 @@ from .errors import (
 
 #: threshold below which a constant term counts as a genuine singularity
 SINGULAR_EPS = 1e-12
+#: the largest integer exponent that `Jet.cpow` takes as a repeated product
+PRODUCT_POWERS = 8
 
 _COMPLEX = np.dtype(complex)
 
@@ -426,7 +431,9 @@ class Jet:
                 raise DivisionBySingularJet(f"constant term {b} below {SINGULAR_EPS}")
         if not self.order:
             return Jet.constant(1.0, self.nvars, 0) / b0
-        term = r = (self / b0) - 1.0  # nilpotent part
+        # the nilpotent part: its constant term is an exact zero, so the
+        # series below is the same at every order
+        term = r = (self - b0) / b0
         acc = 1.0 - r
         for m in range(1, self.order):
             term = term * r
@@ -447,10 +454,12 @@ class Jet:
         return self.cpow(0.5)
 
     def cpow(self, p: complex) -> "Jet":
-        """Principal-branch power; exact repeated product for small integer p."""
+        """Principal-branch power; exact repeated product for an integer p of
+        size at most PRODUCT_POWERS, at every order, so that the power of a
+        truncated jet is the truncated power."""
         if isinstance(p, complex) and p.imag == 0:
             p = p.real
-        if isinstance(p, (int, float)) and float(p).is_integer() and abs(p) <= self.order + 4:
+        if isinstance(p, (int, float)) and float(p).is_integer() and abs(p) <= PRODUCT_POWERS:
             n = int(p)
             acc = self if n else Jet.constant(1.0, self.nvars, self.order)
             for _ in range(abs(n) - 1):

@@ -98,6 +98,25 @@ def test_revisited_point_matches_fresh_field(family, kappa):
         assert suite(lambda: shared, p) == fresh[p]
 
 
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_every_order_is_the_jet_built_at_that_order(family, kappa):
+    # eval_u truncates one order-4 build, alone or as a row of
+    # swept_invariants' stacked pass; confinv's f divides, the pushforward
+    # composes
+    pts = grid(kappa, family)
+    swept = build(family, kappa)
+    with swept.sweep(pts, invariants.swept_invariants):
+        for p in pts:
+            alone = build(family, kappa)
+            for order in (2, 0, 3, 1, 4):
+                want = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, order)
+                for fld in (alone, swept):
+                    got = eval_u(fld, p, order)
+                    assert got.order == order
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
+
+
 def counting(fld, counts):
     """The same field with a builder that counts its calls by order."""
     def builder(z0, zb0, t0, order):
@@ -131,10 +150,10 @@ def test_failed_build_is_not_remembered():
     for _ in range(3):
         with pytest.raises(DomainError):
             pde_residual(fld, bad)
-    assert counts == {2: 3}
+    assert counts == {4: 3}  # every order is read from the order-4 build
 
 
-def test_one_build_per_order_per_point(monkeypatch):
+def test_one_build_per_point(monkeypatch):
     calculi = Counter()
     init = invariants.JetCalculus.__init__
 
@@ -158,12 +177,13 @@ def test_one_build_per_order_per_point(monkeypatch):
 
     point_suite(a)
     point_suite(a)
-    assert counts == {2: 1, 3: 1, 4: 1}
+    # orders 2 and 3 are truncations of the one order-4 build
+    assert counts == {4: 1}
     assert calculi == {"JetCalculus": 1}
     # one point per field: moving away and back builds everything again
     point_suite(b)
     point_suite(a)
-    assert counts == {2: 3, 3: 3, 4: 3}
+    assert counts == {4: 3}
     assert calculi == {"JetCalculus": 3}
 
 
@@ -172,7 +192,7 @@ def test_bundle_key_tells_signed_zeros_apart():
     fld = counting(build("noninv", 1), counts)
     for z in (complex(1.3, 0.0), complex(1.3, -0.0), complex(1.3, 0.0)):
         pde_residual(fld, Point(0.8, z))
-    assert counts == {2: 3}
+    assert counts == {4: 3}
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -244,9 +264,9 @@ def test_sweep_bundles_last_for_the_block_only():
     pts = grid(1)
     with fld.sweep(pts, u_jets(1)):
         for p in pts:
-            eval_u(fld, p, 1)
-            eval_u(fld, p, 2)  # not swept: built for this point alone
-    assert counts == {1: 1, 2: len(pts) - 1}  # one point repeats
+            eval_u(fld, p, 1)  # the swept order-1 row, read first
+            eval_u(fld, p, 2)  # not swept: truncated from this point's own build
+    assert counts == {1: 1, 4: len(pts) - 1}  # one point repeats
     for p in pts[:2]:
         eval_u(fld, p, 1)
-    assert counts == {1: 3, 2: len(pts) - 1}
+    assert counts == {1: 1, 4: len(pts) + 1}

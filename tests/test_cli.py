@@ -171,7 +171,7 @@ def test_pole_on_grid_is_excluded_not_fatal(capsys):
 
 
 def test_pole_on_grid_does_not_abort_classify(capsys):
-    # classify_b's own grid loop skips the pole as the report's loop does
+    # classify_b's grid loop excludes the pole, and the report lists its exclusions
     code, out, _ = run(capsys, "classify", "--b", "1/(z-1) + i")
     assert code == 0
     report = json.loads(out)
@@ -279,6 +279,36 @@ def test_orbit_rejects_a_constant_map(capsys):
     assert code == 2
     assert out == ""
     assert "does not depend on z" in err
+
+
+LIOUVILLE_ORBIT = ("orbit", "--family", "liouville", "--c", "z^2", "--phi", "2*z")
+
+
+def test_orbit_checks_a_liouville_field_with_the_liouville_equation(capsys):
+    code, out, _ = run(capsys, *LIOUVILLE_ORBIT)
+    report = json.loads(out)
+    assert code == 0 and report["summary"]["pass"] is True
+    assert report["summary"]["max_residuals"]["equation"] < 1e-12
+    assert report["summary"]["max_residuals"]["rho_match"] < 1e-12
+    # c + cbar = 0 on the grid's imaginary axis, where gamma is singular
+    assert report["excluded"]["count"] == 8 and len(report["records"]) == 40
+
+
+def test_orbit_liouville_equation_fails_on_a_perturbed_pushforward(capsys, monkeypatch):
+    # u + 0.1 leaves Gamma_{z zbar} as it is and scales 2 kappa e^Gamma by e^0.1
+    from heavenly import fields
+    push = fields.conformal_pushforward
+
+    def perturbed(fld, phi):
+        pushed = push(fld, phi)
+        return fields.SolutionField(pushed.family, pushed.kappa, pushed.params,
+                                    _builder=lambda *at: pushed.jet_at(*at) + 0.1)
+
+    monkeypatch.setattr(fields, "conformal_pushforward", perturbed)
+    code, out, _ = run(capsys, *LIOUVILLE_ORBIT)
+    report = json.loads(out)
+    assert code == 1 and report["summary"]["pass"] is False
+    assert report["summary"]["max_residuals"]["equation"] > 1e-2
 
 
 def test_report_records_mains_own_argv(capsys, monkeypatch):

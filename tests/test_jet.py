@@ -10,7 +10,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
                              DomainError, OrderExceeded, ShapeMismatch)
-from heavenly.jet import Jet, compose3, compose_series
+from heavenly.jet import Jet, compose3, compose_series, row_series
 
 POINT = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
 
@@ -301,3 +301,86 @@ def test_post_init_runs_once_per_jet(monkeypatch):
     del results
     gc.collect()
     assert faults == [] and alive == set()
+
+
+# --- truncation commutes with every operation ---------------------------------
+# Each coefficient of a result is computed from the operands' coefficients of
+# no higher degree, in the same sequence at every order, so truncating a
+# result gives the result of the truncated operands.  The field jets rely on
+# it: a point's lower-order u-jets are truncations of its order-4 jet.
+
+def truncation_cases():
+    """Random jets with valid slots only and a constant term off the branch
+    cut, one per (nvars, order) and stacked as two rows, each with a second
+    operand and an inner jet of zero constant term."""
+    rng = np.random.default_rng(2024)
+
+    def draw(nvars, order, value):
+        c = rng.standard_normal((order + 1,) * nvars) + 1j * rng.standard_normal(
+            (order + 1,) * nvars)
+        c[(0,) * nvars] = value
+        return Jet(c).truncated(order)
+
+    for nvars in (1, 2, 3):
+        for order in range(5):
+            for depth in (0, 2):
+                def jet(value):
+                    if not depth:
+                        return draw(nvars, order, value)
+                    return Jet.stack([draw(nvars, order, value * (1 + 0.3j * r))
+                                      for r in range(depth)])
+                yield jet(1.3 + 0.4j), jet(0.8 - 0.6j), jet(0.0)
+
+
+UNARY = {
+    "neg": lambda j: -j,
+    "reciprocal": Jet.reciprocal,
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "sqrt": lambda j: j.cpow(0.5),
+    **{f"cpow {n}": (lambda j, n=n: j.cpow(n)) for n in (-3, -2, -1, 0, 1, 2, 3, 5, 8)},
+    "compose_series": lambda h: compose_series(
+        row_series(lambda a0, order: [a0 + 0.7, -1.1 + 0.2j, 0.4, 2.0, -0.3j, 0.9], h.value,
+                   h.order), h),
+    "scalar ops": lambda j: (2.0 - j) * (0.5 + 1j) / (1.5 - 0.5j) + 3.0,
+}
+BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def assert_commutes(f, operands, order):
+    for k in range(order + 1):
+        whole = f(*operands).truncated(k)
+        cut = f(*(j.truncated(k) for j in operands))
+        assert whole.coeffs.shape == cut.coeffs.shape
+        assert np.array_equal(whole.coeffs, cut.coeffs), k
+
+
+def test_truncation_commutes_with_every_operation():
+    cases = 0
+    for a, b, h in truncation_cases():
+        for name, f in UNARY.items():
+            assert_commutes(f, (h if name == "compose_series" else a,), a.order)
+        for f in BINARY.values():
+            assert_commutes(f, (a, b), a.order)
+        for var in range(a.nvars):
+            for k in range(1, a.order + 1):
+                assert np.array_equal(a.derivative(var).truncated(k - 1).coeffs,
+                                      a.truncated(k).derivative(var).coeffs)
+        cases += 1
+    assert cases == 30
+
+
+def test_truncation_commutes_with_compose3():
+    rng = np.random.default_rng(77)
+    for _a, b, h in truncation_cases():
+        if b.nvars != 3 or b.depth:
+            continue
+        # inner jets with zero constant terms, in the three target variables
+        dx, dy, dz = h, (b - b.value) * (0.5 - 1j), h * h + (b - b.value)
+        outer = Jet(rng.standard_normal((b.order + 1,) * 3) + 0j).truncated(b.order)
+        assert_commutes(compose3, (outer, dx, dy, dz), b.order)
