@@ -11,7 +11,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, ConstraintViolation
-from .fields import Point, SolutionField, make_solution, u_jets
+from .fields import Point, in_sweeps, make_solution, u_jets
 from .invariants import pde_residual
 from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residual
 
@@ -226,8 +226,14 @@ def verify_case(case: TheoremCase, grid: list[Point]) -> float:
     """Max invariance residual of the normal form's (b, generator) pair."""
     b, gen = theorem_case(case)
     field = make_solution("noninv", {"b": b}, case.kappa)
-    with field.sweep(grid, u_jets(1)):
-        return max(abs(invariance_residual(field, gen, p)) for p in grid)
+    return _max_invariance_residual(field, gen, grid)
+
+
+def _max_invariance_residual(field, gen: GeneratorSpec, grid: list[Point]) -> float:
+    """Max |invariance residual| of gen over the grid, whose order-1 u-jets
+    come from one stacked pass per chunk."""
+    return max(abs(invariance_residual(field, gen, p))
+               for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(1))]))
 
 
 # --- classification -------------------------------------------------------
@@ -344,20 +350,19 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     """
     field = make_solution("noninv", {"b": b}, kappa)
 
-    # each grid sweep builds its u-jets in one stacked pass (SolutionField.sweep)
+    # each grid loop reads its u-jets from stacked passes (fields.in_sweeps)
     equation = []
     usable: list[Point] = []
     worst = 0.0
-    with field.sweep(grid, u_jets(2)):
-        for p in grid:
-            try:
-                r = abs(pde_residual(field, p))
-            except POINT_EXCLUSIONS as err:
-                equation.append(str(err))
-                continue
-            equation.append(r)
-            usable.append(p)
-            worst = max(worst, r)
+    for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(2))]):
+        try:
+            r = abs(pde_residual(field, p))
+        except POINT_EXCLUSIONS as err:
+            equation.append(str(err))
+            continue
+        equation.append(r)
+        usable.append(p)
+        worst = max(worst, r)
     equation = tuple(equation)
     if not usable:
         return Inconclusive("no grid point lies in the solution's domain", equation)
@@ -381,15 +386,13 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     if max(abs(v) for v in b1) < FIT_TOL * scale:
         a = _c(1j) if kappa == 1 else _poly(0, -1j)
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
-        with field.sweep(usable, u_jets(1)):
-            res = max(abs(invariance_residual(field, gen, p)) for p in usable)
+        res = _max_invariance_residual(field, gen, usable)
         return InvariantCaseMatched(8, gen, res, equation=equation)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < FIT_TOL:
         gen, cid = _generator_from_vector(v, kappa)
-        with field.sweep(usable, u_jets(1)):
-            res = max(abs(invariance_residual(field, gen, p)) for p in usable)
+        res = _max_invariance_residual(field, gen, usable)
         if res < FIT_TOL:
             note = ""
             if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:

@@ -16,20 +16,17 @@ import json
 import math
 import random
 import sys
-from contextlib import ExitStack
+from dataclasses import replace
 
 from . import __version__
 from . import expr as ex
 from .errors import (POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError,
                      NegativeDiscriminant, ParseError)
 from .families import FAMILY_PARAMS
+from .jet import PASS_POINTS
 
 SCHEMA = "foliation-report/1"
 DEFAULT_TOL = 1e-9
-#: the most points one stacked pass holds, in every subcommand: a grid is
-#: checked in chunks of this many points, and `resolving` evaluates its
-#: samples in groups of at most this many
-PASS_POINTS = 16
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -96,29 +93,25 @@ def _exclude(report, reason):
     exc["reasons"][reason] = exc["reasons"].get(reason, 0) + 1
 
 
-def _run(report, points, check, passes=None) -> None:
+def _run(report, points, check, passes) -> None:
     """One record per point, {"point": ..., **check(p)}; a point where check
     raises one of POINT_EXCLUSIONS is counted under the error's message.
 
-    The points go in chunks of at most PASS_POINTS.  passes(chunk) lists
-    what the chunk's checks read as (field, points, build) triples, each
-    run as one stacked `SolutionField.sweep` pass around the chunk's
-    checks, which read its bundles instead of building each point alone.
-    A pass that raises leaves its chunk's checks to build point by point,
-    so the records and exclusions are those of the per-point loop.
+    The points go in chunks (`fields.in_sweeps`): passes(chunk) lists what
+    the chunk's checks read as (field, points, build) sweeps, each one
+    stacked pass, whose bundles the checks read instead of building each
+    point alone.  A pass that raises leaves its chunk's checks to build
+    point by point, so the records and exclusions are those of the
+    per-point loop.
     """
-    for start in range(0, len(points), PASS_POINTS):
-        chunk = points[start:start + PASS_POINTS]
-        with ExitStack() as sweeps:
-            for field, swept, build in passes(chunk) if passes else ():
-                sweeps.enter_context(field.sweep(swept, build))
-            for p in chunk:
-                try:
-                    rec = check(p)
-                except POINT_EXCLUSIONS as err:
-                    _exclude(report, str(err))
-                    continue
-                report["records"].append({"point": _where(p), **rec})
+    from .fields import in_sweeps
+    for p in in_sweeps(points, passes):
+        try:
+            rec = check(p)
+        except POINT_EXCLUSIONS as err:
+            _exclude(report, str(err))
+            continue
+        report["records"].append({"point": _where(p), **rec})
 
 
 def _finish(report, args) -> int:
@@ -257,20 +250,17 @@ def cmd_classify(args) -> int:
 
 
 def _perturbed(rf, spec: str):
-    """rf with one of its functions shifted by a constant, from --perturb."""
-    from .resolving import ResolvingFunctions
+    """rf with one of its functions shifted by a constant, from --perturb;
+    the copy starts with an empty store of checked points."""
     name, _, amount = spec.partition(":")
     shift = _const_arg(amount.lstrip("+"))
     keys = {"F": "F", "lambda": "lambda_", "lambda_bar": "lambda_bar",
             "tau": "tau"}
     if name not in keys:
         raise ValueError(f"--perturb target must be one of {sorted(keys)}")
-    kw = {"F": rf.F, "lambda_": rf.lambda_, "lambda_bar": rf.lambda_bar,
-          "tau": rf.tau,
-          "requires_nonneg_discriminant": rf.requires_nonneg_discriminant}
-    old = kw[keys[name]]
-    kw[keys[name]] = ex.Expr(ex.Add(old.root, ex.Const(shift)), old.variables)
-    return ResolvingFunctions(**kw)
+    old = getattr(rf, keys[name])
+    return replace(rf, **{keys[name]: ex.Expr(ex.Add(old.root, ex.Const(shift)),
+                                              old.variables)})
 
 
 def cmd_resolving(args) -> int:
@@ -280,12 +270,14 @@ def cmd_resolving(args) -> int:
     the same order, the same rejection of a discriminant at or below 1e-6,
     at most 50 * samples attempts, and no more admissible draws than
     samples still missing.  Each group of at most PASS_POINTS admissible
-    draws is then checked as the rows of one stacked projection
-    (`resolving.resolving_pass`); a group whose pass raises is checked
-    point by point.  Either way every point gets its per-point result and
-    exclusion, so the report is that loop's, byte for byte.
+    draws is then swept as the rows of one stacked projection
+    (`resolving.resolving_sweep`) and checked by the plain per-point loop,
+    which reads the sweep's results; where the sweep raises, the loop
+    computes each point alone.  Either way every point gets its per-point
+    result and exclusion, so the report is that loop's, byte for byte.
     """
-    from .resolving import ResolvingPoint, ansatz_functions
+    from .resolving import (ResolvingPoint, ansatz_functions, jacobi_residual,
+                            resolving_residuals, resolving_sweep)
     phi = ex.parse(args.phi, ("xi", "theta"))
     rf = ansatz_functions(phi, args.kappa)
     if args.perturb:
@@ -308,38 +300,20 @@ def cmd_resolving(args) -> int:
                 _exclude(report, "discriminant outside the admissible region")
                 continue
             group.append(p)
-        for p, checked in zip(group, _resolving_checks(rf, group)):
-            if isinstance(checked, HeavenlyError):
-                _exclude(report, type(checked).__name__)
+        resolving_sweep(rf, group)
+        for p in group:
+            try:
+                res, jac = resolving_residuals(rf, p), jacobi_residual(rf, p)
+            except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
+                _exclude(report, type(err).__name__)
                 continue
             produced += 1
-            res, jac = checked
             residuals = {k: abs(v) for k, v in res.as_dict().items()}
             residuals["jacobi"] = max(abs(v) for v in jac)
             report["records"].append(
                 {"point": {"t": p.t, "re": p.ut, "im": p.rho}, "residuals": residuals})
     report["summary"]["samples"] = produced
     return _finish(report, args)
-
-
-def _resolving_checks(rf, group) -> list:
-    """Per point of group, its (residuals, Jacobi residual) pair or the
-    error that excludes it: from one stacked pass, or point by point where
-    the pass raises."""
-    from .resolving import jacobi_residual, resolving_pass, resolving_residuals
-    if not group:
-        return []
-    try:
-        return resolving_pass(rf, group)
-    except SWEEP_FALLBACK:
-        pass
-    checks = []
-    for p in group:
-        try:
-            checks.append((resolving_residuals(rf, p), jacobi_residual(rf, p)))
-        except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
-            checks.append(err)
-    return checks
 
 
 def cmd_symmetry(args) -> int:
@@ -366,7 +340,7 @@ def cmd_symmetry(args) -> int:
             return {"residuals": {"bracket_z": abs(rz), "bracket_u": abs(ru)}}
 
         _run(report, [Point(0.0, z) for z in (0.7 + 0.2j, -0.4 + 0.9j, 1.1 - 0.5j)],
-             check)
+             check, lambda chunk: ())
     elif args.check == "criterion":
         field, fam, echo = _family_from_args(args)
         gen = GeneratorSpec(args.alpha, args.beta,

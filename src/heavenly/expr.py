@@ -299,26 +299,13 @@ def pretty(node: Node, parent_prec: int = 0) -> str:
 
 # --- structural helpers ---------------------------------------------------
 
-def map_constants(node: Node, fn) -> Node:
-    if isinstance(node, Const):
-        return Const(fn(node.value))
-    if isinstance(node, (Var,)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(map_constants(node.x, fn))
-    if isinstance(node, Add):
-        return Add(map_constants(node.a, fn), map_constants(node.b, fn))
-    if isinstance(node, Sub):
-        return Sub(map_constants(node.a, fn), map_constants(node.b, fn))
-    if isinstance(node, Mul):
-        return Mul(map_constants(node.a, fn), map_constants(node.b, fn))
-    if isinstance(node, Div):
-        return Div(map_constants(node.a, fn), map_constants(node.b, fn))
-    if isinstance(node, Pow):
-        return Pow(map_constants(node.base, fn), map_constants(node.exponent, fn))
-    if isinstance(node, Call):
-        return Call(node.fn, map_constants(node.arg, fn))
-    raise TypeError(node)
+def _rebuild(node: Node, leaf) -> Node:
+    """node with every Const and Var replaced by leaf(it), and every other
+    node rebuilt around its rebuilt children."""
+    if isinstance(node, (Const, Var)):
+        return leaf(node)
+    return type(node)(**{name: _rebuild(child, leaf) if isinstance(child, Node) else child
+                         for name, child in vars(node).items()})
 
 
 def mentions(e: Expr, name: str) -> bool:
@@ -338,7 +325,8 @@ def conjugate(e: Expr) -> Expr:
     Evaluating the result at conj(w) gives conj(e(w)) for the principal
     branches, which is the conjugate-analytic partner used for bar-fields.
     """
-    return Expr(map_constants(e.root, lambda v: v.conjugate()), e.variables)
+    return Expr(_rebuild(e.root, lambda leaf: Const(leaf.value.conjugate())
+                         if isinstance(leaf, Const) else leaf), e.variables)
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -352,28 +340,12 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
         if v not in mapping and v not in new_vars:
             new_vars.append(v)
 
-    def walk(node: Node) -> Node:
+    def leaf(node: Node) -> Node:
         if isinstance(node, Var) and node.name in mapping:
             return mapping[node.name].root
-        if isinstance(node, (Const, Var)):
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.x))
-        if isinstance(node, Add):
-            return Add(walk(node.a), walk(node.b))
-        if isinstance(node, Sub):
-            return Sub(walk(node.a), walk(node.b))
-        if isinstance(node, Mul):
-            return Mul(walk(node.a), walk(node.b))
-        if isinstance(node, Div):
-            return Div(walk(node.a), walk(node.b))
-        if isinstance(node, Pow):
-            return Pow(walk(node.base), walk(node.exponent))
-        if isinstance(node, Call):
-            return Call(node.fn, walk(node.arg))
-        raise TypeError(node)
+        return node
 
-    return Expr(walk(e.root), tuple(new_vars))
+    return Expr(_rebuild(e.root, leaf), tuple(new_vars))
 
 
 # --- evaluation -----------------------------------------------------------

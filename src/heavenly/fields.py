@@ -15,18 +15,24 @@ A point's u-jet is built once, at the engine's ceiling MAX_ORDER, and
 every lower order is served as its truncation (`eval_u`): in a truncated
 Taylor algebra the lower-order jet is the higher one with its top
 coefficients dropped, and the engine computes it with the same bits.
+
+A loop over many points runs as stacked passes: `in_sweeps` hands the
+loop its points in chunks of at most PASS_POINTS, and before each chunk
+`SolutionField.sweep` fills the field's one store of point bundles from
+one stacked build.  The loop's per-point calls are the only readers of
+that store, so they give the bits, the errors and the exclusions of the
+per-point path; a chunk whose pass raises runs on that path.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, DomainError, FamilyParamMismatch, SingularMap
 from .families import FAMILY_PARAMS
-from .jet import Jet, compose3, compose_series, row_series, row_values
+from .jet import PASS_POINTS, Jet, compose3, compose_series, row_series, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
@@ -53,10 +59,9 @@ class PointBundle:
     next call raises again.
     """
 
-    __slots__ = ("key", "_values")
+    __slots__ = ("_values",)
 
-    def __init__(self, key: str):
-        self.key = key
+    def __init__(self):
         self._values: dict = {}
 
     def get(self, name, build):
@@ -71,23 +76,22 @@ class PointBundle:
 class SolutionField:
     """Evaluator for one solution family (or a conformal transform of one).
 
-    The field keeps one derivative bundle (``PointBundle``) for the most
-    recent point it was evaluated at on the physical slice, so a run of
+    The field keeps one store of derivative bundles (``PointBundle``): the
+    bundles of its last `sweep`, one per point, or else the bundle of the
+    last point it was evaluated at on the physical slice.  So a run of
     calls at one point builds the u-jet (at MAX_ORDER, every lower order
-    its truncation), the invariant jets and the invariants once.  Moving
-    to another point replaces the whole bundle, key and values together;
-    memory is one point per field, plus, inside a `sweep` block, one bundle
-    per point of the sweep.  Bundled values are
-    shared between calls and must be treated as immutable (jets are).
+    its truncation), the invariant jets and the invariants once, and a loop
+    over a sweep's points reads what the sweep computed for them.  A point
+    outside the store replaces it, bundles and keys together; memory is at
+    most one sweep's points per field.  Bundled values are shared between
+    calls and must be treated as immutable (jets are).
     """
 
     family: str
     kappa: int
     params: dict = dc_field(default_factory=dict)
     _builder: object = None  # (z0, zb0, t0, order) -> Jet
-    _bundle: PointBundle | None = dc_field(default=None, init=False, repr=False,
-                                           compare=False)
-    _swept: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _bundles: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def jet_at(self, z0: complex, zb0: complex, t0: float, order: int) -> Jet:
         """u-jet at a possibly off-slice point (zbar independent of z); never bundled."""
@@ -103,52 +107,52 @@ class SolutionField:
                              tuple(p.t for p in points), order)
 
     def bundle_at(self, p: Point) -> PointBundle:
-        """The derivative bundle of point p: a sweep's bundle for p inside a
-        `sweep` block, else the field's one bundle, replacing the previous
-        point's."""
+        """The derivative bundle of point p from the store; a point outside
+        it replaces the store with a new bundle for p alone."""
         key = _bundle_key(p)
-        if self._swept is not None and key in self._swept:
-            return self._swept[key]
-        bundle = self._bundle
-        if bundle is None or bundle.key != key:
-            bundle = PointBundle(key)
-            object.__setattr__(self, "_bundle", bundle)
+        bundle = self._bundles.get(key)
+        if bundle is None:
+            bundle = PointBundle()
+            object.__setattr__(self, "_bundles", {key: bundle})
         return bundle
 
-    @contextmanager
-    def sweep(self, points: list[Point], build):
+    def sweep(self, points: list[Point], build) -> None:
         """Compute what a loop over points needs in one stacked pass.
 
         build(field, points) returns one dict per point of bundle values
         (name -> value, as `PointBundle.get` stores them), all computed
-        together.  Inside the block each of those points has its own bundle
-        holding them, so the loop's per-point calls read them instead of
-        building each point alone; everything else they need is built per
-        point as usual.  If build raises (`SWEEP_FALLBACK`), the block runs
-        with no sweep bundles, point by point, and so raises or excludes
-        exactly what the per-point path does.  The bundles go when the
-        block ends.
+        together.  They replace the store, one bundle per point, so the
+        loop's per-point calls read them instead of building each point
+        alone; everything else they need is built per point as usual.  If
+        build raises (`SWEEP_FALLBACK`), the store is left empty, and the
+        loop raises or excludes exactly what the per-point path does.
         """
-        swept = None
-        if points:
-            try:
-                values = build(self, points)
-            except SWEEP_FALLBACK:
-                pass
-            else:
-                swept = {}
-                for p, named in zip(points, values):
-                    key = _bundle_key(p)
-                    bundle = swept.setdefault(key, PointBundle(key))
-                    for name, value in named.items():
-                        bundle.get(name, lambda: value)
-        outer = self._swept
-        if swept is not None:
-            object.__setattr__(self, "_swept", swept)
+        object.__setattr__(self, "_bundles", {})
+        if not points:
+            return
         try:
-            yield
-        finally:
-            object.__setattr__(self, "_swept", outer)
+            values = build(self, points)
+        except SWEEP_FALLBACK:
+            return
+        bundles = {}
+        for p, named in zip(points, values):
+            bundle = bundles.setdefault(_bundle_key(p), PointBundle())
+            for name, value in named.items():
+                bundle.get(name, lambda: value)
+        object.__setattr__(self, "_bundles", bundles)
+
+
+def in_sweeps(points: list[Point], passes):
+    """Each of points, in chunks of at most PASS_POINTS: before a chunk's
+    points are yielded, every (field, points, build) of passes(chunk) is run
+    as one `SolutionField.sweep`, so the per-point calls of a loop over the
+    chunk read their bundles.  A sweep that raises costs its chunk alone:
+    that chunk's points are built one by one."""
+    for start in range(0, len(points), PASS_POINTS):
+        chunk = points[start:start + PASS_POINTS]
+        for field, swept, build in passes(chunk):
+            field.sweep(swept, build)
+        yield from chunk
 
 
 def _bundle_key(p: Point) -> str:

@@ -36,6 +36,9 @@ from .errors import (
 SINGULAR_EPS = 1e-12
 #: the largest integer exponent that `Jet.cpow` takes as a repeated product
 PRODUCT_POWERS = 8
+#: the most points one stacked pass holds: the rows of every stacked jet a
+#: sweep builds (`fields.in_sweeps`, `resolving.resolving_sweep`)
+PASS_POINTS = 16
 
 _COMPLEX = np.dtype(complex)
 
@@ -53,8 +56,15 @@ def valid_indices(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(nvars: int, order: int):
-    """Flat-index triples (ia, ib, itarget) for truncated convolution."""
+def _mul_table(nvars: int, order: int, depth: int):
+    """Flat-index triples (ia, ib, itarget) of truncated convolution, over
+    `depth` stacked rows.
+
+    Returns (ia, ib, ia_rows, ib_rows, it_rows): the operand slots tiled per
+    row for an unstacked operand, then shifted by each row's offset for a
+    stacked one, and the shifted target slots.  One flat 1-D scatter over
+    all rows keeps `np.add.at` on its fast path; a 2-D index does not.
+    """
     shape = (order + 1,) * nvars
     ia, ib, it = [], [], []
     idxs = valid_indices(nvars, order)
@@ -65,7 +75,11 @@ def _mul_table(nvars: int, order: int):
                 ia.append(np.ravel_multi_index(a, shape))
                 ib.append(np.ravel_multi_index(b, shape))
                 it.append(np.ravel_multi_index(t, shape))
-    return np.array(ia), np.array(ib), np.array(it)
+    ia, ib, it = np.array(ia), np.array(ib), np.array(it)
+    size = (order + 1) ** nvars
+    return _read_only(_rows(ia, depth), _rows(ib, depth),
+                      _rows(ia, depth, size), _rows(ib, depth, size),
+                      _rows(it, depth, size))
 
 
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
@@ -82,24 +96,8 @@ def _rows(slots: np.ndarray, depth: int, row_size: int = 0) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stacked_mul_table(nvars: int, order: int, depth: int):
-    """`_mul_table` over `depth` stacked rows.
-
-    Returns (ia, ib, ia_rows, ib_rows, it_rows): the operand slots tiled per
-    row for an unstacked operand, then shifted by each row's offset for a
-    stacked one, and the shifted target slots.  One flat 1-D scatter over
-    all rows keeps `np.add.at` on its fast path; a 2-D index does not.
-    """
-    size = (order + 1) ** nvars
-    ia, ib, it = _mul_table(nvars, order)
-    return _read_only(_rows(ia, depth), _rows(ib, depth),
-                      _rows(ia, depth, size), _rows(ib, depth, size),
-                      _rows(it, depth, size))
-
-
-@lru_cache(maxsize=None)
-def _derivative_table(nvars: int, order: int, var: int):
-    """Gather for d/d(var) of an order-`order` jet.
+def _derivative_table(nvars: int, order: int, var: int, depth: int):
+    """Gather for d/d(var) of an order-`order` jet, over `depth` stacked rows.
 
     Returns (target, source, weight): flat slots of the order-1 result, the
     flat slots of the operand they read, and the integer factor
@@ -114,34 +112,22 @@ def _derivative_table(nvars: int, order: int, var: int):
         tgt.append(np.ravel_multi_index(a, dst_shape))
         src.append(np.ravel_multi_index(up, src_shape))
         w.append(up[var])
-    return _read_only(np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp),
-                      np.array(w, dtype=np.int64))
-
-
-@lru_cache(maxsize=None)
-def _stacked_derivative_table(nvars: int, order: int, var: int, depth: int):
-    """`_derivative_table` over `depth` stacked rows, as flat slots."""
-    tgt, src, w = _derivative_table(nvars, order, var)
+    tgt, src = np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)
     return _read_only(_rows(tgt, depth, order ** nvars),
-                      _rows(src, depth, (order + 1) ** nvars), _rows(w, depth))
+                      _rows(src, depth, (order + 1) ** nvars),
+                      _rows(np.array(w, dtype=np.int64), depth))
 
 
 @lru_cache(maxsize=None)
-def _truncation_table(nvars: int, order: int, new_order: int):
-    """Gather for truncating an order-`order` jet to `new_order`: flat slots of
-    the result and the flat slots of the operand they copy."""
+def _truncation_table(nvars: int, order: int, new_order: int, depth: int):
+    """Gather for truncating an order-`order` jet to `new_order`, over
+    `depth` stacked rows: flat slots of the result and the flat slots of the
+    operand they copy."""
     src_shape = (order + 1,) * nvars
     dst_shape = (new_order + 1,) * nvars
     idxs = valid_indices(nvars, new_order)
-    tgt = [np.ravel_multi_index(a, dst_shape) for a in idxs]
-    src = [np.ravel_multi_index(a, src_shape) for a in idxs]
-    return _read_only(np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp))
-
-
-@lru_cache(maxsize=None)
-def _stacked_truncation_table(nvars: int, order: int, new_order: int, depth: int):
-    """`_truncation_table` over `depth` stacked rows, as flat slots."""
-    tgt, src = _truncation_table(nvars, order, new_order)
+    tgt = np.array([np.ravel_multi_index(a, dst_shape) for a in idxs], dtype=np.intp)
+    src = np.array([np.ravel_multi_index(a, src_shape) for a in idxs], dtype=np.intp)
     return _read_only(_rows(tgt, depth, (new_order + 1) ** nvars),
                       _rows(src, depth, (order + 1) ** nvars))
 
@@ -402,7 +388,7 @@ class Jet:
         # so the multiply runs the loop the one-jet form runs)
         depth = self.depth or other.depth
         shaped = other if other.depth else self  # the stacked operand, if any
-        ia, ib, ia_rows, ib_rows, it = _stacked_mul_table(self.nvars, self.order, depth or 1)
+        ia, ib, ia_rows, ib_rows, it = _mul_table(self.nvars, self.order, depth or 1)
         out = np.zeros(shaped.coeffs.size, dtype=complex)
         np.add.at(out, it, self.coeffs.take(ia_rows if self.depth else ia)
                   * other.coeffs.take(ib_rows if other.depth else ib))
@@ -496,7 +482,7 @@ class Jet:
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
         k, n, depth = self.order, self.nvars, self.depth
-        tgt, src, w = _stacked_derivative_table(n, k, var, depth or 1)
+        tgt, src, w = _derivative_table(n, k, var, depth or 1)
         out = np.zeros((depth or 1) * k ** n, dtype=complex)
         out[tgt] = self.coeffs.take(src) * w
         return _jet(out.reshape(self.coeffs.shape[:-n] + (k,) * n), depth, n, k - 1)
@@ -512,7 +498,7 @@ class Jet:
         if order > self.order:
             raise OrderExceeded(f"cannot extend order {self.order} to {order}")
         n, depth = self.nvars, self.depth
-        tgt, src = _stacked_truncation_table(n, self.order, order, depth or 1)
+        tgt, src = _truncation_table(n, self.order, order, depth or 1)
         out = np.zeros((depth or 1) * (order + 1) ** n, dtype=complex)
         out[tgt] = self.coeffs.take(src)
         return _jet(out.reshape(self.coeffs.shape[:-n] + (order + 1,) * n), depth, n, order)
@@ -567,7 +553,10 @@ def compose_series(series: list, inner: Jet) -> Jet:
             raise DomainError("composition requires vanishing constant term")
     n = min(len(series), inner.order + 1)
     if n <= 1:
-        return Jet.constant(series[0], inner.nvars, inner.order)
+        value = series[0]
+        if inner.depth and type(value) is not tuple:
+            value = (value,) * inner.depth  # one constant row per row of inner
+        return Jet.constant(value, inner.nvars, inner.order)
     power = inner
     acc = series[1] * inner + series[0]
     for m in range(2, n):

@@ -1,6 +1,14 @@
 """Resolving system of the group foliation: projected operators on the
 invariant space (t, u_t, rho), the five residuals, the Jacobi identity and
-the commuting-operators ansatz."""
+the commuting-operators ansatz.
+
+Both checks at a point read one order-PROJ_ORDER projection, which gives
+them together: the functions keep each checked point's pair of results in
+one store.  A loop over many points first runs `resolving_sweep`, which
+fills that store from one stacked projection of all of them; the loop's
+per-point calls are its only readers, so they give the bits and the errors
+of the per-point path.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
+from .errors import SWEEP_FALLBACK, ArityMismatch, FVanishes, NegativeDiscriminant
 from .jet import Jet
 
 RVARS = ("t", "ut", "rho")
@@ -39,11 +47,12 @@ class ResolvingFunctions:
     (t, ut, rho).  lambda_bar must be the coefficient-conjugate partner of
     lambda_; use ansatz_functions or conjugate() to build it.
 
-    The functions keep their projection (`_Proj`) at the most recent point
-    they were checked at, so `resolving_residuals` and `jacobi_residual`
-    at one point evaluate F, lambda, lambda_bar and tau once.  Moving to
-    another point replaces it; a build that raises keeps nothing, so the
-    next call raises again.
+    The functions keep one store of checked points, each with its pair of
+    `resolving_residuals` and `jacobi_residual` results: those of the last
+    `resolving_sweep`, or else of the last point they were checked at.  So
+    the two checks at one point evaluate F, lambda, lambda_bar and tau
+    once.  A point outside the store replaces it; a check that raises
+    keeps nothing, so the next call raises again.
     """
 
     F: ex.Expr
@@ -51,7 +60,7 @@ class ResolvingFunctions:
     lambda_bar: ex.Expr
     tau: ex.Expr
     requires_nonneg_discriminant: bool = False
-    _proj: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class _Proj:
@@ -66,7 +75,7 @@ class _Proj:
     build their reference projections at other orders.
 
     p is one point, or a list of points of one kappa for one projection
-    whose jets hold one row per point (`resolving_pass`); an operand then
+    whose jets hold one row per point (`resolving_sweep`); an operand then
     holds one or more rows per point, a point's rows next to each other
     (`_per_point`), and each coefficient acts on all of its point's rows.
     """
@@ -139,19 +148,20 @@ def _per_point(jets: list[Jet]) -> Jet:
     return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=len(jets) * first.depth)
 
 
-def _projection(rf: ResolvingFunctions, p: ResolvingPoint) -> _Proj:
-    """rf's order-PROJ_ORDER projection at p, built once per point; raises
+def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
+    """The pair of both checks' results at p, from rf's store, or from p's
+    own order-PROJ_ORDER projection, which then replaces the store; raises
     FVanishes where F's value is below F_EPS."""
     key = repr(p)  # repr tells apart the values that == merges (0.0 and -0.0)
-    kept = rf._proj
-    if kept is None or kept[0] != key:
-        kept = (key, _Proj(rf, p, PROJ_ORDER))
-        object.__setattr__(rf, "_proj", kept)
-    proj = kept[1]
-    F = proj.Fj.value
-    if abs(F) < F_EPS:
-        raise FVanishes(f"F = {F} at {p}")
-    return proj
+    checked = rf._checked.get(key)
+    if checked is None:
+        proj = _Proj(rf, p, PROJ_ORDER)
+        F = proj.Fj.value
+        if abs(F) < F_EPS:
+            raise FVanishes(f"F = {F} at {p}")
+        checked = (_residual_rows(proj, [p])[0], _jacobi_rows(proj)[0])
+        object.__setattr__(rf, "_checked", {key: checked})
+    return checked
 
 
 @dataclass(frozen=True)
@@ -169,7 +179,7 @@ class ResolvingResiduals:
 
 def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingResiduals:
     """The five residuals of the resolving system at one invariant point."""
-    return _residual_rows(_projection(rf, p), [p])[0]
+    return _checks(rf, p)[0]
 
 
 def _residual_rows(proj: _Proj, points: list[ResolvingPoint]) -> list[ResolvingResiduals]:
@@ -228,7 +238,7 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     `resolving_residuals` reads at the same point leave an order-0 jet
     holding the value, the same bits an order-4 seed gives.
     """
-    return _jacobi_rows(_projection(rf, p))[0]
+    return _checks(rf, p)[1]
 
 
 def _jacobi_rows(proj: _Proj) -> list[tuple[complex, complex, complex]]:
@@ -255,20 +265,27 @@ def _jacobi_rows(proj: _Proj) -> list[tuple[complex, complex, complex]]:
     return [v[k:k + 3] for k in range(0, len(v), 3)]
 
 
-def resolving_pass(rf: ResolvingFunctions,
-                   points: list[ResolvingPoint]) -> list[tuple | FVanishes]:
-    """`resolving_residuals` and `jacobi_residual` at each of points, of
-    one kappa, from one stacked order-PROJ_ORDER projection: per point the
-    pair of their results, or the FVanishes error where F's value is below
-    F_EPS.  Every row is bit for bit the point's own result, because every
-    jet operation acts row by row and each row goes through the per-point
-    formulas.  Raises what building the projection raises at any of the
-    points; the projection is not kept.
+def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:
+    """Check points, of one kappa, in one stacked order-PROJ_ORDER
+    projection, whose results replace rf's store: per point the pair that
+    `resolving_residuals` and `jacobi_residual` read, bit for bit the
+    point's own, because every jet operation acts row by row and each row
+    goes through the per-point formulas.  A point where F's value is below
+    F_EPS is left out, and a projection that raises (`SWEEP_FALLBACK`)
+    leaves the store empty, so the checks there raise or exclude exactly
+    what they do alone.
     """
-    proj = _Proj(rf, points, PROJ_ORDER)
-    return [FVanishes(f"F = {F} at {p}") if abs(F) < F_EPS else checked
-            for p, F, checked in zip(points, proj.Fj.value,
-                                     zip(_residual_rows(proj, points), _jacobi_rows(proj)))]
+    object.__setattr__(rf, "_checked", {})
+    if not points:
+        return
+    try:
+        proj = _Proj(rf, points, PROJ_ORDER)
+    except SWEEP_FALLBACK:
+        return
+    pairs = zip(_residual_rows(proj, points), _jacobi_rows(proj))
+    object.__setattr__(rf, "_checked", {repr(p): pair for p, F, pair
+                                        in zip(points, proj.Fj.value, pairs)
+                                        if abs(F) >= F_EPS})
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------

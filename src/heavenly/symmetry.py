@@ -8,7 +8,7 @@ import cmath
 from dataclasses import dataclass
 
 from . import expr as ex
-from .fields import Point, SolutionField, eval_u
+from .fields import Point, SolutionField, eval_u, in_sweeps
 from .invariants import invariants_at, swept_invariants
 
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
@@ -125,7 +125,7 @@ def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> com
 
 def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:
     """Max |sigma - sigma_bar| over the grid, whose invariants come from
-    one stacked calculus (`SolutionField.sweep`).
+    one stacked calculus per chunk (`fields.in_sweeps`).
 
     sigma != sigma_bar is sufficient for conformal non-invariance; the
     converse does not hold, so equality yields "inconclusive", never an
@@ -134,14 +134,13 @@ def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:
     best = 0.0
     witness = None
     eta_seen = False
-    with field.sweep(grid, swept_invariants):
-        for p in grid:
-            s = invariants_at(field, p)
-            if not s.eta_vanishes:
-                eta_seen = True
-            gap = abs(s.sigma - s.sigma_bar)
-            if gap > best:
-                best, witness = gap, p
+    for p in in_sweeps(grid, lambda chunk: [(field, chunk, swept_invariants)]):
+        s = invariants_at(field, p)
+        if not s.eta_vanishes:
+            eta_seen = True
+        gap = abs(s.sigma - s.sigma_bar)
+        if gap > best:
+            best, witness = gap, p
     if not eta_seen:
         return WitnessReport("inconclusive", best, witness,
                              note="eta vanishes on the whole grid")

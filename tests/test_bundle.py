@@ -1,8 +1,8 @@
 """The per-point derivative bundle: reuse must never change a result.
 
-Every suite function reads its jets and invariants from the field's bundle
-for the most recent point, or, inside a sweep, from the bundles one stacked
-pass filled for every point of a grid.  These tests compare each result,
+Every suite function reads its jets and invariants from the field's one
+store of bundles: the bundles one stacked pass (a sweep) filled for every
+point of a chunk, or else the bundle of the most recent point.  These tests compare each result,
 bit for bit, with the result of a freshly built field, count how often the
 field's builder runs, and check that failures are raised again, never
 remembered.
@@ -106,15 +106,15 @@ def test_every_order_is_the_jet_built_at_that_order(family, kappa):
     # composes
     pts = grid(kappa, family)
     swept = build(family, kappa)
-    with swept.sweep(pts, invariants.swept_invariants):
-        for p in pts:
-            alone = build(family, kappa)
-            for order in (2, 0, 3, 1, 4):
-                want = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, order)
-                for fld in (alone, swept):
-                    got = eval_u(fld, p, order)
-                    assert got.order == order
-                    assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
+    swept.sweep(pts, invariants.swept_invariants)
+    for p in pts:
+        alone = build(family, kappa)
+        for order in (2, 0, 3, 1, 4):
+            want = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, order)
+            for fld in (alone, swept):
+                got = eval_u(fld, p, order)
+                assert got.order == order
+                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
 
 
 def counting(fld, counts):
@@ -242,9 +242,9 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
            Point(1.2, 1.3 - 0.4j)]
     fld = make_solution("noninv", {"b": b}, 1)
     with pytest.raises(POINT_EXCLUSIONS):
-        fld.jets_at(pts, 2)  # so the sweep runs point by point
-    with fld.sweep(pts, u_jets(2)):
-        swept = excluding(fld, pts)
+        fld.jets_at(pts, 2)  # so the sweep leaves every point to run alone
+    fld.sweep(pts, u_jets(2))
+    swept = excluding(fld, pts)
     assert swept == excluding(make_solution("noninv", {"b": b}, 1), pts)
     assert [kind for kind, _ in swept] == ["ok", "DivisionBySingularJet", "DomainError", "ok",
                                            "DomainError", "ok"]
@@ -253,20 +253,38 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
     good = [p for p, (kind, _) in zip(pts, swept) if kind == "ok"]
     counts = Counter()
     stacked = counting(make_solution("noninv", {"b": b}, 1), counts)
-    with stacked.sweep(good, u_jets(2)):
-        assert excluding(stacked, good) == [r for r in swept if r[0] == "ok"]
+    stacked.sweep(good, u_jets(2))
+    assert excluding(stacked, good) == [r for r in swept if r[0] == "ok"]
     assert counts == {2: 1}
 
 
-def test_sweep_bundles_last_for_the_block_only():
+def test_sweep_bundles_last_until_a_point_outside_them():
     counts = Counter()
     fld = counting(build("noninv", 1), counts)
     pts = grid(1)
-    with fld.sweep(pts, u_jets(1)):
-        for p in pts:
-            eval_u(fld, p, 1)  # the swept order-1 row, read first
-            eval_u(fld, p, 2)  # not swept: truncated from this point's own build
+    fld.sweep(pts, u_jets(1))
+    for p in pts:
+        eval_u(fld, p, 1)  # the swept order-1 row
+    assert counts == {1: 1}  # swept points build nothing
+    for p in pts:
+        eval_u(fld, p, 2)  # not swept: truncated from this point's own build
     assert counts == {1: 1, 4: len(pts) - 1}  # one point repeats
-    for p in pts[:2]:
+    for p in pts:  # every swept bundle, with what it gained, outlives the loop
         eval_u(fld, p, 1)
+        eval_u(fld, p, 2)
+    assert counts == {1: 1, 4: len(pts) - 1}
+    outside = Point(0.9, 1.6 + 0.5j)
+    eval_u(fld, outside, 1)  # a point outside the store replaces it
+    eval_u(fld, outside, 2)
+    eval_u(fld, pts[0], 1)
     assert counts == {1: 1, 4: len(pts) + 1}
+    fld.sweep(pts[:3], u_jets(1))
+    assert counts == {1: 2, 4: len(pts) + 1}
+    bad = Point(0.8, -1.3 + 0.4j)  # z + zbar < 0: the stacked build raises
+    fld.sweep([pts[0], bad], u_jets(1))
+    assert not fld._bundles  # a raising build leaves the store empty
+    eval_u(fld, pts[0], 1)
+    assert counts == {1: 3, 4: len(pts) + 2}
+    with pytest.raises(DomainError):
+        eval_u(fld, bad, 1)
+    assert counts == {1: 3, 4: len(pts) + 3}

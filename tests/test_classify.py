@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -11,6 +10,7 @@ from heavenly.classify import (ConformallyNonInvariant, Inconclusive,
                                verify_case)
 from heavenly.errors import ConstraintViolation
 from heavenly.fields import Point, SolutionField, make_solution
+from heavenly.jet import PASS_POINTS
 from heavenly.symmetry import conf_inv_witness
 
 GRID = [Point(t, complex(x, y)) for t in (0.8, 1.1, 1.4)
@@ -116,13 +116,12 @@ def test_automorphic_consistency_identity(kappa, b_text):
 
 # --- grid sweeps against the per-point path -------------------------------------
 # verify_case, classify_b and conf_inv_witness fill each grid point's bundle
-# from one stacked pass (SolutionField.sweep).  With sweep replaced by a block
-# that fills nothing, the same loops build every point alone: that per-point
-# path is the reference, and results must be == to it.
+# from one stacked pass per chunk (fields.in_sweeps).  With sweep replaced by
+# a call that fills nothing, the same loops build every point alone: that
+# per-point path is the reference, and results must be == to it.
 
-@contextmanager
 def _per_point_sweep(self, points, build):
-    yield
+    """A sweep that stores nothing."""
 
 
 def _result(fn):
@@ -189,3 +188,53 @@ def test_sweeps_over_bad_points_match_the_per_point_path(monkeypatch, text):
         verdicts.append(swept)
     assert not isinstance(verdicts[0], tuple)  # classify_b excludes the bad points
     assert verdicts[1][0] == "raised"  # conf_inv_witness excludes none of them
+
+
+#: 48 points in the domain of the fields below, three chunks' worth
+WIDE_GRID = [Point(t, complex(x, y)) for t in (0.8, 1.1, 1.4, 1.7)
+             for x in (0.8, 1.2, 1.6) for y in (-0.45, -0.2, 0.25, 0.5)]
+
+
+def _grid_calls():
+    """classify_b, verify_case and conf_inv_witness on a grid."""
+    b = ex.parse("z^2 + i", ("z",))
+    field = make_solution("noninv", {"b": b}, 1)
+    return (lambda grid: classify_b(b, 1, grid),
+            lambda grid: verify_case(TheoremCase(8, 1, C=1.0, C2=1j), grid),
+            lambda grid: conf_inv_witness(field, grid))
+
+
+def test_no_sweep_holds_more_than_pass_points(monkeypatch):
+    sizes = []
+    sweep = SolutionField.sweep
+    monkeypatch.setattr(SolutionField, "sweep",
+                        lambda self, points, build: sizes.append(len(points))
+                        or sweep(self, points, build))
+    for fn in _grid_calls():
+        del sizes[:]
+        fn(WIDE_GRID)
+        assert max(sizes) == PASS_POINTS
+
+
+@pytest.mark.parametrize("where", (0, 21, 47))
+def test_a_bad_point_costs_its_chunk_only(monkeypatch, where):
+    grid = WIDE_GRID[:where] + [Point(1.0, -0.4 + 0.2j)] + WIDE_GRID[where:]  # z + zbar < 0
+    start = where - where % PASS_POINTS
+    bad_chunk = [(p.t, p.z) for p in grid[start:start + PASS_POINTS]]
+    built = []  # every single-point build, on both paths
+    jet_at = SolutionField.jet_at
+    monkeypatch.setattr(SolutionField, "jet_at", lambda self, z0, zb0, t0, order:
+                        built.append((t0, z0)) or jet_at(self, z0, zb0, t0, order))
+    results = []
+    for fn in _grid_calls():
+        del built[:]
+        swept, reference, swept_builds, reference_builds = _both(monkeypatch, lambda: fn(grid))
+        assert swept == reference
+        assert 0 < swept_builds <= reference_builds
+        assert set(built[:swept_builds]) <= set(bad_chunk)
+        results.append(swept)
+    # classify_b excludes the bad point, and its other loops run on the
+    # points it kept
+    assert isinstance(results[0], ConformallyNonInvariant)
+    assert "z + zbar" in results[0].equation[where]
+    assert results[1][0] == results[2][0] == "raised"  # neither excludes a point

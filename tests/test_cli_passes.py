@@ -1,26 +1,26 @@
 """The CLI's stacked passes against its per-point path.
 
-`resolving` checks its samples in groups, each as the rows of one stacked
-projection (`resolving.resolving_pass`), and `verify`, `symmetry` and
-`orbit` check each chunk of their grid inside `SolutionField.sweep` blocks.
-With the passes forced off (a pass that raises, a sweep that fills
-nothing), the same commands check every point alone: that per-point path
-is the reference, and the reports must equal it byte for byte.
+`resolving` sweeps its samples in groups, each as the rows of one stacked
+projection (`resolving.resolving_sweep`), and `verify`, `symmetry` and
+`orbit` sweep each chunk of their grid (`fields.in_sweeps`) before they
+check it.  With the sweeps switched off (a sweep that stores nothing), the
+same commands check every point alone: that per-point path is the
+reference, and the reports must equal it byte for byte.
 """
 
 import contextlib
 import io
 import random
-from contextlib import contextmanager
 
 import pytest
 
 from heavenly import cli, resolving
 from heavenly import expr as ex
-from heavenly.errors import BranchCutViolation, DomainError, FVanishes
+from heavenly.errors import BranchCutViolation, FVanishes
 from heavenly.fields import SolutionField
-from heavenly.resolving import (ResolvingPoint, ansatz_functions, jacobi_residual,
-                                resolving_pass, resolving_residuals)
+from heavenly.jet import PASS_POINTS
+from heavenly.resolving import (ResolvingPoint, _Proj, ansatz_functions, jacobi_residual,
+                                resolving_residuals, resolving_sweep)
 
 GRID = "t=0.5:2:4,re=0.5:2:4,im=-0.5:0.5:3"
 #: a grid through z = 0 and Re z < 0, with more points than one pass holds
@@ -43,20 +43,15 @@ def report(argv):
     return code, out.getvalue()
 
 
-@contextmanager
-def _per_point_sweep(self, points, build):
-    yield
-
-
-def _no_pass(rf, points):
-    raise DomainError("stacked pass switched off")
+def _no_sweep(*args):
+    """A sweep that stores nothing."""
 
 
 def both_paths(monkeypatch, argv):
     """argv's (exit code, report) with the stacked passes and on the
     per-point path, and the single-point u-jet builds of the stacked run:
     none where no point is excluded, as every point reads its chunk's
-    passes then.  No pass holds more than cli.PASS_POINTS points."""
+    passes then.  No pass holds more than PASS_POINTS points."""
     single = []
     jet_at = SolutionField.jet_at
 
@@ -77,10 +72,10 @@ def both_paths(monkeypatch, argv):
         m.setattr(SolutionField, "sweep", sized)
         stacked = report(argv)
     builds = len(single)
-    assert max(sizes, default=0) <= cli.PASS_POINTS  # no pass holds more
+    assert max(sizes, default=0) <= PASS_POINTS  # no pass holds more
     with monkeypatch.context() as m:
-        m.setattr(SolutionField, "sweep", _per_point_sweep)
-        m.setattr(resolving, "resolving_pass", _no_pass)
+        m.setattr(SolutionField, "sweep", _no_sweep)
+        m.setattr(resolving, "resolving_sweep", _no_sweep)
         reference = report(argv)
     assert stacked == reference, argv
     if '"count": 0,' in stacked[1]:
@@ -92,8 +87,8 @@ def both_paths(monkeypatch, argv):
 @pytest.mark.parametrize("phi", ("2", "xi*theta", "exp(-xi)", "ln(theta)"))
 def test_resolving_reports_match_the_per_point_path(monkeypatch, phi, kappa):
     passes = []
-    monkeypatch.setattr(resolving, "resolving_pass",
-                        lambda rf, pts: passes.append(len(pts)) or resolving_pass(rf, pts))
+    monkeypatch.setattr(resolving, "resolving_sweep",
+                        lambda rf, pts: passes.append(len(pts)) or resolving_sweep(rf, pts))
     for extra in (["--samples", "1"], ["--samples", "15"], ["--samples", "16"],
                   ["--samples", "17"], ["--samples", "100"],
                   ["--samples", "17", "--perturb", "tau:+0.1"]):
@@ -101,16 +96,16 @@ def test_resolving_reports_match_the_per_point_path(monkeypatch, phi, kappa):
         del passes[:]
         text, _ = both_paths(monkeypatch, argv)
         samples = int(extra[1])
-        assert passes and max(passes) <= cli.PASS_POINTS
-        assert len(passes) >= -(-samples // cli.PASS_POINTS)
+        assert passes and max(passes) <= PASS_POINTS
+        assert len(passes) >= -(-samples // PASS_POINTS)
     if phi == "ln(theta)":  # theta < 0 rows: their groups run point by point
         assert '"BranchCutViolation"' in text
 
 
 def test_resolving_groups_draw_no_more_than_the_samples_missing(monkeypatch):
     passes = []
-    monkeypatch.setattr(resolving, "resolving_pass",
-                        lambda rf, pts: passes.append(len(pts)) or resolving_pass(rf, pts))
+    monkeypatch.setattr(resolving, "resolving_sweep",
+                        lambda rf, pts: passes.append(len(pts)) or resolving_sweep(rf, pts))
     report(["resolving", "--phi", "xi*theta", "--samples", "40", "--seed", "7"])
     assert passes == [16, 16, 8]
 
@@ -151,8 +146,8 @@ def test_symmetry_reports_match_the_per_point_path(monkeypatch, check):
 
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("text", ("1", "xi*theta", "exp(-xi)", "ln(theta)", "theta"))
-def test_pass_rows_are_the_per_point_bits(text, kappa):
-    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+def test_pass_rows_are_the_per_point_bits(monkeypatch, text, kappa):
+    phi = ex.parse(text, ("xi", "theta"))
     rng = random.Random(11)
     points = []
     while len(points) < 40:
@@ -168,30 +163,47 @@ def test_pass_rows_are_the_per_point_bits(text, kappa):
     def bits(values):
         return [(v.real.hex(), v.imag.hex()) for v in values]
 
+    alone = ansatz_functions(phi, kappa)  # checks one point at a time
+
     def per_point(p):
         try:
-            return resolving_residuals(rf, p), jacobi_residual(rf, p)
+            return resolving_residuals(alone, p), jacobi_residual(alone, p)
         except (FVanishes, BranchCutViolation) as err:
             return err
 
     wanted = [per_point(p) for p in points]
+    rf = ansatz_functions(phi, kappa)
     if text == "ln(theta)":  # theta < 0 rows raise for their whole pass
         bad = [i for i, want in enumerate(wanted) if isinstance(want, BranchCutViolation)]
         assert bad
-        with pytest.raises(BranchCutViolation):
-            resolving_pass(rf, points[bad[0]:bad[0] + 2])
+        resolving_sweep(rf, points[:1])
+        resolving_sweep(rf, points[bad[0]:bad[0] + 2])
+        assert rf._checked == {}  # a raising pass keeps nothing
         points = [p for i, p in enumerate(points) if i not in bad]
         wanted = [want for i, want in enumerate(wanted) if i not in bad]
+    builds = []
+    init = _Proj.__init__
+    monkeypatch.setattr(_Proj, "__init__",
+                        lambda self, rf, p, order: builds.append(p) or init(self, rf, p, order))
     checked = vanished = 0
-    for start in range(0, len(points), cli.PASS_POINTS):
-        chunk = points[start:start + cli.PASS_POINTS]
-        for row, want in zip(resolving_pass(rf, chunk), wanted[start:]):
+    for start in range(0, len(points), PASS_POINTS):
+        chunk = points[start:start + PASS_POINTS]
+        resolving_sweep(rf, chunk)
+        del builds[:]
+        for p, want in zip(chunk, wanted[start:]):
             if isinstance(want, FVanishes):
-                assert isinstance(row, FVanishes) and str(row) == str(want)
+                assert repr(p) not in rf._checked  # an F-vanishing row keeps nothing
+                for check in (resolving_residuals, jacobi_residual):
+                    with pytest.raises(FVanishes) as err:
+                        check(rf, p)
+                    assert str(err.value) == str(want)
                 vanished += 1
                 continue
-            assert bits(row[0].as_dict().values()) == bits(want[0].as_dict().values())
-            assert bits(row[1]) == bits(want[1])
+            res, jac = resolving_residuals(rf, p), jacobi_residual(rf, p)
+            assert bits(res.as_dict().values()) == bits(want[0].as_dict().values())
+            assert bits(jac) == bits(want[1])
             checked += 1
+        assert len(builds) == 2 * sum(isinstance(w, FVanishes)
+                                      for w in wanted[start:start + PASS_POINTS])
     assert vanished == (text == "theta")
     assert checked >= 5 and checked + vanished == len(points)

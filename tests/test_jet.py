@@ -132,6 +132,13 @@ def test_compose_series_geometric():
     np.testing.assert_allclose(geo.coeffs, direct.coeffs, atol=1e-14)
 
 
+def test_compose_series_of_a_stacked_order_0_jet_is_stacked():
+    h = Jet.constant(0.0, 1, 0)
+    out = compose_series([1.0, 2.0], Jet.stack([h, h]))
+    assert (out.depth, out.coeffs.shape) == (2, (2, 1))
+    assert out.value == (1.0, 1.0)
+
+
 def test_compose3_shifts_expansion_point():
     z, zb, t = seeds()
     inner_point = (0.6 + 0.2j, 0.6 - 0.2j, 1.44 + 0j)
@@ -342,6 +349,8 @@ UNARY = {
     "compose_series": lambda h: compose_series(
         row_series(lambda a0, order: [a0 + 0.7, -1.1 + 0.2j, 0.4, 2.0, -0.3j, 0.9], h.value,
                    h.order), h),
+    "compose_series, one series": lambda h: compose_series([0.7, -1.1 + 0.2j, 0.4, 2.0, -0.3j],
+                                                           h),
     "scalar ops": lambda j: (2.0 - j) * (0.5 + 1j) / (1.5 - 0.5j) + 3.0,
 }
 BINARY = {
@@ -364,7 +373,7 @@ def test_truncation_commutes_with_every_operation():
     cases = 0
     for a, b, h in truncation_cases():
         for name, f in UNARY.items():
-            assert_commutes(f, (h if name == "compose_series" else a,), a.order)
+            assert_commutes(f, (h if name.startswith("compose_series") else a,), a.order)
         for f in BINARY.values():
             assert_commutes(f, (a, b), a.order)
         for var in range(a.nvars):

@@ -821,23 +821,22 @@ def count_applies(monkeypatch):
     return calls
 
 
-def test_jacobi_residual_applies_18_operators(monkeypatch):
+@pytest.mark.parametrize("jacobi_first", (False, True))
+def test_both_resolving_checks_apply_21_operators(monkeypatch, jacobi_first):
     calls = count_applies(monkeypatch)
     rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
-    jacobi_residual(rf, ResolvingPoint(1.0, 0.8, 0.4, 1))
-    # one word tree for the three coordinates, stacked as rows of one jet
-    assert len(calls) == 18
-    assert {depth for _, depth in calls} == {3}
+    p = ResolvingPoint(1.0, 0.8, 0.4, 1)
+    checks = (resolving_residuals, jacobi_residual)
+    for check in checks[::-1] if jacobi_first else checks:
+        check(rf, p)
+    # the residuals: delta on (F, lambda, lambda_bar, tau), Y on (tau,
+    # lambda_bar), Ybar on (tau, lambda); the Jacobi residual: one word tree
+    # of 18 for the three coordinates, stacked as rows of one jet
+    assert len(calls) == 21
+    assert sorted(calls) == sorted([("delta", 4), ("Y", 2), ("Ybar", 2)]
+                                   + [(op, 3) for op in ("delta", "Y", "Ybar")] * 6)
     ops = [op for op, _ in calls]
-    assert {op: ops.count(op) for op in set(ops)} == {"delta": 6, "Y": 6, "Ybar": 6}
-
-
-def test_resolving_residuals_apply_3_operators(monkeypatch):
-    calls = count_applies(monkeypatch)
-    rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
-    resolving_residuals(rf, ResolvingPoint(1.0, 0.8, 0.4, 1))
-    # delta on (F, lambda, lambda_bar, tau), Y on (tau, lambda_bar), Ybar on (tau, lambda)
-    assert sorted(calls) == [("Y", 2), ("Ybar", 2), ("delta", 4)]
+    assert {op: ops.count(op) for op in set(ops)} == {"delta": 7, "Y": 7, "Ybar": 7}
 
 
 @pytest.mark.parametrize("text", PHI_TEXTS)

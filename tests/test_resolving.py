@@ -1,13 +1,14 @@
 import contextlib
 import io
 import random
+import re
 
 import numpy as np
 import pytest
 
 from heavenly import expr as ex
 from heavenly.cli import _perturbed, main
-from heavenly.errors import FVanishes, NegativeDiscriminant
+from heavenly.errors import FVanishes, NegativeDiscriminant, ParseError
 from heavenly.jet import Jet
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
@@ -114,6 +115,25 @@ def test_perturbed_tau_breaks_the_system():
     assert max(abs(v) for v in res.as_dict().values()) > 1e-3
 
 
+def test_perturbed_copy_starts_with_an_empty_store():
+    rf = ansatz_functions(phi_expr("2"), 1)
+    resolving_residuals(rf, P_REF)
+    bumped = _perturbed(rf, "tau:+0.1")
+    assert rf._checked and not bumped._checked
+    assert (bumped.F, bumped.lambda_, bumped.lambda_bar) == (rf.F, rf.lambda_, rf.lambda_bar)
+    assert bumped.tau == ex.Expr(ex.Add(rf.tau.root, ex.Const(0.1 + 0j)), rf.tau.variables)
+    assert bumped.requires_nonneg_discriminant
+
+
+def test_perturb_parses_the_amount_before_it_checks_the_target():
+    rf = ansatz_functions(phi_expr("2"), 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "--perturb target must be one of ['F', 'lambda', 'lambda_bar', 'tau']")):
+        _perturbed(rf, "mu:+0.1")
+    with pytest.raises(ParseError):
+        _perturbed(rf, "mu:+0.1*")
+
+
 @pytest.mark.parametrize("spec", ("tau:+0.1", "lambda:+0.3", "F:+1"))
 def test_jacobi_residual_cannot_see_a_perturbation(spec):
     # nested commutators of any three first-order operators satisfy the
@@ -180,13 +200,13 @@ def test_a_failed_projection_is_not_kept(monkeypatch):
     rf = ansatz_functions(phi_expr("2"), 1)
     bad = ResolvingPoint(1.0, 2.0, 0.4, 1)
     resolving_residuals(rf, P_REF)
-    kept = rf._proj
+    kept = rf._checked
     builds = count_builds(monkeypatch)
     for check in (resolving_residuals, jacobi_residual, resolving_residuals):
         with pytest.raises(NegativeDiscriminant):
             check(rf, bad)
     assert builds == [repr(bad)] * 3
-    assert rf._proj is kept
+    assert rf._checked is kept and list(kept) == [repr(P_REF)]
 
 
 def is_unit(jet):
