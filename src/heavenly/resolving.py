@@ -178,7 +178,12 @@ class ResolvingResiduals:
 
 
 def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingResiduals:
-    """The five residuals of the resolving system at one invariant point."""
+    """The five residuals of the resolving system at one invariant point.
+
+    At a point outside rf's store this computes the pair of both checks
+    (21 operator applications: 3 for the residuals, 18 for
+    `jacobi_residual`), so a caller that wants the residuals alone pays
+    for both; the following `jacobi_residual` there reads the store."""
     return _checks(rf, p)[0]
 
 
@@ -236,7 +241,9 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     a jet operation depends only on its operands' coefficients of degree
     <= k.  So the order-3 seeds of the projection that
     `resolving_residuals` reads at the same point leave an order-0 jet
-    holding the value, the same bits an order-4 seed gives.
+    holding the value, the same bits an order-4 seed gives.  At a point
+    outside rf's store the call computes both checks' pair, 21
+    applications, as `resolving_residuals` does.
     """
     return _checks(rf, p)[1]
 

@@ -117,11 +117,14 @@ def test_automorphic_consistency_identity(kappa, b_text):
 # --- grid sweeps against the per-point path -------------------------------------
 # verify_case, classify_b and conf_inv_witness fill each grid point's bundle
 # from one stacked pass per chunk (fields.in_sweeps).  With sweep replaced by
-# a call that fills nothing, the same loops build every point alone: that
-# per-point path is the reference, and results must be == to it.
+# a call that empties the store and fills nothing, the same loops build every
+# point alone: that per-point path is the reference, and results must be ==
+# to it.  It empties the store as a real sweep does, so a field shared by
+# both runs cannot hand the reference the swept run's bundles.
 
 def _per_point_sweep(self, points, build):
-    """A sweep that stores nothing."""
+    """A sweep that empties the store and stores nothing."""
+    object.__setattr__(self, "_bundles", {})
 
 
 def _result(fn):
@@ -170,8 +173,9 @@ def test_sweeps_match_the_per_point_path(monkeypatch, kappa):
         b = ex.parse(text, ("z",))
         field = make_solution("noninv", {"b": b}, kappa)
         for fn in (lambda: classify_b(b, kappa, grid), lambda: conf_inv_witness(field, grid)):
-            swept, reference, swept_builds, _ = _both(monkeypatch, fn)
-            assert swept == reference and swept_builds == 0
+            swept, reference, swept_builds, reference_builds = _both(monkeypatch, fn)
+            assert swept == reference
+            assert swept_builds == 0 < reference_builds
             checked += 1
     assert checked == 2 * (8 if kappa == 1 else 6) + 6
 
@@ -232,6 +236,8 @@ def test_a_bad_point_costs_its_chunk_only(monkeypatch, where):
         assert swept == reference
         assert 0 < swept_builds <= reference_builds
         assert set(built[:swept_builds]) <= set(bad_chunk)
+        # the reference builds alone every point up to the bad one
+        assert {(p.t, p.z) for p in grid[:where + 1]} <= set(built[swept_builds:])
         results.append(swept)
     # classify_b excludes the bad point, and its other loops run on the
     # points it kept

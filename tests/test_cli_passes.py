@@ -3,9 +3,9 @@
 `resolving` sweeps its samples in groups, each as the rows of one stacked
 projection (`resolving.resolving_sweep`), and `verify`, `symmetry` and
 `orbit` sweep each chunk of their grid (`fields.in_sweeps`) before they
-check it.  With the sweeps switched off (a sweep that stores nothing), the
-same commands check every point alone: that per-point path is the
-reference, and the reports must equal it byte for byte.
+check it.  With the sweeps switched off (a sweep that empties the store and
+stores nothing), the same commands check every point alone: that per-point
+path is the reference, and the reports must equal it byte for byte.
 """
 
 import contextlib
@@ -43,8 +43,9 @@ def report(argv):
     return code, out.getvalue()
 
 
-def _no_sweep(*args):
-    """A sweep that stores nothing."""
+def _no_sweep(obj, *args):
+    """A sweep that empties the store and stores nothing."""
+    object.__setattr__(obj, "_bundles" if isinstance(obj, SolutionField) else "_checked", {})
 
 
 def both_paths(monkeypatch, argv):
