@@ -3,8 +3,9 @@ invariant space (t, u_t, rho), the five residuals, the Jacobi identity and
 the commuting-operators ansatz.
 
 Both checks at a point read one order-PROJ_ORDER projection, which gives
-them together: the functions keep each checked point's pair of results in
-one store.  A loop over many points first runs `resolving_sweep`, which
+them together in three rounds: each round takes one operand's three
+partials once and applies delta, Y and Ybar to every row of it.  The
+functions keep each checked point's pair of results in one store.  A loop over many points first runs `resolving_sweep`, which
 fills that store from one stacked projection of all of them; the loop's
 per-point calls are its only readers, so they give the bits and the errors
 of the per-point path.
@@ -23,9 +24,9 @@ from .jet import Jet
 RVARS = ("t", "ut", "rho")
 F_EPS = 1e-12
 #: order of the projection both checks read at a point: each operator
-#: application lowers a jet's order by one, and the Jacobi word tree nests
-#: three applications, so an order-3 seed leaves an order-0 jet holding the
-#: value; `resolving_residuals` applies one operator and reads order 2
+#: application lowers a jet's order by one, and the Jacobi words nest three
+#: applications, so an order-3 seed leaves an order-0 jet holding the value;
+#: `resolving_residuals` applies one operator and reads order 2
 PROJ_ORDER = 3
 
 
@@ -67,32 +68,36 @@ class _Proj:
     """Projected operators delta, Y, Ybar acting on jets in (t, ut, rho).
 
     F, lambda, lambda_bar and tau are jets of the given order at the point.
-    The operators act on a stacked jet row by row, so one application
-    serves several jets.  A coefficient of degree k of a jet operation
-    depends only on its operands' coefficients of degree <= k, so a value
-    read after n applications is the same for every seed order >= n;
-    production reads one projection of order PROJ_ORDER, and the tests
-    build their reference projections at other orders.
+    `apply` gives all three operators of a stacked jet, row by row, so one
+    application serves several jets.  A coefficient of degree k of a jet
+    operation depends only on its operands' coefficients of degree <= k, so
+    a value read after n applications is the same for every seed order
+    >= n; production reads one projection of order PROJ_ORDER, and the
+    tests build their reference projections at other orders.
 
     p is one point, or a list of points of one kappa for one projection
-    whose jets hold one row per point (`resolving_sweep`); an operand then
-    holds one or more rows per point, a point's rows next to each other
-    (`_per_point`), and each coefficient acts on all of its point's rows.
+    whose jets hold one row per point (`resolving_sweep`); points of mixed
+    kappa raise ValueError, since delta's coefficient holds one kappa.  An
+    operand holds one or more rows per point, a point's rows next to each
+    other (`_operand`), and each coefficient acts on all of its point's
+    rows.
     """
 
     def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint | list[ResolvingPoint],
                  order: int):
         points = p if isinstance(p, list) else [p]
+        if len({q.kappa for q in points}) > 1:
+            raise ValueError("one projection holds points of one kappa")
         if rf.requires_nonneg_discriminant:
             for q in points:
                 if q.discriminant < 0:
                     raise NegativeDiscriminant(
                         f"2*kappa*rho - ut^2 = {q.discriminant} < 0 at {q}")
         if isinstance(p, list):
-            self.depth, kappa = len(p), p[0].kappa
+            self.depth = len(p)
             coords = [tuple(complex(getattr(q, n)) for q in p) for n in RVARS]
         else:
-            self.depth, kappa = 0, p.kappa
+            self.depth = 0
             coords = [complex(p.t), complex(p.ut), complex(p.rho)]
         self.seed = {name: Jet.variable(i, v, 3, order)
                      for i, (name, v) in enumerate(zip(RVARS, coords))}
@@ -101,7 +106,8 @@ class _Proj:
         self.lambj = self._at(rf.lambda_bar)
         self.tauj = self._at(rf.tau)
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
-        self.heav_coeff = kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
+        self.heav_coeff = (points[0].kappa * self.seed["rho"]
+                           - self.seed["ut"] * self.seed["ut"])
         self._truncs: dict = {}
 
     def _at(self, e: ex.Expr) -> Jet:
@@ -124,28 +130,29 @@ class _Proj:
             self._truncs[key] = coef
         return self._truncs[key]
 
-    def apply(self, op: str, g: Jet) -> Jet:
+    def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
+        """(delta g, Y g, Ybar g) for a stacked g, from g's three partials,
+        taken once:
+        delta = d/dt + (kappa rho - ut^2) d/dut + tau d/drho,
+        Y = d/dut + lambda d/drho, Ybar the same with lambda_bar."""
         m, d = g.order - 1, g.depth
-        if op == "delta":
-            return (g.derivative(0)
-                    + self._coeff("heav_coeff", m, d) * g.derivative(1)
-                    + self._coeff("tauj", m, d) * g.derivative(2))
-        if op == "Y":
-            return g.derivative(1) + self._coeff("lamj", m, d) * g.derivative(2)
-        if op == "Ybar":
-            return g.derivative(1) + self._coeff("lambj", m, d) * g.derivative(2)
-        raise ValueError(f"unknown projected operator {op!r}")
+        g_t, g_ut, g_rho = g.derivative(0), g.derivative(1), g.derivative(2)
+        return (g_t + self._coeff("heav_coeff", m, d) * g_ut + self._coeff("tauj", m, d) * g_rho,
+                g_ut + self._coeff("lamj", m, d) * g_rho,
+                g_ut + self._coeff("lambj", m, d) * g_rho)
 
 
-def _per_point(jets: list[Jet]) -> Jet:
-    """Jets of a projection as one operand: their stack, or for stacked
-    jets (one row per point) the stack holding each point's rows next to
-    each other, jets[i] at point k in row k * len(jets) + i."""
-    first = jets[0]
-    if not first.depth:
-        return Jet.stack(jets)
-    coeffs = np.stack([j.coeffs for j in jets], axis=1)
-    return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=len(jets) * first.depth)
+def _by_point(jet: Jet, points: int) -> np.ndarray:
+    """A stacked jet's coefficients (or an unstacked jet's, one point's one
+    row) as an array indexed by point, then by that point's rows."""
+    return jet.coeffs.reshape((points, -1) + jet.coeffs.shape[-3:])
+
+
+def _operand(blocks: list[np.ndarray]) -> Jet:
+    """Blocks of `_by_point` arrays as one stacked operand: per point, the
+    rows of each block in turn, a point's rows next to each other."""
+    coeffs = np.concatenate(blocks, axis=1)
+    return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=coeffs.shape[0] * coeffs.shape[1])
 
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
@@ -159,7 +166,7 @@ def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
         F = proj.Fj.value
         if abs(F) < F_EPS:
             raise FVanishes(f"F = {F} at {p}")
-        checked = (_residual_rows(proj, [p])[0], _jacobi_rows(proj)[0])
+        checked = _checked_pairs(proj, [p])[0]
         object.__setattr__(rf, "_checked", {key: checked})
     return checked
 
@@ -181,22 +188,10 @@ def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingR
     """The five residuals of the resolving system at one invariant point.
 
     At a point outside rf's store this computes the pair of both checks
-    (21 operator applications: 3 for the residuals, 18 for
-    `jacobi_residual`), so a caller that wants the residuals alone pays
-    for both; the following `jacobi_residual` there reads the store."""
+    (three rounds of `_Proj.apply`, see `_checked_pairs`), so a caller that
+    wants the residuals alone pays for both; the following
+    `jacobi_residual` there reads the store."""
     return _checks(rf, p)[0]
-
-
-def _residual_rows(proj: _Proj, points: list[ResolvingPoint]) -> list[ResolvingResiduals]:
-    """The residuals at each point of proj, from its own row of each jet."""
-    # three applications on stacked jets instead of eight on single ones
-    g = _per_point([proj.Fj, proj.lamj, proj.lambj, proj.tauj])
-    v, d = g.value, proj.apply("delta", g).value
-    y = proj.apply("Y", _per_point([proj.tauj, proj.lambj])).value
-    yb = proj.apply("Ybar", _per_point([proj.tauj, proj.lamj])).value
-    return [_residuals(p, *v[4 * k:4 * k + 4], *d[4 * k:4 * k + 4],
-                       *y[2 * k:2 * k + 2], *yb[2 * k:2 * k + 2])
-            for k, p in enumerate(points)]
 
 
 def _residuals(p: ResolvingPoint, F, lam, lamb, tau, dF, dlam, dlamb, dtau,
@@ -220,13 +215,11 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     Each nested commutator [a,[b,c]] on a coordinate g is evaluated as
     a(w(b,c) - w(c,b)) - (w(b,c,a) - w(c,b,a)), where a word
     w(x1, ..., xn) = x1(...(xn g)) is an operator chain.  The three terms
-    share their words, so each word is applied once and kept for the call:
-    18 operator applications instead of the 30 of expanding every
-    commutator.  The three coordinates are the rows of one stacked seed, so
-    those 18 applications serve all three.  Applications are pure, act row
-    by row, and the words are combined by the same subtractions and sums,
-    in the same order, as the expansion, so the result is bit-identical to
-    it.
+    share their words, and `_checked_pairs` gets all of them, for the three
+    coordinates at once, from the rounds of `_Proj.apply` that also give
+    `resolving_residuals`.  Applications are pure, act row by row, and the
+    words are combined by the same subtractions and sums, in the same order,
+    as the expansion, so the result is bit-identical to it.
 
     What it can detect: delta, Y and Ybar are first-order operators, and
     nested commutators of any three vector fields satisfy the Jacobi
@@ -237,39 +230,61 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     is the check a perturbation fails.
 
     Order 3 suffices: each application lowers a jet's order by one, the
-    word tree nests three applications, and a coefficient of degree k of
-    a jet operation depends only on its operands' coefficients of degree
-    <= k.  So the order-3 seeds of the projection that
-    `resolving_residuals` reads at the same point leave an order-0 jet
-    holding the value, the same bits an order-4 seed gives.  At a point
-    outside rf's store the call computes both checks' pair, 21
-    applications, as `resolving_residuals` does.
+    words nest three applications, and a coefficient of degree k of a jet
+    operation depends only on its operands' coefficients of degree <= k.
+    So the order-3 seeds of the projection that `resolving_residuals`
+    reads at the same point leave an order-0 jet holding the value, the
+    same bits an order-4 seed gives.  At a point outside rf's store the
+    call computes both checks' pair, as `resolving_residuals` does.
     """
     return _checks(rf, p)[1]
 
 
-def _jacobi_rows(proj: _Proj) -> list[tuple[complex, complex, complex]]:
-    """The Jacobi residual at each point of proj: the word tree on one
-    operand holding three rows per point, one per coordinate."""
-    words: dict[tuple[str, ...], Jet] = {(): _per_point([proj.seed[n] for n in RVARS])}
+#: the cyclic (a, b, c) of the Jacobi sum, as positions in `_Proj.apply`'s
+#: (delta, Y, Ybar)
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+#: the words w(b, c) with b != c, in the order round 3 holds them
+_PAIRS = tuple((b, c) for b in range(3) for c in range(3) if b != c)
 
-    def w(*ops):
-        # innermost operator first, keeping every inner chain; a loop, not
-        # recursion, so that w holds no reference to itself and the words
-        # are freed when the call returns, not at the next cycle collection
-        for k in range(len(ops) - 1, -1, -1):
-            if ops[k:] not in words:
-                words[ops[k:]] = proj.apply(ops[k], words[ops[k + 1:]])
-        return words[ops]
 
-    def nested(a, b, c):
-        # [a, [b, c]](g)
-        return proj.apply(a, w(b, c) - w(c, b)) - (w(b, c, a) - w(c, b, a))
+def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[tuple]:
+    """Each point's (residuals, jacobi) pair, from three rounds of
+    `_Proj.apply` on operands that hold every point's rows next to each
+    other:
 
-    v = (nested("delta", "Y", "Ybar")
-         + nested("Y", "Ybar", "delta")
-         + nested("Ybar", "delta", "Y")).value
-    return [v[k:k + 3] for k in range(0, len(v), 3)]
+    1. F, lambda, lambda_bar, tau, t, ut, rho (7 rows per point, order 3):
+       R1-R4 read delta of the four functions, Y of tau and lambda_bar and
+       Ybar of tau and lambda; the coordinates give the words of length 1.
+    2. The three words of length 1 (9 rows, order 2): every word of
+       length 2.
+    3. The six words w(b,c) with b != c and the three differences
+       w(b,c) - w(c,b) (27 rows, order 1): the words of length 3 and the
+       outer applications of the Jacobi sum, whose values it combines.
+    """
+    n = len(points)
+    g = _operand([_by_point(j, n) for j in
+                  (proj.Fj, proj.lamj, proj.lambj, proj.tauj, *proj.seed.values())])
+    round1 = proj.apply(g)
+    v, (d, y, yb) = g.value, (op.value for op in round1)
+    residuals = [_residuals(p, *v[7 * k:7 * k + 4], *d[7 * k:7 * k + 4],
+                            y[7 * k + 3], y[7 * k + 2], yb[7 * k + 3], yb[7 * k + 1])
+                 for k, p in enumerate(points)]
+    round2 = proj.apply(_operand([_by_point(op, n)[:, 4:] for op in round1]))
+    # w[b, c]: b applied to c of the coordinates, 3 rows per point
+    w = {(b, c): _by_point(op, n)[:, 3 * c:3 * c + 3] for b, op in enumerate(round2)
+         for c in range(3)}
+    round3 = proj.apply(_operand([w[bc] for bc in _PAIRS]
+                                 + [w[b, c] - w[c, b] for _, b, c in _CYCLIC]))
+    # r[x][:, i]: x applied to the i-th block of round 3's operand
+    r = [op.coeffs.reshape(n, 9, 3) for op in round3]
+
+    def nested(i, a, b, c):
+        # [a, [b, c]] on the coordinates, w(b, c, a) being b applied to w(c, a)
+        return r[a][:, 6 + i] - (r[b][:, _PAIRS.index((c, a))]
+                                 - r[c][:, _PAIRS.index((b, a))])
+
+    n0, n1, n2 = (nested(i, *abc) for i, abc in enumerate(_CYCLIC))
+    return list(zip(residuals, map(tuple, (n0 + n1 + n2).tolist())))
 
 
 def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:
@@ -278,9 +293,9 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
     `resolving_residuals` and `jacobi_residual` read, bit for bit the
     point's own, because every jet operation acts row by row and each row
     goes through the per-point formulas.  A point where F's value is below
-    F_EPS is left out, and a projection that raises (`SWEEP_FALLBACK`)
-    leaves the store empty, so the checks there raise or exclude exactly
-    what they do alone.
+    F_EPS is left out, and a projection that raises (`SWEEP_FALLBACK`,
+    which covers points of mixed kappa) leaves the store empty, so the
+    checks there raise or exclude exactly what they do alone.
     """
     object.__setattr__(rf, "_checked", {})
     if not points:
@@ -289,7 +304,7 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
         proj = _Proj(rf, points, PROJ_ORDER)
     except SWEEP_FALLBACK:
         return
-    pairs = zip(_residual_rows(proj, points), _jacobi_rows(proj))
+    pairs = _checked_pairs(proj, points)
     object.__setattr__(rf, "_checked", {repr(p): pair for p, F, pair
                                         in zip(points, proj.Fj.value, pairs)
                                         if abs(F) >= F_EPS})

@@ -15,10 +15,13 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly import resolving
-from heavenly.errors import DivisionBySingularJet, FVanishes, OrderExceeded, ShapeMismatch
-from heavenly.jet import Jet, compose3, compose_series, row_series, valid_indices
+from heavenly.cli import _perturbed
+from heavenly.errors import (DivisionBySingularJet, FVanishes, HeavenlyError, OrderExceeded,
+                              ShapeMismatch)
+from heavenly.jet import PASS_POINTS, Jet, compose3, compose_series, row_series, valid_indices
 from heavenly.resolving import (RVARS, ResolvingPoint, ResolvingResiduals, _Proj,
-                                ansatz_functions, jacobi_residual, resolving_residuals)
+                                ansatz_functions, jacobi_residual, resolving_residuals,
+                                resolving_sweep)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
 
@@ -809,34 +812,100 @@ def test_jacobi_residual_matches_expanded_commutators(text, kappa):
     assert checked > 0
 
 
-def count_applies(monkeypatch):
-    calls = []
-    apply = _Proj.apply
+def count_rounds(monkeypatch):
+    """The (depth, order) of each `_Proj.apply` operand, and the variable of
+    each `Jet.derivative` call."""
+    rounds, partials = [], []
+    apply, derivative = _Proj.apply, Jet.derivative
 
-    def counted(self, op, g):
-        calls.append((op, g.depth))
-        return apply(self, op, g)
+    def counted_apply(self, g):
+        rounds.append((g.depth, g.order))
+        return apply(self, g)
 
-    monkeypatch.setattr(_Proj, "apply", counted)
-    return calls
+    def counted_derivative(self, var):
+        partials.append(var)
+        return derivative(self, var)
+
+    monkeypatch.setattr(_Proj, "apply", counted_apply)
+    monkeypatch.setattr(Jet, "derivative", counted_derivative)
+    return rounds, partials
 
 
 @pytest.mark.parametrize("jacobi_first", (False, True))
-def test_both_resolving_checks_apply_21_operators(monkeypatch, jacobi_first):
-    calls = count_applies(monkeypatch)
+def test_both_resolving_checks_run_three_rounds(monkeypatch, jacobi_first):
     rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
     p = ResolvingPoint(1.0, 0.8, 0.4, 1)
+    rounds, partials = count_rounds(monkeypatch)
     checks = (resolving_residuals, jacobi_residual)
     for check in checks[::-1] if jacobi_first else checks:
         check(rf, p)
-    # the residuals: delta on (F, lambda, lambda_bar, tau), Y on (tau,
-    # lambda_bar), Ybar on (tau, lambda); the Jacobi residual: one word tree
-    # of 18 for the three coordinates, stacked as rows of one jet
-    assert len(calls) == 21
-    assert sorted(calls) == sorted([("delta", 4), ("Y", 2), ("Ybar", 2)]
-                                   + [(op, 3) for op in ("delta", "Y", "Ybar")] * 6)
-    ops = [op for op, _ in calls]
-    assert {op: ops.count(op) for op in set(ops)} == {"delta": 7, "Y": 7, "Ybar": 7}
+    # round 1: F, lambda, lambda_bar, tau and the three coordinates; round
+    # 2: the three words of length 1 on the coordinates; round 3: the six
+    # words w(b, c) with b != c and the three differences w(b, c) - w(c, b)
+    assert rounds == [(7, 3), (9, 2), (27, 1)]
+    # each round takes its operand's three partials once
+    assert partials == [0, 1, 2] * 3
+    # a sweep runs the same rounds, on each point's rows
+    del rounds[:]
+    resolving_sweep(rf, admissible_points(1, PASS_POINTS, seed=3))
+    assert rounds == [(7 * PASS_POINTS, 3), (9 * PASS_POINTS, 2), (27 * PASS_POINTS, 1)]
+
+
+def test_both_resolving_checks_build_at_most_160_jets(monkeypatch):
+    rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
+    resolving_residuals(rf, ResolvingPoint(0.5, 0.3, 0.9, 1))  # compiles the functions
+    built = []
+    post_init = Jet.__post_init__
+    monkeypatch.setattr(Jet, "__post_init__", lambda self: built.append(1) or post_init(self))
+    p = ResolvingPoint(1.0, 0.8, 0.4, 1)
+    resolving_residuals(rf, p)
+    jacobi_residual(rf, p)
+    # the projection and the three rounds build about 125
+    assert len(built) <= 160
+
+
+def checked_bits(fn):
+    """The hex of a check's values, or the exception type it raised."""
+    try:
+        values = fn()
+    except HeavenlyError as err:
+        return type(err)
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("text, spec", [(text, spec) for text in ("xi*theta", "exp(-xi)", "ln(theta)")
+                                        for spec in ("tau:+0.1", "lambda:+0.3", "F:+1")]
+                         + [("ln(theta)", None)])
+def test_both_checks_match_references_per_point_and_in_sweeps(text, spec, kappa):
+    # a perturbed copy puts R1-R4 far above roundoff, where any reordering
+    # of the operations would show; ln(theta) raises where theta < 0
+    rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+    if spec:
+        rf = _perturbed(rf, spec)
+    checks = (lambda p: resolving_residuals(rf, p).as_dict().values(),
+              lambda p: jacobi_residual(rf, p))
+    references = (lambda p: ref_resolving_residuals(rf, p).as_dict().values(),
+                  lambda p: ref_jacobi_residual(rf, p))
+    largest, swept, wanted = 0.0, [], []
+    for p in admissible_points(kappa, 256, seed=43 + kappa):
+        if len(swept) == PASS_POINTS:
+            break
+        wanted.append((p, [checked_bits(lambda: ref(p)) for ref in references]))
+        if isinstance(wanted[-1][1][0], list):
+            swept.append(wanted[-1])
+            largest = max(largest, *map(abs, references[0](p)))
+    assert len(swept) == PASS_POINTS
+    if spec:
+        assert largest > 1e-3
+    else:
+        assert len(wanted) > PASS_POINTS  # some points raised
+    for p, bits in wanted:  # each point alone
+        assert [checked_bits(lambda: check(p)) for check in checks] == bits
+    resolving_sweep(rf, [p for p, _ in swept])
+    assert len(rf._checked) == PASS_POINTS
+    for p, bits in swept:  # the same points from one sweep
+        assert [checked_bits(lambda: check(p)) for check in checks] == bits
 
 
 @pytest.mark.parametrize("text", PHI_TEXTS)

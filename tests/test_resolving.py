@@ -12,7 +12,8 @@ from heavenly.errors import FVanishes, NegativeDiscriminant, ParseError
 from heavenly.jet import Jet
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
-                                _Proj, jacobi_residual, resolving_residuals)
+                                _Proj, jacobi_residual, resolving_residuals,
+                                resolving_sweep)
 from test_readme_examples import README_EXAMPLES
 
 P_REF = ResolvingPoint(t=1.0, ut=0.8, rho=0.4, kappa=1)
@@ -78,18 +79,13 @@ def test_jacobi_identity_vanishes(text, kappa):
 
 def test_projected_operators_on_coordinates():
     proj = _Proj(ansatz_functions(phi_expr("2"), 1), P_REF, order=2)
-
-    def applied(op, name):
-        return proj.apply(op, proj.seed[name]).value
-
+    coordinates = Jet.stack([proj.seed[name] for name in ("t", "ut", "rho")])
+    delta, Y, Ybar = (op.value for op in proj.apply(coordinates))
     # delta moves t with unit speed and u_t by the evolution equation
-    assert applied("delta", "t") == pytest.approx(1.0)
-    assert applied("delta", "ut") == pytest.approx(1 * 0.4 - 0.8 ** 2)
-    assert applied("delta", "rho") == pytest.approx(-0.32)
-    # Y and Ybar move u_t with unit speed and rho by lambda
-    assert applied("Y", "ut") == pytest.approx(1.0)
-    assert applied("Y", "rho") == pytest.approx(0.8 + 0.4j)
-    assert applied("Ybar", "rho") == pytest.approx(0.8 - 0.4j)
+    assert delta == pytest.approx((1.0, 1 * 0.4 - 0.8 ** 2, -0.32))
+    # Y and Ybar keep t, move u_t with unit speed and rho by lambda
+    assert Y == pytest.approx((0.0, 1.0, 0.8 + 0.4j))
+    assert Ybar == pytest.approx((0.0, 1.0, 0.8 - 0.4j))
 
 
 def test_negative_discriminant_rejected():
@@ -207,6 +203,27 @@ def test_a_failed_projection_is_not_kept(monkeypatch):
             check(rf, bad)
     assert builds == [repr(bad)] * 3
     assert rf._checked is kept and list(kept) == [repr(P_REF)]
+
+
+def test_a_sweep_over_both_kappas_keeps_nothing():
+    # delta's coefficient kappa*rho - ut^2 holds one kappa, so a projection
+    # over points of both kappas raises, and each point is checked alone
+    names = ("t", "ut", "rho")
+
+    def functions():
+        lam = ex.parse("ut + i*rho", names)
+        return ResolvingFunctions(F=ex.parse("rho^3 + 2", names), lambda_=lam,
+                                  lambda_bar=ex.conjugate(lam), tau=ex.parse("-ut*rho", names))
+
+    points = [ResolvingPoint(1.0, 0.8, 0.4, 1), ResolvingPoint(0.5, 0.1, 0.9, -1)]
+    rf, alone = functions(), functions()
+    resolving_sweep(rf, points)
+    assert rf._checked == {}
+    for p in points:
+        assert both_checks(rf, p) == both_checks(alone, p)
+    res = resolving_residuals(rf, points[1])
+    assert res.r2 == pytest.approx(0.78 - 0.36j, abs=5e-3)
+    assert res.r4 == pytest.approx(21.29, abs=5e-3)
 
 
 def is_unit(jet):
