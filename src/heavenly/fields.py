@@ -53,10 +53,10 @@ class PointBundle:
     """Everything computed for one field at one physical-slice point.
 
     Values are stored under a name: the u-jets under their order (an int),
-    other layers' quantities under a string (the invariants layer
-    keeps its ``JetCalculus`` and ``InvariantSet`` here).  A value is stored
-    only after it was built; a build that raises stores nothing, so the
-    next call raises again.
+    other layers' quantities under a string (the invariants layer keeps its
+    ``JetCalculus``, ``InvariantSet`` and commutator residuals here).  A
+    value is stored only after it was built; a build that raises stores
+    nothing, so the next call raises again.
     """
 
     __slots__ = ("_values",)

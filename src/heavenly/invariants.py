@@ -5,16 +5,24 @@ Composite invariants are represented as jets built from the u-jet of a
 field, so total derivatives are coefficient reads, never symbolic.  Each
 operator application consumes one order of the jet; the fourth-order
 ceiling of the jet engine is what limits commutators on rho.
+
+One applier (`JetCalculus.apply`, with `with_y` for Y and Ybar) takes a
+stacked operand's three partials once and gives every operator of every
+row.  Round 1 applies it to U_t, rho and eta: the InvariantSet reads
+sigma, sigma_bar and tau there.  The first `commutator_residual` at a
+point adds round 2, the five operators on the ten rows of round 1 on U_t
+and rho, and keeps all twelve residuals in the point's bundle.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import EtaVanishes, OrderExceeded
+from .errors import DivisionBySingularJet, EtaVanishes
 from .fields import MAX_ORDER, Point, SolutionField, eval_u
-from .jet import Jet, row_values
+from .jet import Jet, by_point, joined, repeated_rows, row_values
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
@@ -54,88 +62,78 @@ def _realify(w: complex) -> float | complex:
 
 
 class JetCalculus:
-    """Invariant jets and operator applications derived from one u-jet.
+    """The invariant jets of one u-jet and the one applier of the five
+    operators of invariant differentiation.
 
-    Invariant jets, the operators' coefficient jets and the reciprocals of
-    the eta jet are built on first use and kept, so repeated applications
-    reuse them; every kept jet is computed exactly as a fresh one would be.
+    `apply` takes a stacked operand's three partials once and gives delta,
+    Delta and DeltaBar of every row; `with_y` adds Y and Ybar, which are
+    Delta and DeltaBar times 1/eta, made only where eta does not vanish.
+    The calculus runs round 1 at once: the operators on `operand`, which
+    holds per point the rows ROWS (U_t truncated to order 2, rho and eta,
+    all order 2).  Each coefficient is truncated once per order (and per
+    operand depth) and kept; an operator application lowers a jet's order
+    by one, and truncation commutes with every jet operation, so a value
+    read after n applications has the same bits whatever order it started
+    from.
 
     p is one Point, or a list of points for one calculus on their stacked
-    u-jets (`SolutionField.jets_at`): every jet is then stacked, row r
-    bit for bit the jet of the calculus at p[r], and values are tuples.
+    u-jets (`SolutionField.jets_at`): every jet then holds one row per
+    point, and an operand holds each point's rows next to each other
+    (`jet.joined`), row for row the jets of the calculus at that point.
     """
+
+    #: the rows of `operand`, per point
+    ROWS = ("Ut", "Rho", "Eta")
 
     def __init__(self, field: SolutionField, p: Point | list[Point]):
         if isinstance(p, Point):
-            self.u, self.t = eval_u(field, p, MAX_ORDER), p.t
+            u, points = eval_u(field, p, MAX_ORDER), 1
         else:
-            self.u, self.t = field.jets_at(p, MAX_ORDER), tuple(q.t for q in p)
-        self.exp_mu = (-self.u.truncated(MAX_ORDER - 2)).exp()
-        self.u_zt = self.u.derivative(0).derivative(2)
-        self.u_zbt = self.u.derivative(1).derivative(2)
-        self._kept: dict = {}
+            u, points = field.jets_at(p, MAX_ORDER), len(p)
+        self.u = u
+        exp_mu = (-u.truncated(MAX_ORDER - 2)).exp()
+        u_z = u.derivative(0)
+        u_zt, u_zbt = u_z.derivative(2), u.derivative(1).derivative(2)
+        # Delta's and DeltaBar's coefficients e^-mu u_{zbar t} and e^-mu u_{z t}
+        self.Delta_coeff = exp_mu * u_zbt
+        self.DeltaBar_coeff = exp_mu * u_zt
+        self.eta = self.DeltaBar_coeff * u_zbt
+        rho = exp_mu * u_z.derivative(1)
+        u_t = u.truncated(MAX_ORDER - 1).derivative(2)
+        self.operand = joined([by_point(j, points) for j in (u_t, rho, self.eta)])
+        self._coeffs: dict = {}
+        self.round1 = self.apply(self.operand)
 
-    def _keep(self, key, build):
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
-
-    # -- invariant jets ----------------------------------------------------
-
-    def invariant_jet(self, name: str) -> Jet:
-        """Jet of the named invariant at the maximal available order."""
-        return self._keep(name, lambda: self._invariant_jet(name))
-
-    def _invariant_jet(self, name: str) -> Jet:
-        u = self.u
-        if name == "T":
-            return Jet.variable(2, self.t, 3, MAX_ORDER)
-        if name == "Ut":
-            return u.derivative(2)
-        if name == "Utt":
-            return u.derivative(2).derivative(2)
-        if name == "Rho":
-            return self.exp_mu * u.derivative(0).derivative(1)
-        if name == "Eta":
-            return self.exp_mu * self.u_zt * self.u_zbt
-        if name == "Uz":
-            return u.derivative(0)
-        raise ValueError(f"no jet construction for invariant {name!r}")
-
-    def value(self, name: str) -> complex:
-        return self.invariant_jet(name).value
-
-    # -- operators ---------------------------------------------------------
-
-    def apply(self, op: str, g: Jet) -> Jet:
-        """One operator of invariant differentiation applied to a jet."""
-        if g.order < 1:
-            raise OrderExceeded("operand jet has no first-order coefficients")
-        m = g.order - 1
-        if op == "delta":
-            return g.derivative(2)
-        if op == "Delta":
-            coef = self._keep((op, m), lambda: self.exp_mu.truncated(m)
-                              * self.u_zbt.truncated(m))
-            return coef * g.derivative(0)
-        if op == "DeltaBar":
-            coef = self._keep((op, m), lambda: self.exp_mu.truncated(m)
-                              * self.u_zt.truncated(m))
-            return coef * g.derivative(1)
-        if op in ("Y", "Ybar"):
-            inv_eta = self._keep(("1/Eta", m), lambda: self._eta_reciprocal(m))
-            return self.apply("Delta" if op == "Y" else "DeltaBar", g) * inv_eta
-        raise ValueError(f"unknown operator {op!r}")
-
-    def _eta_reciprocal(self, m: int) -> Jet:
-        eta = self.invariant_jet("Eta").truncated(m)
-        if any(abs(v) < ETA_TOL for v in row_values(eta.value)):
+    @cached_property
+    def inv_eta(self) -> Jet:
+        """1/eta, made on first use; raises EtaVanishes where eta vanishes."""
+        if any(abs(v) < ETA_TOL for v in row_values(self.eta.value)):
             raise EtaVanishes("eta = 0: Y and Ybar are undefined")
-        return eta.reciprocal()
+        return self.eta.reciprocal()
 
-    def applied(self, op: str, name: str) -> Jet:
-        """One operator applied to the named invariant's jet, kept for reuse."""
-        return self._keep((op, name), lambda: self.apply(op, self.invariant_jet(name)))
+    def _coeff(self, name: str, m: int, depth: int) -> Jet:
+        """A coefficient jet truncated to order m, for an operand of depth
+        rows (`jet.repeated_rows`), made once and kept."""
+        key = (name, m, depth)
+        if key not in self._coeffs:
+            self._coeffs[key] = repeated_rows(getattr(self, name).truncated(m), depth)
+        return self._coeffs[key]
+
+    def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
+        """(delta g, Delta g, DeltaBar g) for a stacked g, from g's three
+        partials, taken once: delta = d/dt, Delta = e^-mu u_{zbar t} d/dz,
+        DeltaBar = e^-mu u_{z t} d/dzbar."""
+        m, d = g.order - 1, g.depth
+        g_z, g_zb, g_t = g.derivative(0), g.derivative(1), g.derivative(2)
+        return (g_t, self._coeff("Delta_coeff", m, d) * g_z,
+                self._coeff("DeltaBar_coeff", m, d) * g_zb)
+
+    def with_y(self, applied: tuple[Jet, Jet, Jet]) -> tuple[Jet, ...]:
+        """`apply`'s result with Y g = (Delta g)/eta and Ybar g =
+        (DeltaBar g)/eta added, in the order of OPERATORS."""
+        delta, Delta, DeltaBar = applied
+        inv_eta = self._coeff("inv_eta", Delta.order, Delta.depth)
+        return delta, Delta, DeltaBar, Delta * inv_eta, DeltaBar * inv_eta
 
 
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
@@ -181,13 +179,15 @@ def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
 
 
 def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:
-    """The InvariantSet at each point of calc (one, or one per row), each
-    from its own values."""
-    values = (calc.value("Ut"), calc.value("Utt"), calc.value("Rho"), calc.value("Eta"),
-              calc.applied("Delta", "Rho").value, calc.applied("DeltaBar", "Rho").value,
-              calc.applied("delta", "Rho").value)
-    rows = zip(*values) if calc.u.depth else [values]
-    return [_invariant_set(p, *row) for p, row in zip(points, rows)]
+    """The InvariantSet at each point of calc, from its rows of round 1:
+    u_t, rho and eta are the operand's values, u_tt is delta of U_t, and
+    tau, sigma and sigma_bar are delta, Delta and DeltaBar of rho."""
+    values = calc.operand.value
+    delta, Delta, DeltaBar = (op.value for op in calc.round1)
+    rows = range(0, len(values), len(JetCalculus.ROWS))
+    return [_invariant_set(p, values[r], delta[r], values[r + 1], values[r + 2],
+                           Delta[r + 1], DeltaBar[r + 1], delta[r + 1])
+            for p, r in zip(points, rows)]
 
 
 def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> InvariantSet:
@@ -206,48 +206,103 @@ def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> Inva
                         lambda_=lam, lambda_bar=lam_bar)
 
 
-#: commutator pairs with their structure-coefficient right-hand sides
+#: the five operators, in the order `JetCalculus.with_y` gives them
+OPERATORS = ("delta", "Delta", "DeltaBar", "Y", "Ybar")
+#: commutator pairs with their structure-coefficient right-hand sides;
+#: [Delta, DeltaBar] and [Y, Ybar] are identities, which hold for any u
+#: (on a u that is no solution they still read roundoff), so only the other
+#: four pairs check the field
 COMMUTATOR_PAIRS = (("delta", "Delta"), ("delta", "DeltaBar"), ("Delta", "DeltaBar"),
                     ("delta", "Y"), ("delta", "Ybar"), ("Y", "Ybar"))
+#: the invariants the commutators are checked on: the first rows of
+#: `JetCalculus.ROWS`
+COMMUTATOR_TARGETS = ("Ut", "Rho")
 
 
 def commutator_residual(pair: tuple[str, str], target: str,
                         field: SolutionField, p: Point) -> complex:
-    """[A, B](target) minus the commutator algebra's right-hand side.
+    """[A, B](target) minus the commutator algebra's right-hand side, for a
+    pair of COMMUTATOR_PAIRS and a target of COMMUTATOR_TARGETS.
 
     Vanishes on solutions of the heavenly equation; requires order-4 jets.
     Every right-hand side divides by eta, so every pair raises EtaVanishes
-    where eta vanishes.
+    where eta vanishes.  The first call at a point computes all twelve
+    residuals from two stacked rounds of the calculus's applier
+    (`_commutator_residuals`) and keeps them in the point's bundle; the
+    later calls there read them.  A call that raises keeps nothing.  Where
+    eta is above ETA_TOL but 1/eta is singular, only the pairs without Y
+    and Ybar are kept, and each call of the others raises
+    DivisionBySingularJet again.
+    """
+    residuals = field.bundle_at(p).get("commutators", lambda: _commutator_residuals(field, p))
+    key = (tuple(pair), target)
+    if key in residuals:
+        return residuals[key]
+    if key[0] in COMMUTATOR_PAIRS and target in COMMUTATOR_TARGETS:
+        _calculus(field, p).inv_eta  # a pair with Y or Ybar: 1/eta raises again
+    raise ValueError(f"unknown commutator pair {pair!r} or target {target!r}")
+
+
+def _commutator_residuals(field: SolutionField, p: Point) -> dict:
+    """Every (pair, target) residual at p, from two rounds of
+    `JetCalculus.with_y`:
+
+    1. round 1 of the calculus (U_t, rho and eta, order 2): a X for every
+       operator a and target X, and delta, Delta and DeltaBar of eta, which
+       the right-hand sides read;
+    2. the ten rows a X on U_t and rho (order 1): every a(b X), as an
+       order-0 row.
+
+    A residual is a(b X) - b(a X) minus its right-hand side.  Each value has
+    the bits of the expansion through single-operator applications: every
+    jet operation acts row by row, and truncation commutes with each.
+    Where 1/eta is singular the rounds leave out Y and Ybar, and so the
+    pairs that hold them.
     """
     inv = invariants_at(field, p)
     if inv.eta_vanishes:
         raise EtaVanishes("eta = 0: the commutator right-hand sides are undefined")
-    kappa = field.kappa
     calc = _calculus(field, p)
-    a, b = pair
-    lhs = (calc.apply(a, calc.applied(b, target))
-           - calc.apply(b, calc.applied(a, target))).value
-
+    n = len(COMMUTATOR_TARGETS)
+    try:
+        first = calc.with_y(calc.round1)
+    except DivisionBySingularJet:
+        first = calc.round1
+    second = calc.apply(joined([by_point(op, 1)[:, :n] for op in first]))
+    if len(first) == len(OPERATORS):
+        second = calc.with_y(second)
+    # A[a][x]: a applied to row x of ROWS; AB[a][n b + x]: a applied to b X,
+    # where b is the b-th operator and X the x-th target
+    A = dict(zip(OPERATORS, (op.value for op in first)))
+    AB = dict(zip(OPERATORS, (op.value for op in second)))
+    kappa = field.kappa
     eta, rho, tau, u_t = inv.eta, inv.rho, inv.tau, inv.u_t
     sigma, sigma_bar = inv.sigma, inv.sigma_bar
-    A_of = {name: calc.applied(name, target).value for name in set(pair)}
-    if pair == ("delta", "Delta"):
-        rhs = (kappa * sigma_bar / eta - 3 * u_t) * A_of["Delta"]
-    elif pair == ("delta", "DeltaBar"):
-        rhs = (kappa * sigma / eta - 3 * u_t) * A_of["DeltaBar"]
-    elif pair == ("Delta", "DeltaBar"):
-        d_eta = calc.applied("Delta", "Eta").value
-        db_eta = calc.applied("DeltaBar", "Eta").value
-        rhs = ((d_eta / eta - (u_t * rho + tau)) * A_of["DeltaBar"]
-               - (db_eta / eta - (u_t * rho + tau)) * A_of["Delta"])
-    elif pair == ("delta", "Y"):
-        dt_eta = calc.applied("delta", "Eta").value
-        rhs = (kappa * inv.lambda_bar - 3 * u_t - dt_eta / eta) * A_of["Y"]
-    elif pair == ("delta", "Ybar"):
-        dt_eta = calc.applied("delta", "Eta").value
-        rhs = (kappa * inv.lambda_ - 3 * u_t - dt_eta / eta) * A_of["Ybar"]
-    elif pair == ("Y", "Ybar"):
-        rhs = ((u_t * rho + tau) / eta) * (A_of["Y"] - A_of["Ybar"])
-    else:
-        raise ValueError(f"unknown commutator pair {pair!r}")
-    return lhs - rhs
+    eta_row = JetCalculus.ROWS.index("Eta")
+    residuals = {}
+    for pair in COMMUTATOR_PAIRS:
+        a, b = pair
+        if not A.keys() >= set(pair):
+            continue  # Y or Ybar, where 1/eta is singular
+        for x, target in enumerate(COMMUTATOR_TARGETS):
+            lhs = AB[a][n * OPERATORS.index(b) + x] - AB[b][n * OPERATORS.index(a) + x]
+            A_of = {name: A[name][x] for name in pair}
+            if pair == ("delta", "Delta"):
+                rhs = (kappa * sigma_bar / eta - 3 * u_t) * A_of["Delta"]
+            elif pair == ("delta", "DeltaBar"):
+                rhs = (kappa * sigma / eta - 3 * u_t) * A_of["DeltaBar"]
+            elif pair == ("Delta", "DeltaBar"):
+                d_eta = A["Delta"][eta_row]
+                db_eta = A["DeltaBar"][eta_row]
+                rhs = ((d_eta / eta - (u_t * rho + tau)) * A_of["DeltaBar"]
+                       - (db_eta / eta - (u_t * rho + tau)) * A_of["Delta"])
+            elif pair == ("delta", "Y"):
+                dt_eta = A["delta"][eta_row]
+                rhs = (kappa * inv.lambda_bar - 3 * u_t - dt_eta / eta) * A_of["Y"]
+            elif pair == ("delta", "Ybar"):
+                dt_eta = A["delta"][eta_row]
+                rhs = (kappa * inv.lambda_ - 3 * u_t - dt_eta / eta) * A_of["Ybar"]
+            else:  # ("Y", "Ybar")
+                rhs = ((u_t * rho + tau) / eta) * (A_of["Y"] - A_of["Ybar"])
+            residuals[pair, target] = lhs - rhs
+    return residuals

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, ArityMismatch, FVanishes, NegativeDiscriminant
-from .jet import Jet
+from .jet import Jet, by_point, joined, repeated_rows
 
 RVARS = ("t", "ut", "rho")
 F_EPS = 1e-12
@@ -79,7 +77,7 @@ class _Proj:
     whose jets hold one row per point (`resolving_sweep`); points of mixed
     kappa raise ValueError, since delta's coefficient holds one kappa.  An
     operand holds one or more rows per point, a point's rows next to each
-    other (`_operand`), and each coefficient acts on all of its point's
+    other (`jet.joined`), and each coefficient acts on all of its point's
     rows.
     """
 
@@ -121,13 +119,9 @@ class _Proj:
         """A coefficient jet truncated to order m, made once per order and,
         for a stacked projection, per rows of the operand: each point's row
         repeated once for each of that point's operand rows."""
-        reps = depth // self.depth if self.depth else 1
-        key = (name, m, reps)
+        key = (name, m, depth // self.depth if self.depth else 1)
         if key not in self._truncs:
-            coef = getattr(self, name).truncated(m)
-            if reps > 1:
-                coef = Jet(np.repeat(coef.coeffs, reps, axis=0), depth=depth)
-            self._truncs[key] = coef
+            self._truncs[key] = repeated_rows(getattr(self, name).truncated(m), depth)
         return self._truncs[key]
 
     def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
@@ -140,19 +134,6 @@ class _Proj:
         return (g_t + self._coeff("heav_coeff", m, d) * g_ut + self._coeff("tauj", m, d) * g_rho,
                 g_ut + self._coeff("lamj", m, d) * g_rho,
                 g_ut + self._coeff("lambj", m, d) * g_rho)
-
-
-def _by_point(jet: Jet, points: int) -> np.ndarray:
-    """A stacked jet's coefficients (or an unstacked jet's, one point's one
-    row) as an array indexed by point, then by that point's rows."""
-    return jet.coeffs.reshape((points, -1) + jet.coeffs.shape[-3:])
-
-
-def _operand(blocks: list[np.ndarray]) -> Jet:
-    """Blocks of `_by_point` arrays as one stacked operand: per point, the
-    rows of each block in turn, a point's rows next to each other."""
-    coeffs = np.concatenate(blocks, axis=1)
-    return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=coeffs.shape[0] * coeffs.shape[1])
 
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
@@ -262,19 +243,19 @@ def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[tuple]:
        outer applications of the Jacobi sum, whose values it combines.
     """
     n = len(points)
-    g = _operand([_by_point(j, n) for j in
-                  (proj.Fj, proj.lamj, proj.lambj, proj.tauj, *proj.seed.values())])
+    g = joined([by_point(j, n) for j in
+                (proj.Fj, proj.lamj, proj.lambj, proj.tauj, *proj.seed.values())])
     round1 = proj.apply(g)
     v, (d, y, yb) = g.value, (op.value for op in round1)
     residuals = [_residuals(p, *v[7 * k:7 * k + 4], *d[7 * k:7 * k + 4],
                             y[7 * k + 3], y[7 * k + 2], yb[7 * k + 3], yb[7 * k + 1])
                  for k, p in enumerate(points)]
-    round2 = proj.apply(_operand([_by_point(op, n)[:, 4:] for op in round1]))
+    round2 = proj.apply(joined([by_point(op, n)[:, 4:] for op in round1]))
     # w[b, c]: b applied to c of the coordinates, 3 rows per point
-    w = {(b, c): _by_point(op, n)[:, 3 * c:3 * c + 3] for b, op in enumerate(round2)
+    w = {(b, c): by_point(op, n)[:, 3 * c:3 * c + 3] for b, op in enumerate(round2)
          for c in range(3)}
-    round3 = proj.apply(_operand([w[bc] for bc in _PAIRS]
-                                 + [w[b, c] - w[c, b] for _, b, c in _CYCLIC]))
+    round3 = proj.apply(joined([w[bc] for bc in _PAIRS]
+                               + [w[b, c] - w[c, b] for _, b, c in _CYCLIC]))
     # r[x][:, i]: x applied to the i-th block of round 3's operand
     r = [op.coeffs.reshape(n, 9, 3) for op in round3]
 

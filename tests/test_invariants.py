@@ -2,11 +2,14 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import EtaVanishes
-from heavenly.fields import Point, make_solution
-from heavenly.invariants import (COMMUTATOR_PAIRS, JetCalculus, commutator_residual,
-                                 invariants_at, liouville_residual, pde_residual)
+from heavenly.fields import Point, SolutionField, make_solution
+from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, JetCalculus,
+                                 commutator_residual, invariants_at, liouville_residual,
+                                 pde_residual)
+from heavenly.jet import Jet
 
 P_REF = Point(1.0, 1.0 + 0j)
+RHO = JetCalculus.ROWS.index("Rho")
 
 
 @pytest.fixture
@@ -62,21 +65,23 @@ def test_eta_vanishes_on_separable_family():
     assert s.eta_vanishes
     assert s.lambda_ is None
     calc = JetCalculus(fld, P_REF)
-    with pytest.raises(EtaVanishes):
-        calc.apply("Y", calc.invariant_jet("Rho"))
+    with pytest.raises(EtaVanishes):  # Y and Ybar of the operand, which holds rho
+        calc.with_y(calc.apply(calc.operand))
 
 
 def test_delta_of_rho_is_tau(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
     calc = JetCalculus(noninv_plus, P_REF)
-    assert calc.applied("delta", "Rho").value == pytest.approx(s.tau, abs=1e-12)
+    delta, _, _ = calc.apply(calc.operand)
+    assert delta.value[RHO] == pytest.approx(s.tau, abs=1e-12)
 
 
 def test_sigma_is_delta_of_rho(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
     calc = JetCalculus(noninv_plus, P_REF)
-    assert calc.applied("Delta", "Rho").value == pytest.approx(s.sigma, abs=1e-12)
-    assert calc.applied("DeltaBar", "Rho").value == pytest.approx(s.sigma_bar, abs=1e-12)
+    _, Delta, DeltaBar = calc.apply(calc.operand)
+    assert Delta.value[RHO] == pytest.approx(s.sigma, abs=1e-12)
+    assert DeltaBar.value[RHO] == pytest.approx(s.sigma_bar, abs=1e-12)
 
 
 @pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
@@ -108,3 +113,77 @@ def test_every_commutator_raises_where_eta_vanishes(pair, target, family, params
     assert invariants_at(fld, p).eta_vanishes
     with pytest.raises(EtaVanishes):
         commutator_residual(pair, target, fld, p)
+
+
+# --- what a commutator check costs, and that it can fail ------------------------
+
+def test_the_twelve_commutators_build_at_most_40_jets(noninv_plus, monkeypatch):
+    p = Point(0.9, 1.1 + 0.35j)
+    invariants_at(noninv_plus, p)
+    built = []
+    post_init = Jet.__post_init__
+    monkeypatch.setattr(Jet, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for pair in COMMUTATOR_PAIRS:
+        for target in COMMUTATOR_TARGETS:
+            commutator_residual(pair, target, noninv_plus, p)
+    # two rounds of the five operators build about 20; one expansion per
+    # call built 109
+    assert len(built) <= 40
+
+
+def stored(fld, p):
+    """What the bundle of fld at p holds under each name."""
+    return fld._bundles[repr((p.t, p.z))]._values
+
+
+def test_the_first_call_stores_all_twelve(noninv_plus):
+    p = Point(0.9, 1.1 + 0.35j)
+    value = commutator_residual(("delta", "Y"), "Rho", noninv_plus, p)
+    residuals = stored(noninv_plus, p)["commutators"]
+    assert set(residuals) == {(pair, target) for pair in COMMUTATOR_PAIRS
+                              for target in COMMUTATOR_TARGETS}
+    assert residuals[("delta", "Y"), "Rho"] is value
+    for (pair, target), kept in residuals.items():
+        assert commutator_residual(pair, target, noninv_plus, p) is kept
+    with pytest.raises(ValueError):
+        commutator_residual(("Y", "delta"), "Rho", noninv_plus, p)
+    with pytest.raises(ValueError):
+        commutator_residual(("delta", "Y"), "Eta", noninv_plus, p)
+
+
+def test_a_call_where_eta_vanishes_stores_nothing():
+    fld = make_solution("f0", {"C": 1.0}, 1)
+    for _ in range(2):
+        with pytest.raises(EtaVanishes):
+            commutator_residual(("delta", "Delta"), "Ut", fld, P_REF)
+        assert "commutators" not in stored(fld, P_REF)
+
+
+def perturbed_noninv():
+    """noninv (b = z^2 + i, kappa = +1) with 0.05 t^2 z zbar added to u: no
+    solution of the heavenly equation."""
+    base = make_solution("noninv", {"b": ex.parse("z^2 + i", ("z",))}, 1)
+
+    def builder(z0, zb0, t0, order):
+        z, zb, t = (Jet.variable(i, v, 3, order) for i, v in enumerate((z0, zb0, t0)))
+        return base.jet_at(z0, zb0, t0, order) + 0.05 * (t * t * z * zb)
+
+    return SolutionField(base.family, base.kappa, base.params, _builder=builder)
+
+
+IDENTITIES = (("Delta", "DeltaBar"), ("Y", "Ybar"))
+
+
+@pytest.mark.parametrize("target", COMMUTATOR_TARGETS)
+@pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
+def test_commutators_fail_on_a_perturbed_field(pair, target):
+    fld = perturbed_noninv()
+    p = Point(0.9, 1.1 + 0.35j)
+    assert abs(pde_residual(fld, p)) > 0.4
+    residual = abs(commutator_residual(pair, target, fld, p))
+    if pair in IDENTITIES:
+        # [Delta, DeltaBar] and [Y, Ybar] hold for any u: they check the
+        # formulas, not the field
+        assert residual < 1e-12
+    else:
+        assert residual > 1e-3
