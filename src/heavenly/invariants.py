@@ -20,15 +20,15 @@ import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DivisionBySingularJet, EtaVanishes
+from .errors import EtaVanishes
 from .fields import MAX_ORDER, Point, SolutionField, eval_u
-from .jet import Jet, by_point, joined, repeated_rows, row_values
+from .jet import SINGULAR_EPS, Jet, by_point, joined, repeated_rows, row_values
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
 #: |eta| below this counts as eta = 0, where lambda, lambda_bar and Y, Ybar
-#: are undefined
-ETA_TOL = 1e-14
+#: are undefined; it is the threshold below which 1/eta raises
+ETA_TOL = SINGULAR_EPS
 
 
 @dataclass(frozen=True)
@@ -229,18 +229,13 @@ def commutator_residual(pair: tuple[str, str], target: str,
     where eta vanishes.  The first call at a point computes all twelve
     residuals from two stacked rounds of the calculus's applier
     (`_commutator_residuals`) and keeps them in the point's bundle; the
-    later calls there read them.  A call that raises keeps nothing.  Where
-    eta is above ETA_TOL but 1/eta is singular, only the pairs without Y
-    and Ybar are kept, and each call of the others raises
-    DivisionBySingularJet again.
+    later calls there read them.  A call that raises keeps nothing.
     """
     residuals = field.bundle_at(p).get("commutators", lambda: _commutator_residuals(field, p))
     key = (tuple(pair), target)
-    if key in residuals:
-        return residuals[key]
-    if key[0] in COMMUTATOR_PAIRS and target in COMMUTATOR_TARGETS:
-        _calculus(field, p).inv_eta  # a pair with Y or Ybar: 1/eta raises again
-    raise ValueError(f"unknown commutator pair {pair!r} or target {target!r}")
+    if key not in residuals:
+        raise ValueError(f"unknown commutator pair {pair!r} or target {target!r}")
+    return residuals[key]
 
 
 def _commutator_residuals(field: SolutionField, p: Point) -> dict:
@@ -256,21 +251,14 @@ def _commutator_residuals(field: SolutionField, p: Point) -> dict:
     A residual is a(b X) - b(a X) minus its right-hand side.  Each value has
     the bits of the expansion through single-operator applications: every
     jet operation acts row by row, and truncation commutes with each.
-    Where 1/eta is singular the rounds leave out Y and Ybar, and so the
-    pairs that hold them.
     """
     inv = invariants_at(field, p)
     if inv.eta_vanishes:
         raise EtaVanishes("eta = 0: the commutator right-hand sides are undefined")
     calc = _calculus(field, p)
     n = len(COMMUTATOR_TARGETS)
-    try:
-        first = calc.with_y(calc.round1)
-    except DivisionBySingularJet:
-        first = calc.round1
-    second = calc.apply(joined([by_point(op, 1)[:, :n] for op in first]))
-    if len(first) == len(OPERATORS):
-        second = calc.with_y(second)
+    first = calc.with_y(calc.round1)
+    second = calc.with_y(calc.apply(joined([by_point(op, 1)[:, :n] for op in first])))
     # A[a][x]: a applied to row x of ROWS; AB[a][n b + x]: a applied to b X,
     # where b is the b-th operator and X the x-th target
     A = dict(zip(OPERATORS, (op.value for op in first)))
@@ -282,8 +270,6 @@ def _commutator_residuals(field: SolutionField, p: Point) -> dict:
     residuals = {}
     for pair in COMMUTATOR_PAIRS:
         a, b = pair
-        if not A.keys() >= set(pair):
-            continue  # Y or Ybar, where 1/eta is singular
         for x, target in enumerate(COMMUTATOR_TARGETS):
             lhs = AB[a][n * OPERATORS.index(b) + x] - AB[b][n * OPERATORS.index(a) + x]
             A_of = {name: A[name][x] for name in pair}

@@ -1,14 +1,16 @@
 """Resolving system of the group foliation: projected operators on the
-invariant space (t, u_t, rho), the five residuals, the Jacobi identity and
-the commuting-operators ansatz.
+invariant space (t, u_t, rho), the five residuals, the Jacobi conditions on
+the structure functions and the commuting-operators ansatz.
 
 Both checks at a point read one order-PROJ_ORDER projection, which gives
-them together in three rounds: each round takes one operand's three
-partials once and applies delta, Y and Ybar to every row of it.  The
-functions keep each checked point's pair of results in one store.  A loop over many points first runs `resolving_sweep`, which
-fills that store from one stacked projection of all of them; the loop's
-per-point calls are its only readers, so they give the bits and the errors
-of the per-point path.
+them together in one round: `_Proj.apply` takes the operand's three
+partials once and applies delta, Y and Ybar to each of its seven rows per
+point (F, lambda, lambda_bar, tau and the structure functions a, a_bar and
+c).  The functions keep each checked point's pair of results in one store.
+A loop over many points first runs `resolving_sweep`, which fills that
+store from one stacked projection of all of them; the loop's per-point
+calls are its only readers, so they give the bits and the errors of the
+per-point path.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, ArityMismatch, FVanishes, NegativeDiscriminant
-from .jet import Jet, by_point, joined, repeated_rows
+from .jet import SINGULAR_EPS, Jet, by_point, joined, repeated_rows
 
 RVARS = ("t", "ut", "rho")
-F_EPS = 1e-12
+#: |F| below this counts as F = 0; c divides by F, and this is the
+#: threshold below which that division raises
+F_EPS = SINGULAR_EPS
 #: order of the projection both checks read at a point: each operator
-#: application lowers a jet's order by one, and the Jacobi words nest three
-#: applications, so an order-3 seed leaves an order-0 jet holding the value;
-#: `resolving_residuals` applies one operator and reads order 2
-PROJ_ORDER = 3
+#: application lowers a jet's order by one, and both checks read values
+#: after one application
+PROJ_ORDER = 1
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,8 @@ class _Proj:
                     raise NegativeDiscriminant(
                         f"2*kappa*rho - ut^2 = {q.discriminant} < 0 at {q}")
         if isinstance(p, list):
-            self.depth = len(p)
             coords = [tuple(complex(getattr(q, n)) for q in p) for n in RVARS]
         else:
-            self.depth = 0
             coords = [complex(p.t), complex(p.ut), complex(p.rho)]
         self.seed = {name: Jet.variable(i, v, 3, order)
                      for i, (name, v) in enumerate(zip(RVARS, coords))}
@@ -106,7 +107,6 @@ class _Proj:
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
         self.heav_coeff = (points[0].kappa * self.seed["rho"]
                            - self.seed["ut"] * self.seed["ut"])
-        self._truncs: dict = {}
 
     def _at(self, e: ex.Expr) -> Jet:
         """e's jet on the seeds (its variables, in order, are t, ut and rho)."""
@@ -115,25 +115,21 @@ class _Proj:
                                 f"{len(RVARS)} points given")
         return ex.evaluate(e, dict(zip(e.variables, self.seed.values())))
 
-    def _coeff(self, name: str, m: int, depth: int) -> Jet:
-        """A coefficient jet truncated to order m, made once per order and,
-        for a stacked projection, per rows of the operand: each point's row
-        repeated once for each of that point's operand rows."""
-        key = (name, m, depth // self.depth if self.depth else 1)
-        if key not in self._truncs:
-            self._truncs[key] = repeated_rows(getattr(self, name).truncated(m), depth)
-        return self._truncs[key]
-
     def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
         """(delta g, Y g, Ybar g) for a stacked g, from g's three partials,
         taken once:
         delta = d/dt + (kappa rho - ut^2) d/dut + tau d/drho,
-        Y = d/dut + lambda d/drho, Ybar the same with lambda_bar."""
+        Y = d/dut + lambda d/drho, Ybar the same with lambda_bar.  Each
+        coefficient is truncated to the result's order, with each point's
+        row repeated for each of that point's operand rows
+        (`jet.repeated_rows`)."""
         m, d = g.order - 1, g.depth
+        heav, tau, lam, lamb = (repeated_rows(j.truncated(m), d) for j in
+                                (self.heav_coeff, self.tauj, self.lamj, self.lambj))
         g_t, g_ut, g_rho = g.derivative(0), g.derivative(1), g.derivative(2)
-        return (g_t + self._coeff("heav_coeff", m, d) * g_ut + self._coeff("tauj", m, d) * g_rho,
-                g_ut + self._coeff("lamj", m, d) * g_rho,
-                g_ut + self._coeff("lambj", m, d) * g_rho)
+        return (g_t + heav * g_ut + tau * g_rho,
+                g_ut + lam * g_rho,
+                g_ut + lamb * g_rho)
 
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
@@ -169,7 +165,7 @@ def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingR
     """The five residuals of the resolving system at one invariant point.
 
     At a point outside rf's store this computes the pair of both checks
-    (three rounds of `_Proj.apply`, see `_checked_pairs`), so a caller that
+    (one round of `_Proj.apply`, see `_checked_pairs`), so a caller that
     wants the residuals alone pays for both; the following
     `jacobi_residual` there reads the store."""
     return _checks(rf, p)[0]
@@ -190,82 +186,58 @@ def _residuals(p: ResolvingPoint, F, lam, lamb, tau, dF, dlam, dlamb, dtau,
     return ResolvingResiduals(r1=r1, r2=r2, r2_bar=r2b, r3=r3, r4=r4)
 
 
-def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex, complex, complex]:
-    """[delta,[Y,Ybar]] + [Y,[Ybar,delta]] + [Ybar,[delta,Y]] on t, ut, rho.
+def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex, complex]:
+    """(J1, J2), the Jacobi conditions on the structure functions.
 
-    Each nested commutator [a,[b,c]] on a coordinate g is evaluated as
-    a(w(b,c) - w(c,b)) - (w(b,c,a) - w(c,b,a)), where a word
-    w(x1, ..., xn) = x1(...(xn g)) is an operator chain.  The three terms
-    share their words, and `_checked_pairs` gets all of them, for the three
-    coordinates at once, from the rounds of `_Proj.apply` that also give
-    `resolving_residuals`.  Applications are pure, act row by row, and the
-    words are combined by the same subtractions and sums, in the same order,
-    as the expansion, so the result is bit-identical to it.
+    On a solution of the resolving system the projected operators satisfy
+    the structure equations [delta, Y] = a Y, [delta, Ybar] = a_bar Ybar
+    and [Y, Ybar] = c (Y - Ybar), with a = 2 ut - kappa lambda,
+    a_bar = 2 ut - kappa lambda_bar and c = (ut rho + tau)/F read off the
+    operators: a and a_bar are the d/dut coefficients of the first two
+    brackets, and R2 and R2bar make their d/drho coefficients agree; R3
+    makes [Y, Ybar] = c (Y - Ybar).  Expanding
+    [delta,[Y,Ybar]] + [Y,[Ybar,delta]] + [Ybar,[delta,Y]] with them gives
+    J1 Y - J2 Ybar, where
+    J1 = delta c - c a_bar + Ybar a and J2 = delta c - a c + Y a_bar,
+    so both vanish where the structure equations hold.  `_checked_pairs`
+    reads delta c, Ybar a and Y a_bar from the round of `_Proj.apply` that
+    gives `resolving_residuals`.
 
-    What it can detect: delta, Y and Ybar are first-order operators, and
-    nested commutators of any three vector fields satisfy the Jacobi
-    identity whatever their coefficients.  So this residual is roundoff
-    for every choice of F, lambda, lambda_bar and tau, solution or not
-    (a perturbed tau, lambda or F still reads about 1e-16); it checks the
-    operator arithmetic, not the resolving system.  `resolving_residuals`
-    is the check a perturbation fails.
-
-    Order 3 suffices: each application lowers a jet's order by one, the
-    words nest three applications, and a coefficient of degree k of a jet
-    operation depends only on its operands' coefficients of degree <= k.
-    So the order-3 seeds of the projection that `resolving_residuals`
-    reads at the same point leave an order-0 jet holding the value, the
-    same bits an order-4 seed gives.  At a point outside rf's store the
-    call computes both checks' pair, as `resolving_residuals` does.
+    What it can detect: a perturbed tau or lambda moves a or c and reads
+    far above roundoff.  For the ansatz tau = -ut rho, c vanishes
+    identically, so J cannot see F (R1 does: it reads 3 ut under F + 1).
+    Where lambda != lambda_bar, J1 and J2 are differential consequences of
+    R2, R2bar and R3, so J confirms those rather than adding a condition.
+    At a point outside rf's store the call computes both checks' pair, as
+    `resolving_residuals` does.
     """
     return _checks(rf, p)[1]
 
 
-#: the cyclic (a, b, c) of the Jacobi sum, as positions in `_Proj.apply`'s
-#: (delta, Y, Ybar)
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-#: the words w(b, c) with b != c, in the order round 3 holds them
-_PAIRS = tuple((b, c) for b in range(3) for c in range(3) if b != c)
-
-
 def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[tuple]:
-    """Each point's (residuals, jacobi) pair, from three rounds of
-    `_Proj.apply` on operands that hold every point's rows next to each
-    other:
-
-    1. F, lambda, lambda_bar, tau, t, ut, rho (7 rows per point, order 3):
-       R1-R4 read delta of the four functions, Y of tau and lambda_bar and
-       Ybar of tau and lambda; the coordinates give the words of length 1.
-    2. The three words of length 1 (9 rows, order 2): every word of
-       length 2.
-    3. The six words w(b,c) with b != c and the three differences
-       w(b,c) - w(c,b) (27 rows, order 1): the words of length 3 and the
-       outer applications of the Jacobi sum, whose values it combines.
+    """Each point's (residuals, jacobi) pair, from one round of
+    `_Proj.apply` on an operand of 7 rows per point, each point's rows next
+    to each other: F, lambda, lambda_bar, tau, a, a_bar and c.  R1-R4 read
+    the values, delta of the four functions, Y of tau and lambda_bar and
+    Ybar of tau and lambda; J1 and J2 read a, a_bar, c, delta c, Ybar a and
+    Y a_bar.  c divides by F, so every point's F must be at least F_EPS.
     """
-    n = len(points)
+    n, kappa = len(points), points[0].kappa
+    ut = proj.seed["ut"]
+    a = 2 * ut - kappa * proj.lamj
+    a_bar = 2 * ut - kappa * proj.lambj
+    c = (ut * proj.seed["rho"] + proj.tauj) / proj.Fj
     g = joined([by_point(j, n) for j in
-                (proj.Fj, proj.lamj, proj.lambj, proj.tauj, *proj.seed.values())])
-    round1 = proj.apply(g)
-    v, (d, y, yb) = g.value, (op.value for op in round1)
-    residuals = [_residuals(p, *v[7 * k:7 * k + 4], *d[7 * k:7 * k + 4],
-                            y[7 * k + 3], y[7 * k + 2], yb[7 * k + 3], yb[7 * k + 1])
-                 for k, p in enumerate(points)]
-    round2 = proj.apply(joined([by_point(op, n)[:, 4:] for op in round1]))
-    # w[b, c]: b applied to c of the coordinates, 3 rows per point
-    w = {(b, c): by_point(op, n)[:, 3 * c:3 * c + 3] for b, op in enumerate(round2)
-         for c in range(3)}
-    round3 = proj.apply(joined([w[bc] for bc in _PAIRS]
-                               + [w[b, c] - w[c, b] for _, b, c in _CYCLIC]))
-    # r[x][:, i]: x applied to the i-th block of round 3's operand
-    r = [op.coeffs.reshape(n, 9, 3) for op in round3]
-
-    def nested(i, a, b, c):
-        # [a, [b, c]] on the coordinates, w(b, c, a) being b applied to w(c, a)
-        return r[a][:, 6 + i] - (r[b][:, _PAIRS.index((c, a))]
-                                 - r[c][:, _PAIRS.index((b, a))])
-
-    n0, n1, n2 = (nested(i, *abc) for i, abc in enumerate(_CYCLIC))
-    return list(zip(residuals, map(tuple, (n0 + n1 + n2).tolist())))
+                (proj.Fj, proj.lamj, proj.lambj, proj.tauj, a, a_bar, c)])
+    v, (d, y, yb) = g.value, (op.value for op in proj.apply(g))
+    pairs = []
+    for k, p in enumerate(points):
+        i = 7 * k
+        av, abv, cv = v[i + 4:i + 7]
+        pairs.append((_residuals(p, *v[i:i + 4], *d[i:i + 4],
+                                 y[i + 3], y[i + 2], yb[i + 3], yb[i + 1]),
+                      (d[i + 6] - cv * abv + yb[i + 4], d[i + 6] - av * cv + y[i + 5])))
+    return pairs
 
 
 def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:
@@ -274,7 +246,8 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
     `resolving_residuals` and `jacobi_residual` read, bit for bit the
     point's own, because every jet operation acts row by row and each row
     goes through the per-point formulas.  A point where F's value is below
-    F_EPS is left out, and a projection that raises (`SWEEP_FALLBACK`,
+    F_EPS is left out, and the others are projected again without it,
+    since c divides by F; a projection that raises (`SWEEP_FALLBACK`,
     which covers points of mixed kappa) leaves the store empty, so the
     checks there raise or exclude exactly what they do alone.
     """
@@ -285,10 +258,13 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
         proj = _Proj(rf, points, PROJ_ORDER)
     except SWEEP_FALLBACK:
         return
-    pairs = _checked_pairs(proj, points)
-    object.__setattr__(rf, "_checked", {repr(p): pair for p, F, pair
-                                        in zip(points, proj.Fj.value, pairs)
-                                        if abs(F) >= F_EPS})
+    kept = [p for p, F in zip(points, proj.Fj.value) if abs(F) >= F_EPS]
+    if not kept:
+        return
+    if len(kept) < len(points):
+        proj = _Proj(rf, kept, PROJ_ORDER)
+    object.__setattr__(rf, "_checked", {repr(p): pair for p, pair
+                                        in zip(kept, _checked_pairs(proj, kept))})
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------

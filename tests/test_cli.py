@@ -100,7 +100,9 @@ def test_resolving_perturbation_detected(capsys):
     code, out, _ = run(capsys, "resolving", "--kappa", "1", "--phi", "2",
                        "--samples", "10", "--perturb", "tau:+0.1")
     assert code == 1
-    assert json.loads(out)["summary"]["max_residuals"]["R1"] > 1e-3
+    worst = json.loads(out)["summary"]["max_residuals"]
+    assert worst["R1"] > 1e-3
+    assert worst["jacobi"] > 1e-8
 
 
 def test_symmetry_checks(capsys):

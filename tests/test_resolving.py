@@ -8,8 +8,8 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.cli import _perturbed, main
-from heavenly.errors import FVanishes, NegativeDiscriminant, ParseError
-from heavenly.jet import Jet
+from heavenly.errors import BranchCutViolation, FVanishes, NegativeDiscriminant, ParseError
+from heavenly.jet import PASS_POINTS, Jet
 from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta,
                                 _Proj, jacobi_residual, resolving_residuals,
@@ -18,6 +18,8 @@ from test_readme_examples import README_EXAMPLES
 
 P_REF = ResolvingPoint(t=1.0, ut=0.8, rho=0.4, kappa=1)
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
+#: PHI_TEXTS and one phi that raises where theta < 0
+SIX_PHI = PHI_TEXTS + ("ln(theta)",)
 
 
 def phi_expr(text):
@@ -65,16 +67,26 @@ def test_resolving_residuals_vanish(text, kappa):
         assert max(abs(v) for v in res.as_dict().values()) < 1e-9
 
 
-@pytest.mark.parametrize("text", ("2", "xi*theta"))
+def checked_pairs(rf, kappa, n=20, seed=29):
+    """(point, residuals, jacobi) at the sample points where both checks
+    run; phi can cross zero, and ln(theta) raises where theta < 0."""
+    out = []
+    for p in sample_points(kappa, n, seed=seed):
+        try:
+            out.append((p, resolving_residuals(rf, p), jacobi_residual(rf, p)))
+        except (FVanishes, BranchCutViolation):
+            continue
+    assert out
+    return out
+
+
+@pytest.mark.parametrize("text", SIX_PHI)
 @pytest.mark.parametrize("kappa", (1, -1))
 def test_jacobi_identity_vanishes(text, kappa):
     rf = ansatz_functions(phi_expr(text), kappa)
-    for p in sample_points(kappa, 6, seed=29):
-        try:
-            jac = jacobi_residual(rf, p)
-        except FVanishes:
-            continue
-        assert max(abs(v) for v in jac) < 1e-8
+    for _, _, jac in checked_pairs(rf, kappa):
+        assert len(jac) == 2
+        assert max(abs(v) for v in jac) <= 1e-15
 
 
 def test_projected_operators_on_coordinates():
@@ -130,15 +142,23 @@ def test_perturb_parses_the_amount_before_it_checks_the_target():
         _perturbed(rf, "mu:+0.1*")
 
 
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("text", SIX_PHI)
 @pytest.mark.parametrize("spec", ("tau:+0.1", "lambda:+0.3", "F:+1"))
-def test_jacobi_residual_cannot_see_a_perturbation(spec):
-    # nested commutators of any three first-order operators satisfy the
-    # Jacobi identity, so only R1..R4 detect a system that is not solved
-    rf = _perturbed(ansatz_functions(phi_expr("xi*theta"), 1), spec)
-    p = ResolvingPoint(t=1.0, ut=0.3, rho=0.9, kappa=1)
-    res = resolving_residuals(rf, p)
-    assert max(abs(v) for v in res.as_dict().values()) > 0.2
-    assert max(abs(v) for v in jacobi_residual(rf, p)) < 1e-12
+def test_jacobi_residual_against_a_perturbation(spec, text, kappa):
+    rf = _perturbed(ansatz_functions(phi_expr(text), kappa), spec)
+    largest_r1 = 0.0
+    for p, res, jac in checked_pairs(rf, kappa, n=8, seed=41):
+        if spec != "F:+1":
+            # a perturbed tau moves c, a perturbed lambda moves a and a_bar
+            assert max(abs(v) for v in jac) > 1e-3
+            continue
+        # c = (ut rho + tau)/F vanishes for the ansatz's tau whatever F is,
+        # so J cannot see F; R1 = delta F + 3 ut F there, so F + 1 adds 3 ut
+        assert max(abs(v) for v in jac) <= 1e-15
+        assert res.r1 == pytest.approx(3 * p.ut, abs=1e-9)
+        largest_r1 = max(largest_r1, abs(res.r1))
+    assert spec != "F:+1" or largest_r1 > 1e-3
 
 
 def test_conjugate_partner_structure():
@@ -224,6 +244,31 @@ def test_a_sweep_over_both_kappas_keeps_nothing():
     res = resolving_residuals(rf, points[1])
     assert res.r2 == pytest.approx(0.78 - 0.36j, abs=5e-3)
     assert res.r4 == pytest.approx(21.29, abs=5e-3)
+
+
+def test_f_vanishes_before_c_divides_by_it():
+    # F = rho^3 (xi - 2) is exactly 0 at rho = 1, ut = 0 (xi = 2); c divides
+    # by F, and the point reports FVanishes alone and inside a sweep, whose
+    # other points keep their own bits
+    zero = ResolvingPoint(t=0.5, ut=0.0, rho=1.0, kappa=1)
+    alone = ansatz_functions(phi_expr("xi - 2"), 1)
+    for check in (resolving_residuals, jacobi_residual):
+        with pytest.raises(FVanishes):
+            check(alone, zero)
+    points = sample_points(1, PASS_POINTS - 1, seed=61)
+    points.insert(5, zero)
+    # repr round-trips every float and tells -0.0 from 0.0
+    wanted = {repr(p): repr(both_checks(alone, p)) for p in points if p is not zero}
+    rf = ansatz_functions(phi_expr("xi - 2"), 1)
+    resolving_sweep(rf, points)
+    assert sorted(rf._checked) == sorted(wanted)
+    for p in points:
+        if p is zero:
+            for check in (resolving_residuals, jacobi_residual):
+                with pytest.raises(FVanishes):
+                    check(rf, p)
+            continue
+        assert repr(both_checks(rf, p)) == wanted[repr(p)]
 
 
 def is_unit(jet):
