@@ -5,6 +5,16 @@ with the truncated-Taylor engine.  Jets live in the variables (z, zbar, t)
 with zbar = conj(z) fixed on the physical slice; domain conditions are
 checked at evaluation time because they depend on the sampled point.
 
+A piece of a build that depends on one variable (b(z), c(z) and c'(z),
+a(z), A(z), phi(z) and phi'(z), their zbar partners, t^2 + C and
+l*t^2 + C1*t + C2, and the logarithms of such pieces) stays a univariate
+jet, evaluated once on a univariate seed of its coordinate, until it
+meets a piece in another variable: `jet.on_axes` then places it on its
+axis of a jet in (z, zbar, t).  c and phi are evaluated one order higher,
+which gives both themselves and their derivatives; every other piece at
+the build's order.  The pushforward composes its source's jet with the
+univariate jets of phi, phibar and t (`jet.compose3`).
+
 A builder takes the point's coordinates as scalars, or as tuples of one
 coordinate per point for a stacked pass (`SolutionField.jets_at`).  It
 never asks which: the same code builds one jet or every point's jet as one
@@ -32,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, DomainError, FamilyParamMismatch, SingularMap
 from .families import FAMILY_PARAMS
-from .jet import PASS_POINTS, Jet, compose3, compose_series, row_series, row_values
+from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
@@ -166,27 +176,33 @@ def u_jets(order: int):
     return lambda field, points: [{order: row} for row in field.jets_at(points, order).rows()]
 
 
-def _seeds(z0: complex, zb0: complex, t0: float, order: int):
-    return (Jet.variable(VZ, z0, 3, order), Jet.variable(VZB, zb0, 3, order),
-            Jet.variable(VT, t0, 3, order))
+def _seed(value, order: int) -> Jet:
+    """Univariate seed jet of one coordinate (a tuple of one per row for a
+    stacked pass)."""
+    return Jet.variable(0, value, 1, order)
 
 
-def _expr_at(e: ex.Expr, seed: Jet) -> Jet:
-    """Holomorphic expression of one variable on a seed jet from `_seeds`."""
+def _on(e: ex.Expr, seed: Jet) -> Jet:
+    """A one-variable expression's univariate jet on a seed from `_seed`:
+    one evaluation per point, or one stacked evaluation per pass."""
     return ex.evaluate(e, {e.variables[0]: seed})
 
 
-def _derivative_series(z0: complex, order: int, e: ex.Expr) -> list[complex]:
-    """Taylor coefficients of e' at z0, from a one-order-higher univariate
-    expansion of e."""
-    uni = ex.eval_jet1(e, z0, order + 1)
-    return [(k + 1) * uni.coefficient((k + 1,)) for k in range(order + 1)]
+def _derivative(e1: Jet) -> Jet:
+    """Univariate jet of e' from e's univariate jet e1, one order higher.
 
-
-def _expr_deriv_at(e: ex.Expr, seed: Jet) -> Jet:
-    """Jet of e' on a seed jet (each row's series at its own point)."""
-    z0 = seed.value
-    return compose_series(row_series(_derivative_series, z0, seed.order, e), seed - z0)
+    Its coefficients are (k + 1) e_{k+1}.  Above order 0 the constant term
+    also gets 0j times each coefficient of degree 1 and up, which is what
+    composing that series with z - z0 adds to it: a zero real or imaginary
+    part of e' then has the sign it has in the composed series, and a
+    logarithm of e' on its branch cut keeps its branch."""
+    d = e1.derivative(0)
+    if not d.order:
+        return d
+    zero = 0j * d.coeffs[..., 1]
+    for k in range(2, d.order + 1):  # in turn: a sum from +0 would drop a -0
+        zero = zero + 0j * d.coeffs[..., k]
+    return d + (tuple(zero.tolist()) if d.depth else complex(zero))
 
 
 def _bar(e: ex.Expr) -> ex.Expr:
@@ -207,31 +223,34 @@ def _check_nonzero(j: Jet, what: str):
             raise DomainError(f"{what} vanishes at the evaluation point")
 
 
-def _two_logs(b: ex.Expr, bbar: ex.Expr, Z: Jet, Zb: Jet, T: Jet) -> Jet:
-    """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm families."""
-    tb = T + _expr_at(b, Z)
-    tbb = T + _expr_at(bbar, Zb)
+def _two_logs(bz: Jet, bbzb: Jet, t: Jet) -> Jet:
+    """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm
+    families, from the univariate jets of b, bbar and t."""
+    tb = on_axes(bz, None, t)
+    tbb = on_axes(None, bbzb, t)
     _check_nonzero(tb, "t + b(z)")
     _check_nonzero(tbb, "t + bbar(zbar)")
     return _ln(tb, "t + b(z)") + _ln(tbb, "t + bbar(zbar)")
 
 
-def _conformal_log(kappa: int, Z: Jet, Zb: Jet) -> Jet:
+def _conformal_log(kappa: int, z0, zb0, order: int) -> Jet:
     """ln(z + zbar) for kappa = 1, ln(z*zbar + 1) for kappa = -1; f0 and
     noninv add -2 times it."""
     if kappa == 1:
-        arg, what = Z + Zb, "z + zbar"
+        arg, what = on_axes(_seed(z0, order), _seed(zb0, order)), "z + zbar"
     else:
-        arg, what = Z * Zb + 1.0, "z*zbar + 1"
+        arg = Jet.variable(VZ, z0, 3, order) * Jet.variable(VZB, zb0, 3, order) + 1.0
+        what = "z*zbar + 1"
     _check_nonzero(arg, what)
     return _ln(arg, what)
 
 
-def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
+def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, z0, zb0, order: int,
                      name: str) -> Jet:
     """ln c' + ln cbar' - 2 ln(c + cbar) for kappa = 1, with c*cbar + 1 in
     the last logarithm for kappa = -1; name is c's parameter name, which
-    the exclusion messages use.
+    the exclusion messages use.  c and cbar are evaluated once, one order
+    higher, and give both themselves and their derivatives.
 
     gamma = ln(c' cbar' / (c + cbar)^2) is real and finite where c' and
     cbar' are both negative real, or the denominator is: there the
@@ -242,18 +261,18 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
     Every other row keeps the principal logarithms' bits: they are tried
     first, and the real branch is taken only where they meet the cut.
     """
-    cj = _expr_at(c, Z)
-    cbj = _expr_at(cbar, Zb)
-    cd = _expr_deriv_at(c, Z)
-    cbd = _expr_deriv_at(cbar, Zb)
+    c1 = _on(c, _seed(z0, order + 1))
+    cb1 = _on(cbar, _seed(zb0, order + 1))
+    cj, cbj = c1.truncated(order), cb1.truncated(order)
+    cd, cbd = _derivative(c1), _derivative(cb1)
     if kappa == 1:
-        denom = cj + cbj
+        denom = on_axes(cj, cbj)
         _check_nonzero(denom, f"{name}(z) + {name}bar(zbar)")
     else:
-        denom = cj * cbj + 1.0
+        denom = on_axes(cj) * on_axes(None, cbj) + 1.0
         _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
     try:
-        return (_ln(cd, f"{name}'") + _ln(cbd, f"{name}bar'")
+        return (on_axes(_ln(cd, f"{name}'"), _ln(cbd, f"{name}bar'"))
                 - 2.0 * _ln(denom, "Liouville denominator"))
     except DomainError:
         # a logarithm met the branch cut; the rows where that was a
@@ -263,7 +282,7 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, Z: Jet, Zb: Jet,
         below = [_negative_real(v) for v in row_values(denom.value)]
         if not (any(both) or any(below)):
             raise
-    return (_ln(_negated(cd, both), f"{name}'") + _ln(_negated(cbd, both), f"{name}bar'")
+    return (on_axes(_ln(_negated(cd, both), f"{name}'"), _ln(_negated(cbd, both), f"{name}bar'"))
             - 2.0 * _ln(_negated(denom, below), "Liouville denominator"))
 
 
@@ -299,12 +318,13 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         C = float(params["C"])
 
         def build(z0, zb0, t0, order):
-            Z, Zb, T = _seeds(z0, zb0, t0, order)
-            arg = T * T + C
+            t = _seed(t0, order)
+            arg = t * t + C
             for v in row_values(arg.value):
                 if v.real <= 0:
                     raise DomainError("t^2 + C must be positive")
-            return _ln(arg, "t^2 + C") - 2.0 * _conformal_log(kappa, Z, Zb)
+            return (on_axes(None, None, _ln(arg, "t^2 + C"))
+                    - 2.0 * _conformal_log(kappa, z0, zb0, order))
 
     elif family == "f0general":
         l = float(params["l"])
@@ -315,25 +335,27 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
             raise FamilyParamMismatch("separation constant l must be positive")
 
         def build(z0, zb0, t0, order):
-            Z, Zb, T = _seeds(z0, zb0, t0, order)
-            alpha = _ln(l * T * T + C1 * T + C2, "l*t^2 + C1*t + C2")
-            return alpha + (_liouville_gamma(a, abar, kappa, Z, Zb, "a") - math.log(l))
+            t = _seed(t0, order)
+            alpha = on_axes(None, None, _ln(l * t * t + C1 * t + C2, "l*t^2 + C1*t + C2"))
+            return alpha + (_liouville_gamma(a, abar, kappa, z0, zb0, order, "a") - math.log(l))
 
     elif family == "noninv":
         b = params["b"]
         bbar = _bar(b)
 
         def build(z0, zb0, t0, order):
-            Z, Zb, T = _seeds(z0, zb0, t0, order)
-            return _two_logs(b, bbar, Z, Zb, T) - 2.0 * _conformal_log(kappa, Z, Zb)
+            return (_two_logs(_on(b, _seed(z0, order)), _on(bbar, _seed(zb0, order)),
+                              _seed(t0, order))
+                    - 2.0 * _conformal_log(kappa, z0, zb0, order))
 
     elif family == "general_noninv":
         b, c = params["b"], params["c"]
         bbar, cbar = _bar(b), _bar(c)
 
         def build(z0, zb0, t0, order):
-            Z, Zb, T = _seeds(z0, zb0, t0, order)
-            return _two_logs(b, bbar, Z, Zb, T) + _liouville_gamma(c, cbar, kappa, Z, Zb, "c")
+            logs = _two_logs(_on(b, _seed(z0, order)), _on(bbar, _seed(zb0, order)),
+                             _seed(t0, order))
+            return logs + _liouville_gamma(c, cbar, kappa, z0, zb0, order, "c")
 
     elif family == "confinv":
         # u = ln f(xi, t) - ln a(z) - ln abar(zbar), xi = i(A(z) - Abar(zbar))
@@ -341,24 +363,22 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         Abar, abar = _bar(A), _bar(a)
 
         def build(z0, zb0, t0, order):
-            Z, Zb, T = _seeds(z0, zb0, t0, order)
-            Aj = _expr_at(A, Z)
-            Abj = _expr_at(Abar, Zb)
-            xi = 1j * (Aj - Abj)
-            fj = ex.evaluate(f, {"xi": xi, "t": T})
-            aj = _expr_at(a, Z)
-            abj = _expr_at(abar, Zb)
+            z, zb = _seed(z0, order), _seed(zb0, order)
+            xi = 1j * on_axes(_on(A, z), -_on(Abar, zb))
+            fj = ex.evaluate(f, {"xi": xi, "t": Jet.variable(VT, t0, 3, order)})
+            aj = _on(a, z)
+            abj = _on(abar, zb)
             _check_nonzero(aj, "a(z)")
             _check_nonzero(abj, "abar(zbar)")
-            return _ln(fj, "f(xi, t)") - _ln(aj, "a(z)") - _ln(abj, "abar(zbar)")
+            return (_ln(fj, "f(xi, t)") - on_axes(_ln(aj, "a(z)"))
+                    - on_axes(None, _ln(abj, "abar(zbar)")))
 
     elif family == "liouville":
         c = params["c"]
         cbar = _bar(c)
 
         def build(z0, zb0, t0, order):
-            Z, Zb, _T = _seeds(z0, zb0, t0, order)
-            return _liouville_gamma(c, cbar, kappa, Z, Zb, "c")
+            return _liouville_gamma(c, cbar, kappa, z0, zb0, order, "c")
 
     return SolutionField(family=family, kappa=kappa, params=dict(params), _builder=build)
 
@@ -387,11 +407,12 @@ def _check_order(order: int) -> None:
         raise FamilyParamMismatch(f"jet order must be <= {MAX_ORDER}, got {order}")
 
 
-def _check_map(Z: Jet, pd: Jet) -> None:
-    """SingularMap where phi' (the jet pd on the seed Z) vanishes, in any row."""
-    for z0, d in zip(row_values(Z.value), row_values(pd.value)):
+def _check_map(z0, pd: Jet) -> None:
+    """SingularMap where phi' (the jet pd at z0, a tuple for a stacked pass)
+    vanishes, in any row."""
+    for z, d in zip(row_values(z0), row_values(pd.value)):
         if abs(d) < SINGULAR_TOL:
-            raise SingularMap(f"phi'({z0}) = {d} within tolerance")
+            raise SingularMap(f"phi'({complex(z)}) = {d} within tolerance")
 
 
 def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
@@ -404,16 +425,16 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
     phibar = _bar(phi)
 
     def build(z0, zb0, t0, order):
-        Z, Zb, T = _seeds(z0, zb0, t0, order)
-        pj = _expr_at(phi, Z)
-        pbj = _expr_at(phibar, Zb)
-        pd = _expr_deriv_at(phi, Z)
-        pbd = _expr_deriv_at(phibar, Zb)
-        _check_map(Z, pd)
+        p1 = _on(phi, _seed(z0, order + 1))
+        pb1 = _on(phibar, _seed(zb0, order + 1))
+        pj, pbj = p1.truncated(order), pb1.truncated(order)
+        pd, pbd = _derivative(p1), _derivative(pb1)
+        _check_map(z0, pd)
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)
-        composed = compose3(inner, pj - w0, pbj - wb0, T - T.value)
-        return composed + _ln(pd, "phi'") + _ln(pbd, "phibar'")
+        composed = compose3(inner, pj - w0, pbj - wb0, _seed(t0, order) - t0)
+        return (composed + on_axes(_ln(pd, "phi'"))
+                + on_axes(None, _ln(pbd, "phibar'")))
 
     return SolutionField(family="pushforward", kappa=fld.kappa,
                          params={"inner": fld, "phi": phi}, _builder=build)

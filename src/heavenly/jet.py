@@ -591,39 +591,134 @@ def compose_series(series: list, inner: Jet) -> Jet:
     return acc
 
 
-def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
-    """Three-variable composition: sum c_{ijk} dx^i dy^j dz^k.
+@lru_cache(maxsize=None)
+def _axis_slots(order: int) -> tuple[np.ndarray, ...]:
+    """Per variable of a three-variable jet, the flat slots of one row's
+    coefficients of degree 1 to order in that variable alone."""
+    strides = [(order + 1) ** (2 - axis) for axis in range(3)]
+    return _read_only(*(stride * np.arange(1, order + 1) for stride in strides))
 
-    The inner jets must have vanishing constant terms and live in the target
-    variables; the result is the outer function expanded at the new point.
-    The powers start from the operands, and each term multiplies only its
-    non-trivial powers, so no product has a unit operand.  A stacked outer
-    jet composes row by row: a row whose coefficient is zero skips that
-    term, as the unstacked composition does.
+
+def on_axes(*pieces) -> Jet:
+    """The three-variable jet of a sum of univariate jets: pieces[i] (None
+    for none) is a function of variable i alone, placed on that variable's
+    axis.
+
+    The pieces share one order; stacked ones share their depth, and an
+    unstacked piece acts on every row.  The constant terms are summed from
+    left to right, and every slot off the axes is +0, so for one or two
+    pieces the result is, slot for slot, the sum of the pieces' jets in
+    three variables (zeros aside, whose sign a logarithm of the result
+    drops).  One cached scatter per piece."""
+    placed = [(axis, p) for axis, p in enumerate(pieces) if p is not None]
+    order, depth = placed[0][1].order, 0
+    for _, p in placed:
+        if p.nvars != 1 or p.order != order or (depth and p.depth and p.depth != depth):
+            raise ShapeMismatch(f"on_axes takes univariate jets of one order and depth, "
+                                f"got {p.coeffs.shape} (depth {p.depth})")
+        depth = depth or p.depth
+    slots = _axis_slots(order)
+    out = np.zeros((depth or 1, (order + 1) ** 3), dtype=complex)
+    constant = None
+    for axis, p in placed:
+        out[:, slots[axis]] = p.coeffs[..., 1:]
+        c0 = p.coeffs[..., 0]
+        constant = c0 if constant is None else constant + c0
+    out[:, 0] = constant
+    return _jet(out.reshape(((depth,) if depth else ()) + (order + 1,) * 3), depth, 3, order)
+
+
+@lru_cache(maxsize=None)
+def _compose3_table(order: int):
+    """Gathers of `compose3` at one order, over its (term, slot) pairs.
+
+    A term c_{ijk} dx^i dy^j dz^k (every multi-index but the constant, in
+    `valid_indices` order) has a slot for each valid index that is zero in
+    the variables the term does not read; the pairs run term by term.  The
+    power d^m of variable v is row v * order + m - 1 of the stacked powers,
+    each order + 1 coefficients long.  Returns (factors, pairs, terms,
+    targets): per number of factors (1, 2, 3), an array with one row per
+    factor, in variable order, of the flat power slot each pair with that
+    many factors reads; the permutation that puts those pairs, concatenated
+    in that order, back in term order; and per pair the flat slot of its
+    term's outer coefficient and of its target.
     """
-    powers = []
-    for d in (dx, dy, dz):
-        p = [None, d]
-        for _ in range(2, outer.order + 1):
-            p.append(p[-1] * d)
-        powers.append(p)
-    acc = Jet.constant(outer.value, dx.nvars, dx.order)
-    rows = (slice(None),) if outer.depth else ()
-    for idx in valid_indices(3, outer.order)[1:]:
-        c = outer.coeffs[rows + idx]
-        live = c != 0
-        if live.any() if outer.depth else live:
-            term = None
-            for p, m in zip(powers, idx):
-                if m:
-                    term = p[m] if term is None else term * p[m]
-            if not outer.depth:
-                acc = acc + c * term
+    shape = (order + 1,) * 3
+    factors = ([], [], [])  # by number of factors less one
+    pairs, terms, targets = [], [], []
+    for term in valid_indices(3, order)[1:]:
+        powers = [(axis, m) for axis, m in enumerate(term) if m]
+        same = factors[len(powers) - 1]
+        for slot in valid_indices(3, order):
+            if any(slot[axis] for axis in range(3) if not term[axis]):
                 continue
-            new = acc + term * tuple(c.tolist())
-            if not live.all():
-                # rows with a zero coefficient keep their sum untouched
-                new = acc._like(np.where(live.reshape((-1,) + (1,) * acc.nvars),
-                                         new.coeffs, acc.coeffs))
-            acc = new
-    return acc
+            pairs.append((len(powers) - 1, len(same)))
+            same.append([(axis * order + m - 1) * (order + 1) + slot[axis] for axis, m in powers])
+            terms.append(np.ravel_multi_index(term, shape))
+            targets.append(np.ravel_multi_index(slot, shape))
+    starts = np.cumsum([0] + [len(same) for same in factors])
+    return (_read_only(*(np.array(same, dtype=np.intp).reshape(-1, k + 1).T
+                         for k, same in enumerate(factors))),
+            *_read_only(np.array([starts[k] + i for k, i in pairs], dtype=np.intp),
+                        np.array(terms, dtype=np.intp), np.array(targets, dtype=np.intp)))
+
+
+def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:
+    """Three-variable composition: sum c_{ijk} dx^i dy^j dz^k, where dx, dy
+    and dz are univariate jets of the outer jet's order, in z, zbar and t.
+
+    The result is the outer function expanded at the new point, a jet in
+    (z, zbar, t).  Each inner jet must have a vanishing constant term
+    (DomainError otherwise, as in `compose_series`).  Its powers are taken
+    in its own variable, starting from the operand (order - 1 univariate
+    products each), and a term's coefficients are outer products of its
+    powers, gathered per (term, slot) pair from a cached table.  A product
+    of two or three powers gets +0.0 added, as the scatter of a product of
+    three-variable jets adds it, so its zeros are +0.0 (between the two
+    multiplies of three powers that would change no bit).  The terms are summed in `valid_indices` order by one scatter,
+    which skips every term whose outer coefficient is zero, row by row, as
+    a sum that never added it would: adding a zero term would turn a -0.0
+    constant term into +0.0.  So the result is, bit for bit, the
+    composition with the inner jets placed on their axes (`on_axes`) as
+    three-variable jets.  A stacked jet composes row by row, and an
+    unstacked one acts on every row.
+    """
+    order, depth = outer.order, outer.depth
+    for d in (dx, dy, dz):
+        if outer.nvars != 3 or d.nvars != 1 or d.order != order or (
+                depth and d.depth and d.depth != depth):
+            raise ShapeMismatch(f"compose3 takes univariate inner jets of the outer jet's "
+                                f"order and depth, got {d.coeffs.shape} (depth {d.depth})")
+        depth = depth or d.depth
+        for h0 in row_values(d.value):
+            if abs(h0) > 1e-9:
+                raise DomainError("composition requires vanishing constant term")
+    rows, size = depth or 1, (order + 1) ** 3
+    outer_rows = outer.coeffs.reshape(-1, size)
+    out = np.zeros(rows * size + 1, dtype=complex)  # the last slot takes the skipped terms
+    out[:-1:size] = outer_rows[:, 0]
+    if order:
+        w = np.empty((rows, 3 * order, order + 1), dtype=complex)  # the powers, per row
+        for axis, d in enumerate((dx, dy, dz)):
+            p = d
+            w[:, axis * order] = p.coeffs
+            for m in range(1, order):
+                p = p * d
+                w[:, axis * order + m] = p.coeffs
+        w = w.reshape(rows, -1)
+        ((one,), (a2, b2), (a3, b3, c3)), pairs, term_slots, target_slots = \
+            _compose3_table(order)
+        two = w.take(a2, axis=1) * w.take(b2, axis=1)
+        two += 0.0
+        three = w.take(a3, axis=1) * w.take(b3, axis=1)
+        three *= w.take(c3, axis=1)
+        three += 0.0
+        terms = np.concatenate((w.take(one, axis=1), two, three), axis=1).take(pairs, axis=1)
+        coef = outer_rows.take(term_slots, axis=1)
+        terms *= coef
+        targets = target_slots + size * np.arange(rows)[:, None] if depth else target_slots
+        live = coef != 0
+        if not live.all():
+            targets = np.where(live, targets, rows * size)
+        np.add.at(out, np.broadcast_to(targets, terms.shape).ravel(), terms.ravel())
+    return _jet(out[:-1].reshape(((depth,) if depth else ()) + (order + 1,) * 3), depth, 3, order)

@@ -313,6 +313,36 @@ def test_orbit_liouville_equation_fails_on_a_perturbed_pushforward(capsys, monke
     assert report["summary"]["max_residuals"]["equation"] > 1e-2
 
 
+NONINV_ORBIT = ("orbit", "--family", "noninv", "--b", "z^2 + i", "--phi", "z^2/2 + z")
+
+
+def test_orbit_invariant_matches_fail_against_a_perturbed_source(capsys, monkeypatch):
+    # the pushed field's rho and eta equal the source's at phi(z) ...
+    code, out, _ = run(capsys, *NONINV_ORBIT)
+    report = json.loads(out)
+    assert code == 0 and report["summary"]["pass"] is True
+    assert len(report["records"]) > 0
+    for kind in ("rho_match", "eta_match"):
+        assert report["summary"]["max_residuals"][kind] < 1e-12
+    # ... and differ from those of a source whose b is z^2 + 1.01i
+    from heavenly import expr, fields
+    push = fields.conformal_pushforward
+
+    def pushed_from_a_perturbed_source(fld, phi):
+        perturbed = fields.make_solution(
+            "noninv", {"b": expr.parse("z^2 + 1.01*i", ("z",))}, fld.kappa)
+        return push(perturbed, phi)
+
+    monkeypatch.setattr(fields, "conformal_pushforward", pushed_from_a_perturbed_source)
+    code, out, _ = run(capsys, *NONINV_ORBIT)
+    report = json.loads(out)
+    assert code == 1 and report["summary"]["pass"] is False
+    for kind in ("rho_match", "eta_match"):
+        assert report["summary"]["max_residuals"][kind] > 1e-3
+    # the perturbed source still solves the equation
+    assert report["summary"]["max_residuals"]["equation"] < 1e-9
+
+
 def test_report_records_mains_own_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["foo", "--bar"])
     argv = ["verify", "--family", "f0", "--C", "1", "--grid", "t=1:1:1,re=1:1:1,im=0:0:1"]

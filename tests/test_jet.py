@@ -10,7 +10,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
                              DomainError, OrderExceeded, ShapeMismatch)
-from heavenly.jet import Jet, compose3, compose_series, row_series
+from heavenly.jet import Jet, compose3, compose_series, on_axes, row_series
 
 POINT = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
 
@@ -140,20 +140,24 @@ def test_compose_series_of_a_stacked_order_0_jet_is_stacked():
 
 
 def test_compose3_shifts_expansion_point():
-    z, zb, t = seeds()
+    from test_reference_kernels import placed, ref_compose3
     inner_point = (0.6 + 0.2j, 0.6 - 0.2j, 1.44 + 0j)
     iz = Jet.variable(0, inner_point[0], 3, 4)
     izb = Jet.variable(1, inner_point[1], 3, 4)
     it = Jet.variable(2, inner_point[2], 3, 4)
     inner = iz * izb + it
-    # substitute z -> 2z, zbar -> 2zbar, t -> t^2 around the outer point
-    out = compose3(inner, 2.0 * z - inner_point[0], 2.0 * zb - inner_point[1],
-                   t * t - inner_point[2])
+    # substitute z -> 2z, zbar -> 2zbar, t -> t^2 around the outer point,
+    # each a univariate jet in its own variable
+    z, zb, t = (Jet.variable(0, v, 1, 4) for v in POINT)
+    moves = (2.0 * z - inner_point[0], 2.0 * zb - inner_point[1], t * t - inner_point[2])
+    out = compose3(inner, *moves)
     z0, zb0, t0 = POINT
     assert out.value == pytest.approx(4 * z0 * zb0 + t0 * t0)
     assert out.partial((1, 0, 0)) == pytest.approx(4 * zb0)
     assert out.partial((0, 0, 1)) == pytest.approx(2 * t0)
     assert out.partial((0, 0, 2)) == pytest.approx(2.0)
+    # bit for bit the three-variable composition of the moves on their axes
+    assert out.coeffs.tobytes() == ref_compose3(inner, *placed(*moves)).coeffs.tobytes()
 
 
 def test_jets_compare_by_identity():
@@ -198,7 +202,8 @@ def kernel_results():
     yield "stacked mul", Jet.stack([f, g]) * f
     yield "compose_series", compose_series([1.0, 2.0, 3.0, 4.0], z - POINT[0])
     yield "compose3", compose3(Jet.variable(0, 0.5, 3, 2) * Jet.variable(2, 1.0, 3, 2),
-                               z - POINT[0], zb - POINT[1], t - POINT[2])
+                               *(Jet.variable(0, v, 1, 2) - v for v in POINT))
+    yield "on_axes", on_axes(Jet.variable(0, POINT[0], 1, 3), None, Jet.variable(0, 1.0, 1, 3))
 
 
 @pytest.mark.parametrize("name", ["coeffs", "depth", "nvars", "order", "other"])
@@ -274,7 +279,7 @@ def test_every_kernel_result_is_read_only():
         with pytest.raises(ValueError):
             jet.coeffs[(0,) * jet.coeffs.ndim] = 7.0
         checked += 1
-    assert checked == 27
+    assert checked == 28
 
 
 def test_post_init_runs_once_per_jet(monkeypatch):
@@ -385,11 +390,21 @@ def test_truncation_commutes_with_every_operation():
 
 
 def test_truncation_commutes_with_compose3():
+    from test_reference_kernels import placed, ref_compose3
     rng = np.random.default_rng(77)
+    cases = 0
     for _a, b, h in truncation_cases():
-        if b.nvars != 3 or b.depth:
+        if b.nvars != 1:
             continue
-        # inner jets with zero constant terms, in the three target variables
+        # univariate inner jets with zero constant terms, stacked or not
         dx, dy, dz = h, (b - b.value) * (0.5 - 1j), h * h + (b - b.value)
         outer = Jet(rng.standard_normal((b.order + 1,) * 3) + 0j).truncated(b.order)
         assert_commutes(compose3, (outer, dx, dy, dz), b.order)
+        out = compose3(outer, dx, dy, dz)
+        if not b.depth:  # the three-variable composition of the inner jets on their axes
+            assert out.coeffs.tobytes() == ref_compose3(outer, *placed(dx, dy, dz)).coeffs.tobytes()
+        else:  # the unstacked outer jet composes with each row of the inner jets
+            for r, inner in enumerate(zip(dx.rows(), dy.rows(), dz.rows())):
+                assert out.coeffs[r].tobytes() == compose3(outer, *inner).coeffs.tobytes()
+        cases += 1
+    assert cases == 10

@@ -1,14 +1,18 @@
 """The gather kernels of Jet, its scalar operands and expression evaluation
 against the array-reshaping, lifted-constant and tree-walking versions they
-replace, kept here as references, both resolving checks on the shared
-order-1 projection against a fresh order-2 one applied to one jet at a
-time, the commutator residuals of two stacked rounds against one operator
-applied to one jet at a time, and stacked jets against the same kernels
-applied one row at a time: results must agree bit for bit, signed zeros
-included.  The Jacobi conditions are also checked against the cyclic sum of
-commutators expanded with the structure equations, and the projected
-operators against the Jacobi identity of vector fields."""
+replace, kept here as references, the per-axis compose3 and the field
+builders' univariate pieces against the three-variable composition and
+builders they replace, both resolving checks on the shared order-1
+projection against a fresh order-2 one applied to one jet at a time, the
+commutator residuals of two stacked rounds against one operator applied to
+one jet at a time, and stacked jets against the same kernels applied one
+row at a time: results must agree bit for bit, signed zeros included.  The
+Jacobi conditions are also checked against the cyclic sum of commutators
+expanded with the structure equations, and the projected operators against
+the Jacobi identity of vector fields."""
 
+import itertools
+import math
 import operator
 import random
 import re
@@ -19,14 +23,15 @@ import pytest
 from test_bundle import FAMILIES, build
 
 from heavenly import expr as ex
-from heavenly import resolving
+from heavenly import fields, resolving
 from heavenly.cli import _perturbed
-from heavenly.errors import (DivisionBySingularJet, EtaVanishes, FVanishes, HeavenlyError,
-                              OrderExceeded, ShapeMismatch)
+from heavenly.errors import (DivisionBySingularJet, DomainError, EtaVanishes, FVanishes,
+                              HeavenlyError, OrderExceeded, ShapeMismatch)
 from heavenly.fields import MAX_ORDER, Point
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, REALITY_TOL,
                                  commutator_residual, swept_invariants)
-from heavenly.jet import PASS_POINTS, Jet, compose3, compose_series, row_series, valid_indices
+from heavenly.jet import (PASS_POINTS, Jet, compose3, compose_series, on_axes, row_series,
+                          row_values, valid_indices)
 from heavenly.resolving import (RVARS, ResolvingPoint, ResolvingResiduals, _Proj,
                                 ansatz_functions, jacobi_residual, resolving_residuals,
                                 resolving_sweep)
@@ -411,32 +416,77 @@ def test_per_row_scalars_match_rows():
     assert cases == 3 * 5 * len(DEPTHS) * 14
 
 
+def placed(dx, dy, dz):
+    """Univariate inner jets of compose3 placed on their axes: the inner
+    jets of the three-variable composition."""
+    return on_axes(dx), on_axes(None, dy), on_axes(None, None, dz)
+
+
 def test_stacked_compose3_matches_rows():
     # each row of the outer jet has its own zero coefficients, whose terms
     # that row skips: adding a zero term would turn a -0.0 constant term
     # into +0.0
     rng = np.random.default_rng(46)
     cases = 0
-    for nvars in (1, 2, 3):
-        for order in range(5):
-            for depth in DEPTHS:
-                outers = []
-                for _ in range(depth):
-                    c = random_jet(rng, 3, order).truncated(order).coeffs.copy()
-                    c[rng.random(c.shape) < 0.4] = 0.0
-                    c[0, 0, 0] = rng.choice([complex(-0.0, -0.0), complex(-0.0, 1.5), 0.5 + 0j])
-                    outers.append(Jet(c))
-                inner = [[valid_jet(rng, nvars, order, rng.choice([0j, -0j])) for _ in outers]
-                         for _ in range(3)]
-                outer = Jet.stack(outers)
-                assert_rows(compose3(outer, *(Jet.stack(rows) for rows in inner)),
-                            [compose3(o, *(rows[r] for rows in inner))
-                             for r, o in enumerate(outers)])
-                # unstacked inner jets act on every row
-                assert_rows(compose3(outer, *(rows[0] for rows in inner)),
-                            [compose3(o, *(rows[0] for rows in inner)) for o in outers])
-                cases += 1
-    assert cases == 3 * 5 * len(DEPTHS)
+    for order in range(5):
+        for depth in DEPTHS:
+            outers = []
+            for _ in range(depth):
+                c = random_jet(rng, 3, order).truncated(order).coeffs.copy()
+                c[rng.random(c.shape) < 0.4] = 0.0
+                c[0, 0, 0] = rng.choice([complex(-0.0, -0.0), complex(-0.0, 1.5), 0.5 + 0j])
+                outers.append(Jet(c))
+            inner = [[valid_jet(rng, 1, order, rng.choice([0j, -0j])) for _ in outers]
+                     for _ in range(3)]
+            outer = Jet.stack(outers)
+            rows = [compose3(o, *(rows[r] for rows in inner)) for r, o in enumerate(outers)]
+            assert_rows(compose3(outer, *(Jet.stack(rows) for rows in inner)), rows)
+            # each row is the three-variable composition's
+            assert_rows(Jet.stack([ref_compose3(o, *placed(*(rows[r] for rows in inner)))
+                                   for r, o in enumerate(outers)]), rows)
+            # unstacked inner jets act on every row
+            assert_rows(compose3(outer, *(rows[0] for rows in inner)),
+                        [compose3(o, *(rows[0] for rows in inner)) for o in outers])
+            cases += 1
+    assert cases == 5 * len(DEPTHS)
+
+
+SIGNED_ZEROS = (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def test_compose3_keeps_the_signs_of_zero_constant_terms():
+    # one live term of one, two or three powers on a constant term that is
+    # a signed zero: the sign each zero product adds to it shows
+    cases = 0
+    for term in ((1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1), (2, 0, 1)):
+        for c in (-1 + 1j, 1 - 1j):
+            for c0 in SIGNED_ZEROS:
+                outer = np.zeros((4, 4, 4), dtype=complex)
+                outer[0, 0, 0], outer[term] = c0, c
+                for zeros in itertools.product(SIGNED_ZEROS, repeat=3):
+                    inner = [Jet(np.array([z, 1.0, 0.5, 0.0], dtype=complex)) for z in zeros]
+                    new = compose3(Jet(outer), *inner)
+                    ref = ref_compose3(Jet(outer), *placed(*inner))
+                    assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (term, c, c0, zeros)
+                    cases += 1
+    assert cases == 5 * 2 * 4 * 64
+
+
+def test_compose3_inner_jets_need_vanishing_constant_terms():
+    outer = Jet(np.ones((3, 3, 3)) + 0j).truncated(2)
+    h = Jet.variable(0, 0.0, 1, 2)
+    for c in (1e-6, 1e-3j, -0.5):
+        for args in ((h + c, h, h), (h, h + c, h), (h, h, h + c)):
+            with pytest.raises(DomainError, match="composition requires vanishing constant term"):
+                compose3(outer, *args)
+    # a stack raises for the one row whose constant term does not vanish
+    rows = Jet.stack([h, h + 1e-6, h])
+    with pytest.raises(DomainError, match="composition requires vanishing constant term"):
+        compose3(outer, h, rows, h)
+    # compose_series' tolerance: a constant term within 1e-9 of zero passes
+    compose3(outer, h + 1e-10, h, h)
+    with pytest.raises(ShapeMismatch):  # inner jets in three variables
+        compose3(outer, *placed(h, h, h))
 
 
 # constant terms that make an unstacked kernel raise: a zero, a point of the
@@ -522,7 +572,7 @@ def series_cases():
         yield Jet(c), rng.standard_normal(order + 2) + 0j
 
 
-def ref_compose3(outer, dx, dy, dz):
+def unit_start_compose3(outer, dx, dy, dz):
     nv, order = dx.nvars, dx.order
     xp = [Jet.constant(1.0, nv, order)]
     yp = [Jet.constant(1.0, nv, order)]
@@ -539,17 +589,50 @@ def ref_compose3(outer, dx, dy, dz):
     return acc
 
 
+def ref_compose3(outer, dx, dy, dz):
+    """The general three-variable composition that the per-axis compose3
+    replaces: inner jets in (z, zbar, t), powers started from the operand,
+    each term a product of its non-trivial powers, and a term whose outer
+    coefficient is zero (row by row) skipped."""
+    powers = []
+    for d in (dx, dy, dz):
+        p = [None, d]
+        for _ in range(2, outer.order + 1):
+            p.append(p[-1] * d)
+        powers.append(p)
+    acc = Jet.constant(outer.value, dx.nvars, dx.order)
+    rows = (slice(None),) if outer.depth else ()
+    for idx in valid_indices(3, outer.order)[1:]:
+        c = outer.coeffs[rows + idx]
+        live = c != 0
+        if live.any() if outer.depth else live:
+            term = None
+            for p, m in zip(powers, idx):
+                if m:
+                    term = p[m] if term is None else term * p[m]
+            if not outer.depth:
+                acc = acc + c * term
+                continue
+            new = acc + term * tuple(c.tolist())
+            if not live.all():
+                new = acc._like(np.where(live.reshape((-1,) + (1,) * acc.nvars),
+                                         new.coeffs, acc.coeffs))
+            acc = new
+    return acc
+
+
 def compose3_cases():
     """An outer jet in 3 variables with valid slots only, some of them zero,
-    and three inner jets of the case's shape with zero constant terms."""
+    and three univariate inner jets of the case's order with zero constant
+    terms (the first the case's jet less its value, where it is univariate)."""
     rng = np.random.default_rng(123)
     for jet, _series in series_cases():
         outer = random_jet(rng, 3, jet.order).truncated(jet.order).coeffs.copy()
         outer[rng.random(outer.shape) < 0.2] = 0.0
-        inner = [jet - jet.value]
-        for _ in range(2):
-            c = random_jet(rng, jet.nvars, jet.order).truncated(jet.order).coeffs.copy()
-            c[(0,) * jet.nvars] = 0.0
+        inner = [jet - jet.value] if jet.nvars == 1 else []
+        while len(inner) < 3:
+            c = random_jet(rng, 1, jet.order).truncated(jet.order).coeffs.copy()
+            c[0] = 0.0
             inner.append(Jet(c))
         yield Jet(outer), inner
 
@@ -564,23 +647,25 @@ def test_series_kernels_match_unit_start_values():
             assert new.coeffs.shape == ref.coeffs.shape
             assert np.array_equal(new.coeffs, ref.coeffs)
     cases = 0
-    for outer, (dx, dy, dz) in compose3_cases():
-        new, ref = compose3(outer, dx, dy, dz), ref_compose3(outer, dx, dy, dz)
+    for outer, inner in compose3_cases():
+        new = compose3(outer, *inner)
+        ref = ref_compose3(outer, *placed(*inner))
         assert new.coeffs.shape == ref.coeffs.shape
-        assert np.array_equal(new.coeffs, ref.coeffs)
+        assert new.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert np.array_equal(new.coeffs, unit_start_compose3(outer, *placed(*inner)).coeffs)
         cases += 1
     assert cases == 720
 
 
 def test_series_kernels_multiply_no_unit_jet(monkeypatch):
-    unit = Jet.constant(1.0, 3, 4).coeffs
+    units = [Jet.constant(1.0, nvars, 4).coeffs for nvars in (1, 3)]
     products = []  # per jet-by-jet product: whether an operand is a unit jet
     mul = Jet.__mul__
 
     def counted(self, other):
         if isinstance(other, Jet):
-            products.append(np.array_equal(self.coeffs, unit)
-                            or np.array_equal(other.coeffs, unit))
+            products.append(any(np.array_equal(j.coeffs, unit)
+                                for j in (self, other) for unit in units))
         return mul(self, other)
 
     monkeypatch.setattr(Jet, "__mul__", counted)
@@ -590,13 +675,17 @@ def test_series_kernels_multiply_no_unit_jet(monkeypatch):
         products.clear()
         kernel(jet)
         assert len(products) == 3 and not any(products), kernel
-    inner = [s - s.value for s in (Jet.variable(i, 0.5 + 0.1j * i, 3, 4) for i in range(3))]
+    inner = [s - s.value for s in (Jet.variable(0, 0.5 + 0.1j * i, 1, 4) for i in range(3))]
     outer = Jet(np.where(_ref_overflow_mask(3, 4), 0.0, 1.0 + 0.5j))  # all 35 slots
     products.clear()
     compose3(outer, *inner)
-    # powers 2..4 of each inner jet: 9 products; a term with two non-unit
-    # powers costs one product (18 terms), with three, two (4 terms): 35,
-    # against 82 when every power and term starts from a unit jet
+    # powers 2..4 of each univariate inner jet: 9 products, and the 34
+    # terms are gathered from them, against 35 products in three variables
+    # when a term with two or three powers multiplies them, and 82 when
+    # every power and term starts from a unit jet
+    assert len(products) == 9 and not any(products)
+    products.clear()
+    ref_compose3(outer, *placed(*inner))
     assert len(products) == 35 and not any(products)
 
 
@@ -723,7 +812,7 @@ def test_expression_evaluation_matches_tree_walk():
                 hits += e._store is not None and key in e._store.seeds
                 new = outcome(lambda: ex.eval_jet1(e, at, order))
                 univariate += 1
-            else:  # one variable of a field's seeds (fields._expr_at)
+            else:  # one variable of a multivariable seed
                 new = outcome(lambda: ex.evaluate(e, {"z": seed}))
             ref = outcome(lambda: ref_evaluate(e, {"z": seed}))
             assert new == ref, (str(e), at, nvars, var, order)
@@ -814,6 +903,247 @@ def test_seed_store_stays_at_its_bound():
     # the most recent points are the ones kept
     last = ex.eval_jet1(e, complex(999, 1), 2)
     assert ex.eval_jet1(e, complex(999, 1), 2).coeffs is last.coeffs
+
+
+# --- field builders ---------------------------------------------------------------
+# A family builds each piece that depends on one variable (b(z), c(z) and
+# c'(z), a(z), A(z), phi(z) and phi'(z), their zbar partners, the
+# polynomials in t and their logarithms) as a univariate jet and places it
+# on its axis where it meets a piece in another variable; the pushforward
+# composes with univariate inner jets.  The three-variable builders they
+# replace are the references: every u-jet must agree bit for bit, and a
+# point that raises must raise the same error with the same message.
+
+def ref_seeds(z0, zb0, t0, order):
+    return (Jet.variable(0, z0, 3, order), Jet.variable(1, zb0, 3, order),
+            Jet.variable(2, t0, 3, order))
+
+
+def ref_expr_at(e, seed):
+    """Holomorphic expression of one variable on a seed jet from `ref_seeds`."""
+    return ex.evaluate(e, {e.variables[0]: seed})
+
+
+def ref_derivative_series(z0, order, e):
+    uni = ex.eval_jet1(e, z0, order + 1)
+    return [(k + 1) * uni.coefficient((k + 1,)) for k in range(order + 1)]
+
+
+def ref_expr_deriv_at(e, seed):
+    """Jet of e' on a seed jet: its Taylor series at each row's point,
+    composed with the seed less its value."""
+    z0 = seed.value
+    return compose_series(row_series(ref_derivative_series, z0, seed.order, e), seed - z0)
+
+
+def ref_two_logs(b, bbar, Z, Zb, T):
+    tb = T + ref_expr_at(b, Z)
+    tbb = T + ref_expr_at(bbar, Zb)
+    fields._check_nonzero(tb, "t + b(z)")
+    fields._check_nonzero(tbb, "t + bbar(zbar)")
+    return fields._ln(tb, "t + b(z)") + fields._ln(tbb, "t + bbar(zbar)")
+
+
+def ref_conformal_log(kappa, Z, Zb):
+    arg, what = (Z + Zb, "z + zbar") if kappa == 1 else (Z * Zb + 1.0, "z*zbar + 1")
+    fields._check_nonzero(arg, what)
+    return fields._ln(arg, what)
+
+
+def ref_liouville_gamma(c, cbar, kappa, Z, Zb, name):
+    ln, negated, negative_real = fields._ln, fields._negated, fields._negative_real
+    cj, cbj = ref_expr_at(c, Z), ref_expr_at(cbar, Zb)
+    cd, cbd = ref_expr_deriv_at(c, Z), ref_expr_deriv_at(cbar, Zb)
+    if kappa == 1:
+        denom = cj + cbj
+        fields._check_nonzero(denom, f"{name}(z) + {name}bar(zbar)")
+    else:
+        denom = cj * cbj + 1.0
+        fields._check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
+    try:
+        return ln(cd, f"{name}'") + ln(cbd, f"{name}bar'") - 2.0 * ln(denom, "Liouville denominator")
+    except DomainError:
+        both = [negative_real(v) and negative_real(vb)
+                for v, vb in zip(row_values(cd.value), row_values(cbd.value))]
+        below = [negative_real(v) for v in row_values(denom.value)]
+        if not (any(both) or any(below)):
+            raise
+    return (ln(negated(cd, both), f"{name}'") + ln(negated(cbd, both), f"{name}bar'")
+            - 2.0 * ln(negated(denom, below), "Liouville denominator"))
+
+
+def ref_builder(fld):
+    """The three-variable builder (z0, zb0, t0, order) -> u-jet of a field
+    from `make_solution` or `conformal_pushforward`."""
+    params, kappa, ln, bar = fld.params, fld.kappa, fields._ln, ex.conjugate
+    if fld.family == "pushforward":
+        inner, phi = ref_builder(params["inner"]), params["phi"]
+        phibar = bar(phi)
+
+        def build(z0, zb0, t0, order):
+            Z, Zb, T = ref_seeds(z0, zb0, t0, order)
+            pj, pbj = ref_expr_at(phi, Z), ref_expr_at(phibar, Zb)
+            pd, pbd = ref_expr_deriv_at(phi, Z), ref_expr_deriv_at(phibar, Zb)
+            fields._check_map(Z.value, pd)
+            w0, wb0 = pj.value, pbj.value
+            composed = ref_compose3(inner(w0, wb0, t0, order), pj - w0, pbj - wb0, T - T.value)
+            return composed + ln(pd, "phi'") + ln(pbd, "phibar'")
+
+        return build
+
+    def build(z0, zb0, t0, order):
+        Z, Zb, T = ref_seeds(z0, zb0, t0, order)
+        if fld.family == "f0":
+            arg = T * T + params["C"]
+            for v in row_values(arg.value):
+                if v.real <= 0:
+                    raise DomainError("t^2 + C must be positive")
+            return ln(arg, "t^2 + C") - 2.0 * ref_conformal_log(kappa, Z, Zb)
+        if fld.family == "f0general":
+            l, a = params["l"], params["a"]
+            alpha = ln(l * T * T + params["C1"] * T + params["C2"], "l*t^2 + C1*t + C2")
+            return alpha + (ref_liouville_gamma(a, bar(a), kappa, Z, Zb, "a") - math.log(l))
+        if fld.family == "noninv":
+            b = params["b"]
+            return ref_two_logs(b, bar(b), Z, Zb, T) - 2.0 * ref_conformal_log(kappa, Z, Zb)
+        if fld.family == "general_noninv":
+            b, c = params["b"], params["c"]
+            return (ref_two_logs(b, bar(b), Z, Zb, T)
+                    + ref_liouville_gamma(c, bar(c), kappa, Z, Zb, "c"))
+        if fld.family == "confinv":
+            f, A, a = params["f"], params["A"], params["a"]
+            xi = 1j * (ref_expr_at(A, Z) - ref_expr_at(bar(A), Zb))
+            fj = ex.evaluate(f, {"xi": xi, "t": T})
+            aj, abj = ref_expr_at(a, Z), ref_expr_at(bar(a), Zb)
+            fields._check_nonzero(aj, "a(z)")
+            fields._check_nonzero(abj, "abar(zbar)")
+            return ln(fj, "f(xi, t)") - ln(aj, "a(z)") - ln(abj, "abar(zbar)")
+        return ref_liouville_gamma(params["c"], bar(params["c"]), kappa, Z, Zb, "c")
+
+    return build
+
+
+def z_expr(text):
+    return ex.parse(text, ("z",))
+
+
+#: fields beyond grid-suite's: the README's orbit, the CLI's real-branch
+#: orbits (a' = 2z, c + cbar and c' negative real on parts of the grid),
+#: Liouville parameters whose c' is negative real with signed zero parts,
+#: and a pole, a critical point of phi and a constant b
+EXTRA_FIELDS = (
+    ("readme orbit", "f0", {"C": 1.0}, "2*z"),
+    ("f0general orbit", "f0general", {"l": 1.0, "C1": 0.5, "C2": 1.0, "a": "z^2 + 1"}, "2*z"),
+    ("general_noninv orbit", "general_noninv", {"b": "z^2", "c": "z^2"}, "z^2/2 + z"),
+    ("liouville z^2", "liouville", {"c": "z^2"}, None),
+    ("liouville -z", "liouville", {"c": "-z"}, None),
+    ("liouville -z - (1+i)z^2/2", "liouville", {"c": "-z - (1+i)*z^2/2"}, None),
+    ("liouville -exp(z) pushed by i*z", "liouville", {"c": "-exp(z)"}, "i*z"),
+    ("noninv pole", "noninv", {"b": "1/(z - 1) - 2.5"}, None),
+    ("noninv pushed by z^2", "noninv", {"b": "z^2 + i"}, "z^2"),
+    ("noninv constant b", "noninv", {"b": "2"}, "z^2/2 + z"),
+    ("confinv", "confinv", {"f": "exp(-xi)*(t^2 + 1)", "A": "ln(z) + z", "a": "1/(1 + 1/z)"}, None),
+)
+
+
+def builder_cases():
+    for kappa in (1, -1):
+        for family, *_ in FAMILIES:
+            yield pytest.param(lambda family=family, kappa=kappa: build(family, kappa),
+                               id=f"{family}-{kappa}")
+        for name, family, params, phi in EXTRA_FIELDS:
+            def field(family=family, params=params, phi=phi, kappa=kappa):
+                fld = fields.make_solution(family, {
+                    k: (ex.parse(v, ("xi", "t") if k == "f" else ("z",)) if isinstance(v, str) else v)
+                    for k, v in params.items()}, kappa)
+                return fields.conformal_pushforward(fld, z_expr(phi)) if phi else fld
+            yield pytest.param(field, id=f"{name}-{kappa}")
+
+
+def builder_points(kappa):
+    """grid-suite's points, 16 in all with points outside some domains: the
+    images under z -> -z, real z of both signs and signed zero parts (the
+    real-branch rows of the Liouville logarithm), the critical point z = 0
+    of z^2, the pole z = 1 and t = -0.0."""
+    pts = grid_suite_points(kappa) + [
+        Point(1.0, -1.5 + 0j), Point(1.0, complex(-0.7, -0.0)), Point(-0.0, complex(0.9, 0.0)),
+        Point(1.0, 0.3 + 1.2j), Point(0.8, 0j), Point(1.1, 1 + 0j), Point(1.0, -0.4 - 1.1j),
+        Point(0.6, complex(-0.0, 0.5))]
+    return pts[:PASS_POINTS]
+
+
+@pytest.mark.parametrize("make", builder_cases())
+def test_field_builders_match_three_variable_builders(make):
+    fld = make()
+    ref = ref_builder(fld)
+    pts = builder_points(fld.kappa)
+    assert len(pts) == PASS_POINTS
+    on_slice = lambda p: (p.z, p.z.conjugate(), p.t)
+    raised = built = 0
+    for order in range(MAX_ORDER + 1):
+        good = []
+        for p in pts:
+            for at in (on_slice(p), (p.z, 0.7 * p.z + 0.1, p.t)):  # and one point off the slice
+                got = outcome(lambda: fld.jet_at(*at, order))
+                assert got == outcome(lambda: ref(*at, order)), (p, at, order)
+                raised += type(got[0]) is type
+                built += type(got[0]) is not type
+            if type(outcome(lambda: fld.jet_at(*on_slice(p), order))[0]) is not type:
+                good.append(p)
+        # one stacked pass over all points (it raises where some point
+        # raises), and one over the points that build
+        for chunk in (pts, good):
+            if chunk:
+                stacked = tuple(zip(*map(on_slice, chunk)))
+                assert outcome(lambda: fld.jets_at(chunk, order)) == \
+                    outcome(lambda: ref(*stacked, order)), (chunk, order)
+    assert built
+
+
+def test_field_builders_cover_the_liouville_real_branch(monkeypatch):
+    # the builders compared above take the real branch of ln c' and of the
+    # denominator, and raise where the domain ends
+    rows = []
+    negated = fields._negated
+    monkeypatch.setattr(fields, "_negated", lambda j, flags: rows.append(any(flags)) or
+                        negated(j, flags))
+    for case in builder_cases():
+        fld = case.values[0]()
+        for p in builder_points(fld.kappa):
+            try:
+                fld.jet_at(p.z, p.z.conjugate(), p.t, 2)
+            except HeavenlyError:
+                pass
+    assert any(rows)
+
+
+#: jets a fresh order-4 build makes per grid-suite field and kappa, and at
+#: the three-variable builders: a piece costs at most one scatter more
+FRESH_BUILD_JETS = {
+    # family: ((kappa = +1, kappa = -1), three-variable builders, pieces)
+    "f0": ((33, 34), (32, 33), 1),
+    "f0general": ((73, 76), (96, 97), 4),
+    "noninv": ((51, 52), (49, 50), 2),
+    "general_noninv": ((85, 88), (105, 106), 6),
+    "confinv": ((84, 84), (81, 81), 4),
+    "liouville": ((78, 81), (123, 124), 4),
+    "pushforward": ((129, 130), (247, 248), 8),
+}
+
+
+@pytest.mark.parametrize("family", list(FRESH_BUILD_JETS))
+def test_fresh_build_jet_counts(monkeypatch, family):
+    counts, parent, pieces = FRESH_BUILD_JETS[family]
+    built = []
+    post_init = Jet.__post_init__
+    monkeypatch.setattr(Jet, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for kappa, want, before in zip((1, -1), counts, parent):
+        fld = build(family, kappa)
+        for p in grid_suite_points(kappa)[:2]:  # the first compiles the expressions
+            del built[:]
+            fld.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)
+        assert len(built) == want
+        assert want <= before + pieces
 
 
 # --- Jacobi residual ------------------------------------------------------------
