@@ -317,9 +317,8 @@ def cmd_resolving(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    from .fields import Point, u_jets
-    from .symmetry import (GeneratorSpec, algebra_commutator_check,
-                           invariance_residual, x2_apply)
+    from .fields import u_jets
+    from .symmetry import GeneratorSpec, invariance_residual, x2_apply
     report = _base_report(args)
     if args.check == "invariants":
         a = ex.parse(args.a, ("z",))
@@ -330,18 +329,7 @@ def cmd_symmetry(args) -> int:
             f"x2_{name}": abs(x2_apply(a, name, field, p))
             for name in ("T", "Ut", "Utt", "Rho", "Eta")}},
             lambda chunk: [(field, chunk, u_jets(3))])
-    elif args.check == "algebra":
-        a = ex.parse(args.a, ("z",))
-        b = ex.parse(args.b_gen, ("z",))
-        report["parameters"] = {"a": args.a, "b_gen": args.b_gen}
-
-        def check(p):
-            rz, ru = algebra_commutator_check(a, b, (p.z, 0j))
-            return {"residuals": {"bracket_z": abs(rz), "bracket_u": abs(ru)}}
-
-        _run(report, [Point(0.0, z) for z in (0.7 + 0.2j, -0.4 + 0.9j, 1.1 - 0.5j)],
-             check, lambda chunk: ())
-    elif args.check == "criterion":
+    else:  # criterion
         field, fam, echo = _family_from_args(args)
         gen = GeneratorSpec(args.alpha, args.beta,
                             ex.parse(args.a, ("z",)) if args.a else None)
@@ -351,8 +339,6 @@ def cmd_symmetry(args) -> int:
         _run(report, parse_grid(args.grid), lambda p: {"residuals": {
             "criterion": abs(invariance_residual(field, gen, p))}},
             lambda chunk: [(field, chunk, u_jets(1))])
-    else:
-        raise ValueError(f"unknown symmetry check {args.check!r}")
     return _finish(report, args)
 
 
@@ -450,11 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--perturb", default=None)
     pr.set_defaults(fn=cmd_resolving)
 
-    ps = sub.add_parser("symmetry", help="prolongation and algebra checks")
+    ps = sub.add_parser("symmetry", help="prolongation and invariance-criterion checks")
     common(ps); family_flags(ps)
-    ps.add_argument("--check", required=True,
-                    choices=("invariants", "algebra", "criterion"))
-    ps.add_argument("--b-gen", default=None)
+    ps.add_argument("--check", required=True, choices=("invariants", "criterion"))
     ps.add_argument("--alpha", type=float, default=0.0)
     ps.add_argument("--beta", type=float, default=0.0)
     ps.set_defaults(fn=cmd_symmetry)

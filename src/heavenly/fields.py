@@ -254,36 +254,45 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, z0, zb0, order: int,
 
     gamma = ln(c' cbar' / (c + cbar)^2) is real and finite where c' and
     cbar' are both negative real, or the denominator is: there the
-    logarithms take the real branch, row by row (Kahan, "Branch cuts for
-    complex elementary functions", 1987).  ln(-c') + ln(-cbar') is the
-    principal sum less its two i*pi, which cancel, and ln(-denominator)
-    drops an i*pi whose -2 i*pi leaves e^u and every derivative unchanged.
-    Every other row keeps the principal logarithms' bits: they are tried
-    first, and the real branch is taken only where they meet the cut.
+    logarithms take the real branch, row by row (`_real_branch_logs`).
+    ln(-denominator) drops an i*pi whose -2 i*pi leaves e^u and every
+    derivative unchanged.
     """
     c1 = _on(c, _seed(z0, order + 1))
     cb1 = _on(cbar, _seed(zb0, order + 1))
     cj, cbj = c1.truncated(order), cb1.truncated(order)
-    cd, cbd = _derivative(c1), _derivative(cb1)
     if kappa == 1:
         denom = on_axes(cj, cbj)
         _check_nonzero(denom, f"{name}(z) + {name}bar(zbar)")
     else:
         denom = on_axes(cj) * on_axes(None, cbj) + 1.0
         _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
+    ln_cd, ln_cbd = _real_branch_logs(_derivative(c1), _derivative(cb1), f"{name}'",
+                                      f"{name}bar'")
     try:
-        return (on_axes(_ln(cd, f"{name}'"), _ln(cbd, f"{name}bar'"))
-                - 2.0 * _ln(denom, "Liouville denominator"))
+        ln_denom = _ln(denom, "Liouville denominator")
     except DomainError:
-        # a logarithm met the branch cut; the rows where that was a
-        # negative real pair or denominator take the real branch
-        both = [_negative_real(v) and _negative_real(vb)
-                for v, vb in zip(row_values(cd.value), row_values(cbd.value))]
         below = [_negative_real(v) for v in row_values(denom.value)]
-        if not (any(both) or any(below)):
+        if not any(below):
             raise
-    return (on_axes(_ln(_negated(cd, both), f"{name}'"), _ln(_negated(cbd, both), f"{name}bar'"))
-            - 2.0 * _ln(_negated(denom, below), "Liouville denominator"))
+        ln_denom = _ln(_negated(denom, below), "Liouville denominator")
+    return on_axes(ln_cd, ln_cbd) - 2.0 * ln_denom
+
+
+def _real_branch_logs(d: Jet, db: Jet, what: str, whatbar: str) -> tuple[Jet, Jet]:
+    """ln d and ln db of a derivative and its conjugate partner, for the real
+    ln(d db): rows where both are negative real take ln(-d) and ln(-db), the
+    principal sum less its two i*pi, which cancel (Kahan, "Branch cuts for
+    complex elementary functions", 1987).  Every other row keeps the
+    principal logarithms' bits: they are tried first."""
+    try:
+        return _ln(d, what), _ln(db, whatbar)
+    except DomainError:
+        both = [_negative_real(v) and _negative_real(vb)
+                for v, vb in zip(row_values(d.value), row_values(db.value))]
+        if not any(both):
+            raise
+    return _ln(_negated(d, both), what), _ln(_negated(db, both), whatbar)
 
 
 def _negative_real(w: complex) -> bool:
@@ -420,7 +429,7 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
 
     The new field is u(phi(ztilde), phibar(zbartilde), t) + ln(phi' phibar'),
     which preserves the PDE residual and the invariants rho, eta at
-    corresponding points.
+    corresponding points; its logarithms are `_real_branch_logs`.
     """
     phibar = _bar(phi)
 
@@ -433,8 +442,8 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)
         composed = compose3(inner, pj - w0, pbj - wb0, _seed(t0, order) - t0)
-        return (composed + on_axes(_ln(pd, "phi'"))
-                + on_axes(None, _ln(pbd, "phibar'")))
+        ln_pd, ln_pbd = _real_branch_logs(pd, pbd, "phi'", "phibar'")
+        return composed + on_axes(ln_pd) + on_axes(None, ln_pbd)
 
     return SolutionField(family="pushforward", kappa=fld.kappa,
                          params={"inner": fld, "phi": phi}, _builder=build)

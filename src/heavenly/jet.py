@@ -55,27 +55,37 @@ def valid_indices(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _index_array(nvars: int, order: int) -> np.ndarray:
+    """`valid_indices` as an array with one multi-index per row."""
+    return np.array(valid_indices(nvars, order), dtype=np.intp).reshape(-1, nvars)
+
+
+def _flat(idx: np.ndarray, side: int) -> np.ndarray:
+    """Flat slots of idx's rows in an array of side coefficients per variable."""
+    return np.ravel_multi_index(tuple(idx.T), (side,) * idx.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _mul_slots(nvars: int, order: int):
+    """Flat-index triples (ia, ib, itarget) of truncated convolution on one
+    row: every pair of valid indices a, b whose sum is valid, a-major."""
+    idx = _index_array(nvars, order)
+    sums = idx[:, None] + idx[None, :]
+    a, b = np.nonzero(sums.sum(axis=2) <= order)
+    slots = _flat(idx, order + 1)
+    return slots[a], slots[b], _flat(sums[a, b], order + 1)
+
+
 @lru_cache(maxsize=None)
 def _mul_table(nvars: int, order: int, depth: int):
-    """Flat-index triples (ia, ib, itarget) of truncated convolution, over
-    `depth` stacked rows.
+    """`_mul_slots` over `depth` stacked rows.
 
     Returns (ia, ib, ia_rows, ib_rows, it_rows): the operand slots tiled per
     row for an unstacked operand, then shifted by each row's offset for a
     stacked one, and the shifted target slots.  One flat 1-D scatter over
     all rows keeps `np.add.at` on its fast path; a 2-D index does not.
     """
-    shape = (order + 1,) * nvars
-    ia, ib, it = [], [], []
-    idxs = valid_indices(nvars, order)
-    for a in idxs:
-        for b in idxs:
-            t = tuple(x + y for x, y in zip(a, b))
-            if sum(t) <= order:
-                ia.append(np.ravel_multi_index(a, shape))
-                ib.append(np.ravel_multi_index(b, shape))
-                it.append(np.ravel_multi_index(t, shape))
-    ia, ib, it = np.array(ia), np.array(ib), np.array(it)
+    ia, ib, it = _mul_slots(nvars, order)
     size = (order + 1) ** nvars
     return _read_only(_rows(ia, depth), _rows(ib, depth),
                       _rows(ia, depth, size), _rows(ib, depth, size),
@@ -104,18 +114,12 @@ def _derivative_table(nvars: int, order: int, var: int, depth: int):
     alpha[var] + 1 that turns a Taylor coefficient into one of the
     derivative.  Slots not listed (total degree above order - 1) stay zero.
     """
-    src_shape = (order + 1,) * nvars
-    dst_shape = (order,) * nvars
-    tgt, src, w = [], [], []
-    for a in valid_indices(nvars, order - 1):
-        up = tuple(x + 1 if i == var else x for i, x in enumerate(a))
-        tgt.append(np.ravel_multi_index(a, dst_shape))
-        src.append(np.ravel_multi_index(up, src_shape))
-        w.append(up[var])
-    tgt, src = np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)
-    return _read_only(_rows(tgt, depth, order ** nvars),
-                      _rows(src, depth, (order + 1) ** nvars),
-                      _rows(np.array(w, dtype=np.int64), depth))
+    idx = _index_array(nvars, order - 1)
+    up = idx.copy()
+    up[:, var] += 1
+    return _read_only(_rows(_flat(idx, order), depth, order ** nvars),
+                      _rows(_flat(up, order + 1), depth, (order + 1) ** nvars),
+                      _rows(up[:, var].astype(np.int64), depth))
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +127,9 @@ def _truncation_table(nvars: int, order: int, new_order: int, depth: int):
     """Gather for truncating an order-`order` jet to `new_order`, over
     `depth` stacked rows: flat slots of the result and the flat slots of the
     operand they copy."""
-    src_shape = (order + 1,) * nvars
-    dst_shape = (new_order + 1,) * nvars
-    idxs = valid_indices(nvars, new_order)
-    tgt = np.array([np.ravel_multi_index(a, dst_shape) for a in idxs], dtype=np.intp)
-    src = np.array([np.ravel_multi_index(a, src_shape) for a in idxs], dtype=np.intp)
-    return _read_only(_rows(tgt, depth, (new_order + 1) ** nvars),
-                      _rows(src, depth, (order + 1) ** nvars))
+    idx = _index_array(nvars, new_order)
+    return _read_only(_rows(_flat(idx, new_order + 1), depth, (new_order + 1) ** nvars),
+                      _rows(_flat(idx, order + 1), depth, (order + 1) ** nvars))
 
 
 def _on_branch_cut(w: complex) -> bool:
@@ -643,24 +643,16 @@ def _compose3_table(order: int):
     in that order, back in term order; and per pair the flat slot of its
     term's outer coefficient and of its target.
     """
-    shape = (order + 1,) * 3
-    factors = ([], [], [])  # by number of factors less one
-    pairs, terms, targets = [], [], []
-    for term in valid_indices(3, order)[1:]:
-        powers = [(axis, m) for axis, m in enumerate(term) if m]
-        same = factors[len(powers) - 1]
-        for slot in valid_indices(3, order):
-            if any(slot[axis] for axis in range(3) if not term[axis]):
-                continue
-            pairs.append((len(powers) - 1, len(same)))
-            same.append([(axis * order + m - 1) * (order + 1) + slot[axis] for axis, m in powers])
-            terms.append(np.ravel_multi_index(term, shape))
-            targets.append(np.ravel_multi_index(slot, shape))
-    starts = np.cumsum([0] + [len(same) for same in factors])
-    return (_read_only(*(np.array(same, dtype=np.intp).reshape(-1, k + 1).T
-                         for k, same in enumerate(factors))),
-            *_read_only(np.array([starts[k] + i for k, i in pairs], dtype=np.intp),
-                        np.array(terms, dtype=np.intp), np.array(targets, dtype=np.intp)))
+    idx = _index_array(3, order)
+    term, slot = np.nonzero(~((idx[1:, None] == 0) & (idx[None, :] != 0)).any(axis=2))
+    term += 1
+    read = idx[term] != 0  # per pair, the variables its term reads
+    power = (np.arange(3) * order + idx[term] - 1) * (order + 1) + idx[slot]
+    count = read.sum(axis=1)
+    factors = (power[count == k][read[count == k]].reshape(-1, k).T for k in (1, 2, 3))
+    return (_read_only(*factors),
+            *_read_only(np.argsort(np.argsort(count, kind="stable")),
+                        _flat(idx[term], order + 1), _flat(idx[slot], order + 1)))
 
 
 def compose3(outer: Jet, dx: Jet, dy: Jet, dz: Jet) -> Jet:

@@ -110,9 +110,9 @@ def test_symmetry_checks(capsys):
                        "--a", "z^2", "--family", "noninv", "--b", "z^2+i",
                        "--tol", "1e-8")
     assert code == 0
-    code, out, _ = run(capsys, "symmetry", "--check", "algebra",
-                       "--a", "z", "--b-gen", "z^2")
-    assert code == 0
+    with pytest.raises(SystemExit) as exit_:  # the removed algebra check is a usage error
+        main(["symmetry", "--check", "algebra", "--a", "z", "--b-gen", "z^2"])
+    assert exit_.value.code == 2 and capsys.readouterr().out == ""
     code, out, _ = run(capsys, "symmetry", "--check", "criterion",
                        "--family", "f0", "--C", "1", "--alpha", "0",
                        "--beta", "0", "--a", "i", "--kappa", "1")
@@ -296,6 +296,17 @@ def test_orbit_checks_a_liouville_field_with_the_liouville_equation(capsys):
     assert report["excluded"]["count"] == 8 and len(report["records"]) == 40
 
 
+def test_orbit_takes_the_real_branch_where_phi_prime_is_negative_real(capsys):
+    # phi' = -1 everywhere: ln phi' + ln phibar' meets both branch cuts,
+    # while ln(phi' phibar') = 0
+    code, out, _ = run(capsys, "orbit", "--family", "liouville", "--c", "exp(z)",
+                       "--phi=-z")
+    report = json.loads(out)
+    assert code == 0 and report["excluded"]["count"] == 0
+    assert len(report["records"]) == 48
+    assert all(v <= 1e-15 for rec in report["records"] for v in rec["residuals"].values())
+
+
 def test_orbit_liouville_equation_fails_on_a_perturbed_pushforward(capsys, monkeypatch):
     # u + 0.1 leaves Gamma_{z zbar} as it is and scales 2 kappa e^Gamma by e^0.1
     from heavenly import fields
@@ -368,7 +379,7 @@ def test_each_missing_family_parameter_exits_2(capsys, family, missing):
     ["resolving", "--kappa", "1", "--phi", "2", "--samples", "5"],
     ["verify", "--family", "f0", "--C", "1"],
     ["classify", "--b", "-2*z + 1"],
-    ["symmetry", "--check", "algebra", "--a", "z", "--b-gen", "z^2"],
+    ["symmetry", "--check", "invariants", "--a", "z^2", "--family", "noninv", "--b", "z^2+i"],
     ["orbit", "--family", "f0", "--C", "1", "--phi", "2*z"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("tol", ("inf", "-inf", "nan", "0", "-1e-9", "abc"))

@@ -9,8 +9,11 @@ one jet at a time, and stacked jets against the same kernels applied one
 row at a time: results must agree bit for bit, signed zeros included.  The
 Jacobi conditions are also checked against the cyclic sum of commutators
 expanded with the structure equations, and the projected operators against
-the Jacobi identity of vector fields."""
+the Jacobi identity of vector fields.  The kernels' index tables are checked
+against element-by-element builds, and x2_apply against the version that
+built every prolongation coefficient for every target."""
 
+import cmath
 import itertools
 import math
 import operator
@@ -23,15 +26,16 @@ import pytest
 from test_bundle import FAMILIES, build
 
 from heavenly import expr as ex
-from heavenly import fields, resolving
+from heavenly import fields, resolving, symmetry
 from heavenly.cli import _perturbed
 from heavenly.errors import (DivisionBySingularJet, DomainError, EtaVanishes, FVanishes,
                               HeavenlyError, OrderExceeded, ShapeMismatch)
 from heavenly.fields import MAX_ORDER, Point
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, REALITY_TOL,
                                  commutator_residual, swept_invariants)
-from heavenly.jet import (PASS_POINTS, Jet, compose3, compose_series, on_axes, row_series,
-                          row_values, valid_indices)
+from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, _mul_table,
+                          _rows, _truncation_table, compose3, compose_series, on_axes,
+                          row_series, row_values, valid_indices)
 from heavenly.resolving import (RVARS, ResolvingPoint, ResolvingResiduals, _Proj,
                                 ansatz_functions, jacobi_residual, resolving_residuals,
                                 resolving_sweep)
@@ -194,6 +198,99 @@ def test_gather_kernels_ignore_memory_layout():
     for var in range(3):
         assert fortran.derivative(var).coeffs.tobytes() == ref_derivative(jet, var).coeffs.tobytes()
     assert fortran.truncated(2).coeffs.tobytes() == ref_truncated(jet, 2).coeffs.tobytes()
+
+
+# --- index tables -------------------------------------------------------------
+# The tables the kernels gather and scatter with, built one element at a
+# time as before they were built from index arrays.  np.add.at sums in
+# table order, so every array must match element for element.
+
+def ref_mul_table(nvars, order, depth):
+    shape = (order + 1,) * nvars
+    ia, ib, it = [], [], []
+    idxs = valid_indices(nvars, order)
+    for a in idxs:
+        for b in idxs:
+            t = tuple(x + y for x, y in zip(a, b))
+            if sum(t) <= order:
+                ia.append(np.ravel_multi_index(a, shape))
+                ib.append(np.ravel_multi_index(b, shape))
+                it.append(np.ravel_multi_index(t, shape))
+    ia, ib, it = np.array(ia), np.array(ib), np.array(it)
+    size = (order + 1) ** nvars
+    return (_rows(ia, depth), _rows(ib, depth), _rows(ia, depth, size), _rows(ib, depth, size),
+            _rows(it, depth, size))
+
+
+def ref_derivative_table(nvars, order, var, depth):
+    src_shape = (order + 1,) * nvars
+    dst_shape = (order,) * nvars
+    tgt, src, w = [], [], []
+    for a in valid_indices(nvars, order - 1):
+        up = tuple(x + 1 if i == var else x for i, x in enumerate(a))
+        tgt.append(np.ravel_multi_index(a, dst_shape))
+        src.append(np.ravel_multi_index(up, src_shape))
+        w.append(up[var])
+    tgt, src = np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)
+    return (_rows(tgt, depth, order ** nvars), _rows(src, depth, (order + 1) ** nvars),
+            _rows(np.array(w, dtype=np.int64), depth))
+
+
+def ref_truncation_table(nvars, order, new_order, depth):
+    src_shape = (order + 1,) * nvars
+    dst_shape = (new_order + 1,) * nvars
+    idxs = valid_indices(nvars, new_order)
+    tgt = np.array([np.ravel_multi_index(a, dst_shape) for a in idxs], dtype=np.intp)
+    src = np.array([np.ravel_multi_index(a, src_shape) for a in idxs], dtype=np.intp)
+    return _rows(tgt, depth, (new_order + 1) ** nvars), _rows(src, depth, (order + 1) ** nvars)
+
+
+def ref_compose3_table(order):
+    shape = (order + 1,) * 3
+    factors = ([], [], [])
+    pairs, terms, targets = [], [], []
+    for term in valid_indices(3, order)[1:]:
+        powers = [(axis, m) for axis, m in enumerate(term) if m]
+        same = factors[len(powers) - 1]
+        for slot in valid_indices(3, order):
+            if any(slot[axis] for axis in range(3) if not term[axis]):
+                continue
+            pairs.append((len(powers) - 1, len(same)))
+            same.append([(axis * order + m - 1) * (order + 1) + slot[axis] for axis, m in powers])
+            terms.append(np.ravel_multi_index(term, shape))
+            targets.append(np.ravel_multi_index(slot, shape))
+    starts = np.cumsum([0] + [len(same) for same in factors])
+    return (tuple(np.array(same, dtype=np.intp).reshape(-1, k + 1).T
+                  for k, same in enumerate(factors)),
+            np.array([starts[k] + i for k, i in pairs], dtype=np.intp),
+            np.array(terms, dtype=np.intp), np.array(targets, dtype=np.intp))
+
+
+def assert_same_arrays(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_arrays(g, w)
+        return
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
+
+
+def test_index_tables_match_element_by_element_builds():
+    cases = 0
+    for nvars, order, depth in itertools.product((1, 2, 3), range(5), (1, 3, 16)):
+        assert_same_arrays(_mul_table(nvars, order, depth), ref_mul_table(nvars, order, depth))
+        for var in range(nvars):
+            assert_same_arrays(_derivative_table(nvars, order, var, depth),
+                               ref_derivative_table(nvars, order, var, depth))
+        for new_order in range(order + 1):
+            assert_same_arrays(_truncation_table(nvars, order, new_order, depth),
+                               ref_truncation_table(nvars, order, new_order, depth))
+        cases += 1
+    for order in range(5):
+        assert_same_arrays(_compose3_table(order), ref_compose3_table(order))
+    assert cases == 45
 
 
 # --- stacked jets -------------------------------------------------------------
@@ -987,7 +1084,15 @@ def ref_builder(fld):
             fields._check_map(Z.value, pd)
             w0, wb0 = pj.value, pbj.value
             composed = ref_compose3(inner(w0, wb0, t0, order), pj - w0, pbj - wb0, T - T.value)
-            return composed + ln(pd, "phi'") + ln(pbd, "phibar'")
+            try:
+                return composed + ln(pd, "phi'") + ln(pbd, "phibar'")
+            except DomainError:  # ln(phi' phibar') is real where both are negative real
+                both = [fields._negative_real(v) and fields._negative_real(vb)
+                        for v, vb in zip(row_values(pd.value), row_values(pbd.value))]
+                if not any(both):
+                    raise
+            negated = fields._negated
+            return composed + ln(negated(pd, both), "phi'") + ln(negated(pbd, both), "phibar'")
 
         return build
 
@@ -1512,3 +1617,113 @@ def test_swept_invariants_match_one_application_at_a_time(family, kappa):
         got = (s.u_t, s.rho, s.eta, s.sigma, s.sigma_bar, s.tau)
         assert [(complex(v).real.hex(), complex(v).imag.hex()) for v in got] == \
             [(complex(v).real.hex(), complex(v).imag.hex()) for v in want]
+
+
+# --- second prolongation ------------------------------------------------------
+
+def ref_x2_apply(a, target, field, p, flip=False):
+    """x2_apply as it was when every target read every partial and built
+    every prolongation coefficient; flip turns the sign of the first term
+    of the d_u coefficient -(a' + abar')."""
+    J = fields.eval_u(field, p, 3)
+    j = ex.eval_jet1(a, p.z, 3)
+    av = [j.partial((k,)) for k in range(4)]
+    abv = [v.conjugate() for v in av]
+    a0, a1, a2, a3 = av
+    ab0, ab1, ab2, ab3 = abv
+    u = J.value
+    u_z = J.partial((1, 0, 0))
+    u_zb = J.partial((0, 1, 0))
+    u_zz = J.partial((2, 0, 0))
+    u_zbzb = J.partial((0, 2, 0))
+    u_zt = J.partial((1, 0, 1))
+    u_zbt = J.partial((0, 1, 1))
+    u_zzb = J.partial((1, 1, 0))
+    c_u = -((-a1 if flip else a1) + ab1)
+    c_uz = -(a2 + a1 * u_z)
+    c_uzb = -(ab2 + ab1 * u_zb)
+    c_uzz = -(a3 + a2 * u_z + 2 * a1 * u_zz)
+    c_uzbzb = -(ab3 + ab2 * u_zb + 2 * ab1 * u_zbzb)
+    c_uzt = -a1 * u_zt
+    c_uzbt = -ab1 * u_zbt
+    c_uzzb = -(a1 + ab1) * u_zzb
+    del c_uzb, c_uzz, c_uzbzb  # built, never read
+    if target in ("T", "Ut", "Utt"):
+        return 0j
+    if target == "Rho":
+        emu = cmath.exp(-u)
+        return c_u * (-emu * u_zzb) + c_uzzb * emu
+    if target == "Eta":
+        emu = cmath.exp(-u)
+        return (c_u * (-emu * u_zt * u_zbt)
+                + c_uzt * emu * u_zbt + c_uzbt * emu * u_zt)
+    if target == "Uz":
+        return c_uz
+    raise ValueError(f"unsupported x2 target {target!r}")
+
+
+#: the six targets and one x2_apply does not know
+X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta", "Uz", "Uzz")
+
+
+#: points where c + cbar = 0 for c = exp(z), and t + b(z) = 0 for b = z^2 - i
+X2_EDGE_POINTS = [Point(1.0, complex(0.5, math.pi / 2)), Point(1.0, cmath.sqrt(-1 + 1j))]
+#: (family, kappa) of the grid-suite fields defined on the whole slice
+WHOLE_SLICE_DOMAINS = {("f0", -1), ("liouville", -1)}
+
+
+def x2_bits(fn):
+    """outcome_bits, with the ValueError of an unknown target as an outcome."""
+    try:
+        return outcome_bits(fn)
+    except ValueError as err:
+        return "raised", type(err).__name__, str(err)
+
+
+def grid_suite_generators(seed=41):
+    """The four cubic generators a(z) grid-suite draws at this seed."""
+    rng = random.Random(f"{seed}:generators")
+    out = []
+    for _ in range(4):
+        coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+        out.append(z_expr(" + ".join(f"({c.real:.6f} + {c.imag:.6f}*i)*z^{k}" if k
+                                     else f"({c.real:.6f} + {c.imag:.6f}*i)"
+                                     for k, c in enumerate(coeffs))))
+    return out
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_x2_matches_the_every_coefficient_reference(family, kappa):
+    fld = build(family, kappa)
+    outcomes = set()
+    for p in builder_points(kappa) + X2_EDGE_POINTS:  # inside and outside the domain
+        for a in grid_suite_generators():
+            for target in X2_TARGETS:
+                want = x2_bits(lambda: ref_x2_apply(a, target, fld, p))
+                assert x2_bits(lambda: symmetry.x2_apply(a, target, fld, p)) == want, \
+                    (p, target)
+                outcomes.add(want[1] if want[0] == "raised" else target)
+    assert {"T", "Rho", "Eta", "Uz", "ValueError"} <= outcomes
+    raised = outcomes - {"T", "Ut", "Utt", "Rho", "Eta", "Uz", "ValueError"}
+    assert raised or (family, kappa) in WHOLE_SLICE_DOMAINS
+
+
+def test_x2_on_u_z_is_pinned():
+    fld = fields.make_solution("noninv", {"b": z_expr("z^2 + i")}, 1)
+    got = symmetry.x2_apply(z_expr("z^2"), "Uz", fld, Point(1.0, 1.2 + 0.3j))
+    assert got == pytest.approx(-2.0804 + 0.7971j, abs=1e-4)
+
+
+@pytest.mark.parametrize("family", ETA_NONZERO)
+def test_x2_on_rho_and_eta_fails_with_a_flipped_u_coefficient(family):
+    for kappa in (1, -1):
+        fld = build(family, kappa)
+        pts = [p for p in grid_suite_points(kappa) if p.z.real > 0]
+        for target in ("Rho", "Eta"):
+            flipped = [abs(ref_x2_apply(a, target, fld, p, flip=True))
+                       for p in pts for a in grid_suite_generators()]
+            kept = [abs(symmetry.x2_apply(a, target, fld, p))
+                    for p in pts for a in grid_suite_generators()]
+            assert min(flipped) > 1e-3, (kappa, target)
+            assert max(kept) <= 1e-14, (kappa, target)
