@@ -11,9 +11,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, ConstraintViolation
-from .fields import Point, in_sweeps, make_solution, u_jets
+from .fields import Point, eval_u, in_sweeps, make_solution, u_jets
 from .invariants import pde_residual
-from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residual
+from .symmetry import GeneratorSpec, conf_inv_witness, first_partials, invariance_residuals
 
 _ZERO_TOL = 1e-12
 PDE_SANITY_TOL = 1e-6
@@ -223,17 +223,20 @@ def theorem_case(case: TheoremCase) -> tuple[ex.Expr, GeneratorSpec]:
 
 
 def verify_case(case: TheoremCase, grid: list[Point]) -> float:
-    """Max invariance residual of the normal form's (b, generator) pair."""
+    """Max invariance residual of the normal form's (b, generator) pair,
+    from one stacked order-1 pass per chunk of the grid."""
+    if not grid:
+        raise ValueError("verify_case needs grid points: an empty grid checks nothing")
     b, gen = theorem_case(case)
     field = make_solution("noninv", {"b": b}, case.kappa)
-    return _max_invariance_residual(field, gen, grid)
+    partials = [first_partials(eval_u(field, p, 1))
+                for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(1))])]
+    return _max_invariance_residual(gen, grid, partials)
 
 
-def _max_invariance_residual(field, gen: GeneratorSpec, grid: list[Point]) -> float:
-    """Max |invariance residual| of gen over the grid, whose order-1 u-jets
-    come from one stacked pass per chunk."""
-    return max(abs(invariance_residual(field, gen, p))
-               for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(1))]))
+def _max_invariance_residual(gen: GeneratorSpec, points: list[Point], partials: list) -> float:
+    """Max |invariance residual| of gen over points with these `first_partials`."""
+    return max(abs(r) for r in invariance_residuals(gen, points, partials))
 
 
 # --- classification -------------------------------------------------------
@@ -350,9 +353,12 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     """
     field = make_solution("noninv", {"b": b}, kappa)
 
-    # each grid loop reads its u-jets from stacked passes (fields.in_sweeps)
+    # the equation loop reads its u-jets from stacked passes
+    # (fields.in_sweeps), and keeps the first partials of each usable
+    # point's row, which the invariance criterion reads
     equation = []
     usable: list[Point] = []
+    partials = []
     worst = 0.0
     for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(2))]):
         try:
@@ -362,6 +368,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
             continue
         equation.append(r)
         usable.append(p)
+        partials.append(first_partials(eval_u(field, p, 2)))
         worst = max(worst, r)
     equation = tuple(equation)
     if not usable:
@@ -373,26 +380,25 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     # normal-form matching runs before the asymmetry witness: the matched
     # solutions are invariant under mixed generators yet still fail the
     # sigma symmetry, so witness-first would shadow every match
-    # sample b and b' on the distinct z of the usable grid
-    zs, b0, b1, b2 = [], [], [], []
-    for z in {p.z for p in usable}:
-        j = ex.eval_jet1(b, z, 2)
-        zs.append(z)
-        b0.append(j.value)
-        b1.append(j.partial((1,)))
-        b2.append(j.partial((2,)))
+    # sample b and b' on the distinct z of the usable grid, from one
+    # stacked evaluation
+    zs = list({p.z for p in usable})
+    jets = ex.eval_jet1_rows(b, zs, 2)
+    b0 = [j.value for j in jets]
+    b1 = [j.partial((1,)) for j in jets]
+    b2 = [j.partial((2,)) for j in jets]
     scale = 1.0 + max(abs(v) for v in b0)
 
     if max(abs(v) for v in b1) < FIT_TOL * scale:
         a = _c(1j) if kappa == 1 else _poly(0, -1j)
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
-        res = _max_invariance_residual(field, gen, usable)
+        res = _max_invariance_residual(gen, usable, partials)
         return InvariantCaseMatched(8, gen, res, equation=equation)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < FIT_TOL:
         gen, cid = _generator_from_vector(v, kappa)
-        res = _max_invariance_residual(field, gen, usable)
+        res = _max_invariance_residual(gen, usable, partials)
         if res < FIT_TOL:
             note = ""
             if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:

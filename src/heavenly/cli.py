@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
             }
         return rec
 
-    # swept_invariants also stores each point's order-4 u-jet, whose
+    # swept_invariants also stores each point's order-3 u-jet, whose
     # truncation the equation reads
     build = u_jets(2) if fam == "liouville" else swept_invariants
     _run(report, parse_grid(args.grid), check, lambda chunk: [(field, chunk, build)])

@@ -488,3 +488,22 @@ def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
         del seeds[next(iter(seeds))]
     seeds[key] = jet
     return jet
+
+
+def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[Jet]:
+    """Univariate jets of a single-variable expression at several points,
+    from one stacked evaluation over their distinct values (told apart by
+    their bits): entry r is bit for bit ``eval_jet1(e, at[r], order)``.
+
+    A variable-free expression evaluates to one unstacked jet, which serves
+    every entry.  Nothing is remembered.
+    """
+    if len(e.variables) != 1:
+        raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
+    keys = [_bits(w.real, w.imag) for w in map(complex, at)]
+    distinct = dict(zip(keys, at))
+    if not distinct:
+        return []
+    jet = evaluate(e, {e.variables[0]: Jet.variable(0, tuple(distinct.values()), 1, order)})
+    rows = dict(zip(distinct, jet.rows() if jet.depth else [jet] * len(distinct)))
+    return [rows[key] for key in keys]

@@ -21,10 +21,13 @@ never asks which: the same code builds one jet or every point's jet as one
 row of stacked jets, and each domain check reads the constant term of the
 jet it guards, row by row, before that jet goes to a logarithm.
 
-A point's u-jet is built once, at the engine's ceiling MAX_ORDER, and
-every lower order is served as its truncation (`eval_u`): in a truncated
-Taylor algebra the lower-order jet is the higher one with its top
-coefficients dropped, and the engine computes it with the same bits.
+A point's u-jet is built once per point, and only to the order its
+readers use: a sweep stores each point's row at the order of its pass, and
+`eval_u` serves a lower order as the truncation of the lowest order
+already in the point's bundle above it, or else of one build at the
+engine's ceiling MAX_ORDER.  In a truncated Taylor algebra the
+lower-order jet is the higher one with its top coefficients dropped, and
+the engine computes it with the same bits.
 
 A loop over many points runs as stacked passes: `in_sweeps` hands the
 loop its points in chunks of at most PASS_POINTS, and before each chunk
@@ -47,7 +50,8 @@ from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
 #: the highest order of a u-jet: the engine's ceiling, which the
-#: commutators on rho need; `eval_u` builds this order and truncates it
+#: commutators on rho need; `eval_u` builds this order when its bundle
+#: holds no higher order to truncate
 MAX_ORDER = 4
 
 SINGULAR_TOL = 1e-8
@@ -81,6 +85,10 @@ class PointBundle:
             values[name] = build()
         return values[name]
 
+    def stored(self, name):
+        """The value stored under name, or None; never builds."""
+        return self._values.get(name)
+
 
 @dataclass(frozen=True)
 class SolutionField:
@@ -89,12 +97,12 @@ class SolutionField:
     The field keeps one store of derivative bundles (``PointBundle``): the
     bundles of its last `sweep`, one per point, or else the bundle of the
     last point it was evaluated at on the physical slice.  So a run of
-    calls at one point builds the u-jet (at MAX_ORDER, every lower order
-    its truncation), the invariant jets and the invariants once, and a loop
-    over a sweep's points reads what the sweep computed for them.  A point
-    outside the store replaces it, bundles and keys together; memory is at
-    most one sweep's points per field.  Bundled values are shared between
-    calls and must be treated as immutable (jets are).
+    calls at one point builds the u-jet (see `eval_u`), the invariant jets
+    and the invariants once, and a loop over a sweep's points reads what
+    the sweep computed for them.  A point outside the store replaces it,
+    bundles and keys together; memory is at most one sweep's points per
+    field.  Bundled values are shared between calls and must be treated as
+    immutable (jets are).
     """
 
     family: str
@@ -396,19 +404,29 @@ def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     """Jet of u at a physical-slice point (zbar = conj z).
 
     Read from the field's bundle for p, where a jet is returned, shared, to
-    every later call at the same point.  The first request at any order
-    builds the order-MAX_ORDER jet; a lower order is its truncation, kept
-    under that order.  Every jet operation computes each coefficient from
-    the coefficients of no higher degree, in the same sequence at every
-    order, so the truncation is bit for bit the jet built at that order.
-    A jet a sweep stored under its exact order is read first.
+    every later call at the same point.  A jet a sweep stored under its
+    exact order is read first.  Otherwise the first request at an order
+    below MAX_ORDER is the truncation of the lowest order above it already
+    in the bundle (a sweep's row), or else of a fresh order-MAX_ORDER
+    build, and is kept under its order.  Every jet operation computes each
+    coefficient from the coefficients of no higher degree, in the same
+    sequence at every order, so the truncation is bit for bit the jet
+    built at that order.
     """
     _check_order(order)
-    if order < MAX_ORDER:
-        return field.bundle_at(p).get(
-            order, lambda: eval_u(field, p, MAX_ORDER).truncated(order))
-    return field.bundle_at(p).get(
-        order, lambda: field.jet_at(p.z, p.z.conjugate(), p.t, order))
+    bundle = field.bundle_at(p)
+    return bundle.get(order, lambda: _first_u(field, p, bundle, order))
+
+
+def _first_u(field: SolutionField, p: Point, bundle: PointBundle, order: int) -> Jet:
+    """The u-jet of this order at p on its first request (see `eval_u`)."""
+    if order == MAX_ORDER:
+        return field.jet_at(p.z, p.z.conjugate(), p.t, order)
+    for higher in range(order + 1, MAX_ORDER):
+        jet = bundle.stored(higher)
+        if jet is not None:
+            return jet.truncated(order)
+    return eval_u(field, p, MAX_ORDER).truncated(order)
 
 
 def _check_order(order: int) -> None:

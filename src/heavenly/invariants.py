@@ -9,9 +9,11 @@ ceiling of the jet engine is what limits commutators on rho.
 One applier (`JetCalculus.apply`, with `with_y` for Y and Ybar) takes a
 stacked operand's three partials once and gives every operator of every
 row.  Round 1 applies it to U_t, rho and eta: the InvariantSet reads
-sigma, sigma_bar and tau there.  The first `commutator_residual` at a
-point adds round 2, the five operators on the ten rows of round 1 on U_t
-and rho, and keeps all twelve residuals in the point's bundle.
+sigma, sigma_bar and tau there, so a sweep of InvariantSets
+(`swept_invariants`) builds order-3 u-jets.  The first
+`commutator_residual` at a point adds round 2, the five operators on the
+ten rows of round 1 on U_t and rho, and keeps all twelve residuals in the
+point's bundle.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ class JetCalculus:
     Delta and DeltaBar of every row; `with_y` adds Y and Ybar, which are
     Delta and DeltaBar times 1/eta, made only where eta does not vanish.
     The calculus runs round 1 at once: the operators on `operand`, which
-    holds per point the rows ROWS (U_t truncated to order 2, rho and eta,
-    all order 2).  Each coefficient is truncated once per order (and per
+    holds per point the rows ROWS (U_t, rho and eta, all two orders below
+    the u-jet).  Each coefficient is truncated once per order (and per
     operand depth) and kept; an operator application lowers a jet's order
     by one, and truncation commutes with every jet operation, so a value
     read after n applications has the same bits whatever order it started
-    from.
+    from.  The caller picks the u-jet's order: 3 gives round 1 as values,
+    all an InvariantSet reads; MAX_ORDER leaves round 1 at order 1, which
+    the commutators' second round needs.
 
     p is one Point, or a list of points for one calculus on their stacked
     u-jets (`SolutionField.jets_at`): every jet then holds one row per
@@ -85,13 +89,13 @@ class JetCalculus:
     #: the rows of `operand`, per point
     ROWS = ("Ut", "Rho", "Eta")
 
-    def __init__(self, field: SolutionField, p: Point | list[Point]):
+    def __init__(self, field: SolutionField, p: Point | list[Point], order: int):
         if isinstance(p, Point):
-            u, points = eval_u(field, p, MAX_ORDER), 1
+            u, points = eval_u(field, p, order), 1
         else:
-            u, points = field.jets_at(p, MAX_ORDER), len(p)
+            u, points = field.jets_at(p, order), len(p)
         self.u = u
-        exp_mu = (-u.truncated(MAX_ORDER - 2)).exp()
+        exp_mu = (-u.truncated(order - 2)).exp()
         u_z = u.derivative(0)
         u_zt, u_zbt = u_z.derivative(2), u.derivative(1).derivative(2)
         # Delta's and DeltaBar's coefficients e^-mu u_{zbar t} and e^-mu u_{z t}
@@ -99,7 +103,7 @@ class JetCalculus:
         self.DeltaBar_coeff = exp_mu * u_zt
         self.eta = self.DeltaBar_coeff * u_zbt
         rho = exp_mu * u_z.derivative(1)
-        u_t = u.truncated(MAX_ORDER - 1).derivative(2)
+        u_t = u.truncated(order - 1).derivative(2)
         self.operand = joined([by_point(j, points) for j in (u_t, rho, self.eta)])
         self._coeffs: dict = {}
         self.round1 = self.apply(self.operand)
@@ -137,8 +141,9 @@ class JetCalculus:
 
 
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
-    """The JetCalculus of the field's bundle at p."""
-    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p))
+    """The order-MAX_ORDER JetCalculus of the field's bundle at p, which
+    the commutators at p share."""
+    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p, MAX_ORDER))
 
 
 def pde_residual(field: SolutionField, p: Point) -> complex:
@@ -159,8 +164,9 @@ def liouville_residual(field: SolutionField, p: Point) -> complex:
 def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
     """Compute {t, u_t, u_tt, rho, eta, sigma, sigma_bar, tau, lambda, lambda_bar}.
 
-    The result and the order-4 JetCalculus it comes from live in the field's
-    bundle for p (see ``SolutionField``): repeated calls at one point, and
+    The result and the order-MAX_ORDER JetCalculus it comes from live in
+    the field's bundle for p, unless a `swept_invariants` pass stored the
+    result there (see ``SolutionField``): repeated calls at one point, and
     the commutator and operator functions at that point, share them.  The
     InvariantSet is frozen; one instance is returned to every such call.
     """
@@ -168,13 +174,18 @@ def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
         "invariants", lambda: _invariant_sets(_calculus(field, p), [p])[0])
 
 
+#: the order of `swept_invariants`' u-jets: all an InvariantSet reads
+SWEPT_ORDER = 3
+
+
 def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
     """A `SolutionField.sweep` build: each point's InvariantSet, as
     `invariants_at` stores it, from one JetCalculus on the points' stacked
-    order-4 u-jets, and each point's row of those u-jets, from which
-    `eval_u` truncates every lower order."""
-    calc = JetCalculus(field, points)
-    return [{"invariants": s, MAX_ORDER: u}
+    order-3 u-jets, and each point's row of those u-jets, from which
+    `eval_u` truncates every lower order.  The InvariantSets have the bits
+    of `invariants_at`'s order-MAX_ORDER calculus."""
+    calc = JetCalculus(field, points, SWEPT_ORDER)
+    return [{"invariants": s, SWEPT_ORDER: u}
             for s, u in zip(_invariant_sets(calc, points), calc.u.rows())]
 
 

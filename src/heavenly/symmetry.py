@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from . import expr as ex
 from .fields import Point, SolutionField, eval_u, in_sweeps
 from .invariants import invariants_at, swept_invariants
+from .jet import Jet
 
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
 #: non-invariance
@@ -36,10 +37,9 @@ class WitnessReport:
     note: str = ""
 
 
-def _a_derivs(a: ex.Expr, z0: complex, order: int):
-    """a and its derivatives up to order at z0, and the conjugate-partner
-    values at conj(z0)."""
-    j = ex.eval_jet1(a, z0, order)
+def _a_derivs(j: Jet, order: int):
+    """a and its derivatives up to order from a's univariate jet j at z0,
+    and the conjugate-partner values at conj(z0)."""
     vals = [j.partial((k,)) for k in range(order + 1)]
     bvals = [v.conjugate() for v in vals]  # abar^{(k)}(conj z0)
     return vals, bvals
@@ -56,11 +56,11 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     if target in ("T", "Ut", "Utt"):
         return 0j  # X_a has no components along t, u_t, u_tt
     if target == "Uz":
-        (_, a1, a2), _ = _a_derivs(a, p.z, 2)
+        (_, a1, a2), _ = _a_derivs(ex.eval_jet1(a, p.z, 2), 2)
         return -(a2 + a1 * J.partial((1, 0, 0)))  # the coefficient of d_{u_z}
     if target not in ("Rho", "Eta"):
         raise ValueError(f"unsupported x2 target {target!r}")
-    (_, a1), (_, ab1) = _a_derivs(a, p.z, 1)
+    (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
     emu = cmath.exp(-J.value)
     c_u = -(a1 + ab1)
     if target == "Rho":
@@ -78,17 +78,37 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
 def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> complex:
     """Residual of the infinitesimal invariance criterion at p:
     (alpha + beta t) f_t + a f_z + abar f_zbar - (2 beta - a' - abar')."""
-    J = eval_u(field, p, 1)
-    f_t = J.partial((0, 0, 1))
-    f_z = J.partial((1, 0, 0))
-    f_zb = J.partial((0, 1, 0))
-    if g.a is not None:
-        av, abv = _a_derivs(g.a, p.z, 1)
-        a0, a1 = av
-        ab0, ab1 = abv
+    partials = first_partials(eval_u(field, p, 1))
+    a = ex.eval_jet1(g.a, p.z, 1) if g.a is not None else None
+    return _criterion(g, p.t, a, partials)
+
+
+def first_partials(J: Jet) -> tuple[complex, complex, complex]:
+    """(u_t, u_z, u_zbar) of a u-jet of order 1 or more: what the invariance
+    criterion reads of it, the same bits at every order."""
+    return J.partial((0, 0, 1)), J.partial((1, 0, 0)), J.partial((0, 1, 0))
+
+
+def invariance_residuals(g: GeneratorSpec, points: list[Point], partials: list) -> list[complex]:
+    """`invariance_residual` at each of points, from each point's
+    `first_partials` and one stacked evaluation of a over their distinct z
+    (`expr.eval_jet1_rows`)."""
+    if g.a is None:
+        a_jets = [None] * len(points)
+    else:
+        a_jets = ex.eval_jet1_rows(g.a, [p.z for p in points], 1)
+    return [_criterion(g, p.t, a, d) for p, a, d in zip(points, a_jets, partials)]
+
+
+def _criterion(g: GeneratorSpec, t: float, a: Jet | None, partials) -> complex:
+    """The invariance criterion from a's order-1 jet at the point (None for
+    a = 0) and the point's `first_partials`."""
+    f_t, f_z, f_zb = partials
+    if a is not None:
+        (a0, a1), (ab0, ab1) = _a_derivs(a, 1)
     else:
         a0 = a1 = ab0 = ab1 = 0j
-    return ((g.alpha + g.beta * p.t) * f_t + a0 * f_z + ab0 * f_zb
+    return ((g.alpha + g.beta * t) * f_t + a0 * f_z + ab0 * f_zb
             - (2 * g.beta - a1 - ab1))
 
 

@@ -126,6 +126,31 @@ def test_every_order_is_the_jet_built_at_that_order(family, kappa):
                 assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
 
 
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_swept_invariants_serve_the_lower_orders(monkeypatch, family, kappa):
+    # the sweep stores order-3 rows; orders 0-2 are their truncations, with
+    # the bits of a fresh order-4 build's
+    pts = grid(kappa, family)
+    want = {repr(p): build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, 4) for p in pts}
+    swept = build(family, kappa)
+    swept.sweep(pts, invariants.swept_invariants)
+
+    def no_build(*args):
+        raise AssertionError("eval_u built a u-jet")
+
+    monkeypatch.setattr(SolutionField, "jet_at", no_build)
+    monkeypatch.setattr(SolutionField, "jets_at", no_build)
+    for p in pts:
+        for order in (2, 0, 1):
+            got = eval_u(swept, p, order)
+            assert hex_coeffs(got) == hex_coeffs(want[repr(p)].truncated(order)), (p, order)
+
+
+def hex_coeffs(jet):
+    return [(c.real.hex(), c.imag.hex()) for c in jet.coeffs.ravel().tolist()]
+
+
 def counting(fld, counts):
     """The same field with a builder that counts its calls by order."""
     def builder(z0, zb0, t0, order):

@@ -244,3 +244,94 @@ def test_a_bad_point_costs_its_chunk_only(monkeypatch, where):
     assert isinstance(results[0], ConformallyNonInvariant)
     assert "z + zbar" in results[0].equation[where]
     assert results[1][0] == results[2][0] == "raised"  # neither excludes a point
+
+
+def test_verify_case_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty grid"):
+        verify_case(TheoremCase(8, 1, C=1.0, C2=1j), [])
+
+
+# --- one u-jet build per check ------------------------------------------------
+# classify_b reads the invariance criterion's first partials from its
+# equation loop's order-2 rows, verify_case from its one order-1 pass, and
+# both evaluate b and the generator's a over the grid's distinct z in one
+# stacked evaluation (expr.eval_jet1_rows).
+
+#: the grid of the benchmark's classify-cases workload
+CASES_GRID = GRID + [Point(1.0, 1.0 + 0j)]
+GENERIC_QUADRATICS = ("(0.3 - 1.2*i)*z^2 + (0.7 + 0.1*i)*z - 0.4",
+                      "(-1.1 + 0.4*i)*z^2 + (0.2 - 0.9*i)*z + (1.3 + 0.5*i)",
+                      "(0.6 + 0.8*i)*z^2 - (1.4 - 0.2*i)*z + (-0.7 + 1.1*i)")
+
+
+def normal_forms(seed):
+    """One drawn TheoremCase of every admissible (case, kappa)."""
+    rng = random.Random(seed)
+    cases = [draw_case(case_id, kappa, rng) for kappa in (1, -1) for case_id in range(1, 9)]
+    return [case for case in cases if case is not None]
+
+
+def _hex(jet):
+    return [(c.real.hex(), c.imag.hex()) for c in jet.coeffs.ravel().tolist()]
+
+
+def test_stacked_expression_rows_match_eval_jet1():
+    zs = list({p.z for p in CASES_GRID})
+    checked, variable_free_a = [], 0
+    for case in normal_forms(83):
+        b, gen = theorem_case(case)
+        checked.append((b, 2))
+        if gen.a is not None:
+            checked.append((gen.a, 1))
+            variable_free_a += not ex.mentions(gen.a, "z")
+    checked += [(ex.parse(text, ("z",)), 2) for text in GENERIC_QUADRATICS]
+    assert variable_free_a == 3  # a = C2 of kappa = +1 cases 6-8
+    for e, order in checked:
+        rows = ex.eval_jet1_rows(e, zs, order)
+        assert len(rows) == len(zs)
+        for z, row in zip(zs, rows):
+            assert row.depth == 0 and row.order == order
+            assert _hex(row) == _hex(ex.eval_jet1(e, z, order)), (str(e), z)
+
+
+def test_stacked_expression_rows_follow_every_entry():
+    # repeated entries share a row; entries equal but for a zero's sign do not
+    e = ex.parse("(z - 1.2)*(0.5 - 2*i) + ln(z)", ("z",))
+    at = [complex(1.2, 0.0), complex(1.2, -0.0), 0.7 + 0.3j, complex(1.2, 0.0)]
+    rows = ex.eval_jet1_rows(e, at, 1)
+    assert rows[0] is rows[3]
+    assert [_hex(r) for r in rows] == [_hex(ex.eval_jet1(e, z, 1)) for z in at]
+    assert ex.eval_jet1_rows(e, [], 1) == []
+
+
+def _builds(monkeypatch):
+    """The orders of every stacked u-jet build, and a tally of single-point ones."""
+    orders, single = [], []
+    jets_at, jet_at = SolutionField.jets_at, SolutionField.jet_at
+    monkeypatch.setattr(SolutionField, "jets_at", lambda self, points, order:
+                        orders.append(order) or jets_at(self, points, order))
+    monkeypatch.setattr(SolutionField, "jet_at", lambda self, *args:
+                        single.append(args) or jet_at(self, *args))
+    return orders, single
+
+
+def test_each_check_builds_its_u_jets_once(monkeypatch):
+    orders, single = _builds(monkeypatch)
+    for case in normal_forms(89):
+        b, _ = theorem_case(case)
+        del orders[:]
+        assert isinstance(classify_b(b, case.kappa, CASES_GRID), InvariantCaseMatched)
+        assert orders == [2]
+        del orders[:]
+        verify_case(case, CASES_GRID)
+        assert orders == [1]
+        del orders[:]
+        classify_b(b, case.kappa, WIDE_GRID)
+        assert orders == [2, 2, 2]  # one per chunk
+    for text in GENERIC_QUADRATICS:
+        for kappa in (1, -1):
+            del orders[:]
+            verdict = classify_b(ex.parse(text, ("z",)), kappa, CASES_GRID)
+            assert isinstance(verdict, ConformallyNonInvariant)
+            assert orders == [2, 3]  # the equation, then the invariants
+    assert single == []

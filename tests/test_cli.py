@@ -52,6 +52,23 @@ def test_verify_passes_on_solution(capsys):
     assert report["summary"]["max_residuals"]["equation"] < 1e-9
 
 
+@pytest.mark.parametrize("argv", (["--kappa", "1", "--family", "noninv", "--b", "z^2 + i"],
+                                  ["--kappa", "-1", "--family", "f0", "--C", "1"]))
+def test_verify_builds_order_3_u_jets_only(capsys, monkeypatch, argv):
+    # one order-3 pass per chunk gives the invariants, and the equation
+    # reads its truncation
+    from heavenly.fields import SolutionField
+    orders = []
+    jets_at, jet_at = SolutionField.jets_at, SolutionField.jet_at
+    monkeypatch.setattr(SolutionField, "jets_at", lambda self, points, order:
+                        orders.append(order) or jets_at(self, points, order))
+    monkeypatch.setattr(SolutionField, "jet_at", lambda self, z0, zb0, t0, order:
+                        orders.append(order) or jet_at(self, z0, zb0, t0, order))
+    code, _, _ = run(capsys, "verify", *argv, "--grid", GRID)
+    assert code == 0
+    assert orders == [3, 3, 3]  # 48 points, three chunks
+
+
 def test_verify_f0_minus(capsys):
     code, out, _ = run(capsys, "verify", "--kappa", "-1", "--family", "f0",
                        "--C", "1", "--grid", GRID)

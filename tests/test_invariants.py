@@ -2,7 +2,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import EtaVanishes
-from heavenly.fields import Point, SolutionField, make_solution
+from heavenly.fields import MAX_ORDER, Point, SolutionField, make_solution
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, JetCalculus,
                                  commutator_residual, invariants_at, liouville_residual,
                                  pde_residual)
@@ -64,21 +64,21 @@ def test_eta_vanishes_on_separable_family():
     s = invariants_at(fld, P_REF)
     assert s.eta_vanishes
     assert s.lambda_ is None
-    calc = JetCalculus(fld, P_REF)
+    calc = JetCalculus(fld, P_REF, MAX_ORDER)
     with pytest.raises(EtaVanishes):  # Y and Ybar of the operand, which holds rho
         calc.with_y(calc.apply(calc.operand))
 
 
 def test_delta_of_rho_is_tau(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    calc = JetCalculus(noninv_plus, P_REF)
+    calc = JetCalculus(noninv_plus, P_REF, MAX_ORDER)
     delta, _, _ = calc.apply(calc.operand)
     assert delta.value[RHO] == pytest.approx(s.tau, abs=1e-12)
 
 
 def test_sigma_is_delta_of_rho(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    calc = JetCalculus(noninv_plus, P_REF)
+    calc = JetCalculus(noninv_plus, P_REF, MAX_ORDER)
     _, Delta, DeltaBar = calc.apply(calc.operand)
     assert Delta.value[RHO] == pytest.approx(s.sigma, abs=1e-12)
     assert DeltaBar.value[RHO] == pytest.approx(s.sigma_bar, abs=1e-12)

@@ -32,7 +32,7 @@ from heavenly.errors import (DivisionBySingularJet, DomainError, EtaVanishes, FV
                               HeavenlyError, OrderExceeded, ShapeMismatch)
 from heavenly.fields import MAX_ORDER, Point
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, REALITY_TOL,
-                                 commutator_residual, swept_invariants)
+                                 commutator_residual, invariants_at, swept_invariants)
 from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, _mul_table,
                           _rows, _truncation_table, compose3, compose_series, on_axes,
                           row_series, row_values, valid_indices)
@@ -1610,13 +1610,19 @@ def test_commutators_match_one_application_at_a_time(family, kappa, pts):
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_swept_invariants_match_one_application_at_a_time(family, kappa):
+    # the sweep's order-3 calculus against one order-4 operator application
+    # at a time, and against invariants_at's order-4 calculus at each point
     pts = [p for p in grid_suite_points(kappa) if p.z.real > 0]
     fld = build(family, kappa)
+    hexes = lambda values: [None if v is None else (complex(v).real.hex(), complex(v).imag.hex())
+                            for v in values]
     for p, values in zip(pts, swept_invariants(fld, pts)):
         s, want = values["invariants"], ref_invariants(RefCalculus(fld, p))
+        assert values[3].order == 3
         got = (s.u_t, s.rho, s.eta, s.sigma, s.sigma_bar, s.tau)
-        assert [(complex(v).real.hex(), complex(v).imag.hex()) for v in got] == \
-            [(complex(v).real.hex(), complex(v).imag.hex()) for v in want]
+        assert hexes(got) == hexes(want)
+        alone = invariants_at(build(family, kappa), p)
+        assert hexes(vars(s).values()) == hexes(vars(alone).values())
 
 
 # --- second prolongation ------------------------------------------------------
