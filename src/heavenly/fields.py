@@ -49,10 +49,11 @@ from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
-#: the highest order of a u-jet: the engine's ceiling, which the
-#: commutators on rho need; `eval_u` builds this order when its bundle
-#: holds no higher order to truncate
-MAX_ORDER = 4
+#: the highest order of a u-jet: the engine's ceiling, all that x2, the
+#: InvariantSet and the commutators (first partials of order-1 operator
+#: coefficients) read; `eval_u` builds this order when its bundle holds no
+#: higher order to truncate
+MAX_ORDER = 3
 
 SINGULAR_TOL = 1e-8
 

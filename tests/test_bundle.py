@@ -14,16 +14,20 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly import invariants
-from heavenly.errors import POINT_EXCLUSIONS, DomainError, HeavenlyError
-from heavenly.fields import (Point, SolutionField, conformal_pushforward,
+from heavenly.errors import POINT_EXCLUSIONS, DomainError, EtaVanishes, HeavenlyError
+from heavenly.fields import (MAX_ORDER, Point, SolutionField, conformal_pushforward,
                              eval_u, make_solution, u_jets)
-from heavenly.invariants import (COMMUTATOR_PAIRS, commutator_residual,
+from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, commutator_residual,
                                  invariants_at, liouville_residual, pde_residual)
 from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
 
 X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
 A_GEN = ex.parse("(0.3 + 0.2*i)*z^2 + z - 0.5", ("z",))
-OPS = ("delta", "Delta", "DeltaBar", "Y", "Ybar")
+#: the operators of round 1 of the calculus, in the order it gives them
+OPS = ("delta", "Delta", "DeltaBar")
+#: the calculus's order-1 jets whose values and first partials the
+#: commutators read
+COEFFICIENT_JETS = ("Delta_coeff", "DeltaBar_coeff", "eta")
 
 # (family, parameters for kappa=+1, parameters for kappa=-1); every family
 # is admissible at the points below for both signs of kappa
@@ -74,15 +78,23 @@ def outcome(fn):
 
 def applied(fld, p, op, target):
     """The value of op on target, from round 1 of the calculus in the bundle
-    of fld at p (with Y and Ybar, which raise where eta vanishes)."""
+    of fld at p."""
     calc = invariants._calculus(fld, p)
-    ops = calc.round1 if OPS.index(op) < 3 else calc.with_y(calc.round1)
-    return ops[OPS.index(op)].value[calc.ROWS.index(target)]
+    return calc.round1[OPS.index(op)].value[calc.ROWS.index(target)]
+
+
+def stacked_build(fld, pts, order):
+    """One stacked pass over pts: `jets_at` up to MAX_ORDER, and above it
+    the same pass through `jet_at`, which takes one tuple of coordinates
+    per variable and has no ceiling."""
+    if order <= MAX_ORDER:
+        return fld.jets_at(pts, order)
+    return fld.jet_at(*zip(*[(p.z, p.z.conjugate(), p.t) for p in pts]), order)
 
 
 def suite(field_for, p):
     """Every bundle reader at p; field_for() gives the field for each call."""
-    calls = [lambda k=k: eval_u(field_for(), p, k) for k in range(5)]
+    calls = [lambda k=k: eval_u(field_for(), p, k) for k in range(MAX_ORDER + 1)]
     calls += [lambda: pde_residual(field_for(), p),
               lambda: liouville_residual(field_for(), p),
               lambda: invariants_at(field_for(), p)]
@@ -90,6 +102,8 @@ def suite(field_for, p):
               for pair in COMMUTATOR_PAIRS for target in ("Ut", "Rho")]
     calls += [lambda op=op, target=target: applied(field_for(), p, op, target)
               for op in OPS for target in invariants.JetCalculus.ROWS]
+    calls += [lambda name=name: getattr(invariants._calculus(field_for(), p), name)
+              for name in COEFFICIENT_JETS]
     calls += [lambda target=target: x2_apply(A_GEN, target, field_for(), p)
               for target in X2_TARGETS + ("Uz",)]
     calls += [lambda: invariance_residual(field_for(), GeneratorSpec(0.5, 0.25, A_GEN), p)]
@@ -101,7 +115,7 @@ def suite(field_for, p):
 def test_revisited_point_matches_fresh_field(family, kappa):
     a, b, c = points(kappa)
     fresh = {p: suite(lambda: build(family, kappa), p) for p in (a, b, c)}
-    assert all(fresh[p][4][0] == "jet" for p in fresh)  # every point is admissible
+    assert all(fresh[p][MAX_ORDER][0] == "jet" for p in fresh)  # every point is admissible
     shared = build(family, kappa)
     for p in (a, b, c, a):
         assert suite(lambda: shared, p) == fresh[p]
@@ -110,7 +124,7 @@ def test_revisited_point_matches_fresh_field(family, kappa):
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_every_order_is_the_jet_built_at_that_order(family, kappa):
-    # eval_u truncates one order-4 build, alone or as a row of
+    # eval_u truncates one order-MAX_ORDER build, alone or as a row of
     # swept_invariants' stacked pass; confinv's f divides, the pushforward
     # composes
     pts = grid(kappa, family)
@@ -118,7 +132,7 @@ def test_every_order_is_the_jet_built_at_that_order(family, kappa):
     swept.sweep(pts, invariants.swept_invariants)
     for p in pts:
         alone = build(family, kappa)
-        for order in (2, 0, 3, 1, 4):
+        for order in (2, 0, MAX_ORDER, 1):
             want = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, order)
             for fld in (alone, swept):
                 got = eval_u(fld, p, order)
@@ -184,7 +198,7 @@ def test_failed_build_is_not_remembered():
     for _ in range(3):
         with pytest.raises(DomainError):
             pde_residual(fld, bad)
-    assert counts == {4: 3}  # every order is read from the order-4 build
+    assert counts == {MAX_ORDER: 3}  # every order is read from the order-MAX_ORDER build
 
 
 def test_one_build_per_point(monkeypatch):
@@ -211,13 +225,13 @@ def test_one_build_per_point(monkeypatch):
 
     point_suite(a)
     point_suite(a)
-    # orders 2 and 3 are truncations of the one order-4 build
-    assert counts == {4: 1}
+    # order 2 is the truncation of the one order-MAX_ORDER build
+    assert counts == {MAX_ORDER: 1}
     assert calculi == {"JetCalculus": 1}
     # one point per field: moving away and back builds everything again
     point_suite(b)
     point_suite(a)
-    assert counts == {4: 3}
+    assert counts == {MAX_ORDER: 3}
     assert calculi == {"JetCalculus": 3}
 
 
@@ -226,7 +240,7 @@ def test_bundle_key_tells_signed_zeros_apart():
     fld = counting(build("noninv", 1), counts)
     for z in (complex(1.3, 0.0), complex(1.3, -0.0), complex(1.3, 0.0)):
         pde_residual(fld, Point(0.8, z))
-    assert counts == {4: 3}
+    assert counts == {MAX_ORDER: 3}
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -246,7 +260,7 @@ def grid(kappa, family="noninv"):
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_stacked_rows_match_eval_u(family, kappa):
     pts = grid(kappa, family)
-    for order in range(5):
+    for order in range(MAX_ORDER + 1):
         rows = build(family, kappa).jets_at(pts, order).rows()
         for p, row in zip(pts, rows):
             want = eval_u(build(family, kappa), p, order)
@@ -302,23 +316,79 @@ def test_sweep_bundles_last_until_a_point_outside_them():
     assert counts == {1: 1}  # swept points build nothing
     for p in pts:
         eval_u(fld, p, 2)  # not swept: truncated from this point's own build
-    assert counts == {1: 1, 4: len(pts) - 1}  # one point repeats
+    assert counts == {1: 1, MAX_ORDER: len(pts) - 1}  # one point repeats
     for p in pts:  # every swept bundle, with what it gained, outlives the loop
         eval_u(fld, p, 1)
         eval_u(fld, p, 2)
-    assert counts == {1: 1, 4: len(pts) - 1}
+    assert counts == {1: 1, MAX_ORDER: len(pts) - 1}
     outside = Point(0.9, 1.6 + 0.5j)
     eval_u(fld, outside, 1)  # a point outside the store replaces it
     eval_u(fld, outside, 2)
     eval_u(fld, pts[0], 1)
-    assert counts == {1: 1, 4: len(pts) + 1}
+    assert counts == {1: 1, MAX_ORDER: len(pts) + 1}
     fld.sweep(pts[:3], u_jets(1))
-    assert counts == {1: 2, 4: len(pts) + 1}
+    assert counts == {1: 2, MAX_ORDER: len(pts) + 1}
     bad = Point(0.8, -1.3 + 0.4j)  # z + zbar < 0: the stacked build raises
     fld.sweep([pts[0], bad], u_jets(1))
     assert not fld._bundles  # a raising build leaves the store empty
     eval_u(fld, pts[0], 1)
-    assert counts == {1: 3, 4: len(pts) + 2}
+    assert counts == {1: 3, MAX_ORDER: len(pts) + 2}
     with pytest.raises(DomainError):
         eval_u(fld, bad, 1)
-    assert counts == {1: 3, 4: len(pts) + 3}
+    assert counts == {1: 3, MAX_ORDER: len(pts) + 3}
+
+
+# --- the order ceiling ----------------------------------------------------------
+
+#: in-process CLI runs beside the README's: the criterion, a liouville
+#: verify (its order-2 pass) and the orbit of noninv, whose eta does not
+#: vanish
+CEILING_ARGV = (
+    ["symmetry", "--check", "criterion", "--family", "f0", "--C", "1", "--alpha", "0",
+     "--beta", "0", "--a", "i"],
+    ["verify", "--kappa", "-1", "--family", "liouville", "--c", "exp(z)"],
+    ["orbit", "--family", "noninv", "--b", "z^2 + i", "--phi", "z^2/2"],
+)
+
+
+def test_no_check_builds_a_u_jet_above_max_order(monkeypatch):
+    # every reader, the commutators included, needs at most the order-3
+    # u-jet: no single-point or stacked build asks for more
+    import contextlib
+    import io
+
+    from heavenly import cli
+    from test_readme_examples import README_EXAMPLES
+
+    orders = []
+    jet_at, jets_at = SolutionField.jet_at, SolutionField.jets_at
+
+    def recorded_jet_at(self, z0, zb0, t0, order):
+        orders.append(order)
+        return jet_at(self, z0, zb0, t0, order)
+
+    def recorded_jets_at(self, pts, order):
+        orders.append(order)
+        return jets_at(self, pts, order)
+
+    monkeypatch.setattr(SolutionField, "jet_at", recorded_jet_at)
+    monkeypatch.setattr(SolutionField, "jets_at", recorded_jets_at)
+    for kappa in (1, -1):
+        for family, *_ in FAMILIES:
+            fld = build(family, kappa)
+            for p in points(kappa):
+                pde_residual(fld, p)
+                liouville_residual(fld, p)
+                invariants_at(fld, p)
+                for pair in COMMUTATOR_PAIRS:
+                    for target in COMMUTATOR_TARGETS:
+                        try:
+                            commutator_residual(pair, target, fld, p)
+                        except EtaVanishes:
+                            assert invariants_at(fld, p).eta_vanishes
+                for target in X2_TARGETS:
+                    x2_apply(A_GEN, target, fld, p)
+    for argv in [a for a in README_EXAMPLES if a[0] != "resolving"] + list(CEILING_ARGV):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert max(orders) == MAX_ORDER == 3

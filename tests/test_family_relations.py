@@ -7,7 +7,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import DomainError
-from heavenly.fields import Point, eval_u, make_solution
+from heavenly.fields import MAX_ORDER, Point, eval_u, make_solution
 
 Z = ex.parse("z", ("z",))
 POINTS = [Point(t, complex(x, y)) for t in (0.6, 1.3) for x in (0.7, 1.6)
@@ -15,10 +15,16 @@ POINTS = [Point(t, complex(x, y)) for t in (0.6, 1.3) for x in (0.7, 1.6)
 
 
 def assert_same_jets(left, right):
+    # orders 0-4: up to MAX_ORDER as eval_u serves them, and every order,
+    # 4 too, as the builders make them (jet_at has no ceiling)
     for order in range(5):
         for p in POINTS:
-            a, b = eval_u(left, p, order), eval_u(right, p, order)
+            at = (p.z, p.z.conjugate(), p.t, order)
+            a, b = left.jet_at(*at), right.jet_at(*at)
             assert np.array_equal(a.coeffs, b.coeffs), (p, order)
+            if order <= MAX_ORDER:
+                a, b = eval_u(left, p, order), eval_u(right, p, order)
+                assert np.array_equal(a.coeffs, b.coeffs), (p, order)
 
 
 @pytest.mark.parametrize("kappa", (1, -1))

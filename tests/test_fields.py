@@ -5,10 +5,11 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import DomainError, FamilyParamMismatch, SingularMap
-from heavenly.fields import (Point, conformal_pushforward, eval_u,
+from heavenly.fields import (MAX_ORDER, Point, conformal_pushforward, eval_u,
                              make_solution)
 from heavenly.invariants import liouville_residual
 from oracle import fd_first_partials, fd_second_partials
+from test_bundle import stacked_build
 
 Z0 = 0.9 + 0.3j
 T0 = 1.3
@@ -122,7 +123,9 @@ def test_unknown_family_and_missing_params():
 def test_eval_u_rejects_order_beyond_engine():
     fld = make_solution("f0", {"C": 1.0}, 1)
     with pytest.raises(FamilyParamMismatch):
-        eval_u(fld, Point(T0, Z0), 5)
+        eval_u(fld, Point(T0, Z0), MAX_ORDER + 1)
+    with pytest.raises(FamilyParamMismatch):
+        fld.jets_at([Point(T0, Z0)], MAX_ORDER + 1)
 
 
 def test_pushforward_identity_map():
@@ -156,8 +159,8 @@ def test_liouville_logs_take_the_real_branch_row_by_row(kappa):
     fld = make_solution("liouville", {"c": ex.parse("z^2", ("z",))}, kappa)
     pts = [Point(1.0, -1.5 + 0j), Point(1.0, 0.3 + 1.2j), Point(1.0, 0.9 + 0.3j),
            Point(1.0, -0.4 - 1.1j), Point(1.0, -0.7 - 0.0j)]
-    for order in range(5):
-        for p, row in zip(pts, fld.jets_at(pts, order).rows()):
+    for order in range(5):  # order 4 too, past MAX_ORDER
+        for p, row in zip(pts, stacked_build(fld, pts, order).rows()):
             alone = fld.jet_at(p.z, p.z.conjugate(), p.t, order)
             assert row.coeffs.tobytes() == alone.coeffs.tobytes()
     for p in pts:
