@@ -19,6 +19,7 @@ _EXPORTS = {
     "make_solution": "fields", "InvariantSet": "invariants",
     "commutator_residual": "invariants", "invariants_at": "invariants",
     "liouville_residual": "invariants", "pde_residual": "invariants", "Jet": "jet",
+    "compose_series": "jet",
     "TheoremCase": "classify", "classify_b": "classify", "theorem_case": "classify",
     "verify_case": "classify", "ResolvingPoint": "resolving",
     "ansatz_functions": "resolving", "jacobi_residual": "resolving",

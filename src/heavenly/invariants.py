@@ -157,6 +157,12 @@ def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
             for s, u in zip(_invariant_sets(calc, points), calc.u.rows())]
 
 
+def swept_invariant_sets(field: SolutionField, points: list[Point]) -> list[dict]:
+    """A `SolutionField.sweep` build for loops that read only the
+    InvariantSets: `swept_invariants` without the u-jet rows."""
+    return [{"invariants": s} for s in _invariant_sets(JetCalculus(field, points), points)]
+
+
 def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:
     """The InvariantSet at each point of calc, from its rows of round 1:
     u_t and rho are the operand's values, u_tt is delta of U_t, and tau,

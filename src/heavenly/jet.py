@@ -21,6 +21,7 @@ import cmath
 import math
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -142,46 +143,58 @@ def row_values(value) -> tuple:
     return value if type(value) is tuple else (value,)
 
 
-def row_series(formula, value, order: int, *args) -> list:
-    """formula(a0, order, *args), a list of univariate series coefficients
-    at the constant term a0: for one constant term that list, for a tuple of
-    one per row the list of per-row tuples, term by term, that
-    `compose_series` takes.  Each row runs the scalar formula on its own
-    value, and a formula that raises raises for the first such row."""
-    if type(value) is not tuple:
-        return formula(value, order, *args)
-    return list(zip(*(formula(a0, order, *args) for a0 in value)))
-
-
-def _exp_series(a0: complex, order: int) -> list:
-    e0 = cmath.exp(a0)
-    return [e0 / math.factorial(m) for m in range(order + 1)]
-
-
-def _log_series(a0: complex, order: int) -> list:
+def _off_the_cut(a0: complex, what: str, name: str) -> complex:
+    """a0, the constant term of one row of the operand of a logarithm or a
+    power; raises where it is singular or on the branch cut."""
     if abs(a0) < SINGULAR_EPS:
-        raise DomainError(f"ln of jet with constant term {a0}")
+        raise DomainError(f"{what} of jet with constant term {a0}")
     if _on_branch_cut(a0):
-        raise BranchCutViolation(f"ln constant term {a0} on the negative real axis")
-    series = [cmath.log(a0)]
-    for m in range(1, order + 1):
-        series.append((-1) ** (m + 1) / (m * a0 ** m))
-    return series
+        raise BranchCutViolation(f"{name} constant term {a0} on the negative real axis")
+    return a0
 
 
-def _pow_series(a0: complex, order: int, p: complex) -> list:
-    if abs(a0) < SINGULAR_EPS:
-        raise DomainError(f"power of jet with constant term {a0}")
-    if _on_branch_cut(a0):
-        raise BranchCutViolation(f"pow constant term {a0} on the negative real axis")
-    # binomial series: a0^p * prod_{j<m}(p-j)/m! * h^m / a0^m
-    lead = cmath.exp(p * cmath.log(a0))
-    series = [lead]
-    coef = lead
-    for m in range(1, order + 1):
-        coef = coef * (p - (m - 1)) / m / a0
-        series.append(coef)
-    return series
+@lru_cache(maxsize=None)
+def _recurrence_table(nvars: int, order: int, depth: int):
+    """`_mul_slots` by target degree, for `Jet._recurrence` over `depth`
+    stacked rows.
+
+    A pair (ia, ib, it) of degree k = 1..order has a target of degree k and
+    an ia side of degree j >= 1, weighted j/k; per degree, first for every
+    row the pairs whose ib side has degree >= 1, then for every row those
+    that read the ib side's constant term, each set a-major, as in
+    `_mul_slots`.  A target's constant-term pair is its last pair there, so
+    each target sums its pairs in the same sequence at every order and in
+    any number of variables.  Returns (gather, weights, steps): the flat
+    ia slots of all pairs, degree after degree; their weights, per exponent
+    p, (p + 1) j/k - 1 for log (p = 0) and the reciprocal (p = -1) and j/k
+    under None, for exp and every other power; and per whether the
+    constant-term pairs are left out (index 1) or not (index 0), one
+    (ib, it, lo, hi) per degree with pairs: their flat ib and target slots
+    and their bounds in gather.
+    """
+    ia, ib, it = _mul_slots(nvars, order)
+    size = (order + 1) ** nvars
+    degree = np.indices((order + 1,) * nvars).sum(axis=0).ravel()  # of every slot
+    da, db, dt = degree[ia], degree[ib], degree[it]
+    gather, frac, steps, inner = [], [], [], []
+    lo = 0
+    for k in range(1, order + 1):
+        at = dt == k
+        parts = np.flatnonzero(at & (da > 0) & (db > 0)), np.flatnonzero(at & (db == 0))
+        gather += [_rows(ia[s], depth, size) for s in parts]
+        frac += [_rows(da[s] / k, depth) for s in parts]
+        b_rows = np.concatenate([_rows(ib[s], depth, size) for s in parts])
+        t_rows = np.concatenate([_rows(it[s], depth, size) for s in parts])
+        mid = depth * len(parts[0])
+        steps.append(_read_only(b_rows, t_rows) + (lo, lo + len(b_rows)))
+        if mid:
+            inner.append(_read_only(b_rows[:mid], t_rows[:mid]) + (lo, lo + mid))
+        lo += len(b_rows)
+    frac = np.concatenate(frac)
+    weights = {None: frac, **{p: frac * (p + 1) - 1 for p in (0, -1)}}
+    _read_only(*weights.values())
+    return (_read_only(np.concatenate(gather))[0], MappingProxyType(weights),
+            (tuple(steps), tuple(inner)))
 
 
 class Jet:
@@ -199,9 +212,10 @@ class Jet:
     row (``coef * g``: every row of g times coef).  A tuple of scalars, one
     per row, is a scalar operand of ``+ - * /`` (``g - g.value``), and
     `constant` and `variable` build a stack from one such tuple.  The
-    analytic functions, `reciprocal` and `compose_series` build each row's
-    series from that row's constant term and raise for the first row that
-    the unstacked function raises for.  `rows` hands the rows back as
+    analytic functions and `reciprocal` start each row from that row's
+    constant term and raise for the first row that the unstacked function
+    raises for; `compose_series` takes a tuple of one coefficient per row
+    for a term of its series.  `rows` hands the rows back as
     unstacked jets; `coefficient` and `partial` take unstacked jets only.
     depth is 0 for an unstacked jet.
 
@@ -409,32 +423,29 @@ class Jet:
         return Jet.constant(other, self.nvars, self.order) * self.reciprocal()
 
     def reciprocal(self) -> "Jet":
-        """1/self as the alternating series 1 - r + r^2 - ... in the nilpotent
-        part r, started from the operand (1 - r), not from a unit jet."""
-        b0 = self.value
-        for b in row_values(b0):
+        """1/self, degree by degree: with a = self / a0, b_0 = 1/a0 and
+        b_k = -sum_{j=1..k} a_j b_{k-j} (`_recurrence`, p = -1)."""
+        b0 = row_values(self.value)
+        for b in b0:
             if abs(b) < SINGULAR_EPS:
                 raise DivisionBySingularJet(f"constant term {b} below {SINGULAR_EPS}")
-        if not self.order:
-            return Jet.constant(1.0, self.nvars, 0) / b0
-        # the nilpotent part: its constant term is an exact zero, so the
-        # series below is the same at every order
-        term = r = (self - b0) / b0
-        acc = 1.0 - r
-        for m in range(1, self.order):
-            term = term * r
-            acc = acc - term if m % 2 == 0 else acc + term
-        return acc / b0
+        return self._recurrence([1 / b for b in b0], -1)
 
     # -- analytic functions ------------------------------------------------
 
     def exp(self) -> "Jet":
-        return compose_series(row_series(_exp_series, self.value, self.order),
-                              self - self.value)
+        """e^self, degree by degree: b_0 = e^{a_0} and
+        b_k = sum_{j=1..k} (j/k) a_j b_{k-j} (`_recurrence`)."""
+        return self._recurrence([cmath.exp(v) for v in row_values(self.value)])
 
     def log(self) -> "Jet":
-        return compose_series(row_series(_log_series, self.value, self.order),
-                              self - self.value)
+        """Principal-branch logarithm, degree by degree: with a = self / a0,
+        b_0 = ln a0 and b_k = a_k - sum_{j=1..k-1} (1 - j/k) a_j b_{k-j}
+        (`_recurrence`, p = 0, without the terms j = k).  Raises DomainError
+        for a constant term below SINGULAR_EPS and BranchCutViolation for
+        one on the negative real axis."""
+        b0 = [cmath.log(_off_the_cut(v, "ln", "ln")) for v in row_values(self.value)]
+        return self._recurrence(b0, 0, log=True)
 
     def sqrt(self) -> "Jet":
         return self.cpow(0.5)
@@ -442,7 +453,10 @@ class Jet:
     def cpow(self, p: complex) -> "Jet":
         """Principal-branch power; exact repeated product for an integer p of
         size at most PRODUCT_POWERS, at every order, so that the power of a
-        truncated jet is the truncated power."""
+        truncated jet is the truncated power.  Any other p goes degree by
+        degree: with a = self / a0, b_0 = e^{p ln a0} and
+        b_k = sum_{j=1..k} ((p + 1) j/k - 1) a_j b_{k-j} (`_recurrence`),
+        with the errors of `log`."""
         if isinstance(p, complex) and p.imag == 0:
             p = p.real
         if isinstance(p, (int, float)) and float(p).is_integer() and abs(p) <= PRODUCT_POWERS:
@@ -451,8 +465,48 @@ class Jet:
             for _ in range(abs(n) - 1):
                 acc = acc * self
             return acc.reciprocal() if n < 0 else acc
-        return compose_series(row_series(_pow_series, self.value, self.order, p),
-                              self - self.value)
+        b0 = [cmath.exp(p * cmath.log(_off_the_cut(v, "power", "pow")))
+              for v in row_values(self.value)]
+        return self._recurrence(b0, p)
+
+    def _recurrence(self, b0: list, p=None, log: bool = False) -> "Jet":
+        """The jet b of exp (p None), a power (p), or log (p = 0, log True)
+        of self, from b0, the constant term of each row of b.
+
+        With the Euler operator E, which multiplies a homogeneous part of
+        degree k by k, b = a^p gives a E b = p b E a, b = e^a gives
+        E b = b E a and b = ln a gives a E b = E a; their parts of degree k
+        solve for b_k from the parts of lower degree (Griewank and Walther,
+        Evaluating Derivatives, 2nd ed., 13.2).  For a power and log, a is
+        self divided by its constant term, row by row, so that a_0 = 1; for
+        exp it is self.  Degree k = 1..order is one gather-multiply-scatter
+        over `_recurrence_table`: each pair (a_j, b_{k-j}) adds its weight
+        times a_j times b_{k-j} to b_k, whose slots start at zero, or at a_k
+        for log, which leaves out the pairs that read b_0.  The weights are
+        j/k for exp and (p + 1) j/k - 1 otherwise.  Degree k reads degrees
+        up to k only, in the same sequence at every order, and every row
+        runs the same elementwise operations, so truncation commutes and
+        each row of a stack is bit for bit the unstacked result.
+        """
+        n, order, depth = self.nvars, self.order, self.depth
+        if not order:
+            return _jet(np.array(b0, dtype=complex).reshape(self.coeffs.shape), depth, n, 0)
+        gather, weights, steps = _recurrence_table(n, order, depth or 1)
+        a = self.coeffs.reshape(depth or 1, -1)
+        if p is not None:  # each row over its constant term, a scalar operand as for one jet
+            a = a / (a[:, :1] if depth else a[0, 0])
+        w = weights.get(p)
+        aw = a.take(gather) * (weights[None] * (p + 1) - 1 if w is None else w)
+        if log:  # b_k starts at +0 + a_k, as a scatter into zeros would
+            b = a
+            b += 0.0
+        else:
+            b = np.zeros(a.shape, dtype=complex)
+        b[:, 0] = b0
+        flat = b.reshape(-1)
+        for ib, it, lo, hi in steps[log]:
+            np.add.at(flat, it, aw[lo:hi] * flat.take(ib))
+        return _jet(b.reshape(self.coeffs.shape), depth, n, order)
 
     # -- coefficient access ------------------------------------------------
 
@@ -572,8 +626,7 @@ def compose_series(series: list, inner: Jet) -> Jet:
     """Univariate Taylor coefficients composed with a jet of zero constant
     term: the sum of series[m] * inner^m up to the jet's order, with the
     powers started from the operand, not from a unit jet.  For a stacked
-    inner jet each series[m] may be a tuple of one coefficient per row
-    (see `row_series`)."""
+    inner jet each series[m] may be a tuple of one coefficient per row."""
     for h0 in row_values(inner.value):
         if abs(h0) > 1e-9:
             raise DomainError("composition requires vanishing constant term")

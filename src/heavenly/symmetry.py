@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .fields import Point, SolutionField, eval_u, in_sweeps
-from .invariants import invariants_at, swept_invariants
+from .invariants import invariants_at, swept_invariant_sets
 from .jet import Jet
 
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
@@ -123,7 +123,7 @@ def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:
     best = 0.0
     witness = None
     eta_seen = False
-    for p in in_sweeps(grid, lambda chunk: [(field, chunk, swept_invariants)]):
+    for p in in_sweeps(grid, lambda chunk: [(field, chunk, swept_invariant_sets)]):
         s = invariants_at(field, p)
         if not s.eta_vanishes:
             eta_seen = True

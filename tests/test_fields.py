@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from heavenly import expr as ex
@@ -8,8 +9,10 @@ from heavenly.errors import DomainError, FamilyParamMismatch, SingularMap
 from heavenly.fields import (MAX_ORDER, Point, conformal_pushforward, eval_u,
                              make_solution)
 from heavenly.invariants import liouville_residual
+from heavenly import fields
 from oracle import fd_first_partials, fd_second_partials
-from test_bundle import stacked_build
+from test_bundle import FAMILIES, build, points, stacked_build
+from test_reference_kernels import ref_builder
 
 Z0 = 0.9 + 0.3j
 T0 = 1.3
@@ -170,3 +173,44 @@ def test_liouville_logs_take_the_real_branch_row_by_row(kappa):
         assert abs(gamma.imag) < 1e-15  # no i*pi left from a logarithm
         assert gamma.real == pytest.approx(math.log(abs(2 * z) ** 2 / denom ** 2), rel=1e-14)
         assert abs(liouville_residual(fld, p)) < 1e-12
+
+
+# --- u is real on the physical slice ---------------------------------------------
+# With zbar = conj(z), u is real, so its Taylor coefficients in the formally
+# independent (z, zbar, t) satisfy c_{ijk} = conj(c_{jik}).
+
+#: the bound on |c_{ijk} - conj(c_{jik})|, relative to max(1, max |c|)
+REALITY_BOUND = 1e-14
+
+
+def reality_gap(jet):
+    """max |c_{ijk} - conj(c_{jik})| over max(1, max |c|) of a u-jet."""
+    c = jet.coeffs
+    return np.abs(c - np.swapaxes(c, 0, 1).conj()).max() / max(1.0, np.abs(c).max())
+
+
+def on_slice_jets(make):
+    """The order-MAX_ORDER u-jets of each family and kappa at test_bundle's
+    points, from make(field), a builder (z0, zb0, t0, order) -> jet."""
+    for kappa in (1, -1):
+        for family, *_ in FAMILIES:
+            builder = make(build(family, kappa))
+            for p in points(kappa):
+                yield family, kappa, builder(p.z, p.z.conjugate(), p.t, MAX_ORDER)
+
+
+@pytest.mark.parametrize("make", [lambda fld: fld.jet_at, ref_builder],
+                         ids=["builders", "three-variable builders"])
+def test_u_jets_are_real_on_the_slice(make):
+    gaps = [(family, kappa, reality_gap(jet)) for family, kappa, jet in on_slice_jets(make)]
+    assert len(gaps) == 2 * len(FAMILIES) * 3
+    assert max(gap for *_, gap in gaps) <= REALITY_BOUND, max(gaps, key=lambda g: g[2])
+
+
+def test_reality_fails_where_a_partner_keeps_its_constants(monkeypatch):
+    # bbar built from b without conjugating its constants: ln(t + zbar^2 + i)
+    # is no conjugate partner of ln(t + z^2 + i)
+    monkeypatch.setattr(fields, "_bar", lambda e: e)
+    fld = make_solution("noninv", {"b": ex.parse("z^2 + i", ("z",))}, 1)
+    p = points(1)[0]
+    assert reality_gap(eval_u(fld, p, MAX_ORDER)) > 0.1

@@ -10,7 +10,9 @@ import pytest
 from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
                              DomainError, OrderExceeded, ShapeMismatch)
-from heavenly.jet import Jet, compose3, compose_series, on_axes, row_series
+from heavenly.jet import Jet, compose3, compose_series, on_axes
+
+from test_reference_kernels import row_series
 
 POINT = (0.3 + 0.1j, 0.3 - 0.1j, 1.2 + 0j)
 
@@ -408,3 +410,73 @@ def test_truncation_commutes_with_compose3():
                 assert out.coeffs[r].tobytes() == compose3(outer, *inner).coeffs.tobytes()
         cases += 1
     assert cases == 10
+
+
+# --- the degree recurrences: identities and errors -----------------------------
+
+EPS = np.finfo(float).eps
+#: the bound on a round trip's distance from the identity, in units of EPS
+#: times the operand's largest coefficient (2.8 seen, for the power)
+ROUNDTRIP_ROUNDOFFS = 4
+
+
+def roundtrip_jets():
+    """Seeded jets with a constant term of real part in [1, 2] and the other
+    coefficients of size about 1/4, unstacked and as 3 rows, in 1 to 3
+    variables at orders 0 to 4."""
+    rng = np.random.default_rng(31)
+
+    def draw(nvars, order):
+        c = 0.25 * (rng.standard_normal((order + 1,) * nvars)
+                    + 1j * rng.standard_normal((order + 1,) * nvars))
+        c[(0,) * nvars] = complex(rng.uniform(1, 2), rng.uniform(-1, 1))
+        return Jet(c).truncated(order)
+
+    for nvars in (1, 2, 3):
+        for order in range(5):
+            for depth in (0, 3):
+                rows = [draw(nvars, order) for _ in range(depth or 1)]
+                yield Jet.stack(rows) if depth else rows[0]
+
+
+def test_recurrences_invert_each_other():
+    p = 0.37 + 0.2j
+    cases = 0
+    for a in roundtrip_jets():
+        one = Jet.constant(1.0, a.nvars, a.order)
+        bound = ROUNDTRIP_ROUNDOFFS * EPS * np.abs(a.coeffs).max()
+        for got, want in ((a.log().exp(), a), (a.exp().log(), a), (a * a.reciprocal(), one),
+                          (a.cpow(p).cpow(1 / p), a)):
+            assert np.abs(got.coeffs - want.coeffs).max() <= bound, (a.nvars, a.order, a.depth)
+            cases += 1
+    assert cases == 3 * 5 * 2 * 4
+
+
+#: per kernel, its error at a zero constant term and at one on the branch
+#: cut (None where it has none there)
+KERNEL_ERRORS = {
+    "log": (Jet.log, (DomainError, "ln of jet with constant term 0j"),
+            (BranchCutViolation, "ln constant term (-1.5+0j) on the negative real axis")),
+    "sqrt": (Jet.sqrt, (DomainError, "power of jet with constant term 0j"),
+             (BranchCutViolation, "pow constant term (-1.5+0j) on the negative real axis")),
+    "cpow": (lambda j: j.cpow(0.37 + 0.2j), (DomainError, "power of jet with constant term 0j"),
+             (BranchCutViolation, "pow constant term (-1.5+0j) on the negative real axis")),
+    "reciprocal": (Jet.reciprocal, (DivisionBySingularJet, "constant term 0j below 1e-12"), None),
+    "exp": (Jet.exp, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ERRORS))
+def test_kernel_errors_at_zero_and_on_the_cut(name):
+    kernel, at_zero, on_cut = KERNEL_ERRORS[name]
+    good = Jet.variable(0, 1.2 + 0.3j, 3, 3) * Jet.variable(2, 0.5, 3, 3)
+    for a0, error in ((0j, at_zero), (-1.5 + 0j, on_cut)):
+        bad = good - good.value + a0
+        # unstacked, and a stack whose first bad row is the second of three
+        for jet in (bad, Jet.stack([good, bad, bad + 1e-3j])):
+            if error is None:
+                assert isinstance(kernel(jet), Jet)
+                continue
+            with pytest.raises(error[0]) as raised:
+                kernel(jet)
+            assert type(raised.value) is error[0] and str(raised.value) == error[1]

@@ -4,6 +4,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.fields import Point, make_solution
+from heavenly.invariants import invariants_at, swept_invariants
 from heavenly.symmetry import (GeneratorSpec, conf_inv_witness, invariance_residual,
                                x2_apply)
 
@@ -67,3 +68,23 @@ def test_witness_inconclusive_when_eta_vanishes():
     rep = conf_inv_witness(fld, [Point(1.0, 1.0 + 0j)])
     assert rep.verdict == "inconclusive"
     assert "eta" in rep.note
+
+
+def test_witness_sweep_stores_only_the_invariant_sets():
+    # the witness reads each point's InvariantSet and nothing else of its
+    # bundle: its sweep keeps no u-jet, and the sets keep the bits of
+    # swept_invariants' pass and of invariants_at at each point alone
+    b = ex.parse("z^2 + i", ("z",))
+    fld = make_solution("noninv", {"b": b}, 1)
+    grid = [Point(t, complex(x, y)) for t in (0.8, 1.2) for x in (1.1, 1.6) for y in (0.3, 0.6)]
+    conf_inv_witness(fld, grid)
+    bundles = list(fld._bundles.values())
+    assert len(bundles) == len(grid)
+    assert [list(bundle._values) for bundle in bundles] == [["invariants"]] * len(grid)
+    hexes = lambda s: [None if v is None else (complex(v).real.hex(), complex(v).imag.hex())
+                       for v in vars(s).values()]
+    swept = swept_invariants(make_solution("noninv", {"b": b}, 1), grid)
+    for p, bundle, values in zip(grid, bundles, swept):
+        s = bundle.stored("invariants")
+        assert hexes(s) == hexes(values["invariants"])
+        assert hexes(s) == hexes(invariants_at(make_solution("noninv", {"b": b}, 1), p))
