@@ -46,9 +46,10 @@ def _where(p) -> dict:
     return {"t": p.t, "re": p.z.real, "im": p.z.imag}
 
 
-def _point_key(rec):
-    p = rec["point"]
-    return (p["t"], p["re"], p["im"])
+def _columns(report) -> tuple[str, str, str]:
+    """The coordinates of the report's record points, in column order: a
+    resolving sample is (t, u_t, rho), any other point (t, Re z, Im z)."""
+    return ("t", "ut", "rho") if report["command"][0] == "resolving" else ("t", "re", "im")
 
 
 def _emit(report: dict, args) -> None:
@@ -57,12 +58,12 @@ def _emit(report: dict, args) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "re", "im", "kind", "value"])
+        columns = _columns(report)
+        writer.writerow([*columns, "kind", "value"])
         for rec in report["records"]:
             p = rec["point"]
             for kind in sorted(rec["residuals"]):
-                writer.writerow([p["t"], p["re"], p["im"], kind,
-                                 rec["residuals"][kind]])
+                writer.writerow([*(p[c] for c in columns), kind, rec["residuals"][kind]])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -115,7 +116,8 @@ def _run(report, points, check, passes) -> None:
 
 
 def _finish(report, args) -> int:
-    report["records"].sort(key=_point_key)
+    columns = _columns(report)
+    report["records"].sort(key=lambda rec: tuple(rec["point"][c] for c in columns))
     maxima = {}
     for rec in report["records"]:
         for kind, val in rec["residuals"].items():
@@ -311,7 +313,7 @@ def cmd_resolving(args) -> int:
             residuals = {k: abs(v) for k, v in res.as_dict().items()}
             residuals["jacobi"] = max(abs(v) for v in jac)
             report["records"].append(
-                {"point": {"t": p.t, "re": p.ut, "im": p.rho}, "residuals": residuals})
+                {"point": {"t": p.t, "ut": p.ut, "rho": p.rho}, "residuals": residuals})
     report["summary"]["samples"] = produced
     return _finish(report, args)
 

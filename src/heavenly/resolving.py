@@ -2,33 +2,37 @@
 invariant space (t, u_t, rho), the five residuals, the Jacobi conditions on
 the structure functions and the commuting-operators ansatz.
 
-Both checks at a point read one order-PROJ_ORDER projection, which gives
-them together in one round: `_Proj.apply` takes the operand's three
-partials once and applies delta, Y and Ybar to each of its seven rows per
-point (F, lambda, lambda_bar, tau and the structure functions a, a_bar and
-c).  The functions keep each checked point's pair of results in one store.
-A loop over many points first runs `resolving_sweep`, which fills that
-store from one stacked projection of all of them; the loop's per-point
-calls are its only readers, so they give the bits and the errors of the
-per-point path.
+The projected operators are first order and both checks read values after
+one application of them, so a point needs the values and first partials
+of F, lambda, lambda_bar and tau from one order-PROJ_ORDER projection; the
+rest is scalar arithmetic (`_applied`, `_structure`, `_pair`).  The
+functions keep each checked point's pair of results in one store.  A loop
+over many points first runs `resolving_sweep`, which fills that store from
+one stacked projection of all of them; the loop's per-point calls are its
+only readers, so they give the bits and the errors of the per-point path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, ArityMismatch, FVanishes, NegativeDiscriminant
-from .jet import SINGULAR_EPS, Jet, by_point, joined, repeated_rows
+from .jet import SINGULAR_EPS, Jet
 
 RVARS = ("t", "ut", "rho")
 #: |F| below this counts as F = 0; c divides by F, and this is the
 #: threshold below which that division raises
 F_EPS = SINGULAR_EPS
-#: order of the projection both checks read at a point: each operator
-#: application lowers a jet's order by one, and both checks read values
-#: after one application
+#: order of the projection both checks read at a point: they read values
+#: and first partials only
 PROJ_ORDER = 1
+#: per row of a jet in (t, ut, rho), the slots of its value and of its
+#: first partials d/dt, d/dut and d/drho
+_FIRST_ORDER = (slice(None), np.array([0, 1, 0, 0]), np.array([0, 0, 1, 0]),
+                np.array([0, 0, 0, 1]))
 
 
 @dataclass(frozen=True)
@@ -66,22 +70,14 @@ class ResolvingFunctions:
 
 
 class _Proj:
-    """Projected operators delta, Y, Ybar acting on jets in (t, ut, rho).
+    """F, lambda, lambda_bar and tau as jets in (t, ut, rho) of the given
+    order at a point, on the variable jets `seed`.  A coefficient of degree
+    k of a jet operation depends only on its operands' coefficients of
+    degree <= k, so values and first partials are the same at every order
+    >= 1; the tests build their reference projections at other orders.
 
-    F, lambda, lambda_bar and tau are jets of the given order at the point.
-    `apply` gives all three operators of a stacked jet, row by row, so one
-    application serves several jets.  A coefficient of degree k of a jet
-    operation depends only on its operands' coefficients of degree <= k, so
-    a value read after n applications is the same for every seed order
-    >= n; production reads one projection of order PROJ_ORDER, and the
-    tests build their reference projections at other orders.
-
-    p is one point, or a list of points of one kappa for one projection
-    whose jets hold one row per point (`resolving_sweep`); points of mixed
-    kappa raise ValueError, since delta's coefficient holds one kappa.  An
-    operand holds one or more rows per point, a point's rows next to each
-    other (`jet.joined`), and each coefficient acts on all of its point's
-    rows.
+    p is one point, or a list of points of one kappa whose jets hold one row
+    per point (`resolving_sweep`); points of mixed kappa raise ValueError.
     """
 
     def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint | list[ResolvingPoint],
@@ -104,9 +100,6 @@ class _Proj:
         self.lamj = self._at(rf.lambda_)
         self.lambj = self._at(rf.lambda_bar)
         self.tauj = self._at(rf.tau)
-        # delta's middle coefficient kappa*rho - ut^2 as an exact jet
-        self.heav_coeff = (points[0].kappa * self.seed["rho"]
-                           - self.seed["ut"] * self.seed["ut"])
 
     def _at(self, e: ex.Expr) -> Jet:
         """e's jet on the seeds (its variables, in order, are t, ut and rho)."""
@@ -115,21 +108,37 @@ class _Proj:
                                 f"{len(RVARS)} points given")
         return ex.evaluate(e, dict(zip(e.variables, self.seed.values())))
 
-    def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
-        """(delta g, Y g, Ybar g) for a stacked g, from g's three partials,
-        taken once:
-        delta = d/dt + (kappa rho - ut^2) d/dut + tau d/drho,
-        Y = d/dut + lambda d/drho, Ybar the same with lambda_bar.  Each
-        coefficient is truncated to the result's order, with each point's
-        row repeated for each of that point's operand rows
-        (`jet.repeated_rows`)."""
-        m, d = g.order - 1, g.depth
-        heav, tau, lam, lamb = (repeated_rows(j.truncated(m), d) for j in
-                                (self.heav_coeff, self.tauj, self.lamj, self.lambj))
-        g_t, g_ut, g_rho = g.derivative(0), g.derivative(1), g.derivative(2)
-        return (g_t + heav * g_ut + tau * g_rho,
-                g_ut + lam * g_rho,
-                g_ut + lamb * g_rho)
+
+def _first_order(j: Jet, points: int) -> list[list[complex]]:
+    """[value, d/dt, d/dut, d/drho] of j's row for each point; the jet of
+    an expression without variables is unstacked, one row for all."""
+    rows = j.coeffs.reshape((-1,) + j.coeffs.shape[-3:])[_FIRST_ORDER].tolist()
+    return rows * points if len(rows) < points else rows
+
+
+def _applied(p: ResolvingPoint, lam: list, lamb: list, tau: list,
+             g: list) -> tuple[complex, complex, complex]:
+    """(delta g, Y g, Ybar g) at p, for
+    delta = d/dt + (kappa rho - ut^2) d/dut + tau d/drho,
+    Y = d/dut + lambda d/drho and Ybar the same with lambda_bar; each of
+    g, lambda, lambda_bar and tau is [value, d/dt, d/dut, d/drho]."""
+    _, g_t, g_ut, g_rho = g
+    return (g_t + (p.kappa * p.rho - p.ut * p.ut) * g_ut + tau[0] * g_rho,
+            g_ut + lam[0] * g_rho, g_ut + lamb[0] * g_rho)
+
+
+def _structure(p: ResolvingPoint, F: list, lam: list, lamb: list,
+               tau: list) -> tuple[list, list, list]:
+    """a = 2 ut - kappa lambda, a_bar = 2 ut - kappa lambda_bar and
+    c = s/F with s = ut rho + tau at p, as [value, d/dt, d/dut, d/drho], by
+    the first-order chain rule (Griewank and Walther, Evaluating
+    Derivatives, 2nd ed., 3.1): grad c = (grad s - c grad F)/F."""
+    ut, rho, kappa = p.ut, p.rho, p.kappa
+    a, a_bar = ([2 * ut - kappa * g[0], -kappa * g[1], 2 - kappa * g[2], -kappa * g[3]]
+                for g in (lam, lamb))
+    c = (ut * rho + tau[0]) / F[0]
+    grad_s = (tau[1], rho + tau[2], ut + tau[3])
+    return a, a_bar, [c] + [(ds - c * dF) / F[0] for ds, dF in zip(grad_s, F[1:])]
 
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
@@ -140,11 +149,11 @@ def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
     checked = rf._checked.get(key)
     if checked is None:
         proj = _Proj(rf, p, PROJ_ORDER)
-        F = proj.Fj.value
-        if abs(F) < F_EPS:
-            raise FVanishes(f"F = {F} at {p}")
-        checked = _checked_pairs(proj, [p])[0]
-        object.__setattr__(rf, "_checked", {key: checked})
+        pairs = _checked_pairs(proj, [p])
+        if not pairs:
+            raise FVanishes(f"F = {proj.Fj.value} at {p}")
+        object.__setattr__(rf, "_checked", pairs)
+        checked = pairs[key]
     return checked
 
 
@@ -165,9 +174,8 @@ def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingR
     """The five residuals of the resolving system at one invariant point.
 
     At a point outside rf's store this computes the pair of both checks
-    (one round of `_Proj.apply`, see `_checked_pairs`), so a caller that
-    wants the residuals alone pays for both; the following
-    `jacobi_residual` there reads the store."""
+    (`_checked_pairs`), so a caller that wants the residuals alone pays for
+    both; the following `jacobi_residual` there reads the store."""
     return _checks(rf, p)[0]
 
 
@@ -199,9 +207,8 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     [delta,[Y,Ybar]] + [Y,[Ybar,delta]] + [Ybar,[delta,Y]] with them gives
     J1 Y - J2 Ybar, where
     J1 = delta c - c a_bar + Ybar a and J2 = delta c - a c + Y a_bar,
-    so both vanish where the structure equations hold.  `_checked_pairs`
-    reads delta c, Ybar a and Y a_bar from the round of `_Proj.apply` that
-    gives `resolving_residuals`.
+    so both vanish where the structure equations hold.  `_pair` reads
+    delta c, Ybar a and Y a_bar from the gradients of c, a and a_bar.
 
     What it can detect: a perturbed tau or lambda moves a or c and reads
     far above roundoff.  For the ansatz tau = -ut rho, c vanishes
@@ -214,30 +221,25 @@ def jacobi_residual(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple[complex,
     return _checks(rf, p)[1]
 
 
-def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[tuple]:
-    """Each point's (residuals, jacobi) pair, from one round of
-    `_Proj.apply` on an operand of 7 rows per point, each point's rows next
-    to each other: F, lambda, lambda_bar, tau, a, a_bar and c.  R1-R4 read
-    the values, delta of the four functions, Y of tau and lambda_bar and
-    Ybar of tau and lambda; J1 and J2 read a, a_bar, c, delta c, Ybar a and
-    Y a_bar.  c divides by F, so every point's F must be at least F_EPS.
-    """
-    n, kappa = len(points), points[0].kappa
-    ut = proj.seed["ut"]
-    a = 2 * ut - kappa * proj.lamj
-    a_bar = 2 * ut - kappa * proj.lambj
-    c = (ut * proj.seed["rho"] + proj.tauj) / proj.Fj
-    g = joined([by_point(j, n) for j in
-                (proj.Fj, proj.lamj, proj.lambj, proj.tauj, a, a_bar, c)])
-    v, (d, y, yb) = g.value, (op.value for op in proj.apply(g))
-    pairs = []
-    for k, p in enumerate(points):
-        i = 7 * k
-        av, abv, cv = v[i + 4:i + 7]
-        pairs.append((_residuals(p, *v[i:i + 4], *d[i:i + 4],
-                                 y[i + 3], y[i + 2], yb[i + 3], yb[i + 1]),
-                      (d[i + 6] - cv * abv + yb[i + 4], d[i + 6] - av * cv + y[i + 5])))
-    return pairs
+def _pair(p: ResolvingPoint, F: list, lam: list, lamb: list, tau: list) -> tuple:
+    """Both checks' (residuals, jacobi) pair at p from [value, d/dt, d/dut,
+    d/drho] of F, lambda, lambda_bar and tau there, by scalar arithmetic
+    alone.  R1-R4 read the values, delta of the four functions, Y of tau
+    and lambda_bar and Ybar of tau and lambda; J1 and J2 read a, a_bar, c,
+    delta c, Ybar a and Y a_bar.  F's value must not vanish."""
+    a, a_bar, c = _structure(p, F, lam, lamb, tau)
+    # each operator's values on F, lambda, lambda_bar, tau, a, a_bar and c
+    d, y, yb = zip(*(_applied(p, lam, lamb, tau, g) for g in (F, lam, lamb, tau, a, a_bar, c)))
+    return (_residuals(p, F[0], lam[0], lamb[0], tau[0], *d[:4], y[3], y[2], yb[3], yb[1]),
+            (d[6] - c[0] * a_bar[0] + yb[4], d[6] - a[0] * c[0] + y[5]))
+
+
+def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> dict:
+    """{repr(p): `_pair` at p} for each of points whose F is at least
+    F_EPS in value, each from its own row of proj."""
+    rows = (_first_order(j, len(points)) for j in (proj.Fj, proj.lamj, proj.lambj, proj.tauj))
+    return {repr(p): _pair(p, F, *rest) for p, F, *rest in zip(points, *rows)
+            if abs(F[0]) >= F_EPS}
 
 
 def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:
@@ -245,11 +247,10 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
     projection, whose results replace rf's store: per point the pair that
     `resolving_residuals` and `jacobi_residual` read, bit for bit the
     point's own, because every jet operation acts row by row and each row
-    goes through the per-point formulas.  A point where F's value is below
-    F_EPS is left out, and the others are projected again without it,
-    since c divides by F; a projection that raises (`SWEEP_FALLBACK`,
-    which covers points of mixed kappa) leaves the store empty, so the
-    checks there raise or exclude exactly what they do alone.
+    goes through `_pair`.  A point where F's value is below F_EPS is left
+    out, so it raises FVanishes alone; a projection that raises
+    (`SWEEP_FALLBACK`, which covers points of mixed kappa) leaves the store
+    empty, so the checks there raise or exclude exactly what they do alone.
     """
     object.__setattr__(rf, "_checked", {})
     if not points:
@@ -258,13 +259,7 @@ def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> Non
         proj = _Proj(rf, points, PROJ_ORDER)
     except SWEEP_FALLBACK:
         return
-    kept = [p for p, F in zip(points, proj.Fj.value) if abs(F) >= F_EPS]
-    if not kept:
-        return
-    if len(kept) < len(points):
-        proj = _Proj(rf, kept, PROJ_ORDER)
-    object.__setattr__(rf, "_checked", {repr(p): pair for p, pair
-                                        in zip(kept, _checked_pairs(proj, kept))})
+    object.__setattr__(rf, "_checked", _checked_pairs(proj, points))
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------

@@ -113,6 +113,22 @@ def test_resolving_suite_and_determinism(capsys):
     assert out1 == out2  # byte-identical for identical command + seed
 
 
+def test_resolving_records_name_t_ut_and_rho(capsys, tmp_path):
+    # a resolving sample is a point (t, u_t, rho), not a grid point (t, z)
+    args = ["resolving", "--kappa", "1", "--phi", "2", "--samples", "5", "--seed", "3"]
+    _, out, _ = run(capsys, *args)
+    records = json.loads(out)["records"]
+    assert len(records) == 5
+    assert all(list(rec["point"]) == ["rho", "t", "ut"] for rec in records)
+    points = [(rec["point"]["t"], rec["point"]["ut"], rec["point"]["rho"]) for rec in records]
+    assert points == sorted(points)
+    cpath = tmp_path / "r.csv"
+    assert main(args + ["--format", "csv", "--out", str(cpath)]) == 0
+    rows = list(csv.DictReader(io.StringIO(cpath.read_text())))
+    assert list(rows[0]) == ["t", "ut", "rho", "kind", "value"]
+    assert sorted({(float(r["t"]), float(r["ut"]), float(r["rho"])) for r in rows}) == points
+
+
 def test_resolving_perturbation_detected(capsys):
     code, out, _ = run(capsys, "resolving", "--kappa", "1", "--phi", "2",
                        "--samples", "10", "--perturb", "tau:+0.1")

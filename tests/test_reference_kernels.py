@@ -2,16 +2,16 @@
 against the array-reshaping, lifted-constant and tree-walking versions they
 replace, kept here as references, the per-axis compose3 and the field
 builders' univariate pieces against the three-variable composition and
-builders they replace, both resolving checks on the shared order-1
-projection against a fresh order-2 one applied to one jet at a time, and
-stacked jets against the same kernels applied one row at a time: results
-must agree bit for bit, signed zeros included.  The commutators' bracket
-identities on the order-3 u-jet are checked against one operator applied
-to one jet at a time on an order-4 one, to within a few roundoffs of the
+builders they replace, and stacked jets against the same kernels applied
+one row at a time: results must agree bit for bit, signed zeros included.
+The commutators' bracket identities on the order-3 u-jet are checked
+against one operator applied to one jet at a time on an order-4 one, and
+the resolving checks' scalar identities against the projected operators
+applied as jet operators (`RefProj`), to within a few roundoffs of the
 terms that cancel there.  The
 Jacobi conditions are also checked against the cyclic sum of commutators
-expanded with the structure equations, and the projected operators against
-the Jacobi identity of vector fields.  The kernels' index tables are checked
+expanded with the structure equations, and the jet operators against the
+Jacobi identity of vector fields.  The kernels' index tables are checked
 against element-by-element builds, and x2_apply against the version that
 built every prolongation coefficient for every target."""
 
@@ -21,6 +21,7 @@ import math
 import operator
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, 
 from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, _mul_table,
                           _recurrence_table, _rows, _truncation_table, compose3,
                           compose_series, on_axes, row_values, valid_indices)
-from heavenly.resolving import (RVARS, ResolvingPoint, ResolvingResiduals, _Proj,
-                                ansatz_functions, jacobi_residual, resolving_residuals,
-                                resolving_sweep)
+from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingPoint, ResolvingResiduals, _applied,
+                                _first_order, _pair, _Proj, _structure, ansatz_functions,
+                                jacobi_residual, resolving_residuals, resolving_sweep)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
 
@@ -72,6 +73,27 @@ def ref_truncated(jet, order):
     return Jet(out)
 
 
+class RefProj(_Proj):
+    """A one-point projection with the projected operators as jet
+    operators, the reference for the scalar identities of
+    `resolving._applied`: `apply` gives (delta g, Y g, Ybar g) from g's
+    three partials, each coefficient truncated to the result's order."""
+
+    def __init__(self, rf, p, order):
+        super().__init__(rf, p, order)
+        # delta's middle coefficient kappa*rho - ut^2 as an exact jet
+        self.heav_coeff = p.kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
+
+    def apply(self, g):
+        m = g.order - 1
+        heav, tau, lam, lamb = (j.truncated(m) for j in
+                                (self.heav_coeff, self.tauj, self.lamj, self.lambj))
+        g_t, g_ut, g_rho = g.derivative(0), g.derivative(1), g.derivative(2)
+        return (g_t + heav * g_ut + tau * g_rho,
+                g_ut + lam * g_rho,
+                g_ut + lamb * g_rho)
+
+
 def ref_apply(proj, op, g):
     m = g.order - 1
     if op == "delta":
@@ -84,7 +106,7 @@ def ref_apply(proj, op, g):
 
 def ref_resolving_residuals(rf, p):
     # a fresh order-2 projection, every operator applied to one jet at a time
-    proj = _Proj(rf, p, order=2)
+    proj = RefProj(rf, p, order=2)
     F = proj.Fj.value
     if abs(F) < resolving.F_EPS:
         raise FVanishes(f"F = {F} at {p}")
@@ -113,7 +135,7 @@ def structure_functions(proj, kappa):
 
 def ref_structure_jacobi(rf, p):
     # a fresh order-2 projection, every operator applied to one jet at a time
-    proj = _Proj(rf, p, order=2)
+    proj = RefProj(rf, p, order=2)
     if abs(proj.Fj.value) < resolving.F_EPS:
         raise FVanishes(f"F = {proj.Fj.value} at {p}")
     a, a_bar, c = structure_functions(proj, p.kappa)
@@ -123,17 +145,17 @@ def ref_structure_jacobi(rf, p):
     return (dc - c.value * a_bar.value + Yba, dc - a.value * c.value + Yab)
 
 
-#: positions of delta, Y and Ybar in `_Proj.apply`'s result
+#: positions of delta, Y and Ybar in `RefProj.apply`'s result
 OPS = {"delta": 0, "Y": 1, "Ybar": 2}
 
 
 def ref_jacobi_residual(rf, p):
     """[delta,[Y,Ybar]] + [Y,[Ybar,delta]] + [Ybar,[delta,Y]] on t, ut and
-    rho, each commutator expanded into 18 words of `_Proj.apply` on an
+    rho, each commutator expanded into 18 words of `RefProj.apply` on an
     order-3 projection: the Jacobi identity of vector fields, which holds
     for any coefficients, so it reads roundoff wherever apply builds the
     operators as vector fields."""
-    proj = _Proj(rf, p, order=3)
+    proj = RefProj(rf, p, order=3)
 
     def apply(op, g):
         return proj.apply(g)[OPS[op]]
@@ -1472,7 +1494,7 @@ def expanded_cyclic_sum(rf, p):
     structure equations [delta,Y] = aY, [delta,Ybar] = a_bar Ybar and
     [Y,Ybar] = c(Y - Ybar), and [X, f Z] = (X f) Z + f [X, Z], on a fresh
     order-2 projection."""
-    proj = _Proj(rf, p, order=2)
+    proj = RefProj(rf, p, order=2)
     a, a_bar, c = structure_functions(proj, p.kappa)
     brackets = {(0, 1): {1: a}, (0, 2): {2: a_bar}, (1, 2): {1: c, 2: -c}}
     total = [0j, 0j, 0j]
@@ -1508,7 +1530,7 @@ def test_jacobi_residual_matches_expanded_commutators(text, kappa):
 @pytest.mark.parametrize("spec", (None, "tau:+0.1", "lambda:+0.3", "F:+1"))
 def test_projected_operators_satisfy_the_vector_field_jacobi_identity(text, spec):
     # nested commutators of any three vector fields satisfy the Jacobi
-    # identity, solution or not: a check of `_Proj.apply`, not of the system
+    # identity, solution or not: a check of `RefProj.apply`, not of the system
     for kappa in (1, -1):
         rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
         if spec:
@@ -1517,45 +1539,50 @@ def test_projected_operators_satisfy_the_vector_field_jacobi_identity(text, spec
             assert max(abs(v) for v in ref_jacobi_residual(rf, p)) < 1e-13
 
 
-def count_rounds(monkeypatch):
-    """The (depth, order) of each `_Proj.apply` operand, and the variable of
+def count_builds_and_partials(monkeypatch):
+    """The point (or points) of each `_Proj` built, and the variable of
     each `Jet.derivative` call."""
-    rounds, partials = [], []
-    apply, derivative = _Proj.apply, Jet.derivative
+    builds, partials = [], []
+    init, derivative = _Proj.__init__, Jet.derivative
 
-    def counted_apply(self, g):
-        rounds.append((g.depth, g.order))
-        return apply(self, g)
+    def counted_init(self, rf, p, order):
+        builds.append(repr(p))
+        init(self, rf, p, order)
 
     def counted_derivative(self, var):
         partials.append(var)
         return derivative(self, var)
 
-    monkeypatch.setattr(_Proj, "apply", counted_apply)
+    monkeypatch.setattr(_Proj, "__init__", counted_init)
     monkeypatch.setattr(Jet, "derivative", counted_derivative)
-    return rounds, partials
+    return builds, partials
 
 
 @pytest.mark.parametrize("jacobi_first", (False, True))
-def test_both_resolving_checks_run_one_round(monkeypatch, jacobi_first):
+def test_both_resolving_checks_build_one_projection_and_no_partial(monkeypatch, jacobi_first):
     rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
     p = ResolvingPoint(1.0, 0.8, 0.4, 1)
-    rounds, partials = count_rounds(monkeypatch)
+    builds, partials = count_builds_and_partials(monkeypatch)
     checks = (resolving_residuals, jacobi_residual)
     for check in checks[::-1] if jacobi_first else checks:
         check(rf, p)
-    # one round on F, lambda, lambda_bar, tau, a, a_bar and c, of order 1
-    assert rounds == [(7, 1)]
-    # which takes its operand's three partials once
-    assert partials == [0, 1, 2]
+    # one order-1 projection, whose values and first partials both checks
+    # read as coefficients: no operator is applied to a jet
+    assert builds == [repr(p)]
+    assert partials == []
     assert resolving.PROJ_ORDER == 1
-    # a sweep runs the same round, on each point's rows
-    del rounds[:]
-    resolving_sweep(rf, admissible_points(1, PASS_POINTS, seed=3))
-    assert rounds == [(7 * PASS_POINTS, 1)]
+    # a sweep builds one projection of all its points, and its checks none
+    points = admissible_points(1, PASS_POINTS, seed=3)
+    del builds[:]
+    resolving_sweep(rf, points)
+    for q in points:
+        for check in checks:
+            check(rf, q)
+    assert builds == [repr(points)]
+    assert partials == []
 
 
-def test_both_resolving_checks_build_at_most_100_jets(monkeypatch):
+def test_both_resolving_checks_build_at_most_35_jets(monkeypatch):
     rf = ansatz_functions(ex.parse("xi*theta", ("xi", "theta")), 1)
     resolving_residuals(rf, ResolvingPoint(0.5, 0.3, 0.9, 1))  # compiles the functions
     built = []
@@ -1564,16 +1591,128 @@ def test_both_resolving_checks_build_at_most_100_jets(monkeypatch):
     p = ResolvingPoint(1.0, 0.8, 0.4, 1)
     resolving_residuals(rf, p)
     jacobi_residual(rf, p)
-    # the projection and the round build 79 (56 for phi = 1)
-    assert len(built) <= 100
+    # the projection alone: 35 (20 for phi = 1)
+    assert len(built) <= 35
 
 
-def checked_bits(fn):
-    """The hex of a check's values, or the exception type it raised."""
+class Tracked:
+    """A value with the sum of the moduli of the terms it was computed from:
+    + and - add the operands' sums, * multiplies them, and a / b gives
+    (A + |a/b| B) / |b| for sums A and B.  A computation that rounds each
+    operation once is within a few EPS of that sum of its exact value."""
+
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value, modulus=None):
+        self.value = value
+        self.modulus = abs(value) if modulus is None else modulus
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, Tracked) else Tracked(x)
+
+    def __add__(self, other):
+        other = Tracked.of(other)
+        return Tracked(self.value + other.value, self.modulus + other.modulus)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = Tracked.of(other)
+        return Tracked(self.value - other.value, self.modulus + other.modulus)
+
+    def __rsub__(self, other):
+        return Tracked.of(other) - self
+
+    def __neg__(self):
+        return Tracked(-self.value, self.modulus)
+
+    def __mul__(self, other):
+        other = Tracked.of(other)
+        return Tracked(self.value * other.value, self.modulus * other.modulus)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Tracked.of(other)
+        q = self.value / other.value
+        return Tracked(q, (self.modulus + abs(q) * other.modulus) / abs(other.value))
+
+
+def function_rows(proj):
+    """[value, d/dt, d/dut, d/drho] of F, lambda, lambda_bar and tau at
+    proj's one point."""
+    return [_first_order(j, 1)[0] for j in (proj.Fj, proj.lamj, proj.lambj, proj.tauj)]
+
+
+def tracked(p, rows):
+    """p and rows with every coordinate and entry a Tracked value, for the
+    scalar identities to sum the moduli of their terms."""
+    return (SimpleNamespace(ut=Tracked(p.ut), rho=Tracked(p.rho), kappa=p.kappa),
+            [[Tracked(v) for v in row] for row in rows])
+
+
+def pair_sizes(rf, p):
+    """Per value of R1-R4, J1 and J2 at p, the sum of the moduli of the
+    terms that cancel in it."""
+    tp, trows = tracked(p, function_rows(_Proj(rf, p, PROJ_ORDER)))
+    res, jac = _pair(tp, *trows)
+    return [v.modulus for v in (*res.as_dict().values(), *jac)]
+
+
+#: the bound on a scalar identity's distance from the jet operators, in
+#: units of EPS times the sum of the moduli of the terms that cancel
+RESOLVING_ROUNDOFFS = 4
+
+
+def assert_within_roundoff(new, ref, sizes, where):
+    assert len(new) == len(ref) == len(sizes)
+    for value, want, size in zip(new, ref, sizes):
+        assert abs(value - want) <= RESOLVING_ROUNDOFFS * EPS * size, (where, value, want)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("kappa", (1, -1))
+def test_scalar_identities_match_the_jet_operators(order, kappa):
+    # delta, Y and Ybar of F, lambda, lambda_bar, tau, a, a_bar and c, and
+    # the values and gradients of a, a_bar and c, against the jet operators
+    # and jets on a projection of each order
+    compared = 0
+    for text in PHI_TEXTS:
+        for spec in (None, "tau:+0.1", "lambda:+0.3"):
+            rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
+            if spec:
+                rf = _perturbed(rf, spec)
+            for p in admissible_points(kappa, 4, seed=59 + kappa):
+                proj = RefProj(rf, p, order)
+                if abs(proj.Fj.value) < resolving.F_EPS:
+                    continue  # phi = xi*theta crosses zero
+                rows = function_rows(proj)
+                tp, trows = tracked(p, rows)
+                structure, sizes = _structure(p, *rows), _structure(tp, *trows)
+                jets = structure_functions(proj, kappa)
+                for new, jet, size in zip(structure, jets, sizes):
+                    assert_within_roundoff(new, _first_order(jet, 1)[0],
+                                           [t.modulus for t in size], (p, "gradient"))
+                for jet, g, tg in zip((proj.Fj, proj.lamj, proj.lambj, proj.tauj, *jets),
+                                      [*rows, *structure], [*trows, *sizes]):
+                    assert_within_roundoff(_applied(p, *rows[1:], g),
+                                           [op.value for op in proj.apply(jet)],
+                                           [t.modulus for t in _applied(tp, *trows[1:], tg)],
+                                           (p, "operators"))
+                    compared += 1
+    assert compared >= 7 * 4 * 3 * 4
+
+
+def checked_values(fn):
+    """A check's values, or the type of the HeavenlyError it raised."""
     try:
-        values = fn()
+        return list(fn())
     except HeavenlyError as err:
         return type(err)
+
+
+def bits(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
@@ -1582,40 +1721,51 @@ def checked_bits(fn):
                                         for spec in ("tau:+0.1", "lambda:+0.3", "F:+1")]
                          + [("ln(theta)", None)])
 def test_both_checks_match_references_per_point_and_in_sweeps(text, spec, kappa):
-    # a perturbed copy puts R1-R4 far above roundoff, where any reordering
-    # of the operations would show; ln(theta) raises where theta < 0
+    # a perturbed copy puts R1-R4 far above roundoff; ln(theta) raises
+    # where theta < 0.  Each point alone is within a few roundoffs of the
+    # jet operators, and a sweep gives each point's own bits
     rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
     if spec:
         rf = _perturbed(rf, spec)
-    checks = (lambda p: resolving_residuals(rf, p).as_dict().values(),
-              lambda p: jacobi_residual(rf, p))
-    references = (lambda p: ref_resolving_residuals(rf, p).as_dict().values(),
-                  lambda p: ref_structure_jacobi(rf, p))
+
+    def checks(p):
+        return [*resolving_residuals(rf, p).as_dict().values(), *jacobi_residual(rf, p)]
+
+    def references(p):
+        return [*ref_resolving_residuals(rf, p).as_dict().values(), *ref_structure_jacobi(rf, p)]
+
     largest, swept, wanted = 0.0, [], []
     for p in admissible_points(kappa, 256, seed=43 + kappa):
         if len(swept) == PASS_POINTS:
             break
-        wanted.append((p, [checked_bits(lambda: ref(p)) for ref in references]))
-        if isinstance(wanted[-1][1][0], list):
-            swept.append(wanted[-1])
-            largest = max(largest, *map(abs, references[0](p)))
+        wanted.append((p, checked_values(lambda: references(p))))
+        if isinstance(wanted[-1][1], list):
+            swept.append(p)
+            largest = max(largest, *map(abs, wanted[-1][1][:5]))
     assert len(swept) == PASS_POINTS
     if spec:
         assert largest > 1e-3
     else:
         assert len(wanted) > PASS_POINTS  # some points raised
-    for p, bits in wanted:  # each point alone
-        assert [checked_bits(lambda: check(p)) for check in checks] == bits
-    resolving_sweep(rf, [p for p, _ in swept])
+    alone = {}
+    for p, ref in wanted:  # each point alone
+        new = checked_values(lambda: checks(p))
+        if isinstance(ref, list):
+            assert_within_roundoff(new, ref, pair_sizes(rf, p), p)
+            alone[repr(p)] = bits(new)
+        else:
+            assert new == ref
+    resolving_sweep(rf, swept)
     assert len(rf._checked) == PASS_POINTS
-    for p, bits in swept:  # the same points from one sweep
-        assert [checked_bits(lambda: check(p)) for check in checks] == bits
+    for p in swept:  # the same points from one sweep
+        assert bits(checks(p)) == alone[repr(p)]
 
 
 @pytest.mark.parametrize("text", PHI_TEXTS)
 @pytest.mark.parametrize("kappa", (1, -1))
 def test_resolving_residuals_match_order_2_reference(text, kappa):
-    # the residuals read one application of the shared order-1 projection
+    # the residuals read one order-1 projection, within a few roundoffs of
+    # the jet operators on an order-2 one
     rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
     checked = 0
     for p in admissible_points(kappa, 4, seed=37 + kappa):
@@ -1625,9 +1775,8 @@ def test_resolving_residuals_match_order_2_reference(text, kappa):
             with pytest.raises(FVanishes):
                 resolving_residuals(rf, p)
             continue
-        new = resolving_residuals(rf, p)
-        assert [(v.real.hex(), v.imag.hex()) for v in new.as_dict().values()] == \
-            [(v.real.hex(), v.imag.hex()) for v in ref.as_dict().values()]
+        assert_within_roundoff(list(resolving_residuals(rf, p).as_dict().values()),
+                               list(ref.as_dict().values()), pair_sizes(rf, p)[:5], p)
         checked += 1
     assert checked > 0
 
@@ -1650,7 +1799,7 @@ def test_f_vanishes_exclusion_unchanged(text, excluded):
     raised = 0
     for p in admissible_points(1, 30, seed=17):
         try:
-            ref = ref_structure_jacobi(rf, p)
+            ref = [*ref_resolving_residuals(rf, p).as_dict().values(), *ref_structure_jacobi(rf, p)]
         except FVanishes:
             raised += 1
             with pytest.raises(FVanishes):
@@ -1658,8 +1807,8 @@ def test_f_vanishes_exclusion_unchanged(text, excluded):
             with pytest.raises(FVanishes):
                 resolving_residuals(rf, p)
             continue
-        assert jacobi_residual(rf, p) == ref
-        assert resolving_residuals(rf, p) == ref_resolving_residuals(rf, p)
+        assert_within_roundoff([*resolving_residuals(rf, p).as_dict().values(),
+                                *jacobi_residual(rf, p)], ref, pair_sizes(rf, p), p)
     assert excluded == ("all" if raised == 30 else "some" if raised else "none")
 
 

@@ -10,8 +10,8 @@ from heavenly import expr as ex
 from heavenly.cli import _perturbed, main
 from heavenly.errors import BranchCutViolation, FVanishes, NegativeDiscriminant, ParseError
 from heavenly.jet import PASS_POINTS, Jet
-from heavenly.resolving import (ResolvingFunctions, ResolvingPoint,
-                                ansatz_functions, ansatz_xi_theta,
+from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingFunctions, ResolvingPoint,
+                                ansatz_functions, ansatz_xi_theta, _applied, _first_order,
                                 _Proj, jacobi_residual, resolving_residuals,
                                 resolving_sweep)
 from test_readme_examples import README_EXAMPLES
@@ -90,9 +90,10 @@ def test_jacobi_identity_vanishes(text, kappa):
 
 
 def test_projected_operators_on_coordinates():
-    proj = _Proj(ansatz_functions(phi_expr("2"), 1), P_REF, order=2)
-    coordinates = Jet.stack([proj.seed[name] for name in ("t", "ut", "rho")])
-    delta, Y, Ybar = (op.value for op in proj.apply(coordinates))
+    proj = _Proj(ansatz_functions(phi_expr("2"), 1), P_REF, PROJ_ORDER)
+    lam, lamb, tau = (_first_order(j, 1)[0] for j in (proj.lamj, proj.lambj, proj.tauj))
+    coordinates = [_first_order(proj.seed[name], 1)[0] for name in RVARS]
+    delta, Y, Ybar = zip(*(_applied(P_REF, lam, lamb, tau, g) for g in coordinates))
     # delta moves t with unit speed and u_t by the evolution equation
     assert delta == pytest.approx((1.0, 1 * 0.4 - 0.8 ** 2, -0.32))
     # Y and Ybar keep t, move u_t with unit speed and rho by lambda
@@ -246,10 +247,10 @@ def test_a_sweep_over_both_kappas_keeps_nothing():
     assert res.r4 == pytest.approx(21.29, abs=5e-3)
 
 
-def test_f_vanishes_before_c_divides_by_it():
+def test_f_vanishes_before_c_divides_by_it(monkeypatch):
     # F = rho^3 (xi - 2) is exactly 0 at rho = 1, ut = 0 (xi = 2); c divides
-    # by F, and the point reports FVanishes alone and inside a sweep, whose
-    # other points keep their own bits
+    # by F, and the point reports FVanishes alone and inside a sweep, which
+    # builds one projection and whose other points keep their own bits
     zero = ResolvingPoint(t=0.5, ut=0.0, rho=1.0, kappa=1)
     alone = ansatz_functions(phi_expr("xi - 2"), 1)
     for check in (resolving_residuals, jacobi_residual):
@@ -260,7 +261,9 @@ def test_f_vanishes_before_c_divides_by_it():
     # repr round-trips every float and tells -0.0 from 0.0
     wanted = {repr(p): repr(both_checks(alone, p)) for p in points if p is not zero}
     rf = ansatz_functions(phi_expr("xi - 2"), 1)
+    builds = count_builds(monkeypatch)
     resolving_sweep(rf, points)
+    assert builds == [repr(points)]
     assert sorted(rf._checked) == sorted(wanted)
     for p in points:
         if p is zero:
@@ -269,6 +272,24 @@ def test_f_vanishes_before_c_divides_by_it():
                     check(rf, p)
             continue
         assert repr(both_checks(rf, p)) == wanted[repr(p)]
+
+
+def test_a_sweep_reads_a_constant_function_at_every_point():
+    # a function without variables evaluates to one unstacked jet, whose
+    # row every point of the sweep reads
+    names = ("t", "ut", "rho")
+
+    def functions():
+        lam = ex.parse("2 + i", names)
+        return ResolvingFunctions(F=ex.parse("rho^3 + 2", names), lambda_=lam,
+                                  lambda_bar=ex.conjugate(lam), tau=ex.parse("-ut*rho", names))
+
+    points = sample_points(1, 3)
+    rf, alone = functions(), functions()
+    resolving_sweep(rf, points)
+    assert sorted(rf._checked) == sorted(map(repr, points))
+    for p in points:
+        assert repr(both_checks(rf, p)) == repr(both_checks(alone, p))
 
 
 def is_unit(jet):
