@@ -46,24 +46,16 @@ def _where(p) -> dict:
     return {"t": p.t, "re": p.z.real, "im": p.z.imag}
 
 
-def _columns(report) -> tuple[str, str, str]:
-    """The coordinates of the report's record points, in column order: a
-    resolving sample is (t, u_t, rho), any other point (t, Re z, Im z)."""
-    return ("t", "ut", "rho") if report["command"][0] == "resolving" else ("t", "re", "im")
-
-
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, columns: tuple[str, ...]) -> None:
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        columns = _columns(report)
         writer.writerow([*columns, "kind", "value"])
         for rec in report["records"]:
-            p = rec["point"]
             for kind in sorted(rec["residuals"]):
-                writer.writerow([*(p[c] for c in columns), kind, rec["residuals"][kind]])
+                writer.writerow([*rec["point"].values(), kind, rec["residuals"][kind]])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -115,9 +107,11 @@ def _run(report, points, check, passes) -> None:
         report["records"].append({"point": _where(p), **rec})
 
 
-def _finish(report, args) -> int:
-    columns = _columns(report)
-    report["records"].sort(key=lambda rec: tuple(rec["point"][c] for c in columns))
+def _finish(report, args, columns=("t", "re", "im")) -> int:
+    """Sort the records by point, sum up and emit the report; columns name
+    the coordinates of the record points, in the order each point holds
+    them (`_where`'s by default)."""
+    report["records"].sort(key=lambda rec: tuple(rec["point"].values()))
     maxima = {}
     for rec in report["records"]:
         for kind, val in rec["residuals"].items():
@@ -128,7 +122,7 @@ def _finish(report, args) -> int:
     ok = bool(report["records"]) and all(v <= args.tol for v in maxima.values())
     ok = ok and report["summary"].get("pass", True)
     report["summary"]["pass"] = ok
-    _emit(report, args)
+    _emit(report, args, columns)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -278,7 +272,7 @@ def cmd_resolving(args) -> int:
     computes each point alone.  Either way every point gets its per-point
     result and exclusion, so the report is that loop's, byte for byte.
     """
-    from .resolving import (ResolvingPoint, ansatz_functions, jacobi_residual,
+    from .resolving import (RVARS, ResolvingPoint, ansatz_functions, jacobi_residual,
                             resolving_residuals, resolving_sweep)
     phi = ex.parse(args.phi, ("xi", "theta"))
     rf = ansatz_functions(phi, args.kappa)
@@ -315,7 +309,7 @@ def cmd_resolving(args) -> int:
             report["records"].append(
                 {"point": {"t": p.t, "ut": p.ut, "rho": p.rho}, "residuals": residuals})
     report["summary"]["samples"] = produced
-    return _finish(report, args)
+    return _finish(report, args, RVARS)
 
 
 def cmd_symmetry(args) -> int:

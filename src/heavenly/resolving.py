@@ -235,11 +235,12 @@ def _pair(p: ResolvingPoint, F: list, lam: list, lamb: list, tau: list) -> tuple
 
 
 def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> dict:
-    """{repr(p): `_pair` at p} for each of points whose F is at least
-    F_EPS in value, each from its own row of proj."""
+    """{repr(p): `_pair` at p} for each of points whose F is not below
+    F_EPS in value (a NaN F is not, and gives NaN results), each from its
+    own row of proj."""
     rows = (_first_order(j, len(points)) for j in (proj.Fj, proj.lamj, proj.lambj, proj.tauj))
     return {repr(p): _pair(p, F, *rest) for p, F, *rest in zip(points, *rows)
-            if abs(F[0]) >= F_EPS}
+            if not abs(F[0]) < F_EPS}
 
 
 def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import random
@@ -272,6 +273,28 @@ def test_f_vanishes_before_c_divides_by_it(monkeypatch):
                     check(rf, p)
             continue
         assert repr(both_checks(rf, p)) == wanted[repr(p)]
+
+
+def test_a_nan_f_is_not_f_vanishes():
+    # F's integer powers overflow, so F reads inf - inf = NaN, which is not
+    # below F_EPS: both checks go on to NaN results, alone and in a sweep
+    def functions():
+        lam = ex.parse("ut + i*sqrt(2*rho - ut^2)", RVARS)
+        return ResolvingFunctions(F=ex.parse("(1e200*rho)^2 - (1e200*rho)^2", RVARS),
+                                  lambda_=lam, lambda_bar=ex.conjugate(lam),
+                                  tau=ex.parse("-ut*rho", RVARS))
+
+    points = sample_points(1, 3, seed=61)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = {repr(p): both_checks(functions(), p) for p in points}
+        rf = functions()
+        resolving_sweep(rf, points)
+        assert sorted(rf._checked) == sorted(alone)
+        for p in points:
+            res, jac = alone[repr(p)]
+            assert cmath.isnan(res.r1) and all(cmath.isnan(v) for v in jac)
+            # repr round-trips every float, and NaN as nan
+            assert repr(both_checks(rf, p)) == repr(alone[repr(p)])
 
 
 def test_a_sweep_reads_a_constant_function_at_every_point():
