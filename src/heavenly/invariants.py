@@ -1,19 +1,19 @@
 """Differential invariants of the conformal subgroup and the operators
 delta, Delta, Delta-bar, Y, Y-bar of invariant differentiation.
 
-Composite invariants are represented as jets built from the u-jet of a
-field, so total derivatives are coefficient reads, never symbolic.  Each
-operator application consumes one order of the jet; every reader here
-needs at most the order-3 u-jet, the engine's ceiling MAX_ORDER.
-
-One applier (`JetCalculus.apply`) takes a stacked operand's three
-partials once and gives delta, Delta and DeltaBar of every row.  Round 1
-applies it to U_t and rho: the InvariantSet reads u_tt, sigma, sigma_bar
-and tau there, so a sweep of InvariantSets (`swept_invariants`) and
-`invariants_at` build one order-3 calculus.  The commutators are bracket
-identities of first-order operators: the first `commutator_residual` at a
-point reads the operators' coefficients and their first partials from
-that calculus and keeps all twelve residuals in the point's bundle.
+The invariants rho, eta, sigma, sigma_bar and tau, and the operators
+delta = d_t, Delta = a d_z and DeltaBar = abar d_zbar, read only the values
+and first partials of e^-u, u_{zt}, u_{zbar t}, u_{z zbar} and u_t, all of
+them within the order-3 u-jet, the engine's ceiling MAX_ORDER.
+`JetCalculus` reads those from the u-jet's coefficients and gets the values
+and first partials of a, abar, eta, rho and U_t by the first-order product
+rule, as scalars: the InvariantSet takes u_tt = d_t U_t, sigma = a d_z rho,
+sigma_bar = abar d_zbar rho and tau = d_t rho there, so `invariants_at` and
+a sweep of InvariantSets (`swept_invariants`) build no jet beyond the
+u-jet.  The commutators are bracket identities of first-order operators:
+the first `commutator_residual` at a point reads the operators'
+coefficients and their first partials from that calculus and keeps all
+twelve residuals in the point's bundle.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EtaVanishes
 from .fields import MAX_ORDER, Point, SolutionField, eval_u
-from .jet import SINGULAR_EPS, Jet, by_point, joined, repeated_rows, row_values
+from .jet import SINGULAR_EPS
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
@@ -62,54 +64,63 @@ def _realify(w: complex) -> float | complex:
     return w
 
 
-class JetCalculus:
-    """The invariant jets of one order-MAX_ORDER u-jet and the one applier
-    of delta, Delta and DeltaBar.
+#: the Taylor coefficients of the u-jet that the calculus reads, by
+#: multi-index of (z, zbar, t), in the order `_first_order` unpacks them
+_READ = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 1),
+         (1, 1, 0), (2, 0, 1), (1, 1, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2), (2, 1, 0),
+         (1, 2, 0))
+#: their flat slots in one row of an order-MAX_ORDER u-jet's coefficients
+_SLOTS = np.ravel_multi_index(tuple(np.array(_READ).T), (MAX_ORDER + 1,) * 3)
 
-    `apply` takes a stacked operand's three partials once and gives delta,
-    Delta and DeltaBar of every row.  The calculus runs round 1 at once:
-    the operators on `operand`, which holds per point the rows ROWS (U_t
-    and rho, both of order 1), so round 1 gives values, all an
-    InvariantSet reads.  The operator coefficients Delta_coeff and
-    DeltaBar_coeff and eta are order-1 jets, whose first partials the
-    commutators read.
+
+class JetCalculus:
+    """The values and first partials of the invariants' building blocks at
+    each point of one order-MAX_ORDER u-jet, as scalars.
+
+    `points` holds per point {name: [value, d_z, d_zbar, d_t]} for E =
+    e^-u, Delta and DeltaBar (the operators' coefficients a = E u_{zbar t}
+    and abar = E u_{z t}), Eta = abar u_{zbar t}, Rho = E u_{z zbar} and
+    Ut = u_t (`_first_order`).  A partial of u is its Taylor coefficient
+    times the multi-index factorial; a product's value and partials come
+    from the first-order product rule.
 
     p is one Point, or a list of points for one calculus on their stacked
-    u-jets (`SolutionField.jets_at`): every jet then holds one row per
-    point, and an operand holds each point's rows next to each other
-    (`jet.joined`), row for row the jets of the calculus at that point.
+    u-jets (`SolutionField.jets_at`); one `tolist` reads every point's
+    coefficients, and each point runs the scalar code the point alone runs,
+    so a sweep's values are bit for bit those of each point's own calculus.
     """
-
-    #: the rows of `operand`, per point
-    ROWS = ("Ut", "Rho")
 
     def __init__(self, field: SolutionField, p: Point | list[Point]):
         if isinstance(p, Point):
-            u, points = eval_u(field, p, MAX_ORDER), 1
+            self.u = eval_u(field, p, MAX_ORDER)
         else:
-            u, points = field.jets_at(p, MAX_ORDER), len(p)
-        self.u = u
-        exp_mu = (-u.truncated(MAX_ORDER - 2)).exp()
-        u_z = u.derivative(0)
-        u_zt, u_zbt = u_z.derivative(2), u.derivative(1).derivative(2)
-        # Delta's and DeltaBar's coefficients e^-mu u_{zbar t} and e^-mu u_{z t}
-        self.Delta_coeff = exp_mu * u_zbt
-        self.DeltaBar_coeff = exp_mu * u_zt
-        self.eta = self.DeltaBar_coeff * u_zbt
-        rho = exp_mu * u_z.derivative(1)
-        u_t = u.truncated(MAX_ORDER - 1).derivative(2)
-        self.operand = joined([by_point(j, points) for j in (u_t, rho)])
-        self.round1 = self.apply(self.operand)
+            self.u = field.jets_at(p, MAX_ORDER)
+        rows = self.u.coeffs.reshape(-1, (MAX_ORDER + 1) ** 3).take(_SLOTS, axis=1).tolist()
+        self.points = [_first_order(row) for row in rows]
 
-    def apply(self, g: Jet) -> tuple[Jet, Jet, Jet]:
-        """(delta g, Delta g, DeltaBar g) for a stacked g, from g's three
-        partials, taken once: delta = d/dt, Delta = e^-mu u_{zbar t} d/dz,
-        DeltaBar = e^-mu u_{z t} d/dzbar, each coefficient truncated to the
-        result's order and repeated over each point's rows."""
-        m, d = g.order - 1, g.depth
-        g_z, g_zb, g_t = g.derivative(0), g.derivative(1), g.derivative(2)
-        return (g_t, repeated_rows(self.Delta_coeff.truncated(m), d) * g_z,
-                repeated_rows(self.DeltaBar_coeff.truncated(m), d) * g_zb)
+
+def _product(f: list, g: list) -> list:
+    """f g as [value, d_z, d_zbar, d_t] from f's and g's, by the first-order
+    product rule (Griewank and Walther, Evaluating Derivatives, 2nd ed.,
+    3.1); each sum starts at +0 and adds f's side first, as the scatter of
+    a jet product does."""
+    f0, g0 = f[0], g[0]
+    return [0j + f0 * g0] + [0j + f0 * dg + df * g0 for df, dg in zip(f[1:], g[1:])]
+
+
+def _first_order(c: list) -> dict:
+    """`JetCalculus.points`' entry for one point, from its u-jet's
+    coefficients at `_READ`."""
+    (u, u_z, u_zb, u_t, c002, u_zt, u_zbt, u_zzb,
+     c201, c111, c102, c021, c012, c210, c120) = c
+    e = cmath.exp(-u)
+    E = [e, 0j + -u_z * e, 0j + -u_zb * e, 0j + -u_t * e]
+    zt = [u_zt, 2 * c201, c111, 2 * c102]
+    zbt = [u_zbt, c111, 2 * c021, 2 * c012]
+    a, abar = _product(E, zbt), _product(E, zt)
+    return {"E": E, "Delta": a, "DeltaBar": abar, "Eta": _product(abar, zbt),
+            "Rho": _product(E, [u_zzb, 2 * c210, 2 * c120, c111]),
+            "Ut": [u_t, u_zt, u_zbt, 2 * c002]}
 
 
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
@@ -164,32 +175,25 @@ def swept_invariant_sets(field: SolutionField, points: list[Point]) -> list[dict
 
 
 def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:
-    """The InvariantSet at each point of calc, from its rows of round 1:
-    u_t and rho are the operand's values, u_tt is delta of U_t, and tau,
-    sigma and sigma_bar are delta, Delta and DeltaBar of rho; eta is its
-    own jet's value."""
-    values = calc.operand.value
-    delta, Delta, DeltaBar = (op.value for op in calc.round1)
-    rows = range(0, len(values), len(JetCalculus.ROWS))
-    etas = row_values(calc.eta.value)
-    return [_invariant_set(p, values[r], delta[r], values[r + 1], eta,
-                           Delta[r + 1], DeltaBar[r + 1], delta[r + 1])
-            for p, r, eta in zip(points, rows, etas)]
+    """The InvariantSet at each point of calc."""
+    return [_invariant_set(p, q) for p, q in zip(points, calc.points)]
 
 
-def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> InvariantSet:
-    u_t = _realify(u_t)
-    u_tt = _realify(u_tt)
-    rho = _realify(rho)
-    eta = _realify(eta)
-    tau = _realify(tau)
+def _invariant_set(p: Point, q: dict) -> InvariantSet:
+    """The InvariantSet at p from the calculus's scalars q there: u_t, rho
+    and eta are values, u_tt = d_t U_t, tau = d_t rho, and sigma and
+    sigma_bar are Delta and DeltaBar of rho, a d_z rho and abar d_zbar rho,
+    each product added to +0 as in a jet product's scatter."""
+    (u_t, _, _, u_tt), rho = q["Ut"], q["Rho"]
+    sigma, sigma_bar = 0j + q["Delta"][0] * rho[1], 0j + q["DeltaBar"][0] * rho[2]
+    eta = _realify(q["Eta"][0])
     if abs(eta) < ETA_TOL:
         lam = lam_bar = None
     else:
         lam = sigma / eta
         lam_bar = sigma_bar / eta
-    return InvariantSet(t=p.t, u_t=u_t, u_tt=u_tt, rho=rho, eta=eta,
-                        sigma=sigma, sigma_bar=sigma_bar, tau=tau,
+    return InvariantSet(t=p.t, u_t=_realify(u_t), u_tt=_realify(u_tt), rho=_realify(rho[0]),
+                        eta=eta, sigma=sigma, sigma_bar=sigma_bar, tau=_realify(rho[3]),
                         lambda_=lam, lambda_bar=lam_bar)
 
 
@@ -199,11 +203,9 @@ def _invariant_set(p: Point, u_t, u_tt, rho, eta, sigma, sigma_bar, tau) -> Inva
 #: four pairs check the field
 COMMUTATOR_PAIRS = (("delta", "Delta"), ("delta", "DeltaBar"), ("Delta", "DeltaBar"),
                     ("delta", "Y"), ("delta", "Ybar"), ("Y", "Ybar"))
-#: the invariants the commutators are checked on: the rows of
-#: `JetCalculus.ROWS`
+#: the invariants the commutators are checked on, by their names in
+#: `JetCalculus.points`
 COMMUTATOR_TARGETS = ("Ut", "Rho")
-#: the first-order multi-indices of (z, zbar, t)
-_FIRST = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def commutator_residual(pair: tuple[str, str], target: str,
@@ -216,18 +218,14 @@ def commutator_residual(pair: tuple[str, str], target: str,
     eta, so every pair raises EtaVanishes where eta vanishes.  The first
     call at a point computes all twelve residuals (`_commutator_residuals`)
     and keeps them in the point's bundle; the later calls there read them.
-    A call that raises keeps nothing.
+    A call that raises keeps nothing.  An unknown pair or target raises
+    ValueError before anything is evaluated.
     """
-    residuals = field.bundle_at(p).get("commutators", lambda: _commutator_residuals(field, p))
-    key = (tuple(pair), target)
-    if key not in residuals:
+    pair = tuple(pair)
+    if pair not in COMMUTATOR_PAIRS or target not in COMMUTATOR_TARGETS:
         raise ValueError(f"unknown commutator pair {pair!r} or target {target!r}")
-    return residuals[key]
-
-
-def _gradient(coeffs) -> list[complex]:
-    """The first partials (d_z, d_zbar, d_t) of one row of an order-1 jet."""
-    return [complex(coeffs[idx]) for idx in _FIRST]
+    residuals = field.bundle_at(p).get("commutators", lambda: _commutator_residuals(field, p))
+    return residuals[pair, target]
 
 
 def _commutator_residuals(field: SolutionField, p: Point) -> dict:
@@ -235,27 +233,26 @@ def _commutator_residuals(field: SolutionField, p: Point) -> dict:
     first-order operators.
 
     Each operator is c d_i, one coefficient c along one axis i of
-    (z, zbar, t): delta is 1 d_t, Delta and DeltaBar are a = e^-mu u_{zbar t}
-    along z and abar = e^-mu u_{z t} along zbar, Y and Ybar are a/eta and
+    (z, zbar, t): delta is 1 d_t, Delta and DeltaBar are a = e^-u u_{zbar t}
+    along z and abar = e^-u u_{z t} along zbar, Y and Ybar are a/eta and
     abar/eta along the same axes, with d(a/eta) = (d a - (a/eta) d eta)/eta.
     [c d_i, e d_j] = c (d_i e) d_j - e (d_j c) d_i (Olver, Applications of
     Lie Groups to Differential Equations, 2nd ed., 1.4), and the
     right-hand side is a sum of operators with scalar coefficients, so a
     residual on X is sum_i m_i d_i X, where m is the bracket's coefficient
     vector minus the right-hand side's.  m is read from the values and
-    first partials of a, abar and eta, d_i X from the first partials of X's
-    row of the operand.
+    first partials of a, abar and eta, d_i X from X's first partials, all
+    scalars of the calculus.
     """
     inv = invariants_at(field, p)
     if inv.eta_vanishes:
         raise EtaVanishes("eta = 0: the commutator right-hand sides are undefined")
-    calc = _calculus(field, p)
-    eta, d_eta = calc.eta.value, _gradient(calc.eta.coeffs)
+    q = _calculus(field, p).points[0]
+    eta, *d_eta = q["Eta"]
     # each operator as (its axis, its coefficient, the coefficient's partials)
     ops = {"delta": (2, 1.0, [0j, 0j, 0j])}
-    for axis, (name, y_name, coeff) in enumerate((("Delta", "Y", calc.Delta_coeff),
-                                                  ("DeltaBar", "Ybar", calc.DeltaBar_coeff))):
-        c, d_c = coeff.value, _gradient(coeff.coeffs)
+    for axis, (name, y_name) in enumerate((("Delta", "Y"), ("DeltaBar", "Ybar"))):
+        c, *d_c = q[name]
         y = c / eta
         ops[name] = (axis, c, d_c)
         ops[y_name] = (axis, y, [(dc - y * de) / eta for dc, de in zip(d_c, d_eta)])
@@ -271,7 +268,7 @@ def _commutator_residuals(field: SolutionField, p: Point) -> dict:
            ("delta", "Y"): {"Y": kappa * inv.lambda_bar - 3 * u_t - delta_eta / inv.eta},
            ("delta", "Ybar"): {"Ybar": kappa * inv.lambda_ - 3 * u_t - delta_eta / inv.eta},
            ("Y", "Ybar"): {"Y": s / inv.eta, "Ybar": -(s / inv.eta)}}
-    grads = [_gradient(row) for row in calc.operand.coeffs]
+    grads = [q[target][1:] for target in COMMUTATOR_TARGETS]
     residuals = {}
     for pair in COMMUTATOR_PAIRS:
         (i, c, d_c), (j, e, d_e) = ops[pair[0]], ops[pair[1]]

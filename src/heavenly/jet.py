@@ -596,32 +596,6 @@ def _jet(coeffs: np.ndarray, depth: int, nvars: int, order: int) -> Jet:
     return jet
 
 
-# -- operands of several rows per point -------------------------------------
-
-def by_point(jet: Jet, points: int) -> np.ndarray:
-    """A stacked jet's coefficients (or an unstacked jet's, one point's one
-    row) as an array indexed by point, then by that point's rows."""
-    return jet.coeffs.reshape((points, -1) + jet.coeffs.shape[-jet.nvars:])
-
-
-def joined(blocks: list[np.ndarray]) -> Jet:
-    """Blocks of `by_point` arrays as one stacked operand: per point, the
-    rows of each block in turn, a point's rows next to each other."""
-    coeffs = np.concatenate(blocks, axis=1)
-    return Jet(coeffs.reshape((-1,) + coeffs.shape[2:]), depth=coeffs.shape[0] * coeffs.shape[1])
-
-
-def repeated_rows(coef: Jet, depth: int) -> Jet:
-    """A coefficient of one row per point, for an operand of depth rows
-    that holds each point's rows next to each other: each row repeated once
-    per operand row of its point.  An unstacked coefficient (one point)
-    acts on every row as it is."""
-    if not coef.depth or coef.depth == depth:
-        return coef
-    return _jet(np.repeat(coef.coeffs, depth // coef.depth, axis=0), depth, coef.nvars,
-                coef.order)
-
-
 def compose_series(series: list, inner: Jet) -> Jet:
     """Univariate Taylor coefficients composed with a jet of zero constant
     term: the sum of series[m] * inner^m up to the jet's order, with the

@@ -16,6 +16,9 @@ from .jet import Jet
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
 #: non-invariance
 ASYMMETRY_TOL = 1e-8
+#: the quantities `x2_apply` applies the prolonged generator to: the five
+#: invariants and the jet coordinate u_z
+X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta", "Uz")
 
 
 @dataclass(frozen=True)
@@ -49,17 +52,19 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     """Second prolongation of X_a applied to a target quantity at p.
 
     Vanishes on the five differential invariants; nonzero on non-invariant
-    jet coordinates such as u_z.  Every target raises outside the field's
-    domain, and reads only the partials and coefficients of its formula.
+    jet coordinates such as u_z.  A target outside X2_TARGETS raises
+    ValueError before anything is evaluated; every other target raises
+    outside the field's domain, and reads only the partials and
+    coefficients of its formula.
     """
+    if target not in X2_TARGETS:
+        raise ValueError(f"unsupported x2 target {target!r}")
     J = eval_u(field, p, 3)
     if target in ("T", "Ut", "Utt"):
         return 0j  # X_a has no components along t, u_t, u_tt
     if target == "Uz":
         (_, a1, a2), _ = _a_derivs(ex.eval_jet1(a, p.z, 2), 2)
         return -(a2 + a1 * J.partial((1, 0, 0)))  # the coefficient of d_{u_z}
-    if target not in ("Rho", "Eta"):
-        raise ValueError(f"unsupported x2 target {target!r}")
     (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
     emu = cmath.exp(-J.value)
     c_u = -(a1 + ab1)

@@ -12,6 +12,8 @@ from collections import Counter
 
 import pytest
 
+from reference_calculus import CALCULUS_NAMES, assert_calculus_matches_reference
+
 from heavenly import expr as ex
 from heavenly import invariants
 from heavenly.errors import POINT_EXCLUSIONS, DomainError, EtaVanishes, HeavenlyError
@@ -19,15 +21,11 @@ from heavenly.fields import (MAX_ORDER, Point, SolutionField, conformal_pushforw
                              eval_u, make_solution, u_jets)
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, commutator_residual,
                                  invariants_at, liouville_residual, pde_residual)
+from heavenly.jet import Jet
 from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
 
 X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
 A_GEN = ex.parse("(0.3 + 0.2*i)*z^2 + z - 0.5", ("z",))
-#: the operators of round 1 of the calculus, in the order it gives them
-OPS = ("delta", "Delta", "DeltaBar")
-#: the calculus's order-1 jets whose values and first partials the
-#: commutators read
-COEFFICIENT_JETS = ("Delta_coeff", "DeltaBar_coeff", "eta")
 
 # (family, parameters for kappa=+1, parameters for kappa=-1); every family
 # is admissible at the points below for both signs of kappa
@@ -73,14 +71,9 @@ def outcome(fn):
         return ("raised", type(err).__name__, str(err))
     if hasattr(value, "coeffs"):
         return ("jet", value.coeffs.tobytes(), value.depth)
+    if isinstance(value, list):  # a value and first partials of the calculus
+        return ("scalars", [(v.real.hex(), v.imag.hex()) for v in value])
     return value
-
-
-def applied(fld, p, op, target):
-    """The value of op on target, from round 1 of the calculus in the bundle
-    of fld at p."""
-    calc = invariants._calculus(fld, p)
-    return calc.round1[OPS.index(op)].value[calc.ROWS.index(target)]
 
 
 def stacked_build(fld, pts, order):
@@ -100,10 +93,8 @@ def suite(field_for, p):
               lambda: invariants_at(field_for(), p)]
     calls += [lambda pair=pair, target=target: commutator_residual(pair, target, field_for(), p)
               for pair in COMMUTATOR_PAIRS for target in ("Ut", "Rho")]
-    calls += [lambda op=op, target=target: applied(field_for(), p, op, target)
-              for op in OPS for target in invariants.JetCalculus.ROWS]
-    calls += [lambda name=name: getattr(invariants._calculus(field_for(), p), name)
-              for name in COEFFICIENT_JETS]
+    calls += [lambda name=name: invariants._calculus(field_for(), p).points[0][name]
+              for name in CALCULUS_NAMES]
     calls += [lambda target=target: x2_apply(A_GEN, target, field_for(), p)
               for target in X2_TARGETS + ("Uz",)]
     calls += [lambda: invariance_residual(field_for(), GeneratorSpec(0.5, 0.25, A_GEN), p)]
@@ -113,9 +104,13 @@ def suite(field_for, p):
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_revisited_point_matches_fresh_field(family, kappa):
+    # reuse keeps every bit; a fresh point's calculus is within a few
+    # roundoffs of the jet reference's
     a, b, c = points(kappa)
     fresh = {p: suite(lambda: build(family, kappa), p) for p in (a, b, c)}
     assert all(fresh[p][MAX_ORDER][0] == "jet" for p in fresh)  # every point is admissible
+    for p in fresh:
+        assert_calculus_matches_reference(build(family, kappa), p)
     shared = build(family, kappa)
     for p in (a, b, c, a):
         assert suite(lambda: shared, p) == fresh[p]
@@ -233,6 +228,50 @@ def test_one_build_per_point(monkeypatch):
     point_suite(a)
     assert counts == {MAX_ORDER: 3}
     assert calculi == {"JetCalculus": 3}
+
+
+def counted_jets(monkeypatch):
+    """A list that grows by one for every Jet constructed from now on."""
+    built = []
+    post_init = Jet.__post_init__
+    monkeypatch.setattr(Jet, "__post_init__", lambda self: built.append(1) or post_init(self))
+    return built
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_the_bundle_builds_no_jet_beyond_the_u_jet(monkeypatch, family, kappa):
+    # the calculus, the InvariantSet and the twelve commutators are scalar
+    # arithmetic on the coefficients of the u-jet
+    fld = build(family, kappa)
+    p = points(kappa)[0]
+    eval_u(fld, p, MAX_ORDER)
+    built = counted_jets(monkeypatch)
+    eta_vanishes = invariants_at(fld, p).eta_vanishes
+    for pair in COMMUTATOR_PAIRS:
+        for target in COMMUTATOR_TARGETS:
+            try:
+                commutator_residual(pair, target, fld, p)
+            except EtaVanishes:
+                assert eta_vanishes
+    assert not built
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_a_sweep_of_invariant_sets_builds_only_the_stacked_u_jet(monkeypatch, family, kappa):
+    pts = [Point(t, complex(x, kappa * y)) for t in (0.6, 1.0, 1.4)
+           for x in (1.1, 1.9) for y in (0.3, 0.7)]
+    pts.append(pts[0])
+    assert len(pts) == 13
+    alone, swept = build(family, kappa), build(family, kappa)
+    built = counted_jets(monkeypatch)
+    alone.jets_at(pts, MAX_ORDER)
+    stacked = len(built)
+    swept.sweep(pts, invariants.swept_invariant_sets)
+    for p in pts:  # the loop's reads come from the sweep's bundles
+        invariants_at(swept, p)
+    assert len(built) == 2 * stacked > 0
 
 
 def test_bundle_key_tells_signed_zeros_apart():

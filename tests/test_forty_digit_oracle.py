@@ -7,8 +7,9 @@ against mpmath: each row's univariate series at its constant term composed
 with the rest of the row, in 40-digit arithmetic.  The u-jet of every
 family at order 3, for both signs of kappa and for the pushforward, is
 checked at one point against sympy derivatives of the family's closed form,
-evaluated by mpmath.  The inputs are the binary64 values the engine sees,
-read exactly.
+evaluated by mpmath, and so are the invariants rho, eta, sigma, sigma_bar,
+tau, lambda and lambda_bar, from sympy derivatives of their definitions.
+The inputs are the binary64 values the engine sees, read exactly.
 """
 
 import math
@@ -19,10 +20,12 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 sp = pytest.importorskip("sympy")
 
+from reference_calculus import RefCalculus
 from test_bundle import FAMILIES, build, points
 from test_reference_kernels import row_value, valid_jet
 
 from heavenly.fields import MAX_ORDER, eval_u
+from heavenly.invariants import invariants_at
 from heavenly.jet import Jet, valid_indices
 
 DPS = 40
@@ -33,6 +36,11 @@ KERNEL_ROUNDOFFS = 8
 #: the same for a field's u-jet, a chain of kernels: confinv's reads 9.3
 #: at kappa = +1 (11.3 before the degree recurrences, at kappa = -1)
 FIELD_ROUNDOFFS = 16
+#: the bound on an invariant's error, in units of EPS times the sum of the
+#: moduli of the terms it is made of (`RefCalculus` with of_terms): the
+#: largest seen is 6.6, tau of confinv at kappa = -1, whose u-jet carries
+#: its own roundoff into the terms
+INVARIANT_ROUNDOFFS = 16
 
 
 # --- the kernels ---------------------------------------------------------------
@@ -190,3 +198,53 @@ def test_u_jets_match_forty_digit_derivatives(family, kappa):
     exact = exact_u_jet(closed_form(family, kappa), p.z, p.z.conjugate(), p.t, MAX_ORDER)
     size = roundoffs(got.coeffs, exact)
     assert 0 < size <= FIELD_ROUNDOFFS, size
+
+
+def exact_invariants(u, p):
+    """{name: mpc} of the InvariantSet's rho, eta, sigma, sigma_bar and tau
+    at p for u, from sympy derivatives of their definitions: rho = e^-u
+    u_{z zbar}, eta = e^-u u_{zt} u_{zbar t}, sigma = e^-u u_{zbar t} d_z rho,
+    sigma_bar = e^-u u_{zt} d_zbar rho and tau = d_t rho; and lambda_ =
+    sigma/eta and lambda_bar = sigma_bar/eta where eta does not vanish."""
+    E = sp.exp(-u)
+    rho = E * sp.diff(u, Z, ZB)
+    a, abar = E * sp.diff(u, ZB, T), E * sp.diff(u, Z, T)
+    values = {"rho": rho, "eta": abar * sp.diff(u, ZB, T), "sigma": a * sp.diff(rho, Z),
+              "sigma_bar": abar * sp.diff(rho, ZB), "tau": sp.diff(rho, T)}
+    f = sp.lambdify((Z, ZB, T), list(values.values()), modules="mpmath")
+    with mpmath.workdps(DPS):
+        out = dict(zip(values, f(mpmath.mpc(p.z), mpmath.mpc(p.z.conjugate()), mpmath.mpf(p.t))))
+        if out["eta"] != 0:
+            out["lambda_"], out["lambda_bar"] = out["sigma"] / out["eta"], out["sigma_bar"] / out["eta"]
+    return out
+
+
+def term_sizes(fld, p):
+    """{name: the sum of the moduli of the terms of the invariant at p}."""
+    terms = RefCalculus(fld, p, of_terms=True)
+    sizes = {"rho": terms.jets["Rho"].value, "eta": terms.jets["Eta"].value}
+    for name, op in (("sigma", "Delta"), ("sigma_bar", "DeltaBar"), ("tau", "delta"),
+                     ("lambda_", "Y"), ("lambda_bar", "Ybar")):
+        if terms.inv_eta is not None or op not in ("Y", "Ybar"):
+            sizes[name] = terms.applied(op, "Rho").value
+    return {name: abs(v) for name, v in sizes.items()}
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_invariants_match_forty_digit_derivatives(family, kappa):
+    p = points(kappa)[0]
+    fld = build(family, kappa)
+    s = invariants_at(fld, p)
+    exact = exact_invariants(closed_form(family, kappa), p)
+    sizes = term_sizes(fld, p)
+    if exact["eta"] == 0:
+        # f0, f0general, liouville and confinv: a vanishing eta is reported
+        # as such, whatever roundoff it reads (confinv's is 8.4e-32)
+        assert s.eta_vanishes
+        del exact["eta"]
+    assert ("lambda_" in exact) == (not s.eta_vanishes)
+    with mpmath.workdps(DPS):
+        for name, want in exact.items():
+            err = abs(mpmath.mpc(complex(getattr(s, name))) - want)
+            assert err <= INVARIANT_ROUNDOFFS * EPS * sizes[name], (name, float(err), sizes[name])

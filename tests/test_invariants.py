@@ -1,5 +1,7 @@
 import pytest
 
+from reference_calculus import CALCULUS_ROUNDOFFS, EPS, RefCalculus
+
 from heavenly import expr as ex
 from heavenly.errors import EtaVanishes
 from heavenly.fields import Point, SolutionField, make_solution
@@ -7,9 +9,9 @@ from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, 
                                  commutator_residual, invariants_at, liouville_residual,
                                  pde_residual)
 from heavenly.jet import Jet
+from heavenly.symmetry import x2_apply
 
 P_REF = Point(1.0, 1.0 + 0j)
-RHO = JetCalculus.ROWS.index("Rho")
 
 
 @pytest.fixture
@@ -65,24 +67,29 @@ def test_eta_vanishes_on_separable_family():
     assert s.eta_vanishes
     assert s.lambda_ is None
     calc = JetCalculus(fld, P_REF)  # builds: only Y, Ybar and the commutators need 1/eta
-    assert abs(calc.eta.value) < ETA_TOL
+    assert abs(calc.points[0]["Eta"][0]) < ETA_TOL
     with pytest.raises(EtaVanishes):
         commutator_residual(("delta", "Y"), "Rho", fld, P_REF)
 
 
+def applied_to_rho(fld, p, op):
+    """op on rho at p, one operator applied to the jet of rho, and the sum
+    of the moduli of the terms it is made of."""
+    return (RefCalculus(fld, p).applied(op, "Rho").value,
+            abs(RefCalculus(fld, p, of_terms=True).applied(op, "Rho").value))
+
+
 def test_delta_of_rho_is_tau(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    calc = JetCalculus(noninv_plus, P_REF)
-    delta, _, _ = calc.apply(calc.operand)
-    assert delta.value[RHO] == pytest.approx(s.tau, abs=1e-12)
+    want, size = applied_to_rho(noninv_plus, P_REF, "delta")
+    assert abs(s.tau - want) <= CALCULUS_ROUNDOFFS * EPS * size
 
 
 def test_sigma_is_delta_of_rho(noninv_plus):
     s = invariants_at(noninv_plus, P_REF)
-    calc = JetCalculus(noninv_plus, P_REF)
-    _, Delta, DeltaBar = calc.apply(calc.operand)
-    assert Delta.value[RHO] == pytest.approx(s.sigma, abs=1e-12)
-    assert DeltaBar.value[RHO] == pytest.approx(s.sigma_bar, abs=1e-12)
+    for got, op in ((s.sigma, "Delta"), (s.sigma_bar, "DeltaBar")):
+        want, size = applied_to_rho(noninv_plus, P_REF, op)
+        assert abs(got - want) <= CALCULUS_ROUNDOFFS * EPS * size, op
 
 
 @pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
@@ -150,6 +157,18 @@ def test_the_first_call_stores_all_twelve(noninv_plus):
         commutator_residual(("Y", "delta"), "Rho", noninv_plus, p)
     with pytest.raises(ValueError):
         commutator_residual(("delta", "Y"), "Eta", noninv_plus, p)
+
+
+def test_unknown_names_raise_before_any_evaluation():
+    # eta vanishes on f0, and the point is outside its domain: a typo must
+    # not read as an exclusion
+    fld = make_solution("f0", {"C": 1.0}, 1)
+    for pair, target in ((("Y", "delta"), "Rho"), (("delta", "Y"), "Eta")):
+        with pytest.raises(ValueError):
+            commutator_residual(pair, target, fld, P_REF)
+    with pytest.raises(ValueError):
+        x2_apply(ex.parse("z^2", ("z",)), "Nope", fld, Point(1.0, -1.5 + 0.5j))
+    assert not fld._bundles
 
 
 def test_a_call_where_eta_vanishes_stores_nothing():

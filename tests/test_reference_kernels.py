@@ -26,6 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference_calculus import (RefCalculus, assert_calculus_matches_reference,
+                                 assert_within_roundoffs, invariant_values, ref_invariants)
 from test_bundle import FAMILIES, build, stacked_build
 
 from heavenly import expr as ex
@@ -34,7 +36,7 @@ from heavenly.cli import _perturbed
 from heavenly.errors import (DivisionBySingularJet, DomainError, EtaVanishes, FVanishes,
                               HeavenlyError, OrderExceeded, ShapeMismatch)
 from heavenly.fields import MAX_ORDER, Point
-from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, REALITY_TOL,
+from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, JetCalculus,
                                  commutator_residual, invariants_at, swept_invariants)
 from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, _mul_table,
                           _recurrence_table, _rows, _truncation_table, compose3,
@@ -1828,67 +1830,6 @@ def test_f_vanishes_exclusion_unchanged(text, excluded):
 
 # --- commutator residuals ---------------------------------------------------------
 
-#: the order of the reference calculus's u-jet: two operator applications
-#: on rho, one order above the engine's ceiling MAX_ORDER
-REF_ORDER = 4
-
-
-def moduli(jet):
-    """jet with each coefficient replaced by its modulus: sums, products and
-    derivatives of such jets add up, coefficient for coefficient, the
-    moduli of the terms that the same operations on the jets add up."""
-    return Jet(np.abs(jet.coeffs).astype(complex))
-
-
-class RefCalculus:
-    """Invariant jets at their own orders from a fresh order-REF_ORDER u-jet
-    (`jet_at`, which has no ceiling), and one operator applied to one jet at
-    a time, each with its coefficients truncated to the result's order.
-    With of_terms, every leaf jet (e^-mu, u_{zt}, u_{zbar t}, u_t, u_{z zbar}
-    and 1/eta) is replaced by its `moduli`, so each value is the sum of the
-    moduli of the terms that make up the value without it."""
-
-    def __init__(self, fld, p, of_terms=False):
-        u = fld.jet_at(p.z, p.z.conjugate(), p.t, REF_ORDER)
-        leaves = ((-u.truncated(REF_ORDER - 2)).exp(), u.derivative(0).derivative(2),
-                  u.derivative(1).derivative(2), u.derivative(2), u.derivative(0).derivative(1))
-        eta = leaves[0] * leaves[1] * leaves[2]
-        self.inv_eta = eta.reciprocal() if abs(eta.value) >= ETA_TOL else None
-        if of_terms:
-            leaves = tuple(map(moduli, leaves))
-            self.inv_eta = self.inv_eta and moduli(self.inv_eta)
-        self.exp_mu, self.u_zt, self.u_zbt, u_t, u_zzb = leaves
-        self.jets = {"Ut": u_t, "Rho": self.exp_mu * u_zzb,
-                     "Eta": self.exp_mu * self.u_zt * self.u_zbt}
-
-    def apply(self, op, g):
-        m = g.order - 1
-        if op == "delta":
-            return g.derivative(2)
-        if op == "Delta":
-            return self.exp_mu.truncated(m) * self.u_zbt.truncated(m) * g.derivative(0)
-        if op == "DeltaBar":
-            return self.exp_mu.truncated(m) * self.u_zt.truncated(m) * g.derivative(1)
-        if self.inv_eta is None:
-            raise EtaVanishes("eta = 0: Y and Ybar are undefined")
-        return (self.apply("Delta" if op == "Y" else "DeltaBar", g)
-                * self.inv_eta.truncated(m))
-
-    def applied(self, op, name):
-        return self.apply(op, self.jets[name])
-
-
-def _real(w):
-    return w.real if abs(w.imag) < REALITY_TOL else w
-
-
-def ref_invariants(calc):
-    """(u_t, rho, eta, sigma, sigma_bar, tau) as the InvariantSet holds them."""
-    return (_real(calc.jets["Ut"].value), _real(calc.jets["Rho"].value),
-            _real(calc.jets["Eta"].value), calc.applied("Delta", "Rho").value,
-            calc.applied("DeltaBar", "Rho").value, _real(calc.applied("delta", "Rho").value))
-
-
 def ref_commutator_residual(pair, target, fld, p):
     """apply(a, applied(b, X)) - apply(b, applied(a, X)) minus the
     right-hand side, one operator application at a time: the expansion
@@ -2010,19 +1951,34 @@ def test_commutators_match_one_application_at_a_time(family, kappa, pts):
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_swept_invariants_match_one_application_at_a_time(family, kappa):
-    # the sweep's order-3 calculus against one order-4 operator application
-    # at a time, and against invariants_at's order-4 calculus at each point
+    # the sweep's scalars on the order-3 u-jet against one order-4 operator
+    # application at a time, within a few roundoffs of the terms each value
+    # is made of, and bit for bit against invariants_at at each point alone
     pts = [p for p in grid_suite_points(kappa) if p.z.real > 0]
     fld = build(family, kappa)
     hexes = lambda values: [None if v is None else (complex(v).real.hex(), complex(v).imag.hex())
                             for v in values]
     for p, values in zip(pts, swept_invariants(fld, pts)):
-        s, want = values["invariants"], ref_invariants(RefCalculus(fld, p))
+        s = values["invariants"]
         assert values[MAX_ORDER].order == MAX_ORDER
-        got = (s.u_t, s.rho, s.eta, s.sigma, s.sigma_bar, s.tau)
-        assert hexes(got) == hexes(want)
+        assert_within_roundoffs(invariant_values(s), ref_invariants(RefCalculus(fld, p)),
+                                ref_invariants(RefCalculus(fld, p, of_terms=True)), p)
         alone = invariants_at(build(family, kappa), p)
         assert hexes(vars(s).values()) == hexes(vars(alone).values())
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
+def test_calculus_scalars_match_the_jet_products(family, kappa):
+    # each point's values and first partials of E, a, abar, eta, rho and U_t
+    # from one stacked calculus: those of the point's own calculus bit for
+    # bit, and within a few roundoffs of the terms of the reference's jets
+    pts = [p for p in grid_suite_points(kappa) if p.z.real > 0]
+    swept = JetCalculus(build(family, kappa), pts)
+    for p, q in zip(pts, swept.points):
+        alone = JetCalculus(build(family, kappa), p).points[0]
+        assert {k: bits(v) for k, v in q.items()} == {k: bits(v) for k, v in alone.items()}
+        assert_calculus_matches_reference(build(family, kappa), p, q)
 
 
 # --- second prolongation ------------------------------------------------------
@@ -2031,6 +1987,8 @@ def ref_x2_apply(a, target, field, p, flip=False):
     """x2_apply as it was when every target read every partial and built
     every prolongation coefficient; flip turns the sign of the first term
     of the d_u coefficient -(a' + abar')."""
+    if target not in ("T", "Ut", "Utt", "Rho", "Eta", "Uz"):
+        raise ValueError(f"unsupported x2 target {target!r}")
     J = fields.eval_u(field, p, 3)
     j = ex.eval_jet1(a, p.z, 3)
     av = [j.partial((k,)) for k in range(4)]
@@ -2063,9 +2021,7 @@ def ref_x2_apply(a, target, field, p, flip=False):
         emu = cmath.exp(-u)
         return (c_u * (-emu * u_zt * u_zbt)
                 + c_uzt * emu * u_zbt + c_uzbt * emu * u_zt)
-    if target == "Uz":
-        return c_uz
-    raise ValueError(f"unsupported x2 target {target!r}")
+    return c_uz
 
 
 #: the six targets and one x2_apply does not know
