@@ -107,16 +107,24 @@ def _run(report, points, check, passes) -> None:
         report["records"].append({"point": _where(p), **rec})
 
 
+def _worst(values) -> float:
+    """The largest of values, NaN if any is NaN: `max` drops a NaN that
+    is not first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _finish(report, args, columns=("t", "re", "im")) -> int:
     """Sort the records by point, sum up and emit the report; columns name
     the coordinates of the record points, in the order each point holds
-    them (`_where`'s by default)."""
+    them (`_where`'s by default).  A NaN residual makes its kind's maximum
+    NaN, which fails the report."""
     report["records"].sort(key=lambda rec: tuple(rec["point"].values()))
-    maxima = {}
+    residuals = {}
     for rec in report["records"]:
         for kind, val in rec["residuals"].items():
-            maxima[kind] = max(maxima.get(kind, 0.0), abs(complex(
-                *val) if isinstance(val, list) else val))
+            residuals.setdefault(kind, []).append(
+                abs(complex(*val) if isinstance(val, list) else val))
+    maxima = {kind: _worst(values) for kind, values in residuals.items()}
     report["summary"]["max_residuals"] = maxima
     # a report in which nothing was checked does not pass
     ok = bool(report["records"]) and all(v <= args.tol for v in maxima.values())
@@ -305,7 +313,7 @@ def cmd_resolving(args) -> int:
                 continue
             produced += 1
             residuals = {k: abs(v) for k, v in res.as_dict().items()}
-            residuals["jacobi"] = max(abs(v) for v in jac)
+            residuals["jacobi"] = _worst([abs(v) for v in jac])
             report["records"].append(
                 {"point": {"t": p.t, "ut": p.ut, "rho": p.rho}, "residuals": residuals})
     report["summary"]["samples"] = produced
@@ -317,6 +325,8 @@ def cmd_symmetry(args) -> int:
     from .symmetry import GeneratorSpec, invariance_residual, x2_apply
     report = _base_report(args)
     if args.check == "invariants":
+        if args.a is None:
+            raise ValueError("--check invariants requires --a, the generator a(z)")
         a = ex.parse(args.a, ("z",))
         field, fam, echo = _family_from_args(args)
         report["family"] = fam

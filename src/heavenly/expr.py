@@ -86,29 +86,31 @@ class Call(Node):
 class Expr:
     """Parsed expression plus its declared (ordered) variable set.
 
-    An Expr remembers what it computed (see `evaluate`): the store is built
-    on the first evaluation and lives and dies with the Expr, like a
-    field's point bundle.  It takes no part in comparison or hashing.
+    An Expr holds only point-independent state: its compiled evaluator
+    (see `evaluate`), which keeps the jets of its variable-free subtrees,
+    is built on the first evaluation and lives and dies with the Expr.  It
+    takes no part in comparison or hashing.  A value at a point is kept,
+    if at all, by the caller that holds the point.
     """
 
     root: Node
     variables: tuple[str, ...]
-    _store: "_Store | None" = field(default=None, init=False, repr=False, compare=False)
+    _run: object = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return pretty(self.root)
 
     def __getstate__(self):
-        # the store holds compiled functions, which do not pickle; an
-        # unpickled Expr builds its own on first use
+        # the evaluator is made of compiled functions, which do not pickle;
+        # an unpickled Expr compiles its own on first use
         return {"root": self.root, "variables": self.variables}
 
-    def _jets(self) -> "_Store":
-        store = self._store
-        if store is None:
-            store = _Store(_compiled(self.root))
-            object.__setattr__(self, "_store", store)
-        return store
+    def _evaluator(self):
+        run = self._run
+        if run is None:
+            run = _compiled(self.root)
+            object.__setattr__(self, "_run", run)
+        return run
 
 
 FUNCTIONS = ("exp", "ln", "sqrt")
@@ -354,27 +356,12 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
 # is evaluated once per (nvars, order) and its jet kept.
 
-#: points whose `eval_jet1` jets an Expr keeps (the oldest goes first)
-SEED_MEMORY = 8
-
 _bits = struct.Struct("<dd").pack  # a complex's bits: 0.0 and -0.0 differ
 
 _BINARY = ((Add, operator.add), (Sub, operator.sub), (Mul, operator.mul),
            (Div, operator.truediv))
 _CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"),
           "sqrt": operator.methodcaller("sqrt")}
-
-
-class _Store:
-    """What one Expr remembers: its compiled evaluator, which holds the
-    jets of its variable-free subtrees, and its `eval_jet1` jets at the
-    most recent points, keyed by the point's bits (never by ==)."""
-
-    __slots__ = ("run", "seeds")
-
-    def __init__(self, run):
-        self.run = run
-        self.seeds: dict = {}
 
 
 def _remembered(fn):
@@ -457,7 +444,7 @@ def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
     order) of the env jets and remembered by the Expr.
     """
     template = next(iter(env.values()))
-    return e._jets().run(env, template)
+    return e._evaluator()(env, template)
 
 
 def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
@@ -469,25 +456,10 @@ def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
 
 
 def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
-    """Univariate jet of a single-variable expression at a point.
-
-    The Expr remembers its jets at its last SEED_MEMORY points, keyed by
-    the order and the bits of `at`, and hands back the same immutable jet;
-    an evaluation that raises is not remembered, so it raises again.
-    """
+    """Univariate jet of a single-variable expression at a point."""
     if len(e.variables) != 1:
         raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
-    seeds = e._jets().seeds
-    w = complex(at)
-    key = (order, _bits(w.real, w.imag))
-    jet = seeds.get(key)
-    if jet is not None:
-        return jet
-    jet = evaluate(e, {e.variables[0]: Jet.variable(0, at, 1, order)})
-    if len(seeds) >= SEED_MEMORY:
-        del seeds[next(iter(seeds))]
-    seeds[key] = jet
-    return jet
+    return evaluate(e, {e.variables[0]: Jet.variable(0, at, 1, order)})
 
 
 def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[Jet]:

@@ -21,13 +21,12 @@ never asks which: the same code builds one jet or every point's jet as one
 row of stacked jets, and each domain check reads the constant term of the
 jet it guards, row by row, before that jet goes to a logarithm.
 
-A point's u-jet is built once per point, and only to the order its
-readers use: a sweep stores each point's row at the order of its pass, and
-`eval_u` serves a lower order as the truncation of the lowest order
-already in the point's bundle above it, or else of one build at the
-engine's ceiling MAX_ORDER.  In a truncated Taylor algebra the
-lower-order jet is the higher one with its top coefficients dropped, and
-the engine computes it with the same bits.
+A point's bundle keeps one u-jet: the row a sweep stored for the point,
+at the order of its pass, or else one build at the engine's ceiling
+MAX_ORDER, which also replaces a row of lower order than a request.
+`eval_u` serves a lower order as that jet's truncation.  In a truncated
+Taylor algebra the lower-order jet is the higher one with its top
+coefficients dropped, and the engine computes it with the same bits.
 
 A loop over many points runs as stacked passes: `in_sweeps` hands the
 loop its points in chunks of at most PASS_POINTS, and before each chunk
@@ -52,7 +51,7 @@ VZ, VZB, VT = 0, 1, 2
 #: the highest order of a u-jet: the engine's ceiling, all that x2, the
 #: InvariantSet and the commutators (first partials of order-1 operator
 #: coefficients) read; `eval_u` builds this order when its bundle holds no
-#: higher order to truncate
+#: u-jet of the order requested or higher
 MAX_ORDER = 3
 
 SINGULAR_TOL = 1e-8
@@ -65,13 +64,13 @@ class Point:
 
 
 class PointBundle:
-    """Everything computed for one field at one physical-slice point.
-
-    Values are stored under a name: the u-jets under their order (an int),
-    other layers' quantities under a string (the invariants layer keeps its
-    ``JetCalculus``, ``InvariantSet`` and commutator residuals here).  A
-    value is stored only after it was built; a build that raises stores
-    nothing, so the next call raises again.
+    """Everything computed for one field at one physical-slice point, by
+    name: the point's one u-jet under "u" (`eval_u`), the first
+    derivatives of a generator a(z) with the Expr they came from under
+    "a'" (`symmetry.x2_apply`), and the invariants layer's ``JetCalculus``,
+    ``InvariantSet`` and commutator residuals.  A value is stored only
+    after it was built; a build that raises stores nothing, so the next
+    call raises again.
     """
 
     __slots__ = ("_values",)
@@ -90,6 +89,10 @@ class PointBundle:
         """The value stored under name, or None; never builds."""
         return self._values.get(name)
 
+    def put(self, name, value) -> None:
+        """Store value under name, replacing what was there."""
+        self._values[name] = value
+
 
 @dataclass(frozen=True)
 class SolutionField:
@@ -98,8 +101,8 @@ class SolutionField:
     The field keeps one store of derivative bundles (``PointBundle``): the
     bundles of its last `sweep`, one per point, or else the bundle of the
     last point it was evaluated at on the physical slice.  So a run of
-    calls at one point builds the u-jet (see `eval_u`), the invariant jets
-    and the invariants once, and a loop over a sweep's points reads what
+    calls at one point builds the u-jet (see `eval_u`), the calculus and
+    the invariants once, and a loop over a sweep's points reads what
     the sweep computed for them.  A point outside the store replaces it,
     bundles and keys together; memory is at most one sweep's points per
     field.  Bundled values are shared between calls and must be treated as
@@ -139,7 +142,7 @@ class SolutionField:
         """Compute what a loop over points needs in one stacked pass.
 
         build(field, points) returns one dict per point of bundle values
-        (name -> value, as `PointBundle.get` stores them), all computed
+        (name -> value, as `PointBundle.put` stores them), all computed
         together.  They replace the store, one bundle per point, so the
         loop's per-point calls read them instead of building each point
         alone; everything else they need is built per point as usual.  If
@@ -157,7 +160,7 @@ class SolutionField:
         for p, named in zip(points, values):
             bundle = bundles.setdefault(_bundle_key(p), PointBundle())
             for name, value in named.items():
-                bundle.get(name, lambda: value)
+                bundle.put(name, value)
         object.__setattr__(self, "_bundles", bundles)
 
 
@@ -182,7 +185,7 @@ def _bundle_key(p: Point) -> str:
 def u_jets(order: int):
     """A `SolutionField.sweep` build: each point's u-jet of this order, as
     one row of `jets_at`."""
-    return lambda field, points: [{order: row} for row in field.jets_at(points, order).rows()]
+    return lambda field, points: [{"u": row} for row in field.jets_at(points, order).rows()]
 
 
 def _seed(value, order: int) -> Jet:
@@ -404,30 +407,21 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     """Jet of u at a physical-slice point (zbar = conj z).
 
-    Read from the field's bundle for p, where a jet is returned, shared, to
-    every later call at the same point.  A jet a sweep stored under its
-    exact order is read first.  Otherwise the first request at an order
-    below MAX_ORDER is the truncation of the lowest order above it already
-    in the bundle (a sweep's row), or else of a fresh order-MAX_ORDER
-    build, and is kept under its order.  Every jet operation computes each
-    coefficient from the coefficients of no higher degree, in the same
+    The field's bundle for p keeps one u-jet, shared by every later call at
+    the point: the row a sweep stored, or else one order-MAX_ORDER build,
+    which also replaces a stored row of lower order than this request.  A
+    lower order is that jet's truncation.  Every jet operation computes
+    each coefficient from the coefficients of no higher degree, in the same
     sequence at every order, so the truncation is bit for bit the jet
     built at that order.
     """
     _check_order(order)
     bundle = field.bundle_at(p)
-    return bundle.get(order, lambda: _first_u(field, p, bundle, order))
-
-
-def _first_u(field: SolutionField, p: Point, bundle: PointBundle, order: int) -> Jet:
-    """The u-jet of this order at p on its first request (see `eval_u`)."""
-    if order == MAX_ORDER:
-        return field.jet_at(p.z, p.z.conjugate(), p.t, order)
-    for higher in range(order + 1, MAX_ORDER):
-        jet = bundle.stored(higher)
-        if jet is not None:
-            return jet.truncated(order)
-    return eval_u(field, p, MAX_ORDER).truncated(order)
+    u = bundle.stored("u")
+    if u is None or u.order < order:
+        u = field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)
+        bundle.put("u", u)
+    return u if u.order == order else u.truncated(order)
 
 
 def _check_order(order: int) -> None:

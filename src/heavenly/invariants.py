@@ -160,11 +160,11 @@ def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
 def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
     """A `SolutionField.sweep` build: each point's InvariantSet, as
     `invariants_at` stores it, from one JetCalculus on the points' stacked
-    u-jets, and each point's row of those u-jets, from which `eval_u`
-    truncates every lower order.  The InvariantSets have the bits of
-    `invariants_at`'s calculus at each point alone."""
+    u-jets, and each point's row of those u-jets as its bundle's u-jet,
+    which `eval_u` truncates to every lower order.  The InvariantSets have
+    the bits of `invariants_at`'s calculus at each point alone."""
     calc = JetCalculus(field, points)
-    return [{"invariants": s, MAX_ORDER: u}
+    return [{"invariants": s, "u": u}
             for s, u in zip(_invariant_sets(calc, points), calc.u.rows())]
 
 

@@ -1,7 +1,8 @@
 """Point-symmetry generators: the second prolongation of the conformal
 generators X_a = a d_z + abar d_zbar - (a' + abar') d_u, the invariance
 criterion for solutions, and the sigma-based conformal non-invariance
-witness."""
+witness.  What `x2_apply` reads at a point lives in the field's bundle for
+that point; an expression holds no point."""
 
 from __future__ import annotations
 
@@ -55,7 +56,10 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     jet coordinates such as u_z.  A target outside X2_TARGETS raises
     ValueError before anything is evaluated; every other target raises
     outside the field's domain, and reads only the partials and
-    coefficients of its formula.
+    coefficients of its formula.  It reads the u-jet of the field's bundle
+    for p (`eval_u`), and Rho and Eta read a's first derivatives, which the
+    bundle keeps with the a they came from: the targets of one generator
+    at p evaluate it once, and a different generator there afresh.
     """
     if target not in X2_TARGETS:
         raise ValueError(f"unsupported x2 target {target!r}")
@@ -65,7 +69,13 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     if target == "Uz":
         (_, a1, a2), _ = _a_derivs(ex.eval_jet1(a, p.z, 2), 2)
         return -(a2 + a1 * J.partial((1, 0, 0)))  # the coefficient of d_{u_z}
-    (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
+    bundle = field.bundle_at(p)
+    kept = bundle.stored("a'")
+    if kept is None or kept[0] is not a:
+        (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
+        kept = (a, a1, ab1)
+        bundle.put("a'", kept)
+    _, a1, ab1 = kept
     emu = cmath.exp(-J.value)
     c_u = -(a1 + ab1)
     if target == "Rho":

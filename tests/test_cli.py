@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -260,6 +261,38 @@ def test_resolving_with_every_sample_excluded_fails(capsys):
     report = json.loads(out)
     assert report["records"] == []
     assert report["excluded"]["reasons"] == {"DivisionBySingularJet": report["excluded"]["count"]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_nan_residual_fails_the_report(capsys):
+    # F is (1e200 xi)^2 - (1e200 xi)^2 = inf - inf: R1, R3, R4 and the
+    # Jacobi residual read NaN at every sample, and so does their maximum
+    code, out, _ = run(capsys, "resolving", "--phi", "(1e200*xi)^2 - (1e200*xi)^2",
+                       "--samples", "3", "--seed", "1")
+    assert code == 1
+    summary = json.loads(out)["summary"]
+    assert summary["pass"] is False
+    maxima = summary["max_residuals"]
+    assert all(math.isnan(maxima[kind]) for kind in ("R1", "R3", "R4", "jacobi"))
+    assert maxima["R2"] < 1e-9
+
+
+def test_a_nan_jacobi_condition_after_a_finite_one_fails_the_report(capsys, monkeypatch):
+    from heavenly import resolving
+    monkeypatch.setattr(resolving, "jacobi_residual", lambda rf, p: (0j, complex("nan")))
+    code, out, _ = run(capsys, "resolving", "--phi", "xi*theta", "--samples", "3", "--seed", "1")
+    report = json.loads(out)
+    assert code == 1 and report["summary"]["pass"] is False
+    assert all(math.isnan(rec["residuals"]["jacobi"]) for rec in report["records"])
+    assert math.isnan(report["summary"]["max_residuals"]["jacobi"])
+
+
+def test_symmetry_invariants_without_a_generator_exits_2(capsys):
+    code, out, err = run(capsys, "symmetry", "--check", "invariants", "--family", "noninv",
+                         "--b", "z^2 + i")
+    assert code == 2 and out == ""
+    assert err == "error: --check invariants requires --a, the generator a(z)\n"
 
 
 def test_symmetry_invariants_exclusions(capsys):

@@ -1112,24 +1112,21 @@ def test_expression_evaluation_matches_tree_walk():
         nvars = rng.randrange(1, 4)
         return rng.choice(SEED_POOL), nvars, rng.randrange(nvars), rng.randrange(5)
 
-    cases = hits = univariate = 0
+    cases = 0
     for _ in range(60):
         e = ex.parse(random_text(rng, ("z",)), ("z",))
         pool = [draw() for _ in range(4)]  # repeated seeds; every third one is fresh
         for k in range(30):
             at, nvars, var, order = rng.choice(pool) if k % 3 else draw()
             seed = Jet.variable(var, at, nvars, order)
-            if nvars == 1:  # eval_jet1 and its store of points
-                key = (order, ex._bits(at.real, at.imag))
-                hits += e._store is not None and key in e._store.seeds
+            if nvars == 1:  # eval_jet1
                 new = outcome(lambda: ex.eval_jet1(e, at, order))
-                univariate += 1
             else:  # one variable of a multivariable seed
                 new = outcome(lambda: ex.evaluate(e, {"z": seed}))
             ref = outcome(lambda: ref_evaluate(e, {"z": seed}))
             assert new == ref, (str(e), at, nvars, var, order)
             cases += 1
-    assert cases == 1800 and hits > univariate // 3
+    assert cases == 1800
 
 
 def test_multivariable_evaluation_matches_tree_walk():
@@ -1149,14 +1146,10 @@ def test_multivariable_evaluation_matches_tree_walk():
 
 
 def test_remembered_jets_come_back_whole(monkeypatch):
-    # a seed-store hit hands back the jet it stored, itself
+    # a variable-free subtree, whole or inside a product, is handed back
+    # itself on any seed of the same (nvars, order)
     e = ex.parse("(0.5 + -0.3*i)*z^2 + z", ("z",))
-    first = ex.eval_jet1(e, 0.5 + 0.5j, 2)
-    assert ex.eval_jet1(e, 0.5 + 0.5j, 2) is first
-    assert ex.eval_jet1(e, 0.5 + 0.5j, 3) is not first
-    assert not first.coeffs.flags.writeable
-    # so does a variable-free subtree, whole or inside a product, on any
-    # seed of the same (nvars, order)
+    assert not ex.eval_jet1(e, 0.5 + 0.5j, 2).coeffs.flags.writeable
     constant = ex.parse("exp(1 + i)", ("z",))
     jets = [ex.evaluate(constant, {"z": Jet.variable(0, at, 1, 3)}) for at in (1 + 0j, 2 + 0j)]
     assert jets[0] is jets[1] and not jets[0].coeffs.flags.writeable
@@ -1185,7 +1178,6 @@ def test_raising_evaluation_raises_again():
         for _ in range(3):
             with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
                 ex.eval_jet1(e, at, 2)
-        assert e._store.seeds == {}
 
 
 def test_constants_equal_under_eq_never_share_an_entry():
@@ -1207,14 +1199,33 @@ def test_constants_equal_under_eq_never_share_an_entry():
     assert len(seen) == 4
 
 
-def test_seed_store_stays_at_its_bound():
-    e = ex.parse("z^2 + 1", ("z",))
+def closure_dicts(fn, seen=None):
+    """Every dict reachable from fn's closure cells, through nested
+    functions and the dicts' values."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, dict):
+            found.append(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            found += closure_dicts(value, seen)
+    return found
+
+
+def test_an_expression_keeps_nothing_per_point():
+    # after many points, an Expr holds its tree, its variables and its
+    # compiled evaluator, whose only stores are the variable-free
+    # subtrees' jets under (nvars, order)
+    e = ex.parse("(0.5 + -0.3*i)*z^2 + exp(1 + i)", ("z",))
     for k in range(1000):
         ex.eval_jet1(e, complex(k, 1), 2)
-    assert len(e._store.seeds) == ex.SEED_MEMORY
-    # the most recent points are the ones kept
-    last = ex.eval_jet1(e, complex(999, 1), 2)
-    assert ex.eval_jet1(e, complex(999, 1), 2).coeffs is last.coeffs
+    assert set(vars(e)) == {"root", "variables", "_run"}
+    stores = closure_dicts(e._run)
+    assert len(stores) == 2 and [list(d) for d in stores] == [[(1, 2)]] * 2
 
 
 # --- field builders ---------------------------------------------------------------
@@ -1960,7 +1971,7 @@ def test_swept_invariants_match_one_application_at_a_time(family, kappa):
                             for v in values]
     for p, values in zip(pts, swept_invariants(fld, pts)):
         s = values["invariants"]
-        assert values[MAX_ORDER].order == MAX_ORDER
+        assert values["u"].order == MAX_ORDER
         assert_within_roundoffs(invariant_values(s), ref_invariants(RefCalculus(fld, p)),
                                 ref_invariants(RefCalculus(fld, p, of_terms=True)), p)
         alone = invariants_at(build(family, kappa), p)
