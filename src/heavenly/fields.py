@@ -6,14 +6,22 @@ with zbar = conj(z) fixed on the physical slice; domain conditions are
 checked at evaluation time because they depend on the sampled point.
 
 A piece of a build that depends on one variable (b(z), c(z) and c'(z),
-a(z), A(z), phi(z) and phi'(z), their zbar partners, t^2 + C and
-l*t^2 + C1*t + C2, and the logarithms of such pieces) stays a univariate
-jet, evaluated once on a univariate seed of its coordinate, until it
-meets a piece in another variable: `jet.on_axes` then places it on its
-axis of a jet in (z, zbar, t).  c and phi are evaluated one order higher,
-which gives both themselves and their derivatives; every other piece at
-the build's order.  The pushforward composes its source's jet with the
-univariate jets of phi, phibar and t (`jet.compose3`).
+a(z), A(z), phi(z) and phi'(z), the zbar partners of all but b, t^2 + C
+and l*t^2 + C1*t + C2, and the logarithms of such pieces) stays a
+univariate jet, evaluated once on a univariate seed of its coordinate,
+until it meets a piece in another variable: `jet.on_axes` then places it
+on its axis of a jet in (z, zbar, t).  c and phi are evaluated one order
+higher, which gives both themselves and their derivatives; every other
+piece at the build's order.  The pushforward composes its source's jet
+with the univariate jets of phi, phibar and t (`jet.compose3`).
+
+On the physical slice the two-logarithm families take ln(t + bbar(zbar))
+as ln(t + b(z)) conjugated with its z and zbar axes swapped, and never
+evaluate bbar (`_two_logs`); off the slice they evaluate it.  The
+univariate partners cbar, abar, Abar and phibar stay evaluated: their
+conjugates differ from them in the sign of zeros (at z = -1.5 + 0j, cbar
+of c = z^2 at -1.5 - 0j has imaginary zeros of +0 where conj(c) has -0),
+and the builds would not keep their bits.
 
 A builder takes the point's coordinates as scalars, or as tuples of one
 coordinate per point for a stacked pass (`SolutionField.jets_at`).  It
@@ -44,7 +52,7 @@ from dataclasses import dataclass, field as dc_field
 from . import expr as ex
 from .errors import SWEEP_FALLBACK, DomainError, FamilyParamMismatch, SingularMap
 from .families import FAMILY_PARAMS
-from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values
+from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values, swapped_conjugate
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
@@ -235,14 +243,40 @@ def _check_nonzero(j: Jet, what: str):
             raise DomainError(f"{what} vanishes at the evaluation point")
 
 
-def _two_logs(bz: Jet, bbzb: Jet, t: Jet) -> Jet:
+def _two_logs(b: ex.Expr, bbar: ex.Expr, z0, zb0, t0, order: int) -> Jet:
     """ln(t + b(z)) + ln(t + bbar(zbar)), the core of the two-logarithm
-    families, from the univariate jets of b, bbar and t."""
-    tb = on_axes(bz, None, t)
-    tbb = on_axes(None, bbzb, t)
+    families, from b and its partner bbar at (z0, zb0, t0).
+
+    On the physical slice, where every row's zb0 is conj(z0) bit for bit
+    (`_on_slice`), ln(t + bbar(zbar)) is ln(t + b(z)) conjugated with its z
+    and zbar axes swapped (`jet.swapped_conjugate`), and bbar is not
+    evaluated: the principal logarithm commutes with conjugation once
+    signed zeros are respected (Kahan, "Branch cuts for complex elementary
+    functions", 1987).  Every other call evaluates bbar."""
+    t = _seed(t0, order)
+    tb = on_axes(_on(b, _seed(z0, order)), None, t)
     _check_nonzero(tb, "t + b(z)")
+    if _on_slice(z0, zb0):
+        ln_tb = _ln(tb, "t + b(z)")
+        return ln_tb + swapped_conjugate(ln_tb)
+    tbb = on_axes(None, _on(bbar, _seed(zb0, order)), t)
     _check_nonzero(tbb, "t + bbar(zbar)")
     return _ln(tb, "t + b(z)") + _ln(tbb, "t + bbar(zbar)")
+
+
+def _on_slice(z0, zb0) -> bool:
+    """Whether zb0 is conj(z0) bit for bit in every row: equal real parts
+    and negated imaginary parts, the sign of a zero counted (1.2 + 0j is
+    == its conjugate, but is not it)."""
+    zs, zbs = row_values(z0), row_values(zb0)
+    if len(zs) != len(zbs):
+        return False
+    for z, zb in zip(zs, zbs):
+        w = complex(z).conjugate()
+        if not (w == zb and math.copysign(1.0, w.real) == math.copysign(1.0, zb.real)
+                and math.copysign(1.0, w.imag) == math.copysign(1.0, zb.imag)):
+            return False
+    return True
 
 
 def _conformal_log(kappa: int, z0, zb0, order: int) -> Jet:
@@ -365,8 +399,7 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         bbar = _bar(b)
 
         def build(z0, zb0, t0, order):
-            return (_two_logs(_on(b, _seed(z0, order)), _on(bbar, _seed(zb0, order)),
-                              _seed(t0, order))
+            return (_two_logs(b, bbar, z0, zb0, t0, order)
                     - 2.0 * _conformal_log(kappa, z0, zb0, order))
 
     elif family == "general_noninv":
@@ -374,9 +407,8 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
         bbar, cbar = _bar(b), _bar(c)
 
         def build(z0, zb0, t0, order):
-            logs = _two_logs(_on(b, _seed(z0, order)), _on(bbar, _seed(zb0, order)),
-                             _seed(t0, order))
-            return logs + _liouville_gamma(c, cbar, kappa, z0, zb0, order, "c")
+            return (_two_logs(b, bbar, z0, zb0, t0, order)
+                    + _liouville_gamma(c, cbar, kappa, z0, zb0, order, "c"))
 
     elif family == "confinv":
         # u = ln f(xi, t) - ln a(z) - ln abar(zbar), xi = i(A(z) - Abar(zbar))

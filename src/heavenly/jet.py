@@ -655,6 +655,17 @@ def on_axes(*pieces) -> Jet:
     return _jet(out.reshape(((depth,) if depth else ()) + (order + 1,) * 3), depth, 3, order)
 
 
+def swapped_conjugate(j: Jet) -> Jet:
+    """The three-variable jet of conj(f(y, x, t)) from the jet j of
+    f(x, y, t): every coefficient conjugated, with the first two variables
+    swapped (c_{ijk} -> conj(c_{jik})).  One copy of j's coefficients."""
+    if j.nvars != 3:
+        raise ShapeMismatch(f"swapped_conjugate takes a three-variable jet, got {j.nvars}")
+    rows = j.coeffs.reshape((j.depth or 1,) + j.coeffs.shape[-3:])
+    out = np.conjugate(rows.swapaxes(1, 2), order="C")
+    return _jet(out.reshape(j.coeffs.shape), j.depth, 3, j.order)
+
+
 @lru_cache(maxsize=None)
 def _compose3_table(order: int):
     """Gathers of `compose3` at one order, over its (term, slot) pairs.

@@ -10,9 +10,10 @@ from heavenly.fields import (MAX_ORDER, Point, conformal_pushforward, eval_u,
                              make_solution)
 from heavenly.invariants import liouville_residual
 from heavenly import fields
+from heavenly.jet import Jet
 from oracle import fd_first_partials, fd_second_partials
-from test_bundle import FAMILIES, build, points, stacked_build
-from test_reference_kernels import ref_builder
+from test_bundle import FAMILIES, build, outcome, points, stacked_build
+from test_reference_kernels import builder_points, ref_builder
 
 Z0 = 0.9 + 0.3j
 T0 = 1.3
@@ -207,10 +208,132 @@ def test_u_jets_are_real_on_the_slice(make):
     assert max(gap for *_, gap in gaps) <= REALITY_BOUND, max(gaps, key=lambda g: g[2])
 
 
-def test_reality_fails_where_a_partner_keeps_its_constants(monkeypatch):
-    # bbar built from b without conjugating its constants: ln(t + zbar^2 + i)
-    # is no conjugate partner of ln(t + z^2 + i)
+def keeps_its_constants(monkeypatch):
+    # a partner built from its expression without conjugating its constants:
+    # ln(zbar^2 + i) is no conjugate partner of ln(z^2 + i)
     monkeypatch.setattr(fields, "_bar", lambda e: e)
-    fld = make_solution("noninv", {"b": ex.parse("z^2 + i", ("z",))}, 1)
-    p = points(1)[0]
-    assert reality_gap(eval_u(fld, p, MAX_ORDER)) > 0.1
+
+
+def not_conjugated(monkeypatch):
+    monkeypatch.setattr(fields, "swapped_conjugate", lambda j: Jet(
+        np.swapaxes(j.coeffs, -3, -2).copy(), depth=j.depth))
+
+
+def not_swapped(monkeypatch):
+    monkeypatch.setattr(fields, "swapped_conjugate", lambda j: Jet(j.coeffs.conj(),
+                                                                   depth=j.depth))
+
+
+@pytest.mark.parametrize("family,params,broken", [
+    # cbar is still evaluated on the slice, so it still comes from _bar
+    ("liouville", {"c": "z^2 + i"}, keeps_its_constants),
+    # the two-logarithm partner on the slice is ln(t + b(z)) conjugated and
+    # transposed; each half of that alone is no partner
+    ("noninv", {"b": "z^2 + i"}, not_conjugated),
+    ("noninv", {"b": "z^2 + i"}, not_swapped),
+], ids=["cbar keeps its constants", "two-log partner not conjugated",
+        "two-log partner not swapped"])
+def test_reality_fails_where_a_partner_is_broken(monkeypatch, family, params, broken):
+    broken(monkeypatch)
+    fld = make_solution(family, {k: ex.parse(v, ("z",)) for k, v in params.items()}, 1)
+    assert reality_gap(eval_u(fld, points(1)[0], MAX_ORDER)) > 0.1
+
+
+# --- the partner of ln(t + b(z)) on the slice -------------------------------------
+# Where every row's zbar is conj(z) bit for bit, the two-logarithm families
+# take ln(t + bbar(zbar)) as ln(t + b(z)) conjugated and transposed, and never
+# evaluate bbar; every other call evaluates it.
+
+def bbar_evaluations(monkeypatch, b):
+    """A list that gets one entry per evaluation of the partner that
+    `fields._bar` makes of the Expr b from now on."""
+    partners, calls = [], []
+    bar, evaluate = fields._bar, ex.evaluate
+
+    def recording_bar(e):
+        made = bar(e)
+        if e is b:
+            partners.append(made)
+        return made
+
+    def counting_evaluate(e, env):
+        if any(e is p for p in partners):
+            calls.append(env)
+        return evaluate(e, env)
+
+    monkeypatch.setattr(fields, "_bar", recording_bar)
+    monkeypatch.setattr(ex, "evaluate", counting_evaluate)
+    return calls
+
+
+TWO_LOG_FIELDS = {
+    "noninv": lambda b, kappa: make_solution("noninv", {"b": b}, kappa),
+    "general_noninv": lambda b, kappa: make_solution(
+        "general_noninv", {"b": b, "c": ex.parse("z^2", ("z",))}, kappa),
+    "pushforward": lambda b, kappa: conformal_pushforward(
+        make_solution("noninv", {"b": b}, kappa), ex.parse("z^2/2 + z", ("z",))),
+}
+
+
+def conjugates(z0, zb0) -> bool:
+    """Whether zb0 is conj(z0) bit for bit, row by row (a tuple is a stack)."""
+    bits = lambda w: (complex(w).real.hex(), complex(w).imag.hex())
+    rows = lambda v: v if type(v) is tuple else (v,)
+    return all(bits(complex(z).conjugate()) == bits(zb) for z, zb in zip(rows(z0), rows(zb0)))
+
+
+def test_the_slice_is_told_by_bits(monkeypatch):
+    b = ex.parse("z^2 - i", ("z",))
+    calls = bbar_evaluations(monkeypatch, b)
+    fld = make_solution("noninv", {"b": b}, -1)
+    z1, z2 = Z0, 1.3 - 0.4j
+    for z0, zb0, evaluated in [
+        (complex(1.2, 0.0), complex(1.2, -0.0), 0),  # the conjugate, bit for bit
+        (complex(1.2, 0.0), complex(1.2, 0.0), 1),   # == the conjugate, but +0 is not -0
+        (complex(-0.0, 0.5), complex(0.0, -0.5), 1),  # nor here, in the real part
+        (z1, 0.7 * z1 + 0.1, 1),                      # off the slice
+        ((z1, z2), (z1.conjugate(), z2.conjugate()), 0),
+        ((z1, z2), (z1.conjugate(), z2), 1),          # one off-slice row: one stacked evaluation
+    ]:
+        del calls[:]
+        t0 = T0 if type(z0) is complex else (T0, T0)
+        fld.jet_at(z0, zb0, t0, 2)
+        assert len(calls) == evaluated, (z0, zb0)
+        assert conjugates(z0, zb0) == (not evaluated)
+
+
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("b_text", ("z^2 + i", "z^2"))
+@pytest.mark.parametrize("family", list(TWO_LOG_FIELDS))
+def test_the_partner_on_the_slice_keeps_the_evaluated_bits(monkeypatch, family, b_text, kappa):
+    # grid-suite's points with the images under z -> -z (Re z < 0, outside
+    # the domain of noninv for kappa = +1), real z of both signs and signed
+    # zero parts.  A pushforward's two logarithms are at (phi, phibar) of
+    # the point; for this phi those are conjugates bit for bit only off the
+    # real axis, where a zero imaginary part of a jet's sum is +0 on both
+    # sides.
+    b = ex.parse(b_text, ("z",))
+    calls = bbar_evaluations(monkeypatch, b)
+    fld = TWO_LOG_FIELDS[family](b, kappa)
+    two_logs = fld.params.get("inner", fld)
+    at, builder = [], two_logs._builder
+    object.__setattr__(two_logs, "_builder", lambda *args: at.append(args[:2]) or builder(*args))
+    pts = builder_points(kappa)
+    raised = shortcut = 0
+    for order in range(MAX_ORDER + 1):
+        builds = [lambda p=p: fld.jet_at(p.z, p.z.conjugate(), p.t, order) for p in pts]
+        good = [p for p, make in zip(pts, builds) if outcome(make)[0] == "jet"]
+        builds.append(lambda: stacked_build(fld, good, order))
+        builds.append(lambda: stacked_build(fld, pts, order))  # raises where a point raises
+        for make in builds:
+            del calls[:], at[:]
+            got = outcome(make)
+            if at:  # the build reached the two logarithms
+                assert bool(calls) != conjugates(*at[0]), at[0]
+                shortcut += not calls
+            with monkeypatch.context() as m:
+                m.setattr(fields, "_on_slice", lambda z0, zb0: False)
+                assert got == outcome(make)
+            raised += got[0] == "raised"
+    assert shortcut >= len(pts)
+    assert raised or kappa == -1

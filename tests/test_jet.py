@@ -10,7 +10,7 @@ import pytest
 from heavenly import expr as ex
 from heavenly.errors import (BranchCutViolation, DivisionBySingularJet,
                              DomainError, OrderExceeded, ShapeMismatch)
-from heavenly.jet import Jet, compose3, compose_series, on_axes
+from heavenly.jet import Jet, compose3, compose_series, on_axes, swapped_conjugate
 
 from test_reference_kernels import row_series
 
@@ -206,6 +206,24 @@ def kernel_results():
     yield "compose3", compose3(Jet.variable(0, 0.5, 3, 2) * Jet.variable(2, 1.0, 3, 2),
                                *(Jet.variable(0, v, 1, 2) - v for v in POINT))
     yield "on_axes", on_axes(Jet.variable(0, POINT[0], 1, 3), None, Jet.variable(0, 1.0, 1, 3))
+    yield "swapped_conjugate", swapped_conjugate(Jet.stack([f, g]))
+
+
+def test_swapped_conjugate_conjugates_and_swaps_z_and_zbar():
+    # c_ijk -> conj(c_jik), row by row, for one jet and a stack
+    z, zb, t = seeds(3)
+    f = z * z * zb + 0.5j * zb * t + (1 - 2j) * z
+    for jet in (f, Jet.stack([f, f.exp()])):
+        got = swapped_conjugate(jet)
+        assert (got.depth, got.nvars, got.order) == (jet.depth, 3, 3)
+        assert got.coeffs.flags.c_contiguous
+        rows = jet.coeffs.reshape((-1, 4, 4, 4))
+        for r, row in enumerate(got.coeffs.reshape((-1, 4, 4, 4))):
+            for i, j, k in np.ndindex(4, 4, 4):
+                assert row[i, j, k] == rows[r, j, i, k].conjugate()
+        assert swapped_conjugate(got).coeffs.tobytes() == jet.coeffs.tobytes()
+    with pytest.raises(ShapeMismatch):
+        swapped_conjugate(Jet.variable(0, 1.0, 1, 2))
 
 
 @pytest.mark.parametrize("name", ["coeffs", "depth", "nvars", "order", "other"])
@@ -281,7 +299,7 @@ def test_every_kernel_result_is_read_only():
         with pytest.raises(ValueError):
             jet.coeffs[(0,) * jet.coeffs.ndim] = 7.0
         checked += 1
-    assert checked == 28
+    assert checked == 29
 
 
 def test_post_init_runs_once_per_jet(monkeypatch):
