@@ -11,8 +11,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, ConstraintViolation
-from .fields import Point, eval_u, in_sweeps, make_solution, u_jets
+from .fields import Point, eval_u, make_solution, u_jets
 from .invariants import pde_residual
+from .sweeps import in_sweeps
 from .symmetry import GeneratorSpec, conf_inv_witness, first_partials, invariance_residuals
 
 _ZERO_TOL = 1e-12
@@ -354,7 +355,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     field = make_solution("noninv", {"b": b}, kappa)
 
     # the equation loop reads its u-jets from stacked passes
-    # (fields.in_sweeps), and keeps the first partials of each usable
+    # (sweeps.in_sweeps), and keeps the first partials of each usable
     # point's row, which the invariance criterion reads
     equation = []
     usable: list[Point] = []

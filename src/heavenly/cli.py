@@ -4,7 +4,9 @@ deterministic JSON or CSV reports.
 
 Each subcommand imports the modules it runs when it runs, so a
 `heavenly resolving` process never loads the field, invariant, symmetry or
-classification modules.
+classification modules.  Every subcommand checks its points as stacked
+passes (`sweeps.in_sweeps`): before each chunk of points, one stacked build
+fills the per-point store of the fields or resolving functions it reads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError,
                      NegativeDiscriminant, ParseError)
 from .families import FAMILY_PARAMS
 from .jet import PASS_POINTS
+from .sweeps import in_sweeps
 
 SCHEMA = "foliation-report/1"
 DEFAULT_TOL = 1e-9
@@ -89,15 +92,10 @@ def _exclude(report, reason):
 def _run(report, points, check, passes) -> None:
     """One record per point, {"point": ..., **check(p)}; a point where check
     raises one of POINT_EXCLUSIONS is counted under the error's message.
-
-    The points go in chunks (`fields.in_sweeps`): passes(chunk) lists what
-    the chunk's checks read as (field, points, build) sweeps, each one
-    stacked pass, whose bundles the checks read instead of building each
-    point alone.  A pass that raises leaves its chunk's checks to build
-    point by point, so the records and exclusions are those of the
-    per-point loop.
+    The points go in chunks, each after the (field, points, build) passes
+    that passes(chunk) lists (`sweeps.in_sweeps`), so the records and
+    exclusions are those of the per-point loop.
     """
-    from .fields import in_sweeps
     for p in in_sweeps(points, passes):
         try:
             rec = check(p)
@@ -274,14 +272,12 @@ def cmd_resolving(args) -> int:
     the same order, the same rejection of a discriminant at or below 1e-6,
     at most 50 * samples attempts, and no more admissible draws than
     samples still missing.  Each group of at most PASS_POINTS admissible
-    draws is then swept as the rows of one stacked projection
-    (`resolving.resolving_sweep`) and checked by the plain per-point loop,
-    which reads the sweep's results; where the sweep raises, the loop
-    computes each point alone.  Either way every point gets its per-point
-    result and exclusion, so the report is that loop's, byte for byte.
+    draws is then checked as the rows of one stacked projection
+    (`sweeps.in_sweeps`, `resolving.checked_pairs`) by the plain per-point
+    loop, so the report is that loop's, exclusions included, byte for byte.
     """
-    from .resolving import (RVARS, ResolvingPoint, ansatz_functions, jacobi_residual,
-                            resolving_residuals, resolving_sweep)
+    from .resolving import (RVARS, ResolvingPoint, ansatz_functions, checked_pairs,
+                            jacobi_residual, resolving_residuals)
     phi = ex.parse(args.phi, ("xi", "theta"))
     rf = ansatz_functions(phi, args.kappa)
     if args.perturb:
@@ -304,8 +300,7 @@ def cmd_resolving(args) -> int:
                 _exclude(report, "discriminant outside the admissible region")
                 continue
             group.append(p)
-        resolving_sweep(rf, group)
-        for p in group:
+        for p in in_sweeps(group, lambda g: [(rf, g, checked_pairs)]):
             try:
                 res, jac = resolving_residuals(rf, p), jacobi_residual(rf, p)
             except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:

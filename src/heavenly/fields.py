@@ -29,36 +29,34 @@ never asks which: the same code builds one jet or every point's jet as one
 row of stacked jets, and each domain check reads the constant term of the
 jet it guards, row by row, before that jet goes to a logarithm.
 
-A point's bundle keeps one u-jet: the row a sweep stored for the point,
-at the order of its pass, or else one build at the engine's ceiling
-MAX_ORDER, which also replaces a row of lower order than a request.
-`eval_u` serves a lower order as that jet's truncation.  In a truncated
-Taylor algebra the lower-order jet is the higher one with its top
-coefficients dropped, and the engine computes it with the same bits.
-
-A loop over many points runs as stacked passes: `in_sweeps` hands the
-loop its points in chunks of at most PASS_POINTS, and before each chunk
-`SolutionField.sweep` fills the field's one store of point bundles from
-one stacked build.  The loop's per-point calls are the only readers of
-that store, so they give the bits, the errors and the exclusions of the
-per-point path; a chunk whose pass raises runs on that path.
+A field's store (`sweeps.PointStore`) keeps one u-jet per point: the row
+a pass stored for the point, at the order of the pass, or else one build
+at the engine's ceiling MAX_ORDER, which also replaces a row of lower
+order than a request.  `eval_u` serves a lower order as that jet's
+truncation.  In a truncated Taylor algebra the lower-order jet is the
+higher one with its top coefficients dropped, and the engine computes it
+with the same bits.  A loop over many points fills the store chunk by
+chunk from stacked builds (`sweeps.in_sweeps`, `u_jets`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from struct import pack
 
 from . import expr as ex
-from .errors import SWEEP_FALLBACK, DomainError, FamilyParamMismatch, SingularMap
+from .errors import DomainError, FamilyParamMismatch, SingularMap
 from .families import FAMILY_PARAMS
-from .jet import PASS_POINTS, Jet, compose3, on_axes, row_values, swapped_conjugate
+from .jet import Jet, compose3, on_axes, row_values, swapped_conjugate
+from .sweeps import PointStore
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
 #: the highest order of a u-jet: the engine's ceiling, all that x2, the
 #: InvariantSet and the commutators (first partials of order-1 operator
-#: coefficients) read; `eval_u` builds this order when its bundle holds no
+#: coefficients) read; `eval_u` builds this order when its store holds no
 #: u-jet of the order requested or higher
 MAX_ORDER = 3
 
@@ -70,129 +68,49 @@ class Point:
     t: float
     z: complex
 
-
-class PointBundle:
-    """Everything computed for one field at one physical-slice point, by
-    name: the point's one u-jet under "u" (`eval_u`), the first
-    derivatives of a generator a(z) with the Expr they came from under
-    "a'" (`symmetry.x2_apply`), and the invariants layer's ``JetCalculus``,
-    ``InvariantSet`` and commutator residuals.  A value is stored only
-    after it was built; a build that raises stores nothing, so the next
-    call raises again.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self):
-        self._values: dict = {}
-
-    def get(self, name, build):
-        """The value stored under name, built by build() on first use."""
-        values = self._values
-        if name not in values:
-            values[name] = build()
-        return values[name]
-
-    def stored(self, name):
-        """The value stored under name, or None; never builds."""
-        return self._values.get(name)
-
-    def put(self, name, value) -> None:
-        """Store value under name, replacing what was there."""
-        self._values[name] = value
+    @cached_property
+    def key(self) -> tuple:
+        """The `PointStore` key: the types and bits of t and z, which tell
+        apart the points that == merges (0.0 and -0.0, 1 and 1.0)."""
+        return type(self.t), type(self.z), pack("<3d", self.t, self.z.real, self.z.imag)
 
 
 @dataclass(frozen=True)
 class SolutionField:
     """Evaluator for one solution family (or a conformal transform of one).
 
-    The field keeps one store of derivative bundles (``PointBundle``): the
-    bundles of its last `sweep`, one per point, or else the bundle of the
-    last point it was evaluated at on the physical slice.  So a run of
-    calls at one point builds the u-jet (see `eval_u`), the calculus and
-    the invariants once, and a loop over a sweep's points reads what
-    the sweep computed for them.  A point outside the store replaces it,
-    bundles and keys together; memory is at most one sweep's points per
-    field.  Bundled values are shared between calls and must be treated as
-    immutable (jets are).
+    The field keeps what it computed at physical-slice points in one
+    `PointStore`, by name: a point's u-jet under "u" (`eval_u`), a
+    generator's first derivatives with the Expr they came from under "a'"
+    (`symmetry.x2_apply`), and the invariants layer's "calculus",
+    "invariants" and "commutators".  So a run of calls at one point builds
+    each of them once, and a loop over a pass's points reads what the pass
+    computed for them.
     """
 
     family: str
     kappa: int
     params: dict = dc_field(default_factory=dict)
     _builder: object = None  # (z0, zb0, t0, order) -> Jet
-    _bundles: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    store: PointStore = dc_field(default_factory=PointStore, init=False, repr=False, compare=False)
 
     def jet_at(self, z0: complex, zb0: complex, t0: float, order: int) -> Jet:
-        """u-jet at a possibly off-slice point (zbar independent of z); never bundled."""
+        """u-jet at a possibly off-slice point (zbar independent of z); never stored."""
         return self._builder(z0, zb0, t0, order)
 
     def jets_at(self, points: list[Point], order: int) -> Jet:
         """u-jets of physical-slice points in one stacked pass: row r is
         bit for bit ``eval_u(self, points[r], order)``.  Raises if building
-        the jet at any of the points raises; never bundled."""
+        the jet at any of the points raises; never stored."""
         _check_order(order)
         zs = tuple(p.z for p in points)
         return self._builder(zs, tuple(z.conjugate() for z in zs),
                              tuple(p.t for p in points), order)
 
-    def bundle_at(self, p: Point) -> PointBundle:
-        """The derivative bundle of point p from the store; a point outside
-        it replaces the store with a new bundle for p alone."""
-        key = _bundle_key(p)
-        bundle = self._bundles.get(key)
-        if bundle is None:
-            bundle = PointBundle()
-            object.__setattr__(self, "_bundles", {key: bundle})
-        return bundle
-
-    def sweep(self, points: list[Point], build) -> None:
-        """Compute what a loop over points needs in one stacked pass.
-
-        build(field, points) returns one dict per point of bundle values
-        (name -> value, as `PointBundle.put` stores them), all computed
-        together.  They replace the store, one bundle per point, so the
-        loop's per-point calls read them instead of building each point
-        alone; everything else they need is built per point as usual.  If
-        build raises (`SWEEP_FALLBACK`), the store is left empty, and the
-        loop raises or excludes exactly what the per-point path does.
-        """
-        object.__setattr__(self, "_bundles", {})
-        if not points:
-            return
-        try:
-            values = build(self, points)
-        except SWEEP_FALLBACK:
-            return
-        bundles = {}
-        for p, named in zip(points, values):
-            bundle = bundles.setdefault(_bundle_key(p), PointBundle())
-            for name, value in named.items():
-                bundle.put(name, value)
-        object.__setattr__(self, "_bundles", bundles)
-
-
-def in_sweeps(points: list[Point], passes):
-    """Each of points, in chunks of at most PASS_POINTS: before a chunk's
-    points are yielded, every (field, points, build) of passes(chunk) is run
-    as one `SolutionField.sweep`, so the per-point calls of a loop over the
-    chunk read their bundles.  A sweep that raises costs its chunk alone:
-    that chunk's points are built one by one."""
-    for start in range(0, len(points), PASS_POINTS):
-        chunk = points[start:start + PASS_POINTS]
-        for field, swept, build in passes(chunk):
-            field.sweep(swept, build)
-        yield from chunk
-
-
-def _bundle_key(p: Point) -> str:
-    # repr tells apart the values that == merges (0.0 and -0.0, 1 and 1.0)
-    return repr((p.t, p.z))
-
 
 def u_jets(order: int):
-    """A `SolutionField.sweep` build: each point's u-jet of this order, as
-    one row of `jets_at`."""
+    """A pass build (`sweeps.in_sweeps`): each point's u-jet of this order,
+    as one row of `jets_at`."""
     return lambda field, points: [{"u": row} for row in field.jets_at(points, order).rows()]
 
 
@@ -439,8 +357,8 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
 def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     """Jet of u at a physical-slice point (zbar = conj z).
 
-    The field's bundle for p keeps one u-jet, shared by every later call at
-    the point: the row a sweep stored, or else one order-MAX_ORDER build,
+    The field's store keeps one u-jet for p, shared by every later call at
+    the point: the row a pass stored, or else one order-MAX_ORDER build,
     which also replaces a stored row of lower order than this request.  A
     lower order is that jet's truncation.  Every jet operation computes
     each coefficient from the coefficients of no higher degree, in the same
@@ -448,11 +366,10 @@ def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
     built at that order.
     """
     _check_order(order)
-    bundle = field.bundle_at(p)
-    u = bundle.stored("u")
+    u = field.store.stored(p, "u")
     if u is None or u.order < order:
         u = field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)
-        bundle.put("u", u)
+        field.store.put(p, "u", u)
     return u if u.order == order else u.truncated(order)
 
 

@@ -13,7 +13,7 @@ a sweep of InvariantSets (`swept_invariants`) build no jet beyond the
 u-jet.  The commutators are bracket identities of first-order operators:
 the first `commutator_residual` at a point reads the operators'
 coefficients and their first partials from that calculus and keeps all
-twelve residuals in the point's bundle.
+twelve residuals in the field's store (`sweeps.PointStore`).
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def _first_order(c: list) -> dict:
 
 
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
-    """The JetCalculus of the field's bundle at p, which `invariants_at`
+    """The JetCalculus of p in the field's store, which `invariants_at`
     and the commutators at p share."""
-    return field.bundle_at(p).get("calculus", lambda: JetCalculus(field, p))
+    return field.store.get(p, "calculus", lambda: JetCalculus(field, p))
 
 
 def pde_residual(field: SolutionField, p: Point) -> complex:
@@ -147,20 +147,20 @@ def liouville_residual(field: SolutionField, p: Point) -> complex:
 def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
     """Compute {t, u_t, u_tt, rho, eta, sigma, sigma_bar, tau, lambda, lambda_bar}.
 
-    The result and the JetCalculus it comes from live in
-    the field's bundle for p, unless a `swept_invariants` pass stored the
-    result there (see ``SolutionField``): repeated calls at one point, and
+    The result and the JetCalculus it comes from live in the field's
+    store, unless a `swept_invariants` pass stored the result there (see
+    ``SolutionField``): repeated calls at one point, and
     the commutator and operator functions at that point, share them.  The
     InvariantSet is frozen; one instance is returned to every such call.
     """
-    return field.bundle_at(p).get(
-        "invariants", lambda: _invariant_sets(_calculus(field, p), [p])[0])
+    return field.store.get(p, "invariants",
+                           lambda: _invariant_sets(_calculus(field, p), [p])[0])
 
 
 def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
-    """A `SolutionField.sweep` build: each point's InvariantSet, as
+    """A pass build (`sweeps.in_sweeps`): each point's InvariantSet, as
     `invariants_at` stores it, from one JetCalculus on the points' stacked
-    u-jets, and each point's row of those u-jets as its bundle's u-jet,
+    u-jets, and each point's row of those u-jets as its stored u-jet,
     which `eval_u` truncates to every lower order.  The InvariantSets have
     the bits of `invariants_at`'s calculus at each point alone."""
     calc = JetCalculus(field, points)
@@ -169,7 +169,7 @@ def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
 
 
 def swept_invariant_sets(field: SolutionField, points: list[Point]) -> list[dict]:
-    """A `SolutionField.sweep` build for loops that read only the
+    """A pass build for loops that read only the
     InvariantSets: `swept_invariants` without the u-jet rows."""
     return [{"invariants": s} for s in _invariant_sets(JetCalculus(field, points), points)]
 
@@ -217,14 +217,14 @@ def commutator_residual(pair: tuple[str, str], target: str,
     u-jet of `invariants_at`'s calculus.  Every right-hand side divides by
     eta, so every pair raises EtaVanishes where eta vanishes.  The first
     call at a point computes all twelve residuals (`_commutator_residuals`)
-    and keeps them in the point's bundle; the later calls there read them.
+    and keeps them in the field's store; the later calls there read them.
     A call that raises keeps nothing.  An unknown pair or target raises
     ValueError before anything is evaluated.
     """
     pair = tuple(pair)
     if pair not in COMMUTATOR_PAIRS or target not in COMMUTATOR_TARGETS:
         raise ValueError(f"unknown commutator pair {pair!r} or target {target!r}")
-    residuals = field.bundle_at(p).get("commutators", lambda: _commutator_residuals(field, p))
+    residuals = field.store.get(p, "commutators", lambda: _commutator_residuals(field, p))
     return residuals[pair, target]
 
 

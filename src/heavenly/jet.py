@@ -38,7 +38,7 @@ SINGULAR_EPS = 1e-12
 #: the largest integer exponent that `Jet.cpow` takes as a repeated product
 PRODUCT_POWERS = 8
 #: the most points one stacked pass holds: the rows of every stacked jet a
-#: sweep builds (`fields.in_sweeps`, `resolving.resolving_sweep`)
+#: pass builds (`sweeps.in_sweeps`)
 PASS_POINTS = 16
 
 _COMPLEX = np.dtype(complex)

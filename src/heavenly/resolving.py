@@ -6,21 +6,23 @@ The projected operators are first order and both checks read values after
 one application of them, so a point needs the values and first partials
 of F, lambda, lambda_bar and tau from one order-PROJ_ORDER projection; the
 rest is scalar arithmetic (`_applied`, `_structure`, `_pair`).  The
-functions keep each checked point's pair of results in one store.  A loop
-over many points first runs `resolving_sweep`, which fills that store from
-one stacked projection of all of them; the loop's per-point calls are its
-only readers, so they give the bits and the errors of the per-point path.
+functions keep each checked point's pair of results in one
+`sweeps.PointStore`, which a loop over many points fills chunk by chunk
+from one stacked projection of each chunk (`checked_pairs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from struct import pack
 
 import numpy as np
 
 from . import expr as ex
-from .errors import SWEEP_FALLBACK, ArityMismatch, FVanishes, NegativeDiscriminant
+from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
 from .jet import SINGULAR_EPS, Jet
+from .sweeps import PointStore
 
 RVARS = ("t", "ut", "rho")
 #: |F| below this counts as F = 0; c divides by F, and this is the
@@ -46,6 +48,13 @@ class ResolvingPoint:
     def discriminant(self) -> float:
         return 2 * self.kappa * self.rho - self.ut ** 2
 
+    @cached_property
+    def key(self) -> tuple:
+        """The point's `PointStore` key: the bits and types of its
+        coordinates, as `fields.Point.key`."""
+        return (type(self.t), type(self.ut), type(self.rho), type(self.kappa),
+                pack("<3dq", self.t, self.ut, self.rho, self.kappa))
+
 
 @dataclass(frozen=True)
 class ResolvingFunctions:
@@ -53,12 +62,11 @@ class ResolvingFunctions:
     (t, ut, rho).  lambda_bar must be the coefficient-conjugate partner of
     lambda_; use ansatz_functions or conjugate() to build it.
 
-    The functions keep one store of checked points, each with its pair of
-    `resolving_residuals` and `jacobi_residual` results: those of the last
-    `resolving_sweep`, or else of the last point they were checked at.  So
-    the two checks at one point evaluate F, lambda, lambda_bar and tau
-    once.  A point outside the store replaces it; a check that raises
-    keeps nothing, so the next call raises again.
+    The functions keep one `PointStore` of checked points, each with its
+    pair of `resolving_residuals` and `jacobi_residual` results under
+    "pair": those of the last pass (`checked_pairs`), or else of the last
+    point they were checked at.  So the two checks at one point evaluate
+    F, lambda, lambda_bar and tau once.
     """
 
     F: ex.Expr
@@ -66,7 +74,7 @@ class ResolvingFunctions:
     lambda_bar: ex.Expr
     tau: ex.Expr
     requires_nonneg_discriminant: bool = False
-    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    store: PointStore = field(default_factory=PointStore, init=False, repr=False, compare=False)
 
 
 class _Proj:
@@ -77,7 +85,7 @@ class _Proj:
     >= 1; the tests build their reference projections at other orders.
 
     p is one point, or a list of points of one kappa whose jets hold one row
-    per point (`resolving_sweep`); points of mixed kappa raise ValueError.
+    per point (`checked_pairs`); points of mixed kappa raise ValueError.
     """
 
     def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint | list[ResolvingPoint],
@@ -143,18 +151,16 @@ def _structure(p: ResolvingPoint, F: list, lam: list, lamb: list,
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
     """The pair of both checks' results at p, from rf's store, or from p's
-    own order-PROJ_ORDER projection, which then replaces the store; raises
-    FVanishes where F's value is below F_EPS."""
-    key = repr(p)  # repr tells apart the values that == merges (0.0 and -0.0)
-    checked = rf._checked.get(key)
-    if checked is None:
+    own order-PROJ_ORDER projection; raises FVanishes where F's value is
+    below F_EPS."""
+    def own():
         proj = _Proj(rf, p, PROJ_ORDER)
-        pairs = _checked_pairs(proj, [p])
-        if not pairs:
+        (named,) = _named_pairs(proj, [p])
+        if not named:
             raise FVanishes(f"F = {proj.Fj.value} at {p}")
-        object.__setattr__(rf, "_checked", pairs)
-        checked = pairs[key]
-    return checked
+        return named["pair"]
+
+    return rf.store.get(p, "pair", own)
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ def resolving_residuals(rf: ResolvingFunctions, p: ResolvingPoint) -> ResolvingR
     """The five residuals of the resolving system at one invariant point.
 
     At a point outside rf's store this computes the pair of both checks
-    (`_checked_pairs`), so a caller that wants the residuals alone pays for
-    both; the following `jacobi_residual` there reads the store."""
+    (`_pair`), so a caller that wants the residuals alone pays for both;
+    the following `jacobi_residual` there reads the store."""
     return _checks(rf, p)[0]
 
 
@@ -234,33 +240,22 @@ def _pair(p: ResolvingPoint, F: list, lam: list, lamb: list, tau: list) -> tuple
             (d[6] - c[0] * a_bar[0] + yb[4], d[6] - a[0] * c[0] + y[5]))
 
 
-def _checked_pairs(proj: _Proj, points: list[ResolvingPoint]) -> dict:
-    """{repr(p): `_pair` at p} for each of points whose F is not below
-    F_EPS in value (a NaN F is not, and gives NaN results), each from its
-    own row of proj."""
+def _named_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[dict]:
+    """{"pair": `_pair` at p} for each of points from its own row of proj,
+    or {} where F's value is below F_EPS (a NaN F is not, and gives NaN
+    results)."""
     rows = (_first_order(j, len(points)) for j in (proj.Fj, proj.lamj, proj.lambj, proj.tauj))
-    return {repr(p): _pair(p, F, *rest) for p, F, *rest in zip(points, *rows)
-            if not abs(F[0]) < F_EPS}
+    return [{} if abs(F[0]) < F_EPS else {"pair": _pair(p, F, *rest)}
+            for p, F, *rest in zip(points, *rows)]
 
 
-def resolving_sweep(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> None:
-    """Check points, of one kappa, in one stacked order-PROJ_ORDER
-    projection, whose results replace rf's store: per point the pair that
-    `resolving_residuals` and `jacobi_residual` read, bit for bit the
-    point's own, because every jet operation acts row by row and each row
-    goes through `_pair`.  A point where F's value is below F_EPS is left
-    out, so it raises FVanishes alone; a projection that raises
-    (`SWEEP_FALLBACK`, which covers points of mixed kappa) leaves the store
-    empty, so the checks there raise or exclude exactly what they do alone.
-    """
-    object.__setattr__(rf, "_checked", {})
-    if not points:
-        return
-    try:
-        proj = _Proj(rf, points, PROJ_ORDER)
-    except SWEEP_FALLBACK:
-        return
-    object.__setattr__(rf, "_checked", _checked_pairs(proj, points))
+def checked_pairs(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> list[dict]:
+    """A pass build (`sweeps.in_sweeps`): `_named_pairs` of points of one
+    kappa from one stacked order-PROJ_ORDER projection, bit for bit each
+    point's own, because every jet operation acts row by row.  A point
+    where F vanishes gets {}, so it raises FVanishes alone; points of mixed
+    kappa raise."""
+    return _named_pairs(_Proj(rf, points, PROJ_ORDER), points)
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------

@@ -1,8 +1,8 @@
 """Point-symmetry generators: the second prolongation of the conformal
 generators X_a = a d_z + abar d_zbar - (a' + abar') d_u, the invariance
 criterion for solutions, and the sigma-based conformal non-invariance
-witness.  What `x2_apply` reads at a point lives in the field's bundle for
-that point; an expression holds no point."""
+witness.  What `x2_apply` reads at a point lives in the field's store;
+an expression holds no point."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ import cmath
 from dataclasses import dataclass
 
 from . import expr as ex
-from .fields import Point, SolutionField, eval_u, in_sweeps
+from .fields import Point, SolutionField, eval_u
 from .invariants import invariants_at, swept_invariant_sets
 from .jet import Jet
+from .sweeps import in_sweeps
 
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
 #: non-invariance
@@ -56,9 +57,9 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     jet coordinates such as u_z.  A target outside X2_TARGETS raises
     ValueError before anything is evaluated; every other target raises
     outside the field's domain, and reads only the partials and
-    coefficients of its formula.  It reads the u-jet of the field's bundle
-    for p (`eval_u`), and Rho and Eta read a's first derivatives, which the
-    bundle keeps with the a they came from: the targets of one generator
+    coefficients of its formula.  It reads p's u-jet from the field's store
+    (`eval_u`), and Rho and Eta read a's first derivatives, which the store
+    keeps with the a they came from: the targets of one generator
     at p evaluate it once, and a different generator there afresh.
     """
     if target not in X2_TARGETS:
@@ -69,12 +70,11 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     if target == "Uz":
         (_, a1, a2), _ = _a_derivs(ex.eval_jet1(a, p.z, 2), 2)
         return -(a2 + a1 * J.partial((1, 0, 0)))  # the coefficient of d_{u_z}
-    bundle = field.bundle_at(p)
-    kept = bundle.stored("a'")
+    kept = field.store.stored(p, "a'")
     if kept is None or kept[0] is not a:
         (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
         kept = (a, a1, ab1)
-        bundle.put("a'", kept)
+        field.store.put(p, "a'", kept)
     _, a1, ab1 = kept
     emu = cmath.exp(-J.value)
     c_u = -(a1 + ab1)
@@ -129,7 +129,7 @@ def _criterion(g: GeneratorSpec, t: float, a: Jet | None, partials) -> complex:
 
 def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:
     """Max |sigma - sigma_bar| over the grid, whose invariants come from
-    one stacked calculus per chunk (`fields.in_sweeps`).
+    one stacked calculus per chunk (`sweeps.in_sweeps`).
 
     sigma != sigma_bar is sufficient for conformal non-invariance; the
     converse does not hold, so equality yields "inconclusive", never an

@@ -1,11 +1,11 @@
-"""The per-point derivative bundle: reuse must never change a result.
+"""The per-point store of a field: reuse must never change a result.
 
 Every suite function reads its jets and invariants from the field's one
-store of bundles: the bundles one stacked pass (a sweep) filled for every
-point of a chunk, or else the bundle of the most recent point.  These tests compare each result,
-bit for bit, with the result of a freshly built field, count how often the
-field's builder runs, and check that failures are raised again, never
-remembered.
+`PointStore`: the values one stacked pass filled for every point of a
+chunk, or else those of the most recent point.  These tests compare each
+result, bit for bit, with the result of a freshly built field, count how
+often the field's builder runs, and check that failures are raised again,
+never remembered.
 """
 
 from collections import Counter
@@ -16,7 +16,8 @@ from reference_calculus import CALCULUS_NAMES, assert_calculus_matches_reference
 
 from heavenly import expr as ex
 from heavenly import invariants
-from heavenly.errors import POINT_EXCLUSIONS, DomainError, EtaVanishes, HeavenlyError
+from heavenly.errors import (POINT_EXCLUSIONS, DivisionBySingularJet, DomainError, EtaVanishes,
+                             HeavenlyError)
 from heavenly.fields import (MAX_ORDER, Point, SolutionField, conformal_pushforward,
                              eval_u, make_solution, u_jets)
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, commutator_residual,
@@ -25,6 +26,8 @@ from heavenly.jet import Jet
 from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
 
 X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
+#: every name a field's store keeps values under
+STORED_NAMES = ("u", "a'", "calculus", "invariants", "commutators")
 A_GEN = ex.parse("(0.3 + 0.2*i)*z^2 + z - 0.5", ("z",))
 
 # (family, parameters for kappa=+1, parameters for kappa=-1); every family
@@ -40,6 +43,11 @@ FAMILIES = (
     ("liouville", {"c": "exp(z)"}, {"c": "exp(z)"}),
     ("pushforward", {"b": "z^2 + i"}, {"b": "z^2 - i"}),
 )
+
+
+def fill(fld, pts, build):
+    """One stacked pass of build over pts into fld's store."""
+    fld.store.fill(pts, lambda: build(fld, pts))
 
 
 def build(family, kappa):
@@ -124,7 +132,7 @@ def test_every_order_is_the_jet_built_at_that_order(family, kappa):
     # composes
     pts = grid(kappa, family)
     swept = build(family, kappa)
-    swept.sweep(pts, invariants.swept_invariants)
+    fill(swept, pts, invariants.swept_invariants)
     for p in pts:
         alone = build(family, kappa)
         for order in (2, 0, MAX_ORDER, 1):
@@ -143,7 +151,7 @@ def test_swept_invariants_serve_the_lower_orders(monkeypatch, family, kappa):
     pts = grid(kappa, family)
     want = {repr(p): build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, 4) for p in pts}
     swept = build(family, kappa)
-    swept.sweep(pts, invariants.swept_invariants)
+    fill(swept, pts, invariants.swept_invariants)
 
     def no_build(*args):
         raise AssertionError("eval_u built a u-jet")
@@ -268,8 +276,8 @@ def test_a_sweep_of_invariant_sets_builds_only_the_stacked_u_jet(monkeypatch, fa
     built = counted_jets(monkeypatch)
     alone.jets_at(pts, MAX_ORDER)
     stacked = len(built)
-    swept.sweep(pts, invariants.swept_invariant_sets)
-    for p in pts:  # the loop's reads come from the sweep's bundles
+    fill(swept, pts, invariants.swept_invariant_sets)
+    for p in pts:  # the loop's reads come from the pass's stored values
         invariants_at(swept, p)
     assert len(built) == 2 * stacked > 0
 
@@ -280,6 +288,11 @@ def test_bundle_key_tells_signed_zeros_apart():
     for z in (complex(1.3, 0.0), complex(1.3, -0.0), complex(1.3, 0.0)):
         pde_residual(fld, Point(0.8, z))
     assert counts == {MAX_ORDER: 3}
+    # 1 == 1.0, but they are two points: an InvariantSet echoes the t it got
+    z = complex(1.3, 0.4)
+    echoed = [invariants_at(fld, Point(t, z)).t for t in (1, 1.0, 1)]
+    assert [repr(t) for t in echoed] == ["1", "1.0", "1"]
+    assert counts == {MAX_ORDER: 6}
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -330,7 +343,7 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
     fld = make_solution("noninv", {"b": b}, 1)
     with pytest.raises(POINT_EXCLUSIONS):
         fld.jets_at(pts, 2)  # so the sweep leaves every point to run alone
-    fld.sweep(pts, u_jets(2))
+    fill(fld, pts, u_jets(2))
     swept = excluding(fld, pts)
     assert swept == excluding(make_solution("noninv", {"b": b}, 1), pts)
     assert [kind for kind, _ in swept] == ["ok", "DivisionBySingularJet", "DomainError", "ok",
@@ -340,23 +353,23 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
     good = [p for p, (kind, _) in zip(pts, swept) if kind == "ok"]
     counts = Counter()
     stacked = counting(make_solution("noninv", {"b": b}, 1), counts)
-    stacked.sweep(good, u_jets(2))
+    fill(stacked, good, u_jets(2))
     assert excluding(stacked, good) == [r for r in swept if r[0] == "ok"]
     assert counts == {2: 1}
 
 
-def test_sweep_bundles_last_until_a_point_outside_them():
+def test_a_pass_lasts_until_a_point_outside_it():
     counts = Counter()
     fld = counting(build("noninv", 1), counts)
     pts = grid(1)
-    fld.sweep(pts, u_jets(1))
+    fill(fld, pts, u_jets(1))
     for p in pts:
         eval_u(fld, p, 1)  # the swept order-1 row
     assert counts == {1: 1}  # swept points build nothing
     for p in pts:
         eval_u(fld, p, 2)  # not swept: truncated from this point's own build
     assert counts == {1: 1, MAX_ORDER: len(pts) - 1}  # one point repeats
-    for p in pts:  # every swept bundle, with what it gained, outlives the loop
+    for p in pts:  # every swept point's values, with what they gained, outlive the loop
         eval_u(fld, p, 1)
         eval_u(fld, p, 2)
     assert counts == {1: 1, MAX_ORDER: len(pts) - 1}
@@ -365,16 +378,37 @@ def test_sweep_bundles_last_until_a_point_outside_them():
     eval_u(fld, outside, 2)
     eval_u(fld, pts[0], 1)
     assert counts == {1: 1, MAX_ORDER: len(pts) + 1}
-    fld.sweep(pts[:3], u_jets(1))
+    fill(fld, pts[:3], u_jets(1))
     assert counts == {1: 2, MAX_ORDER: len(pts) + 1}
     bad = Point(0.8, -1.3 + 0.4j)  # z + zbar < 0: the stacked build raises
-    fld.sweep([pts[0], bad], u_jets(1))
-    assert not fld._bundles  # a raising build leaves the store empty
+    fill(fld, [pts[0], bad], u_jets(1))
+    # a raising build leaves the store empty
+    assert [fld.store.stored(p, "u") for p in pts[:3] + [bad]] == [None] * 4
     eval_u(fld, pts[0], 1)
     assert counts == {1: 3, MAX_ORDER: len(pts) + 2}
     with pytest.raises(DomainError):
         eval_u(fld, bad, 1)
     assert counts == {1: 3, MAX_ORDER: len(pts) + 3}
+
+
+def test_a_raising_build_keeps_the_last_pass(monkeypatch):
+    # a point whose own build raises leaves the store as it was: every
+    # point of the last pass still reads its row, with no build
+    b = ex.parse("1/(z - 2) + 0.5", ("z",))
+    fld = make_solution("noninv", {"b": b}, 1)
+    good = [Point(1.0, 1.2 + 0.3j), Point(0.9, 1.7 - 0.2j), Point(1.2, 1.3 - 0.4j)]
+    fill(fld, good, u_jets(2))
+    rows = [fld.store.stored(p, "u") for p in good]
+    assert all(row is not None for row in rows)
+    with pytest.raises(DivisionBySingularJet):
+        pde_residual(fld, Point(1.0, 2.0 + 0j))  # a pole of b
+    built = []
+    jet_at = SolutionField.jet_at
+    monkeypatch.setattr(SolutionField, "jet_at", lambda self, *args:
+                        built.append(args) or jet_at(self, *args))
+    assert all(eval_u(fld, p, 2) is row for p, row in zip(good, rows))
+    assert [kind for kind, _ in excluding(fld, good)] == ["ok"] * 3
+    assert built == []
 
 
 # --- the order ceiling ----------------------------------------------------------

@@ -11,7 +11,9 @@ from heavenly.classify import (ConformallyNonInvariant, Inconclusive,
 from heavenly.errors import ConstraintViolation
 from heavenly.fields import Point, SolutionField, make_solution
 from heavenly.jet import PASS_POINTS
+from heavenly.sweeps import PointStore
 from heavenly.symmetry import conf_inv_witness
+from test_cli_passes import no_pass, recorded_passes
 
 GRID = [Point(t, complex(x, y)) for t in (0.8, 1.1, 1.4)
         for x in (0.8, 1.2) for y in (-0.2, 0.25)]
@@ -115,17 +117,13 @@ def test_automorphic_consistency_identity(kappa, b_text):
 
 
 # --- grid sweeps against the per-point path -------------------------------------
-# verify_case, classify_b and conf_inv_witness fill each grid point's bundle
-# from one stacked pass per chunk (fields.in_sweeps).  With sweep replaced by
-# a call that empties the store and fills nothing, the same loops build every
-# point alone: that per-point path is the reference, and results must be ==
-# to it.  It empties the store as a real sweep does, so a field shared by
-# both runs cannot hand the reference the swept run's bundles.
-
-def _per_point_sweep(self, points, build):
-    """A sweep that empties the store and stores nothing."""
-    object.__setattr__(self, "_bundles", {})
-
+# verify_case, classify_b and conf_inv_witness fill each grid point's values
+# in the field's store from one stacked pass per chunk (sweeps.in_sweeps).
+# With the fill replaced by `no_pass`, which empties the store and stores
+# nothing, the same loops build every point alone: that per-point path is
+# the reference, and results must be == to it.  It empties the store as a
+# real fill does, so a field shared by both runs cannot hand the reference
+# the swept run's values.
 
 def _result(fn):
     try:
@@ -143,7 +141,7 @@ def _both(monkeypatch, fn):
                         lambda self, *args: calls.append(args) or jet_at(self, *args))
     swept, swept_builds = _result(fn), len(calls)
     with monkeypatch.context() as m:
-        m.setattr(SolutionField, "sweep", _per_point_sweep)
+        m.setattr(PointStore, "fill", no_pass)
         reference = _result(fn)
     return swept, reference, swept_builds, len(calls) - swept_builds
 
@@ -209,11 +207,7 @@ def _grid_calls():
 
 
 def test_no_sweep_holds_more_than_pass_points(monkeypatch):
-    sizes = []
-    sweep = SolutionField.sweep
-    monkeypatch.setattr(SolutionField, "sweep",
-                        lambda self, points, build: sizes.append(len(points))
-                        or sweep(self, points, build))
+    sizes = recorded_passes(monkeypatch)
     for fn in _grid_calls():
         del sizes[:]
         fn(WIDE_GRID)

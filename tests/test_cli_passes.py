@@ -1,11 +1,13 @@
 """The CLI's stacked passes against its per-point path.
 
-`resolving` sweeps its samples in groups, each as the rows of one stacked
-projection (`resolving.resolving_sweep`), and `verify`, `symmetry` and
-`orbit` sweep each chunk of their grid (`fields.in_sweeps`) before they
-check it.  With the sweeps switched off (a sweep that empties the store and
-stores nothing), the same commands check every point alone: that per-point
-path is the reference, and the reports must equal it byte for byte.
+`resolving` checks its samples in groups, each as the rows of one stacked
+projection (`resolving.checked_pairs`), and `verify`, `symmetry` and
+`orbit` pass over each chunk of their grid before they check it; every
+pass fills a per-point store (`sweeps.in_sweeps`, `sweeps.PointStore.fill`).
+With the passes switched off (a fill that empties the store and stores
+nothing, `no_pass`), the same commands check every point alone: that
+per-point path is the reference, and the reports must equal it byte for
+byte.
 """
 
 import contextlib
@@ -14,13 +16,16 @@ import random
 
 import pytest
 
-from heavenly import cli, resolving
+from heavenly import cli
 from heavenly import expr as ex
 from heavenly.errors import BranchCutViolation, FVanishes
 from heavenly.fields import SolutionField
 from heavenly.jet import PASS_POINTS
-from heavenly.resolving import (ResolvingPoint, _Proj, ansatz_functions, jacobi_residual,
-                                resolving_residuals, resolving_sweep)
+from heavenly.resolving import (ResolvingPoint, _Proj, ansatz_functions, checked_pairs,
+                                jacobi_residual, resolving_residuals)
+from heavenly.sweeps import PointStore
+
+FILL = PointStore.fill
 
 GRID = "t=0.5:2:4,re=0.5:2:4,im=-0.5:0.5:3"
 #: a grid through z = 0 and Re z < 0, with more points than one pass holds
@@ -43,9 +48,19 @@ def report(argv):
     return code, out.getvalue()
 
 
-def _no_sweep(obj, *args):
-    """A sweep that empties the store and stores nothing."""
-    object.__setattr__(obj, "_bundles" if isinstance(obj, SolutionField) else "_checked", {})
+def no_pass(store, points, rows):
+    """A fill that empties the store and stores nothing: the per-point
+    reference path of every stacked pass."""
+    FILL(store, [], rows)
+
+
+def recorded_passes(monkeypatch):
+    """A list that gets the size of every pass filled from now on."""
+    sizes = []
+    fill = PointStore.fill
+    monkeypatch.setattr(PointStore, "fill", lambda store, points, rows:
+                        sizes.append(len(points)) or fill(store, points, rows))
+    return sizes
 
 
 def both_paths(monkeypatch, argv):
@@ -61,22 +76,14 @@ def both_paths(monkeypatch, argv):
             single.append(z0)
         return jet_at(self, z0, *rest)
 
-    sizes = []
-    sweep = SolutionField.sweep
-
-    def sized(self, points, build):
-        sizes.append(len(points))
-        return sweep(self, points, build)
-
     monkeypatch.setattr(SolutionField, "jet_at", counted)
     with monkeypatch.context() as m:
-        m.setattr(SolutionField, "sweep", sized)
+        sizes = recorded_passes(m)
         stacked = report(argv)
     builds = len(single)
     assert max(sizes, default=0) <= PASS_POINTS  # no pass holds more
     with monkeypatch.context() as m:
-        m.setattr(SolutionField, "sweep", _no_sweep)
-        m.setattr(resolving, "resolving_sweep", _no_sweep)
+        m.setattr(PointStore, "fill", no_pass)
         reference = report(argv)
     assert stacked == reference, argv
     if '"count": 0,' in stacked[1]:
@@ -87,9 +94,7 @@ def both_paths(monkeypatch, argv):
 @pytest.mark.parametrize("kappa", ("1", "-1"))
 @pytest.mark.parametrize("phi", ("2", "xi*theta", "exp(-xi)", "ln(theta)"))
 def test_resolving_reports_match_the_per_point_path(monkeypatch, phi, kappa):
-    passes = []
-    monkeypatch.setattr(resolving, "resolving_sweep",
-                        lambda rf, pts: passes.append(len(pts)) or resolving_sweep(rf, pts))
+    passes = recorded_passes(monkeypatch)
     for extra in (["--samples", "1"], ["--samples", "15"], ["--samples", "16"],
                   ["--samples", "17"], ["--samples", "100"],
                   ["--samples", "17", "--perturb", "tau:+0.1"]):
@@ -104,9 +109,7 @@ def test_resolving_reports_match_the_per_point_path(monkeypatch, phi, kappa):
 
 
 def test_resolving_groups_draw_no_more_than_the_samples_missing(monkeypatch):
-    passes = []
-    monkeypatch.setattr(resolving, "resolving_sweep",
-                        lambda rf, pts: passes.append(len(pts)) or resolving_sweep(rf, pts))
+    passes = recorded_passes(monkeypatch)
     report(["resolving", "--phi", "xi*theta", "--samples", "40", "--seed", "7"])
     assert passes == [16, 16, 8]
 
@@ -145,6 +148,11 @@ def test_symmetry_reports_match_the_per_point_path(monkeypatch, check):
                                      "--grid", grid])
 
 
+def sweep(rf, points):
+    """One stacked pass over points, as `heavenly resolving` runs it."""
+    rf.store.fill(points, lambda: checked_pairs(rf, points))
+
+
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("text", ("1", "xi*theta", "exp(-xi)", "ln(theta)", "theta"))
 def test_pass_rows_are_the_per_point_bits(monkeypatch, text, kappa):
@@ -177,9 +185,11 @@ def test_pass_rows_are_the_per_point_bits(monkeypatch, text, kappa):
     if text == "ln(theta)":  # theta < 0 rows raise for their whole pass
         bad = [i for i, want in enumerate(wanted) if isinstance(want, BranchCutViolation)]
         assert bad
-        resolving_sweep(rf, points[:1])
-        resolving_sweep(rf, points[bad[0]:bad[0] + 2])
-        assert rf._checked == {}  # a raising pass keeps nothing
+        tried = points[:1] + points[bad[0]:bad[0] + 2]
+        sweep(rf, tried[:1])
+        sweep(rf, tried[1:])
+        # a raising pass keeps nothing
+        assert [rf.store.stored(p, "pair") for p in tried] == [None] * 3
         points = [p for i, p in enumerate(points) if i not in bad]
         wanted = [want for i, want in enumerate(wanted) if i not in bad]
     builds = []
@@ -189,11 +199,11 @@ def test_pass_rows_are_the_per_point_bits(monkeypatch, text, kappa):
     checked = vanished = 0
     for start in range(0, len(points), PASS_POINTS):
         chunk = points[start:start + PASS_POINTS]
-        resolving_sweep(rf, chunk)
+        sweep(rf, chunk)
         del builds[:]
         for p, want in zip(chunk, wanted[start:]):
             if isinstance(want, FVanishes):
-                assert repr(p) not in rf._checked  # an F-vanishing row keeps nothing
+                assert rf.store.stored(p, "pair") is None  # an F-vanishing row keeps nothing
                 for check in (resolving_residuals, jacobi_residual):
                     with pytest.raises(FVanishes) as err:
                         check(rf, p)

@@ -10,6 +10,7 @@ from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, 
                                  pde_residual)
 from heavenly.jet import Jet
 from heavenly.symmetry import x2_apply
+from test_bundle import STORED_NAMES
 
 P_REF = Point(1.0, 1.0 + 0j)
 
@@ -139,15 +140,10 @@ def test_the_twelve_commutators_build_at_most_40_jets(noninv_plus, monkeypatch):
     assert not built
 
 
-def stored(fld, p):
-    """What the bundle of fld at p holds under each name."""
-    return fld._bundles[repr((p.t, p.z))]._values
-
-
 def test_the_first_call_stores_all_twelve(noninv_plus):
     p = Point(0.9, 1.1 + 0.35j)
     value = commutator_residual(("delta", "Y"), "Rho", noninv_plus, p)
-    residuals = stored(noninv_plus, p)["commutators"]
+    residuals = noninv_plus.store.stored(p, "commutators")
     assert set(residuals) == {(pair, target) for pair in COMMUTATOR_PAIRS
                               for target in COMMUTATOR_TARGETS}
     assert residuals[("delta", "Y"), "Rho"] is value
@@ -168,7 +164,8 @@ def test_unknown_names_raise_before_any_evaluation():
             commutator_residual(pair, target, fld, P_REF)
     with pytest.raises(ValueError):
         x2_apply(ex.parse("z^2", ("z",)), "Nope", fld, Point(1.0, -1.5 + 0.5j))
-    assert not fld._bundles
+    assert not [name for p in (P_REF, Point(1.0, -1.5 + 0.5j)) for name in STORED_NAMES
+                if fld.store.stored(p, name) is not None]
 
 
 def test_a_call_where_eta_vanishes_stores_nothing():
@@ -176,7 +173,7 @@ def test_a_call_where_eta_vanishes_stores_nothing():
     for _ in range(2):
         with pytest.raises(EtaVanishes):
             commutator_residual(("delta", "Delta"), "Ut", fld, P_REF)
-        assert "commutators" not in stored(fld, P_REF)
+        assert fld.store.stored(P_REF, "commutators") is None
 
 
 def perturbed_noninv():

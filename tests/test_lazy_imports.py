@@ -16,16 +16,11 @@ NOT_FOR_RESOLVING = ("heavenly.fields", "heavenly.invariants", "heavenly.symmetr
                      "heavenly.classify")
 
 
-def loaded_after(argv: list[str]) -> list[str]:
-    """The heavenly modules a fresh `python -m heavenly.cli ARGV` process
-    has loaded when it exits."""
-    code = ("import runpy, sys\n"
-            f"sys.argv = ['heavenly', *{argv!r}]\n"
-            "try:\n"
-            "    runpy.run_module('heavenly.cli', run_name='__main__')\n"
-            "except SystemExit as exit:\n"
-            "    assert exit.code == 0, exit.code\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('heavenly'))))\n")
+def loaded_by(code: str) -> list[str]:
+    """The heavenly modules a fresh `python -c CODE` process has loaded when
+    it exits."""
+    code = ("import sys\n" + code
+            + "print(' '.join(sorted(m for m in sys.modules if m.startswith('heavenly'))))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -33,10 +28,27 @@ def loaded_after(argv: list[str]) -> list[str]:
     return done.stdout.split("\n")[-2].split()
 
 
+def loaded_after(argv: list[str]) -> list[str]:
+    """The heavenly modules a fresh `python -m heavenly.cli ARGV` process
+    has loaded when it exits."""
+    return loaded_by("import runpy\n"
+                     f"sys.argv = ['heavenly', *{argv!r}]\n"
+                     "try:\n"
+                     "    runpy.run_module('heavenly.cli', run_name='__main__')\n"
+                     "except SystemExit as exit:\n"
+                     "    assert exit.code == 0, exit.code\n")
+
+
 def test_resolving_loads_no_field_invariant_symmetry_or_classify_module():
     loaded = loaded_after(["resolving", "--phi", "xi*theta", "--samples", "3"])
-    assert "heavenly.resolving" in loaded
+    assert {"heavenly.resolving", "heavenly.sweeps"} <= set(loaded)
     assert not set(NOT_FOR_RESOLVING) & set(loaded)
+
+
+def test_the_point_store_loads_no_field_or_resolving_module():
+    loaded = loaded_by("import heavenly.sweeps\n")
+    assert "heavenly.sweeps" in loaded
+    assert not {"heavenly.fields", "heavenly.resolving"} & set(loaded)
 
 
 def test_verify_loads_no_symmetry_resolving_or_classify_module():

@@ -43,7 +43,7 @@ from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, 
                           compose_series, on_axes, row_values, valid_indices)
 from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingPoint, ResolvingResiduals, _applied,
                                 _first_order, _pair, _Proj, _structure, ansatz_functions,
-                                jacobi_residual, resolving_residuals, resolving_sweep)
+                                checked_pairs, jacobi_residual, resolving_residuals)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
 
@@ -1588,7 +1588,7 @@ def test_both_resolving_checks_build_one_projection_and_no_partial(monkeypatch, 
     # a sweep builds one projection of all its points, and its checks none
     points = admissible_points(1, PASS_POINTS, seed=3)
     del builds[:]
-    resolving_sweep(rf, points)
+    rf.store.fill(points, lambda: checked_pairs(rf, points))
     for q in points:
         for check in checks:
             check(rf, q)
@@ -1783,8 +1783,8 @@ def test_both_checks_match_references_per_point_and_in_sweeps(text, spec, kappa)
             alone[repr(p)] = bits(new)
         else:
             assert new == ref
-    resolving_sweep(rf, swept)
-    assert len(rf._checked) == PASS_POINTS
+    rf.store.fill(swept, lambda: checked_pairs(rf, swept))
+    assert all(rf.store.stored(p, "pair") is not None for p in swept)
     for p in swept:  # the same points from one sweep
         assert bits(checks(p)) == alone[repr(p)]
 

@@ -13,8 +13,8 @@ from heavenly.errors import BranchCutViolation, FVanishes, NegativeDiscriminant,
 from heavenly.jet import PASS_POINTS, Jet
 from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta, _applied, _first_order,
-                                _Proj, jacobi_residual, resolving_residuals,
-                                resolving_sweep)
+                                _Proj, jacobi_residual, resolving_residuals)
+from test_cli_passes import sweep
 from test_readme_examples import README_EXAMPLES
 
 P_REF = ResolvingPoint(t=1.0, ut=0.8, rho=0.4, kappa=1)
@@ -129,7 +129,7 @@ def test_perturbed_copy_starts_with_an_empty_store():
     rf = ansatz_functions(phi_expr("2"), 1)
     resolving_residuals(rf, P_REF)
     bumped = _perturbed(rf, "tau:+0.1")
-    assert rf._checked and not bumped._checked
+    assert rf.store.stored(P_REF, "pair") and bumped.store.stored(P_REF, "pair") is None
     assert (bumped.F, bumped.lambda_, bumped.lambda_bar) == (rf.F, rf.lambda_, rf.lambda_bar)
     assert bumped.tau == ex.Expr(ex.Add(rf.tau.root, ex.Const(0.1 + 0j)), rf.tau.variables)
     assert bumped.requires_nonneg_discriminant
@@ -205,7 +205,7 @@ def test_a_new_point_rebuilds_the_projection(monkeypatch):
     rf = ansatz_functions(phi_expr("xi*theta"), 1)
     fresh = ansatz_functions(phi_expr("xi*theta"), 1)
     other = ResolvingPoint(t=0.5, ut=-0.3, rho=0.9, kappa=1)
-    # 0.0 == -0.0, but they are two points: repr tells them apart
+    # 0.0 == -0.0, but they are two points: the store keys them apart by their bits
     zero, signed = (ResolvingPoint(t=z, ut=0.3, rho=0.9, kappa=1) for z in (0.0, -0.0))
     expected = {repr(p): both_checks(fresh, p) for p in (P_REF, other, zero, signed)}
     builds = count_builds(monkeypatch)
@@ -218,13 +218,14 @@ def test_a_failed_projection_is_not_kept(monkeypatch):
     rf = ansatz_functions(phi_expr("2"), 1)
     bad = ResolvingPoint(1.0, 2.0, 0.4, 1)
     resolving_residuals(rf, P_REF)
-    kept = rf._checked
+    kept = rf.store.stored(P_REF, "pair")
     builds = count_builds(monkeypatch)
     for check in (resolving_residuals, jacobi_residual, resolving_residuals):
         with pytest.raises(NegativeDiscriminant):
             check(rf, bad)
     assert builds == [repr(bad)] * 3
-    assert rf._checked is kept and list(kept) == [repr(P_REF)]
+    assert rf.store.stored(P_REF, "pair") is kept is not None
+    assert rf.store.stored(bad, "pair") is None
 
 
 def test_a_sweep_over_both_kappas_keeps_nothing():
@@ -239,8 +240,8 @@ def test_a_sweep_over_both_kappas_keeps_nothing():
 
     points = [ResolvingPoint(1.0, 0.8, 0.4, 1), ResolvingPoint(0.5, 0.1, 0.9, -1)]
     rf, alone = functions(), functions()
-    resolving_sweep(rf, points)
-    assert rf._checked == {}
+    sweep(rf, points)
+    assert [rf.store.stored(p, "pair") for p in points] == [None, None]
     for p in points:
         assert both_checks(rf, p) == both_checks(alone, p)
     res = resolving_residuals(rf, points[1])
@@ -263,9 +264,9 @@ def test_f_vanishes_before_c_divides_by_it(monkeypatch):
     wanted = {repr(p): repr(both_checks(alone, p)) for p in points if p is not zero}
     rf = ansatz_functions(phi_expr("xi - 2"), 1)
     builds = count_builds(monkeypatch)
-    resolving_sweep(rf, points)
+    sweep(rf, points)
     assert builds == [repr(points)]
-    assert sorted(rf._checked) == sorted(wanted)
+    assert sorted(repr(p) for p in points if rf.store.stored(p, "pair")) == sorted(wanted)
     for p in points:
         if p is zero:
             for check in (resolving_residuals, jacobi_residual):
@@ -288,8 +289,8 @@ def test_a_nan_f_is_not_f_vanishes():
     with np.errstate(over="ignore", invalid="ignore"):
         alone = {repr(p): both_checks(functions(), p) for p in points}
         rf = functions()
-        resolving_sweep(rf, points)
-        assert sorted(rf._checked) == sorted(alone)
+        sweep(rf, points)
+        assert sorted(repr(p) for p in points if rf.store.stored(p, "pair")) == sorted(alone)
         for p in points:
             res, jac = alone[repr(p)]
             assert cmath.isnan(res.r1) and all(cmath.isnan(v) for v in jac)
@@ -309,8 +310,8 @@ def test_a_sweep_reads_a_constant_function_at_every_point():
 
     points = sample_points(1, 3)
     rf, alone = functions(), functions()
-    resolving_sweep(rf, points)
-    assert sorted(rf._checked) == sorted(map(repr, points))
+    sweep(rf, points)
+    assert all(rf.store.stored(p, "pair") for p in points)
     for p in points:
         assert repr(both_checks(rf, p)) == repr(both_checks(alone, p))
 

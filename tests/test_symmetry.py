@@ -7,6 +7,7 @@ from heavenly.fields import Point, SolutionField, eval_u, make_solution, u_jets
 from heavenly.invariants import invariants_at, swept_invariants
 from heavenly.symmetry import (GeneratorSpec, conf_inv_witness, invariance_residual,
                                x2_apply)
+from test_bundle import STORED_NAMES, fill
 
 INVARIANT_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
 
@@ -71,21 +72,20 @@ def test_witness_inconclusive_when_eta_vanishes():
 
 
 def test_witness_sweep_stores_only_the_invariant_sets():
-    # the witness reads each point's InvariantSet and nothing else of its
-    # bundle: its sweep keeps no u-jet, and the sets keep the bits of
+    # the witness reads each point's InvariantSet and nothing else of the
+    # store: its pass keeps no u-jet, and the sets keep the bits of
     # swept_invariants' pass and of invariants_at at each point alone
     b = ex.parse("z^2 + i", ("z",))
     fld = make_solution("noninv", {"b": b}, 1)
     grid = [Point(t, complex(x, y)) for t in (0.8, 1.2) for x in (1.1, 1.6) for y in (0.3, 0.6)]
     conf_inv_witness(fld, grid)
-    bundles = list(fld._bundles.values())
-    assert len(bundles) == len(grid)
-    assert [list(bundle._values) for bundle in bundles] == [["invariants"]] * len(grid)
+    assert [[name for name in STORED_NAMES if fld.store.stored(p, name) is not None]
+            for p in grid] == [["invariants"]] * len(grid)
     hexes = lambda s: [None if v is None else (complex(v).real.hex(), complex(v).imag.hex())
                        for v in vars(s).values()]
     swept = swept_invariants(make_solution("noninv", {"b": b}, 1), grid)
-    for p, bundle, values in zip(grid, bundles, swept):
-        s = bundle.stored("invariants")
+    for p, values in zip(grid, swept):
+        s = fld.store.stored(p, "invariants")
         assert hexes(s) == hexes(values["invariants"])
         assert hexes(s) == hexes(invariants_at(make_solution("noninv", {"b": b}, 1), p))
 
@@ -102,7 +102,7 @@ def bits(w: complex):
 
 
 def test_the_invariant_targets_evaluate_the_generator_once(monkeypatch):
-    # Rho and Eta read a's first derivatives, kept in the point's bundle
+    # Rho and Eta read a's first derivatives, kept in the field's store
     # with a: at each fresh point the five targets evaluate a once
     a = ex.parse("z^3 + (0.5 - 0.2*i)*z", ("z",))
     fld = noninv()
@@ -129,7 +129,7 @@ def test_a_second_generator_at_a_point_gets_its_own_values(monkeypatch):
         for name in ("Rho", "Eta"):
             got = x2_apply(a, name, fld, p)
             assert bits(got) == bits(x2_apply(a, name, noninv(), p)), (str(a), name)
-        kept, a1, ab1 = fld.bundle_at(p).stored("a'")
+        kept, a1, ab1 = fld.store.stored(p, "a'")
         first = ex.eval_jet1(a, p.z, 1).partial((1,))
         assert kept is a and bits(a1) == bits(first) and bits(ab1) == bits(first.conjugate())
     # one evaluation per switch on fld, one per fresh field and one per check
@@ -142,7 +142,7 @@ def test_x2_after_an_order_1_sweep_builds_one_order_3_jet(monkeypatch):
     a = ex.parse("z^2", ("z",))
     fld = noninv()
     pts = [Point(t, complex(x, 0.3)) for t in (0.8, 1.2) for x in (1.1, 1.6)]
-    fld.sweep(pts, u_jets(1))
+    fill(fld, pts, u_jets(1))
     row = eval_u(fld, pts[1], 1)
     orders = []
     jet_at = SolutionField.jet_at
