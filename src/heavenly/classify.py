@@ -11,7 +11,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, ConstraintViolation
-from .fields import Point, eval_u, make_solution, u_jets
+from .fields import Point, make_solution, u_row, u_rows
 from .invariants import pde_residual
 from .sweeps import in_sweeps
 from .symmetry import GeneratorSpec, conf_inv_witness, first_partials, invariance_residuals
@@ -230,8 +230,8 @@ def verify_case(case: TheoremCase, grid: list[Point]) -> float:
         raise ValueError("verify_case needs grid points: an empty grid checks nothing")
     b, gen = theorem_case(case)
     field = make_solution("noninv", {"b": b}, case.kappa)
-    partials = [first_partials(eval_u(field, p, 1))
-                for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(1))])]
+    partials = [first_partials(u_row(field, p, 1))
+                for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_rows(1))])]
     return _max_invariance_residual(gen, grid, partials)
 
 
@@ -354,14 +354,14 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     """
     field = make_solution("noninv", {"b": b}, kappa)
 
-    # the equation loop reads its u-jets from stacked passes
+    # the equation loop reads its rows of u from stacked passes
     # (sweeps.in_sweeps), and keeps the first partials of each usable
     # point's row, which the invariance criterion reads
     equation = []
     usable: list[Point] = []
     partials = []
     worst = 0.0
-    for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_jets(2))]):
+    for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_rows(2))]):
         try:
             r = abs(pde_residual(field, p))
         except POINT_EXCLUSIONS as err:
@@ -369,7 +369,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
             continue
         equation.append(r)
         usable.append(p)
-        partials.append(first_partials(eval_u(field, p, 2)))
+        partials.append(first_partials(u_row(field, p, 1)))
         worst = max(worst, r)
     equation = tuple(equation)
     if not usable:
@@ -384,10 +384,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     # sample b and b' on the distinct z of the usable grid, from one
     # stacked evaluation
     zs = list({p.z for p in usable})
-    jets = ex.eval_jet1_rows(b, zs, 2)
-    b0 = [j.value for j in jets]
-    b1 = [j.partial((1,)) for j in jets]
-    b2 = [j.partial((2,)) for j in jets]
+    b0, b1, b2 = zip(*ex.eval_jet1_rows(b, zs, 2))
     scale = 1.0 + max(abs(v) for v in b0)
 
     if max(abs(v) for v in b1) < FIT_TOL * scale:
@@ -426,7 +423,7 @@ def automorphic_consistency(b: ex.Expr, kappa: int, p: Point) -> complex:
     from .invariants import invariants_at
     field = make_solution("noninv", {"b": b}, kappa)
     s = invariants_at(field, p)
-    bd = ex.eval_jet1(b, p.z, 1).partial((1,))
+    bd = ex.eval_jet1_rows(b, [p.z], 1)[0][1]
     bbd = bd.conjugate()
     z, zb = p.z, p.z.conjugate()
     if kappa == 1:

@@ -191,7 +191,7 @@ def _family_from_args(args):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .fields import u_jets
+    from .fields import u_rows
     from .invariants import (invariants_at, liouville_residual, pde_residual,
                              swept_invariants)
     field, fam, echo = _family_from_args(args)
@@ -211,9 +211,9 @@ def cmd_verify(args) -> int:
             }
         return rec
 
-    # swept_invariants also stores each point's order-3 u-jet, whose
-    # truncation the equation reads
-    build = u_jets(2) if fam == "liouville" else swept_invariants
+    # swept_invariants also stores each point's order-3 row of u, whose
+    # first entries the equation reads
+    build = u_rows(2) if fam == "liouville" else swept_invariants
     _run(report, parse_grid(args.grid), check, lambda chunk: [(field, chunk, build)])
     return _finish(report, args)
 
@@ -316,7 +316,7 @@ def cmd_resolving(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    from .fields import u_jets
+    from .fields import u_rows
     from .symmetry import GeneratorSpec, invariance_residual, x2_apply
     report = _base_report(args)
     if args.check == "invariants":
@@ -329,7 +329,7 @@ def cmd_symmetry(args) -> int:
         _run(report, parse_grid(args.grid), lambda p: {"residuals": {
             f"x2_{name}": abs(x2_apply(a, name, field, p))
             for name in ("T", "Ut", "Utt", "Rho", "Eta")}},
-            lambda chunk: [(field, chunk, u_jets(3))])
+            lambda chunk: [(field, chunk, u_rows(3))])
     else:  # criterion
         field, fam, echo = _family_from_args(args)
         gen = GeneratorSpec(args.alpha, args.beta,
@@ -339,7 +339,7 @@ def cmd_symmetry(args) -> int:
                                     beta=args.beta)
         _run(report, parse_grid(args.grid), lambda p: {"residuals": {
             "criterion": abs(invariance_residual(field, gen, p))}},
-            lambda chunk: [(field, chunk, u_jets(1))])
+            lambda chunk: [(field, chunk, u_rows(1))])
     return _finish(report, args)
 
 

@@ -462,10 +462,12 @@ def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
     return evaluate(e, {e.variables[0]: Jet.variable(0, at, 1, order)})
 
 
-def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[Jet]:
-    """Univariate jets of a single-variable expression at several points,
+def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[list[complex]]:
+    """Each point's (f, f', ..., f^(order)) of a single-variable expression,
     from one stacked evaluation over their distinct values (told apart by
-    their bits): entry r is bit for bit ``eval_jet1(e, at[r], order)``.
+    their bits), read with one `tolist`: entry r is bit for bit the value
+    and partials of ``eval_jet1(e, at[r], order)``, each derivative its
+    coefficient times k!, as `Jet.partial` takes it.
 
     A variable-free expression evaluates to one unstacked jet, which serves
     every entry.  Nothing is remembered.
@@ -477,5 +479,7 @@ def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[Jet]:
     if not distinct:
         return []
     jet = evaluate(e, {e.variables[0]: Jet.variable(0, tuple(distinct.values()), 1, order)})
-    rows = dict(zip(distinct, jet.rows() if jet.depth else [jet] * len(distinct)))
-    return [rows[key] for key in keys]
+    coeffs = jet.coeffs.reshape(-1, order + 1).tolist()
+    rows = [[c[0]] + [ck * math.factorial(k) for k, ck in enumerate(c) if k] for c in coeffs]
+    by_key = dict(zip(distinct, rows if jet.depth else rows * len(distinct)))
+    return [by_key[key] for key in keys]

@@ -29,22 +29,23 @@ never asks which: the same code builds one jet or every point's jet as one
 row of stacked jets, and each domain check reads the constant term of the
 jet it guards, row by row, before that jet goes to a logarithm.
 
-A field's store (`sweeps.PointStore`) keeps one u-jet per point: the row
-a pass stored for the point, at the order of the pass, or else one build
-at the engine's ceiling MAX_ORDER, which also replaces a row of lower
-order than a request.  `eval_u` serves a lower order as that jet's
-truncation.  In a truncated Taylor algebra the lower-order jet is the
-higher one with its top coefficients dropped, and the engine computes it
-with the same bits.  A loop over many points fills the store chunk by
-chunk from stacked builds (`sweeps.in_sweeps`, `u_jets`).
+A field's store (`sweeps.PointStore`) keeps one row of u per point: the
+Taylor coefficients at `_READ` that the checks read, as Python complexes
+(`u_row`).  `_READ` is sorted by total degree, so an order-k reader reads
+the first ROW_LEN[k] entries of any row of order k or more.  A row is the
+one a pass stored for the point, at the order of the pass, or else the
+row of one build at the engine's ceiling MAX_ORDER, which also replaces a
+row too short for a request.  A loop over many points fills the store
+chunk by chunk from stacked builds (`sweeps.in_sweeps`, `u_rows`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from struct import pack
+
+import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, FamilyParamMismatch, SingularMap
@@ -56,23 +57,35 @@ from .sweeps import PointStore
 VZ, VZB, VT = 0, 1, 2
 #: the highest order of a u-jet: the engine's ceiling, all that x2, the
 #: InvariantSet and the commutators (first partials of order-1 operator
-#: coefficients) read; `eval_u` builds this order when its store holds no
-#: u-jet of the order requested or higher
+#: coefficients) read; `u_row` builds this order when its store holds no
+#: row of the order requested or higher
 MAX_ORDER = 3
+#: the Taylor coefficients of u that any check reads, by multi-index of
+#: (z, zbar, t), sorted by total degree: the entries of a point's row
+_READ = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 1),
+         (1, 1, 0), (2, 0, 1), (1, 1, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2), (2, 1, 0),
+         (1, 2, 0))
+#: the length of an order-k row, by k: the entries of degree k or less
+ROW_LEN = tuple(sum(sum(idx) <= k for idx in _READ) for k in range(MAX_ORDER + 1))
+#: an order-k row's flat slots in one row of an order-k u-jet's coefficients, by k
+_SLOTS = tuple(np.ravel_multi_index(tuple(np.array(_READ[:n]).T), (k + 1,) * 3)
+               for k, n in enumerate(ROW_LEN))
 
 SINGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Point:
+    """A point of the physical slice.  Its `PointStore` key holds the types
+    and bits of t and z, which tell apart the points that == merges (0.0
+    and -0.0, 1 and 1.0); ==, hash and repr read the fields alone."""
+
     t: float
     z: complex
 
-    @cached_property
-    def key(self) -> tuple:
-        """The `PointStore` key: the types and bits of t and z, which tell
-        apart the points that == merges (0.0 and -0.0, 1 and 1.0)."""
-        return type(self.t), type(self.z), pack("<3d", self.t, self.z.real, self.z.imag)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (type(self.t), type(self.z),
+                                         pack("<3d", self.t, self.z.real, self.z.imag)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class SolutionField:
     """Evaluator for one solution family (or a conformal transform of one).
 
     The field keeps what it computed at physical-slice points in one
-    `PointStore`, by name: a point's u-jet under "u" (`eval_u`), a
+    `PointStore`, by name: a point's row of u under "u" (`u_row`), a
     generator's first derivatives with the Expr they came from under "a'"
     (`symmetry.x2_apply`), and the invariants layer's "calculus",
     "invariants" and "commutators".  So a run of calls at one point builds
@@ -100,18 +113,31 @@ class SolutionField:
 
     def jets_at(self, points: list[Point], order: int) -> Jet:
         """u-jets of physical-slice points in one stacked pass: row r is
-        bit for bit ``eval_u(self, points[r], order)``.  Raises if building
+        bit for bit the jet built at points[r] alone.  Raises if building
         the jet at any of the points raises; never stored."""
         _check_order(order)
         zs = tuple(p.z for p in points)
         return self._builder(zs, tuple(z.conjugate() for z in zs),
                              tuple(p.t for p in points), order)
 
+    def rows_at(self, points: list[Point], order: int) -> list[list[complex]]:
+        """Each point's row of this order (`u_row`), from one stacked
+        build (`jets_at`); never stored."""
+        return _rows(self.jets_at(points, order))
 
-def u_jets(order: int):
-    """A pass build (`sweeps.in_sweeps`): each point's u-jet of this order,
-    as one row of `jets_at`."""
-    return lambda field, points: [{"u": row} for row in field.jets_at(points, order).rows()]
+
+def _rows(u: Jet) -> list[list[complex]]:
+    """The row of each point of u, one point's jet or a stacked pass's:
+    its coefficients at the first ROW_LEN[u.order] entries of `_READ`, read
+    with one `tolist`."""
+    k = u.order
+    return u.coeffs.reshape(-1, (k + 1) ** 3).take(_SLOTS[k], axis=1).tolist()
+
+
+def u_rows(order: int):
+    """A pass build (`sweeps.in_sweeps`): each point's row of this order
+    (`SolutionField.rows_at`)."""
+    return lambda field, points: [{"u": row} for row in field.rows_at(points, order)]
 
 
 def _seed(value, order: int) -> Jet:
@@ -354,23 +380,25 @@ def make_solution(family: str, params: dict, kappa: int) -> SolutionField:
     return SolutionField(family=family, kappa=kappa, params=dict(params), _builder=build)
 
 
-def eval_u(field: SolutionField, p: Point, order: int) -> Jet:
-    """Jet of u at a physical-slice point (zbar = conj z).
+def u_row(field: SolutionField, p: Point, order: int) -> list[complex]:
+    """The row of u at a physical-slice point (zbar = conj z): its Taylor
+    coefficients at `_READ`, at least the ROW_LEN[order] of degree order or
+    less, which an order-`order` reader reads.
 
-    The field's store keeps one u-jet for p, shared by every later call at
-    the point: the row a pass stored, or else one order-MAX_ORDER build,
-    which also replaces a stored row of lower order than this request.  A
-    lower order is that jet's truncation.  Every jet operation computes
-    each coefficient from the coefficients of no higher degree, in the same
-    sequence at every order, so the truncation is bit for bit the jet
-    built at that order.
+    The field's store keeps one row for p, shared by every later call at
+    the point: the row a pass stored, or else the row of one
+    order-MAX_ORDER build, which also replaces a stored row too short for
+    this request.  Every jet operation computes each coefficient from the
+    coefficients of no higher degree, in the same sequence at every order,
+    so a row's first entries are bit for bit those of the jet built at a
+    lower order.
     """
     _check_order(order)
-    u = field.store.stored(p, "u")
-    if u is None or u.order < order:
-        u = field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)
-        field.store.put(p, "u", u)
-    return u if u.order == order else u.truncated(order)
+    row = field.store.stored(p, "u")
+    if row is None or len(row) < ROW_LEN[order]:
+        row = _rows(field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER))[0]
+        field.store.put(p, "u", row)
+    return row
 
 
 def _check_order(order: int) -> None:

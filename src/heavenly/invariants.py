@@ -4,12 +4,12 @@ delta, Delta, Delta-bar, Y, Y-bar of invariant differentiation.
 The invariants rho, eta, sigma, sigma_bar and tau, and the operators
 delta = d_t, Delta = a d_z and DeltaBar = abar d_zbar, read only the values
 and first partials of e^-u, u_{zt}, u_{zbar t}, u_{z zbar} and u_t, all of
-them within the order-3 u-jet, the engine's ceiling MAX_ORDER.
-`JetCalculus` reads those from the u-jet's coefficients and gets the values
-and first partials of a, abar, eta, rho and U_t by the first-order product
-rule, as scalars: the InvariantSet takes u_tt = d_t U_t, sigma = a d_z rho,
-sigma_bar = abar d_zbar rho and tau = d_t rho there, so `invariants_at` and
-a sweep of InvariantSets (`swept_invariants`) build no jet beyond the
+them within a point's order-MAX_ORDER row of u (`fields.u_row`).
+`JetCalculus` reads those from the rows and gets the values and first
+partials of a, abar, eta, rho and U_t by the first-order product rule, as
+scalars: the InvariantSet takes u_tt = d_t U_t, sigma = a d_z rho,
+sigma_bar = abar d_zbar rho and tau = d_t rho there, so `invariants_at`
+and a sweep of InvariantSets (`swept_invariants`) build no jet beyond the
 u-jet.  The commutators are bracket identities of first-order operators:
 the first `commutator_residual` at a point reads the operators'
 coefficients and their first partials from that calculus and keeps all
@@ -21,10 +21,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EtaVanishes
-from .fields import MAX_ORDER, Point, SolutionField, eval_u
+from .fields import MAX_ORDER, Point, SolutionField, u_row
 from .jet import SINGULAR_EPS
 
 #: imaginary parts of physically real invariants below this are truncated to 0
@@ -64,38 +62,24 @@ def _realify(w: complex) -> float | complex:
     return w
 
 
-#: the Taylor coefficients of the u-jet that the calculus reads, by
-#: multi-index of (z, zbar, t), in the order `_first_order` unpacks them
-_READ = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 1),
-         (1, 1, 0), (2, 0, 1), (1, 1, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2), (2, 1, 0),
-         (1, 2, 0))
-#: their flat slots in one row of an order-MAX_ORDER u-jet's coefficients
-_SLOTS = np.ravel_multi_index(tuple(np.array(_READ).T), (MAX_ORDER + 1,) * 3)
-
-
 class JetCalculus:
     """The values and first partials of the invariants' building blocks at
-    each point of one order-MAX_ORDER u-jet, as scalars.
+    each point of a list of order-MAX_ORDER rows of u, as scalars.
 
-    `points` holds per point {name: [value, d_z, d_zbar, d_t]} for E =
+    `points` holds per row {name: [value, d_z, d_zbar, d_t]} for E =
     e^-u, Delta and DeltaBar (the operators' coefficients a = E u_{zbar t}
     and abar = E u_{z t}), Eta = abar u_{zbar t}, Rho = E u_{z zbar} and
     Ut = u_t (`_first_order`).  A partial of u is its Taylor coefficient
     times the multi-index factorial; a product's value and partials come
     from the first-order product rule.
 
-    p is one Point, or a list of points for one calculus on their stacked
-    u-jets (`SolutionField.jets_at`); one `tolist` reads every point's
-    coefficients, and each point runs the scalar code the point alone runs,
-    so a sweep's values are bit for bit those of each point's own calculus.
+    rows holds one point's row (`fields.u_row`) or every row of a stacked
+    pass (`SolutionField.rows_at`); each row runs the scalar code a point
+    alone runs, so a sweep's values are bit for bit those of each point's
+    own calculus.
     """
 
-    def __init__(self, field: SolutionField, p: Point | list[Point]):
-        if isinstance(p, Point):
-            self.u = eval_u(field, p, MAX_ORDER)
-        else:
-            self.u = field.jets_at(p, MAX_ORDER)
-        rows = self.u.coeffs.reshape(-1, (MAX_ORDER + 1) ** 3).take(_SLOTS, axis=1).tolist()
+    def __init__(self, rows: list[list[complex]]):
         self.points = [_first_order(row) for row in rows]
 
 
@@ -109,8 +93,7 @@ def _product(f: list, g: list) -> list:
 
 
 def _first_order(c: list) -> dict:
-    """`JetCalculus.points`' entry for one point, from its u-jet's
-    coefficients at `_READ`."""
+    """`JetCalculus.points`' entry for one point, from its row of u."""
     (u, u_z, u_zb, u_t, c002, u_zt, u_zbt, u_zzb,
      c201, c111, c102, c021, c012, c210, c120) = c
     e = cmath.exp(-u)
@@ -126,22 +109,22 @@ def _first_order(c: list) -> dict:
 def _calculus(field: SolutionField, p: Point) -> JetCalculus:
     """The JetCalculus of p in the field's store, which `invariants_at`
     and the commutators at p share."""
-    return field.store.get(p, "calculus", lambda: JetCalculus(field, p))
+    return field.store.get(p, "calculus", lambda: JetCalculus([u_row(field, p, MAX_ORDER)]))
 
 
 def pde_residual(field: SolutionField, p: Point) -> complex:
     """u_{z zbar} - kappa e^u (u_tt + u_t^2) at the point."""
-    J = eval_u(field, p, 2)
-    u_zzb = J.partial((1, 1, 0))
-    u_t = J.partial((0, 0, 1))
-    u_tt = J.partial((0, 0, 2))
-    return u_zzb - field.kappa * cmath.exp(J.value) * (u_tt + u_t * u_t)
+    row = u_row(field, p, 2)
+    # the partials (1, 1, 0), (0, 0, 1) and (0, 0, 2): row entries times
+    # their multi-index factorials, as `Jet.partial` takes them
+    u_zzb, u_t, u_tt = row[7] * 1, row[3] * 1, row[4] * 2
+    return u_zzb - field.kappa * cmath.exp(row[0]) * (u_tt + u_t * u_t)
 
 
 def liouville_residual(field: SolutionField, p: Point) -> complex:
     """Gamma_{z zbar} - 2 kappa e^Gamma for a standalone Liouville field."""
-    J = eval_u(field, p, 2)
-    return J.partial((1, 1, 0)) - 2.0 * field.kappa * cmath.exp(J.value)
+    row = u_row(field, p, 2)
+    return row[7] * 1 - 2.0 * field.kappa * cmath.exp(row[0])  # row[7]: (1, 1, 0)
 
 
 def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
@@ -154,29 +137,17 @@ def invariants_at(field: SolutionField, p: Point) -> InvariantSet:
     InvariantSet is frozen; one instance is returned to every such call.
     """
     return field.store.get(p, "invariants",
-                           lambda: _invariant_sets(_calculus(field, p), [p])[0])
+                           lambda: _invariant_set(p, _calculus(field, p).points[0]))
 
 
 def swept_invariants(field: SolutionField, points: list[Point]) -> list[dict]:
-    """A pass build (`sweeps.in_sweeps`): each point's InvariantSet, as
-    `invariants_at` stores it, from one JetCalculus on the points' stacked
-    u-jets, and each point's row of those u-jets as its stored u-jet,
-    which `eval_u` truncates to every lower order.  The InvariantSets have
-    the bits of `invariants_at`'s calculus at each point alone."""
-    calc = JetCalculus(field, points)
-    return [{"invariants": s, "u": u}
-            for s, u in zip(_invariant_sets(calc, points), calc.u.rows())]
-
-
-def swept_invariant_sets(field: SolutionField, points: list[Point]) -> list[dict]:
-    """A pass build for loops that read only the
-    InvariantSets: `swept_invariants` without the u-jet rows."""
-    return [{"invariants": s} for s in _invariant_sets(JetCalculus(field, points), points)]
-
-
-def _invariant_sets(calc: JetCalculus, points: list[Point]) -> list[InvariantSet]:
-    """The InvariantSet at each point of calc."""
-    return [_invariant_set(p, q) for p, q in zip(points, calc.points)]
+    """A pass build (`sweeps.in_sweeps`): each point's order-MAX_ORDER row
+    of u, and its InvariantSet, as `invariants_at` stores it, from one
+    JetCalculus on those rows.  The InvariantSets have the bits of
+    `invariants_at`'s calculus at each point alone."""
+    rows = field.rows_at(points, MAX_ORDER)
+    return [{"invariants": _invariant_set(p, q), "u": row}
+            for p, q, row in zip(points, JetCalculus(rows).points, rows)]
 
 
 def _invariant_set(p: Point, q: dict) -> InvariantSet:
@@ -213,8 +184,8 @@ def commutator_residual(pair: tuple[str, str], target: str,
     """[A, B](target) minus the commutator algebra's right-hand side, for a
     pair of COMMUTATOR_PAIRS and a target of COMMUTATOR_TARGETS.
 
-    Vanishes on solutions of the heavenly equation; reads the order-3
-    u-jet of `invariants_at`'s calculus.  Every right-hand side divides by
+    Vanishes on solutions of the heavenly equation; reads the row of u of
+    `invariants_at`'s calculus.  Every right-hand side divides by
     eta, so every pair raises EtaVanishes where eta vanishes.  The first
     call at a point computes all twelve residuals (`_commutator_residuals`)
     and keeps them in the field's store; the later calls there read them.

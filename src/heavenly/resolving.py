@@ -14,7 +14,6 @@ from one stacked projection of each chunk (`checked_pairs`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from struct import pack
 
 import numpy as np
@@ -44,17 +43,17 @@ class ResolvingPoint:
     rho: float
     kappa: int
 
+    def __post_init__(self):
+        # the `PointStore` key: the bits and types of the coordinates, as
+        # `fields.Point`'s
+        object.__setattr__(self, "key", (type(self.t), type(self.ut), type(self.rho),
+                                         type(self.kappa),
+                                         pack("<3dq", self.t, self.ut, self.rho, self.kappa)))
+
+
     @property
     def discriminant(self) -> float:
         return 2 * self.kappa * self.rho - self.ut ** 2
-
-    @cached_property
-    def key(self) -> tuple:
-        """The point's `PointStore` key: the bits and types of its
-        coordinates, as `fields.Point.key`."""
-        return (type(self.t), type(self.ut), type(self.rho), type(self.kappa),
-                pack("<3dq", self.t, self.ut, self.rho, self.kappa))
-
 
 @dataclass(frozen=True)
 class ResolvingFunctions:

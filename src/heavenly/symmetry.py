@@ -1,8 +1,10 @@
 """Point-symmetry generators: the second prolongation of the conformal
 generators X_a = a d_z + abar d_zbar - (a' + abar') d_u, the invariance
 criterion for solutions, and the sigma-based conformal non-invariance
-witness.  What `x2_apply` reads at a point lives in the field's store;
-an expression holds no point."""
+witness.  Each check reads a partial of u as its entry of the point's
+row (`fields.u_row`) times the multi-index factorial, as `Jet.partial`
+takes it, and a and a' from a's row (`expr.eval_jet1_rows`).  What
+`x2_apply` reads at a point lives in the field's store."""
 
 from __future__ import annotations
 
@@ -10,9 +12,8 @@ import cmath
 from dataclasses import dataclass
 
 from . import expr as ex
-from .fields import Point, SolutionField, eval_u
-from .invariants import invariants_at, swept_invariant_sets
-from .jet import Jet
+from .fields import Point, SolutionField, u_row
+from .invariants import invariants_at, swept_invariants
 from .sweeps import in_sweeps
 
 #: a grid maximum of |sigma - sigma_bar| above this witnesses conformal
@@ -42,48 +43,39 @@ class WitnessReport:
     note: str = ""
 
 
-def _a_derivs(j: Jet, order: int):
-    """a and its derivatives up to order from a's univariate jet j at z0,
-    and the conjugate-partner values at conj(z0)."""
-    vals = [j.partial((k,)) for k in range(order + 1)]
-    bvals = [v.conjugate() for v in vals]  # abar^{(k)}(conj z0)
-    return vals, bvals
-
-
 def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex:
     """Second prolongation of X_a applied to a target quantity at p.
 
     Vanishes on the five differential invariants; nonzero on non-invariant
     jet coordinates such as u_z.  A target outside X2_TARGETS raises
     ValueError before anything is evaluated; every other target raises
-    outside the field's domain, and reads only the partials and
-    coefficients of its formula.  It reads p's u-jet from the field's store
-    (`eval_u`), and Rho and Eta read a's first derivatives, which the store
+    outside the field's domain, and reads only the partials of its
+    formula.  It reads p's row of u from the field's store (`u_row`), and
+    Rho and Eta read a's first derivatives, which the store
     keeps with the a they came from: the targets of one generator
     at p evaluate it once, and a different generator there afresh.
     """
     if target not in X2_TARGETS:
         raise ValueError(f"unsupported x2 target {target!r}")
-    J = eval_u(field, p, 3)
+    row = u_row(field, p, 3)
     if target in ("T", "Ut", "Utt"):
         return 0j  # X_a has no components along t, u_t, u_tt
     if target == "Uz":
-        (_, a1, a2), _ = _a_derivs(ex.eval_jet1(a, p.z, 2), 2)
-        return -(a2 + a1 * J.partial((1, 0, 0)))  # the coefficient of d_{u_z}
+        _, a1, a2 = ex.eval_jet1_rows(a, [p.z], 2)[0]
+        return -(a2 + a1 * (row[1] * 1))  # the coefficient of d_{u_z}; row[1]: (1, 0, 0)
     kept = field.store.stored(p, "a'")
     if kept is None or kept[0] is not a:
-        (_, a1), (_, ab1) = _a_derivs(ex.eval_jet1(a, p.z, 1), 1)
-        kept = (a, a1, ab1)
+        a1 = ex.eval_jet1_rows(a, [p.z], 1)[0][1]
+        kept = (a, a1, a1.conjugate())  # abar'(conj z) = conj(a'(z))
         field.store.put(p, "a'", kept)
     _, a1, ab1 = kept
-    emu = cmath.exp(-J.value)
+    emu = cmath.exp(-row[0])
     c_u = -(a1 + ab1)
     if target == "Rho":
-        u_zzb = J.partial((1, 1, 0))
+        u_zzb = row[7] * 1  # (1, 1, 0)
         c_uzzb = c_u * u_zzb
         return c_u * (-emu * u_zzb) + c_uzzb * emu
-    u_zt = J.partial((1, 0, 1))
-    u_zbt = J.partial((0, 1, 1))
+    u_zt, u_zbt = row[5] * 1, row[6] * 1  # (1, 0, 1) and (0, 1, 1)
     c_uzt = -a1 * u_zt
     c_uzbt = -ab1 * u_zbt
     return (c_u * (-emu * u_zt * u_zbt)
@@ -93,15 +85,15 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
 def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> complex:
     """Residual of the infinitesimal invariance criterion at p:
     (alpha + beta t) f_t + a f_z + abar f_zbar - (2 beta - a' - abar')."""
-    partials = first_partials(eval_u(field, p, 1))
-    a = ex.eval_jet1(g.a, p.z, 1) if g.a is not None else None
+    partials = first_partials(u_row(field, p, 1))
+    a = ex.eval_jet1_rows(g.a, [p.z], 1)[0] if g.a is not None else None
     return _criterion(g, p.t, a, partials)
 
 
-def first_partials(J: Jet) -> tuple[complex, complex, complex]:
-    """(u_t, u_z, u_zbar) of a u-jet of order 1 or more: what the invariance
-    criterion reads of it, the same bits at every order."""
-    return J.partial((0, 0, 1)), J.partial((1, 0, 0)), J.partial((0, 1, 0))
+def first_partials(row: list) -> tuple[complex, complex, complex]:
+    """(u_t, u_z, u_zbar) from a point's row of u of order 1 or more
+    (`fields.u_row`): what the invariance criterion reads of it."""
+    return row[3] * 1, row[1] * 1, row[2] * 1
 
 
 def invariance_residuals(g: GeneratorSpec, points: list[Point], partials: list) -> list[complex]:
@@ -109,18 +101,20 @@ def invariance_residuals(g: GeneratorSpec, points: list[Point], partials: list) 
     `first_partials` and one stacked evaluation of a over their distinct z
     (`expr.eval_jet1_rows`)."""
     if g.a is None:
-        a_jets = [None] * len(points)
+        a_rows = [None] * len(points)
     else:
-        a_jets = ex.eval_jet1_rows(g.a, [p.z for p in points], 1)
-    return [_criterion(g, p.t, a, d) for p, a, d in zip(points, a_jets, partials)]
+        a_rows = ex.eval_jet1_rows(g.a, [p.z for p in points], 1)
+    return [_criterion(g, p.t, a, d) for p, a, d in zip(points, a_rows, partials)]
 
 
-def _criterion(g: GeneratorSpec, t: float, a: Jet | None, partials) -> complex:
-    """The invariance criterion from a's order-1 jet at the point (None for
-    a = 0) and the point's `first_partials`."""
+def _criterion(g: GeneratorSpec, t: float, a: list | None, partials) -> complex:
+    """The invariance criterion from a's order-1 row (a, a') at the point
+    (None for a = 0) and the point's `first_partials`; a is taken times 0!,
+    as `Jet.partial` took it, a product that can flip the sign of a zero."""
     f_t, f_z, f_zb = partials
     if a is not None:
-        (a0, a1), (ab0, ab1) = _a_derivs(a, 1)
+        a0, a1 = a[0] * 1, a[1]
+        ab0, ab1 = a0.conjugate(), a1.conjugate()  # abar and abar' at conj z
     else:
         a0 = a1 = ab0 = ab1 = 0j
     return ((g.alpha + g.beta * t) * f_t + a0 * f_z + ab0 * f_zb
@@ -138,7 +132,7 @@ def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:
     best = 0.0
     witness = None
     eta_seen = False
-    for p in in_sweeps(grid, lambda chunk: [(field, chunk, swept_invariant_sets)]):
+    for p in in_sweeps(grid, lambda chunk: [(field, chunk, swept_invariants)]):
         s = invariants_at(field, p)
         if not s.eta_vanishes:
             eta_seen = True

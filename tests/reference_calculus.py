@@ -13,6 +13,7 @@ of_terms).
 import numpy as np
 
 from heavenly.errors import EtaVanishes
+from heavenly.fields import MAX_ORDER, u_row
 from heavenly.invariants import ETA_TOL, REALITY_TOL, JetCalculus, invariants_at
 from heavenly.jet import Jet
 
@@ -107,7 +108,7 @@ def assert_calculus_matches_reference(fld, p, q=None):
     """The calculus's scalars q at p (by default a new JetCalculus's) and
     the InvariantSet at p are within CALCULUS_ROUNDOFFS of the reference's
     jets there."""
-    q = q or JetCalculus(fld, p).points[0]
+    q = q or JetCalculus([u_row(fld, p, MAX_ORDER)]).points[0]
     ref, terms = RefCalculus(fld, p), RefCalculus(fld, p, of_terms=True)
     for name in CALCULUS_NAMES:
         assert_within_roundoffs(q[name], ref.first_order(name), terms.first_order(name),

@@ -18,8 +18,8 @@ from heavenly import expr as ex
 from heavenly import invariants
 from heavenly.errors import (POINT_EXCLUSIONS, DivisionBySingularJet, DomainError, EtaVanishes,
                              HeavenlyError)
-from heavenly.fields import (MAX_ORDER, Point, SolutionField, conformal_pushforward,
-                             eval_u, make_solution, u_jets)
+from heavenly.fields import (_READ, MAX_ORDER, ROW_LEN, Point, SolutionField,
+                             conformal_pushforward, make_solution, u_row, u_rows)
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, commutator_residual,
                                  invariants_at, liouville_residual, pde_residual)
 from heavenly.jet import Jet
@@ -95,7 +95,7 @@ def stacked_build(fld, pts, order):
 
 def suite(field_for, p):
     """Every bundle reader at p; field_for() gives the field for each call."""
-    calls = [lambda k=k: eval_u(field_for(), p, k) for k in range(MAX_ORDER + 1)]
+    calls = [lambda k=k: u_row(field_for(), p, k) for k in range(MAX_ORDER + 1)]
     calls += [lambda: pde_residual(field_for(), p),
               lambda: liouville_residual(field_for(), p),
               lambda: invariants_at(field_for(), p)]
@@ -116,7 +116,7 @@ def test_revisited_point_matches_fresh_field(family, kappa):
     # roundoffs of the jet reference's
     a, b, c = points(kappa)
     fresh = {p: suite(lambda: build(family, kappa), p) for p in (a, b, c)}
-    assert all(fresh[p][MAX_ORDER][0] == "jet" for p in fresh)  # every point is admissible
+    assert all(fresh[p][MAX_ORDER][0] == "scalars" for p in fresh)  # every point is admissible
     for p in fresh:
         assert_calculus_matches_reference(build(family, kappa), p)
     shared = build(family, kappa)
@@ -127,45 +127,64 @@ def test_revisited_point_matches_fresh_field(family, kappa):
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_every_order_is_the_jet_built_at_that_order(family, kappa):
-    # eval_u truncates one order-MAX_ORDER build, alone or as a row of
-    # swept_invariants' stacked pass; confinv's f divides, the pushforward
-    # composes
-    pts = grid(kappa, family)
+    # an order-k reader reads the first ROW_LEN[k] entries of one
+    # order-MAX_ORDER row, alone or a row of swept_invariants' stacked
+    # pass: they are the coefficients of the jet built at order k, bit for
+    # bit; confinv's f divides, the pushforward composes
+    pts = grid(kappa, family) + edge(family, kappa)
     swept = build(family, kappa)
     fill(swept, pts, invariants.swept_invariants)
-    for p in pts:
+    stacked = build(family, kappa).jets_at(pts, MAX_ORDER)
+    for r, p in enumerate(pts):
         alone = build(family, kappa)
+        top = build_at(build(family, kappa), p, MAX_ORDER)
         for order in (2, 0, MAX_ORDER, 1):
-            want = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, order)
+            jet = build_at(build(family, kappa), p, order)
+            # why a prefix serves: the engine's truncation of a higher order,
+            # alone or stacked, is the jet built at this order, every
+            # coefficient of it
+            assert top.truncated(order).coeffs.tobytes() == jet.coeffs.tobytes()
+            assert stacked.truncated(order).coeffs[r].tobytes() == jet.coeffs.tobytes()
+            want = hex_row(row_of(jet))
             for fld in (alone, swept):
-                got = eval_u(fld, p, order)
-                assert got.order == order
-                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
+                got = u_row(fld, p, order)
+                assert len(got) == ROW_LEN[MAX_ORDER]
+                assert hex_row(got[:ROW_LEN[order]]) == want, (p, order)
 
 
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_swept_invariants_serve_the_lower_orders(monkeypatch, family, kappa):
-    # the sweep stores order-3 rows; orders 0-2 are their truncations, with
-    # the bits of a fresh order-4 build's
-    pts = grid(kappa, family)
-    want = {repr(p): build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, 4) for p in pts}
+    # the sweep stores order-3 rows; orders 0-2 read their prefixes, with
+    # the bits of a fresh order-4 build's coefficients
+    pts = grid(kappa, family) + edge(family, kappa)
+    want = {p.key: row_of(build_at(build(family, kappa), p, 4)) for p in pts}
     swept = build(family, kappa)
     fill(swept, pts, invariants.swept_invariants)
 
     def no_build(*args):
-        raise AssertionError("eval_u built a u-jet")
+        raise AssertionError("u_row built a u-jet")
 
     monkeypatch.setattr(SolutionField, "jet_at", no_build)
     monkeypatch.setattr(SolutionField, "jets_at", no_build)
     for p in pts:
         for order in (2, 0, 1):
-            got = eval_u(swept, p, order)
-            assert hex_coeffs(got) == hex_coeffs(want[repr(p)].truncated(order)), (p, order)
+            got = u_row(swept, p, order)[:ROW_LEN[order]]
+            assert hex_row(got) == hex_row(want[p.key][:ROW_LEN[order]]), (p, order)
 
 
-def hex_coeffs(jet):
-    return [(c.real.hex(), c.imag.hex()) for c in jet.coeffs.ravel().tolist()]
+def hex_row(row):
+    return [(c.real.hex(), c.imag.hex()) for c in row]
+
+
+def build_at(fld, p, order):
+    return fld.jet_at(p.z, p.z.conjugate(), p.t, order)
+
+
+def row_of(jet):
+    """The row of an unstacked u-jet, up to the entries of degree
+    MAX_ORDER, read coefficient by coefficient."""
+    return [jet.coefficient(idx) for idx in _READ if sum(idx) <= jet.order]
 
 
 def counting(fld, counts):
@@ -253,7 +272,7 @@ def test_the_bundle_builds_no_jet_beyond_the_u_jet(monkeypatch, family, kappa):
     # arithmetic on the coefficients of the u-jet
     fld = build(family, kappa)
     p = points(kappa)[0]
-    eval_u(fld, p, MAX_ORDER)
+    u_row(fld, p, MAX_ORDER)
     built = counted_jets(monkeypatch)
     eta_vanishes = invariants_at(fld, p).eta_vanishes
     for pair in COMMUTATOR_PAIRS:
@@ -276,7 +295,7 @@ def test_a_sweep_of_invariant_sets_builds_only_the_stacked_u_jet(monkeypatch, fa
     built = counted_jets(monkeypatch)
     alone.jets_at(pts, MAX_ORDER)
     stacked = len(built)
-    fill(swept, pts, invariants.swept_invariant_sets)
+    fill(swept, pts, invariants.swept_invariants)
     for p in pts:  # the loop's reads come from the pass's stored values
         invariants_at(swept, p)
     assert len(built) == 2 * stacked > 0
@@ -308,16 +327,38 @@ def grid(kappa, family="noninv"):
     return out + [out[0]]
 
 
+def edge(family, kappa):
+    """Points on the real axis, z = -1.5 with both signs of a zero and
+    z = 1.2 + 0j, inside the family's domain: confinv's xi vanishes there,
+    and z + zbar < 0 is outside the domains of f0 and noninv at kappa = +1."""
+    if family == "confinv":
+        return []
+    if kappa == 1 and family in ("f0", "noninv"):
+        return [Point(1.0, complex(1.2, 0.0))]
+    return [Point(1.0, complex(-1.5, 0.0)), Point(1.0, complex(-1.5, -0.0)),
+            Point(1.0, complex(1.2, 0.0))]
+
+
 @pytest.mark.parametrize("kappa", (1, -1))
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
-def test_stacked_rows_match_eval_u(family, kappa):
-    pts = grid(kappa, family)
+def test_stacked_rows_match_u_row(family, kappa):
+    # row r of an order-k pass is the first ROW_LEN[k] entries of the
+    # order-MAX_ORDER row of points[r] alone, and the coefficients of the
+    # stacked jet, whose row r is the jet built at points[r] alone, bit for
+    # bit
+    pts = grid(kappa, family) + edge(family, kappa)
     for order in range(MAX_ORDER + 1):
-        rows = build(family, kappa).jets_at(pts, order).rows()
-        for p, row in zip(pts, rows):
-            want = eval_u(build(family, kappa), p, order)
-            assert (row.depth, row.nvars, row.order) == (0, 3, order)
-            assert row.coeffs.tobytes() == want.coeffs.tobytes(), (p, order)
+        jets = build(family, kappa).jets_at(pts, order)
+        rows = build(family, kappa).rows_at(pts, order)
+        assert len(rows) == len(pts)
+        for r, (p, row) in enumerate(zip(pts, rows)):
+            want = u_row(build(family, kappa), p, MAX_ORDER)[:ROW_LEN[order]]
+            assert len(row) == ROW_LEN[order]
+            assert hex_row(row) == hex_row(want), (p, order)
+            stacked = [complex(jets.coeffs[(r, *idx)]) for idx in _READ if sum(idx) <= order]
+            assert hex_row(row) == hex_row(stacked), (p, order)
+            alone = build_at(build(family, kappa), p, order)
+            assert jets.coeffs[r].tobytes() == alone.coeffs.tobytes(), (p, order)
 
 
 def excluding(fld, pts):
@@ -343,7 +384,7 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
     fld = make_solution("noninv", {"b": b}, 1)
     with pytest.raises(POINT_EXCLUSIONS):
         fld.jets_at(pts, 2)  # so the sweep leaves every point to run alone
-    fill(fld, pts, u_jets(2))
+    fill(fld, pts, u_rows(2))
     swept = excluding(fld, pts)
     assert swept == excluding(make_solution("noninv", {"b": b}, 1), pts)
     assert [kind for kind, _ in swept] == ["ok", "DivisionBySingularJet", "DomainError", "ok",
@@ -353,7 +394,7 @@ def test_a_sweep_with_bad_points_excludes_what_the_loop_excludes():
     good = [p for p, (kind, _) in zip(pts, swept) if kind == "ok"]
     counts = Counter()
     stacked = counting(make_solution("noninv", {"b": b}, 1), counts)
-    fill(stacked, good, u_jets(2))
+    fill(stacked, good, u_rows(2))
     assert excluding(stacked, good) == [r for r in swept if r[0] == "ok"]
     assert counts == {2: 1}
 
@@ -362,32 +403,32 @@ def test_a_pass_lasts_until_a_point_outside_it():
     counts = Counter()
     fld = counting(build("noninv", 1), counts)
     pts = grid(1)
-    fill(fld, pts, u_jets(1))
+    fill(fld, pts, u_rows(1))
     for p in pts:
-        eval_u(fld, p, 1)  # the swept order-1 row
+        u_row(fld, p, 1)  # the swept order-1 row
     assert counts == {1: 1}  # swept points build nothing
     for p in pts:
-        eval_u(fld, p, 2)  # not swept: truncated from this point's own build
+        u_row(fld, p, 2)  # not swept: the row of this point's own build
     assert counts == {1: 1, MAX_ORDER: len(pts) - 1}  # one point repeats
     for p in pts:  # every swept point's values, with what they gained, outlive the loop
-        eval_u(fld, p, 1)
-        eval_u(fld, p, 2)
+        u_row(fld, p, 1)
+        u_row(fld, p, 2)
     assert counts == {1: 1, MAX_ORDER: len(pts) - 1}
     outside = Point(0.9, 1.6 + 0.5j)
-    eval_u(fld, outside, 1)  # a point outside the store replaces it
-    eval_u(fld, outside, 2)
-    eval_u(fld, pts[0], 1)
+    u_row(fld, outside, 1)  # a point outside the store replaces it
+    u_row(fld, outside, 2)
+    u_row(fld, pts[0], 1)
     assert counts == {1: 1, MAX_ORDER: len(pts) + 1}
-    fill(fld, pts[:3], u_jets(1))
+    fill(fld, pts[:3], u_rows(1))
     assert counts == {1: 2, MAX_ORDER: len(pts) + 1}
     bad = Point(0.8, -1.3 + 0.4j)  # z + zbar < 0: the stacked build raises
-    fill(fld, [pts[0], bad], u_jets(1))
+    fill(fld, [pts[0], bad], u_rows(1))
     # a raising build leaves the store empty
     assert [fld.store.stored(p, "u") for p in pts[:3] + [bad]] == [None] * 4
-    eval_u(fld, pts[0], 1)
+    u_row(fld, pts[0], 1)
     assert counts == {1: 3, MAX_ORDER: len(pts) + 2}
     with pytest.raises(DomainError):
-        eval_u(fld, bad, 1)
+        u_row(fld, bad, 1)
     assert counts == {1: 3, MAX_ORDER: len(pts) + 3}
 
 
@@ -397,7 +438,7 @@ def test_a_raising_build_keeps_the_last_pass(monkeypatch):
     b = ex.parse("1/(z - 2) + 0.5", ("z",))
     fld = make_solution("noninv", {"b": b}, 1)
     good = [Point(1.0, 1.2 + 0.3j), Point(0.9, 1.7 - 0.2j), Point(1.2, 1.3 - 0.4j)]
-    fill(fld, good, u_jets(2))
+    fill(fld, good, u_rows(2))
     rows = [fld.store.stored(p, "u") for p in good]
     assert all(row is not None for row in rows)
     with pytest.raises(DivisionBySingularJet):
@@ -406,7 +447,7 @@ def test_a_raising_build_keeps_the_last_pass(monkeypatch):
     jet_at = SolutionField.jet_at
     monkeypatch.setattr(SolutionField, "jet_at", lambda self, *args:
                         built.append(args) or jet_at(self, *args))
-    assert all(eval_u(fld, p, 2) is row for p, row in zip(good, rows))
+    assert all(u_row(fld, p, 2) is row for p, row in zip(good, rows))
     assert [kind for kind, _ in excluding(fld, good)] == ["ok"] * 3
     assert built == []
 
@@ -465,3 +506,37 @@ def test_no_check_builds_a_u_jet_above_max_order(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
     assert max(orders) == MAX_ORDER == 3
+
+
+def test_no_store_holds_a_jet(monkeypatch):
+    # the passes and per-point calls of verify, symmetry (both checks),
+    # classify and orbit keep a point's u as its row of Python complexes:
+    # no stored value is a Jet, nor holds one
+    import contextlib
+    import io
+
+    from heavenly import cli
+    from heavenly.sweeps import PointStore
+    from test_readme_examples import README_EXAMPLES
+
+    stored = []
+    fill_, put = PointStore.fill, PointStore.put
+
+    def recorded(rows):
+        named = rows()
+        stored.extend(item for values in named for item in values.items())
+        return named
+
+    monkeypatch.setattr(PointStore, "fill", lambda self, pts, rows:
+                        fill_(self, pts, lambda: recorded(rows)))
+    monkeypatch.setattr(PointStore, "put", lambda self, p, name, value:
+                        stored.append((name, value)) or put(self, p, name, value))
+    for argv in [a for a in README_EXAMPLES if a[0] != "resolving"] + list(CEILING_ARGV):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert {"u", "a'", "invariants"} <= {name for name, _ in stored}
+    for name, value in stored:
+        held = vars(value).values() if isinstance(value, invariants.JetCalculus) else [value]
+        assert not any(isinstance(v, Jet) for v in held), name
+        if name == "u":
+            assert type(value) is list and all(type(c) is complex for c in value)

@@ -265,8 +265,13 @@ def normal_forms(seed):
     return [case for case in cases if case is not None]
 
 
-def _hex(jet):
-    return [(c.real.hex(), c.imag.hex()) for c in jet.coeffs.ravel().tolist()]
+def _hex(row):
+    return [(c.real.hex(), c.imag.hex()) for c in row]
+
+
+def _derivatives(jet):
+    """(f, f', ...) of a univariate jet: its value and its partials."""
+    return [jet.value] + [jet.partial((k,)) for k in range(1, jet.order + 1)]
 
 
 def test_stacked_expression_rows_match_eval_jet1():
@@ -284,8 +289,8 @@ def test_stacked_expression_rows_match_eval_jet1():
         rows = ex.eval_jet1_rows(e, zs, order)
         assert len(rows) == len(zs)
         for z, row in zip(zs, rows):
-            assert row.depth == 0 and row.order == order
-            assert _hex(row) == _hex(ex.eval_jet1(e, z, order)), (str(e), z)
+            assert len(row) == order + 1
+            assert _hex(row) == _hex(_derivatives(ex.eval_jet1(e, z, order))), (str(e), z)
 
 
 def test_stacked_expression_rows_follow_every_entry():
@@ -294,7 +299,7 @@ def test_stacked_expression_rows_follow_every_entry():
     at = [complex(1.2, 0.0), complex(1.2, -0.0), 0.7 + 0.3j, complex(1.2, 0.0)]
     rows = ex.eval_jet1_rows(e, at, 1)
     assert rows[0] is rows[3]
-    assert [_hex(r) for r in rows] == [_hex(ex.eval_jet1(e, z, 1)) for z in at]
+    assert [_hex(r) for r in rows] == [_hex(_derivatives(ex.eval_jet1(e, z, 1))) for z in at]
     assert ex.eval_jet1_rows(e, [], 1) == []
 
 

@@ -57,7 +57,7 @@ def test_verify_passes_on_solution(capsys):
                                   ["--kappa", "-1", "--family", "f0", "--C", "1"]))
 def test_verify_builds_order_3_u_jets_only(capsys, monkeypatch, argv):
     # one order-3 pass per chunk gives the invariants, and the equation
-    # reads its truncation
+    # reads the first entries of its rows
     from heavenly.fields import SolutionField
     orders = []
     jets_at, jet_at = SolutionField.jets_at, SolutionField.jet_at

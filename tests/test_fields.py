@@ -6,8 +6,7 @@ import pytest
 
 from heavenly import expr as ex
 from heavenly.errors import DomainError, FamilyParamMismatch, SingularMap
-from heavenly.fields import (MAX_ORDER, Point, conformal_pushforward, eval_u,
-                             make_solution)
+from heavenly.fields import MAX_ORDER, Point, conformal_pushforward, make_solution, u_row
 from heavenly.invariants import liouville_residual
 from heavenly import fields
 from heavenly.jet import Jet
@@ -124,10 +123,10 @@ def test_unknown_family_and_missing_params():
         make_solution("f0", {"C": 1.0}, 2)
 
 
-def test_eval_u_rejects_order_beyond_engine():
+def test_u_row_rejects_order_beyond_engine():
     fld = make_solution("f0", {"C": 1.0}, 1)
     with pytest.raises(FamilyParamMismatch):
-        eval_u(fld, Point(T0, Z0), MAX_ORDER + 1)
+        u_row(fld, Point(T0, Z0), MAX_ORDER + 1)
     with pytest.raises(FamilyParamMismatch):
         fld.jets_at([Point(T0, Z0)], MAX_ORDER + 1)
 
@@ -236,7 +235,8 @@ def not_swapped(monkeypatch):
 def test_reality_fails_where_a_partner_is_broken(monkeypatch, family, params, broken):
     broken(monkeypatch)
     fld = make_solution(family, {k: ex.parse(v, ("z",)) for k, v in params.items()}, 1)
-    assert reality_gap(eval_u(fld, points(1)[0], MAX_ORDER)) > 0.1
+    p = points(1)[0]
+    assert reality_gap(fld.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)) > 0.1
 
 
 # --- the partner of ln(t + b(z)) on the slice -------------------------------------

@@ -24,7 +24,7 @@ from reference_calculus import RefCalculus
 from test_bundle import FAMILIES, build, points
 from test_reference_kernels import row_value, valid_jet
 
-from heavenly.fields import MAX_ORDER, eval_u
+from heavenly.fields import MAX_ORDER
 from heavenly.invariants import invariants_at
 from heavenly.jet import Jet, valid_indices
 
@@ -194,7 +194,7 @@ def exact_u_jet(u, z0, zb0, t0, order):
 @pytest.mark.parametrize("family", [f[0] for f in FAMILIES])
 def test_u_jets_match_forty_digit_derivatives(family, kappa):
     p = points(kappa)[0]
-    got = eval_u(build(family, kappa), p, MAX_ORDER)
+    got = build(family, kappa).jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER)
     exact = exact_u_jet(closed_form(family, kappa), p.z, p.z.conjugate(), p.t, MAX_ORDER)
     size = roundoffs(got.coeffs, exact)
     assert 0 < size <= FIELD_ROUNDOFFS, size

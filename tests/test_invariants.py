@@ -4,7 +4,7 @@ from reference_calculus import CALCULUS_ROUNDOFFS, EPS, RefCalculus
 
 from heavenly import expr as ex
 from heavenly.errors import EtaVanishes
-from heavenly.fields import Point, SolutionField, make_solution
+from heavenly.fields import MAX_ORDER, Point, SolutionField, make_solution, u_row
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, JetCalculus,
                                  commutator_residual, invariants_at, liouville_residual,
                                  pde_residual)
@@ -67,7 +67,7 @@ def test_eta_vanishes_on_separable_family():
     s = invariants_at(fld, P_REF)
     assert s.eta_vanishes
     assert s.lambda_ is None
-    calc = JetCalculus(fld, P_REF)  # builds: only Y, Ybar and the commutators need 1/eta
+    calc = JetCalculus([u_row(fld, P_REF, MAX_ORDER)])  # builds: only Y, Ybar and the commutators need 1/eta
     assert abs(calc.points[0]["Eta"][0]) < ETA_TOL
     with pytest.raises(EtaVanishes):
         commutator_residual(("delta", "Y"), "Rho", fld, P_REF)

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from heavenly import expr as ex
-from heavenly.fields import Point, SolutionField, eval_u, make_solution, u_jets
+from heavenly.fields import ROW_LEN, Point, SolutionField, make_solution, u_row, u_rows
 from heavenly.invariants import invariants_at, swept_invariants
-from heavenly.symmetry import (GeneratorSpec, conf_inv_witness, invariance_residual,
-                               x2_apply)
+from heavenly.jet import Jet
+from heavenly.symmetry import (GeneratorSpec, conf_inv_witness, first_partials,
+                               invariance_residual, x2_apply)
 from test_bundle import STORED_NAMES, fill
 
 INVARIANT_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
@@ -71,16 +73,16 @@ def test_witness_inconclusive_when_eta_vanishes():
     assert "eta" in rep.note
 
 
-def test_witness_sweep_stores_only_the_invariant_sets():
-    # the witness reads each point's InvariantSet and nothing else of the
-    # store: its pass keeps no u-jet, and the sets keep the bits of
+def test_witness_sweep_stores_the_invariant_sets_and_rows():
+    # the witness reads each point's InvariantSet: its pass keeps the set
+    # and the point's row of u, and the sets keep the bits of
     # swept_invariants' pass and of invariants_at at each point alone
     b = ex.parse("z^2 + i", ("z",))
     fld = make_solution("noninv", {"b": b}, 1)
     grid = [Point(t, complex(x, y)) for t in (0.8, 1.2) for x in (1.1, 1.6) for y in (0.3, 0.6)]
     conf_inv_witness(fld, grid)
     assert [[name for name in STORED_NAMES if fld.store.stored(p, name) is not None]
-            for p in grid] == [["invariants"]] * len(grid)
+            for p in grid] == [["u", "invariants"]] * len(grid)
     hexes = lambda s: [None if v is None else (complex(v).real.hex(), complex(v).imag.hex())
                        for v in vars(s).values()]
     swept = swept_invariants(make_solution("noninv", {"b": b}, 1), grid)
@@ -137,20 +139,33 @@ def test_a_second_generator_at_a_point_gets_its_own_values(monkeypatch):
 
 
 def test_x2_after_an_order_1_sweep_builds_one_order_3_jet(monkeypatch):
-    # the sweep's order-1 row gives way to one order-3 build, whose
-    # truncation is the row, bit for bit
+    # the sweep's order-1 row gives way to the row of one order-3 build,
+    # whose prefix is the order-1 row, bit for bit
     a = ex.parse("z^2", ("z",))
     fld = noninv()
     pts = [Point(t, complex(x, 0.3)) for t in (0.8, 1.2) for x in (1.1, 1.6)]
-    fill(fld, pts, u_jets(1))
-    row = eval_u(fld, pts[1], 1)
+    fill(fld, pts, u_rows(1))
+    row = u_row(fld, pts[1], 1)
     orders = []
     jet_at = SolutionField.jet_at
     monkeypatch.setattr(SolutionField, "jet_at", lambda self, z0, zb0, t0, order:
                         orders.append(order) or jet_at(self, z0, zb0, t0, order))
     values = [x2_apply(a, name, fld, pts[1]) for name in INVARIANT_TARGETS]
     assert orders == [3]
-    assert eval_u(fld, pts[1], 1).coeffs.tobytes() == row.coeffs.tobytes()
-    assert eval_u(fld, pts[1], 3).order == 3 and orders == [3]
+    assert len(row) == ROW_LEN[1]
+    assert [bits(v) for v in u_row(fld, pts[1], 1)[:ROW_LEN[1]]] == [bits(v) for v in row]
+    assert len(u_row(fld, pts[1], 3)) == ROW_LEN[3] and orders == [3]
     fresh = [x2_apply(a, name, noninv(), pts[1]) for name in INVARIANT_TARGETS]
     assert [bits(v) for v in values] == [bits(v) for v in fresh]
+
+
+def test_first_partials_take_the_products_of_jet_partial():
+    # a row entry times 1 is not always the entry: (-0.0 - 1j) * 1 has a real
+    # part of +0.0, so a reader takes Jet.partial's product, signed zeros
+    # included
+    c = complex(-0.0, -1.0)
+    jet = Jet(np.full((4, 4, 4), c))
+    fld = SolutionField("fixed", 1, _builder=lambda z0, zb0, t0, order: jet)
+    got = first_partials(u_row(fld, Point(1.0, 1.0 + 0j), 1))
+    want = (jet.partial((0, 0, 1)), jet.partial((1, 0, 0)), jet.partial((0, 1, 0)))
+    assert [bits(v) for v in got] == [bits(v) for v in want] != [bits(c)] * 3
