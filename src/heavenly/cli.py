@@ -67,16 +67,16 @@ def _emit(report: dict, args, columns: tuple[str, ...]) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(args, family=None, parameters=None) -> dict:
+def _base_report(args, family, parameters) -> dict:
     return {
         "schema": SCHEMA,
         "version": __version__,
         "command": args.command,
-        "kappa": getattr(args, "kappa", None),
+        "kappa": args.kappa,
         "family": family,
-        "parameters": parameters or {},
+        "parameters": parameters,
         "tolerance": args.tol,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "records": [],
         "excluded": {"count": 0, "reasons": {}},
         "summary": {},
@@ -318,28 +318,25 @@ def cmd_resolving(args) -> int:
 def cmd_symmetry(args) -> int:
     from .fields import u_rows
     from .symmetry import GeneratorSpec, invariance_residual, x2_apply
-    report = _base_report(args)
+    if args.check == "invariants" and args.a is None:
+        raise ValueError("--check invariants requires --a, the generator a(z)")
+    field, fam, echo = _family_from_args(args)
+    params = dict(echo, a=args.a)
     if args.check == "invariants":
-        if args.a is None:
-            raise ValueError("--check invariants requires --a, the generator a(z)")
-        a = ex.parse(args.a, ("z",))
-        field, fam, echo = _family_from_args(args)
-        report["family"] = fam
-        report["parameters"] = dict(echo, a=args.a)
-        _run(report, parse_grid(args.grid), lambda p: {"residuals": {
-            f"x2_{name}": abs(x2_apply(a, name, field, p))
-            for name in ("T", "Ut", "Utt", "Rho", "Eta")}},
-            lambda chunk: [(field, chunk, u_rows(3))])
+        a, order = ex.parse(args.a, ("z",)), 3
+
+        def check(p):
+            return {"residuals": {f"x2_{name}": abs(x2_apply(a, name, field, p))
+                                  for name in ("T", "Ut", "Utt", "Rho", "Eta")}}
     else:  # criterion
-        field, fam, echo = _family_from_args(args)
-        gen = GeneratorSpec(args.alpha, args.beta,
-                            ex.parse(args.a, ("z",)) if args.a else None)
-        report["family"] = fam
-        report["parameters"] = dict(echo, a=args.a, alpha=args.alpha,
-                                    beta=args.beta)
-        _run(report, parse_grid(args.grid), lambda p: {"residuals": {
-            "criterion": abs(invariance_residual(field, gen, p))}},
-            lambda chunk: [(field, chunk, u_rows(1))])
+        gen = GeneratorSpec(args.alpha, args.beta, ex.parse(args.a, ("z",)) if args.a else None)
+        params.update(alpha=args.alpha, beta=args.beta)
+        order = 1
+
+        def check(p):
+            return {"residuals": {"criterion": abs(invariance_residual(field, gen, p))}}
+    report = _base_report(args, fam, params)
+    _run(report, parse_grid(args.grid), check, lambda chunk: [(field, chunk, u_rows(order))])
     return _finish(report, args)
 
 
@@ -347,7 +344,6 @@ def cmd_orbit(args) -> int:
     from .fields import Point, conformal_pushforward
     from .invariants import (invariants_at, liouville_residual, pde_residual,
                              swept_invariants)
-    from .jet import Jet
     field, fam, echo = _family_from_args(args)
     phi = ex.parse(args.phi, ("z",))
     if not ex.mentions(phi, "z"):
@@ -358,7 +354,7 @@ def cmd_orbit(args) -> int:
     residual_fn = liouville_residual if fam == "liouville" else pde_residual
 
     def check(p):
-        w = ex.eval_jet1(phi, p.z, 0).value
+        w = ex.eval_jet1_rows(phi, [p.z], 0)[0][0]
         r = residual_fn(pushed, p)
         s_new = invariants_at(pushed, p)
         s_old = invariants_at(field, Point(p.t, w))
@@ -367,11 +363,10 @@ def cmd_orbit(args) -> int:
                               "eta_match": abs(s_new.eta - s_old.eta)}}
 
     def passes(chunk):
-        # w = phi(z) of every point as the rows of one order-0 jet: row by
-        # row the bits of the check's own eval_jet1
-        seed = Jet.variable(0, tuple(p.z for p in chunk), 1, 0)
+        # w = phi(z) of every point from one evaluation: row by row the
+        # bits of the check's own
         try:
-            ws = ex.evaluate(phi, {"z": seed}).value
+            ws = [row[0] for row in ex.eval_jet1_rows(phi, [p.z for p in chunk], 0)]
         except SWEEP_FALLBACK:
             ws = ()  # no source pass: the checks exclude or raise per point
         return [(pushed, chunk, swept_invariants),

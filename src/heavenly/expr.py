@@ -12,13 +12,15 @@ Grammar (EBNF):
 Recognised functions: exp, ln, sqrt.  `i` and `pi` are reserved constants.
 There is no implicit multiplication.  Variable names are declared per parse,
 so the same letter can mean different things in different contexts.
+
+The checks read a one-variable expression's value and derivatives, at one
+point or at many, through one path: `eval_jet1_rows`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, ParseError
@@ -356,8 +358,6 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
 # is evaluated once per (nvars, order) and its jet kept.
 
-_bits = struct.Struct("<dd").pack  # a complex's bits: 0.0 and -0.0 differ
-
 _BINARY = ((Add, operator.add), (Sub, operator.sub), (Mul, operator.mul),
            (Div, operator.truediv))
 _CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"),
@@ -456,30 +456,25 @@ def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
 
 
 def eval_jet1(e: Expr, at: complex, order: int) -> Jet:
-    """Univariate jet of a single-variable expression at a point."""
+    """Univariate jet of a single-variable expression at a point, or a
+    stacked one from a tuple of points (`Jet.variable`)."""
     if len(e.variables) != 1:
         raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
     return evaluate(e, {e.variables[0]: Jet.variable(0, at, 1, order)})
 
 
 def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[list[complex]]:
-    """Each point's (f, f', ..., f^(order)) of a single-variable expression,
-    from one stacked evaluation over their distinct values (told apart by
-    their bits), read with one `tolist`: entry r is bit for bit the value
-    and partials of ``eval_jet1(e, at[r], order)``, each derivative its
-    coefficient times k!, as `Jet.partial` takes it.
-
-    A variable-free expression evaluates to one unstacked jet, which serves
-    every entry.  Nothing is remembered.
+    """Each entry's (f, f', ..., f^(order)) of a single-variable expression:
+    one `eval_jet1` for one entry, else one stacked evaluation with a row
+    per entry, repeats included, read with one `tolist`.  Row r is bit for
+    bit the value and partials of ``eval_jet1(e, at[r], order)``, each
+    derivative its coefficient times k!, as `Jet.partial` takes it.  A
+    variable-free expression's one unstacked jet serves every entry.
+    Nothing is remembered.
     """
-    if len(e.variables) != 1:
-        raise ArityMismatch(f"expected 1 variable, declared {e.variables}")
-    keys = [_bits(w.real, w.imag) for w in map(complex, at)]
-    distinct = dict(zip(keys, at))
-    if not distinct:
+    if not at:
         return []
-    jet = evaluate(e, {e.variables[0]: Jet.variable(0, tuple(distinct.values()), 1, order)})
+    jet = eval_jet1(e, at[0] if len(at) == 1 else tuple(at), order)
     coeffs = jet.coeffs.reshape(-1, order + 1).tolist()
     rows = [[c[0]] + [ck * math.factorial(k) for k, ck in enumerate(c) if k] for c in coeffs]
-    by_key = dict(zip(distinct, rows if jet.depth else rows * len(distinct)))
-    return [by_key[key] for key in keys]
+    return rows if jet.depth else rows * len(at)

@@ -94,7 +94,7 @@ class SolutionField:
 
     The field keeps what it computed at physical-slice points in one
     `PointStore`, by name: a point's row of u under "u" (`u_row`), a
-    generator's first derivatives with the Expr they came from under "a'"
+    generator's order-2 row with the Expr it came from under "a"
     (`symmetry.x2_apply`), and the invariants layer's "calculus",
     "invariants" and "commutators".  So a run of calls at one point builds
     each of them once, and a loop over a pass's points reads what the pass
@@ -245,8 +245,6 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, z0, zb0, order: int,
     gamma = ln(c' cbar' / (c + cbar)^2) is real and finite where c' and
     cbar' are both negative real, or the denominator is: there the
     logarithms take the real branch, row by row (`_real_branch_logs`).
-    ln(-denominator) drops an i*pi whose -2 i*pi leaves e^u and every
-    derivative unchanged.
     """
     c1 = _on(c, _seed(z0, order + 1))
     cb1 = _on(cbar, _seed(zb0, order + 1))
@@ -257,32 +255,27 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, z0, zb0, order: int,
     else:
         denom = on_axes(cj) * on_axes(None, cbj) + 1.0
         _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
-    ln_cd, ln_cbd = _real_branch_logs(_derivative(c1), _derivative(cb1), f"{name}'",
-                                      f"{name}bar'")
-    try:
-        ln_denom = _ln(denom, "Liouville denominator")
-    except DomainError:
-        below = [_negative_real(v) for v in row_values(denom.value)]
-        if not any(below):
-            raise
-        ln_denom = _ln(_negated(denom, below), "Liouville denominator")
+    ln_cd, ln_cbd = _real_branch_logs((_derivative(c1), f"{name}'"),
+                                      (_derivative(cb1), f"{name}bar'"))
+    [ln_denom] = _real_branch_logs((denom, "Liouville denominator"))
     return on_axes(ln_cd, ln_cbd) - 2.0 * ln_denom
 
 
-def _real_branch_logs(d: Jet, db: Jet, what: str, whatbar: str) -> tuple[Jet, Jet]:
-    """ln d and ln db of a derivative and its conjugate partner, for the real
-    ln(d db): rows where both are negative real take ln(-d) and ln(-db), the
-    principal sum less its two i*pi, which cancel (Kahan, "Branch cuts for
-    complex elementary functions", 1987).  Every other row keeps the
-    principal logarithms' bits: they are tried first."""
+def _real_branch_logs(*pairs: tuple[Jet, str]) -> list[Jet]:
+    """ln j of each (j, what) pair on the real branch: rows where every j
+    is negative real take ln(-j), which differs from the principal
+    logarithm by i*pi, for each j (Kahan, "Branch cuts for complex
+    elementary functions", 1987); what the callers add up of them drops a
+    multiple of 2 i*pi, which leaves e^u unchanged.  Every other row keeps
+    the principal logarithms' bits: they are tried first."""
     try:
-        return _ln(d, what), _ln(db, whatbar)
+        return [_ln(j, what) for j, what in pairs]
     except DomainError:
-        both = [_negative_real(v) and _negative_real(vb)
-                for v, vb in zip(row_values(d.value), row_values(db.value))]
-        if not any(both):
+        flip = [all(map(_negative_real, values))
+                for values in zip(*(row_values(j.value) for j, _ in pairs))]
+        if not any(flip):
             raise
-    return _ln(_negated(d, both), what), _ln(_negated(db, both), whatbar)
+    return [_ln(_negated(j, flip), what) for j, what in pairs]
 
 
 def _negative_real(w: complex) -> bool:
@@ -432,7 +425,7 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)
         composed = compose3(inner, pj - w0, pbj - wb0, _seed(t0, order) - t0)
-        ln_pd, ln_pbd = _real_branch_logs(pd, pbd, "phi'", "phibar'")
+        ln_pd, ln_pbd = _real_branch_logs((pd, "phi'"), (pbd, "phibar'"))
         return composed + on_axes(ln_pd) + on_axes(None, ln_pbd)
 
     return SolutionField(family="pushforward", kappa=fld.kappa,

@@ -3,7 +3,7 @@ generators X_a = a d_z + abar d_zbar - (a' + abar') d_u, the invariance
 criterion for solutions, and the sigma-based conformal non-invariance
 witness.  Each check reads a partial of u as its entry of the point's
 row (`fields.u_row`) times the multi-index factorial, as `Jet.partial`
-takes it, and a and a' from a's row (`expr.eval_jet1_rows`).  What
+takes it, and a, a' and a'' from a's row (`expr.eval_jet1_rows`).  What
 `x2_apply` reads at a point lives in the field's store."""
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     ValueError before anything is evaluated; every other target raises
     outside the field's domain, and reads only the partials of its
     formula.  It reads p's row of u from the field's store (`u_row`), and
-    Rho and Eta read a's first derivatives, which the store
-    keeps with the a they came from: the targets of one generator
+    Rho, Eta and Uz read a's order-2 row (a, a', a''), which the store
+    keeps under "a" with the a it came from: the targets of one generator
     at p evaluate it once, and a different generator there afresh.
     """
     if target not in X2_TARGETS:
@@ -60,15 +60,14 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
     row = u_row(field, p, 3)
     if target in ("T", "Ut", "Utt"):
         return 0j  # X_a has no components along t, u_t, u_tt
-    if target == "Uz":
-        _, a1, a2 = ex.eval_jet1_rows(a, [p.z], 2)[0]
-        return -(a2 + a1 * (row[1] * 1))  # the coefficient of d_{u_z}; row[1]: (1, 0, 0)
-    kept = field.store.stored(p, "a'")
+    kept = field.store.stored(p, "a")
     if kept is None or kept[0] is not a:
-        a1 = ex.eval_jet1_rows(a, [p.z], 1)[0][1]
-        kept = (a, a1, a1.conjugate())  # abar'(conj z) = conj(a'(z))
-        field.store.put(p, "a'", kept)
-    _, a1, ab1 = kept
+        kept = (a, ex.eval_jet1_rows(a, [p.z], 2)[0])
+        field.store.put(p, "a", kept)
+    _, a1, a2 = kept[1]
+    if target == "Uz":
+        return -(a2 + a1 * (row[1] * 1))  # the coefficient of d_{u_z}; row[1]: (1, 0, 0)
+    ab1 = a1.conjugate()  # abar'(conj z) = conj(a'(z))
     emu = cmath.exp(-row[0])
     c_u = -(a1 + ab1)
     if target == "Rho":
@@ -84,10 +83,9 @@ def x2_apply(a: ex.Expr, target: str, field: SolutionField, p: Point) -> complex
 
 def invariance_residual(field: SolutionField, g: GeneratorSpec, p: Point) -> complex:
     """Residual of the infinitesimal invariance criterion at p:
-    (alpha + beta t) f_t + a f_z + abar f_zbar - (2 beta - a' - abar')."""
-    partials = first_partials(u_row(field, p, 1))
-    a = ex.eval_jet1_rows(g.a, [p.z], 1)[0] if g.a is not None else None
-    return _criterion(g, p.t, a, partials)
+    (alpha + beta t) f_t + a f_z + abar f_zbar - (2 beta - a' - abar');
+    `invariance_residuals` at p alone."""
+    return invariance_residuals(g, [p], [first_partials(u_row(field, p, 1))])[0]
 
 
 def first_partials(row: list) -> tuple[complex, complex, complex]:
@@ -98,27 +96,23 @@ def first_partials(row: list) -> tuple[complex, complex, complex]:
 
 def invariance_residuals(g: GeneratorSpec, points: list[Point], partials: list) -> list[complex]:
     """`invariance_residual` at each of points, from each point's
-    `first_partials` and one stacked evaluation of a over their distinct z
-    (`expr.eval_jet1_rows`)."""
+    `first_partials` and a's order-1 row (a, a') at each point, one
+    evaluation of a for all of them (`expr.eval_jet1_rows`).  a is taken
+    times 0!, as `Jet.partial` took it, a product that can flip the sign
+    of a zero."""
     if g.a is None:
         a_rows = [None] * len(points)
     else:
         a_rows = ex.eval_jet1_rows(g.a, [p.z for p in points], 1)
-    return [_criterion(g, p.t, a, d) for p, a, d in zip(points, a_rows, partials)]
-
-
-def _criterion(g: GeneratorSpec, t: float, a: list | None, partials) -> complex:
-    """The invariance criterion from a's order-1 row (a, a') at the point
-    (None for a = 0) and the point's `first_partials`; a is taken times 0!,
-    as `Jet.partial` took it, a product that can flip the sign of a zero."""
-    f_t, f_z, f_zb = partials
-    if a is not None:
-        a0, a1 = a[0] * 1, a[1]
-        ab0, ab1 = a0.conjugate(), a1.conjugate()  # abar and abar' at conj z
-    else:
-        a0 = a1 = ab0 = ab1 = 0j
-    return ((g.alpha + g.beta * t) * f_t + a0 * f_z + ab0 * f_zb
-            - (2 * g.beta - a1 - ab1))
+    out = []
+    for p, a, (f_t, f_z, f_zb) in zip(points, a_rows, partials):
+        a0 = a1 = ab0 = ab1 = 0j  # a = 0
+        if a is not None:
+            a0, a1 = a[0] * 1, a[1]
+            ab0, ab1 = a0.conjugate(), a1.conjugate()  # abar and abar' at conj z
+        out.append((g.alpha + g.beta * p.t) * f_t + a0 * f_z + ab0 * f_zb
+                   - (2 * g.beta - a1 - ab1))
+    return out
 
 
 def conf_inv_witness(field: SolutionField, grid: list[Point]) -> WitnessReport:

@@ -27,7 +27,7 @@ from heavenly.symmetry import GeneratorSpec, invariance_residual, x2_apply
 
 X2_TARGETS = ("T", "Ut", "Utt", "Rho", "Eta")
 #: every name a field's store keeps values under
-STORED_NAMES = ("u", "a'", "calculus", "invariants", "commutators")
+STORED_NAMES = ("u", "a", "calculus", "invariants", "commutators")
 A_GEN = ex.parse("(0.3 + 0.2*i)*z^2 + z - 0.5", ("z",))
 
 # (family, parameters for kappa=+1, parameters for kappa=-1); every family
@@ -534,7 +534,7 @@ def test_no_store_holds_a_jet(monkeypatch):
     for argv in [a for a in README_EXAMPLES if a[0] != "resolving"] + list(CEILING_ARGV):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
-    assert {"u", "a'", "invariants"} <= {name for name, _ in stored}
+    assert {"u", "a", "invariants"} <= {name for name, _ in stored}
     for name, value in stored:
         held = vars(value).values() if isinstance(value, invariants.JetCalculus) else [value]
         assert not any(isinstance(v, Jet) for v in held), name

@@ -294,13 +294,23 @@ def test_stacked_expression_rows_match_eval_jet1():
 
 
 def test_stacked_expression_rows_follow_every_entry():
-    # repeated entries share a row; entries equal but for a zero's sign do not
+    # every entry has its own row, repeats included, with the bits of the
+    # entry's lone eval_jet1, which tells apart entries equal but for a
+    # zero's sign
     e = ex.parse("(z - 1.2)*(0.5 - 2*i) + ln(z)", ("z",))
     at = [complex(1.2, 0.0), complex(1.2, -0.0), 0.7 + 0.3j, complex(1.2, 0.0)]
     rows = ex.eval_jet1_rows(e, at, 1)
-    assert rows[0] is rows[3]
     assert [_hex(r) for r in rows] == [_hex(_derivatives(ex.eval_jet1(e, z, 1))) for z in at]
     assert ex.eval_jet1_rows(e, [], 1) == []
+    # 13 entries with repeats and both signs of zero, as on a grid
+    at = [complex(x, y) for x, y in ((1.0, 0.0), (1.0, -0.0), (0.5, 0.5), (-0.0, 1.0),
+                                     (0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (2.0, -0.5),
+                                     (1.0, -0.0), (-0.0, 1.0), (2.0, -0.5), (1.0, 0.0),
+                                     (0.5, -0.5))]
+    for order in (0, 1, 2):
+        rows = ex.eval_jet1_rows(e, at, order)
+        assert [_hex(r) for r in rows] == [
+            _hex(_derivatives(ex.eval_jet1(e, z, order))) for z in at], order
 
 
 def _builds(monkeypatch):

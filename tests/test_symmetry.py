@@ -7,7 +7,7 @@ from heavenly import expr as ex
 from heavenly.fields import ROW_LEN, Point, SolutionField, make_solution, u_row, u_rows
 from heavenly.invariants import invariants_at, swept_invariants
 from heavenly.jet import Jet
-from heavenly.symmetry import (GeneratorSpec, conf_inv_witness, first_partials,
+from heavenly.symmetry import (X2_TARGETS, GeneratorSpec, conf_inv_witness, first_partials,
                                invariance_residual, x2_apply)
 from test_bundle import STORED_NAMES, fill
 
@@ -117,6 +117,22 @@ def test_the_invariant_targets_evaluate_the_generator_once(monkeypatch):
     assert sum(e is a for e in evaluated) == 3
 
 
+def test_every_x2_target_at_a_point_evaluates_the_generator_once(monkeypatch):
+    # the six targets at one point read one stored row of a: Uz, after Rho
+    # and Eta, evaluates nothing; a second generator there is evaluated
+    # afresh, once for all six
+    gens = [ex.parse(text, ("z",)) for text in ("z^3 + (0.5 - 0.2*i)*z", "(1 + i)*z")]
+    fld, p = noninv(), Point(0.7, 0.9 - 0.3j)
+    evaluated = []
+    evaluate = ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(e) or evaluate(e, env))
+    for a in gens:
+        for name in X2_TARGETS:
+            x2_apply(a, name, fld, p)
+        assert [e for e in evaluated if e in gens] == gens[:gens.index(a) + 1]
+    assert bits(x2_apply(gens[1], "Uz", fld, p)) == bits(x2_apply(gens[1], "Uz", noninv(), p))
+
+
 def test_a_second_generator_at_a_point_gets_its_own_values(monkeypatch):
     # generators that alternate at one point, one of them == but not the
     # same object: each is evaluated afresh, and every value has the bits
@@ -131,11 +147,14 @@ def test_a_second_generator_at_a_point_gets_its_own_values(monkeypatch):
         for name in ("Rho", "Eta"):
             got = x2_apply(a, name, fld, p)
             assert bits(got) == bits(x2_apply(a, name, noninv(), p)), (str(a), name)
-        kept, a1, ab1 = fld.store.stored(p, "a'")
-        first = ex.eval_jet1(a, p.z, 1).partial((1,))
-        assert kept is a and bits(a1) == bits(first) and bits(ab1) == bits(first.conjugate())
-    # one evaluation per switch on fld, one per fresh field and one per check
-    assert sum(e in gens for e in evaluated) == 6 + 12 + 6
+        kept, row = fld.store.stored(p, "a")
+        jet = ex.eval_jet1(a, p.z, 2)
+        assert kept is a and [bits(v) for v in row] == [
+            bits(v) for v in (jet.value, jet.partial((1,)), jet.partial((2,)))]
+        # a' of the order-2 row is a' of an order-1 evaluation, bit for bit
+        assert bits(row[1]) == bits(ex.eval_jet1(a, p.z, 1).partial((1,)))
+    # one evaluation per switch on fld, one per fresh field and two per check
+    assert sum(e in gens for e in evaluated) == 6 + 12 + 12
 
 
 def test_x2_after_an_order_1_sweep_builds_one_order_3_jet(monkeypatch):
