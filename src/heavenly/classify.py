@@ -326,11 +326,8 @@ def _generator_from_vector(v, kappa) -> tuple[GeneratorSpec, int]:
         C1 = complex(v[2], v[3])
         lam = 1j * v[4]
         if abs(C1) > tol:
-            c2t = C1.conjugate() - lam * lam / (4 * C1)
-            if abs(c2t) > tol:
-                cid = 1 if abs(beta) > tol else 2
-            else:
-                cid = 3 if abs(beta) > tol else 4
+            # never 3 or 4: |conj(C1) - lam^2/(4 C1)| = |C1| (1 + v4^2/(4|C1|^2)) > tol
+            cid = 1 if abs(beta) > tol else 2
             a = _poly(C1.conjugate(), -lam, C1)
         elif abs(lam) > tol:
             if abs(beta) > tol:

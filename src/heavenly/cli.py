@@ -22,8 +22,7 @@ from dataclasses import replace
 
 from . import __version__
 from . import expr as ex
-from .errors import (POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError,
-                     NegativeDiscriminant, ParseError)
+from .errors import POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError, ParseError
 from .families import FAMILY_PARAMS
 from .jet import PASS_POINTS
 from .sweeps import in_sweeps
@@ -119,9 +118,8 @@ def _finish(report, args, columns=("t", "re", "im")) -> int:
     report["records"].sort(key=lambda rec: tuple(rec["point"].values()))
     residuals = {}
     for rec in report["records"]:
-        for kind, val in rec["residuals"].items():
-            residuals.setdefault(kind, []).append(
-                abs(complex(*val) if isinstance(val, list) else val))
+        for kind, val in rec["residuals"].items():  # every check stores an abs(...) float
+            residuals.setdefault(kind, []).append(val)
     maxima = {kind: _worst(values) for kind, values in residuals.items()}
     report["summary"]["max_residuals"] = maxima
     # a report in which nothing was checked does not pass
@@ -268,13 +266,12 @@ def _perturbed(rf, spec: str):
 def cmd_resolving(args) -> int:
     """R1-R4 and the Jacobi residual at seeded random points (t, u_t, rho).
 
-    Points are drawn one at a time, as a point-by-point loop draws them:
-    the same order, the same rejection of a discriminant at or below 1e-6,
-    at most 50 * samples attempts, and no more admissible draws than
-    samples still missing.  Each group of at most PASS_POINTS admissible
-    draws is then checked as the rows of one stacked projection
-    (`sweeps.in_sweeps`, `resolving.checked_pairs`) by the plain per-point
-    loop, so the report is that loop's, exclusions included, byte for byte.
+    Points are drawn in groups, in the order a point-by-point loop draws
+    them: at most 50 * samples draws, and no more per group than
+    PASS_POINTS or the samples still missing.  Each group is checked as the
+    rows of one stacked projection (`sweeps.in_sweeps`,
+    `resolving.checked_pairs`) by the plain per-point loop, so the report
+    is that loop's, exclusions included, byte for byte.
     """
     from .resolving import (RVARS, ResolvingPoint, ansatz_functions, checked_pairs,
                             jacobi_residual, resolving_residuals)
@@ -285,25 +282,18 @@ def cmd_resolving(args) -> int:
     report = _base_report(args, "ansatz", {"phi": args.phi,
                                            "perturb": args.perturb})
     rng = random.Random(args.seed)
-    produced = 0
-    attempts = 0
+    produced = attempts = 0
     while produced < args.samples and attempts < 50 * args.samples:
-        group = []
-        while (len(group) < min(PASS_POINTS, args.samples - produced)
-               and attempts < 50 * args.samples):
-            attempts += 1
-            t = rng.uniform(-2.0, 2.0)
-            ut = rng.uniform(-1.0, 1.0)
-            rho = args.kappa * rng.uniform(0.55, 2.0)
-            p = ResolvingPoint(t=t, ut=ut, rho=rho, kappa=args.kappa)
-            if p.discriminant <= 1e-6:
-                _exclude(report, "discriminant outside the admissible region")
-                continue
-            group.append(p)
+        # no draw is rejected: every one has 2 kappa rho - ut^2 >= 2 * 0.55 - 1 > 0
+        group = [ResolvingPoint(t=rng.uniform(-2.0, 2.0), ut=rng.uniform(-1.0, 1.0),
+                                rho=args.kappa * rng.uniform(0.55, 2.0), kappa=args.kappa)
+                 for _ in range(min(PASS_POINTS, args.samples - produced,
+                                    50 * args.samples - attempts))]
+        attempts += len(group)
         for p in in_sweeps(group, lambda g: [(rf, g, checked_pairs)]):
             try:
                 res, jac = resolving_residuals(rf, p), jacobi_residual(rf, p)
-            except (FVanishes, NegativeDiscriminant, *POINT_EXCLUSIONS) as err:
+            except (FVanishes, *POINT_EXCLUSIONS) as err:
                 _exclude(report, type(err).__name__)
                 continue
             produced += 1
@@ -318,18 +308,20 @@ def cmd_resolving(args) -> int:
 def cmd_symmetry(args) -> int:
     from .fields import u_rows
     from .symmetry import GeneratorSpec, invariance_residual, x2_apply
-    if args.check == "invariants" and args.a is None:
+    gen = GeneratorSpec(args.alpha, args.beta, ex.parse(args.a, ("z",)) if args.a else None)
+    if args.check == "invariants" and gen.a is None:
         raise ValueError("--check invariants requires --a, the generator a(z)")
+    if gen.a is None and not (gen.alpha or gen.beta):  # the criterion would read 0 = 0
+        raise ValueError("--check criterion requires a nonzero generator: --a, --alpha or --beta")
     field, fam, echo = _family_from_args(args)
     params = dict(echo, a=args.a)
     if args.check == "invariants":
-        a, order = ex.parse(args.a, ("z",)), 3
+        order = 3
 
         def check(p):
-            return {"residuals": {f"x2_{name}": abs(x2_apply(a, name, field, p))
+            return {"residuals": {f"x2_{name}": abs(x2_apply(gen.a, name, field, p))
                                   for name in ("T", "Ut", "Utt", "Rho", "Eta")}}
     else:  # criterion
-        gen = GeneratorSpec(args.alpha, args.beta, ex.parse(args.a, ("z",)) if args.a else None)
         params.update(alpha=args.alpha, beta=args.beta)
         order = 1
 

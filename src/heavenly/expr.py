@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, ParseError
-from .jet import Jet
+from .jet import Jet, valid_indices
 
 
 # --- AST ------------------------------------------------------------------
@@ -475,6 +475,6 @@ def eval_jet1_rows(e: Expr, at: list[complex], order: int) -> list[list[complex]
     if not at:
         return []
     jet = eval_jet1(e, at[0] if len(at) == 1 else tuple(at), order)
-    coeffs = jet.coeffs.reshape(-1, order + 1).tolist()
-    rows = [[c[0]] + [ck * math.factorial(k) for k, ck in enumerate(c) if k] for c in coeffs]
+    rows = [[c[0]] + [ck * math.factorial(k) for k, ck in enumerate(c) if k]
+            for c in jet.read(valid_indices(1, order))]
     return rows if jet.depth else rows * len(at)

@@ -45,12 +45,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from struct import pack
 
-import numpy as np
-
 from . import expr as ex
-from .errors import DomainError, FamilyParamMismatch, SingularMap
+from .errors import BranchCutViolation, DomainError, FamilyParamMismatch, SingularMap
 from .families import FAMILY_PARAMS
-from .jet import Jet, compose3, on_axes, row_values, swapped_conjugate
+from .jet import Jet, compose3, on_axes, row_values, series_derivative, swapped_conjugate
 from .sweeps import PointStore
 
 #: variable ordering of all field jets
@@ -67,9 +65,6 @@ _READ = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1
          (1, 2, 0))
 #: the length of an order-k row, by k: the entries of degree k or less
 ROW_LEN = tuple(sum(sum(idx) <= k for idx in _READ) for k in range(MAX_ORDER + 1))
-#: an order-k row's flat slots in one row of an order-k u-jet's coefficients, by k
-_SLOTS = tuple(np.ravel_multi_index(tuple(np.array(_READ[:n]).T), (k + 1,) * 3)
-               for k, n in enumerate(ROW_LEN))
 
 SINGULAR_TOL = 1e-8
 
@@ -123,15 +118,7 @@ class SolutionField:
     def rows_at(self, points: list[Point], order: int) -> list[list[complex]]:
         """Each point's row of this order (`u_row`), from one stacked
         build (`jets_at`); never stored."""
-        return _rows(self.jets_at(points, order))
-
-
-def _rows(u: Jet) -> list[list[complex]]:
-    """The row of each point of u, one point's jet or a stacked pass's:
-    its coefficients at the first ROW_LEN[u.order] entries of `_READ`, read
-    with one `tolist`."""
-    k = u.order
-    return u.coeffs.reshape(-1, (k + 1) ** 3).take(_SLOTS[k], axis=1).tolist()
+        return self.jets_at(points, order).read(_READ[:ROW_LEN[order]])
 
 
 def u_rows(order: int):
@@ -152,23 +139,6 @@ def _on(e: ex.Expr, seed: Jet) -> Jet:
     return ex.evaluate(e, {e.variables[0]: seed})
 
 
-def _derivative(e1: Jet) -> Jet:
-    """Univariate jet of e' from e's univariate jet e1, one order higher.
-
-    Its coefficients are (k + 1) e_{k+1}.  Above order 0 the constant term
-    also gets 0j times each coefficient of degree 1 and up, which is what
-    composing that series with z - z0 adds to it: a zero real or imaginary
-    part of e' then has the sign it has in the composed series, and a
-    logarithm of e' on its branch cut keeps its branch."""
-    d = e1.derivative(0)
-    if not d.order:
-        return d
-    zero = 0j * d.coeffs[..., 1]
-    for k in range(2, d.order + 1):  # in turn: a sum from +0 would drop a -0
-        zero = zero + 0j * d.coeffs[..., k]
-    return d + (tuple(zero.tolist()) if d.depth else complex(zero))
-
-
 def _bar(e: ex.Expr) -> ex.Expr:
     return ex.conjugate(e)
 
@@ -176,7 +146,7 @@ def _bar(e: ex.Expr) -> ex.Expr:
 def _ln(j: Jet, what: str) -> Jet:
     try:
         return j.log()
-    except Exception as err:
+    except (DomainError, BranchCutViolation) as err:  # what `Jet.log` raises
         raise DomainError(f"log argument singular in {what}: {err}") from err
 
 
@@ -255,8 +225,8 @@ def _liouville_gamma(c: ex.Expr, cbar: ex.Expr, kappa: int, z0, zb0, order: int,
     else:
         denom = on_axes(cj) * on_axes(None, cbj) + 1.0
         _check_nonzero(denom, f"{name}(z)*{name}bar(zbar) + 1")
-    ln_cd, ln_cbd = _real_branch_logs((_derivative(c1), f"{name}'"),
-                                      (_derivative(cb1), f"{name}bar'"))
+    ln_cd, ln_cbd = _real_branch_logs((series_derivative(c1), f"{name}'"),
+                                      (series_derivative(cb1), f"{name}bar'"))
     [ln_denom] = _real_branch_logs((denom, "Liouville denominator"))
     return on_axes(ln_cd, ln_cbd) - 2.0 * ln_denom
 
@@ -389,7 +359,7 @@ def u_row(field: SolutionField, p: Point, order: int) -> list[complex]:
     _check_order(order)
     row = field.store.stored(p, "u")
     if row is None or len(row) < ROW_LEN[order]:
-        row = _rows(field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER))[0]
+        [row] = field.jet_at(p.z, p.z.conjugate(), p.t, MAX_ORDER).read(_READ)
         field.store.put(p, "u", row)
     return row
 
@@ -420,7 +390,7 @@ def conformal_pushforward(fld: SolutionField, phi: ex.Expr) -> SolutionField:
         p1 = _on(phi, _seed(z0, order + 1))
         pb1 = _on(phibar, _seed(zb0, order + 1))
         pj, pbj = p1.truncated(order), pb1.truncated(order)
-        pd, pbd = _derivative(p1), _derivative(pb1)
+        pd, pbd = series_derivative(p1), series_derivative(pb1)
         _check_map(z0, pd)
         w0, wb0 = pj.value, pbj.value
         inner = fld.jet_at(w0, wb0, t0, order)

@@ -133,6 +133,15 @@ def _truncation_table(nvars: int, order: int, new_order: int, depth: int):
                       _rows(_flat(idx, order + 1), depth, (order + 1) ** nvars))
 
 
+@lru_cache(maxsize=None)
+def _read_slots(indices: tuple, nvars: int, order: int) -> np.ndarray:
+    """`Jet.read`'s flat slots of indices in one row of a jet."""
+    for idx in indices:
+        if sum(idx) > order:
+            raise OrderExceeded(f"index {idx} exceeds jet order {order}")
+    return _read_only(_flat(np.array(indices, dtype=np.intp).reshape(-1, nvars), order + 1))[0]
+
+
 def _on_branch_cut(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0
 
@@ -215,9 +224,9 @@ class Jet:
     analytic functions and `reciprocal` start each row from that row's
     constant term and raise for the first row that the unstacked function
     raises for; `compose_series` takes a tuple of one coefficient per row
-    for a term of its series.  `rows` hands the rows back as
-    unstacked jets; `coefficient` and `partial` take unstacked jets only.
-    depth is 0 for an unstacked jet.
+    for a term of its series.  `rows` hands the rows back as unstacked
+    jets and `read` their coefficients as lists; `coefficient` and
+    `partial` take unstacked jets only.  depth is 0 for an unstacked jet.
 
     A Jet is immutable: a slot class whose attributes cannot be assigned,
     holding a read-only coeffs array, so jets (and their arrays) can be
@@ -510,10 +519,18 @@ class Jet:
 
     # -- coefficient access ------------------------------------------------
 
+    def read(self, indices: tuple[tuple[int, ...], ...]) -> list[list[complex]]:
+        """The coefficients at indices, multi-indices of total degree at most
+        the order (else OrderExceeded), as one list per row (one for an
+        unstacked jet), from one gather of cached flat slots and one `tolist`."""
+        slots = _read_slots(indices, self.nvars, self.order)
+        return self.coeffs.reshape(self.depth or 1, -1).take(slots, axis=1).tolist()
+
     def coefficient(self, idx: tuple[int, ...]) -> complex:
-        if sum(idx) > self.order:
-            raise OrderExceeded(f"index {idx} exceeds jet order {self.order}")
-        return complex(self.coeffs[idx])
+        """The coefficient at idx of an unstacked jet: `read`'s one-index case."""
+        if self.depth:
+            raise ShapeMismatch("a stacked jet has one coefficient per row: use read")
+        return self.read((idx,))[0][0]
 
     def partial(self, idx: tuple[int, ...]) -> complex:
         """Value of the partial derivative for the given multi-index."""
@@ -616,6 +633,23 @@ def compose_series(series: list, inner: Jet) -> Jet:
         power = power * inner
         acc = acc + series[m] * power
     return acc
+
+
+def series_derivative(e1: Jet) -> Jet:
+    """Univariate jet of e' from e's univariate jet e1, one order higher.
+
+    Its coefficients are (k + 1) e_{k+1}.  Above order 0 the constant term
+    also gets 0j times each coefficient of degree 1 and up, which is what
+    composing that series with z - z0 adds to it: a zero real or imaginary
+    part of e' then has the sign it has in the composed series, and a
+    logarithm of e' on its branch cut keeps its branch."""
+    d = e1.derivative(0)
+    if not d.order:
+        return d
+    zero = 0j * d.coeffs[..., 1]
+    for k in range(2, d.order + 1):  # in turn: a sum from +0 would drop a -0
+        zero = zero + 0j * d.coeffs[..., k]
+    return d + (tuple(zero.tolist()) if d.depth else complex(zero))
 
 
 @lru_cache(maxsize=None)

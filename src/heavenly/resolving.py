@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from struct import pack
 
-import numpy as np
-
 from . import expr as ex
 from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
 from .jet import SINGULAR_EPS, Jet
@@ -30,10 +28,9 @@ F_EPS = SINGULAR_EPS
 #: order of the projection both checks read at a point: they read values
 #: and first partials only
 PROJ_ORDER = 1
-#: per row of a jet in (t, ut, rho), the slots of its value and of its
-#: first partials d/dt, d/dut and d/drho
-_FIRST_ORDER = (slice(None), np.array([0, 1, 0, 0]), np.array([0, 0, 1, 0]),
-                np.array([0, 0, 0, 1]))
+#: the multi-indices in (t, ut, rho) of a value and of its first partials
+#: d/dt, d/dut and d/drho
+_FIRST_ORDER = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ class _Proj:
 def _first_order(j: Jet, points: int) -> list[list[complex]]:
     """[value, d/dt, d/dut, d/drho] of j's row for each point; the jet of
     an expression without variables is unstacked, one row for all."""
-    rows = j.coeffs.reshape((-1,) + j.coeffs.shape[-3:])[_FIRST_ORDER].tolist()
-    return rows * points if len(rows) < points else rows
+    return j.read(_FIRST_ORDER) * (1 if j.depth else points)
 
 
 def _applied(p: ResolvingPoint, lam: list, lamb: list, tau: list,

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from case_draws import EMPTY_CASES, draw_case
+from heavenly import classify
 from heavenly import expr as ex
 from heavenly.classify import (ConformallyNonInvariant, Inconclusive,
                                InvariantCaseMatched, TheoremCase,
@@ -12,7 +13,7 @@ from heavenly.errors import ConstraintViolation
 from heavenly.fields import Point, SolutionField, make_solution
 from heavenly.jet import PASS_POINTS
 from heavenly.sweeps import PointStore
-from heavenly.symmetry import conf_inv_witness
+from heavenly.symmetry import WitnessReport, conf_inv_witness
 from test_cli_passes import no_pass, recorded_passes
 
 GRID = [Point(t, complex(x, y)) for t in (0.8, 1.1, 1.4)
@@ -106,6 +107,36 @@ def test_classify_never_matches_and_witnesses_together():
     # exclusivity is structural: one verdict object per call
     verdict = classify_b(ex.parse("exp(z) + 2*i", ("z",)), 1, GRID)
     assert isinstance(verdict, (ConformallyNonInvariant, Inconclusive))
+
+
+def test_classify_without_a_point_in_the_domain_is_inconclusive():
+    # Re z < 0 puts every point outside the noninv domain for kappa = 1
+    grid = [Point(t, complex(x, 0.3)) for t in (0.8, 1.1) for x in (-1.2, -0.8)]
+    verdict = classify_b(ex.parse("z^2 + i", ("z",)), 1, grid)
+    assert isinstance(verdict, Inconclusive)
+    assert verdict.reason == "no grid point lies in the solution's domain"
+    assert len(verdict.equation) == 4 and all(isinstance(r, str) for r in verdict.equation)
+
+
+def test_classify_with_a_failed_equation_check_is_inconclusive(monkeypatch):
+    # every noninv field solves the equation, so no natural b fails the
+    # sanity check: the residual is monkeypatched here
+    monkeypatch.setattr(classify, "pde_residual", lambda field, p: 1e-3)
+    verdict = classify_b(ex.parse("z^2 + i", ("z",)), 1, GRID)
+    assert isinstance(verdict, Inconclusive)
+    assert verdict.reason == "field fails the equation sanity check (residual 1.000e-03)"
+    assert verdict.equation == (1e-3,) * len(GRID)
+
+
+def test_classify_without_a_match_or_a_witness_is_inconclusive(monkeypatch):
+    # no natural noninv b both misses every normal form and keeps sigma
+    # symmetric on the grid, so the witness is monkeypatched here
+    monkeypatch.setattr(classify, "conf_inv_witness", lambda field, grid: WitnessReport(
+        "inconclusive", 2e-9, None, note="sigma symmetry within tolerance"))
+    verdict = classify_b(ex.parse("z^2 + i", ("z",)), 1, GRID + [Point(1.0, 1.0 + 0j)])
+    assert isinstance(verdict, Inconclusive)
+    assert verdict.reason == ("no invariant normal form matched and the asymmetry witness "
+                              "stayed below tolerance (max 2.000e-09)")
 
 
 @pytest.mark.parametrize("kappa,b_text", [(1, "z^2 + i"), (1, "exp(z) + 2*i"),

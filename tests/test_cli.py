@@ -102,6 +102,16 @@ def test_classify_verdicts(capsys):
     assert json.loads(out)["summary"]["verdict"]["case_id"] == 7
 
 
+def test_classify_inconclusive_verdict_fails_the_report(capsys):
+    # Re z < 0 puts every point outside the noninv domain for kappa = 1
+    code, out, _ = run(capsys, "classify", "--kappa", "1", "--b", "z^2 + i",
+                       "--grid", "t=0.5:1:2,re=-1:-0.5:2,im=0:0:1")
+    summary = json.loads(out)["summary"]
+    assert summary["verdict"] == {"kind": "Inconclusive",
+                                  "reason": "no grid point lies in the solution's domain"}
+    assert summary["pass"] is False and code == 1
+
+
 def test_resolving_suite_and_determinism(capsys):
     args = ("resolving", "--kappa", "1", "--phi", "2", "--samples", "40",
             "--seed", "7")
@@ -293,6 +303,26 @@ def test_symmetry_invariants_without_a_generator_exits_2(capsys):
                          "--b", "z^2 + i")
     assert code == 2 and out == ""
     assert err == "error: --check invariants requires --a, the generator a(z)\n"
+
+
+@pytest.mark.parametrize("generator", ([], ["--a", ""], ["--alpha", "0", "--beta", "-0"]))
+def test_symmetry_criterion_with_a_zero_generator_exits_2(capsys, generator):
+    # alpha = beta = 0 and no a: the criterion would check 0 = 0 at every point
+    code, out, err = run(capsys, "symmetry", "--check", "criterion", "--family", "f0",
+                         "--C", "1", *generator)
+    assert code == 2 and out == ""
+    assert err == ("error: --check criterion requires a nonzero generator: "
+                   "--a, --alpha or --beta\n")
+
+
+@pytest.mark.parametrize("generator", (["--alpha", "1"], ["--beta", "0.5"]))
+def test_symmetry_criterion_without_a_checks_alpha_and_beta(capsys, generator):
+    # f0's u = ln(t^2 + C) - 2 ln(z + zbar) is not invariant under d_t or
+    # t d_t + 2 d_u, so a generator without a still checks something
+    code, out, _ = run(capsys, "symmetry", "--check", "criterion", "--family", "f0",
+                       "--C", "1", *generator)
+    report = json.loads(out)
+    assert code == 1 and report["summary"]["max_residuals"]["criterion"] > 0.1
 
 
 def test_symmetry_invariants_exclusions(capsys):

@@ -114,6 +114,18 @@ def test_domain_errors():
         noninv.jet_at(1.0 + 0j, 1.0 + 0j, 1.0, 0).value  # t + b(z) = 0
 
 
+def test_an_error_of_the_build_in_a_log_is_not_an_exclusion(monkeypatch):
+    # a logarithm's domain errors exclude the point; any other error that
+    # Jet.log raises is a fault of the build and ends the run
+    def broken(self):
+        raise TypeError("broken log")
+
+    monkeypatch.setattr(Jet, "log", broken)
+    noninv = make_solution("noninv", {"b": ex.parse("z^2 + i", ("z",))}, 1)
+    with pytest.raises(TypeError, match="broken log"):
+        noninv.jet_at(Z0, Z0.conjugate(), 1.0, 1)
+
+
 def test_unknown_family_and_missing_params():
     with pytest.raises(FamilyParamMismatch):
         make_solution("nope", {}, 1)

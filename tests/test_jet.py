@@ -125,6 +125,21 @@ def test_derivative_drops_order():
         f.partial((0, 0, 5))
 
 
+def test_read_gives_each_row_its_coefficients():
+    z, zb, t = seeds(2)
+    f = z * zb + t * t * 3.0
+    indices = ((0, 0, 0), (1, 1, 0), (0, 0, 2), (1, 0, 0))
+    want = [f.coefficient(idx) for idx in indices]
+    assert f.read(indices) == [want]
+    stack = Jet.stack([f, f * 2.0])
+    assert stack.read(indices) == [want, [2.0 * c for c in want]]
+    assert stack.read(()) == [[], []]
+    with pytest.raises(OrderExceeded):
+        f.read(((0, 0, 0), (2, 1, 0)))
+    with pytest.raises(ShapeMismatch):
+        stack.coefficient((0, 0, 0))
+
+
 def test_compose_series_geometric():
     z, _, _ = seeds()
     h = z - POINT[0]

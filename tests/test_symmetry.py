@@ -73,6 +73,16 @@ def test_witness_inconclusive_when_eta_vanishes():
     assert "eta" in rep.note
 
 
+def test_witness_inconclusive_when_sigma_stays_symmetric():
+    # u = ln(xi + t^2 + 3) with xi = i(z - zbar) = -2 Im z: sigma = sigma_bar
+    fld = make_solution("confinv", {"f": ex.parse("xi + t^2 + 3", ("xi", "t")),
+                                    "A": ex.parse("z", ("z",)), "a": ex.parse("1", ("z",))}, 1)
+    grid = [Point(t, complex(x, y)) for t in (0.8, 1.4) for x in (0.8, 1.2) for y in (-0.2, 0.25)]
+    rep = conf_inv_witness(fld, grid)
+    assert rep.verdict == "inconclusive" and rep.max_asymmetry <= 1e-8
+    assert rep.note == "sigma symmetry within tolerance; criterion has no converse"
+
+
 def test_witness_sweep_stores_the_invariant_sets_and_rows():
     # the witness reads each point's InvariantSet: its pass keeps the set
     # and the point's row of u, and the sets keep the bits of
