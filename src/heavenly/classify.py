@@ -14,7 +14,7 @@ from .errors import POINT_EXCLUSIONS, ConstraintViolation
 from .fields import Point, make_solution, u_row, u_rows
 from .invariants import pde_residual
 from .sweeps import in_sweeps
-from .symmetry import GeneratorSpec, conf_inv_witness, first_partials, invariance_residuals
+from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residuals
 
 _ZERO_TOL = 1e-12
 PDE_SANITY_TOL = 1e-6
@@ -230,14 +230,14 @@ def verify_case(case: TheoremCase, grid: list[Point]) -> float:
         raise ValueError("verify_case needs grid points: an empty grid checks nothing")
     b, gen = theorem_case(case)
     field = make_solution("noninv", {"b": b}, case.kappa)
-    partials = [first_partials(u_row(field, p, 1))
-                for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_rows(1))])]
-    return _max_invariance_residual(gen, grid, partials)
+    rows = [u_row(field, p, 1)
+            for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_rows(1))])]
+    return _max_invariance_residual(gen, grid, rows)
 
 
-def _max_invariance_residual(gen: GeneratorSpec, points: list[Point], partials: list) -> float:
-    """Max |invariance residual| of gen over points with these `first_partials`."""
-    return max(abs(r) for r in invariance_residuals(gen, points, partials))
+def _max_invariance_residual(gen: GeneratorSpec, points: list[Point], rows: list) -> float:
+    """Max |invariance residual| of gen over points with these rows of u."""
+    return max(abs(r) for r in invariance_residuals(gen, points, rows))
 
 
 # --- classification -------------------------------------------------------
@@ -352,11 +352,11 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     field = make_solution("noninv", {"b": b}, kappa)
 
     # the equation loop reads its rows of u from stacked passes
-    # (sweeps.in_sweeps), and keeps the first partials of each usable
-    # point's row, which the invariance criterion reads
+    # (sweeps.in_sweeps), and keeps each usable point's row, which the
+    # invariance criterion reads
     equation = []
     usable: list[Point] = []
-    partials = []
+    rows = []
     worst = 0.0
     for p in in_sweeps(grid, lambda chunk: [(field, chunk, u_rows(2))]):
         try:
@@ -366,7 +366,7 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
             continue
         equation.append(r)
         usable.append(p)
-        partials.append(first_partials(u_row(field, p, 1)))
+        rows.append(u_row(field, p, 1))
         worst = max(worst, r)
     equation = tuple(equation)
     if not usable:
@@ -387,13 +387,13 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     if max(abs(v) for v in b1) < FIT_TOL * scale:
         a = _c(1j) if kappa == 1 else _poly(0, -1j)
         gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
-        res = _max_invariance_residual(gen, usable, partials)
+        res = _max_invariance_residual(gen, usable, rows)
         return InvariantCaseMatched(8, gen, res, equation=equation)
 
     v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < FIT_TOL:
         gen, cid = _generator_from_vector(v, kappa)
-        res = _max_invariance_residual(gen, usable, partials)
+        res = _max_invariance_residual(gen, usable, rows)
         if res < FIT_TOL:
             note = ""
             if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:

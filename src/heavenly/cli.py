@@ -182,7 +182,12 @@ def _family_from_args(args):
         if text is None:
             raise ValueError(f"family {fam!r} requires --{name}")
         echo[name] = text
-        params[name] = ex.parse(text, variables) if variables else _const_arg(text).real
+        if variables:
+            params[name] = ex.parse(text, variables)
+        elif (value := _const_arg(text)).imag:  # the family would check its real part
+            raise ValueError(f"--{name} must be a real constant, got {text!r}")
+        else:
+            params[name] = value.real
     return make_solution(fam, params, args.kappa), fam, echo
 
 
@@ -316,7 +321,7 @@ def cmd_symmetry(args) -> int:
     field, fam, echo = _family_from_args(args)
     params = dict(echo, a=args.a)
     if args.check == "invariants":
-        order = 3
+        order = 2
 
         def check(p):
             return {"residuals": {f"x2_{name}": abs(x2_apply(gen.a, name, field, p))
@@ -448,7 +453,7 @@ def main(argv=None) -> int:
         print(f"error: parse failure at position {err.position}: {err}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, HeavenlyError) as err:
+    except (ValueError, HeavenlyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

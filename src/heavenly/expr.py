@@ -448,7 +448,7 @@ def evaluate(e: Expr, env: dict[str, Jet]) -> Jet:
 
 
 def evaluate_value(e: Expr, env: dict[str, complex]) -> complex:
-    """Plain complex evaluation (cmath); used for spot values and oracles."""
+    """The complex value at env's values, from order-0 jets; for spot values and oracles."""
     jenv = {k: Jet.constant(v, 1, 0) for k, v in env.items()}
     if not jenv:
         jenv = {"_": Jet.constant(0.0, 1, 0)}

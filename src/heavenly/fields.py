@@ -53,7 +53,7 @@ from .sweeps import PointStore
 
 #: variable ordering of all field jets
 VZ, VZB, VT = 0, 1, 2
-#: the highest order of a u-jet: the engine's ceiling, all that x2, the
+#: the highest order of a u-jet: the engine's ceiling, all that the
 #: InvariantSet and the commutators (first partials of order-1 operator
 #: coefficients) read; `u_row` builds this order when its store holds no
 #: row of the order requested or higher

@@ -116,15 +116,15 @@ def pde_residual(field: SolutionField, p: Point) -> complex:
     """u_{z zbar} - kappa e^u (u_tt + u_t^2) at the point."""
     row = u_row(field, p, 2)
     # the partials (1, 1, 0), (0, 0, 1) and (0, 0, 2): row entries times
-    # their multi-index factorials, as `Jet.partial` takes them
-    u_zzb, u_t, u_tt = row[7] * 1, row[3] * 1, row[4] * 2
+    # their multi-index factorials, of which only u_tt's is not 1
+    u_zzb, u_t, u_tt = row[7], row[3], row[4] * 2
     return u_zzb - field.kappa * cmath.exp(row[0]) * (u_tt + u_t * u_t)
 
 
 def liouville_residual(field: SolutionField, p: Point) -> complex:
     """Gamma_{z zbar} - 2 kappa e^Gamma for a standalone Liouville field."""
     row = u_row(field, p, 2)
-    return row[7] * 1 - 2.0 * field.kappa * cmath.exp(row[0])  # row[7]: (1, 1, 0)
+    return row[7] - 2.0 * field.kappa * cmath.exp(row[0])  # row[7]: (1, 1, 0)
 
 
 def invariants_at(field: SolutionField, p: Point) -> InvariantSet:

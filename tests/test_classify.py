@@ -31,6 +31,8 @@ def test_constraint_validation():
         TheoremCase(9, 1)
     with pytest.raises(ConstraintViolation):
         TheoremCase(5, -1, 1.0, 1.0, 1.0, lam=0.5)  # lam must be imaginary
+    with pytest.raises(ConstraintViolation):
+        TheoremCase(1, 2)  # kappa must be +1 or -1
 
 
 @pytest.mark.parametrize("kappa,case_id", sorted(EMPTY_CASES))

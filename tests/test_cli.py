@@ -34,6 +34,8 @@ def test_grid_parsing():
     ("t=0:1:2,t=5:5:1,re=1:2:2,im=0:1:2", "grid component 't' given twice"),
     ("t=nan:1:2,re=1:2:2,im=0:1:2", "bounds must be finite"),
     ("t=0:1:2,re=1:inf:2,im=0:1:2", "bounds must be finite"),
+    ("t=0:1:2,re,im=0:1:2", "malformed grid component 're'"),
+    ("t=0:1:0,re=1:2:2,im=0:1:2", "count must be >= 1 in 't=0:1:0'"),
 ])
 def test_bad_grid_exits_2(capsys, grid, message):
     code, out, err = run(capsys, "verify", "--family", "noninv", "--b", "z^2 + i",
@@ -68,6 +70,22 @@ def test_verify_builds_order_3_u_jets_only(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, "verify", *argv, "--grid", GRID)
     assert code == 0
     assert orders == [3, 3, 3]  # 48 points, three chunks
+
+
+def test_symmetry_invariants_builds_order_2_passes_only(capsys, monkeypatch):
+    # x2 reads order 2 of u, so one order-2 pass per chunk serves every
+    # target and no point is built alone
+    from heavenly.fields import SolutionField
+    orders = []
+    jets_at = SolutionField.jets_at
+    monkeypatch.setattr(SolutionField, "jets_at", lambda self, points, order:
+                        orders.append(order) or jets_at(self, points, order))
+    monkeypatch.setattr(SolutionField, "jet_at", lambda self, z0, zb0, t0, order:
+                        orders.append(("alone", order)))
+    code, _, _ = run(capsys, "symmetry", "--check", "invariants", "--a", "z^2",
+                     "--family", "noninv", "--b", "z^2 + i", "--grid", GRID)
+    assert code == 0
+    assert orders == [2, 2, 2]  # 48 points, three chunks
 
 
 def test_verify_f0_minus(capsys):
@@ -469,6 +487,30 @@ def test_each_missing_family_parameter_exits_2(capsys, family, missing):
     assert code == 2
     assert out == ""
     assert err == f"error: family {family!r} requires --{missing}\n"
+
+
+@pytest.mark.parametrize("family, constant", [
+    (family, name) for family, names in FAMILY_PARAMS.items()
+    for name, variables in names.items() if not variables])
+def test_a_non_real_family_constant_exits_2(capsys, family, constant):
+    # the family would be checked on the real part alone
+    argv = ["verify", "--family", family]
+    for name, variables in FAMILY_PARAMS[family].items():
+        value = variables[0] if variables else "1"
+        argv += [f"--{name}", "1 + 2*i" if name == constant else value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --{constant} must be a real constant, got '1 + 2*i'\n"
+
+
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--family", "f0", "--C", "1",
+                         "--grid", "t=1:1:1,re=1:1:1,im=0:0:1", "--out", str(target))
+    assert code == 2
+    assert out == "" and not target.parent.exists()
+    assert err.startswith("error: ") and str(target) in err
 
 
 @pytest.mark.parametrize("argv", [

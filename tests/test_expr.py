@@ -1,13 +1,16 @@
 import cmath
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavenly import expr as ex
-from heavenly.errors import ParseError
+from heavenly.classify import theorem_case
+from heavenly.errors import ArityMismatch, ParseError
+from case_draws import draw_case
 
 
 def val(text, **env):
@@ -58,6 +61,23 @@ def test_unexpected_end():
         ex.parse("z^(", ("z",))
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("", 0, "empty input"),
+    ("(z", 2, "expected ')'"),
+    ("1e+", 1, "malformed number"),
+    (".", 0, "malformed number"),
+])
+def test_malformed_text_is_a_parse_error(text, position, message):
+    with pytest.raises(ParseError) as err:
+        ex.parse(text, ("z",))
+    assert (err.value.position, err.value.message) == (position, message)
+
+
+def test_eval_jet1_takes_one_variable():
+    with pytest.raises(ArityMismatch):
+        ex.eval_jet1(ex.parse("z*w", ("z", "w")), 0.5, 1)
+
+
 def test_pretty_round_trip_is_fixed_point():
     for text in ("z^2 + i", "exp(-(z + 1)/2)", "1/(z + 2) + i",
                  "sqrt(2*x - y^2)", "-(a + b)*c"):
@@ -66,6 +86,30 @@ def test_pretty_round_trip_is_fixed_point():
         once = ex.pretty(e.root)
         twice = ex.pretty(ex.parse(once, vars_).root)
         assert once == twice
+
+
+def printed_constants() -> dict:
+    """Expressions whose constants the parser never makes, imaginary ones
+    other than i and ones with both parts nonzero: a `conjugate`, and the b
+    and generator a of one normal form per kappa."""
+    cases = {"conjugate": ex.conjugate(ex.parse("z^2 + 0.5*i - 2", ("z",)))}
+    rng = random.Random(7)
+    for kappa in (1, -1):
+        b, gen = theorem_case(draw_case(1, kappa, rng))
+        cases[f"b{kappa:+d}"], cases[f"a{kappa:+d}"] = b, gen.a
+    return cases
+
+
+PRINTED = printed_constants()
+
+
+@pytest.mark.parametrize("name", PRINTED)
+def test_pretty_round_trips_every_kind_of_constant(name):
+    e = PRINTED[name]
+    again = ex.parse(ex.pretty(e.root), e.variables)
+    for z in (0.7 + 0.2j, 1.3 - 0.4j, 0.9 + 0j):
+        want = ex.evaluate_value(e, {"z": z})
+        assert ex.evaluate_value(again, {"z": z}) == pytest.approx(want, rel=1e-12)
 
 
 def test_conjugate_flips_constants_only():

@@ -140,6 +140,11 @@ def test_read_gives_each_row_its_coefficients():
         stack.coefficient((0, 0, 0))
 
 
+def test_on_axes_takes_pieces_of_one_order():
+    with pytest.raises(ShapeMismatch):
+        on_axes(Jet.variable(0, 1.0, 1, 3), Jet.variable(0, 2.0, 1, 2))
+
+
 def test_compose_series_geometric():
     z, _, _ = seeds()
     h = z - POINT[0]

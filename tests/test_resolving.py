@@ -108,6 +108,11 @@ def test_negative_discriminant_rejected():
         resolving_residuals(rf, ResolvingPoint(1.0, 2.0, 0.4, 1))
 
 
+def test_ansatz_takes_kappa_plus_or_minus_1():
+    with pytest.raises(ValueError, match="kappa must be"):
+        ansatz_functions(phi_expr("2"), 2)
+
+
 def test_f_vanishes_rejected():
     rf = ansatz_functions(phi_expr("0"), 1)
     with pytest.raises(FVanishes):

@@ -1,13 +1,17 @@
+import cmath
+import math
 import random
 
 import numpy as np
 import pytest
 
 from heavenly import expr as ex
+from heavenly import invariants, symmetry
 from heavenly.fields import ROW_LEN, Point, SolutionField, make_solution, u_row, u_rows
-from heavenly.invariants import invariants_at, swept_invariants
+from heavenly.invariants import (invariants_at, liouville_residual, pde_residual,
+                                 swept_invariants)
 from heavenly.jet import Jet
-from heavenly.symmetry import (X2_TARGETS, GeneratorSpec, conf_inv_witness, first_partials,
+from heavenly.symmetry import (X2_TARGETS, GeneratorSpec, conf_inv_witness,
                                invariance_residual, x2_apply)
 from test_bundle import STORED_NAMES, fill
 
@@ -188,13 +192,82 @@ def test_x2_after_an_order_1_sweep_builds_one_order_3_jet(monkeypatch):
     assert [bits(v) for v in values] == [bits(v) for v in fresh]
 
 
-def test_first_partials_take_the_products_of_jet_partial():
+def stored_field(entry: complex, u0: complex) -> SolutionField:
+    """A field whose row at any point holds u0 and then `entry` throughout."""
+    coeffs = np.full((4, 4, 4), entry)
+    coeffs[0, 0, 0] = u0
+    jet = Jet(coeffs)
+    return SolutionField("fixed", 1, _builder=lambda z0, zb0, t0, order: jet)
+
+
+C = complex(-0.0, -1.0)
+#: a reader, and a row and a generator on which its value shows the sign of
+#: a stored zero, as (entry, u0, reader)
+STORED_READS = {
+    "equation": (C, complex(-math.inf, 0.0), pde_residual),
+    "liouville": (C, complex(-math.inf, 0.0), liouville_residual),
+    "x2_Uz": (C, C, lambda fld, p: x2_apply(ex.parse("-i", ("z",)), "Uz", fld, p)),
+    "x2_Eta": (C, C, lambda fld, p: x2_apply(ex.parse("1", ("z",)), "Eta", fld, p)),
+    "criterion": (complex(-0.0, -0.0), 0j,
+                  lambda fld, p: invariance_residual(fld, GeneratorSpec(alpha=1.0), p)),
+}
+
+
+@pytest.mark.parametrize("reader", STORED_READS)
+def test_readers_take_row_entries_as_stored(reader):
     # a row entry times 1 is not always the entry: (-0.0 - 1j) * 1 has a real
-    # part of +0.0, so a reader takes Jet.partial's product, signed zeros
-    # included
-    c = complex(-0.0, -1.0)
-    jet = Jet(np.full((4, 4, 4), c))
-    fld = SolutionField("fixed", 1, _builder=lambda z0, zb0, t0, order: jet)
-    got = first_partials(u_row(fld, Point(1.0, 1.0 + 0j), 1))
-    want = (jet.partial((0, 0, 1)), jet.partial((1, 0, 0)), jet.partial((0, 1, 0)))
-    assert [bits(v) for v in got] == [bits(v) for v in want] != [bits(c)] * 3
+    # part of +0.0, so a reader that took that product would give both rows
+    # one value.  x2's Rho maps both signs of a zero to one value on every
+    # row tried, and T, Ut and Utt read no entry.
+    entry, u0, read = STORED_READS[reader]
+    p = Point(1.0, 1.0 + 0j)
+    assert bits(entry * 1) != bits(entry)
+    got = read(stored_field(entry, u0), p)
+    assert bits(got) != bits(read(stored_field(entry * 1, u0), p))
+    want = {"equation": lambda: entry - 1 * cmath.exp(u0) * (entry * 2 + entry * entry),
+            "liouville": lambda: entry - 2.0 * 1 * cmath.exp(u0),
+            "criterion": lambda: 1.0 * entry + 0j * entry + 0j * entry - (0.0 - 0j - 0j)}
+    if reader in want:
+        assert bits(got) == bits(want[reader]())
+
+
+A2 = ex.parse("z^2", ("z",))
+#: each reader of a point's row, with the row order it asks for: the
+#: lowest order of the entries its formula reads, but for x2, whose targets
+#: share one order-2 row at a point
+READ_ORDERS = {
+    "equation": (pde_residual, 2),
+    "liouville": (liouville_residual, 2),
+    "invariants": (invariants_at, 3),
+    **{f"x2_{name}": (lambda fld, p, name=name: x2_apply(A2, name, fld, p), 2)
+       for name in X2_TARGETS},
+    "criterion": (lambda fld, p: invariance_residual(fld, GeneratorSpec(0.5, 0.2, A2), p), 1),
+}
+#: the x2 targets that read no entry of degree 2
+LOW_X2 = ("x2_T", "x2_Ut", "x2_Utt", "x2_Uz")
+
+
+@pytest.mark.parametrize("reader", READ_ORDERS)
+def test_each_reader_asks_for_the_row_order_it_reads(monkeypatch, reader):
+    read, order = READ_ORDERS[reader]
+    p = Point(0.7, 0.9 - 0.3j)
+    full, want = u_row(noninv(), p, 3), read(noninv(), p)
+    asked = []
+
+    def rows_of(length):
+        def stub(field, q, k):
+            asked.append(k)
+            return full[:length]
+        for module in (invariants, symmetry):
+            monkeypatch.setattr(module, "u_row", stub)
+
+    rows_of(ROW_LEN[order])
+    got = read(noninv(), p)
+    assert asked == [order]
+    assert repr(got) == repr(want)
+    rows_of(ROW_LEN[order - 1])
+    if reader in LOW_X2:
+        assert repr(read(noninv(), p)) == repr(want)
+    else:
+        with pytest.raises((IndexError, ValueError)):
+            read(noninv(), p)
