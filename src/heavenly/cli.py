@@ -12,12 +12,14 @@ fills the per-point store of the fields or resolving functions it reads.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import random
 import sys
+import warnings
 from dataclasses import replace
 
 from . import __version__
@@ -167,8 +169,15 @@ def parse_grid(spec: str) -> list:
             for t in ranges["t"] for x in ranges["re"] for y in ranges["im"]]
 
 
-def _const_arg(text: str) -> complex:
-    return ex.evaluate_value(ex.parse(text, ()), {})
+def _const_arg(flag: str, text: str) -> complex:
+    """The value of flag's constant expression text, which must be finite:
+    an infinite or NaN one would give NaN residuals."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, on overflow
+        value = ex.evaluate_value(ex.parse(text, ()), {})
+    if not cmath.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _family_from_args(args):
@@ -184,7 +193,8 @@ def _family_from_args(args):
         echo[name] = text
         if variables:
             params[name] = ex.parse(text, variables)
-        elif (value := _const_arg(text)).imag:  # the family would check its real part
+        elif (value := _const_arg(f"--{name}", text)).imag:
+            # the family would check its real part alone
             raise ValueError(f"--{name} must be a real constant, got {text!r}")
         else:
             params[name] = value.real
@@ -258,7 +268,7 @@ def _perturbed(rf, spec: str):
     """rf with one of its functions shifted by a constant, from --perturb;
     the copy starts with an empty store of checked points."""
     name, _, amount = spec.partition(":")
-    shift = _const_arg(amount.lstrip("+"))
+    shift = _const_arg("--perturb", amount.lstrip("+"))
     keys = {"F": "F", "lambda": "lambda_", "lambda_bar": "lambda_bar",
             "tau": "tau"}
     if name not in keys:
@@ -375,12 +385,21 @@ def cmd_orbit(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """--alpha, --beta and --tol: a finite float (a NaN or infinite one
+    would give NaN residuals or pass every one, and NaN is not strict
+    JSON)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
-    """--tol: a residual bound, finite and positive (a NaN or infinite one
-    would pass every residual, and NaN is not strict JSON)."""
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, not {text!r}")
+    """--tol: a residual bound, finite (`_finite`) and positive."""
+    tol = _finite(text)
+    if not tol > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text!r}")
     return tol
 
 
@@ -432,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("symmetry", help="prolongation and invariance-criterion checks")
     common(ps); family_flags(ps)
     ps.add_argument("--check", required=True, choices=("invariants", "criterion"))
-    ps.add_argument("--alpha", type=float, default=0.0)
-    ps.add_argument("--beta", type=float, default=0.0)
+    ps.add_argument("--alpha", type=_finite, default=0.0)
+    ps.add_argument("--beta", type=_finite, default=0.0)
     ps.set_defaults(fn=cmd_symmetry)
 
     po = sub.add_parser("orbit", help="conformal pushforward checks")

@@ -51,10 +51,6 @@ class FVanishes(HeavenlyError):
     """F = 0 at the resolving point; the resolving equations are singular there."""
 
 
-class NegativeDiscriminant(HeavenlyError):
-    """2*kappa*rho - u_t^2 < 0, outside the domain of the square-root ansatz."""
-
-
 class SingularMap(HeavenlyError):
     """Conformal map has vanishing derivative at the requested point."""
 

@@ -221,11 +221,13 @@ class _Parser:
                     self.pos += 1
             else:
                 self.error("malformed number", mark)
-        lit = t[start:self.pos]
         try:
-            return Const(complex(float(lit)))
+            value = float(t[start:self.pos])
         except ValueError:
             self.error("malformed number", start)
+        if math.isinf(value):
+            self.error("number out of range", start)
+        return Const(complex(value))
 
     def identifier(self) -> Node:
         self.skip_ws()

@@ -8,7 +8,8 @@ of F, lambda, lambda_bar and tau from one order-PROJ_ORDER projection; the
 rest is scalar arithmetic (`_applied`, `_structure`, `_pair`).  The
 functions keep each checked point's pair of results in one
 `sweeps.PointStore`, which a loop over many points fills chunk by chunk
-from one stacked projection of each chunk (`checked_pairs`).
+from one stacked projection of each chunk (`checked_pairs`); a point
+outside the store is checked as a pass of one, on unstacked jets.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from struct import pack
 
 from . import expr as ex
-from .errors import ArityMismatch, FVanishes, NegativeDiscriminant
+from .errors import ArityMismatch, FVanishes
 from .jet import SINGULAR_EPS, Jet
 from .sweeps import PointStore
 
@@ -69,48 +70,30 @@ class ResolvingFunctions:
     lambda_: ex.Expr
     lambda_bar: ex.Expr
     tau: ex.Expr
-    requires_nonneg_discriminant: bool = False
     store: PointStore = field(default_factory=PointStore, init=False, repr=False, compare=False)
 
 
-class _Proj:
-    """F, lambda, lambda_bar and tau as jets in (t, ut, rho) of the given
-    order at a point, on the variable jets `seed`.  A coefficient of degree
-    k of a jet operation depends only on its operands' coefficients of
-    degree <= k, so values and first partials are the same at every order
-    >= 1; the tests build their reference projections at other orders.
-
-    p is one point, or a list of points of one kappa whose jets hold one row
-    per point (`checked_pairs`); points of mixed kappa raise ValueError.
-    """
-
-    def __init__(self, rf: ResolvingFunctions, p: ResolvingPoint | list[ResolvingPoint],
-                 order: int):
-        points = p if isinstance(p, list) else [p]
-        if len({q.kappa for q in points}) > 1:
-            raise ValueError("one projection holds points of one kappa")
-        if rf.requires_nonneg_discriminant:
-            for q in points:
-                if q.discriminant < 0:
-                    raise NegativeDiscriminant(
-                        f"2*kappa*rho - ut^2 = {q.discriminant} < 0 at {q}")
-        if isinstance(p, list):
-            coords = [tuple(complex(getattr(q, n)) for q in p) for n in RVARS]
-        else:
-            coords = [complex(p.t), complex(p.ut), complex(p.rho)]
-        self.seed = {name: Jet.variable(i, v, 3, order)
-                     for i, (name, v) in enumerate(zip(RVARS, coords))}
-        self.Fj = self._at(rf.F)
-        self.lamj = self._at(rf.lambda_)
-        self.lambj = self._at(rf.lambda_bar)
-        self.tauj = self._at(rf.tau)
-
-    def _at(self, e: ex.Expr) -> Jet:
-        """e's jet on the seeds (its variables, in order, are t, ut and rho)."""
+def _projection(rf: ResolvingFunctions, points: list[ResolvingPoint],
+                order: int) -> tuple[Jet, ...]:
+    """The seed jets of t, ut and rho, then F, lambda, lambda_bar and tau
+    as jets on them, of the given order at points of one kappa (mixed kappa
+    raise ValueError): one row per point, or unstacked jets for one point.
+    A coefficient of degree k of a jet operation depends only on its
+    operands' coefficients of degree <= k, so values and first partials are
+    the same at every order >= 1; the tests build their reference
+    projections at other orders."""
+    if len({p.kappa for p in points}) > 1:
+        raise ValueError("one projection holds points of one kappa")
+    coords = ([complex(getattr(p, name)) for p in points] for name in RVARS)
+    seed = [Jet.variable(i, v[0] if len(v) == 1 else tuple(v), 3, order)
+            for i, v in enumerate(coords)]
+    functions = []
+    for e in (rf.F, rf.lambda_, rf.lambda_bar, rf.tau):
         if len(e.variables) != len(RVARS):
             raise ArityMismatch(f"{len(e.variables)} variables declared, "
                                 f"{len(RVARS)} points given")
-        return ex.evaluate(e, dict(zip(e.variables, self.seed.values())))
+        functions.append(ex.evaluate(e, dict(zip(e.variables, seed))))
+    return (*seed, *functions)
 
 
 def _first_order(j: Jet, points: int) -> list[list[complex]]:
@@ -145,14 +128,13 @@ def _structure(p: ResolvingPoint, F: list, lam: list, lamb: list,
 
 
 def _checks(rf: ResolvingFunctions, p: ResolvingPoint) -> tuple:
-    """The pair of both checks' results at p, from rf's store, or from p's
-    own order-PROJ_ORDER projection; raises FVanishes where F's value is
-    below F_EPS."""
+    """The pair of both checks' results at p, from rf's store, or else from
+    `checked_pairs` of p alone; raises FVanishes where F's value is below
+    F_EPS."""
     def own():
-        proj = _Proj(rf, p, PROJ_ORDER)
-        (named,) = _named_pairs(proj, [p])
-        if not named:
-            raise FVanishes(f"F = {proj.Fj.value} at {p}")
+        (named,) = checked_pairs(rf, [p])
+        if "pair" not in named:
+            raise FVanishes(f"F = {named['F']} at {p}")
         return named["pair"]
 
     return rf.store.get(p, "pair", own)
@@ -235,22 +217,17 @@ def _pair(p: ResolvingPoint, F: list, lam: list, lamb: list, tau: list) -> tuple
             (d[6] - c[0] * a_bar[0] + yb[4], d[6] - a[0] * c[0] + y[5]))
 
 
-def _named_pairs(proj: _Proj, points: list[ResolvingPoint]) -> list[dict]:
-    """{"pair": `_pair` at p} for each of points from its own row of proj,
-    or {} where F's value is below F_EPS (a NaN F is not, and gives NaN
-    results)."""
-    rows = (_first_order(j, len(points)) for j in (proj.Fj, proj.lamj, proj.lambj, proj.tauj))
-    return [{} if abs(F[0]) < F_EPS else {"pair": _pair(p, F, *rest)}
-            for p, F, *rest in zip(points, *rows)]
-
-
 def checked_pairs(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> list[dict]:
-    """A pass build (`sweeps.in_sweeps`): `_named_pairs` of points of one
-    kappa from one stacked order-PROJ_ORDER projection, bit for bit each
-    point's own, because every jet operation acts row by row.  A point
-    where F vanishes gets {}, so it raises FVanishes alone; points of mixed
-    kappa raise."""
-    return _named_pairs(_Proj(rf, points, PROJ_ORDER), points)
+    """{"pair": `_pair` at p} for each of points of one kappa, from its own
+    row of one order-PROJ_ORDER `_projection`: the build of one point
+    alone, and a pass build (`sweeps.in_sweeps`) bit for bit each point's
+    own, because every jet operation acts row by row.  Where F's value is
+    below F_EPS a point gets {"F": that value} instead, so it raises
+    FVanishes alone (a NaN F is not below it, and gives NaN results);
+    points of mixed kappa raise."""
+    rows = (_first_order(j, len(points)) for j in _projection(rf, points, PROJ_ORDER)[3:])
+    return [{"F": F[0]} if abs(F[0]) < F_EPS else {"pair": _pair(p, F, *rest)}
+            for p, F, *rest in zip(points, *rows)]
 
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------
@@ -293,5 +270,4 @@ def ansatz_functions(phi: ex.Expr, kappa: int) -> ResolvingFunctions:
     lam = ex.Expr(ex.Add(_signed(kappa, ut),
                          ex.Mul(_c(1j), ex.Call("sqrt", disc))), RVARS)
     lam_bar = ex.conjugate(lam)
-    return ResolvingFunctions(F=F, lambda_=lam, lambda_bar=lam_bar, tau=tau,
-                              requires_nonneg_discriminant=True)
+    return ResolvingFunctions(F=F, lambda_=lam, lambda_bar=lam_bar, tau=tau)

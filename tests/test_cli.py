@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -42,6 +43,34 @@ def test_bad_grid_exits_2(capsys, grid, message):
                          "--grid", grid)
     assert code == 2 and out == ""
     assert message in err
+
+
+ONE_Z = ("--grid", "t=1:2:2,re=1:1:1,im=0:0:1")
+CRITERION = ("symmetry", "--check", "criterion", "--b", "z^2 + i", "--a", "z^2", *ONE_Z)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "f0", "--C", "1e999", *ONE_Z], "number out of range"),
+    (["verify", "--family", "f0", "--C", "1e308*10", *ONE_Z],
+     "--C must be finite, got '1e308*10'"),
+    (["verify", "--family", "noninv", "--b", "z^2 + 1e999", *ONE_Z], "number out of range"),
+    (["resolving", "--phi", "1e999"], "number out of range"),
+    (["resolving", "--phi", "2", "--perturb", "tau:+1e308*10"], "--perturb must be finite"),
+    ([*CRITERION, "--alpha", "nan"], "argument --alpha: must be finite, not 'nan'"),
+    ([*CRITERION, "--beta", "inf"], "argument --beta: must be finite, not 'inf'"),
+])
+def test_non_finite_numbers_exit_2(capsys, argv, message):
+    # a non-finite constant would give NaN residuals: it is a usage error,
+    # reported before any evaluation warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse rejects --alpha and --beta
+            code = exit_.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert message in out.err
 
 
 def test_verify_passes_on_solution(capsys):

@@ -16,12 +16,12 @@ import random
 
 import pytest
 
-from heavenly import cli
+from heavenly import cli, resolving
 from heavenly import expr as ex
 from heavenly.errors import BranchCutViolation, FVanishes
 from heavenly.fields import SolutionField
 from heavenly.jet import PASS_POINTS
-from heavenly.resolving import (ResolvingPoint, _Proj, ansatz_functions, checked_pairs,
+from heavenly.resolving import (ResolvingPoint, _projection, ansatz_functions, checked_pairs,
                                 jacobi_residual, resolving_residuals)
 from heavenly.sweeps import PointStore
 
@@ -193,9 +193,9 @@ def test_pass_rows_are_the_per_point_bits(monkeypatch, text, kappa):
         points = [p for i, p in enumerate(points) if i not in bad]
         wanted = [want for i, want in enumerate(wanted) if i not in bad]
     builds = []
-    init = _Proj.__init__
-    monkeypatch.setattr(_Proj, "__init__",
-                        lambda self, rf, p, order: builds.append(p) or init(self, rf, p, order))
+    monkeypatch.setattr(resolving, "_projection",
+                        lambda rf, points, order: builds.append(points)
+                        or _projection(rf, points, order))
     checked = vanished = 0
     for start in range(0, len(points), PASS_POINTS):
         chunk = points[start:start + PASS_POINTS]

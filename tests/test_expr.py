@@ -66,11 +66,25 @@ def test_unexpected_end():
     ("(z", 2, "expected ')'"),
     ("1e+", 1, "malformed number"),
     (".", 0, "malformed number"),
+    # a literal that overflows to infinity, alone and inside a sum
+    ("1e999", 0, "number out of range"),
+    ("z^2 + 1e400", 6, "number out of range"),
 ])
 def test_malformed_text_is_a_parse_error(text, position, message):
     with pytest.raises(ParseError) as err:
         ex.parse(text, ("z",))
     assert (err.value.position, err.value.message) == (position, message)
+
+
+def test_substitute_keeps_a_variable_the_mapping_does_not_name():
+    e = ex.substitute(ex.parse("x*y + y", ("x", "y")), {"x": ex.parse("2*w", ("w",))})
+    assert e.variables == ("w", "y")
+    assert ex.evaluate_value(e, {"w": 1.5, "y": 2.0}) == 8.0
+
+
+def test_str_is_the_pretty_form():
+    e = ex.parse("z^2 + i", ("z",))
+    assert str(e) == ex.pretty(e.root) == "z^2 + i"
 
 
 def test_eval_jet1_takes_one_variable():

@@ -18,6 +18,18 @@ Z0 = 0.9 + 0.3j
 T0 = 1.3
 
 
+@pytest.mark.parametrize("kappa", (1, -1))
+@pytest.mark.parametrize("family", ("noninv", "general_noninv"))
+def test_a_stacked_z_with_one_shared_zbar_is_off_the_slice(family, kappa):
+    # two rows of z against one zbar = conj(z1): the build evaluates bbar,
+    # and each row is bit for bit the lone build at (z_r, conj(z1))
+    fld = build(family, kappa)
+    z1, z2 = Z0, 1.2 - 0.4j
+    rows = fld.jet_at((z1, z2), z1.conjugate(), T0, 3).rows()
+    for row, z in zip(rows, (z1, z2)):
+        assert row.coeffs.tobytes() == fld.jet_at(z, z1.conjugate(), T0, 3).coeffs.tobytes()
+
+
 def test_f0_plus_matches_closed_form():
     fld = make_solution("f0", {"C": 1.0}, 1)
     z, zb = Z0, Z0.conjugate()

@@ -190,6 +190,13 @@ def test_jets_compare_by_identity():
     assert len({a, b, a}) == 2
 
 
+def test_repr_rebuilds_the_jet():
+    for j in (Jet.constant(2.0, 1, 0), Jet.variable(0, (1.0, 2.0), 1, 1)):
+        again = eval(repr(j), {"Jet": Jet, "array": np.array})
+        assert (again.depth, again.nvars, again.order) == (j.depth, j.nvars, j.order)
+        assert again.coeffs.tobytes() == j.coeffs.tobytes()
+
+
 # --- the immutability and construction contract ------------------------------
 
 def kernel_results():

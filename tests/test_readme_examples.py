@@ -1,5 +1,6 @@
 """The README's five CLI examples, run in-process, print exactly the
-committed reports in tests/golden/<subcommand>.json."""
+committed reports in tests/golden/<subcommand>.json, and its Python
+example prints what its comments say."""
 
 import contextlib
 import io
@@ -48,3 +49,20 @@ def test_readme_example_prints_its_golden_report(argv):
         code = main(argv)
     assert code == 0
     assert out.getvalue() == (GOLDEN / f"{argv[0]}.json").read_text()
+
+
+def test_readme_python_example_prints_its_comments():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    printed = out.getvalue().splitlines()
+    said = [line.partition("#")[2].strip() for line in block.splitlines()
+            if line.startswith("print(")]
+    assert len(printed) == len(said) == 2
+    # rho, eta and lambda at the point, to roundoff
+    values, comment = ([complex(word) for word in line.split()] for line in (printed[0], said[0]))
+    assert len(values) == len(comment) == 3
+    assert all(abs(v - c) <= 1e-12 for v, c in zip(values, comment))
+    # the classification verdict's class
+    assert printed[1].partition("(")[0] == said[1].partition("(")[0] == "ConformallyNonInvariant"

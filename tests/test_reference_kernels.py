@@ -42,7 +42,7 @@ from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, 
                           _recurrence_table, _rows, _truncation_table, compose3,
                           compose_series, on_axes, row_values, valid_indices)
 from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingPoint, ResolvingResiduals, _applied,
-                                _first_order, _pair, _Proj, _structure, ansatz_functions,
+                                _first_order, _pair, _projection, _structure, ansatz_functions,
                                 checked_pairs, jacobi_residual, resolving_residuals)
 
 PHI_TEXTS = ("1", "2", "xi", "xi*theta", "exp(-xi)")
@@ -75,14 +75,15 @@ def ref_truncated(jet, order):
     return Jet(out)
 
 
-class RefProj(_Proj):
-    """A one-point projection with the projected operators as jet
+class RefProj:
+    """A one-point `_projection` with the projected operators as jet
     operators, the reference for the scalar identities of
     `resolving._applied`: `apply` gives (delta g, Y g, Ybar g) from g's
     three partials, each coefficient truncated to the result's order."""
 
     def __init__(self, rf, p, order):
-        super().__init__(rf, p, order)
+        *seed, self.Fj, self.lamj, self.lambj, self.tauj = _projection(rf, [p], order)
+        self.seed = dict(zip(RVARS, seed))
         # delta's middle coefficient kappa*rho - ut^2 as an exact jet
         self.heav_coeff = p.kappa * self.seed["rho"] - self.seed["ut"] * self.seed["ut"]
 
@@ -1554,20 +1555,20 @@ def test_projected_operators_satisfy_the_vector_field_jacobi_identity(text, spec
 
 
 def count_builds_and_partials(monkeypatch):
-    """The point (or points) of each `_Proj` built, and the variable of
-    each `Jet.derivative` call."""
+    """The points of each `_projection` built, and the variable of each
+    `Jet.derivative` call."""
     builds, partials = [], []
-    init, derivative = _Proj.__init__, Jet.derivative
+    derivative = Jet.derivative
 
-    def counted_init(self, rf, p, order):
-        builds.append(repr(p))
-        init(self, rf, p, order)
+    def counted_projection(rf, points, order):
+        builds.append(repr(points))
+        return _projection(rf, points, order)
 
     def counted_derivative(self, var):
         partials.append(var)
         return derivative(self, var)
 
-    monkeypatch.setattr(_Proj, "__init__", counted_init)
+    monkeypatch.setattr(resolving, "_projection", counted_projection)
     monkeypatch.setattr(Jet, "derivative", counted_derivative)
     return builds, partials
 
@@ -1582,7 +1583,7 @@ def test_both_resolving_checks_build_one_projection_and_no_partial(monkeypatch, 
         check(rf, p)
     # one order-1 projection, whose values and first partials both checks
     # read as coefficients: no operator is applied to a jet
-    assert builds == [repr(p)]
+    assert builds == [repr([p])]
     assert partials == []
     assert resolving.PROJ_ORDER == 1
     # a sweep builds one projection of all its points, and its checks none
@@ -1669,7 +1670,7 @@ def tracked(p, rows):
 def pair_sizes(rf, p):
     """Per value of R1-R4, J1 and J2 at p, the sum of the moduli of the
     terms that cancel in it."""
-    tp, trows = tracked(p, function_rows(_Proj(rf, p, PROJ_ORDER)))
+    tp, trows = tracked(p, function_rows(RefProj(rf, p, PROJ_ORDER)))
     res, jac = _pair(tp, *trows)
     return [v.modulus for v in (*res.as_dict().values(), *jac)]
 
@@ -1815,7 +1816,7 @@ def test_f_constant_term_is_the_same_at_every_order(text, kappa):
     # both checks read F's constant term from one order-1 projection
     rf = ansatz_functions(ex.parse(text, ("xi", "theta")), kappa)
     for p in admissible_points(kappa, 25, seed=53 + kappa):
-        values = [_Proj(rf, p, order).Fj.value for order in range(5)]
+        values = [_projection(rf, [p], order)[3].value for order in range(5)]
         assert len({(v.real.hex(), v.imag.hex()) for v in values}) == 1
 
 

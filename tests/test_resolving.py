@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from heavenly import expr as ex
+from heavenly import resolving
 from heavenly.cli import _perturbed, main
-from heavenly.errors import BranchCutViolation, FVanishes, NegativeDiscriminant, ParseError
+from heavenly.errors import (POINT_EXCLUSIONS, ArityMismatch, BranchCutViolation, FVanishes,
+                             ParseError)
 from heavenly.jet import PASS_POINTS, Jet
 from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingFunctions, ResolvingPoint,
                                 ansatz_functions, ansatz_xi_theta, _applied, _first_order,
-                                _Proj, jacobi_residual, resolving_residuals)
+                                _projection, jacobi_residual, resolving_residuals)
 from test_cli_passes import sweep
 from test_readme_examples import README_EXAMPLES
 
@@ -91,9 +93,10 @@ def test_jacobi_identity_vanishes(text, kappa):
 
 
 def test_projected_operators_on_coordinates():
-    proj = _Proj(ansatz_functions(phi_expr("2"), 1), P_REF, PROJ_ORDER)
-    lam, lamb, tau = (_first_order(j, 1)[0] for j in (proj.lamj, proj.lambj, proj.tauj))
-    coordinates = [_first_order(proj.seed[name], 1)[0] for name in RVARS]
+    *seed, _, lamj, lambj, tauj = _projection(ansatz_functions(phi_expr("2"), 1), [P_REF],
+                                              PROJ_ORDER)
+    lam, lamb, tau = (_first_order(j, 1)[0] for j in (lamj, lambj, tauj))
+    coordinates = [_first_order(j, 1)[0] for j in seed]
     delta, Y, Ybar = zip(*(_applied(P_REF, lam, lamb, tau, g) for g in coordinates))
     # delta moves t with unit speed and u_t by the evolution equation
     assert delta == pytest.approx((1.0, 1 * 0.4 - 0.8 ** 2, -0.32))
@@ -103,9 +106,18 @@ def test_projected_operators_on_coordinates():
 
 
 def test_negative_discriminant_rejected():
+    # lambda's sqrt(2 kappa rho - ut^2) is on its branch cut there
     rf = ansatz_functions(phi_expr("2"), 1)
-    with pytest.raises(NegativeDiscriminant):
+    with pytest.raises(BranchCutViolation):
         resolving_residuals(rf, ResolvingPoint(1.0, 2.0, 0.4, 1))
+
+
+def test_functions_of_two_variables_are_rejected():
+    rf = ansatz_functions(phi_expr("2"), 1)
+    two = ResolvingFunctions(F=ex.parse("t*ut", ("t", "ut")), lambda_=rf.lambda_,
+                             lambda_bar=rf.lambda_bar, tau=rf.tau)
+    with pytest.raises(ArityMismatch, match="2 variables declared, 3 points given"):
+        resolving_residuals(two, P_REF)
 
 
 def test_ansatz_takes_kappa_plus_or_minus_1():
@@ -124,8 +136,7 @@ def test_perturbed_tau_breaks_the_system():
     bumped = ResolvingFunctions(
         F=rf.F, lambda_=rf.lambda_, lambda_bar=rf.lambda_bar,
         tau=ex.Expr(ex.Add(rf.tau.root, ex.Const(0.1 + 0j)),
-                    rf.tau.variables),
-        requires_nonneg_discriminant=True)
+                    rf.tau.variables))
     res = resolving_residuals(bumped, P_REF)
     assert max(abs(v) for v in res.as_dict().values()) > 1e-3
 
@@ -137,7 +148,6 @@ def test_perturbed_copy_starts_with_an_empty_store():
     assert rf.store.stored(P_REF, "pair") and bumped.store.stored(P_REF, "pair") is None
     assert (bumped.F, bumped.lambda_, bumped.lambda_bar) == (rf.F, rf.lambda_, rf.lambda_bar)
     assert bumped.tau == ex.Expr(ex.Add(rf.tau.root, ex.Const(0.1 + 0j)), rf.tau.variables)
-    assert bumped.requires_nonneg_discriminant
 
 
 def test_perturb_parses_the_amount_before_it_checks_the_target():
@@ -180,14 +190,17 @@ def test_conjugate_partner_structure():
 # --- one projection per point ---------------------------------------------------
 
 def count_builds(monkeypatch):
+    """A list that gets the points of every projection built from now on;
+    a lone point's is unstacked, a pass's has one row per point."""
     builds = []
-    init = _Proj.__init__
 
-    def counted(self, rf, p, order):
-        builds.append(repr(p))
-        init(self, rf, p, order)
+    def counted(rf, points, order):
+        builds.append(repr(points))
+        jets = _projection(rf, points, order)
+        assert jets[0].depth == (len(points) if len(points) > 1 else 0)
+        return jets
 
-    monkeypatch.setattr(_Proj, "__init__", counted)
+    monkeypatch.setattr(resolving, "_projection", counted)
     return builds
 
 
@@ -202,7 +215,7 @@ def test_both_checks_share_one_projection(monkeypatch, jacobi_first):
     fresh = both_checks(ansatz_functions(phi_expr("xi*theta"), 1), P_REF)
     builds = count_builds(monkeypatch)
     shared = both_checks(rf, P_REF, jacobi_first)
-    assert builds == [repr(P_REF)]
+    assert builds == [repr([P_REF])]
     assert shared == (fresh[::-1] if jacobi_first else fresh)
 
 
@@ -216,7 +229,7 @@ def test_a_new_point_rebuilds_the_projection(monkeypatch):
     builds = count_builds(monkeypatch)
     for p in (P_REF, other, P_REF, zero, signed):
         assert both_checks(rf, p) == expected[repr(p)]
-    assert builds == [repr(p) for p in (P_REF, other, P_REF, zero, signed)]
+    assert builds == [repr([p]) for p in (P_REF, other, P_REF, zero, signed)]
 
 
 def test_a_failed_projection_is_not_kept(monkeypatch):
@@ -226,11 +239,29 @@ def test_a_failed_projection_is_not_kept(monkeypatch):
     kept = rf.store.stored(P_REF, "pair")
     builds = count_builds(monkeypatch)
     for check in (resolving_residuals, jacobi_residual, resolving_residuals):
-        with pytest.raises(NegativeDiscriminant):
+        with pytest.raises(BranchCutViolation):
             check(rf, bad)
-    assert builds == [repr(bad)] * 3
+    assert builds == [repr([bad])] * 3
     assert rf.store.stored(P_REF, "pair") is kept is not None
     assert rf.store.stored(bad, "pair") is None
+
+
+def test_a_negative_discriminant_in_a_pass_is_excluded_alone():
+    # the pass raises for all its rows and keeps nothing; each point then
+    # runs alone: the bad one is a point exclusion, the rest keep their bits
+    bad = ResolvingPoint(1.0, 2.0, 0.4, 1)
+    points = sample_points(1, PASS_POINTS - 1, seed=67)
+    points.insert(7, bad)
+    rf, alone = (ansatz_functions(phi_expr("xi*theta"), 1) for _ in range(2))
+    sweep(rf, points)
+    assert BranchCutViolation in POINT_EXCLUSIONS
+    for p in points:
+        if p is bad:
+            for check in (resolving_residuals, jacobi_residual):
+                with pytest.raises(BranchCutViolation):
+                    check(rf, p)
+            continue
+        assert repr(both_checks(rf, p)) == repr(both_checks(alone, p))
 
 
 def test_a_sweep_over_both_kappas_keeps_nothing():
