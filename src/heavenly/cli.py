@@ -169,15 +169,34 @@ def parse_grid(spec: str) -> list:
             for t in ranges["t"] for x in ranges["re"] for y in ranges["im"]]
 
 
-def _const_arg(flag: str, text: str) -> complex:
-    """The value of flag's constant expression text, which must be finite:
-    an infinite or NaN one would give NaN residuals."""
+def _expr_arg(flag: str, text: str, variables: tuple[str, ...] = ()) -> ex.Expr:
+    """flag's expression text over variables.  Each part that reads no
+    variable must have a finite value, or the residuals would be NaN (inner
+    parts are checked first); a part whose evaluation raises (ln(0)) raises."""
+    e = ex.parse(text, variables)
+
+    def variable_free(node) -> bool:
+        children = [c for c in vars(node).values() if isinstance(c, ex.Node)]
+        free = all([variable_free(c) for c in children]) and not isinstance(node, ex.Var)
+        if free and children:
+            try:
+                value = ex.evaluate_value(ex.Expr(node, ()), {})
+            except OverflowError:  # cmath's, from exp
+                value = complex("inf")
+            if not cmath.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {text!r}: "
+                                 f"{ex.pretty(node)} is {value}")
+        return free
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, on overflow
-        value = ex.evaluate_value(ex.parse(text, ()), {})
-    if not cmath.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {text!r}")
-    return value
+        variable_free(e.root)
+    return e
+
+
+def _const_arg(flag: str, text: str) -> complex:
+    """The value of flag's constant expression text (`_expr_arg`)."""
+    return ex.evaluate_value(_expr_arg(flag, text), {})
 
 
 def _family_from_args(args):
@@ -192,7 +211,7 @@ def _family_from_args(args):
             raise ValueError(f"family {fam!r} requires --{name}")
         echo[name] = text
         if variables:
-            params[name] = ex.parse(text, variables)
+            params[name] = _expr_arg(f"--{name}", text, variables)
         elif (value := _const_arg(f"--{name}", text)).imag:
             # the family would check its real part alone
             raise ValueError(f"--{name} must be a real constant, got {text!r}")
@@ -234,7 +253,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import (ConformallyNonInvariant, Inconclusive,
                            InvariantCaseMatched, classify_b)
-    b = ex.parse(args.b, ("z",))
+    b = _expr_arg("--b", args.b, ("z",))
     report = _base_report(args, "noninv", {"b": args.b})
     grid = parse_grid(args.grid)
     verdict = classify_b(b, args.kappa, grid)
@@ -290,7 +309,7 @@ def cmd_resolving(args) -> int:
     """
     from .resolving import (RVARS, ResolvingPoint, ansatz_functions, checked_pairs,
                             jacobi_residual, resolving_residuals)
-    phi = ex.parse(args.phi, ("xi", "theta"))
+    phi = _expr_arg("--phi", args.phi, ("xi", "theta"))
     rf = ansatz_functions(phi, args.kappa)
     if args.perturb:
         rf = _perturbed(rf, args.perturb)
@@ -323,7 +342,8 @@ def cmd_resolving(args) -> int:
 def cmd_symmetry(args) -> int:
     from .fields import u_rows
     from .symmetry import GeneratorSpec, invariance_residual, x2_apply
-    gen = GeneratorSpec(args.alpha, args.beta, ex.parse(args.a, ("z",)) if args.a else None)
+    a = _expr_arg("--a", args.a, ("z",)) if args.a else None
+    gen = GeneratorSpec(args.alpha, args.beta, a)
     if args.check == "invariants" and gen.a is None:
         raise ValueError("--check invariants requires --a, the generator a(z)")
     if gen.a is None and not (gen.alpha or gen.beta):  # the criterion would read 0 = 0
@@ -352,7 +372,7 @@ def cmd_orbit(args) -> int:
     from .invariants import (invariants_at, liouville_residual, pde_residual,
                              swept_invariants)
     field, fam, echo = _family_from_args(args)
-    phi = ex.parse(args.phi, ("z",))
+    phi = _expr_arg("--phi", args.phi, ("z",))
     if not ex.mentions(phi, "z"):
         raise ValueError(f"phi {args.phi!r} does not depend on z")
     report = _base_report(args, fam, dict(echo, phi=args.phi))

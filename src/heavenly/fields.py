@@ -196,11 +196,8 @@ def _on_slice(z0, zb0) -> bool:
 def _conformal_log(kappa: int, z0, zb0, order: int) -> Jet:
     """ln(z + zbar) for kappa = 1, ln(z*zbar + 1) for kappa = -1; f0 and
     noninv add -2 times it."""
-    if kappa == 1:
-        arg, what = on_axes(_seed(z0, order), _seed(zb0, order)), "z + zbar"
-    else:
-        arg = Jet.variable(VZ, z0, 3, order) * Jet.variable(VZB, zb0, 3, order) + 1.0
-        what = "z*zbar + 1"
+    z, zb = Jet.variable(VZ, z0, 3, order), Jet.variable(VZB, zb0, 3, order)
+    arg, what = (z + zb, "z + zbar") if kappa == 1 else (z * zb + 1.0, "z*zbar + 1")
     _check_nonzero(arg, what)
     return _ln(arg, what)
 

@@ -27,8 +27,8 @@ from .jet import SINGULAR_EPS
 
 #: imaginary parts of physically real invariants below this are truncated to 0
 REALITY_TOL = 1e-10
-#: |eta| below this counts as eta = 0, where lambda, lambda_bar and Y, Ybar
-#: are undefined; it is the threshold below which 1/eta raises
+#: the exclusion threshold for eta = 0, where lambda, lambda_bar, Y and Ybar
+#: are undefined (|eta| below it counts as 0), set equal to SINGULAR_EPS
 ETA_TOL = SINGULAR_EPS
 
 

@@ -236,10 +236,12 @@ class Jet:
     hash by identity.  `__post_init__` runs once for every constructed Jet,
     whichever constructor made it.
 
-    A scalar operand of ``+`` and ``-`` is not lifted to a constant jet:
-    the operation adds (or subtracts from) +0.0 in every slot and then sets
-    the constant term, which gives the lifted form's bits, signed zeros
-    included.
+    A scalar operand of ``+`` and ``-``, on either side, is not lifted to
+    a constant jet: one path (`_shifted`), for one scalar or a tuple, adds
+    (or subtracts from) +0.0 in every slot and then sets the constant term,
+    which gives the lifted form's bits, signed zeros included.  ``*`` and
+    ``/`` by a scalar or a tuple take one path too (`_scaled`), and
+    `constant` and `variable` one seed builder.
     """
 
     __slots__ = ("coeffs", "depth", "nvars", "order")
@@ -290,23 +292,13 @@ class Jet:
     def constant(cls, value, nvars: int, order: int) -> "Jet":
         """Constant jet of one value, or a stack of them from a tuple of one
         value per row."""
-        if type(value) is tuple:
-            return _stacked_seed(value, None, nvars, order)
-        c = np.zeros((order + 1,) * nvars, dtype=complex)
-        c[(0,) * nvars] = value
-        return _jet(c, 0, nvars, order)
+        return _seed(value, None, nvars, order)
 
     @classmethod
     def variable(cls, i: int, value, nvars: int, order: int) -> "Jet":
         """Seed jet of the i-th variable: value + one unit of its own direction
         (a stack of seeds from a tuple of one value per row)."""
-        if type(value) is tuple:
-            return _stacked_seed(value, i, nvars, order)
-        c = np.zeros((order + 1,) * nvars, dtype=complex)
-        c[(0,) * nvars] = value
-        if order >= 1:
-            c[_UNIT_SLOT[nvars][i]] = 1.0
-        return _jet(c, 0, nvars, order)
+        return _seed(value, i, nvars, order)
 
     @classmethod
     def stack(cls, jets) -> "Jet":
@@ -352,24 +344,31 @@ class Jet:
             a = np.broadcast_to(a, (depth,) + a.shape)
         return a, np.array(other, dtype=complex), depth
 
-    def _scaled(self, values: tuple, ufunc) -> "Jet":
-        """Every row's coefficients times (or divided by) that row's scalar;
-        the scalar's axes broadcast over the row, so each row runs the loop
-        of ``coeffs * c`` on one jet."""
-        a, c, depth = self._operand(values)
-        out = ufunc(a, c.reshape((depth,) + (1,) * self.nvars))
+    def _shifted(self, other, op) -> "Jet":
+        """op(self, other) for a scalar operand other of ``+`` or ``-``
+        (other - self for `__rsub__`), as with other lifted to a constant
+        jet: op runs on every slot with the lifted constant's +0.0 (so a
+        -0.0 can become +0.0), then on the constant term with other."""
+        zero = _CONSTANT_SLOT[self.nvars]
+        a, c, depth = self._operand(other)
+        out = op(a, 0.0)
+        out[zero] = op(a[zero], c)
         return _jet(out, depth, self.nvars, self.order)
+
+    def _scaled(self, other, ufunc) -> "Jet":
+        """Every row's coefficients times (or divided by) a scalar operand,
+        or that row's own from a tuple, whose axes broadcast over the row:
+        each row runs the loop of ``coeffs * c`` on one jet."""
+        a, c, depth = self._operand(other)
+        if type(other) is tuple:
+            c = c.reshape((depth,) + (1,) * self.nvars)
+        return _jet(ufunc(a, c), depth, self.nvars, self.order)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            # the lifted constant's zero slots add +0.0 (a -0.0 becomes +0.0)
-            zero = _CONSTANT_SLOT[self.nvars]
-            a, c, depth = self._operand(other)
-            out = a + 0.0
-            out[zero] = a[zero] + c
-            return _jet(out, depth, self.nvars, self.order)
+            return self._shifted(other, operator.add)
         self._check(other)
         return _jet(self.coeffs + other.coeffs, self.depth or other.depth,
                     self.nvars, self.order)
@@ -381,30 +380,17 @@ class Jet:
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
-            # subtracting the lifted constant's +0.0 keeps every bit
-            zero = _CONSTANT_SLOT[self.nvars]
-            a, c, depth = self._operand(other)
-            out = a - 0.0
-            out[zero] = a[zero] - c
-            return _jet(out, depth, self.nvars, self.order)
+            return self._shifted(other, operator.sub)
         self._check(other)
         return _jet(self.coeffs - other.coeffs, self.depth or other.depth,
                     self.nvars, self.order)
 
     def __rsub__(self, other):
-        # other - self, other a scalar: the lifted constant's zero slots
-        # give +0.0 - a
-        zero = _CONSTANT_SLOT[self.nvars]
-        a, c, depth = self._operand(other)
-        out = 0.0 - a
-        out[zero] = c - a[zero]
-        return _jet(out, depth, self.nvars, self.order)
+        return self._shifted(other, lambda a, c: c - a)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if type(other) is tuple:
-                return self._scaled(other, np.multiply)
-            return self._like(self.coeffs * complex(other))
+            return self._scaled(other, np.multiply)
         self._check(other)
         # every row through the one-jet table, as one flat scatter; an
         # unstacked operand is gathered once per row (tiled, not broadcast,
@@ -421,9 +407,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            if type(other) is tuple:
-                return self._scaled(other, np.true_divide)
-            return self._like(self.coeffs / complex(other))
+            return self._scaled(other, np.true_divide)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -502,8 +486,8 @@ class Jet:
             return _jet(np.array(b0, dtype=complex).reshape(self.coeffs.shape), depth, n, 0)
         gather, weights, steps = _recurrence_table(n, order, depth or 1)
         a = self.coeffs.reshape(depth or 1, -1)
-        if p is not None:  # each row over its constant term, a scalar operand as for one jet
-            a = a / (a[:, :1] if depth else a[0, 0])
+        if p is not None:  # each row over its constant term
+            a = a / a[:, :1]
         w = weights.get(p)
         aw = a.take(gather) * (weights[None] * (p + 1) - 1 if w is None else w)
         if log:  # b_k starts at +0 + a_k, as a scatter into zeros would
@@ -577,8 +561,10 @@ class Jet:
 
 #: the constant term of every row: coeffs[..., 0, ..., 0], per nvars
 _CONSTANT_SLOT = {n: (Ellipsis,) + (0,) * n for n in (1, 2, 3)}
-#: the first-order coefficient of variable i of one jet, per nvars and i
-_UNIT_SLOT = {n: tuple(tuple(int(k == i) for k in range(n)) for i in range(n)) for n in (1, 2, 3)}
+#: per nvars and for one jet (0) or a stack (1), a seed's constant and unit slots
+_SEED_SLOTS = {n: tuple(tuple((slice(None),) * stacked + tuple(int(k == i) for k in range(n))
+                              for i in (None, *range(n))) for stacked in (0, 1))
+               for n in (1, 2, 3)}
 
 _set_coeffs = Jet.coeffs.__set__
 _set_depth = Jet.depth.__set__
@@ -587,16 +573,18 @@ _set_order = Jet.order.__set__
 _new = object.__new__
 
 
-def _stacked_seed(values: tuple, var: int | None, nvars: int, order: int) -> Jet:
-    """`Jet.constant` (var None) or `Jet.variable` of each of values, as the
-    rows of one stack."""
-    if not values:
+def _seed(value, var: int | None, nvars: int, order: int) -> Jet:
+    """`Jet.constant` (var None) or `Jet.variable` of value, or of each of a
+    tuple of values as the rows of one stack."""
+    rows = (len(value),) if type(value) is tuple else ()
+    if rows == (0,):
         raise ShapeMismatch("a stack needs at least one row")
-    c = np.zeros((len(values),) + (order + 1,) * nvars, dtype=complex)
-    c[_CONSTANT_SLOT[nvars]] = values
+    slots = _SEED_SLOTS[nvars][len(rows)]
+    c = np.zeros(rows + (order + 1,) * nvars, dtype=complex)
+    c[slots[0]] = value
     if var is not None and order >= 1:
-        c[(slice(None),) + _UNIT_SLOT[nvars][var]] = 1.0
-    return _jet(c, len(values), nvars, order)
+        c[slots[var + 1]] = 1.0
+    return _jet(c, len(value) if rows else 0, nvars, order)
 
 
 def _jet(coeffs: np.ndarray, depth: int, nvars: int, order: int) -> Jet:

@@ -23,8 +23,8 @@ from .jet import SINGULAR_EPS, Jet
 from .sweeps import PointStore
 
 RVARS = ("t", "ut", "rho")
-#: |F| below this counts as F = 0; c divides by F, and this is the
-#: threshold below which that division raises
+#: the exclusion threshold for F = 0, where c = s/F is undefined (|F| below
+#: it counts as 0), set equal to the engine's SINGULAR_EPS
 F_EPS = SINGULAR_EPS
 #: order of the projection both checks read at a point: they read values
 #: and first partials only
@@ -232,42 +232,33 @@ def checked_pairs(rf: ResolvingFunctions, points: list[ResolvingPoint]) -> list[
 
 # --- the [Y, Ybar] = 0 ansatz --------------------------------------------
 
-def _c(v) -> ex.Node:
-    return ex.Const(complex(v))
-
-
-def _signed(kappa: int, node: ex.Node) -> ex.Node:
-    """kappa * node without a product by a unit constant."""
-    return node if kappa == 1 else ex.Neg(node)
+def _sign(kappa: int) -> str:
+    """kappa's sign as a formula prefix, "" or "-"; only +-1 are signs."""
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be +1 or -1")
+    return "" if kappa == 1 else "-"
 
 
 def ansatz_xi_theta(kappa: int) -> tuple[ex.Expr, ex.Expr]:
     """Characteristic variables xi = (2k rho - ut^2)/rho^2 and
     theta = t - (k/rho)(ut + sqrt(2k rho - ut^2)) as expressions."""
-    t, ut, rho = (ex.Var("t"), ex.Var("ut"), ex.Var("rho"))
-    disc = ex.Sub(ex.Mul(_c(2 * kappa), rho), ex.Pow(ut, _c(2)))
-    xi = ex.Div(disc, ex.Pow(rho, _c(2)))
-    theta = ex.Sub(t, ex.Mul(_signed(kappa, ex.Pow(rho, _c(-1))),
-                             ex.Add(ut, ex.Call("sqrt", disc))))
-    return (ex.Expr(xi, RVARS), ex.Expr(theta, RVARS))
+    k = _sign(kappa)
+    return (ex.parse(f"({k}2*rho - ut^2)/rho^2", RVARS),
+            ex.parse(f"t - {k}rho^-1*(ut + sqrt({k}2*rho - ut^2))", RVARS))
 
 
 def ansatz_functions(phi: ex.Expr, kappa: int) -> ResolvingFunctions:
     """Resolving-system solution from the commuting-operators ansatz:
     F = rho^3 phi(xi, theta), tau = -ut rho,
-    lambda = kappa ut + i sqrt(2 kappa rho - ut^2), lambda_bar its conjugate.
+    lambda = kappa ut + i sqrt(2 kappa rho - ut^2), lambda_bar its conjugate,
+    each parsed from its formula.
 
     phi is an expression in (xi, theta), real-valued on the sampled domain.
     """
-    if kappa not in (1, -1):
-        raise ValueError("kappa must be +1 or -1")
-    t, ut, rho = (ex.Var("t"), ex.Var("ut"), ex.Var("rho"))
-    xi_e, theta_e = ansatz_xi_theta(kappa)
-    phi_sub = ex.substitute(phi, {"xi": xi_e, "theta": theta_e})
-    F = ex.Expr(ex.Mul(ex.Pow(rho, _c(3)), phi_sub.root), RVARS)
-    tau = ex.Expr(ex.Neg(ex.Mul(ut, rho)), RVARS)
-    disc = ex.Sub(ex.Mul(_c(2 * kappa), rho), ex.Pow(ut, _c(2)))
-    lam = ex.Expr(ex.Add(_signed(kappa, ut),
-                         ex.Mul(_c(1j), ex.Call("sqrt", disc))), RVARS)
-    lam_bar = ex.conjugate(lam)
-    return ResolvingFunctions(F=F, lambda_=lam, lambda_bar=lam_bar, tau=tau)
+    k = _sign(kappa)
+    xi, theta = ansatz_xi_theta(kappa)
+    F = ex.substitute(ex.parse("rho^3*phi", (*RVARS, "phi")),
+                      {"phi": ex.substitute(phi, {"xi": xi, "theta": theta})})
+    lam = ex.parse(f"{k}ut + i*sqrt({k}2*rho - ut^2)", RVARS)
+    return ResolvingFunctions(F=F, lambda_=lam, lambda_bar=ex.conjugate(lam),
+                              tau=ex.parse("-(ut*rho)", RVARS))

@@ -73,6 +73,42 @@ def test_non_finite_numbers_exit_2(capsys, argv, message):
     assert message in out.err
 
 
+def run_quietly(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr, and the RuntimeWarnings
+    the run raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["resolving", "--phi", "1e308*10", "--samples", "2"], "--phi"),
+    (["verify", "--family", "noninv", "--b", "z^2 + 1e308*10", *ONE_Z], "--b"),
+    (["classify", "--b", "1e308*10*z"], "--b"),
+])
+def test_a_non_finite_part_of_an_expression_flag_exits_2(capsys, argv, flag):
+    # the part 1e308*10 reads no variable and is infinite at every point
+    code, out, err, runtime_warnings = run_quietly(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"error: {flag} must be finite, got " in err
+    assert runtime_warnings == [] and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["resolving", "--phi", "xi + ln(0)", "--samples", "2"],
+     "error: ln of jet with constant term 0j"),
+    (["verify", "--family", "noninv", "--b", "z^2 + exp(1000)", *ONE_Z],
+     "error: --b must be finite, got 'z^2 + exp(1000)': exp(1000) is (inf+0j)"),
+])
+def test_an_expression_flag_part_that_raises_exits_2(capsys, argv, message):
+    # ln(0) raises the engine's DomainError and exp(1000) an OverflowError
+    code, out, err, runtime_warnings = run_quietly(capsys, argv)
+    assert code == 2 and out == "" and runtime_warnings == []
+    assert message in err
+
+
 def test_verify_passes_on_solution(capsys):
     code, out, _ = run(capsys, "verify", "--kappa", "1", "--family", "noninv",
                        "--b", "z^2 + i", "--grid", GRID, "--tol", "1e-9")

@@ -38,8 +38,8 @@ from heavenly.errors import (DivisionBySingularJet, DomainError, EtaVanishes, FV
 from heavenly.fields import MAX_ORDER, ROW_LEN, Point, u_row
 from heavenly.invariants import (COMMUTATOR_PAIRS, COMMUTATOR_TARGETS, ETA_TOL, JetCalculus,
                                  commutator_residual, invariants_at, swept_invariants)
-from heavenly.jet import (PASS_POINTS, Jet, _compose3_table, _derivative_table, _mul_table,
-                          _recurrence_table, _rows, _truncation_table, compose3,
+from heavenly.jet import (PASS_POINTS, SINGULAR_EPS, Jet, _compose3_table, _derivative_table,
+                          _mul_table, _recurrence_table, _rows, _truncation_table, compose3,
                           compose_series, on_axes, row_values, valid_indices)
 from heavenly.resolving import (PROJ_ORDER, RVARS, ResolvingPoint, ResolvingResiduals, _applied,
                                 _first_order, _pair, _projection, _structure, ansatz_functions,
@@ -1033,6 +1033,35 @@ def test_scalar_operands_match_lifted_constants():
                             assert new.coeffs.tobytes() == ref.coeffs.tobytes(), (nvars, order, depth, c)
                             cases += 1
     assert cases == 5184
+
+
+def test_scalar_products_and_quotients_match_scaled_coefficients():
+    # jet * c, c * jet and jet / c scale the coefficients by complex(c);
+    # c / jet is the lifted constant times the reciprocal
+    rng = np.random.default_rng(5)
+    cases = 0
+    for nvars in (1, 2, 3):
+        for order in range(6):
+            for depth in (0, 1, 3):
+                for _ in range(3):
+                    rows = [random_jet(rng, nvars, order) for _ in range(depth or 1)]
+                    jet = Jet.stack(rows) if depth else rows[0]
+                    for c in SCALARS:
+                        pairs = [(jet * c, jet.coeffs * complex(c)),
+                                 (c * jet, jet.coeffs * complex(c))]
+                        if c != 0:
+                            pairs.append((jet / c, jet.coeffs / complex(c)))
+                        if all(abs(v) >= SINGULAR_EPS for v in row_values(jet.value)):
+                            pairs.append((c / jet, (lifted(c, jet) * jet.reciprocal()).coeffs))
+                        else:
+                            with pytest.raises(DivisionBySingularJet):
+                                c / jet
+                        for new, want in pairs:
+                            assert (new.depth, new.nvars, new.order) == (depth, nvars, order)
+                            assert new.coeffs.shape == want.shape
+                            assert new.coeffs.tobytes() == want.tobytes(), (nvars, order, depth, c)
+                            cases += 1
+    assert cases == 4288  # c / jet raises for the 31 of 162 jets with a zero constant term
 
 
 # --- expression evaluation --------------------------------------------------------
