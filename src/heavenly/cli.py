@@ -495,6 +495,9 @@ def main(argv=None) -> int:
     except (ValueError, HeavenlyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:  # only the walks of expression trees recurse
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

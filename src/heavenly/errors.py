@@ -59,8 +59,10 @@ class ConstraintViolation(HeavenlyError):
     """Theorem-case constants violate the case's constraint set."""
 
 
-#: errors that exclude one grid point from a suite instead of ending the run
-POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation, SingularMap)
+#: errors that exclude one grid point from a suite instead of ending the run;
+#: an OverflowError is cmath's, such as an exp that overflows at the point
+POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation, SingularMap,
+                    OverflowError)
 
 #: what a stacked pass over several points can raise where one of them is
 #: bad; a pass that raises one of these leaves its points to run one by one

@@ -6,12 +6,13 @@ Grammar (EBNF):
     term   := factor (("*"|"/") factor)* ;
     factor := ("-")? power ;
     power  := atom ("^" factor)? ;
-    atom   := number | "i" | "pi" | ident | ident "(" expr ("," expr)* ")"
-            | "(" expr ")" ;
+    atom   := number | "i" | "pi" | ident | ident "(" expr ")" | "(" expr ")" ;
 
 Recognised functions: exp, ln, sqrt.  `i` and `pi` are reserved constants.
 There is no implicit multiplication.  Variable names are declared per parse,
-so the same letter can mean different things in different contexts.
+so the same letter can mean different things in different contexts.  The
+parser reads expr and term as one precedence-climbing loop over `_BINARY`,
+the operator table that the printer and the evaluator read too.
 
 The checks read a one-variable expression's value and derivatives, at one
 point or at many, through one path: `eval_jet1_rows`.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, ParseError
@@ -119,7 +121,30 @@ FUNCTIONS = ("exp", "ln", "sqrt")
 CONSTANTS = {"i": 1j, "pi": complex(math.pi)}
 
 
+@dataclass(frozen=True)
+class _Operator:
+    symbol: str
+    prec: int
+    node: type
+    printed: str
+    apply: object  # the jet operation
+
+
+#: the binary operators by symbol, read by the parser, `pretty` and the
+#: evaluator; each level is left-associative
+_BINARY = {op.symbol: op for op in (
+    _Operator("+", 1, Add, " + ", operator.add), _Operator("-", 1, Sub, " - ", operator.sub),
+    _Operator("*", 2, Mul, "*", operator.mul), _Operator("/", 2, Div, "/", operator.truediv))}
+_OPERATOR_OF = {op.node: op for op in _BINARY.values()}
+
+
 # --- parser ---------------------------------------------------------------
+
+#: digits, an optional fraction and an optional exponent; the mantissa and
+#: the exponent's marker and digits are groups, to name a malformed part
+_NUMBER = re.compile(r"(?=[\d.])(\d*\.?\d*)(?:([eE])[+-]?(\d*))?")
+_NAME = re.compile(r"\w*")  # str.isalnum() or "_"
+
 
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
@@ -130,13 +155,12 @@ class _Parser:
     def error(self, msg: str, pos: int | None = None):
         raise ParseError(self.pos if pos is None else pos, msg)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after the whitespace, which it skips; "" at the end."""
+        t = self.text
+        while self.pos < len(t) and t[self.pos].isspace():
+            self.pos += 1
+        return t[self.pos:self.pos + 1]
 
     def accept(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -150,102 +174,57 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.peek():
             self.error("unexpected trailing input")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            if self.accept("+"):
-                node = Add(node, self.term())
-            elif self.accept("-"):
-                node = Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
+    def expr(self, min_prec: int = 1) -> Node:
+        """Factors joined by binary operators of precedence min_prec and up,
+        by precedence climbing: a right operand takes those that bind tighter."""
         node = self.factor()
-        while True:
-            if self.accept("*"):
-                node = Mul(node, self.factor())
-            elif self.accept("/"):
-                node = Div(node, self.factor())
-            else:
-                return node
+        while (op := _BINARY.get(self.peek())) and op.prec >= min_prec:
+            self.pos += 1
+            node = op.node(node, self.expr(op.prec + 1))
+        return node
 
     def factor(self) -> Node:
-        if self.accept("-"):
-            return Neg(self.power())
-        return self.power()
+        return Neg(self.power()) if self.accept("-") else self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.accept("^"):
-            return Pow(base, self.factor())
-        return base
+        return Pow(base, self.factor()) if self.accept("^") else base
 
     def atom(self) -> Node:
-        ch = self.peek()
-        if ch == "":
-            self.error("unexpected end of input")
+        ch, start, t = self.peek(), self.pos, self.text
         if ch == "(":
             self.pos += 1
             node = self.expr()
             self.expect(")")
             return node
-        if ch.isdigit() or ch == ".":
-            return self.number()
+        if number := _NUMBER.match(t, start):
+            if number[3] == "":
+                self.error("malformed number", number.start(2))
+            if number[1] == ".":
+                self.error("malformed number", start)
+            self.pos = number.end()
+            value = float(number[0])
+            if math.isinf(value):
+                self.error("number out of range", start)
+            return Const(complex(value))
         if ch.isalpha() or ch == "_":
-            return self.identifier()
-        self.error(f"unexpected character {ch!r}")
-
-    def number(self) -> Node:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.error("malformed number", mark)
-        try:
-            value = float(t[start:self.pos])
-        except ValueError:
-            self.error("malformed number", start)
-        if math.isinf(value):
-            self.error("number out of range", start)
-        return Const(complex(value))
-
-    def identifier(self) -> Node:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        name = t[start:self.pos]
-        if name in CONSTANTS:
-            return Const(CONSTANTS[name])
-        if name in FUNCTIONS:
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return Call(name, arg)
-        if name in self.variables:
-            return Var(name)
-        self.error(f"unknown identifier {name!r}", start)
+            self.pos = _NAME.match(t, start).end()
+            name = t[start:self.pos]
+            if name in CONSTANTS:
+                return Const(CONSTANTS[name])
+            if name in FUNCTIONS:
+                self.expect("(")
+                arg = self.expr()
+                self.expect(")")
+                return Call(name, arg)
+            if name in self.variables:
+                return Var(name)
+            self.error(f"unknown identifier {name!r}", start)
+        self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
 def parse(text: str, variables: list[str] | tuple[str, ...]) -> Expr:
@@ -257,7 +236,7 @@ def parse(text: str, variables: list[str] | tuple[str, ...]) -> Expr:
 
 # --- printing -------------------------------------------------------------
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+_PREC = {Neg: 3, Pow: 4}
 
 
 def _fmt_const(v: complex) -> str:
@@ -270,9 +249,9 @@ def _fmt_const(v: complex) -> str:
         im = v.imag
         ims = repr(int(im)) if im.is_integer() and abs(im) < 1e15 else repr(im)
         return f"{ims}*i" if im >= 0 else f"(-{ims.lstrip('-')}*i)"
-    re = _fmt_const(complex(v.real))
+    real = _fmt_const(complex(v.real))
     im = _fmt_const(complex(0, v.imag))
-    return f"({re} + {im})" if v.imag >= 0 else f"({re} - {_fmt_const(complex(0, -v.imag))})"
+    return f"({real} + {im})" if v.imag >= 0 else f"({real} - {_fmt_const(complex(0, -v.imag))})"
 
 
 def pretty(node: Node, parent_prec: int = 0) -> str:
@@ -285,21 +264,16 @@ def pretty(node: Node, parent_prec: int = 0) -> str:
         return node.name
     if isinstance(node, Call):
         return f"{node.fn}({pretty(node.arg)})"
-    prec = _PREC[type(node)]
     if isinstance(node, Neg):
+        prec = _PREC[Neg]
         s = f"-{pretty(node.x, prec)}"
-    elif isinstance(node, Add):
-        s = f"{pretty(node.a, prec)} + {pretty(node.b, prec + 1)}"
-    elif isinstance(node, Sub):
-        s = f"{pretty(node.a, prec)} - {pretty(node.b, prec + 1)}"
-    elif isinstance(node, Mul):
-        s = f"{pretty(node.a, prec)}*{pretty(node.b, prec + 1)}"
-    elif isinstance(node, Div):
-        s = f"{pretty(node.a, prec)}/{pretty(node.b, prec + 1)}"
     elif isinstance(node, Pow):
+        prec = _PREC[Pow]
         s = f"{pretty(node.base, prec + 1)}^{pretty(node.exponent, prec)}"
-    else:  # pragma: no cover
-        raise TypeError(node)
+    else:
+        op = _OPERATOR_OF[type(node)]
+        prec = op.prec
+        s = f"{pretty(node.a, prec)}{op.printed}{pretty(node.b, prec + 1)}"
     return f"({s})" if prec < parent_prec else s
 
 
@@ -360,8 +334,6 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # tree.  Each variable-free subtree, such as the coefficient (0.5 + -0.3*i),
 # is evaluated once per (nvars, order) and its jet kept.
 
-_BINARY = ((Add, operator.add), (Sub, operator.sub), (Mul, operator.mul),
-           (Div, operator.truediv))
 _CALLS = {"exp": operator.methodcaller("exp"), "ln": operator.methodcaller("log"),
           "sqrt": operator.methodcaller("sqrt")}
 
@@ -407,10 +379,10 @@ def _compile(node: Node):
     if isinstance(node, Neg):
         fx, const = _compile(node.x)
         return (lambda env, t: -fx(env, t)), const
-    for cls, op in _BINARY:
-        if isinstance(node, cls):
-            (fa, fb), const = _operands(_compile(node.a), _compile(node.b))
-            return (lambda env, t: op(fa(env, t), fb(env, t))), const
+    if op := _OPERATOR_OF.get(type(node)):
+        apply = op.apply
+        (fa, fb), const = _operands(_compile(node.a), _compile(node.b))
+        return (lambda env, t: apply(fa(env, t), fb(env, t))), const
     if isinstance(node, Pow):
         exponent = node.exponent
         if isinstance(exponent, Const) or (isinstance(exponent, Neg)

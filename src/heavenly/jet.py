@@ -162,6 +162,17 @@ def _off_the_cut(a0: complex, what: str, name: str) -> complex:
     return a0
 
 
+def _exp_start(a0: complex, p=None) -> complex:
+    """b_0 of exp (p None) or of the power p of a row with constant term a0:
+    e^a0, or e^(p ln a0) with the errors of `_off_the_cut`.  Where cmath's
+    exp overflows, raises an OverflowError that names a0."""
+    try:
+        return cmath.exp(a0 if p is None else p * cmath.log(_off_the_cut(a0, "power", "pow")))
+    except OverflowError:
+        what = "exp" if p is None else "power"
+        raise OverflowError(f"{what} of jet with constant term {a0} overflows") from None
+
+
 @lru_cache(maxsize=None)
 def _recurrence_table(nvars: int, order: int, depth: int):
     """`_mul_slots` by target degree, for `Jet._recurrence` over `depth`
@@ -429,7 +440,7 @@ class Jet:
     def exp(self) -> "Jet":
         """e^self, degree by degree: b_0 = e^{a_0} and
         b_k = sum_{j=1..k} (j/k) a_j b_{k-j} (`_recurrence`)."""
-        return self._recurrence([cmath.exp(v) for v in row_values(self.value)])
+        return self._recurrence([_exp_start(v) for v in row_values(self.value)])
 
     def log(self) -> "Jet":
         """Principal-branch logarithm, degree by degree: with a = self / a0,
@@ -438,7 +449,7 @@ class Jet:
         for a constant term below SINGULAR_EPS and BranchCutViolation for
         one on the negative real axis."""
         b0 = [cmath.log(_off_the_cut(v, "ln", "ln")) for v in row_values(self.value)]
-        return self._recurrence(b0, 0, log=True)
+        return self._recurrence(b0, 0)
 
     def sqrt(self) -> "Jet":
         return self.cpow(0.5)
@@ -458,13 +469,12 @@ class Jet:
             for _ in range(abs(n) - 1):
                 acc = acc * self
             return acc.reciprocal() if n < 0 else acc
-        b0 = [cmath.exp(p * cmath.log(_off_the_cut(v, "power", "pow")))
-              for v in row_values(self.value)]
-        return self._recurrence(b0, p)
+        return self._recurrence([_exp_start(v, p) for v in row_values(self.value)], p)
 
-    def _recurrence(self, b0: list, p=None, log: bool = False) -> "Jet":
-        """The jet b of exp (p None), a power (p), or log (p = 0, log True)
-        of self, from b0, the constant term of each row of b.
+    def _recurrence(self, b0: list, p=None) -> "Jet":
+        """The jet b of exp (p None), a power (p), or log (p = 0) of self,
+        from b0, the constant term of each row of b; `cpow` takes p = 0 as
+        a product, so p = 0 is log alone.
 
         With the Euler operator E, which multiplies a homogeneous part of
         degree k by k, b = a^p gives a E b = p b E a, b = e^a gives
@@ -490,14 +500,14 @@ class Jet:
             a = a / a[:, :1]
         w = weights.get(p)
         aw = a.take(gather) * (weights[None] * (p + 1) - 1 if w is None else w)
-        if log:  # b_k starts at +0 + a_k, as a scatter into zeros would
+        if p == 0:  # log: b_k starts at +0 + a_k, as a scatter into zeros would
             b = a
             b += 0.0
         else:
             b = np.zeros(a.shape, dtype=complex)
         b[:, 0] = b0
         flat = b.reshape(-1)
-        for ib, it, lo, hi in steps[log]:
+        for ib, it, lo, hi in steps[p == 0]:
             np.add.at(flat, it, aw[lo:hi] * flat.take(ib))
         return _jet(b.reshape(self.coeffs.shape), depth, n, order)
 

@@ -109,6 +109,31 @@ def test_an_expression_flag_part_that_raises_exits_2(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, reasons", [
+    (["verify", "--family", "noninv", "--b", "z^2 + exp(1000*z)", *ONE_Z],
+     {"exp of jet with constant term (1000+0j) overflows": 2}),
+    (["resolving", "--phi", "exp(1000*xi)", "--samples", "3"], {"OverflowError": 150}),
+], ids=("verify", "resolving"))
+def test_a_point_where_exp_overflows_is_excluded(capsys, argv, reasons):
+    # exp(1000*z) reads a variable, so the flag check passes it, and it
+    # overflows at every point
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["records"] == []
+    assert report["excluded"] == {"count": sum(reasons.values()), "reasons": reasons}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--b", "-".join(["z"] * 1000)],
+    ["verify", "--family", "noninv", "--b", "(" * 1000 + "z" + ")" * 1000, *ONE_Z],
+], ids=("classify-chain", "verify-parentheses"))
+def test_an_expression_too_deep_to_walk_exits_2(capsys, argv):
+    # the chain is as deep as a tree, the parentheses as the parser's recursion
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
+
 def test_verify_passes_on_solution(capsys):
     code, out, _ = run(capsys, "verify", "--kappa", "1", "--family", "noninv",
                        "--b", "z^2 + i", "--grid", GRID, "--tol", "1e-9")

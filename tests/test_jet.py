@@ -104,6 +104,14 @@ def test_cpow_fractional_matches_exp_log():
     np.testing.assert_allclose(direct.coeffs, via.coeffs, atol=1e-12)
 
 
+def test_an_exp_or_power_that_overflows_names_its_operand():
+    big = Jet.variable(0, (1000.0, 1.0), 1, 2)  # stacked: one row overflows
+    with pytest.raises(OverflowError, match=r"^exp of jet with constant term \(1000\+0j\) overflows$"):
+        big.exp()
+    with pytest.raises(OverflowError, match=r"^power of jet with constant term \(1e\+300\+0j\) overflows$"):
+        Jet.constant(1e300, 1, 2).cpow(2.5)
+
+
 def test_branch_cut_and_domain_errors():
     neg = Jet.constant(-1.0, 3, 4)
     with pytest.raises(BranchCutViolation):
