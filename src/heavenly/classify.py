@@ -39,10 +39,11 @@ def _is_real(v: complex) -> bool:
 class TheoremCase:
     """Constants of one invariant normal form.
 
-    kappa=1: C1, C2, lam purely imaginary in cases 1-4; case 5 takes C1
-    real and C2 imaginary; cases 6-8 take a = C2 imaginary.  kappa=-1:
-    cases 1-4 use a = C1 z^2 - lam z + C2 with C2 = conj(C1) and lam
-    imaginary; cases 5-8 use a = -lam z.
+    kappa=1: C1, C2, lam purely imaginary in cases 1-4; case 5 takes C1 real
+    and C2 imaginary; cases 6-8 take a = C2 imaginary.  kappa=-1: cases 1-4
+    use a = C1 z^2 - lam z + C2 with C2 = conj(C1) and lam imaginary; cases
+    5-8 use a = -lam z.  For both kappa, beta is nonzero exactly in cases 1,
+    3, 5 and 6 and alpha vanishes in case 8; kappa=-1 case 7 needs alpha != 0.
     """
 
     case_id: int
@@ -60,71 +61,42 @@ class TheoremCase:
             raise ConstraintViolation(f"kappa must be +1 or -1, got {k}")
         if cid not in range(1, 9):
             raise ConstraintViolation(f"case_id must be 1..8, got {cid}")
-        req = lambda cond, msg: None if cond else _fail(msg)
+        for holds, msg in self._constraints():
+            if not holds:
+                raise ConstraintViolation(f"case {cid} (kappa={k:+d}): {msg}")
 
-        def _fail(msg):
-            raise ConstraintViolation(f"case {cid} (kappa={k:+d}): {msg}")
-
-        if k == 1:
-            if cid in (1, 2, 3, 4):
-                req(_is_imag(self.C1) and not _is_zero(self.C1),
-                    "C1 must be purely imaginary and nonzero")
-                req(_is_imag(self.lam), "lam must be purely imaginary")
-                if cid in (1, 2):
-                    req(_is_imag(self.C2) and not _is_zero(self.C2),
-                        "C2 must be purely imaginary and nonzero")
-                else:
-                    req(_is_zero(self.C2), "C2 must vanish")
-                req((self.beta != 0) == (cid in (1, 3)),
-                    "beta must be nonzero exactly in cases 1 and 3")
+    def _constraints(self):
+        """(holds, message) for each constraint of the case, in order; lazily,
+        so the quotient by C1 is computed only once C1 != 0 holds."""
+        cid, C1, C2, lam = self.case_id, self.C1, self.C2, self.lam
+        yield ((self.beta != 0) == (cid in (1, 3, 5, 6)),
+               "beta must be nonzero exactly in cases 1, 3, 5 and 6")
+        yield cid != 8 or self.alpha == 0, "alpha must vanish in case 8"
+        if self.kappa == 1:
+            if cid <= 4:
+                yield _is_imag(C1) and not _is_zero(C1), "C1 must be purely imaginary and nonzero"
+                yield _is_imag(lam), "lam must be purely imaginary"
+                yield (_is_imag(C2) and _is_zero(C2) == (cid >= 3),
+                       "C2 must be purely imaginary, and zero exactly in cases 3 and 4")
             elif cid == 5:
-                req(_is_real(self.C1) and not _is_zero(self.C1),
-                    "C1 must be real and nonzero")
-                req(_is_imag(self.C2), "C2 must be purely imaginary")
-                req(self.beta != 0, "beta must be nonzero")
-            elif cid in (6, 7, 8):
-                req(_is_zero(self.C1), "C1 must vanish")
-                req(_is_imag(self.C2) and not _is_zero(self.C2),
-                    "C2 must be purely imaginary and nonzero")
-                if cid == 6:
-                    req(self.beta != 0, "beta must be nonzero")
-                elif cid == 7:
-                    req(self.beta == 0, "beta must vanish")
-                else:
-                    req(self.alpha == 0 and self.beta == 0,
-                        "alpha and beta must vanish")
-        else:
-            if cid in (1, 2, 3, 4):
-                req(not _is_zero(self.C1), "C1 must be nonzero")
-                req(_is_zero(self.C2 - self.C1.conjugate()),
-                    "C2 must equal conj(C1)")
-                req(_is_imag(self.lam), "lam must be purely imaginary")
-                c2t = self.C2 - self.lam ** 2 / (4 * self.C1)
-                if cid in (1, 2):
-                    req(not _is_zero(c2t), "C2 - lam^2/(4 C1) must be nonzero")
-                else:
-                    # empty for nonzero constants: |C1|^2 = lam^2/4 has no
-                    # solution with lam purely imaginary
-                    req(_is_zero(c2t), "C2 - lam^2/(4 C1) must vanish")
-                req((self.beta != 0) == (cid in (1, 3)),
-                    "beta must be nonzero exactly in cases 1 and 3")
+                yield _is_real(C1) and not _is_zero(C1), "C1 must be real and nonzero"
+                yield _is_imag(C2), "C2 must be purely imaginary"
             else:
-                req(_is_zero(self.C1) and _is_zero(self.C2),
-                    "C1 and C2 must vanish")
-                if cid == 6:
-                    req(_is_zero(self.lam), "lam must vanish")
-                    req(self.beta != 0, "beta must be nonzero")
-                else:
-                    req(_is_imag(self.lam) and not _is_zero(self.lam),
-                        "lam must be purely imaginary and nonzero")
-                    if cid == 5:
-                        req(self.beta != 0, "beta must be nonzero")
-                    elif cid == 7:
-                        req(self.beta == 0 and self.alpha != 0,
-                            "beta must vanish and alpha must not")
-                    else:
-                        req(self.alpha == 0 and self.beta == 0,
-                            "alpha and beta must vanish")
+                yield _is_zero(C1), "C1 must vanish"
+                yield _is_imag(C2) and not _is_zero(C2), "C2 must be purely imaginary and nonzero"
+        elif cid <= 4:
+            yield not _is_zero(C1), "C1 must be nonzero"
+            yield _is_zero(C2 - C1.conjugate()), "C2 must equal conj(C1)"
+            yield _is_imag(lam), "lam must be purely imaginary"
+            # cases 3 and 4 are empty for nonzero constants: |C1|^2 = lam^2/4
+            # has no solution with lam purely imaginary
+            yield (_is_zero(C2 - lam ** 2 / (4 * C1)) == (cid >= 3),
+                   "C2 - lam^2/(4 C1) must vanish exactly in cases 3 and 4")
+        else:
+            yield _is_zero(C1) and _is_zero(C2), "C1 and C2 must vanish"
+            yield (_is_imag(lam) and _is_zero(lam) == (cid == 6),
+                   "lam must be purely imaginary, and zero exactly in case 6")
+            yield cid != 7 or self.alpha != 0, "alpha must not vanish in case 7"
 
 
 # small AST builders; the normal forms are assembled, never parsed
@@ -186,41 +158,34 @@ def theorem_case(case: TheoremCase) -> tuple[ex.Expr, GeneratorSpec]:
     C1, C2, lam = case.C1, case.C2, case.lam
 
     if k == 1:
-        if cid in (1, 2, 3, 4):
+        a = _c(C2)
+        if cid <= 4:
             b = _quadratic_case_b(cid, alpha, beta, C, C1, C2, lam)
             a = _poly(C1 * lam * lam + C2, 2 * C1 * lam, C1)
         elif cid == 5:
-            b = ex.Add(ex.Mul(_c(C), ex.Pow(_poly(C2, C1), _c(beta / C1))),
-                       _c(alpha / beta))
             a = _poly(C2, C1)
+            b = ex.Add(ex.Mul(_c(C), ex.Pow(a, _c(beta / C1))), _c(alpha / beta))
         elif cid == 6:
-            b = ex.Add(ex.Mul(_c(C), ex.Call("exp", _poly(0, beta / C2))),
-                       _c(alpha / beta))
-            a = _c(C2)
+            b = ex.Add(ex.Mul(_c(C), ex.Call("exp", _poly(0, beta / C2))), _c(alpha / beta))
         elif cid == 7:
             b = _poly(C, -alpha / C2)
-            a = _c(C2)
         else:
             b = _c(C)
-            a = _c(C2)
-        return _as_expr(b), GeneratorSpec(alpha, beta, _as_expr(a))
-
-    if cid in (1, 2, 3, 4):
-        lam_t = -lam / (2 * C1)
-        c2_t = C2 - lam * lam / (4 * C1)
-        b = _quadratic_case_b(cid, alpha, beta, C, C1, c2_t, lam_t)
-        a = _poly(C2, -lam, C1)
-        return _as_expr(b), GeneratorSpec(alpha, beta, _as_expr(a))
-    if cid == 5:
-        b = ex.Add(ex.Mul(_c(C), ex.Pow(_poly(0, -lam), _c(-beta / lam))),
-                   _c(alpha / beta))
-        return _as_expr(b), GeneratorSpec(alpha, beta, _as_expr(_poly(0, -lam)))
-    if cid == 6:
-        return _as_expr(_c(alpha / beta)), GeneratorSpec(alpha, beta, None)
-    if cid == 7:
-        b = ex.Add(ex.Mul(_c(alpha / lam), ex.Call("ln", _Z)), _c(C))
-        return _as_expr(b), GeneratorSpec(alpha, 0.0, _as_expr(_poly(0, -lam)))
-    return _as_expr(_c(C)), GeneratorSpec(0.0, 0.0, _as_expr(_poly(0, -lam)))
+    else:
+        a = _poly(0, -lam)
+        if cid <= 4:
+            b = _quadratic_case_b(cid, alpha, beta, C, C1, C2 - lam * lam / (4 * C1),
+                                  -lam / (2 * C1))
+            a = _poly(C2, -lam, C1)
+        elif cid == 5:
+            b = ex.Add(ex.Mul(_c(C), ex.Pow(a, _c(-beta / lam))), _c(alpha / beta))
+        elif cid == 6:
+            b, a = _c(alpha / beta), None
+        elif cid == 7:
+            b = ex.Add(ex.Mul(_c(alpha / lam), ex.Call("ln", _Z)), _c(C))
+        else:
+            b = _c(C)
+    return _as_expr(b), GeneratorSpec(alpha, beta, None if a is None else _as_expr(a))
 
 
 def verify_case(case: TheoremCase, grid: list[Point]) -> float:
@@ -287,7 +252,7 @@ def _generator_nullvector(zs, b0, b1, kappa):
             # a = C1 z^2 - lam z + conj(C1)
             cols = [1.0, -bv, (z * z + 1) * bd, 1j * (z * z - 1) * bd,
                     -1j * z * bd]
-        rows.append([c for c in cols])
+        rows.append(cols)
     M = np.array(rows, dtype=complex)
     R = np.vstack([M.real, M.imag])
     _u, s, vt = np.linalg.svd(R)

@@ -19,14 +19,13 @@ import json
 import math
 import random
 import sys
-import warnings
 from dataclasses import replace
 
 from . import __version__
 from . import expr as ex
 from .errors import POINT_EXCLUSIONS, SWEEP_FALLBACK, FVanishes, HeavenlyError, ParseError
 from .families import FAMILY_PARAMS
-from .jet import PASS_POINTS
+from .jet import PASS_POINTS, raising_float_errors
 from .sweeps import in_sweeps
 
 SCHEMA = "foliation-report/1"
@@ -181,16 +180,14 @@ def _expr_arg(flag: str, text: str, variables: tuple[str, ...] = ()) -> ex.Expr:
         if free and children:
             try:
                 value = ex.evaluate_value(ex.Expr(node, ()), {})
-            except OverflowError:  # cmath's, from exp
+            except (OverflowError, FloatingPointError):  # cmath's exp, numpy's jets
                 value = complex("inf")
             if not cmath.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {text!r}: "
                                  f"{ex.pretty(node)} is {value}")
         return free
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, on overflow
-        variable_free(e.root)
+    variable_free(e.root)
     return e
 
 
@@ -487,7 +484,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.command = argv
     try:
-        return args.fn(args)
+        with raising_float_errors():
+            return args.fn(args)
     except ParseError as err:
         print(f"error: parse failure at position {err.position}: {err}",
               file=sys.stderr)

@@ -60,9 +60,11 @@ class ConstraintViolation(HeavenlyError):
 
 
 #: errors that exclude one grid point from a suite instead of ending the run;
-#: an OverflowError is cmath's, such as an exp that overflows at the point
+#: an OverflowError is cmath's, such as an exp that overflows at the point, and
+#: a FloatingPointError numpy's, where a jet operation overflows or makes a NaN
+#: inside `jet.raising_float_errors` (as every CLI run does)
 POINT_EXCLUSIONS = (DomainError, DivisionBySingularJet, BranchCutViolation, SingularMap,
-                    OverflowError)
+                    OverflowError, FloatingPointError)
 
 #: what a stacked pass over several points can raise where one of them is
 #: bad; a pass that raises one of these leaves its points to run one by one

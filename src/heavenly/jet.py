@@ -142,6 +142,12 @@ def _read_slots(indices: tuple, nvars: int, order: int) -> np.ndarray:
     return _read_only(_flat(np.array(indices, dtype=np.intp).reshape(-1, nvars), order + 1))[0]
 
 
+def raising_float_errors():
+    """A context in which numpy's overflow, division by zero and invalid
+    operations raise `FloatingPointError`; underflow stays ignored."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
 def _on_branch_cut(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0
 

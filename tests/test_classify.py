@@ -33,6 +33,16 @@ def test_constraint_validation():
         TheoremCase(5, -1, 1.0, 1.0, 1.0, lam=0.5)  # lam must be imaginary
     with pytest.raises(ConstraintViolation):
         TheoremCase(1, 2)  # kappa must be +1 or -1
+    # the kappa-asymmetric corners
+    TheoremCase(7, 1, 0.0, 0.0, 1.0, C2=1j)  # alpha is free in kappa=+1 case 7
+    TheoremCase(3, 1, 1.0, 1.0, 1.0, C1=1j, C2=1e-13j)  # C2 below the zero tolerance
+    for rejected, name in (
+            (dict(case_id=7, kappa=-1, alpha=0.0, lam=1j), "alpha"),  # kappa=-1 case 7 needs it
+            (dict(case_id=6, kappa=-1, beta=1.0, lam=1j), "lam"),  # it must vanish in case 6
+            (dict(case_id=1, kappa=1, beta=1.0, C1=1j, C2=1e-13j), "C2"),  # it must not vanish
+            (dict(case_id=5, kappa=1, beta=0.0, C1=1.0, C2=1j), "beta")):  # it must not vanish
+        with pytest.raises(ConstraintViolation, match=name):
+            TheoremCase(**rejected)
 
 
 @pytest.mark.parametrize("kappa,case_id", sorted(EMPTY_CASES))
