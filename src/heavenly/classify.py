@@ -19,6 +19,10 @@ from .symmetry import GeneratorSpec, conf_inv_witness, invariance_residuals
 _ZERO_TOL = 1e-12
 PDE_SANITY_TOL = 1e-6
 FIT_TOL = 1e-8
+SNAP_TOL = 1e-9  # a fitted unit null vector's entries below this are 0
+# a fit's label: the first case in this order whose constraints hold
+# (kappa=+1 cases 7 and 8 overlap where alpha = 0)
+LABEL_ORDER = (1, 2, 3, 4, 5, 6, 8, 7)
 
 
 # --- case normal forms ----------------------------------------------------
@@ -61,42 +65,41 @@ class TheoremCase:
             raise ConstraintViolation(f"kappa must be +1 or -1, got {k}")
         if cid not in range(1, 9):
             raise ConstraintViolation(f"case_id must be 1..8, got {cid}")
-        for holds, msg in self._constraints():
+        for holds, msg in _constraints(cid, k, self.alpha, self.beta, self.C1, self.C2, self.lam):
             if not holds:
                 raise ConstraintViolation(f"case {cid} (kappa={k:+d}): {msg}")
 
-    def _constraints(self):
-        """(holds, message) for each constraint of the case, in order; lazily,
-        so the quotient by C1 is computed only once C1 != 0 holds."""
-        cid, C1, C2, lam = self.case_id, self.C1, self.C2, self.lam
-        yield ((self.beta != 0) == (cid in (1, 3, 5, 6)),
-               "beta must be nonzero exactly in cases 1, 3, 5 and 6")
-        yield cid != 8 or self.alpha == 0, "alpha must vanish in case 8"
-        if self.kappa == 1:
-            if cid <= 4:
-                yield _is_imag(C1) and not _is_zero(C1), "C1 must be purely imaginary and nonzero"
-                yield _is_imag(lam), "lam must be purely imaginary"
-                yield (_is_imag(C2) and _is_zero(C2) == (cid >= 3),
-                       "C2 must be purely imaginary, and zero exactly in cases 3 and 4")
-            elif cid == 5:
-                yield _is_real(C1) and not _is_zero(C1), "C1 must be real and nonzero"
-                yield _is_imag(C2), "C2 must be purely imaginary"
-            else:
-                yield _is_zero(C1), "C1 must vanish"
-                yield _is_imag(C2) and not _is_zero(C2), "C2 must be purely imaginary and nonzero"
-        elif cid <= 4:
-            yield not _is_zero(C1), "C1 must be nonzero"
-            yield _is_zero(C2 - C1.conjugate()), "C2 must equal conj(C1)"
+
+def _constraints(cid, kappa, alpha, beta, C1, C2, lam):
+    """(holds, message) for each constraint of normal form cid, in order;
+    lazily, so the quotient by C1 is computed only once C1 != 0 holds."""
+    yield (beta != 0) == (cid in (1, 3, 5, 6)), "beta must be nonzero exactly in cases 1, 3, 5 and 6"
+    yield cid != 8 or alpha == 0, "alpha must vanish in case 8"
+    if kappa == 1:
+        if cid <= 4:
+            yield _is_imag(C1) and not _is_zero(C1), "C1 must be purely imaginary and nonzero"
             yield _is_imag(lam), "lam must be purely imaginary"
-            # cases 3 and 4 are empty for nonzero constants: |C1|^2 = lam^2/4
-            # has no solution with lam purely imaginary
-            yield (_is_zero(C2 - lam ** 2 / (4 * C1)) == (cid >= 3),
-                   "C2 - lam^2/(4 C1) must vanish exactly in cases 3 and 4")
+            yield (_is_imag(C2) and _is_zero(C2) == (cid >= 3),
+                   "C2 must be purely imaginary, and zero exactly in cases 3 and 4")
+        elif cid == 5:
+            yield _is_real(C1) and not _is_zero(C1), "C1 must be real and nonzero"
+            yield _is_imag(C2), "C2 must be purely imaginary"
         else:
-            yield _is_zero(C1) and _is_zero(C2), "C1 and C2 must vanish"
-            yield (_is_imag(lam) and _is_zero(lam) == (cid == 6),
-                   "lam must be purely imaginary, and zero exactly in case 6")
-            yield cid != 7 or self.alpha != 0, "alpha must not vanish in case 7"
+            yield _is_zero(C1), "C1 must vanish"
+            yield _is_imag(C2) and not _is_zero(C2), "C2 must be purely imaginary and nonzero"
+    elif cid <= 4:
+        yield not _is_zero(C1), "C1 must be nonzero"
+        yield _is_zero(C2 - C1.conjugate()), "C2 must equal conj(C1)"
+        yield _is_imag(lam), "lam must be purely imaginary"
+        # cases 3 and 4 are empty for nonzero constants: |C1|^2 = lam^2/4
+        # has no solution with lam purely imaginary
+        yield (_is_zero(C2 - lam ** 2 / (4 * C1)) == (cid >= 3),
+               "C2 - lam^2/(4 C1) must vanish exactly in cases 3 and 4")
+    else:
+        yield _is_zero(C1) and _is_zero(C2), "C1 and C2 must vanish"
+        yield (_is_imag(lam) and _is_zero(lam) == (cid == 6),
+               "lam must be purely imaginary, and zero exactly in case 6")
+        yield cid != 7 or alpha != 0, "alpha must not vanish in case 7"
 
 
 # small AST builders; the normal forms are assembled, never parsed
@@ -246,71 +249,51 @@ def _generator_nullvector(zs, b0, b1, kappa):
     for z, bv, bd in zip(zs, b0, b1):
         if kappa == 1:
             # v = (alpha, beta, Im C1, Re p1, Im p0), a = i v2 z^2 + v3 z + i v4
-            cols = [1.0, -bv, 1j * z * z * bd, z * bd, 1j * bd]
+            rows.append([1.0, -bv, 1j * z * z * bd, z * bd, 1j * bd])
         else:
-            # v = (alpha, beta, Re C1, Im C1, Im lam),
-            # a = C1 z^2 - lam z + conj(C1)
-            cols = [1.0, -bv, (z * z + 1) * bd, 1j * (z * z - 1) * bd,
-                    -1j * z * bd]
-        rows.append(cols)
+            # v = (alpha, beta, Re C1, Im C1, Im lam), a = C1 z^2 - lam z + conj(C1)
+            rows.append([1.0, -bv, (z * z + 1) * bd, 1j * (z * z - 1) * bd, -1j * z * bd])
     M = np.array(rows, dtype=complex)
-    R = np.vstack([M.real, M.imag])
-    _u, s, vt = np.linalg.svd(R)
-    rel = s[-1] / max(s[0], 1e-30)
-    return vt[-1], rel
+    _u, s, vt = np.linalg.svd(np.vstack([M.real, M.imag]))
+    return vt[-1], s[-1] / max(s[0], 1e-30)
 
 
-def _generator_from_vector(v, kappa) -> tuple[GeneratorSpec, int]:
-    """GeneratorSpec and case label reconstructed from a null vector."""
-    alpha, beta = float(v[0]), float(v[1])
-    tol = 1e-9
+def _a_coefficients(w2, w3, w4, kappa) -> tuple[complex, complex, complex]:
+    """(p0, p1, p2) of a = p2 z^2 + p1 z + p0 from a's null-vector entries."""
     if kappa == 1:
-        p2, p1, p0 = 1j * v[2], complex(v[3]), 1j * v[4]
-        if abs(p2) > tol:
-            C1 = p2
-            lam = p1 / (2 * C1)
-            C2 = p0 - C1 * lam * lam
-            if abs(C2) > tol:
-                cid = 1 if abs(beta) > tol else 2
-            else:
-                cid = 3 if abs(beta) > tol else 4
-            a = _poly(p0, p1, p2)
-        elif abs(p1) > tol:
-            cid = 5 if abs(beta) > tol else 7
-            a = _poly(p0, p1)
-        elif abs(p0) > tol:
-            if abs(beta) > tol:
-                cid = 6
-            else:
-                cid = 7 if abs(alpha) > tol else 8
-            a = _c(p0)
-        else:
-            cid = 8
-            a = None
+        return 1j * w4, complex(w3), 1j * w2
+    C1 = complex(w2, w3)
+    return C1.conjugate(), -(1j * w4), C1
+
+
+def _generator_from_vector(v, kappa) -> tuple[GeneratorSpec, int | None]:
+    """The generator of a unit null vector, and the first case of LABEL_ORDER
+    whose constraints the vector meets with its entries below SNAP_TOL
+    snapped to 0 (None if none does).  The generator keeps the fitted
+    entries, but drops a's leading ones (v2, v3, v4 in turn) that snap."""
+    v = [float(x) for x in v]
+    snapped = [0.0 if abs(x) < SNAP_TOL else x for x in v]
+    lead = next((i for i in (2, 3, 4) if snapped[i]), 5)
+    coeffs = _a_coefficients(*[0.0] * (lead - 2), *v[lead:], kappa)
+    gen = GeneratorSpec(v[0], v[1], _as_expr(_poly(*coeffs)) if any(coeffs) else None)
+    p0, p1, p2 = _a_coefficients(*snapped[2:], kappa)
+    if kappa == -1:
+        C1, C2, lam = p2, p0, -p1
     else:
-        C1 = complex(v[2], v[3])
-        lam = 1j * v[4]
-        if abs(C1) > tol:
-            # never 3 or 4: |conj(C1) - lam^2/(4 C1)| = |C1| (1 + v4^2/(4|C1|^2)) > tol
-            cid = 1 if abs(beta) > tol else 2
-            a = _poly(C1.conjugate(), -lam, C1)
-        elif abs(lam) > tol:
-            if abs(beta) > tol:
-                cid = 5
-            else:
-                cid = 7 if abs(alpha) > tol else 8
-            a = _poly(0, -lam)
-        else:
-            cid = 6
-            a = None
-    gen = GeneratorSpec(alpha, beta, _as_expr(a) if a is not None else None)
-    return gen, cid
+        lam = p1 / (2 * p2) if p2 else 0j
+        C1, C2 = (p2, p0 - p2 * lam * lam) if p2 else (p1, p0)
+    return gen, next((c for c in LABEL_ORDER if all(
+        holds for holds, _ in _constraints(c, kappa, *snapped[:2], C1, C2, lam))), None)
 
 
 def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdict:
     """Decide whether b(z) matches an invariant normal form, is witnessed
     conformally non-invariant, or neither can be established.
 
+    A fit takes the first case of LABEL_ORDER whose `TheoremCase`
+    constraints it meets; one that leaves b invariant but meets none is
+    Inconclusive.  A constant b fits a = i (kappa=1) or a = -i z (kappa=-1),
+    case 8; at kappa=-1 it is also case 6's normal form b = alpha/beta.
     The verdict's `equation` holds the equation check at every grid point,
     which the `classify` report lists.
     """
@@ -350,21 +333,23 @@ def classify_b(b: ex.Expr, kappa: int, grid: list[Point]) -> ClassificationVerdi
     scale = 1.0 + max(abs(v) for v in b0)
 
     if max(abs(v) for v in b1) < FIT_TOL * scale:
-        a = _c(1j) if kappa == 1 else _poly(0, -1j)
-        gen = GeneratorSpec(0.0, 0.0, _as_expr(a))
-        res = _max_invariance_residual(gen, usable, rows)
-        return InvariantCaseMatched(8, gen, res, equation=equation)
-
-    v, rel = _generator_nullvector(zs, b0, b1, kappa)
+        # a constant b: the unit vector on a's last constant, a = i (kappa=1)
+        # or a = -i z (kappa=-1), which labels as case 8
+        v, rel = (0.0, 0.0, 0.0, 0.0, 1.0), 0.0
+    else:
+        v, rel = _generator_nullvector(zs, b0, b1, kappa)
     if rel < FIT_TOL:
         gen, cid = _generator_from_vector(v, kappa)
         res = _max_invariance_residual(gen, usable, rows)
         if res < FIT_TOL:
-            note = ""
-            if kappa == 1 and max(abs(v) for v in b2) < FIT_TOL * scale:
-                note = "linear b reported under the affine case label"
-                cid = 7
-            return InvariantCaseMatched(cid, gen, res, note=note, equation=equation)
+            if cid is None:
+                return Inconclusive(
+                    f"the fitted generator (alpha {gen.alpha:.3e}, beta {gen.beta:.3e}) leaves b "
+                    f"invariant (residual {res:.3e}) but matches no normal form", equation)
+            # a linear b at kappa=+1 (case 5, or 7 where beta = 0) is case 7
+            linear = kappa == 1 and cid != 8 and max(abs(x) for x in b2) < FIT_TOL * scale
+            note = "linear b reported under the affine case label" if linear else ""
+            return InvariantCaseMatched(7 if linear else cid, gen, res, note, equation)
 
     if len(zs) < 5:
         return Inconclusive("fewer than 5 distinct z samples for case matching", equation)

@@ -255,16 +255,15 @@ def _fmt_const(v: complex) -> str:
 
 
 def pretty(node: Node, parent_prec: int = 0) -> str:
-    if isinstance(node, Const):
-        s = _fmt_const(node.value)
-        if (s.startswith("-") or "e-" in s) and parent_prec > 1:
-            return f"({s})"
-        return s
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
         return f"{node.fn}({pretty(node.arg)})"
-    if isinstance(node, Neg):
+    if isinstance(node, Const):
+        s = _fmt_const(node.value)
+        # a negative number or an exponent form binds like a sum, k*i like a product
+        prec = 1 if s.startswith("-") or "e-" in s else 2 if s.endswith("*i") else parent_prec
+    elif isinstance(node, Neg):
         prec = _PREC[Neg]
         s = f"-{pretty(node.x, prec)}"
     elif isinstance(node, Pow):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from heavenly import expr as ex
 from heavenly.classify import theorem_case
 from heavenly.errors import ArityMismatch, ParseError
-from case_draws import draw_case
+from case_draws import EMPTY_CASES, draw_case
 
 
 def val(text, **env):
@@ -104,13 +104,24 @@ def test_pretty_round_trip_is_fixed_point():
 
 def printed_constants() -> dict:
     """Expressions whose constants the parser never makes, imaginary ones
-    other than i and ones with both parts nonzero: a `conjugate`, and the b
-    and generator a of one normal form per kappa."""
-    cases = {"conjugate": ex.conjugate(ex.parse("z^2 + 0.5*i - 2", ("z",)))}
+    other than i and ones with both parts nonzero: a `conjugate`, k*i as a
+    power's base and exponent and as a divisor, and the b and generator a
+    of one normal form of every (case, kappa) pair."""
+    z = ex.Var("z")
+    cases = {"conjugate": ex.conjugate(ex.parse("z^2 + 0.5*i - 2", ("z",))),
+             "z^(2i)": ex.Expr(ex.Pow(z, ex.Const(2j)), ("z",)),
+             "(2i)^z": ex.Expr(ex.Pow(ex.Const(2j), z), ("z",)),
+             "z/(1.5i)": ex.Expr(ex.Div(z, ex.Const(1.5j)), ("z",))}
     rng = random.Random(7)
     for kappa in (1, -1):
-        b, gen = theorem_case(draw_case(1, kappa, rng))
-        cases[f"b{kappa:+d}"], cases[f"a{kappa:+d}"] = b, gen.a
+        for cid in range(1, 9):
+            if (kappa, cid) in EMPTY_CASES:
+                continue
+            b, gen = theorem_case(draw_case(cid, kappa, rng))
+            case = "" if cid == 1 else f" case {cid}"
+            cases[f"b{kappa:+d}{case}"] = b
+            if gen.a is not None:
+                cases[f"a{kappa:+d}{case}"] = gen.a
     return cases
 
 
